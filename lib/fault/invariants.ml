@@ -271,12 +271,13 @@ let collateral_bounded ?(slack = 0.1) ~cluster () =
    measure deltas — O(changed servers); membership events call
    [resync], a full O(n) rebuild that makes the state exact again.
    The full recompute above is retained as the oracle: the test suite
-   pins that both report the same verdicts.  (The running float sums
-   can differ from the fold-from-scratch sums in the last bits, ~1e-15
-   per round against thresholds of 1e-9 — the message text of an
-   already-fired violation may therefore differ in final digits, but
-   whether a violation fires agrees far from the threshold, which the
-   qcheck suite exercises.) *)
+   pins that both report the same verdicts and texts.  The running
+   float sums can differ from the fold-from-scratch sums in the last
+   bits, ~1e-15 per round against thresholds of 1e-9: verdicts agree
+   far from the threshold, but the [%.12g] digits of a sum need not.
+   So the verdict comes from the running sums, and only a violation
+   that fires re-folds the sums it prints, in the full check's order —
+   O(n) on the violation path, O(changed) otherwise. *)
 module Acc = struct
   type acc = {
     policy : Placement.Policy.t;
@@ -366,6 +367,20 @@ module Acc = struct
      O(#negatives + #domains) instead of O(n). *)
   let check t ~cluster =
     let time = Desim.Sim.now (Cluster.sim cluster) in
+    (* The violation path's fresh folds, as [check_regions] and
+       [domain_spread] compute them from [policy.regions ()]. *)
+    let regions = lazy (t.policy.Placement.Policy.regions ()) in
+    let fold_total () =
+      List.fold_left (fun acc (_, m) -> acc +. m) 0.0 (Lazy.force regions)
+    in
+    let fold_domain name =
+      List.fold_left
+        (fun acc (id, m) ->
+          match Sharedfs.Topology.domain_of t.topology id with
+          | Some d when String.equal d name -> acc +. m
+          | Some _ | None -> acc)
+        0.0 (Lazy.force regions)
+    in
     let regions_violations =
       if t.n = 0 then []
       else begin
@@ -384,7 +399,8 @@ module Acc = struct
         in
         if Float.abs (t.total -. 0.5) > t.eps then
           Printf.sprintf
-            "half-occupancy broken: mapped measure %.12g, expected 0.5" t.total
+            "half-occupancy broken: mapped measure %.12g, expected 0.5"
+            (fold_total ())
           :: negative
         else negative
       end
@@ -402,17 +418,18 @@ module Acc = struct
               let measure =
                 Option.value ~default:0.0 (Hashtbl.find_opt t.domain_sum name)
               in
-              let cap =
+              let cap total =
                 Float.min 1.0
                   ((float_of_int k /. float_of_int t.n) +. t.slack)
-                *. t.total
+                *. total
               in
-              if measure > cap +. 1e-9 then
+              if measure > cap t.total +. 1e-9 then
+                let total = fold_total () in
                 Some
                   (Printf.sprintf
                      "domain spread broken: domain %s maps %.12g of %.12g \
                       (%d of %d servers, cap %.12g)"
-                     name measure t.total k t.n cap)
+                     name (fold_domain name) total k t.n (cap total))
               else None)
           (Sharedfs.Topology.domains t.topology)
     in

@@ -87,7 +87,10 @@ module Acc : sig
       membership events; also re-zeroes any accumulated float drift. *)
   val resync : t -> unit
 
-  (** Verdicts from the running sums — O(#negatives + #domains). *)
+  (** Verdicts from the running sums — O(#negatives + #domains).  A
+      half-occupancy or domain-spread violation that fires re-folds
+      the sums it prints from [policy.regions ()] (O(n)), so its text
+      equals {!check}'s. *)
   val check : t -> cluster:Sharedfs.Cluster.t -> violation list
 end
 

@@ -61,12 +61,21 @@ let alloc_span t =
   incr t.span_counter;
   !(t.span_counter)
 
+(* A plain loop and handler rather than [Fun.protect] and [Array.iter]:
+   no closure is allocated per event. *)
 let emit t e =
   if Array.length t.sinks > 0 then begin
     Mutex.lock t.emit_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.emit_mutex)
-      (fun () -> Array.iter (fun (s : Sink.t) -> s.emit e) t.sinks)
+    match
+      for i = 0 to Array.length t.sinks - 1 do
+        t.sinks.(i).Sink.emit e
+      done
+    with
+    | () -> Mutex.unlock t.emit_mutex
+    | exception ex ->
+      let bt = Printexc.get_raw_backtrace () in
+      Mutex.unlock t.emit_mutex;
+      Printexc.raise_with_backtrace ex bt
   end
 
 let snapshot t = Option.map Metrics.snapshot t.metrics

@@ -167,163 +167,192 @@ let kind = function
   | Span_begin _ -> "span_begin"
   | Span_end _ -> "span_end"
 
-(* --- JSON encoding --- *)
+(* --- JSON encoding ---
 
-let num x = Json.Num x
+   Written straight into the caller's buffer: field order, escaping and
+   number rendering match [Json.to_string] of the equivalent object
+   tree byte for byte (the test suite keeps that tree encoder as its
+   oracle).  Helpers take the buffer and memo as arguments rather than
+   closing over them, so an event allocates nothing beyond the numbers
+   the memo has not seen. *)
 
-let int n = Json.Num (float_of_int n)
+let add = Buffer.add_string
 
-let opt_int = function None -> Json.Null | Some n -> int n
+(* One field each; [key] is the literal that precedes the value, e.g.
+   [,"name":]. *)
+let str buf key s =
+  add buf key;
+  Json.add_string buf s
 
-let change_to_json = function
-  | Failed -> Json.Obj [ ("change", Json.Str "failed") ]
-  | Recovered -> Json.Obj [ ("change", Json.Str "recovered") ]
+let int m buf key n =
+  add buf key;
+  Json.add_int m buf n
+
+let num m buf key x =
+  add buf key;
+  Json.add_number m buf x
+
+let opt_int m buf key = function
+  | None ->
+    add buf key;
+    add buf "null"
+  | Some n -> int m buf key n
+
+let opt_str buf key = function
+  | None ->
+    add buf key;
+    add buf "null"
+  | Some s -> str buf key s
+
+let write_change m buf = function
+  | Failed -> add buf {|{"change":"failed"}|}
+  | Recovered -> add buf {|{"change":"recovered"}|}
   | Added speed ->
-    Json.Obj [ ("change", Json.Str "added"); ("speed", num speed) ]
+    num m buf {|{"change":"added","speed":|} speed;
+    Buffer.add_char buf '}'
   | Speed_changed speed ->
-    Json.Obj [ ("change", Json.Str "speed_changed"); ("speed", num speed) ]
-  | Decommissioned -> Json.Obj [ ("change", Json.Str "decommissioned") ]
+    num m buf {|{"change":"speed_changed","speed":|} speed;
+    Buffer.add_char buf '}'
+  | Decommissioned -> add buf {|{"change":"decommissioned"}|}
 
-let fault_to_json f =
-  let fields =
-    match f with
-    | Server_crash | Server_recover | Delegate_crash | Disk_stall_end -> []
-    | Report_lost { attempt } -> [ ("attempt", int attempt) ]
-    | Report_delayed { delay } -> [ ("delay", num delay) ]
-    | Move_interrupted { role } -> [ ("role", Json.Str role) ]
-    | Disk_stall_start { factor; duration } ->
-      [ ("factor", num factor); ("duration", num duration) ]
-    | Partition_cut { link } | Partition_healed { link } ->
-      [ ("link", Json.Str link) ]
-    | Ledger_torn { seq } -> [ ("seq", int seq) ]
-    | Domain_crash { domain; members } | Domain_recover { domain; members } ->
-      [ ("domain", Json.Str domain); ("members", int members) ]
-    | Domain_partition_cut { domain; link; members }
-    | Domain_partition_healed { domain; link; members } ->
-      [
-        ("domain", Json.Str domain);
-        ("link", Json.Str link);
-        ("members", int members);
-      ]
-  in
-  Json.Obj (("fault", Json.Str (fault_name f)) :: fields)
+let write_fault m buf f =
+  add buf {|{"fault":"|};
+  add buf (fault_name f);
+  Buffer.add_char buf '"';
+  (match f with
+  | Server_crash | Server_recover | Delegate_crash | Disk_stall_end -> ()
+  | Report_lost { attempt } -> int m buf {|,"attempt":|} attempt
+  | Report_delayed { delay } -> num m buf {|,"delay":|} delay
+  | Move_interrupted { role } -> str buf {|,"role":|} role
+  | Disk_stall_start { factor; duration } ->
+    num m buf {|,"factor":|} factor;
+    num m buf {|,"duration":|} duration
+  | Partition_cut { link } | Partition_healed { link } ->
+    str buf {|,"link":|} link
+  | Ledger_torn { seq } -> int m buf {|,"seq":|} seq
+  | Domain_crash { domain; members } | Domain_recover { domain; members } ->
+    str buf {|,"domain":|} domain;
+    int m buf {|,"members":|} members
+  | Domain_partition_cut { domain; link; members }
+  | Domain_partition_healed { domain; link; members } ->
+    str buf {|,"domain":|} domain;
+    str buf {|,"link":|} link;
+    int m buf {|,"members":|} members);
+  Buffer.add_char buf '}'
 
-let input_to_json i =
-  Json.Obj
-    [
-      ("server", int i.server);
-      ("mean_latency", num i.mean_latency);
-      ("max_latency", num i.max_latency);
-      ("requests", int i.requests);
-      ("queue_depth", int i.queue_depth);
-    ]
+let rec write_inputs m buf sep = function
+  | [] -> ()
+  | i :: rest ->
+    if sep then Buffer.add_char buf ',';
+    int m buf {|{"server":|} i.server;
+    num m buf {|,"mean_latency":|} i.mean_latency;
+    num m buf {|,"max_latency":|} i.max_latency;
+    int m buf {|,"requests":|} i.requests;
+    int m buf {|,"queue_depth":|} i.queue_depth;
+    Buffer.add_char buf '}';
+    write_inputs m buf true rest
 
-let to_json e =
-  let fields =
-    match e with
-    | Request_submit { time = _; file_set; op; client } ->
-      [
-        ("file_set", Json.Str file_set);
-        ("op", Json.Str op);
-        ("client", int client);
-      ]
-    | Request_complete { time = _; server; file_set; op; latency } ->
-      [
-        ("server", int server);
-        ("file_set", Json.Str file_set);
-        ("op", Json.Str op);
-        ("latency", num latency);
-      ]
-    | Move_start { time = _; file_set; src; dst; flush_seconds; init_seconds }
-      ->
-      [
-        ("file_set", Json.Str file_set);
-        ("src", opt_int src);
-        ("dst", int dst);
-        ("flush_seconds", num flush_seconds);
-        ("init_seconds", num init_seconds);
-      ]
-    | Move_end { time = _; file_set; dst; replayed } ->
-      [
-        ("file_set", Json.Str file_set);
-        ("dst", int dst);
-        ("replayed", int replayed);
-      ]
-    | Delegate_round { time = _; round; delegate; average; inputs; regions }
-      ->
-      [
-        ("round", int round);
-        ("delegate", opt_int delegate);
-        ("average", num average);
-        ("inputs", Json.List (List.map input_to_json inputs));
-        ( "regions",
-          Json.List
-            (List.map
-               (fun (server, measure) ->
-                 Json.Obj [ ("server", int server); ("measure", num measure) ])
-               regions) );
-      ]
-    | Membership { time = _; server; change } ->
-      [ ("server", int server); ("membership", change_to_json change) ]
-    | Rehash_round { time = _; trigger; checked; moved } ->
-      [
-        ("trigger", Json.Str trigger);
-        ("checked", int checked);
-        ("moved", int moved);
-      ]
-    | Fault { time = _; server; file_set; fault } ->
-      [
-        ("server", opt_int server);
-        ( "file_set",
-          match file_set with None -> Json.Null | Some s -> Json.Str s );
-        ("fault", fault_to_json fault);
-      ]
-    | Round_degraded { time = _; round; missing; survivors; skipped } ->
-      [
-        ("round", int round);
-        ("missing", Json.List (List.map int missing));
-        ("survivors", int survivors);
-        ("skipped", Json.Bool skipped);
-      ]
-    | Fence { time = _; server; action } ->
-      [ ("server", int server); ("action", Json.Str action) ]
-    | Partition { time = _; server; link; healed } ->
-      [
-        ("server", int server);
-        ("link", Json.Str link);
-        ("healed", Json.Bool healed);
-      ]
-    | Ledger_replay { time = _; records; torn; repaired; divergent } ->
-      [
-        ("records", int records);
-        ("torn", int torn);
-        ("repaired", int repaired);
-        ("divergent", int divergent);
-      ]
-    | Invariant_violation { time = _; what } -> [ ("what", Json.Str what) ]
-    | Span_begin { time = _; id; parent; name; cat; server; file_set; epoch }
-      ->
-      [
-        ("id", int id);
-        ("parent", opt_int parent);
-        ("name", Json.Str name);
-        ("cat", Json.Str cat);
-        ("server", opt_int server);
-        ( "file_set",
-          match file_set with None -> Json.Null | Some s -> Json.Str s );
-        ("epoch", opt_int epoch);
-      ]
-    | Span_end { time = _; id; name; cat; server; outcome } ->
-      [
-        ("id", int id);
-        ("name", Json.Str name);
-        ("cat", Json.Str cat);
-        ("server", opt_int server);
-        ( "outcome",
-          match outcome with None -> Json.Null | Some s -> Json.Str s );
-      ]
-  in
-  Json.Obj (("type", Json.Str (kind e)) :: ("time", num (time e)) :: fields)
+let rec write_regions m buf sep = function
+  | [] -> ()
+  | (server, measure) :: rest ->
+    if sep then Buffer.add_char buf ',';
+    int m buf {|{"server":|} server;
+    num m buf {|,"measure":|} measure;
+    Buffer.add_char buf '}';
+    write_regions m buf true rest
+
+let rec write_ints m buf sep = function
+  | [] -> ()
+  | n :: rest ->
+    if sep then Buffer.add_char buf ',';
+    Json.add_int m buf n;
+    write_ints m buf true rest
+
+let write_fields m buf = function
+  | Request_submit { time = _; file_set; op; client } ->
+    str buf {|,"file_set":|} file_set;
+    str buf {|,"op":|} op;
+    int m buf {|,"client":|} client
+  | Request_complete { time = _; server; file_set; op; latency } ->
+    int m buf {|,"server":|} server;
+    str buf {|,"file_set":|} file_set;
+    str buf {|,"op":|} op;
+    num m buf {|,"latency":|} latency
+  | Move_start { time = _; file_set; src; dst; flush_seconds; init_seconds } ->
+    str buf {|,"file_set":|} file_set;
+    opt_int m buf {|,"src":|} src;
+    int m buf {|,"dst":|} dst;
+    num m buf {|,"flush_seconds":|} flush_seconds;
+    num m buf {|,"init_seconds":|} init_seconds
+  | Move_end { time = _; file_set; dst; replayed } ->
+    str buf {|,"file_set":|} file_set;
+    int m buf {|,"dst":|} dst;
+    int m buf {|,"replayed":|} replayed
+  | Delegate_round { time = _; round; delegate; average; inputs; regions } ->
+    int m buf {|,"round":|} round;
+    opt_int m buf {|,"delegate":|} delegate;
+    num m buf {|,"average":|} average;
+    add buf {|,"inputs":[|};
+    write_inputs m buf false inputs;
+    add buf {|],"regions":[|};
+    write_regions m buf false regions;
+    Buffer.add_char buf ']'
+  | Membership { time = _; server; change } ->
+    int m buf {|,"server":|} server;
+    add buf {|,"membership":|};
+    write_change m buf change
+  | Rehash_round { time = _; trigger; checked; moved } ->
+    str buf {|,"trigger":|} trigger;
+    int m buf {|,"checked":|} checked;
+    int m buf {|,"moved":|} moved
+  | Fault { time = _; server; file_set; fault } ->
+    opt_int m buf {|,"server":|} server;
+    opt_str buf {|,"file_set":|} file_set;
+    add buf {|,"fault":|};
+    write_fault m buf fault
+  | Round_degraded { time = _; round; missing; survivors; skipped } ->
+    int m buf {|,"round":|} round;
+    add buf {|,"missing":[|};
+    write_ints m buf false missing;
+    int m buf {|],"survivors":|} survivors;
+    add buf (if skipped then {|,"skipped":true|} else {|,"skipped":false|})
+  | Fence { time = _; server; action } ->
+    int m buf {|,"server":|} server;
+    str buf {|,"action":|} action
+  | Partition { time = _; server; link; healed } ->
+    int m buf {|,"server":|} server;
+    str buf {|,"link":|} link;
+    add buf (if healed then {|,"healed":true|} else {|,"healed":false|})
+  | Ledger_replay { time = _; records; torn; repaired; divergent } ->
+    int m buf {|,"records":|} records;
+    int m buf {|,"torn":|} torn;
+    int m buf {|,"repaired":|} repaired;
+    int m buf {|,"divergent":|} divergent
+  | Invariant_violation { time = _; what } ->
+    str buf {|,"what":|} what
+  | Span_begin { time = _; id; parent; name; cat; server; file_set; epoch } ->
+    int m buf {|,"id":|} id;
+    opt_int m buf {|,"parent":|} parent;
+    str buf {|,"name":|} name;
+    str buf {|,"cat":|} cat;
+    opt_int m buf {|,"server":|} server;
+    opt_str buf {|,"file_set":|} file_set;
+    opt_int m buf {|,"epoch":|} epoch
+  | Span_end { time = _; id; name; cat; server; outcome } ->
+    int m buf {|,"id":|} id;
+    str buf {|,"name":|} name;
+    str buf {|,"cat":|} cat;
+    opt_int m buf {|,"server":|} server;
+    opt_str buf {|,"outcome":|} outcome
+
+let write_jsonl ?memo buf e =
+  let m = match memo with Some m -> m | None -> Json.memo () in
+  add buf {|{"type":"|};
+  add buf (kind e);
+  add buf {|","time":|};
+  Json.add_number m buf (time e);
+  write_fields m buf e;
+  Buffer.add_char buf '}'
 
 (* --- JSON decoding --- *)
 
@@ -573,7 +602,10 @@ let of_json j =
     Ok (Span_end { time; id; name; cat; server; outcome })
   | other -> Error (Printf.sprintf "unknown event type %S" other)
 
-let to_jsonl e = Json.to_string (to_json e)
+let to_jsonl e =
+  let buf = Buffer.create 256 in
+  write_jsonl buf e;
+  Buffer.contents buf
 
 let of_jsonl line =
   let* j = Json.of_string line in

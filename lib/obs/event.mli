@@ -187,12 +187,17 @@ val time : t -> float
     encoding. *)
 val kind : t -> string
 
-val to_json : t -> Json.t
-
 val of_json : Json.t -> (t, string) result
 
-(** [to_jsonl e] is the compact one-line JSON encoding (no trailing
-    newline). *)
+(** [write_jsonl ?memo buf e] appends the compact one-line JSON
+    encoding of [e] (no trailing newline) to [buf].  The fields appear
+    in declaration order after ["type"] and ["time"]; numbers render as
+    {!Json.number_to_string} renders them.  [memo] carries formatted
+    numbers across calls (a sink passes its own); without it each call
+    starts fresh.  The output does not depend on [memo]. *)
+val write_jsonl : ?memo:Json.memo -> Buffer.t -> t -> unit
+
+(** [to_jsonl e] is {!write_jsonl}'s line as a string. *)
 val to_jsonl : t -> string
 
 val of_jsonl : string -> (t, string) result

@@ -6,21 +6,78 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* The C primitive behind [Printf]'s [%f]/[%g] conversions: for the same
+   format, the same bytes as [Printf.sprintf], without the format
+   interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Shortest decimal rendering that parses back to the same float; falls
    back to 17 significant digits, which is always exact. *)
 let number_to_string x =
   if not (Float.is_finite x) then "null"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
+  else if Float.is_integer x && Float.abs x < 1e15 then format_float "%.0f" x
   else
-    let s = Printf.sprintf "%.15g" x in
-    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+    let s = format_float "%.15g" x in
+    if float_of_string s = x then s else format_float "%.17g" x
 
-let escape_string buf s =
+(* Two-entry cache of formatted numbers keyed by bit pattern, so
+   [-0.0] and [0.0] stay apart (every NaN still renders as "null").
+   Both slots start as a real entry (0.0 -> "0"); [victim] is the
+   least recently used slot. *)
+type memo = { keys : Float.Array.t; texts : string array; mutable victim : int }
+
+let memo () =
+  { keys = Float.Array.make 2 0.0; texts = Array.make 2 "0"; victim = 0 }
+
+let same_bits (a : float) b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let add_number memo buf x =
+  if same_bits x (Float.Array.unsafe_get memo.keys 0) then begin
+    memo.victim <- 1;
+    Buffer.add_string buf (Array.unsafe_get memo.texts 0)
+  end
+  else if same_bits x (Float.Array.unsafe_get memo.keys 1) then begin
+    memo.victim <- 0;
+    Buffer.add_string buf (Array.unsafe_get memo.texts 1)
+  end
+  else begin
+    let s = number_to_string x in
+    let i = memo.victim in
+    Float.Array.unsafe_set memo.keys i x;
+    Array.unsafe_set memo.texts i s;
+    memo.victim <- 1 - i;
+    Buffer.add_string buf s
+  end
+
+(* Integers below 1e15 in magnitude print as their digits, exactly as
+   [number_to_string (float_of_int n)] would; larger ones take that
+   float path, rounding included. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int memo buf n =
+  if n >= 0 && n < 1_000_000_000_000_000 then add_digits buf n
+  else if n < 0 && n > -1_000_000_000_000_000 then begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+  else add_number memo buf (float_of_int n)
+
+let rec needs_escape s i =
+  i < String.length s
+  && (match String.unsafe_get s i with
+     | '"' | '\\' | '\000' .. '\031' -> true
+     | _ -> needs_escape s (i + 1))
+
+let hex_digit n = "0123456789abcdef".[n]
+
+let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  if not (needs_escape s 0) then Buffer.add_string buf s
+  else
+    for i = 0 to String.length s - 1 do
+      match String.unsafe_get s i with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -29,16 +86,18 @@ let escape_string buf s =
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
       | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+        Buffer.add_char buf (hex_digit (Char.code c land 15))
+      | c -> Buffer.add_char buf c
+    done;
   Buffer.add_char buf '"'
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num x -> Buffer.add_string buf (number_to_string x)
-  | Str s -> escape_string buf s
+  | Str s -> add_string buf s
   | List items ->
     Buffer.add_char buf '[';
     List.iteri
@@ -52,7 +111,7 @@ let rec write buf = function
     List.iteri
       (fun i (name, value) ->
         if i > 0 then Buffer.add_char buf ',';
-        escape_string buf name;
+        add_string buf name;
         Buffer.add_char buf ':';
         write buf value)
       fields;

@@ -20,6 +20,34 @@ type t =
     [null] (JSON has no representation for them). *)
 val to_string : t -> string
 
+(** [number_to_string x] is how {!to_string} renders [Num x]: integral
+    values below 1e15 in magnitude as [%.0f]; otherwise [%.15g] when
+    that parses back to [x], else [%.17g]; non-finite values as
+    [null]. *)
+val number_to_string : float -> string
+
+(** {2 Direct writing}
+
+    Appending JSON fragments straight into a buffer, byte-identical to
+    the corresponding parts of {!to_string}'s output, for encoders that
+    skip building a {!t}. *)
+
+(** A two-entry cache of recently formatted numbers, keyed by bit
+    pattern.  Not thread-safe: one per writer. *)
+type memo
+
+val memo : unit -> memo
+
+(** [add_number memo buf x] appends [number_to_string x]. *)
+val add_number : memo -> Buffer.t -> float -> unit
+
+(** [add_int memo buf n] appends [number_to_string (float_of_int n)],
+    without allocating when [|n| < 1e15]. *)
+val add_int : memo -> Buffer.t -> int -> unit
+
+(** [add_string buf s] appends [s] as a quoted, escaped JSON string. *)
+val add_string : Buffer.t -> string -> unit
+
 (** [of_string s] parses one JSON value, requiring only trailing
     whitespace after it. *)
 val of_string : string -> (t, string) result

@@ -58,16 +58,21 @@ module Ring = struct
     r.dropped <- 0
 end
 
-(* Buffer whole lines and hand them to the channel in ~64 KiB batches:
-   per-event [output_string] calls dominate traced-run wall time, which
-   distorts exactly the timings a trace is meant to capture.  The
-   buffer drains on overflow and on close, so a closed sink has always
-   written every event. *)
+(* Encode each event straight into a buffer and hand whole lines to
+   the channel in ~64 KiB batches: per-event [output_string] calls and
+   per-event strings dominate traced-run wall time, which distorts
+   exactly the timings a trace is meant to capture.  The buffer drains
+   on overflow and on close, so a closed sink has always written every
+   event.  The number memo is this writer's own state: a request's
+   [time] repeats across its spans, submit and complete events, so most
+   numbers are formatted once. *)
 let jsonl_buffer_size = 65536
 
 let jsonl_writer oc ~close_channel =
   let closed = ref false in
   let buf = Buffer.create jsonl_buffer_size in
+  (* Passed on as [?memo], so no option is built per event. *)
+  let memo = Some (Json.memo ()) in
   let drain () =
     if Buffer.length buf > 0 then begin
       Buffer.output_buffer oc buf;
@@ -78,7 +83,7 @@ let jsonl_writer oc ~close_channel =
     name = "jsonl";
     emit =
       (fun e ->
-        Buffer.add_string buf (Event.to_jsonl e);
+        Event.write_jsonl ?memo buf e;
         Buffer.add_char buf '\n';
         if Buffer.length buf >= jsonl_buffer_size then drain ());
     close =

@@ -44,7 +44,7 @@ end
 
 (** {2 File writers} *)
 
-(** [jsonl_channel oc] writes one {!Event.to_jsonl} line per event.
+(** [jsonl_channel oc] writes one {!Event.write_jsonl} line per event.
     Lines are batched in a ~64 KiB buffer (per-event syscall flushing
     distorts traced-run timings); [close] drains the buffer and flushes
     but leaves the channel open (the caller owns it).  An unclosed sink

@@ -235,6 +235,69 @@ let sample_events =
         server = None;
         outcome = Some "applied";
       };
+    Obs.Event.Fault
+      {
+        time = 1010.0;
+        server = Some 0;
+        file_set = None;
+        fault = Obs.Event.Partition_cut { link = "cluster" };
+      };
+    Obs.Event.Fault
+      {
+        time = 1011.0;
+        server = Some 0;
+        file_set = None;
+        fault = Obs.Event.Partition_healed { link = "cluster" };
+      };
+    Obs.Event.Fault
+      {
+        time = 1012.0;
+        server = None;
+        file_set = None;
+        fault = Obs.Event.Ledger_torn { seq = 12 };
+      };
+    Obs.Event.Fault
+      {
+        time = 1013.0;
+        server = None;
+        file_set = None;
+        fault = Obs.Event.Domain_crash { domain = "rack0"; members = 3 };
+      };
+    Obs.Event.Fault
+      {
+        time = 1014.0;
+        server = None;
+        file_set = None;
+        fault = Obs.Event.Domain_recover { domain = "rack0"; members = 3 };
+      };
+    Obs.Event.Fault
+      {
+        time = 1015.0;
+        server = None;
+        file_set = None;
+        fault =
+          Obs.Event.Domain_partition_cut
+            { domain = "rack1"; link = "disk"; members = 2 };
+      };
+    Obs.Event.Fault
+      {
+        time = 1016.0;
+        server = None;
+        file_set = None;
+        fault =
+          Obs.Event.Domain_partition_healed
+            { domain = "rack1"; link = "disk"; members = 2 };
+      };
+    Obs.Event.Fence { time = 1020.0; server = 3; action = "fenced" };
+    Obs.Event.Fence { time = 1020.5; server = 3; action = "write_rejected" };
+    Obs.Event.Partition
+      { time = 1021.0; server = 3; link = "disk"; healed = false };
+    Obs.Event.Partition
+      { time = 1022.0; server = 3; link = "disk"; healed = true };
+    Obs.Event.Ledger_replay
+      { time = 1023.0; records = 41; torn = 1; repaired = 1; divergent = 0 };
+    Obs.Event.Invariant_violation
+      { time = 1024.0; what = "half-occupancy broken:\t\"0.6\"\n" };
   ]
 
 let test_event_jsonl_round_trip () =
@@ -248,11 +311,10 @@ let test_event_jsonl_round_trip () =
 
 let test_event_kinds_distinct () =
   let kinds = List.sort_uniq compare (List.map Obs.Event.kind sample_events) in
-  (* Eleven variants exercised by the samples (the span pair included). *)
-  check_int "all eleven kinds exercised" 11 (List.length kinds);
+  check_int "all fifteen kinds exercised" 15 (List.length kinds);
   List.iter
     (fun e ->
-      let json = Obs.Event.to_json e in
+      let json = Obs_oracle.event_to_json e in
       Alcotest.(check (option string))
         "type field matches kind" (Some (Obs.Event.kind e))
         Obs.Json.(to_str (member "type" json)))
@@ -264,6 +326,258 @@ let test_event_of_jsonl_errors () =
     (Result.is_error (Obs.Event.of_jsonl {|{"type":"martian","time":1}|}));
   check_bool "missing field" true
     (Result.is_error (Obs.Event.of_jsonl {|{"type":"request_submit"}|}))
+
+(* --- Direct writer vs the test/ tree oracle (Obs_oracle) --- *)
+
+let check_string = Alcotest.(check string)
+
+(* Values at every branch of the number rule: non-finite, signed zero,
+   subnormal, the integral cut-off at 1e15, the 2^53 boundary, and
+   fractions that need 15, 16 or 17 significant digits. *)
+let number_cases =
+  [
+    0.0; -0.0; infinity; neg_infinity; nan;
+    Int64.float_of_bits 0x7ff8dead0000beefL; 5e-324; -5e-324;
+    2.2250738585072009e-308; Float.min_float; max_float; -.max_float; 1.0;
+    -1.0; 42.0; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15; 1e15 +. 1.0;
+    1e15 +. 0.5; 999999999999999.9; 9007199254740991.0; 9007199254740992.0;
+    9007199254740993.0; 9007199254740994.0; -9007199254740994.0; 0.1; 0.2;
+    0.1 +. 0.2; 1.0 /. 3.0; 2.0 /. 3.0; 3.141592653589793; 123456789012345.6;
+    1234567890123456.7; 0.0371; 1.2e-17; 1e300; 1e-300; 17.3 -. 0.0371;
+  ]
+
+let test_number_fixed_cases () =
+  List.iter
+    (fun x ->
+      let label = Printf.sprintf "%h" x in
+      check_string label (Obs_oracle.number_to_string x)
+        (Obs.Json.number_to_string x);
+      check_string (label ^ " in a tree")
+        (Obs_oracle.to_string (Obs.Json.Num x))
+        (Obs.Json.to_string (Obs.Json.Num x)))
+    number_cases
+
+let prop_number_random_bits =
+  QCheck.Test.make ~count:5000
+    ~name:"json numbers match the Printf oracle on random bit patterns"
+    QCheck.(make ~print:(Printf.sprintf "0x%Lx") Gen.ui64)
+    (fun bits ->
+      let x = Int64.float_of_bits bits in
+      String.equal (Obs.Json.number_to_string x)
+        (Obs_oracle.number_to_string x))
+
+(* Floats drawn mostly from a small pool, so that sequences repeat a
+   value, alternate A/B/A, put -0.0 next to 0.0 and a NaN or infinity
+   after a cached value: every memo hit and eviction path. *)
+let float_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          oneofl
+            [
+              0.0; -0.0; nan; infinity; neg_infinity; 0.5; 17.3; 0.0371; 1e15;
+              2.0 /. 3.0;
+            ] );
+        (2, map Int64.float_of_bits ui64);
+        ( 2,
+          map
+            (fun n -> float_of_int n /. 1000.0)
+            (int_range (-100_000) 100_000) );
+      ])
+
+let add_number_text memo x =
+  let buf = Buffer.create 32 in
+  Obs.Json.add_number memo buf x;
+  Buffer.contents buf
+
+let prop_memo_sequences =
+  QCheck.Test.make ~count:500
+    ~name:"memoized number sequences match the oracle"
+    QCheck.(
+      make
+        ~print:(fun xs ->
+          String.concat "; " (List.map (Printf.sprintf "%h") xs))
+        Gen.(list_size (1 -- 30) float_gen))
+    (fun xs ->
+      let memo = Obs.Json.memo () in
+      List.for_all
+        (fun x ->
+          String.equal (add_number_text memo x) (Obs_oracle.number_to_string x))
+        xs)
+
+let test_memo_fixed_sequences () =
+  let memo = Obs.Json.memo () in
+  List.iter
+    (List.iter (fun x ->
+         check_string (Printf.sprintf "%h" x) (Obs_oracle.number_to_string x)
+           (add_number_text memo x)))
+    [
+      [ 1.5; 1.5; 1.5 ];
+      [ 0.25; 0.75; 0.25; 0.75; 0.125; 0.25 ];
+      [ 0.0; -0.0; 0.0; -0.0 ];
+      [
+        2.0; nan; 2.0; infinity; neg_infinity; 2.0;
+        Int64.float_of_bits 0x7ff0000000000001L;
+      ];
+      [ 1e15; 1e15 -. 1.0; 1e15 ];
+    ]
+
+let test_writer_matches_oracle () =
+  List.iter
+    (fun e ->
+      check_string (Obs.Event.kind e) (Obs_oracle.event_to_jsonl e)
+        (Obs.Event.to_jsonl e))
+    sample_events;
+  (* The same samples through one shared memo, as a sink writes them. *)
+  let memo = Some (Obs.Json.memo ()) in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun e ->
+      Obs.Event.write_jsonl ?memo buf e;
+      Buffer.add_char buf '\n')
+    sample_events;
+  check_string "one buffer, one memo"
+    (String.concat ""
+       (List.map (fun e -> Obs_oracle.event_to_jsonl e ^ "\n") sample_events))
+    (Buffer.contents buf)
+
+(* Random events: strings that need escaping, ids far outside the
+   integer fast path, every None/Some combination, memo-heavy floats. *)
+let event_gen =
+  let open QCheck.Gen in
+  let module E = Obs.Event in
+  let str =
+    string_size (0 -- 8)
+      ~gen:
+        (frequency
+           [
+             (6, char_range 'a' 'z');
+             (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\b'; '\012'; '/' ]);
+             (1, char_range '\000' '\031');
+             (1, char_range '\127' '\255');
+           ])
+  in
+  let num =
+    frequency
+      [
+        (5, small_signed_int);
+        ( 1,
+          oneofl
+            [
+              max_int; min_int; 999_999_999_999_999; 1_000_000_000_000_000;
+              -1_000_000_000_000_000; 9_007_199_254_740_993;
+            ] );
+        (1, int);
+      ]
+  in
+  let fault =
+    oneof
+      [
+        oneofl E.[ Server_crash; Server_recover; Delegate_crash; Disk_stall_end ];
+        map (fun attempt -> E.Report_lost { attempt }) num;
+        map (fun delay -> E.Report_delayed { delay }) float_gen;
+        map (fun role -> E.Move_interrupted { role }) str;
+        map2
+          (fun factor duration -> E.Disk_stall_start { factor; duration })
+          float_gen float_gen;
+        map (fun link -> E.Partition_cut { link }) str;
+        map (fun link -> E.Partition_healed { link }) str;
+        map (fun seq -> E.Ledger_torn { seq }) num;
+        map2 (fun domain members -> E.Domain_crash { domain; members }) str num;
+        map2
+          (fun domain members -> E.Domain_recover { domain; members })
+          str num;
+        map3
+          (fun domain link members ->
+            E.Domain_partition_cut { domain; link; members })
+          str str num;
+        map3
+          (fun domain link members ->
+            E.Domain_partition_healed { domain; link; members })
+          str str num;
+      ]
+  in
+  let change =
+    oneof
+      [
+        oneofl E.[ Failed; Recovered; Decommissioned ];
+        map (fun s -> E.Added s) float_gen;
+        map (fun s -> E.Speed_changed s) float_gen;
+      ]
+  in
+  let input =
+    let* server = num and* mean_latency = float_gen
+    and* max_latency = float_gen and* requests = num and* queue_depth = num in
+    return { E.server; mean_latency; max_latency; requests; queue_depth }
+  in
+  let* time = float_gen in
+  oneof
+    [
+      (let* file_set = str and* op = str and* client = num in
+       return (E.Request_submit { time; file_set; op; client }));
+      (let* server = num and* file_set = str and* op = str
+       and* latency = float_gen in
+       return (E.Request_complete { time; server; file_set; op; latency }));
+      (let* file_set = str and* src = option num and* dst = num
+       and* flush_seconds = float_gen and* init_seconds = float_gen in
+       return
+         (E.Move_start
+            { time; file_set; src; dst; flush_seconds; init_seconds }));
+      (let* file_set = str and* dst = num and* replayed = num in
+       return (E.Move_end { time; file_set; dst; replayed }));
+      (let* round = num and* delegate = option num and* average = float_gen
+       and* inputs = list_size (0 -- 3) input
+       and* regions = list_size (0 -- 3) (pair num float_gen) in
+       return
+         (E.Delegate_round { time; round; delegate; average; inputs; regions }));
+      (let* server = num and* change = change in
+       return (E.Membership { time; server; change }));
+      (let* trigger = str and* checked = num and* moved = num in
+       return (E.Rehash_round { time; trigger; checked; moved }));
+      (let* server = option num and* file_set = option str
+       and* fault = fault in
+       return (E.Fault { time; server; file_set; fault }));
+      (let* round = num and* missing = list_size (0 -- 4) num
+       and* survivors = num and* skipped = bool in
+       return
+         (E.Round_degraded { time; round; missing; survivors; skipped }));
+      (let* server = num and* action = str in
+       return (E.Fence { time; server; action }));
+      (let* server = num and* link = str and* healed = bool in
+       return (E.Partition { time; server; link; healed }));
+      (let* records = num and* torn = num and* repaired = num
+       and* divergent = num in
+       return (E.Ledger_replay { time; records; torn; repaired; divergent }));
+      (let* what = str in
+       return (E.Invariant_violation { time; what }));
+      (let* id = num and* parent = option num and* name = str and* cat = str
+       and* server = option num and* file_set = option str
+       and* epoch = option num in
+       return
+         (E.Span_begin
+            { time; id; parent; name; cat; server; file_set; epoch }));
+      (let* id = num and* name = str and* cat = str
+       and* server = option num and* outcome = option str in
+       return (E.Span_end { time; id; name; cat; server; outcome }));
+    ]
+
+let prop_writer_matches_oracle =
+  QCheck.Test.make ~count:500
+    ~name:"random event sequences write like the tree oracle"
+    QCheck.(
+      make
+        ~print:(fun es ->
+          String.concat "\n" (List.map Obs_oracle.event_to_jsonl es))
+        Gen.(list_size (1 -- 12) event_gen))
+    (fun events ->
+      let memo = Some (Obs.Json.memo ()) in
+      List.for_all
+        (fun e ->
+          let buf = Buffer.create 256 in
+          Obs.Event.write_jsonl ?memo buf e;
+          String.equal (Buffer.contents buf) (Obs_oracle.event_to_jsonl e))
+        events)
 
 (* --- Ring sink --- *)
 
@@ -636,6 +950,81 @@ let test_runner_unobserved_unchanged () =
   check_bool "plain run has no metrics" true
     (plain.Experiments.Runner.metrics = None)
 
+(* --- End to end: the JSONL sink against the oracle on real runs --- *)
+
+(* Run [f] with a context writing through [Obs.Sink.jsonl_channel] to a
+   temp file and into a ring; the file must be the ring's events
+   rendered by the oracle, line for line and byte for byte.  Returns the
+   events. *)
+let jsonl_matches_oracle f =
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      let ring = Obs.Sink.Ring.create ~capacity:400_000 in
+      let obs =
+        Obs.Ctx.create
+          ~sinks:[ Obs.Sink.jsonl_channel oc; Obs.Sink.Ring.sink ring ]
+          ()
+      in
+      f obs;
+      Obs.Ctx.close obs;
+      close_out oc;
+      check_int "nothing evicted" 0 (Obs.Sink.Ring.dropped ring);
+      let events = Obs.Sink.Ring.contents ring in
+      let written = String.split_on_char '\n' (read_file path) in
+      let expected =
+        List.map Obs_oracle.event_to_jsonl events @ [ "" ]
+      in
+      check_int "one line per event" (List.length expected)
+        (List.length written);
+      List.iteri
+        (fun i (want, got) ->
+          if not (String.equal want got) then
+            Alcotest.failf "line %d differs:\n  oracle %s\n  sink   %s"
+              (i + 1) want got)
+        (List.combine expected written);
+      events)
+
+let kinds_of events =
+  List.sort_uniq String.compare (List.map Obs.Event.kind events)
+
+let test_e2e_fig6_stream_bytes () =
+  let events =
+    jsonl_matches_oracle (fun obs ->
+        ignore (Experiments.Figures.fig6_stream ~requests:2000 ~obs ()))
+  in
+  check_bool "requests, spans and rounds traced" true
+    (List.for_all
+       (fun k -> List.mem k (kinds_of events))
+       [ "request_submit"; "request_complete"; "span_begin"; "span_end";
+         "delegate_round" ])
+
+let test_e2e_partition_mix_bytes () =
+  let trace =
+    Workload.Synthetic.generate
+      {
+        Workload.Synthetic.default_config with
+        requests = 1500;
+        file_sets = 40;
+        duration = 1200.0;
+        seed = 11;
+      }
+  in
+  let events =
+    jsonl_matches_oracle (fun obs ->
+        ignore
+          (Experiments.Runner.run Experiments.Scenario.default
+             (Experiments.Scenario.Anu Placement.Anu.default_config)
+             ~trace ~obs
+             ~faults:(Fault.Plan.partition_mix ~seed:42 ~duration:1200.0)
+             ()))
+  in
+  List.iter
+    (fun k ->
+      check_bool (k ^ " events traced") true (List.mem k (kinds_of events)))
+    [
+      "fault"; "fence"; "ledger_replay"; "move_start"; "move_end"; "partition";
+    ]
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
@@ -644,6 +1033,19 @@ let suite =
       test_event_jsonl_round_trip;
     Alcotest.test_case "event kinds distinct" `Quick test_event_kinds_distinct;
     Alcotest.test_case "event decode errors" `Quick test_event_of_jsonl_errors;
+    Alcotest.test_case "json numbers match the Printf oracle" `Quick
+      test_number_fixed_cases;
+    QCheck_alcotest.to_alcotest prop_number_random_bits;
+    Alcotest.test_case "number memo sequences" `Quick
+      test_memo_fixed_sequences;
+    QCheck_alcotest.to_alcotest prop_memo_sequences;
+    Alcotest.test_case "event writer matches the tree oracle" `Quick
+      test_writer_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_writer_matches_oracle;
+    Alcotest.test_case "jsonl sink bytes: fig6 stream" `Quick
+      test_e2e_fig6_stream_bytes;
+    Alcotest.test_case "jsonl sink bytes: partition mix" `Quick
+      test_e2e_partition_mix_bytes;
     Alcotest.test_case "ring capacity and eviction" `Quick
       test_ring_capacity_eviction;
     Alcotest.test_case "jsonl file sink" `Quick test_jsonl_file_sink;

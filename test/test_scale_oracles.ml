@@ -260,6 +260,42 @@ let op_value ~n ~pick =
   | 3 -> 2.0 *. (0.5 /. float_of_int n)
   | _ -> 0.5 /. float_of_int n
 
+(* Rounds of region mutations; after each, the accumulator's verdicts
+   (messages included) must equal a fresh rebuild's and the full
+   check's. *)
+let acc_agrees (n, domains, rounds) =
+  let topology = rack_topology ~n ~domains in
+  let _sim, cluster = make_cluster_n ~topology n in
+  (* Place the catalog evenly across servers so the ownership and
+     collateral invariants are clean — the full check then reports
+     exactly the accumulator subset. *)
+  Sharedfs.Cluster.assign_initial cluster
+    (List.init 8 (fun i ->
+         (Printf.sprintf "fs-%d" i, Id.of_int (i * n / 8))));
+  let policy, set = mutable_policy ~n in
+  let acc = Fault.Invariants.Acc.create ~cluster ~policy () in
+  List.for_all
+    (fun round ->
+      List.iter
+        (fun (who, pick) ->
+          set (Id.of_int (who mod n)) (op_value ~n ~pick))
+        round;
+      Fault.Invariants.Acc.round acc;
+      let delta = sorted_whats (Fault.Invariants.Acc.check acc ~cluster) in
+      (* Fresh accumulator = full O(n) rebuild of the same sums. *)
+      let fresh = Fault.Invariants.Acc.create ~cluster ~policy () in
+      let rebuilt =
+        sorted_whats (Fault.Invariants.Acc.check fresh ~cluster)
+      in
+      (* Full oracle: on this cluster every non-region invariant is
+         clean, so the full check's verdicts are exactly the
+         accumulator subset's. *)
+      let full =
+        sorted_whats (Fault.Invariants.check ~cluster ~policy ())
+      in
+      delta = rebuilt && delta = full)
+    rounds
+
 let prop_acc_matches_full_recompute =
   let gen =
     QCheck.Gen.(
@@ -281,39 +317,7 @@ let prop_acc_matches_full_recompute =
   in
   QCheck.Test.make ~count:10
     ~name:"delta-maintained invariant accumulators equal full recompute"
-    (QCheck.make ~print gen)
-    (fun (n, domains, rounds) ->
-      let topology = rack_topology ~n ~domains in
-      let _sim, cluster = make_cluster_n ~topology n in
-      (* Place the catalog evenly across servers so the ownership and
-         collateral invariants are clean — the full check then reports
-         exactly the accumulator subset. *)
-      Sharedfs.Cluster.assign_initial cluster
-        (List.init 8 (fun i ->
-             (Printf.sprintf "fs-%d" i, Id.of_int (i * n / 8))));
-      let policy, set = mutable_policy ~n in
-      let acc = Fault.Invariants.Acc.create ~cluster ~policy () in
-      List.for_all
-        (fun round ->
-          List.iter
-            (fun (who, pick) ->
-              set (Id.of_int (who mod n)) (op_value ~n ~pick))
-            round;
-          Fault.Invariants.Acc.round acc;
-          let delta = sorted_whats (Fault.Invariants.Acc.check acc ~cluster) in
-          (* Fresh accumulator = full O(n) rebuild of the same sums. *)
-          let fresh = Fault.Invariants.Acc.create ~cluster ~policy () in
-          let rebuilt =
-            sorted_whats (Fault.Invariants.Acc.check fresh ~cluster)
-          in
-          (* Full oracle: on this cluster every non-region invariant is
-             clean, so the full check's verdicts are exactly the
-             accumulator subset's. *)
-          let full =
-            sorted_whats (Fault.Invariants.check ~cluster ~policy ())
-          in
-          delta = rebuilt && delta = full)
-        rounds)
+    (QCheck.make ~print gen) acc_agrees
 
 (* The real producer end to end: a live ANU policy feeding the journal
    through rebalance rounds, with the accumulator agreeing with both a
@@ -367,6 +371,22 @@ let test_acc_on_live_anu () =
   check_bool "journal drained by the accumulator" true
     (policy.Policy.changed_servers () = [])
 
+(* A fixed counterexample from the property above: the half-occupancy
+   violation fires in both modes, and the accumulator's running total
+   once printed different [%.12g] digits from the full check's fold. *)
+let test_acc_message_digits_regression () =
+  check_bool "accumulator texts equal the full check's" true
+    (acc_agrees
+       ( 535,
+         4,
+         [
+           [ (4601, 928); (4917, 3798); (3502, 487) ];
+           [ (6, 2990) ];
+           [ (935, 2716); (2209, 1313) ];
+           [ (2400, 4004); (2223, 196) ];
+           [ (2573, 3850); (4558, 610); (2243, 478) ];
+         ] ))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_incremental_index_matches_rebuild;
@@ -374,4 +394,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_aggregation_matches_reference;
     QCheck_alcotest.to_alcotest prop_acc_matches_full_recompute;
     Alcotest.test_case "accumulator on live ANU" `Quick test_acc_on_live_anu;
+    Alcotest.test_case "accumulator message digits (regression)" `Quick
+      test_acc_message_digits_regression;
   ]
