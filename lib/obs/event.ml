@@ -173,8 +173,8 @@ let kind = function
    number rendering match [Json.to_string] of the equivalent object
    tree byte for byte (the test suite keeps that tree encoder as its
    oracle).  Helpers take the buffer and memo as arguments rather than
-   closing over them, so an event allocates nothing beyond the numbers
-   the memo has not seen. *)
+   closing over them, so an event allocates nothing beyond numbers
+   outside [Json]'s exact renderer range. *)
 
 let add = Buffer.add_string
 

@@ -192,9 +192,11 @@ val of_json : Json.t -> (t, string) result
 (** [write_jsonl ?memo buf e] appends the compact one-line JSON
     encoding of [e] (no trailing newline) to [buf].  The fields appear
     in declaration order after ["type"] and ["time"]; numbers render as
-    {!Json.number_to_string} renders them.  [memo] carries formatted
-    numbers across calls (a sink passes its own); without it each call
-    starts fresh.  The output does not depend on [memo]. *)
+    {!Json.number_to_string} renders them, and an event allocates
+    nothing when its numbers lie in the exact renderer's range.
+    [memo] carries rendered numbers across calls (a sink passes its
+    own); without it each call starts fresh.  The output does not
+    depend on [memo]. *)
 val write_jsonl : ?memo:Json.memo -> Buffer.t -> t -> unit
 
 (** [to_jsonl e] is {!write_jsonl}'s line as a string. *)

@@ -23,7 +23,10 @@ val to_string : t -> string
 (** [number_to_string x] is how {!to_string} renders [Num x]: integral
     values below 1e15 in magnitude as [%.0f]; otherwise [%.15g] when
     that parses back to [x], else [%.17g]; non-finite values as
-    [null]. *)
+    [null].  For [1e-6 <= |x| < 1e15] the text comes from an exact
+    renderer written in OCaml (no printf, no strtod); other magnitudes
+    go through the C [printf] rule itself.  Either way the bytes are
+    [Printf.sprintf]'s. *)
 val number_to_string : float -> string
 
 (** {2 Direct writing}
@@ -32,13 +35,16 @@ val number_to_string : float -> string
     the corresponding parts of {!to_string}'s output, for encoders that
     skip building a {!t}. *)
 
-(** A two-entry cache of recently formatted numbers, keyed by bit
-    pattern.  Not thread-safe: one per writer. *)
+(** A writer's number state: two fixed byte slots caching the last two
+    rendered numbers, keyed by bit pattern.  Not thread-safe: one per
+    writer. *)
 type memo
 
 val memo : unit -> memo
 
-(** [add_number memo buf x] appends [number_to_string x]. *)
+(** [add_number memo buf x] appends [number_to_string x].  It
+    allocates nothing unless [x] is outside the exact renderer's range
+    (or [buf] grows). *)
 val add_number : memo -> Buffer.t -> float -> unit
 
 (** [add_int memo buf n] appends [number_to_string (float_of_int n)],

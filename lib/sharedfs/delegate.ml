@@ -106,29 +106,11 @@ let collect_async ?rng cluster ~timeout ~fate ~k =
 (* Report aggregation runs once per reconfiguration round over every
    alive server, so at big n the intermediate pair/option lists the
    original implementations allocated were the round's main garbage.
-   The rewrites below fold the reports directly (mean) and fill one
-   float array (median), preserving the originals' float operation
-   order exactly: the mean accumulates [num]/[den] in report order and
-   the median sorts the same multiset with the same comparator.  The
-   originals are retained as [_reference] oracles for the test
-   suite. *)
-let mean_latency_reference reports =
-  Desim.Stat.weighted_mean
-    (List.map
-       (fun r ->
-         (r.report.Server.mean_latency, float_of_int r.report.Server.requests))
-       reports)
-
-let median_latency_reference reports =
-  let active =
-    List.filter_map
-      (fun r ->
-        if r.report.Server.requests > 0 then Some r.report.Server.mean_latency
-        else None)
-      reports
-  in
-  match active with [] -> 0.0 | values -> Desim.Stat.median_of values
-
+   These fold the reports directly (mean) and fill one float array
+   (median), preserving the originals' float operation order exactly:
+   the mean accumulates [num]/[den] in report order and the median
+   sorts the same multiset with the same comparator.  The list-based
+   originals live on as oracles in the test suite. *)
 let mean_latency reports =
   let num = ref 0.0 and den = ref 0.0 in
   List.iter

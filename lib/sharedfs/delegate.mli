@@ -74,14 +74,6 @@ val mean_latency : server_report list -> float
     when none did. *)
 val median_latency : server_report list -> float
 
-(** The original list-based aggregation implementations, retained as
-    oracles: the allocation-free rewrites above preserve their float
-    operation order exactly, and the test suite pins the equality. *)
-
-val mean_latency_reference : server_report list -> float
-
-val median_latency_reference : server_report list -> float
-
 (** [round_event cluster ~time ~round ~average ~regions reports] packs
     one reconfiguration round into a trace event: the elected
     delegate, every server's reported latency window plus its current

@@ -366,6 +366,113 @@ let prop_number_random_bits =
       String.equal (Obs.Json.number_to_string x)
         (Obs_oracle.number_to_string x))
 
+(* The exact renderer covers 1e-6 <= |x| < 1e15; random bit patterns
+   mostly land outside it.  Log-uniform magnitudes from 1e-8 to 1e15,
+   both signs, cover the whole range and both of its edges. *)
+let prop_number_fast_range =
+  QCheck.Test.make ~count:20000
+    ~name:"json numbers match the Printf oracle from 1e-8 to 1e15"
+    QCheck.(
+      make ~print:(Printf.sprintf "%h")
+        Gen.(
+          map2
+            (fun e neg -> if neg then -.(10.0 ** e) else 10.0 ** e)
+            (float_range (-8.0) 15.0) bool))
+    (fun x ->
+      String.equal (Obs.Json.number_to_string x)
+        (Obs_oracle.number_to_string x))
+
+(* [q + odd / 2^j] for an integer [q] of [digits - j] digits: an exact
+   decimal of [digits] significant digits ending in 5, so a tie at digit
+   [digits - 1].  Candidates a double cannot hold exactly are dropped by
+   checking their exact expansion. *)
+let decimal_ties ~digits =
+  let tie j odd =
+    let q = Float.round (1.2345 *. (10.0 ** float_of_int (digits - j - 1))) in
+    q +. Float.ldexp (float_of_int odd) (-j)
+  in
+  let exact_tie x =
+    let s = Printf.sprintf "%.40e" x in
+    s.[digits] = '5'
+    && String.for_all (( = ) '0') (String.sub s (digits + 1) (41 - digits))
+  in
+  List.init (digits - 1) (fun j -> j + 1)
+  |> List.concat_map (fun j -> List.map (tie j) [ 1; 3; (1 lsl j) - 1 ])
+  |> List.filter exact_tie
+
+(* [x] and its [n] nearest neighbours on each side. *)
+let ulps_around n x =
+  let rec walk step x k =
+    if k = 0 then [] else x :: walk step (step x) (k - 1)
+  in
+  (x :: walk Float.pred (Float.pred x) n) @ walk Float.succ (Float.succ x) n
+
+let test_number_exact_table () =
+  let powers =
+    List.init 28 (fun i -> float_of_string (Printf.sprintf "1e%d" (i - 10)))
+  in
+  let ties15 = decimal_ties ~digits:16 and ties17 = decimal_ties ~digits:18 in
+  check_bool "ties at the 15th digit" true (List.length ties15 > 20);
+  check_bool "ties at the 17th digit" true (List.length ties17 > 20);
+  let ties = ties15 @ ties17 in
+  let table =
+    List.concat
+      [
+        List.concat_map (ulps_around 1000) powers;
+        ties;
+        List.map Float.neg ties;
+        (* [%g] switches to exponent form below 1e-4 *)
+        ulps_around 50 1e-5;
+        ulps_around 50 1e-4;
+        [ 9.99999e-5; 9.999999999999999e-5; 1.00001e-5; 0.000123; 1.23e-5 ];
+        (* just below 1e6, where log10 rounds up *)
+        [ 0x1.e847ffffffff7p+19 ];
+        (* non-integers in [1e15, 2^53) *)
+        [
+          1e15 +. 0.5; 1e15 +. 0.25; 2e15 +. 0.125; 4503599627370495.5;
+          -4503599627370495.5;
+        ];
+        [
+          -0.0; 5e-324; -5e-324; 0x0.fffffffffffffp-1022; 0x0.8p-1022;
+          Float.min_float; max_float; -.max_float;
+        ];
+      ]
+  in
+  List.iter
+    (fun x ->
+      check_string (Printf.sprintf "%h" x) (Obs_oracle.number_to_string x)
+        (Obs.Json.number_to_string x))
+    table
+
+(* Rendering never allocates: 10k distinct trace-like values (times,
+   latencies, negative offsets, a few integers) into a buffer sized up
+   front.  A list holds them boxed, as event records do. *)
+let rec add_numbers memo buf = function
+  | [] -> ()
+  | x :: rest ->
+    Obs.Json.add_number memo buf x;
+    add_numbers memo buf rest
+
+let test_number_render_allocates_nothing () =
+  let st = Random.State.make [| 14 |] in
+  let xs =
+    List.init 10_000 (fun i ->
+        match i mod 4 with
+        | 0 -> (float_of_int i *. 0.0137) +. Random.State.float st 1.0
+        | 1 -> Random.State.float st 2.0
+        | 2 -> -.Random.State.float st 1e4
+        | _ -> float_of_int i)
+  in
+  let memo = Obs.Json.memo () in
+  let buf = Buffer.create (32 * 10_000) in
+  let before = Gc.minor_words () in
+  add_numbers memo buf xs;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (after -. before);
+  check_string "same text as the oracle"
+    (String.concat "" (List.map Obs_oracle.number_to_string xs))
+    (Buffer.contents buf)
+
 (* Floats drawn mostly from a small pool, so that sequences repeat a
    value, alternate A/B/A, put -0.0 next to 0.0 and a NaN or infinity
    after a cached value: every memo hit and eviction path. *)
@@ -421,6 +528,10 @@ let test_memo_fixed_sequences () =
         Int64.float_of_bits 0x7ff0000000000001L;
       ];
       [ 1e15; 1e15 -. 1.0; 1e15 ];
+      (* An out-of-range value (printf fallback) between two cached
+         ones, then short texts into the slot a long one held. *)
+      [ 0.25; 0.75; -2.2250738585072014e-308; 0.75; -2.2250738585072014e-308;
+        0.75; 0.25; 0.5; 1e300; 0.0371; 1e300; 2.0 ** 60.0; 0.0371; 7.0 ];
     ]
 
 let test_writer_matches_oracle () =
@@ -1036,6 +1147,11 @@ let suite =
     Alcotest.test_case "json numbers match the Printf oracle" `Quick
       test_number_fixed_cases;
     QCheck_alcotest.to_alcotest prop_number_random_bits;
+    QCheck_alcotest.to_alcotest prop_number_fast_range;
+    Alcotest.test_case "json numbers: exact-renderer edge table" `Quick
+      test_number_exact_table;
+    Alcotest.test_case "json numbers render without allocating" `Quick
+      test_number_render_allocates_nothing;
     Alcotest.test_case "number memo sequences" `Quick
       test_memo_fixed_sequences;
     QCheck_alcotest.to_alcotest prop_memo_sequences;
