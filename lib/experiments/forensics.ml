@@ -11,7 +11,8 @@ type span = {
   parent : int option;
   name : string;
   cat : string;
-  server : int option;
+  mutable server : int option;
+      (** the begin's, replaced by the end's when the end names one *)
   file_set : string option;
   begin_time : float;
   mutable end_time : float option;  (** [None]: lost to a crash *)
@@ -57,7 +58,7 @@ let load path =
             (fun e ->
               match e with
               | Event.Span_begin
-                  { time; id; parent; name; cat; server; file_set; epoch = _ }
+                  { time; id; parent; name; cat; server; file_set; _ }
                 ->
                 let s =
                   {
@@ -74,11 +75,12 @@ let load path =
                 in
                 Hashtbl.add open_spans id s;
                 all := s :: !all
-              | Event.Span_end { time; id; outcome; _ } -> (
+              | Event.Span_end { time; id; server; outcome; _ } -> (
                 match Hashtbl.find_opt open_spans id with
                 | Some s ->
                   Hashtbl.remove open_spans id;
                   s.end_time <- Some time;
+                  if server <> None then s.server <- server;
                   s.outcome <- outcome
                 | None -> () (* end without begin: tolerate, skip *))
               | _ -> ())
@@ -144,20 +146,31 @@ type hot_server = { server : int; completions : int; mean_latency : float }
 
 type hot_file_set = { file_set : string; completions : int }
 
+(* Both rankings read closed request spans: a span whose end lies in
+   the window is one completion, on the server its end names, for the
+   file set its begin names, with latency end - begin. *)
+let is_request s = s.cat = "request" && s.name = "request"
+
+let iter_completed ~from_ ~until t f =
+  List.iter
+    (fun s ->
+      match s.end_time with
+      | Some e when is_request s && in_window ~from_ ~until e ->
+        f s (e -. s.begin_time)
+      | _ -> ())
+    t.spans
+
 let hot_servers ~from_ ~until ~top t =
   let tbl : (int, (int * float) ref) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun e ->
-      match e with
-      | Event.Request_complete { time; server; latency; _ }
-        when in_window ~from_ ~until time -> (
+  iter_completed ~from_ ~until t (fun s latency ->
+      match s.server with
+      | None -> ()
+      | Some server -> (
         match Hashtbl.find_opt tbl server with
         | Some r ->
           let n, sum = !r in
           r := (n + 1, sum +. latency)
-        | None -> Hashtbl.replace tbl server (ref (1, latency)))
-      | _ -> ())
-    t.events;
+        | None -> Hashtbl.replace tbl server (ref (1, latency))));
   Hashtbl.fold
     (fun server r acc ->
       let n, sum = !r in
@@ -171,16 +184,13 @@ let hot_servers ~from_ ~until ~top t =
 
 let hot_file_sets ~from_ ~until ~top t =
   let tbl : (string, int ref) Hashtbl.t = Hashtbl.create 256 in
-  Array.iter
-    (fun e ->
-      match e with
-      | Event.Request_complete { time; file_set; _ }
-        when in_window ~from_ ~until time -> (
+  iter_completed ~from_ ~until t (fun s _ ->
+      match s.file_set with
+      | None -> ()
+      | Some file_set -> (
         match Hashtbl.find_opt tbl file_set with
         | Some r -> incr r
-        | None -> Hashtbl.replace tbl file_set (ref 1))
-      | _ -> ())
-    t.events;
+        | None -> Hashtbl.replace tbl file_set (ref 1)));
   Hashtbl.fold (fun file_set r acc -> { file_set; completions = !r } :: acc) tbl []
   |> List.sort (fun a b ->
          match compare b.completions a.completions with
@@ -324,8 +334,6 @@ let touches ~servers ~file_sets (e : Event.t) =
   let f name = List.mem name file_sets in
   let fo = function Some name -> f name | None -> false in
   match e with
-  | Event.Request_complete { server; file_set; _ } -> s server || f file_set
-  | Event.Request_submit { file_set; _ } -> f file_set
   | Event.Move_start { file_set; src; dst; _ } -> f file_set || so src || s dst
   | Event.Move_end { file_set; dst; _ } -> f file_set || s dst
   | Event.Membership { server; _ }

@@ -34,20 +34,9 @@ type round_input = {
   queue_depth : int;
 }
 
+type attr = Op of string | Client of int
+
 type t =
-  | Request_submit of {
-      time : float;
-      file_set : string;
-      op : string;
-      client : int;
-    }
-  | Request_complete of {
-      time : float;
-      server : int;
-      file_set : string;
-      op : string;
-      latency : float;
-    }
   | Move_start of {
       time : float;
       file_set : string;
@@ -104,6 +93,7 @@ type t =
       server : int option;
       file_set : string option;
       epoch : int option;
+      attrs : attr list;
     }
   | Span_end of {
       time : float;
@@ -134,8 +124,6 @@ let fault_name = function
   | Domain_partition_healed _ -> "domain.partition_healed"
 
 let time = function
-  | Request_submit { time; _ }
-  | Request_complete { time; _ }
   | Move_start { time; _ }
   | Move_end { time; _ }
   | Delegate_round { time; _ }
@@ -151,8 +139,6 @@ let time = function
   | Span_end { time; _ } -> time
 
 let kind = function
-  | Request_submit _ -> "request_submit"
-  | Request_complete _ -> "request_complete"
   | Move_start _ -> "move_start"
   | Move_end _ -> "move_end"
   | Delegate_round _ -> "delegate_round"
@@ -268,16 +254,18 @@ let rec write_ints m buf sep = function
     Json.add_int m buf n;
     write_ints m buf true rest
 
+(* The ["attrs"] object, one member per attribute in list order; an
+   empty list writes nothing at all. *)
+let rec write_attrs m buf sep = function
+  | [] -> if sep then Buffer.add_char buf '}'
+  | a :: rest ->
+    add buf (if sep then "," else {|,"attrs":{|});
+    (match a with
+    | Op op -> str buf {|"op":|} op
+    | Client client -> int m buf {|"client":|} client);
+    write_attrs m buf true rest
+
 let write_fields m buf = function
-  | Request_submit { time = _; file_set; op; client } ->
-    str buf {|,"file_set":|} file_set;
-    str buf {|,"op":|} op;
-    int m buf {|,"client":|} client
-  | Request_complete { time = _; server; file_set; op; latency } ->
-    int m buf {|,"server":|} server;
-    str buf {|,"file_set":|} file_set;
-    str buf {|,"op":|} op;
-    num m buf {|,"latency":|} latency
   | Move_start { time = _; file_set; src; dst; flush_seconds; init_seconds } ->
     str buf {|,"file_set":|} file_set;
     opt_int m buf {|,"src":|} src;
@@ -330,14 +318,16 @@ let write_fields m buf = function
     int m buf {|,"divergent":|} divergent
   | Invariant_violation { time = _; what } ->
     str buf {|,"what":|} what
-  | Span_begin { time = _; id; parent; name; cat; server; file_set; epoch } ->
+  | Span_begin
+      { time = _; id; parent; name; cat; server; file_set; epoch; attrs } ->
     int m buf {|,"id":|} id;
     opt_int m buf {|,"parent":|} parent;
     str buf {|,"name":|} name;
     str buf {|,"cat":|} cat;
     opt_int m buf {|,"server":|} server;
     opt_str buf {|,"file_set":|} file_set;
-    opt_int m buf {|,"epoch":|} epoch
+    opt_int m buf {|,"epoch":|} epoch;
+    write_attrs m buf false attrs
   | Span_end { time = _; id; name; cat; server; outcome } ->
     int m buf {|,"id":|} id;
     str buf {|,"name":|} name;
@@ -395,6 +385,18 @@ let input_of_json j =
   let* requests = field_int j "requests" in
   let* queue_depth = field_int j "queue_depth" in
   Ok { server; mean_latency; max_latency; requests; queue_depth }
+
+let attr_of_json (key, v) =
+  match key with
+  | "op" -> (
+    match Json.to_str v with
+    | Some op -> Ok (Op op)
+    | None -> Error "invalid string attribute \"op\"")
+  | "client" -> (
+    match Json.to_int v with
+    | Some client -> Ok (Client client)
+    | None -> Error "invalid int attribute \"client\"")
+  | other -> Error (Printf.sprintf "unknown span attribute %S" other)
 
 let change_of_json j =
   let* tag = field_str j "change" in
@@ -463,17 +465,6 @@ let of_json j =
   let* kind = field_str j "type" in
   let* time = field_float j "time" in
   match kind with
-  | "request_submit" ->
-    let* file_set = field_str j "file_set" in
-    let* op = field_str j "op" in
-    let* client = field_int j "client" in
-    Ok (Request_submit { time; file_set; op; client })
-  | "request_complete" ->
-    let* server = field_int j "server" in
-    let* file_set = field_str j "file_set" in
-    let* op = field_str j "op" in
-    let* latency = field_float j "latency" in
-    Ok (Request_complete { time; server; file_set; op; latency })
   | "move_start" ->
     let* file_set = field_str j "file_set" in
     let* src = field_opt_int j "src" in
@@ -585,7 +576,15 @@ let of_json j =
         | None -> Error "invalid optional string field \"file_set\"")
     in
     let* epoch = field_opt_int j "epoch" in
-    Ok (Span_begin { time; id; parent; name; cat; server; file_set; epoch })
+    let* attrs =
+      match Json.member "attrs" j with
+      | Json.Null -> Ok []
+      | Json.Obj members -> map_result attr_of_json members
+      | _ -> Error "invalid field \"attrs\""
+    in
+    Ok
+      (Span_begin
+         { time; id; parent; name; cat; server; file_set; epoch; attrs })
   | "span_end" ->
     let* id = field_int j "id" in
     let* name = field_str j "name" in

@@ -1,12 +1,15 @@
 (** The structured trace-event taxonomy.
 
     Every interesting state transition in a simulation maps to one
-    variant here: request life cycle, file-set movement, delegate
-    reconfiguration rounds (with the per-server latency inputs and the
-    region-scale decisions they produced), membership churn and
-    re-addressing sweeps.  Events carry raw integers for server ids so
-    that this library depends on nothing above it; emitters convert
-    with [Server_id.to_int].
+    variant here: file-set movement, delegate reconfiguration rounds
+    (with the per-server latency inputs and the region-scale decisions
+    they produced), membership churn, faults and re-addressing sweeps.
+    A request's life is recorded by spans alone ({!t.Span_begin} and
+    {!t.Span_end}, see {!Span}): the ["request"] span's begin carries
+    the request's file set and, as typed {!attr}ibutes, its operation
+    and client; its end carries the server that completed it.  Events
+    carry raw integers for server ids so that this library depends on
+    nothing above it; emitters convert with [Server_id.to_int].
 
     Times are virtual simulation seconds.  All variants serialize to
     single-line JSON ({!to_jsonl}) and parse back exactly
@@ -71,20 +74,18 @@ type round_input = {
   queue_depth : int;
 }
 
+(** A typed span attribute: one constructor per key, so a key always
+    carries the same type of value.  Attributes ride on
+    {!t.Span_begin} and say what the span is about beyond its name and
+    file set; new lifecycle families (moves, rounds, faults) add their
+    keys here.  They encode as a trailing ["attrs"] object whose
+    members keep list order, e.g. [,"attrs":{"client":3,"op":"open"}];
+    a span without attributes writes no ["attrs"] field at all. *)
+type attr =
+  | Op of string  (** a request's metadata operation, e.g. ["open"] *)
+  | Client of int  (** the client that issued the request *)
+
 type t =
-  | Request_submit of {
-      time : float;
-      file_set : string;
-      op : string;
-      client : int;
-    }
-  | Request_complete of {
-      time : float;  (** completion time; submission was [time - latency] *)
-      server : int;
-      file_set : string;
-      op : string;
-      latency : float;
-    }
   | Move_start of {
       time : float;
       file_set : string;
@@ -163,6 +164,9 @@ type t =
       server : int option;
       file_set : string option;
       epoch : int option;  (** lease epoch for delegate-round spans *)
+      attrs : attr list;
+          (** typed attributes; a ["request"] span carries [Client]
+              and [Op], every other span [[]] *)
     }
   | Span_end of {
       time : float;
@@ -170,6 +174,8 @@ type t =
       name : string;
       cat : string;
       server : int option;
+          (** where the span closed; a ["request"] span's end names
+              the server that completed it *)
       outcome : string option;
           (** how the span closed, e.g. ["commit"], ["orphan"],
               ["applied"], ["fenced"]; [None] for plain completion *)
@@ -183,7 +189,7 @@ val fault_name : fault_kind -> string
 val time : t -> float
 
 (** [kind e] is the snake_case constructor name, e.g.
-    ["request_complete"] — also the ["type"] field of the JSON
+    ["span_begin"] — also the ["type"] field of the JSON
     encoding. *)
 val kind : t -> string
 

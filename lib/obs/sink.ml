@@ -64,7 +64,7 @@ end
    exactly the timings a trace is meant to capture.  The buffer drains
    on overflow and on close, so a closed sink has always written every
    event.  The number memo is this writer's own state: a request's
-   [time] repeats across its spans, submit and complete events, so most
+   [time] repeats across its span begins and ends, so most
    numbers are formatted once. *)
 let jsonl_buffer_size = 65536
 
@@ -102,7 +102,8 @@ let jsonl_file path = jsonl_writer (open_out path) ~close_channel:true
 (* --- Chrome trace_event writer --- *)
 
 (* One process per simulation; one thread per server, plus thread 0 for
-   cluster-wide events (submissions, delegate rounds, membership). *)
+   cluster-wide events (delegate rounds, membership, spans not yet on a
+   server). *)
 let cluster_tid = 0
 
 let server_tid server = server + 1
@@ -144,23 +145,6 @@ let instant ?(args = []) ~name ~cat ~ts ~tid () =
 
 let records_of_event e =
   match (e : Event.t) with
-  | Request_submit { time; file_set; op; client } ->
-    [
-      instant ~name:("submit:" ^ op) ~cat:"request" ~ts:(usec time)
-        ~tid:cluster_tid
-        ~args:
-          [ ("file_set", Json.Str file_set); ("client", Json.Num (float_of_int client)) ]
-        ();
-    ]
-  | Request_complete { time; server; file_set; op; latency } ->
-    [
-      chrome_record ~name:op ~cat:"request" ~ph:"X"
-        ~ts:(usec (time -. latency))
-        ~tid:(server_tid server)
-        [ ("dur", Json.Num (usec latency)) ]
-        ~args:
-          [ ("file_set", Json.Str file_set); ("latency_s", Json.Num latency) ];
-    ]
   | Move_start { time; file_set; src; dst; flush_seconds; init_seconds } ->
     [
       chrome_record ~name:("move:" ^ file_set) ~cat:"move" ~ph:"X"
@@ -293,7 +277,8 @@ let records_of_event e =
   (* Spans become Chrome async duration events: matching ["b"]/["e"]
      records keyed by the span id, so chrome://tracing nests them into
      flame charts instead of a wall of instants. *)
-  | Span_begin { time; id; parent; name; cat; server; file_set; epoch } ->
+  | Span_begin { time; id; parent; name; cat; server; file_set; epoch; attrs }
+    ->
     let tid =
       match server with Some s -> server_tid s | None -> cluster_tid
     in
@@ -304,10 +289,14 @@ let records_of_event e =
       @ (match file_set with
         | Some fs -> [ ("file_set", Json.Str fs) ]
         | None -> [])
-      @
-      match epoch with
-      | Some e -> [ ("epoch", Json.Num (float_of_int e)) ]
-      | None -> []
+      @ (match epoch with
+        | Some e -> [ ("epoch", Json.Num (float_of_int e)) ]
+        | None -> [])
+      @ List.map
+          (function
+            | Event.Op op -> ("op", Json.Str op)
+            | Event.Client c -> ("client", Json.Num (float_of_int c)))
+          attrs
     in
     [
       chrome_record ~args ~name ~cat ~ph:"b" ~ts:(usec time) ~tid

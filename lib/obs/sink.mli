@@ -55,13 +55,15 @@ val jsonl_channel : out_channel -> t
 val jsonl_file : string -> t
 
 (** [chrome_channel oc] writes the Chrome trace_event JSON-array format
-    understood by [chrome://tracing] and Perfetto.  Requests become
-    complete ("X") slices on the owning server's track, moves become
-    slices on the destination's track, delegate rounds become instant
-    events plus "queue-depth" and "region-measure" counter tracks, and
+    understood by [chrome://tracing] and Perfetto.
     {!Event.Span_begin}/{!Event.Span_end} pairs become async duration
     ("b"/"e") records keyed by span id, which render as nested flame
-    charts.  Virtual seconds map to trace microseconds.  [close] writes the
+    charts; a span's parent, file set, epoch and typed attributes (a
+    request's [client] and [op]) go in the "b" record's args.
+    Requests appear only as these spans.  Moves become complete ("X")
+    slices on the destination's track, delegate rounds become instant
+    events plus "queue-depth" and "region-measure" counter tracks.
+    Virtual seconds map to trace microseconds.  [close] writes the
     closing bracket and flushes; the caller owns the channel. *)
 val chrome_channel : out_channel -> t
 

@@ -2,7 +2,8 @@ type id = int
 
 let none = 0
 
-let begin_ ctx ~time ?parent ~name ~cat ?server ?file_set ?epoch () =
+let begin_ ctx ~time ?parent ~name ~cat ?server ?file_set ?epoch
+    ?(attrs = []) () =
   if not (Ctx.tracing ctx) then none
   else begin
     let id = Ctx.alloc_span ctx in
@@ -12,7 +13,8 @@ let begin_ ctx ~time ?parent ~name ~cat ?server ?file_set ?epoch () =
       | _ -> None
     in
     Ctx.emit ctx
-      (Event.Span_begin { time; id; parent; name; cat; server; file_set; epoch });
+      (Event.Span_begin
+         { time; id; parent; name; cat; server; file_set; epoch; attrs });
     id
   end
 

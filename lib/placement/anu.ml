@@ -141,114 +141,13 @@ let region_map t = t.map
    [#domains] rounds.  Servers outside every domain are unconstrained
    and only ever absorb freed weight.
 
-   [apply_domain_spread_reference] is the original list/Hashtbl
-   implementation, retained as the oracle the flat-array rewrite below
-   is pinned against (same pattern as [Region_map.locate_reference]). *)
-let apply_domain_spread_reference t targets =
-  match t.cfg.domain_spread with
-  | _ when Sharedfs.Topology.is_flat t.topology -> targets
-  | None -> targets
-  | Some eps ->
-    let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 targets in
-    let n = List.length targets in
-    if n = 0 || total <= Hashlib.Unit_interval.eps then targets
-    else begin
-      let weight = Hashtbl.create n in
-      List.iter (fun (id, w) -> Hashtbl.replace weight id w) targets;
-      (* domain name -> members present in [targets] *)
-      let groups = Hashtbl.create 8 in
-      List.iter
-        (fun (id, _) ->
-          match Sharedfs.Topology.domain_of t.topology id with
-          | None -> ()
-          | Some name ->
-            let members =
-              Option.value ~default:[] (Hashtbl.find_opt groups name)
-            in
-            Hashtbl.replace groups name (id :: members))
-        targets;
-      let names =
-        List.sort String.compare
-          (Hashtbl.fold (fun name _ acc -> name :: acc) groups [])
-      in
-      let cap name =
-        let k = List.length (Hashtbl.find groups name) in
-        Float.min 1.0 ((float_of_int k /. float_of_int n) +. eps) *. total
-      in
-      let group_sum name =
-        List.fold_left
-          (fun acc id -> acc +. Hashtbl.find weight id)
-          0.0 (Hashtbl.find groups name)
-      in
-      let frozen = Hashtbl.create 8 in
-      let continue = ref true in
-      while !continue do
-        let over =
-          List.filter
-            (fun name ->
-              (not (Hashtbl.mem frozen name))
-              && group_sum name > cap name +. (1e-9 *. total))
-            names
-        in
-        match over with
-        | [] -> continue := false
-        | _ ->
-          List.iter
-            (fun name ->
-              let s = group_sum name in
-              let factor = cap name /. s in
-              List.iter
-                (fun id ->
-                  Hashtbl.replace weight id (Hashtbl.find weight id *. factor))
-                (Hashtbl.find groups name);
-              Hashtbl.replace frozen name ())
-            over;
-          let frozen_weight =
-            List.fold_left
-              (fun acc name ->
-                if Hashtbl.mem frozen name then acc +. group_sum name else acc)
-              0.0 names
-          in
-          let free_ids =
-            List.filter_map
-              (fun (id, _) ->
-                match Sharedfs.Topology.domain_of t.topology id with
-                | Some name when Hashtbl.mem frozen name -> None
-                | _ -> Some id)
-              targets
-          in
-          let free_target = total -. frozen_weight in
-          let free_current =
-            List.fold_left
-              (fun acc id -> acc +. Hashtbl.find weight id)
-              0.0 free_ids
-          in
-          if free_current > Hashlib.Unit_interval.eps then
-            let factor = free_target /. free_current in
-            List.iter
-              (fun id ->
-                Hashtbl.replace weight id (Hashtbl.find weight id *. factor))
-              free_ids
-          else begin
-            (* The freed weight has nowhere proportional to go (the
-               survivors all sat at zero): grant it equally. *)
-            match free_ids with
-            | [] -> continue := false
-            | _ ->
-              let share = free_target /. float_of_int (List.length free_ids) in
-              List.iter (fun id -> Hashtbl.replace weight id share) free_ids
-          end
-      done;
-      List.map (fun (id, _) -> (id, Hashtbl.find weight id)) targets
-    end
-
-(* The hot-path implementation of the same water-filling, on the
-   reusable scratch arrays.  Byte-identical output to the reference:
-   group iteration follows the sorted-name order the reference sorts
-   into, per-group sums run over members in reverse targets order (the
-   reference prepends members while walking the targets list), and the
-   frozen/free folds keep the reference's exact float summation
-   orders. *)
+   This runs on the reusable scratch arrays.  Its output is
+   byte-identical to the original list/Hashtbl implementation, which
+   the test suite keeps as its oracle: group iteration follows the
+   sorted-name order the reference sorts into, per-group sums run over
+   members in reverse targets order (the reference prepends members
+   while walking the targets list), and the frozen/free folds keep the
+   reference's exact float summation orders. *)
 let apply_domain_spread t targets =
   match t.cfg.domain_spread with
   | _ when Sharedfs.Topology.is_flat t.topology -> targets

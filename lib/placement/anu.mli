@@ -107,22 +107,12 @@ val reconfigurations : t -> int
     stateless protocol and simply skips the divergence test once. *)
 val forget_history : t -> unit
 
-(** {2 Domain-spread oracle}
-
-    The water-filling clamp that bounds each failure domain's share of
-    the mapped half runs on reusable flat arrays keyed by dense target
-    index.  [apply_domain_spread_reference] is the original
-    list/Hashtbl implementation, retained as the oracle: the test
-    suite pins [apply_domain_spread t targets =
-    apply_domain_spread_reference t targets] byte-for-byte (same float
-    operation order throughout). *)
-
+(** [apply_domain_spread t targets] is the water-filling clamp that
+    bounds each failure domain's share of the mapped half, run on
+    reusable flat arrays keyed by dense target index.  The test suite
+    pins it byte-for-byte against the original list/Hashtbl
+    implementation (same float operation order throughout). *)
 val apply_domain_spread :
-  t ->
-  (Sharedfs.Server_id.t * float) list ->
-  (Sharedfs.Server_id.t * float) list
-
-val apply_domain_spread_reference :
   t ->
   (Sharedfs.Server_id.t * float) list ->
   (Sharedfs.Server_id.t * float) list

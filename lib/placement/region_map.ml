@@ -7,7 +7,6 @@ let eps = UI.eps
 type t = {
   mutable p : int;
   mutable regions : Set.t Id.Map.t;
-  mutable index : (float * float * Id.t) array;
   (* Per-partition buckets of the same segments: [buckets.(j)] holds, in
      ascending [lo] order, every segment overlapping partition [j].
      Because [p] is a power of two, [x *. float p] is an exact scaling
@@ -17,13 +16,10 @@ type t = {
      The buckets are maintained {e incrementally}: every region
      mutation goes through [set_region], which patches exactly the
      buckets the changed segments overlap — O(changed segments), not
-     O(total).  [rebuild_index] recomputes the same table from scratch
-     and remains the oracle the patched table is pinned against
+     O(total).  [rebuild_buckets] recomputes the same table from
+     scratch and remains the oracle the patched table is pinned against
      (exposed as [index_consistent]). *)
   mutable buckets : (float * float * Id.t) array array;
-  (* Staleness of the flat [index] array (the binary-search oracle used
-     by [locate_reference]) only; the buckets are always current. *)
-  mutable index_dirty : bool;
   (* Bumped on every mutation; lets callers (the ANU addressing cache)
      detect that any previously computed locate result may be stale. *)
   mutable version : int;
@@ -76,15 +72,9 @@ let free_set t = Set.complement (mapped_union t)
 
 let total_measure t = Set.measure (mapped_union t)
 
-let mark_dirty t =
-  t.index_dirty <- true;
-  t.version <- t.version + 1
+let mark_dirty t = t.version <- t.version + 1
 
-let version t =
-  (* The version must change whenever the locate function could have:
-     flat-index rebuilds are lazy, so the counter already reflects
-     pending mutations and no rebuild is forced here. *)
-  t.version
+let version t = t.version
 
 (* The partitions a segment [lo, hi) overlaps with positive measure:
    [p] is a power of two, so scaling by [float p] is exact and this
@@ -127,11 +117,7 @@ let bucketize t arr =
   (* [arr] is sorted ascending, prepending reversed each bucket. *)
   Array.map (fun l -> Array.of_list (List.rev l)) lists
 
-let rebuild_index t =
-  let arr = sorted_segments t in
-  t.buckets <- bucketize t arr;
-  t.index <- arr;
-  t.index_dirty <- false
+let rebuild_buckets t = t.buckets <- bucketize t (sorted_segments t)
 
 let index_consistent t = bucketize t (sorted_segments t) = t.buckets
 
@@ -139,8 +125,7 @@ let index_consistent t = bucketize t (sorted_segments t) = t.buckets
    the buckets its old and new segments overlap.  Within one bucket the
    segments are disjoint with measure > eps, so their [lo]s are
    distinct and sorting by [lo] reproduces [bucketize]'s order.  The
-   flat index is left stale ([locate_reference] refreshes it lazily);
-   the version counter is NOT bumped here — each public operation bumps
+   version counter is NOT bumped here — each public operation bumps
    it exactly once via [mark_dirty], preserving the historical
    granularity the addressing cache keys on. *)
 let set_region t id new_r =
@@ -180,7 +165,6 @@ let set_region t id new_r =
       Array.sort (fun (a, _, _) (b, _, _) -> Float.compare a b) bucket;
       t.buckets.(j) <- bucket)
     (List.sort_uniq Int.compare !js);
-  t.index_dirty <- true;
   Hashtbl.replace t.touched id ()
 
 let drain_changed t =
@@ -221,32 +205,6 @@ let locate t x =
     in
     scan 0
   end
-
-(* The pre-bucket-index implementation, kept as a test oracle: a global
-   binary search for the last segment with lo <= x.  Refreshes only the
-   flat index, never the buckets — so oracle queries cannot mask a
-   bucket-patching bug from [index_consistent]. *)
-let locate_reference t x =
-  if t.index_dirty then begin
-    t.index <- sorted_segments t;
-    t.index_dirty <- false
-  end;
-  let arr = t.index in
-  let n = Array.length arr in
-  let rec go lo hi best =
-    if lo > hi then best
-    else begin
-      let mid = (lo + hi) / 2 in
-      let seg_lo, _, _ = arr.(mid) in
-      if seg_lo <= x then go (mid + 1) hi (Some mid)
-      else go lo (mid - 1) best
-    end
-  in
-  match go 0 (n - 1) None with
-  | None -> None
-  | Some i ->
-    let _, seg_hi, id = arr.(i) in
-    if x < seg_hi then Some id else None
 
 (* Per-partition portions of a region: [(j, portion, measure)] for
    partitions where the server owns anything.  Only partitions actually
@@ -385,9 +343,7 @@ let create ~servers =
     {
       p;
       regions = Id.Map.empty;
-      index = [||];
       buckets = [||];
-      index_dirty = true;
       version = 0;
       fallbacks = 0;
       free_cursor = 0;
@@ -414,7 +370,7 @@ let create ~servers =
       t.regions <- Id.Map.add id !acc t.regions)
     sorted;
   (* Buckets must be valid before the first [set_region] patch. *)
-  rebuild_index t;
+  rebuild_buckets t;
   t
 
 let normalize_targets targets =
@@ -422,6 +378,34 @@ let normalize_targets targets =
   if total <= eps then
     invalid_arg "Region_map.scale: all-zero targets";
   List.map (fun (id, m) -> (id, Float.max 0.0 m *. 0.5 /. total)) targets
+
+(* Deltas within eps are not applied one by one, but dropping them
+   outright loses their sum: at 10,000 servers one round skips enough
+   of them to pull the mapped total measurably below 1/2.  So each
+   sign's skipped remainder is carried into that sign's largest delta
+   (the first, on ties), which leaves at most eps per sign unapplied.
+   With nothing skipped the deltas are unchanged. *)
+let carry_skipped deltas =
+  let carry same deltas =
+    let skipped, largest =
+      List.fold_left
+        (fun ((sum, best) as acc) (id, d) ->
+          if not (same d) then acc
+          else
+            let sum = if Float.abs d <= eps then sum +. d else sum in
+            match best with
+            | Some (_, b) when Float.abs b >= Float.abs d -> (sum, best)
+            | _ -> (sum, Some (id, d)))
+        (0.0, None) deltas
+    in
+    match largest with
+    | Some (big, d) when skipped <> 0.0 ->
+      let d = if Float.abs d <= eps then skipped else d +. skipped in
+      List.map (fun (id, x) -> if Id.equal id big then (id, d) else (id, x))
+        deltas
+    | _ -> deltas
+  in
+  deltas |> carry (fun d -> d > 0.0) |> carry (fun d -> d < 0.0)
 
 let scale t ~targets =
   let current = servers t in
@@ -431,6 +415,7 @@ let scale t ~targets =
   let targets = normalize_targets targets in
   let deltas =
     List.map (fun (id, m) -> (id, m -. measure_of t id)) targets
+    |> carry_skipped
   in
   (* Shrink first so that growers see maximal free space. *)
   List.iter
@@ -457,7 +442,7 @@ let add_server t id ~target =
     while t.p < needed do
       t.p <- t.p * 2
     done;
-    rebuild_index t;
+    rebuild_buckets t;
     t.free_cursor <- 0
   end;
   let target = Float.min (Float.max target 0.0) (0.5 -. eps) in
@@ -580,16 +565,14 @@ let of_string s =
       {
         p;
         regions;
-        index = [||];
         buckets = [||];
-        index_dirty = true;
         version = 0;
         fallbacks = 0;
         free_cursor = 0;
         touched = Hashtbl.create 64;
       }
     in
-    rebuild_index t;
+    rebuild_buckets t;
     (match check_invariants t with
     | [] -> t
     | violations -> fail (String.concat "; " violations))

@@ -52,12 +52,6 @@ val width : t -> float
     segments overlapping that partition. *)
 val locate : t -> float -> Sharedfs.Server_id.t option
 
-(** [locate_reference t x] answers the same question by global binary
-    search over all segments — the pre-bucket-index implementation,
-    kept as an oracle for the test suite.  [locate] and
-    [locate_reference] agree on every input. *)
-val locate_reference : t -> float -> Sharedfs.Server_id.t option
-
 (** [version t] is a counter bumped by every mutation ([scale],
     [remove_server], [add_server], and the internal shrink/grow paths).
     Callers caching locate results (the ANU addressing cache) compare

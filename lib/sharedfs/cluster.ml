@@ -549,23 +549,28 @@ let deliver t id b =
   let extra_latency = now -. b.arrival in
   let sid = Server_id.to_int id in
   (* Close the buffered stage (if the request waited out a move) and
-     open the queue stage; [on_start] flips queue -> service with the
-     station's computed service time, so the trace splits queueing
-     delay from service exactly.  All span work is behind the tracing
-     branch; the [on_start] closure is only built when some observer
-     (sinks or telemetry) wants it. *)
+     record the stages that follow.  A queue stage is opened only when
+     the server is busy, so the request will really wait; [on_start]
+     then closes it and opens service with the station's computed
+     service time, splitting queueing delay from service exactly.  An
+     idle server starts service at delivery.  All span work is behind
+     the tracing branch; the [on_start] closure is only built when some
+     observer (sinks or telemetry) wants it. *)
   if b.bspan <> Obs.Span.none then begin
     Obs.Span.end_ t.obs ~time:now ~id:b.bspan ~name:"buffered" ~cat:"request"
       ~server:sid ();
     b.bspan <- Obs.Span.none
   end;
+  let tracing = Obs.Ctx.tracing t.obs in
   let qspan =
-    Obs.Span.begin_ t.obs ~time:now ~parent:b.span ~name:"queue" ~cat:"request"
-      ~server:sid ~file_set:b.req.Request.file_set ()
+    if tracing && Server.in_service server then
+      Obs.Span.begin_ t.obs ~time:now ~parent:b.span ~name:"queue"
+        ~cat:"request" ~server:sid ~file_set:b.req.Request.file_set ()
+    else Obs.Span.none
   in
   let sspan = ref Obs.Span.none in
   let on_start =
-    if qspan = Obs.Span.none && t.telemetry = None then None
+    if (not tracing) && t.telemetry = None then None
     else
       Some
         (fun ~service ->
@@ -574,14 +579,11 @@ let deliver t id b =
           | Some tl ->
             Obs.Telemetry.observe_service tl ~time:started ~server:sid ~service
           | None -> ());
-          if qspan <> Obs.Span.none then begin
-            Obs.Span.end_ t.obs ~time:started ~id:qspan ~name:"queue"
-              ~cat:"request" ~server:sid ();
-            sspan :=
-              Obs.Span.begin_ t.obs ~time:started ~parent:b.span
-                ~name:"service" ~cat:"request" ~server:sid
-                ~file_set:b.req.Request.file_set ()
-          end)
+          Obs.Span.end_ t.obs ~time:started ~id:qspan ~name:"queue"
+            ~cat:"request" ~server:sid ();
+          sspan :=
+            Obs.Span.begin_ t.obs ~time:started ~parent:b.span ~name:"service"
+              ~cat:"request" ~server:sid ~file_set:b.req.Request.file_set ())
   in
   Server.submit server ~fs:b.fs ~base_demand:b.base_demand ~tag ~extra_latency
     ?on_start b.req ~on_complete:(fun ~latency ->
@@ -597,22 +599,23 @@ let deliver t id b =
         Obs.Telemetry.observe_complete tl ~time:finished ~server:sid
           ~queue_depth:(Server.queue_length server) ~latency
       | None -> ());
-      if Obs.Ctx.tracing t.obs then begin
+      if tracing then begin
         Obs.Span.end_ t.obs ~time:finished ~id:!sspan ~name:"service"
           ~cat:"request" ~server:sid ();
-        Obs.Ctx.emit t.obs
-          (Obs.Event.Request_complete
-             {
-               time = finished;
-               server = sid;
-               file_set = b.req.Request.file_set;
-               op = Request.op_name b.req.Request.op;
-               latency;
-             });
         Obs.Span.end_ t.obs ~time:finished ~id:b.span ~name:"request"
           ~cat:"request" ~server:sid ()
       end;
       complete_request t b ~latency)
+
+(* A request span's [Op] attribute as a preallocated one-element list
+   per operation, so a traced submission allocates only the [Client]
+   cell in front of it. *)
+let op_attrs =
+  List.map
+    (fun op -> (op, [ Obs.Event.Op (Request.op_name op) ]))
+    Request.all_ops
+
+let op_attr op = List.assq op op_attrs
 
 let submit_fs t ~fs ~base_demand req ~on_complete =
   (* Wrap the completion so the conservation counters see every exit
@@ -628,9 +631,15 @@ let submit_fs t ~fs ~base_demand req ~on_complete =
     Obs.Telemetry.observe_submit tl ~time:arrival
       ~file_set:req.Request.file_set
   | None -> ());
+  (* The request span is the request's whole record: its begin
+     carries the file set, client and operation, its end the server. *)
   let span =
-    Obs.Span.begin_ t.obs ~time:arrival ~name:"request" ~cat:"request"
-      ~file_set:req.Request.file_set ()
+    if Obs.Ctx.tracing t.obs then
+      Obs.Span.begin_ t.obs ~time:arrival ~name:"request" ~cat:"request"
+        ~file_set:req.Request.file_set
+        ~attrs:(Obs.Event.Client req.Request.client :: op_attr req.Request.op)
+        ()
+    else Obs.Span.none
   in
   let b =
     { req; fs; base_demand; arrival; span; bspan = Obs.Span.none; on_complete }
@@ -639,15 +648,6 @@ let submit_fs t ~fs ~base_demand req ~on_complete =
   (match t.instruments with
   | None -> ()
   | Some i -> Obs.Metrics.Counter.incr i.submitted);
-  if Obs.Ctx.tracing t.obs then
-    Obs.Ctx.emit t.obs
-      (Obs.Event.Request_submit
-         {
-           time = b.arrival;
-           file_set = req.Request.file_set;
-           op = Request.op_name req.Request.op;
-           client = req.Request.client;
-         });
   (* A request held back by a move or an orphaned set gets an explicit
      "buffered" stage, so forensics can attribute that part of its
      latency to the move rather than to queueing. *)

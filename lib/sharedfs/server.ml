@@ -117,6 +117,8 @@ let submit t ~fs ~base_demand ?tag ?(extra_latency = 0.0) ?on_start req
 
 let queue_length t = Desim.Station.queue_length t.station
 
+let in_service t = Desim.Station.in_service t.station
+
 let completed t = Desim.Station.completed t.station
 
 let utilization t ~until = Desim.Station.utilization t.station ~until

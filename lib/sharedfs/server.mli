@@ -80,6 +80,10 @@ val set_stream_sink : t -> (tag:int -> latency:float -> unit) -> unit
 
 val queue_length : t -> int
 
+(** [in_service t] reports whether a request is being served, i.e.
+    whether a request submitted now would wait in the queue. *)
+val in_service : t -> bool
+
 val completed : t -> int
 
 val utilization : t -> until:float -> float

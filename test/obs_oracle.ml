@@ -116,22 +116,17 @@ let input_to_json i =
       ("queue_depth", int i.queue_depth);
     ]
 
+let attrs_to_json attrs =
+  Json.Obj
+    (List.map
+       (function
+         | Op op -> ("op", Json.Str op)
+         | Client client -> ("client", int client))
+       attrs)
+
 let event_to_json e =
   let fields =
     match e with
-    | Request_submit { time = _; file_set; op; client } ->
-      [
-        ("file_set", Json.Str file_set);
-        ("op", Json.Str op);
-        ("client", int client);
-      ]
-    | Request_complete { time = _; server; file_set; op; latency } ->
-      [
-        ("server", int server);
-        ("file_set", Json.Str file_set);
-        ("op", Json.Str op);
-        ("latency", num latency);
-      ]
     | Move_start { time = _; file_set; src; dst; flush_seconds; init_seconds }
       ->
       [
@@ -199,8 +194,8 @@ let event_to_json e =
         ("divergent", int divergent);
       ]
     | Invariant_violation { time = _; what } -> [ ("what", Json.Str what) ]
-    | Span_begin { time = _; id; parent; name; cat; server; file_set; epoch }
-      ->
+    | Span_begin
+        { time = _; id; parent; name; cat; server; file_set; epoch; attrs } ->
       [
         ("id", int id);
         ("parent", opt_int parent);
@@ -211,6 +206,7 @@ let event_to_json e =
           match file_set with None -> Json.Null | Some s -> Json.Str s );
         ("epoch", opt_int epoch);
       ]
+      @ (if attrs = [] then [] else [ ("attrs", attrs_to_json attrs) ])
     | Span_end { time = _; id; name; cat; server; outcome } ->
       [
         ("id", int id);

@@ -48,15 +48,26 @@ let test_json_parse_escapes () =
 
 let sample_events =
   [
-    Obs.Event.Request_submit
-      { time = 0.125; file_set = "fs-001"; op = "open"; client = 3 };
-    Obs.Event.Request_complete
+    Obs.Event.Span_begin
+      {
+        time = 0.125;
+        id = 2;
+        parent = None;
+        name = "request";
+        cat = "request";
+        server = None;
+        file_set = Some "fs-001";
+        epoch = None;
+        attrs = [ Obs.Event.Client 3; Obs.Event.Op "open" ];
+      };
+    Obs.Event.Span_end
       {
         time = 17.3;
-        server = 2;
-        file_set = "fs-002";
-        op = "stat";
-        latency = 0.0371;
+        id = 2;
+        name = "request";
+        cat = "request";
+        server = Some 2;
+        outcome = None;
       };
     Obs.Event.Move_start
       {
@@ -205,6 +216,7 @@ let sample_events =
         server = Some 2;
         file_set = Some "fs-005";
         epoch = None;
+        attrs = [];
       };
     Obs.Event.Span_begin
       {
@@ -216,6 +228,7 @@ let sample_events =
         server = None;
         file_set = None;
         epoch = Some 4;
+        attrs = [];
       };
     Obs.Event.Span_end
       {
@@ -311,7 +324,7 @@ let test_event_jsonl_round_trip () =
 
 let test_event_kinds_distinct () =
   let kinds = List.sort_uniq compare (List.map Obs.Event.kind sample_events) in
-  check_int "all fifteen kinds exercised" 15 (List.length kinds);
+  check_int "all thirteen kinds exercised" 13 (List.length kinds);
   List.iter
     (fun e ->
       let json = Obs_oracle.event_to_json e in
@@ -325,7 +338,31 @@ let test_event_of_jsonl_errors () =
   check_bool "unknown type" true
     (Result.is_error (Obs.Event.of_jsonl {|{"type":"martian","time":1}|}));
   check_bool "missing field" true
-    (Result.is_error (Obs.Event.of_jsonl {|{"type":"request_submit"}|}))
+    (Result.is_error (Obs.Event.of_jsonl {|{"type":"span_end","time":1}|}));
+  (* The request lifecycle is spans only: the old duplicate records are
+     unknown types now, reported by name. *)
+  List.iter
+    (fun kind ->
+      Alcotest.(check (result reject string))
+        (kind ^ " is unknown")
+        (Error (Printf.sprintf "unknown event type %S" kind))
+        (Result.map ignore
+           (Obs.Event.of_jsonl
+              (Printf.sprintf {|{"type":%S,"time":1,"file_set":"fs-1"}|} kind))))
+    [ "request_submit"; "request_complete" ];
+  let span_begin attrs =
+    Printf.sprintf
+      {|{"type":"span_begin","time":1,"id":2,"parent":null,"name":"request","cat":"request","server":null,"file_set":null,"epoch":null,"attrs":%s}|}
+      attrs
+  in
+  check_bool "unknown attribute key" true
+    (Result.is_error (Obs.Event.of_jsonl (span_begin {|{"colour":"red"}|})));
+  check_bool "op must be a string" true
+    (Result.is_error (Obs.Event.of_jsonl (span_begin {|{"op":3}|})));
+  check_bool "client must be an int" true
+    (Result.is_error (Obs.Event.of_jsonl (span_begin {|{"client":"c3"}|})));
+  check_bool "attrs must be an object" true
+    (Result.is_error (Obs.Event.of_jsonl (span_begin {|["open"]|})))
 
 (* --- Direct writer vs the test/ tree oracle (Obs_oracle) --- *)
 
@@ -625,11 +662,6 @@ let event_gen =
   let* time = float_gen in
   oneof
     [
-      (let* file_set = str and* op = str and* client = num in
-       return (E.Request_submit { time; file_set; op; client }));
-      (let* server = num and* file_set = str and* op = str
-       and* latency = float_gen in
-       return (E.Request_complete { time; server; file_set; op; latency }));
       (let* file_set = str and* src = option num and* dst = num
        and* flush_seconds = float_gen and* init_seconds = float_gen in
        return
@@ -664,10 +696,15 @@ let event_gen =
        return (E.Invariant_violation { time; what }));
       (let* id = num and* parent = option num and* name = str and* cat = str
        and* server = option num and* file_set = option str
-       and* epoch = option num in
+       and* epoch = option num
+       and* attrs =
+         list_size (0 -- 3)
+           (oneof
+              [ map (fun op -> E.Op op) str; map (fun c -> E.Client c) num ])
+       in
        return
          (E.Span_begin
-            { time; id; parent; name; cat; server; file_set; epoch }));
+            { time; id; parent; name; cat; server; file_set; epoch; attrs }));
       (let* id = num and* name = str and* cat = str
        and* server = option num and* outcome = option str in
        return (E.Span_end { time; id; name; cat; server; outcome }));
@@ -692,30 +729,39 @@ let prop_writer_matches_oracle =
 
 (* --- Ring sink --- *)
 
-let nth_submit i =
-  Obs.Event.Request_submit
-    { time = float_of_int i; file_set = Printf.sprintf "fs-%d" i; op = "open";
-      client = 0 }
+let nth_request i =
+  Obs.Event.Span_begin
+    {
+      time = float_of_int i;
+      id = i;
+      parent = None;
+      name = "request";
+      cat = "request";
+      server = None;
+      file_set = Some (Printf.sprintf "fs-%d" i);
+      epoch = None;
+      attrs = [ Obs.Event.Client 0; Obs.Event.Op "open" ];
+    }
 
 let test_ring_capacity_eviction () =
   let ring = Obs.Sink.Ring.create ~capacity:4 in
   let sink = Obs.Sink.Ring.sink ring in
   check_int "empty" 0 (Obs.Sink.Ring.length ring);
   for i = 1 to 10 do
-    sink.Obs.Sink.emit (nth_submit i)
+    sink.Obs.Sink.emit (nth_request i)
   done;
   check_int "capped at capacity" 4 (Obs.Sink.Ring.length ring);
   check_int "evictions counted" 6 (Obs.Sink.Ring.dropped ring);
   Alcotest.(check (list event_t))
     "keeps newest, oldest first"
-    [ nth_submit 7; nth_submit 8; nth_submit 9; nth_submit 10 ]
+    [ nth_request 7; nth_request 8; nth_request 9; nth_request 10 ]
     (Obs.Sink.Ring.contents ring);
   Obs.Sink.Ring.clear ring;
   check_int "clear empties" 0 (Obs.Sink.Ring.length ring);
   check_int "clear resets dropped" 0 (Obs.Sink.Ring.dropped ring);
-  sink.Obs.Sink.emit (nth_submit 11);
+  sink.Obs.Sink.emit (nth_request 11);
   Alcotest.(check (list event_t))
-    "usable after clear" [ nth_submit 11 ]
+    "usable after clear" [ nth_request 11 ]
     (Obs.Sink.Ring.contents ring)
 
 (* --- JSONL sink --- *)
@@ -786,22 +832,39 @@ let test_chrome_file_valid_json () =
             check_bool "record has a pid" true
               (Obs.Json.(to_int (member "pid" r)) <> None))
           records;
-        (* Request_complete events must appear as complete slices with
-           microsecond timestamps. *)
+        (* Moves appear as complete slices with microsecond
+           timestamps; requests only as spans. *)
         let slices =
           List.filter
             (fun r -> Obs.Json.(to_str (member "ph" r)) = Some "X")
             records
         in
-        check_bool "has X slices" true (List.length slices > 0);
+        check_int "one X slice per move start" 2 (List.length slices);
         (* Spans become async begin/end pairs carrying the span id. *)
         let phase ph =
           List.filter
             (fun r -> Obs.Json.(to_str (member "ph" r)) = Some ph)
             records
         in
-        check_int "one b record per span begin" 2 (List.length (phase "b"));
-        check_int "one e record per span end" 2 (List.length (phase "e"));
+        check_int "one b record per span begin" 3 (List.length (phase "b"));
+        check_int "one e record per span end" 3 (List.length (phase "e"));
+        (* The request span's attributes land in its b record's args. *)
+        (match
+           List.filter
+             (fun r -> Obs.Json.(to_str (member "name" r)) = Some "request")
+             (phase "b")
+         with
+        | [ b ] ->
+          let args = Obs.Json.member "args" b in
+          Alcotest.(check (option string))
+            "op in args" (Some "open")
+            Obs.Json.(to_str (member "op" args));
+          Alcotest.(check (option int))
+            "client in args" (Some 3)
+            Obs.Json.(to_int (member "client" args))
+        | bs ->
+          Alcotest.failf "expected one request b record, got %d"
+            (List.length bs));
         List.iter
           (fun r ->
             check_bool "async record carries the span id" true
@@ -910,7 +973,7 @@ let test_snapshot_sorted () =
 let test_ctx_null_and_fanout () =
   check_bool "null not tracing" false (Obs.Ctx.tracing Obs.Ctx.null);
   check_bool "null has no metrics" true (Obs.Ctx.metrics Obs.Ctx.null = None);
-  Obs.Ctx.emit Obs.Ctx.null (nth_submit 1);
+  Obs.Ctx.emit Obs.Ctx.null (nth_request 1);
   (* emit fans out to every sink in order *)
   let r1 = Obs.Sink.Ring.create ~capacity:8 in
   let r2 = Obs.Sink.Ring.create ~capacity:8 in
@@ -920,7 +983,7 @@ let test_ctx_null_and_fanout () =
       ()
   in
   check_bool "tracing with sinks" true (Obs.Ctx.tracing ctx);
-  Obs.Ctx.emit ctx (nth_submit 2);
+  Obs.Ctx.emit ctx (nth_request 2);
   check_int "first sink saw it" 1 (Obs.Sink.Ring.length r1);
   check_int "second sink saw it" 1 (Obs.Sink.Ring.length r2);
   Obs.Ctx.close ctx
@@ -939,6 +1002,16 @@ let small_trace =
 let count_kind events kind =
   List.length (List.filter (fun e -> Obs.Event.kind e = kind) events)
 
+let count_request_spans which events =
+  List.length
+    (List.filter
+       (fun e ->
+         match (which, e) with
+         | `Begin, Obs.Event.Span_begin { name = "request"; _ }
+         | `End, Obs.Event.Span_end { name = "request"; _ } -> true
+         | _ -> false)
+       events)
+
 let test_runner_emits_rounds_and_requests () =
   let ring = Obs.Sink.Ring.create ~capacity:50_000 in
   let metrics = Obs.Metrics.create () in
@@ -956,10 +1029,12 @@ let test_runner_emits_rounds_and_requests () =
     (count_kind events "delegate_round");
   check_int "expected 16 rounds on this trace" 16
     r.Experiments.Runner.reconfig_rounds;
-  check_int "one submit event per request" r.Experiments.Runner.submitted
-    (count_kind events "request_submit");
-  check_int "one complete event per request" r.Experiments.Runner.completed
-    (count_kind events "request_complete");
+  check_int "one request span begin per request"
+    r.Experiments.Runner.submitted
+    (count_request_spans `Begin events);
+  check_int "one request span end per completion"
+    r.Experiments.Runner.completed
+    (count_request_spans `End events);
   check_int "one rehash sweep per round" r.Experiments.Runner.reconfig_rounds
     (count_kind events "rehash_round");
   check_int "move events paired"
@@ -1103,11 +1178,13 @@ let test_e2e_fig6_stream_bytes () =
     jsonl_matches_oracle (fun obs ->
         ignore (Experiments.Figures.fig6_stream ~requests:2000 ~obs ()))
   in
-  check_bool "requests, spans and rounds traced" true
+  check_bool "spans and rounds traced" true
     (List.for_all
        (fun k -> List.mem k (kinds_of events))
-       [ "request_submit"; "request_complete"; "span_begin"; "span_end";
-         "delegate_round" ])
+       [ "span_begin"; "span_end"; "delegate_round" ]);
+  check_bool "requests traced as spans" true
+    (count_request_spans `Begin events > 0
+    && count_request_spans `Begin events = count_request_spans `End events)
 
 let test_e2e_partition_mix_bytes () =
   let trace =
@@ -1135,6 +1212,199 @@ let test_e2e_partition_mix_bytes () =
     [
       "fault"; "fence"; "ledger_replay"; "move_start"; "move_end"; "partition";
     ]
+
+(* --- Request lifecycle: spans only --- *)
+
+(* Per request span id: the request's begin, and its children's begin
+   and end times by stage name (the last of each, so a redelivered
+   request keeps its final stages). *)
+type lifecycle = {
+  req_begin : float;
+  mutable req_end : float option;
+  mutable stages : (string * (float * float option)) list;
+}
+
+let lifecycles events =
+  let reqs : (int, lifecycle) Hashtbl.t = Hashtbl.create 1024 in
+  let stage_of : (int, int * string * float) Hashtbl.t =
+    Hashtbl.create 1024
+  in
+  List.iter
+    (function
+      | Obs.Event.Span_begin { id; name = "request"; time; _ } ->
+        Hashtbl.replace reqs id
+          { req_begin = time; req_end = None; stages = [] }
+      | Obs.Event.Span_begin
+          { id; parent = Some p; name; cat = "request"; time; _ } -> (
+        Hashtbl.replace stage_of id (p, name, time);
+        match Hashtbl.find_opt reqs p with
+        | Some l -> l.stages <- (name, (time, None)) :: l.stages
+        | None -> ())
+      | Obs.Event.Span_end { id; name = "request"; time; _ } -> (
+        match Hashtbl.find_opt reqs id with
+        | Some l -> l.req_end <- Some time
+        | None -> ())
+      | Obs.Event.Span_end { id; cat = "request"; time; _ } -> (
+        match Hashtbl.find_opt stage_of id with
+        | Some (p, name, b) -> (
+          match Hashtbl.find_opt reqs p with
+          | Some l ->
+            l.stages <-
+              (name, (b, Some time))
+              :: List.filter
+                   (fun (n, (b', _)) -> not (n = name && b' = b))
+                   l.stages
+          | None -> ())
+        | None -> ())
+      | _ -> ())
+    events;
+  reqs
+
+let check_request_attrs events =
+  List.iter
+    (function
+      | Obs.Event.Span_begin { name = "request"; attrs; _ } ->
+        check_bool "request begin carries client then op" true
+          (match attrs with
+          | [ Obs.Event.Client _; Obs.Event.Op _ ] -> true
+          | _ -> false)
+      | Obs.Event.Span_begin { attrs; _ } ->
+        check_bool "other spans carry no attributes" true (attrs = [])
+      | _ -> ())
+    events
+
+let check_queue_widths events =
+  let opened = Hashtbl.create 1024 in
+  List.iter
+    (function
+      | Obs.Event.Span_begin { id; name = "queue"; time; _ } ->
+        Hashtbl.replace opened id time
+      | Obs.Event.Span_end { id; name = "queue"; time; _ } ->
+        check_bool "queue span has positive width" true
+          (time > Hashtbl.find opened id)
+      | _ -> ())
+    events
+
+let test_request_lifecycle_fault_free () =
+  let ring = Obs.Sink.Ring.create ~capacity:50_000 in
+  let obs = Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ] () in
+  let r =
+    Experiments.Runner.run Experiments.Scenario.default
+      (Experiments.Scenario.Anu Placement.Anu.default_config)
+      ~trace:small_trace ~obs ()
+  in
+  let events = Obs.Sink.Ring.contents ring in
+  check_int "nothing evicted" 0 (Obs.Sink.Ring.dropped ring);
+  check_int "one request begin per submitted request"
+    r.Experiments.Runner.submitted
+    (count_request_spans `Begin events);
+  check_int "one request end per completed request"
+    r.Experiments.Runner.completed
+    (count_request_spans `End events);
+  check_request_attrs events;
+  check_queue_widths events;
+  (* The queue rule: a request is delivered when it is submitted, or
+     when its buffered stage ends; a queue stage exists exactly when
+     service starts after delivery, and then spans delivery to service
+     start. *)
+  let queued = ref 0 in
+  Hashtbl.iter
+    (fun _ l ->
+      if l.req_end <> None then begin
+        let stage n = List.assoc_opt n l.stages in
+        let delivered =
+          match stage "buffered" with
+          | Some (_, Some e) -> e
+          | _ -> l.req_begin
+        in
+        let service_start =
+          match stage "service" with
+          | Some (b, Some _) -> b
+          | _ -> Alcotest.fail "completed request without a closed service"
+        in
+        match stage "queue" with
+        | Some (qb, Some qe) ->
+          incr queued;
+          check_bool "queue opens at delivery" true (qb = delivered);
+          check_bool "queue closes at service start" true
+            (qe = service_start);
+          check_bool "service started after delivery" true
+            (service_start > delivered)
+        | Some (_, None) -> Alcotest.fail "unclosed queue span"
+        | None ->
+          check_bool "no queue span: service starts at delivery" true
+            (service_start = delivered)
+      end)
+    (lifecycles events);
+  check_bool "some requests queued" true (!queued > 0);
+  check_bool "most did not" true
+    (!queued < r.Experiments.Runner.completed / 2)
+
+let test_request_lifecycle_partition_mix () =
+  let trace =
+    Workload.Synthetic.generate
+      {
+        Workload.Synthetic.default_config with
+        requests = 1500;
+        file_sets = 40;
+        duration = 1200.0;
+        seed = 11;
+      }
+  in
+  let ring = Obs.Sink.Ring.create ~capacity:50_000 in
+  let obs = Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ] () in
+  let r =
+    Experiments.Runner.run Experiments.Scenario.default
+      (Experiments.Scenario.Anu Placement.Anu.default_config)
+      ~trace ~obs
+      ~faults:(Fault.Plan.partition_mix ~seed:42 ~duration:1200.0)
+      ()
+  in
+  let events = Obs.Sink.Ring.contents ring in
+  check_int "nothing evicted" 0 (Obs.Sink.Ring.dropped ring);
+  check_bool "faults fired" true
+    (List.exists (function Obs.Event.Fault _ -> true | _ -> false) events);
+  check_int "one request begin per submitted request"
+    r.Experiments.Runner.submitted
+    (count_request_spans `Begin events);
+  check_int "one request end per completed request"
+    r.Experiments.Runner.completed
+    (count_request_spans `End events);
+  check_request_attrs events;
+  check_queue_widths events
+
+(* Attributes survive the JSONL round trip and render like the oracle,
+   on a real run's request spans. *)
+let test_request_attrs_round_trip () =
+  let events =
+    jsonl_matches_oracle (fun obs ->
+        ignore (Experiments.Figures.fig6_stream ~requests:500 ~obs ()))
+  in
+  let with_attrs =
+    List.filter
+      (function
+        | Obs.Event.Span_begin { attrs = _ :: _; _ } -> true | _ -> false)
+      events
+  in
+  check_bool "request spans carry attributes" true (with_attrs <> []);
+  List.iter
+    (fun e ->
+      let line = Obs.Event.to_jsonl e in
+      check_string "writer equals oracle" (Obs_oracle.event_to_jsonl e) line;
+      match Obs.Event.of_jsonl line with
+      | Ok e' -> Alcotest.check event_t "round-trips" e e'
+      | Error err -> Alcotest.failf "reparse failed: %s" err)
+    with_attrs;
+  (* A span without attributes keeps the old line: no attrs field. *)
+  List.iter
+    (function
+      | Obs.Event.Span_begin { attrs = []; _ } as e ->
+        check_bool "no attrs field" true
+          (match Obs.Json.of_string (Obs.Event.to_jsonl e) with
+          | Ok (Obs.Json.Obj fields) -> not (List.mem_assoc "attrs" fields)
+          | _ -> false)
+      | _ -> ())
+    events
 
 let suite =
   [
@@ -1184,4 +1454,10 @@ let suite =
       test_runner_membership_events;
     Alcotest.test_case "unobserved run unchanged" `Quick
       test_runner_unobserved_unchanged;
+    Alcotest.test_case "request lifecycle: fault-free spans" `Quick
+      test_request_lifecycle_fault_free;
+    Alcotest.test_case "request lifecycle: partition-mix spans" `Quick
+      test_request_lifecycle_partition_mix;
+    Alcotest.test_case "request attributes round-trip" `Quick
+      test_request_attrs_round_trip;
   ]

@@ -99,6 +99,37 @@ let test_scale_to_zero () =
   check_float 1e-6 "zeroed" 0.0 (RM.measure_of t (Id.of_int 0));
   check_float 1e-6 "others" 0.25 (RM.measure_of t (Id.of_int 1))
 
+(* Deltas within eps are not applied one by one; their sum must still
+   land, or half occupancy drifts by the skipped total.  Eight servers
+   at 1/16 each, rescaled so that six move up by 0.8e-9 (each below
+   eps): dropped, the mapped total would fall 4.8e-9 short of 1/2. *)
+let test_scale_carries_sub_eps_deltas () =
+  let tiny = 0.8e-9 in
+  let base = 1.0 /. 16.0 in
+  let rescale ~others =
+    let t = RM.create ~servers:(ids 8) in
+    let targets =
+      List.init 6 (fun i -> (Id.of_int i, base +. tiny))
+      @ List.mapi (fun i m -> (Id.of_int (6 + i), m)) others
+    in
+    RM.scale t ~targets;
+    assert_healthy t;
+    t
+  in
+  (* The largest grow takes the carried remainder. *)
+  let t = rescale ~others:[ base -. 1e-3; base +. 1e-3 -. (6.0 *. tiny) ] in
+  check_float 1e-12 "total stays 1/2 (largest grow carries)" 0.5
+    (RM.total_measure t);
+  check_float 1e-12 "sub-eps growers unchanged" base
+    (RM.measure_of t (Id.of_int 1));
+  (* Every grow is sub-eps: their sum goes to the first of them. *)
+  let t = rescale ~others:[ base -. (6.0 *. tiny); base ] in
+  check_float 1e-12 "total stays 1/2 (all grows sub-eps)" 0.5
+    (RM.total_measure t);
+  check_float 1e-12 "first grower takes the sum"
+    (base +. (6.0 *. tiny))
+    (RM.measure_of t (Id.of_int 0))
+
 let test_scale_rejects_mismatched_targets () =
   let t = RM.create ~servers:(ids 3) in
   Alcotest.check_raises "missing server"
@@ -249,10 +280,11 @@ let boundary_points t =
   [ -0.1; 0.0; 1.0; 1.1; Float.pred 1.0 ] @ seg_points @ border_points
 
 let assert_locate_matches_oracle t =
+  let locate_reference = Region_map_oracle.locate_reference t in
   List.iter
     (fun x ->
       let fast = RM.locate t x in
-      let slow = RM.locate_reference t x in
+      let slow = locate_reference x in
       if fast <> slow then
         Alcotest.failf "locate disagrees with oracle at %h: %s vs %s" x
           (match fast with
@@ -314,9 +346,10 @@ let prop_locate_matches_oracle_random =
     (fun (n, targets, points) ->
       let t = RM.create ~servers:(ids n) in
       RM.scale t ~targets:(List.mapi (fun i m -> (Id.of_int i, m)) targets);
-      List.for_all (fun x -> RM.locate t x = RM.locate_reference t x) points
+      let locate_reference = Region_map_oracle.locate_reference t in
+      List.for_all (fun x -> RM.locate t x = locate_reference x) points
       && List.for_all
-           (fun x -> RM.locate t x = RM.locate_reference t x)
+           (fun x -> RM.locate t x = locate_reference x)
            (boundary_points t))
 
 (* Random scaling sequences keep all invariants. *)
@@ -369,6 +402,8 @@ let suite =
     Alcotest.test_case "scale changes measures" `Quick test_scale_changes_measures;
     Alcotest.test_case "scale normalizes" `Quick test_scale_normalizes;
     Alcotest.test_case "scale to zero" `Quick test_scale_to_zero;
+    Alcotest.test_case "scale carries sub-eps deltas" `Quick
+      test_scale_carries_sub_eps_deltas;
     Alcotest.test_case "scale rejects mismatch" `Quick
       test_scale_rejects_mismatched_targets;
     Alcotest.test_case "scale rejects all-zero" `Quick test_scale_rejects_all_zero;

@@ -4,11 +4,12 @@
 
    - Region_map: random scale/remove/add sequences (n up to 1,000)
      keep the incrementally-patched bucket index equal to a rebuild
-     ([index_consistent]), [locate] equal to the flat-index oracle,
+     ([index_consistent]), [locate] equal to the flat-index oracle
+     ([Region_map_oracle]),
      [free_in_partition] equal to restricting the global free set, and
      the structural invariants intact.
    - ANU: the flat-array [apply_domain_spread] returns byte-identical
-     weights to the list-based reference, across sizes, rack counts
+     weights to the list-based reference below, across sizes, rack counts
      and repeated calls on the same reused scratch.
    - Delegate: the fold/array aggregations equal the list-based
      references bit-for-bit.
@@ -48,9 +49,10 @@ let map_healthy t =
   | [] -> ()
   | v :: _ -> fail "invariant: %s" v);
   if not (RM.index_consistent t) then fail "index_consistent false";
+  let locate_reference = Region_map_oracle.locate_reference t in
   List.iter
     (fun x ->
-      if RM.locate t x <> RM.locate_reference t x then
+      if RM.locate t x <> locate_reference x then
         fail "locate mismatch at %g" x)
     probes;
   let p = RM.partitions t in
@@ -139,6 +141,108 @@ let rack_topology ~n ~domains =
     ~servers:(List.init n (fun i -> (i, 1.0)))
     ~domains ()
 
+(* The original list/Hashtbl water-filling the flat-array
+   [Anu.apply_domain_spread] replaced; the rewrite keeps its float
+   operation order exactly. *)
+let apply_domain_spread_reference t targets =
+  let topology = Anu.topology t in
+  match (Anu.config t).Anu.domain_spread with
+  | _ when Sharedfs.Topology.is_flat topology -> targets
+  | None -> targets
+  | Some eps ->
+    let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 targets in
+    let n = List.length targets in
+    if n = 0 || total <= Hashlib.Unit_interval.eps then targets
+    else begin
+      let weight = Hashtbl.create n in
+      List.iter (fun (id, w) -> Hashtbl.replace weight id w) targets;
+      (* domain name -> members present in [targets] *)
+      let groups = Hashtbl.create 8 in
+      List.iter
+        (fun (id, _) ->
+          match Sharedfs.Topology.domain_of topology id with
+          | None -> ()
+          | Some name ->
+            let members =
+              Option.value ~default:[] (Hashtbl.find_opt groups name)
+            in
+            Hashtbl.replace groups name (id :: members))
+        targets;
+      let names =
+        List.sort String.compare
+          (Hashtbl.fold (fun name _ acc -> name :: acc) groups [])
+      in
+      let cap name =
+        let k = List.length (Hashtbl.find groups name) in
+        Float.min 1.0 ((float_of_int k /. float_of_int n) +. eps) *. total
+      in
+      let group_sum name =
+        List.fold_left
+          (fun acc id -> acc +. Hashtbl.find weight id)
+          0.0 (Hashtbl.find groups name)
+      in
+      let frozen = Hashtbl.create 8 in
+      let continue = ref true in
+      while !continue do
+        let over =
+          List.filter
+            (fun name ->
+              (not (Hashtbl.mem frozen name))
+              && group_sum name > cap name +. (1e-9 *. total))
+            names
+        in
+        match over with
+        | [] -> continue := false
+        | _ ->
+          List.iter
+            (fun name ->
+              let s = group_sum name in
+              let factor = cap name /. s in
+              List.iter
+                (fun id ->
+                  Hashtbl.replace weight id (Hashtbl.find weight id *. factor))
+                (Hashtbl.find groups name);
+              Hashtbl.replace frozen name ())
+            over;
+          let frozen_weight =
+            List.fold_left
+              (fun acc name ->
+                if Hashtbl.mem frozen name then acc +. group_sum name else acc)
+              0.0 names
+          in
+          let free_ids =
+            List.filter_map
+              (fun (id, _) ->
+                match Sharedfs.Topology.domain_of topology id with
+                | Some name when Hashtbl.mem frozen name -> None
+                | _ -> Some id)
+              targets
+          in
+          let free_target = total -. frozen_weight in
+          let free_current =
+            List.fold_left
+              (fun acc id -> acc +. Hashtbl.find weight id)
+              0.0 free_ids
+          in
+          if free_current > Hashlib.Unit_interval.eps then
+            let factor = free_target /. free_current in
+            List.iter
+              (fun id ->
+                Hashtbl.replace weight id (Hashtbl.find weight id *. factor))
+              free_ids
+          else begin
+            (* The freed weight has nowhere proportional to go (the
+               survivors all sat at zero): grant it equally. *)
+            match free_ids with
+            | [] -> continue := false
+            | _ ->
+              let share = free_target /. float_of_int (List.length free_ids) in
+              List.iter (fun id -> Hashtbl.replace weight id share) free_ids
+          end
+      done;
+      List.map (fun (id, _) -> (id, Hashtbl.find weight id)) targets
+    end
+
 let prop_domain_spread_matches_reference =
   let gen =
     QCheck.Gen.(
@@ -161,7 +265,7 @@ let prop_domain_spread_matches_reference =
             List.mapi (fun i id -> (id, weight_of ~seed i)) (ids n)
           in
           Anu.apply_domain_spread anu targets
-          = Anu.apply_domain_spread_reference anu targets)
+          = apply_domain_spread_reference anu targets)
         seeds)
 
 (* --- Delegate: allocation-free aggregation vs reference --- *)
@@ -409,6 +513,40 @@ let test_acc_message_digits_regression () =
            [ (2573, 3850); (4558, 610); (2243, 478) ];
          ] ))
 
+(* Half occupancy at 10,000 servers: [Region_map.scale] skips per-server
+   deltas within eps, and once dropped outright they summed to a
+   deficit the light invariants report (mapped measure 0.499999998995
+   at t = 960 on this stream).  The skipped remainder is now carried,
+   so the run stays clean. *)
+let test_scale10k_half_occupancy () =
+  let cfg = Workload.Dfs_like.default_config in
+  let requests = 12_000 and duration = 1_200.0 in
+  let factor =
+    float_of_int requests /. duration
+    /. (float_of_int cfg.Workload.Dfs_like.requests
+       /. cfg.Workload.Dfs_like.duration)
+  in
+  let stream =
+    Workload.Dfs_like.stream
+      {
+        cfg with
+        Workload.Dfs_like.requests;
+        file_sets = 500;
+        duration;
+        mean_demand = cfg.Workload.Dfs_like.mean_demand /. factor;
+        seed = 7;
+      }
+  in
+  let r =
+    Experiments.Runner.run_stream
+      (Experiments.Scenario.scale_cluster ~n:10_000)
+      (Experiments.Scenario.Anu Placement.Anu.default_config)
+      ~stream ~check_invariants:true ~light_invariants:true ()
+  in
+  check_bool "rounds ran" true (r.Experiments.Runner.reconfig_rounds >= 9);
+  Alcotest.(check (list (pair (float 0.0) string)))
+    "no invariant violation" [] r.Experiments.Runner.violations
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_incremental_index_matches_rebuild;
@@ -418,4 +556,6 @@ let suite =
     Alcotest.test_case "accumulator on live ANU" `Quick test_acc_on_live_anu;
     Alcotest.test_case "accumulator message digits (regression)" `Quick
       test_acc_message_digits_regression;
+    Alcotest.test_case "half occupancy holds at 10,000 servers" `Slow
+      test_scale10k_half_occupancy;
   ]
