@@ -15,13 +15,16 @@
       against.
 
    3. Perf snapshots — `perf` writes a machine-readable BENCH_*.json
-      (engine events/s, micro ns/op, addressing probes) and `compare`
-      diffs two snapshots, flagging >10% regressions; CI keeps a
-      committed baseline honest with these.
+      (engine events/s, micro ns/op, addressing probes), `stream`
+      writes one for a single fig6-scale streaming run at any request
+      count, and `compare` diffs two snapshots, flagging >10%
+      regressions; CI keeps a committed baseline honest with these.
 
    Run everything: dune exec bench/main.exe
    Subset:         dune exec bench/main.exe -- fig6 fig10 micro --jobs 4
    Snapshot:       dune exec bench/main.exe -- perf fig6 --out BENCH_fig6.json
+   Stream:         dune exec bench/main.exe -- stream --requests 2000000
+                     [--materialized] [--out BENCH_stream.json]
    Diff:           dune exec bench/main.exe -- compare old.json new.json *)
 
 open Bechamel
@@ -350,7 +353,6 @@ let run_perf args =
 let run_stream_bench args =
   let requests = ref 10_000_000 in
   let materialized = ref false in
-  let jobs = ref 1 in
   let out = ref None in
   let rec parse = function
     | [] -> ()
@@ -363,24 +365,16 @@ let run_stream_bench args =
     | "--materialized" :: rest ->
       materialized := true;
       parse rest
-    | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some j when j >= 1 -> jobs := j
-      | _ -> fail_usage "stream: --jobs expects a positive integer, got %s" n);
-      parse rest
     | "--out" :: path :: rest ->
       out := Some path;
       parse rest
-    | ("--requests" | "--jobs" | "--out") :: [] ->
+    | ("--requests" | "--out") :: [] ->
       fail_usage "stream: missing value after final option"
     | arg :: _ -> fail_usage "stream: unknown argument %s" arg
   in
   parse args;
   let requests = !requests in
   let materialized = !materialized in
-  let jobs = !jobs in
-  if materialized && jobs > 1 then
-    fail_usage "stream: --jobs applies to the streaming driver only";
   let path =
     match !out with
     | Some p -> p
@@ -388,9 +382,8 @@ let run_stream_bench args =
       Printf.sprintf "BENCH_stream_%s.json"
         (if materialized then "before" else "after")
   in
-  Format.printf "stream: %d requests, %s driver%s...@." requests
-    (if materialized then "materialized" else "streaming")
-    (if jobs > 1 then Printf.sprintf ", %d jobs" jobs else "");
+  Format.printf "stream: %d requests, %s driver...@." requests
+    (if materialized then "materialized" else "streaming");
   let anu = Experiments.Scenario.Anu Placement.Anu.default_config in
   let g0 = Gc.quick_stat () in
   let t0 = Desim.Clock.now_ns () in
@@ -403,8 +396,7 @@ let run_stream_bench args =
     end
     else
       Experiments.Runner.run_stream Experiments.Scenario.default anu
-        ~stream:(Experiments.Figures.dfs_stream ~requests)
-        ~jobs ()
+        ~stream:(Experiments.Figures.dfs_stream ~requests) ()
   in
   let wall = Desim.Clock.seconds_since t0 in
   let g1 = Gc.quick_stat () in
@@ -415,7 +407,7 @@ let run_stream_bench args =
   let snapshot =
     {
       Perf_json.quick = false;
-      jobs;
+      jobs = 1;
       figures = [ figure ];
       micros = [];
       addressing = Perf_json.addressing_sweep ();

@@ -51,6 +51,18 @@ let unknown_name ~kind ~name ~known =
   Printf.sprintf "unknown %s %S; registered %ss are: %s" kind name kind
     (String.concat ", " known)
 
+(* A strictly positive integer option value, such as a domain or
+   request count.  Cmdliner rejects anything else with a usage error
+   naming the option, before any simulation starts. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 (* Observability options of `run': where to write traces and whether
    to collect and print metrics. *)
 type obs_options = {
@@ -181,7 +193,7 @@ let run_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Fan the experiment's independent simulations out over N \
@@ -191,7 +203,7 @@ let run_cmd =
   let requests =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "requests" ] ~docv:"N"
           ~doc:
             "Scale the workload to N requests (fig6-stream only).  Offered \

@@ -276,18 +276,6 @@ let run_until t ~time =
   done;
   if time > t.clockv.(0) then t.clockv.(0) <- time
 
-(* The time of the next event that would fire ([infinity] when idle):
-   the parallel engine's lockstep fallback uses it to pick, at each
-   step, the shard holding the globally earliest event. *)
-let next_event_time t =
-  purge_dead t;
-  let st = t.source_next.(0) in
-  let ht =
-    if t.heap.Event_heap.len = 0 then Float.infinity
-    else t.heap.Event_heap.times.(0)
-  in
-  if st <= ht then st else ht
-
 let events_fired t = t.fired
 
 let set_on_event t hook = t.on_event <- Some hook

@@ -93,12 +93,6 @@ val run : t -> unit
     advances the clock to exactly [time]. *)
 val run_until : t -> time:float -> unit
 
-(** [next_event_time t] is the timestamp of the event {!step} would
-    fire next (heap or attached source), [infinity] when idle.  The
-    parallel engine's lockstep fallback uses it to pick the shard with
-    the globally earliest event. *)
-val next_event_time : t -> float
-
 (** [events_fired t] counts events executed so far; exposed for tests
     and progress reporting. *)
 val events_fired : t -> int

@@ -170,8 +170,7 @@ module Quantile = struct
 
   (* Bin counts are plain ints, so merging sketches is exact and
      order-independent — what lets per-file-set sketches be combined
-     into one global sketch identically in the serial and the
-     domain-parallel engine. *)
+     into one global sketch. *)
   let merge a b =
     if
       a.lo <> b.lo

@@ -63,26 +63,19 @@ let throughput results =
   }
 
 (* Apply the policy's current addressing: diff against what the
-   cluster believes and issue the moves.  Returns how many file sets
-   changed owner (the size of the re-addressing sweep).  [owner] and
-   [move] abstract the executor — the serial cluster or the parallel
-   engine — so both reconcile in the identical name order. *)
-let reconcile_with ~locate ~owner ~move names =
+   cluster believes and issue the moves, in name order.  Returns how
+   many file sets changed owner (the size of the re-addressing
+   sweep). *)
+let reconcile cluster policy names =
   List.fold_left
     (fun moved name ->
-      let want = locate name in
-      match owner name with
+      let want = policy.Placement.Policy.locate name in
+      match Sharedfs.Cluster.owner cluster name with
       | Some have when Id.equal have want -> moved
       | Some _ | None ->
-        move ~file_set:name ~dst:want;
+        Sharedfs.Cluster.move cluster ~file_set:name ~dst:want;
         moved + 1)
     0 names
-
-let reconcile cluster policy names =
-  reconcile_with ~locate:policy.Placement.Policy.locate
-    ~owner:(Sharedfs.Cluster.owner cluster)
-    ~move:(Sharedfs.Cluster.move cluster)
-    names
 
 (* Prescient oracle: a second, independent cursor over the same
    stream.  Each forced window sweeps the cursor across [lo, hi),
@@ -141,10 +134,10 @@ let make_future_demand stream names =
        List.sort (fun (a, _) (b, _) -> String.compare a b) out)
 
 (* Fold the per-file-set summaries in file-set {e name} order — an
-   order independent of both the engine (serial vs domain-parallel)
-   and the stream's id numbering ([of_trace] assigns ids by first
-   appearance, generators by declaration), so every driver of the
-   same workload produces bit-identical overall numbers. *)
+   order independent of the stream's id numbering ([of_trace] assigns
+   ids by first appearance, generators by declaration), so a trace
+   and a generator of the same workload produce bit-identical overall
+   numbers. *)
 let merge_latency ~names ~nfs lat_m lat_q =
   let merge_order = Array.init nfs (fun i -> i) in
   let names_arr = Array.of_list names in
@@ -198,11 +191,8 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
   let interval = scenario.Scenario.reconfig_interval in
   (* Latency summary without retained samples: exact mean/max via
      Welford, log-binned p95 — what keeps a 10M-request run in
-     constant memory.  Accumulated per file set and merged in id order
-     at the end: a file set is served by one server at a time (and
-     only changes hands at quiescent move boundaries), so the per-set
-     completion order — and hence the merged summary — is identical
-     whether the run executed serially or sharded across domains. *)
+     constant memory.  Accumulated per file set and merged in name
+     order at the end ([merge_latency]). *)
   let nfs = Stdlib.max 1 (List.length names) in
   let lat_m = Array.init nfs (fun _ -> Desim.Welford.create ()) in
   let lat_q = Array.init nfs (fun _ -> Desim.Stat.Quantile.create ()) in
@@ -960,174 +950,23 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
     violations = List.rev !violations;
   }
 
-(* The domain-parallel driver: same policy machinery, same stream,
-   same accumulators — only the event execution is sharded.  The
-   delegate rounds run here as a plain loop (the engine's barriers)
-   instead of simulator events; [sim_events] adds them back so the
-   count matches the serial run, where each round is one fired
-   event. *)
-let run_stream_par scenario spec ~stream ~batch ~jobs () =
-  let names = Workload.Stream.file_sets stream in
-  let policy = Scenario.make_policy spec ~scenario ~file_sets:names in
-  let duration = Workload.Stream.duration stream in
-  let interval = scenario.Scenario.reconfig_interval in
-  let nfs = Stdlib.max 1 (List.length names) in
-  let lat_m = Array.init nfs (fun _ -> Desim.Welford.create ()) in
-  let lat_q = Array.init nfs (fun _ -> Desim.Stat.Quantile.create ()) in
-  let completed = ref 0 in
-  let emit ~fs ~latency =
-    incr completed;
-    Desim.Welford.add lat_m.(fs) latency;
-    Desim.Stat.Quantile.add lat_q.(fs) latency
-  in
-  let future_demand = make_future_demand stream names in
-  let servers =
-    List.map (fun (id, s) -> (Id.of_int id, s)) scenario.Scenario.servers
-  in
-  let engine =
-    Stream_par.create ~jobs ~servers ~names
-      ~move_config:scenario.Scenario.move_config
-      ?cache_config:scenario.Scenario.cache_config
-      ~series_interval:scenario.Scenario.series_interval ~batch ()
-  in
-  policy.Placement.Policy.rebalance
-    {
-      Placement.Policy.time = 0.0;
-      reports = [];
-      future_demand = future_demand ~lo:0.0 ~hi:interval;
-    };
-  Stream_par.assign_initial engine
-    (Placement.Policy.assignment_of policy names);
-  let rounds = int_of_float (Float.floor (duration /. interval)) in
-  let reconfig_rounds = ref 0 in
-  let wall_start = Desim.Clock.now_ns () in
-  for k = 1 to rounds do
-    let at = float_of_int k *. interval in
-    Stream_par.run_to engine ~time:at ~emit;
-    incr reconfig_rounds;
-    let reports = Stream_par.collect_reports engine in
-    policy.Placement.Policy.rebalance
-      {
-        Placement.Policy.time = at;
-        reports;
-        future_demand = future_demand ~lo:at ~hi:(at +. interval);
-      };
-    ignore
-      (reconcile_with ~locate:policy.Placement.Policy.locate
-         ~owner:(Stream_par.owner engine)
-         ~move:(Stream_par.move engine)
-         names
-        : int)
-  done;
-  Stream_par.drain engine ~emit;
-  let sim_wall_seconds = Desim.Clock.seconds_since wall_start in
-  let fired = Stream_par.events_fired engine in
-  let peak = Stream_par.peak_pending engine in
-  let end_time = Float.max duration (Stream_par.end_time engine) in
-  let all_servers = Stream_par.servers engine in
-  let moves = Stream_par.moves engine in
-  Stream_par.finish engine;
-  let server_series =
-    List.map
-      (fun s ->
-        ( Id.to_int (Sharedfs.Server.id s),
-          Sharedfs.Server.series s ~until:duration ))
-      all_servers
-  in
-  let per_server_mean =
-    List.map
-      (fun (id, points) ->
-        let pairs =
-          List.map
-            (fun p ->
-              (p.Desim.Timeseries.mean, float_of_int p.Desim.Timeseries.count))
-            points
-        in
-        (id, Desim.Stat.weighted_mean pairs))
-      server_series
-  in
-  let per_server_requests =
-    List.map
-      (fun (id, points) ->
-        ( id,
-          List.fold_left
-            (fun acc p -> acc + p.Desim.Timeseries.count)
-            0 points ))
-      server_series
-  in
-  let utilizations =
-    List.map
-      (fun s ->
-        ( Id.to_int (Sharedfs.Server.id s),
-          Sharedfs.Server.utilization s ~until:end_time ))
-      all_servers
-  in
-  let lat_moments, lat_quantile = merge_latency ~names ~nfs lat_m lat_q in
-  {
-    label = scenario.Scenario.label;
-    policy_name = policy.Placement.Policy.name;
-    duration;
-    server_series;
-    per_server_mean;
-    per_server_requests;
-    utilizations;
-    overall_mean = Desim.Welford.mean lat_moments;
-    overall_p95 =
-      (if Desim.Stat.Quantile.count lat_quantile = 0 then 0.0
-       else Desim.Stat.Quantile.percentile lat_quantile 95.0);
-    overall_max =
-      (if Desim.Welford.count lat_moments = 0 then 0.0
-       else Desim.Welford.max_value lat_moments);
-    submitted = Workload.Stream.total stream;
-    completed = !completed;
-    moves;
-    reconfig_rounds = !reconfig_rounds;
-    sim_events = fired + !reconfig_rounds;
-    sim_wall_seconds;
-    sim_peak_pending = peak;
-    metrics = None;
-    telemetry = None;
-    violations = [];
-  }
-
 let run_stream scenario spec ~stream ?(events = []) ?(obs = Obs.Ctx.null)
     ?faults ?check_invariants ?invariant_extra ?light_invariants
-    ?on_sim_created ?on_cluster ?on_request_complete ?(jobs = 1) () =
+    ?on_sim_created ?on_cluster ?on_request_complete () =
   (* One figure runs several simulations, possibly concurrently (one
      per domain): derive a per-run context with a fresh metrics
      registry so the snapshot attached to this result covers exactly
      this run and no instrument is shared across domains. *)
   let obs = Obs.Ctx.isolated obs in
-  (* The parallel engine supports exactly the streaming fast path:
-     no faults, no scripted events, no per-request hooks, no
-     invariant sweeps, no observability, no construction hooks, and a
-     stream that offers a column cursor.  Anything else falls back to
-     the serial driver silently — correctness first. *)
-  let par_ok =
-    jobs > 1
-    && Option.is_none faults
-    && events = []
-    && Option.is_none on_request_complete
-    && (match check_invariants with Some true -> false | Some false | None -> true)
-    && Option.is_none on_sim_created
-    && Option.is_none on_cluster
-    && (not (Obs.Ctx.tracing obs))
-    && Option.is_none (Obs.Ctx.metrics obs)
-    && Option.is_none (Obs.Ctx.telemetry obs)
-  in
-  match (if par_ok then Workload.Stream.start_batch stream else None) with
-  | Some batch -> run_stream_par scenario spec ~stream ~batch ~jobs ()
-  | None ->
-    run_stream_serial scenario spec ~stream ~events ~obs ?faults
-      ?check_invariants ?invariant_extra ?light_invariants ?on_sim_created
-      ?on_cluster ?on_request_complete ()
+  run_stream_serial scenario spec ~stream ~events ~obs ?faults
+    ?check_invariants ?invariant_extra ?light_invariants ?on_sim_created
+    ?on_cluster ?on_request_complete ()
 
 let run scenario spec ~trace ?events ?obs ?faults ?check_invariants
-    ?invariant_extra ?on_sim_created ?on_cluster ?on_request_complete ?jobs ()
-    =
+    ?invariant_extra ?on_sim_created ?on_cluster ?on_request_complete () =
   run_stream scenario spec ~stream:(Workload.Stream.of_trace trace) ?events
     ?obs ?faults ?check_invariants ?invariant_extra ?on_sim_created ?on_cluster
-    ?on_request_complete ?jobs ()
+    ?on_request_complete ()
 
 (* ------------------------------------------------------------------ *)
 (* Whole-cluster kill-and-restart                                      *)

@@ -143,11 +143,7 @@ val throughput : result list -> throughput
     invariant sweeps — and the stream provides a column cursor
     ({!Workload.Stream.start_batch}), arrivals take an allocation-free
     fast path: identical events at identical times, completions
-    reported through a sink instead of per-request closures.  [jobs]
-    (default 1) additionally shards a fast-path-eligible run across
-    worker domains with a barrier at every reconfiguration interval;
-    results are bit-identical to [jobs = 1] (see DESIGN.md §14).  The
-    option is ignored when the fast path is ineligible. *)
+    reported through a sink instead of per-request closures. *)
 val run_stream :
   Scenario.t ->
   Scenario.policy_spec ->
@@ -161,7 +157,6 @@ val run_stream :
   ?on_sim_created:(Desim.Sim.t -> unit) ->
   ?on_cluster:(Sharedfs.Cluster.t -> unit) ->
   ?on_request_complete:(Workload.Trace.record -> latency:float -> unit) ->
-  ?jobs:int ->
   unit ->
   result
 
@@ -182,7 +177,6 @@ val run :
   ?on_sim_created:(Desim.Sim.t -> unit) ->
   ?on_cluster:(Sharedfs.Cluster.t -> unit) ->
   ?on_request_complete:(Workload.Trace.record -> latency:float -> unit) ->
-  ?jobs:int ->
   unit ->
   result
 

@@ -1,143 +1,36 @@
-type job = unit -> unit
-
-type state = {
-  mutex : Mutex.t;
-  not_empty : Condition.t;
-  queue : job Queue.t;
-  mutable closed : bool;
-}
-
-type t = { state : state; workers : unit Domain.t array }
-
-type 'a outcome =
-  | Pending
-  | Done of 'a
-  | Failed of exn * Printexc.raw_backtrace
-
-type 'a future = {
-  fmutex : Mutex.t;
-  finished : Condition.t;
-  mutable outcome : 'a outcome;
-}
-
-(* Worker loop: drain the queue until it is both closed and empty.
-   Jobs never escape exceptions (submit wraps them), so a worker can
-   only exit through the closed-and-empty path. *)
-let worker_loop state () =
-  let rec next () =
-    Mutex.lock state.mutex;
-    let rec take () =
-      match Queue.take_opt state.queue with
-      | Some job ->
-        Mutex.unlock state.mutex;
-        job ();
-        next ()
-      | None ->
-        if state.closed then Mutex.unlock state.mutex
-        else begin
-          Condition.wait state.not_empty state.mutex;
-          take ()
-        end
-    in
-    take ()
-  in
-  next ()
-
-let create ~domains =
-  if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
-  let state =
-    {
-      mutex = Mutex.create ();
-      not_empty = Condition.create ();
-      queue = Queue.create ();
-      closed = false;
-    }
-  in
-  let workers =
-    Array.init domains (fun _ -> Domain.spawn (worker_loop state))
-  in
-  { state; workers }
-
-let size t = Array.length t.workers
-
-let resolve fut outcome =
-  Mutex.lock fut.fmutex;
-  fut.outcome <- outcome;
-  Condition.broadcast fut.finished;
-  Mutex.unlock fut.fmutex
-
-let submit t f =
-  let fut =
-    {
-      fmutex = Mutex.create ();
-      finished = Condition.create ();
-      outcome = Pending;
-    }
-  in
-  let job () =
-    match f () with
-    | v -> resolve fut (Done v)
-    | exception exn ->
-      let bt = Printexc.get_raw_backtrace () in
-      resolve fut (Failed (exn, bt))
-  in
-  Mutex.lock t.state.mutex;
-  if t.state.closed then begin
-    Mutex.unlock t.state.mutex;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  Queue.add job t.state.queue;
-  Condition.signal t.state.not_empty;
-  Mutex.unlock t.state.mutex;
-  fut
-
-let await fut =
-  Mutex.lock fut.fmutex;
-  while fut.outcome = Pending do
-    Condition.wait fut.finished fut.fmutex
-  done;
-  let outcome = fut.outcome in
-  Mutex.unlock fut.fmutex;
-  match outcome with
-  | Done v -> v
-  | Failed (exn, bt) -> Printexc.raise_with_backtrace exn bt
-  | Pending -> assert false
-
-let shutdown t =
-  Mutex.lock t.state.mutex;
-  let already = t.state.closed in
-  t.state.closed <- true;
-  Condition.broadcast t.state.not_empty;
-  Mutex.unlock t.state.mutex;
-  if not already then Array.iter Domain.join t.workers
-
+(* Workers claim thunks in input order from one atomic counter: jobs
+   are coarse (seconds of single-domain simulation each), so contention
+   on the counter is irrelevant and work stealing would buy nothing.
+   Each result slot is written by exactly one worker and read only
+   after every worker is joined, which orders the writes before the
+   reads.  A thunk's exception is stored with its backtrace in its
+   slot, so no worker ever dies with one. *)
 let run ~jobs thunks =
   match thunks with
   | [] -> []
   | _ when jobs <= 1 -> List.map (fun f -> f ()) thunks
   | _ ->
-    let pool = create ~domains:(min jobs (List.length thunks)) in
-    Fun.protect
-      ~finally:(fun () -> shutdown pool)
-      (fun () ->
-        (* Submit everything, then await in input order: result order
-           (and which exception propagates) is independent of worker
-           scheduling.  Await failures are deferred so that every
-           future is resolved before we re-raise — no job is left
-           running against state the caller may tear down. *)
-        let futures = List.map (submit pool) thunks in
-        let results =
-          List.map
-            (fun fut ->
-              match await fut with
-              | v -> Ok v
-              | exception exn ->
-                let bt = Printexc.get_raw_backtrace () in
-                Error (exn, bt))
-            futures
-        in
-        List.map
-          (function
-            | Ok v -> v
-            | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt)
-          results)
+    let thunks = Array.of_list thunks in
+    let n = Array.length thunks in
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <-
+          Some
+            (match thunks.(i) () with
+            | v -> Ok v
+            | exception exn -> Error (exn, Printexc.get_raw_backtrace ()));
+        work ()
+      end
+    in
+    List.init (min jobs n) (fun _ -> Domain.spawn work)
+    |> List.iter Domain.join;
+    (* Unwrapping in input order re-raises the earliest thunk's
+       exception. *)
+    Array.to_list results
+    |> List.map (function
+         | Some (Ok v) -> v
+         | Some (Error (exn, bt)) -> Printexc.raise_with_backtrace exn bt
+         | None -> assert false)

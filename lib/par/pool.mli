@@ -1,54 +1,20 @@
-(** A fixed-size pool of worker domains for fanning out independent
-    jobs (one full simulation each), built directly on OCaml 5's
-    [Domain] — the opam switch carries no domainslib.
+(** Fan-out of independent jobs (one full simulation each) over worker
+    domains, built directly on OCaml 5's [Domain] — the opam switch
+    carries no domainslib.
 
-    The pool is a plain FIFO work queue guarded by one mutex: jobs are
-    coarse (seconds of single-domain simulation), so queue contention
-    is irrelevant and work stealing would buy nothing.  Each job runs
-    entirely on one domain; the pool provides {e fan-out}, not
+    Each job runs entirely on one domain; this is {e fan-out}, not
     intra-job parallelism, which is what keeps every simulation
     bit-deterministic — parallel and serial execution produce
-    identical results, only wall-clock differs.
-
-    Exceptions raised by a job are caught on the worker, stored in the
-    job's future and re-raised (with the original backtrace) by
-    {!await} on the awaiting domain. *)
-
-type t
-
-(** [create ~domains] spawns [domains] (>= 1) worker domains that wait
-    for work.  Keep [domains] at or below
-    [Domain.recommended_domain_count () - 1] for throughput; more is
-    allowed and merely timeslices. *)
-val create : domains:int -> t
-
-(** Number of worker domains the pool was created with. *)
-val size : t -> int
-
-type 'a future
-
-(** [submit pool f] enqueues [f] and returns immediately.  Jobs start
-    in submission order (they may finish in any order).  Raises
-    [Invalid_argument] if the pool is shut down. *)
-val submit : t -> (unit -> 'a) -> 'a future
-
-(** [await fut] blocks until the job finishes, then returns its result
-    or re-raises its exception.  May be called from any domain, and
-    more than once (subsequent calls return/raise the same outcome). *)
-val await : 'a future -> 'a
-
-(** [shutdown pool] lets queued jobs finish, then joins every worker.
-    Idempotent.  [submit] after shutdown raises. *)
-val shutdown : t -> unit
+    identical results, only wall-clock differs. *)
 
 (** [run ~jobs thunks] executes the thunks with at most [jobs]
     concurrent domains and returns their results {e in input order} —
     the deterministic-ordering contract callers rely on for
     byte-identical output.  [jobs <= 1] runs everything serially in
-    the calling domain with no pool and no domain spawn (the default
-    code path, bit-for-bit the seed behaviour); otherwise a temporary
-    pool of [min jobs (length thunks)] domains is created and shut
-    down around the batch.  If several thunks raise, the exception of
-    the earliest thunk in input order wins (others are discarded),
+    the calling domain with no domain spawn (the default code path);
+    otherwise [min jobs (length thunks)] worker domains are spawned
+    for the batch and joined before [run] returns.  If several thunks
+    raise, the exception of the earliest thunk in input order is
+    re-raised with its original backtrace (the others are discarded),
     after every thunk has finished. *)
 val run : jobs:int -> (unit -> 'a) list -> 'a list

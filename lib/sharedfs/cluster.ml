@@ -93,36 +93,13 @@ type lock_stats = {
    completion callback is deferred until the grant. *)
 type lock_waiter = { arrival : float; notify : latency:float -> unit }
 
-(* An armed client-lease expiry.  Tracked so the parallel engine can
-   migrate the timers of a moving file set onto the destination
-   shard's simulator (cancel here, rearm there at the same absolute
-   expiry — the event still fires exactly once). *)
-type lease_timer = {
-  lt_key : Lock_manager.key;
-  lt_client : int;
-  lt_expiry : float;
-  mutable lt_sim : Desim.Sim.t;
-  mutable lt_handle : Desim.Sim.handle;
-}
-
-(* Lock state partitioned by file set.  Lock keys are [{fs; ino}], so
-   a single cluster-wide table is already logically partitioned by
-   [fs]; materializing the partition (a) keeps each domain's tables
-   tiny and (b) lets the domain-parallel engine share one [locking]
-   across its per-shard clusters: a file set's lock state is touched
-   only by the shard that currently serves the set, so no two domains
-   ever mutate the same [lock_domain] concurrently (the engine falls
-   back to lockstep execution for the rare handover windows where that
-   could be violated). *)
+(* The lock state of one file set.  Lock keys are [{fs; ino}], so a
+   single cluster-wide table is already logically partitioned by [fs];
+   materializing the partition keeps each table tiny. *)
 type lock_domain = {
   lm : Lock_manager.t;
   waits : (Lock_manager.key * int, lock_waiter) Hashtbl.t;
-  mutable lease_timers : lease_timer list;
 }
-
-type locking = { domains : lock_domain option array }
-
-let locking_create ~nfs = { domains = Array.make (max 1 nfs) None }
 
 (* Cluster-wide metric handles, resolved once at creation. *)
 type instruments = {
@@ -165,7 +142,8 @@ type t = {
   mutable stream_sink : (fs:int -> latency:float -> unit) option;
   ownership : ownership array;  (* indexed by interned file-set id *)
   inflight : (int, buffered) Hashtbl.t;
-  locking : locking;  (* per-file-set lock domains; possibly shared *)
+  lock_domains : lock_domain option array;
+      (* indexed by interned file-set id; created on first lock touch *)
   mutable lock_stats : lock_stats;
   mutable next_tag : int;
   mutable move_log : move_record list;
@@ -194,7 +172,7 @@ let rebuild_sorted_servers t =
 
 let create sim ~disk ~catalog ?(move_config = default_move_config)
     ?cache_config ?(lease_duration = 30.0) ?(delegate_lease = 300.0)
-    ~series_interval ~servers ?topology ?locking ?(obs = Obs.Ctx.null) () =
+    ~series_interval ~servers ?topology ?(obs = Obs.Ctx.null) () =
   if lease_duration <= 0.0 then
     invalid_arg "Cluster.create: lease_duration must be positive";
   if delegate_lease <= 0.0 then
@@ -255,10 +233,8 @@ let create sim ~disk ~catalog ?(move_config = default_move_config)
       ownership =
         Array.make (max 1 (File_set.Interner.size interner)) Unassigned;
       inflight = Hashtbl.create 1024;
-      locking =
-        (match locking with
-        | Some l -> l
-        | None -> locking_create ~nfs:(File_set.Interner.size interner));
+      lock_domains =
+        Array.make (max 1 (File_set.Interner.size interner)) None;
       lock_stats =
         { granted_immediately = 0; waited = 0; cancelled = 0; leases_expired = 0 };
       next_tag = 0;
@@ -303,8 +279,6 @@ let obs t = t.obs
 
 let catalog t = t.catalog
 
-let interner t = t.interner
-
 let fs_id t name = File_set.Interner.id t.interner name
 
 let fs_name t fs = File_set.Interner.name t.interner fs
@@ -325,14 +299,12 @@ let alive_ids t =
     (fun s -> if Server.failed s then None else Some (Server.id s))
     t.sorted_servers
 
-let owner_fs t fs =
-  match t.ownership.(fs) with
-  | Owned id -> Some id
-  | Moving _ | Orphaned _ | Unassigned -> None
-
 let owner t name =
   match File_set.Interner.find t.interner name with
-  | Some fs -> owner_fs t fs
+  | Some fs -> (
+    match t.ownership.(fs) with
+    | Owned id -> Some id
+    | Moving _ | Orphaned _ | Unassigned -> None)
   | None -> None
 
 let owned_by t id =
@@ -432,16 +404,12 @@ let lock_key b =
 (* The lock domain of one file set, created on first lock touch (a
    workload without lock operations never allocates any). *)
 let domain_of t fs =
-  let ds = t.locking.domains in
+  let ds = t.lock_domains in
   match ds.(fs) with
   | Some d -> d
   | None ->
     let d =
-      {
-        lm = Lock_manager.create ~size:8 ();
-        waits = Hashtbl.create 8;
-        lease_timers = [];
-      }
+      { lm = Lock_manager.create ~size:8 (); waits = Hashtbl.create 8 }
     in
     ds.(fs) <- Some d;
     d
@@ -463,34 +431,16 @@ let rec grant_waiters t d key granted =
    is reclaimed, so no acquisition can block forever behind a client
    that never releases (or has crashed). *)
 and start_lease t d key client =
-  let lt =
-    {
-      lt_key = key;
-      lt_client = client;
-      lt_expiry = Desim.Sim.now t.sim +. t.lease_duration;
-      lt_sim = t.sim;
-      lt_handle = Desim.Sim.null_handle;
-    }
-  in
-  d.lease_timers <- lt :: d.lease_timers;
-  arm_lease t d lt
-
-(* [t] is the cluster whose simulator hosts the timer: the original
-   grantor, or — after the parallel engine migrated the file set — the
-   destination shard's cluster (whose clock is the one the expiry
-   latency must be read against). *)
-and arm_lease t d lt =
-  lt.lt_sim <- t.sim;
-  lt.lt_handle <-
-    Desim.Sim.schedule_at t.sim ~time:lt.lt_expiry (fun () ->
-        let key = lt.lt_key and client = lt.lt_client in
-        d.lease_timers <- List.filter (fun x -> x != lt) d.lease_timers;
+  let (_ : Desim.Sim.handle) =
+    Desim.Sim.schedule t.sim ~delay:t.lease_duration (fun () ->
         if List.mem_assoc client (Lock_manager.holders d.lm ~key) then begin
           t.lock_stats <-
             { t.lock_stats with leases_expired = t.lock_stats.leases_expired + 1 };
           let granted = Lock_manager.release d.lm ~key ~client in
           grant_waiters t d key granted
         end)
+  in
+  ()
 
 (* The server has finished processing the request; apply the lock
    semantics before reporting completion to the client. *)
@@ -934,91 +884,6 @@ let move t ~file_set ~dst =
         f ~file_set ~src:None ~dst ~flush_seconds:0.0 ~init_seconds)
       t.on_move_start
 
-(* --- cross-shard movement, for the parallel engine ---
-
-   A move whose source and destination servers live on different
-   shards is split into its two halves, each executed on the cluster
-   instance that owns the respective server.  [move_out] is the source
-   half of the serial [move]'s [Owned src] branch (intent journal,
-   shed, flush write, flush time); [move_in] is the destination half
-   (init time, the in-transit buffer, the completion event on the
-   destination shard's simulator).  Both run at a synchronization
-   barrier, when every shard's clock equals the round time, so the
-   recorded times match the serial move exactly. *)
-
-let move_out t ~fs ~dst =
-  match t.ownership.(fs) with
-  | Owned src ->
-    journal t Ledger.Intent
-      (Ledger.Move
-         {
-           file_set = fs_name t fs;
-           src = Some (Server_id.to_int src);
-           dst = Server_id.to_int dst;
-         });
-    let src_server = server t src in
-    let dirty = Server.shed_file_set src_server ~fs in
-    let (_ : float) =
-      Shared_disk.write t.disk ~block:(fs * 1_000_000)
-        (String.make (min (max dirty 1) 4096) 'm')
-    in
-    let flush_seconds =
-      t.move_cfg.flush_fixed +. Shared_disk.transfer_time t.disk ~bytes:dirty
-    in
-    (* The set leaves this shard for good: no further request routes
-       here (the engine flips routing at the same barrier). *)
-    t.ownership.(fs) <- Unassigned;
-    (src, flush_seconds)
-  | Unassigned | Moving _ | Orphaned _ ->
-    invalid_arg ("Cluster.move_out: set not owned here: " ^ fs_name t fs)
-
-let move_in t ~fs ~src ~flush_seconds ~dst =
-  let (_ : Server.t) = server t dst in
-  (match t.ownership.(fs) with
-  | Unassigned -> ()
-  | Owned _ | Moving _ | Orphaned _ ->
-    invalid_arg ("Cluster.move_in: set already present: " ^ fs_name t fs));
-  let init_seconds = init_seconds t fs in
-  let pending = Queue.create () in
-  let handle =
-    Desim.Sim.schedule t.sim ~delay:(flush_seconds +. init_seconds) (fun () ->
-        complete_move t ~fs ~src:(Some src) ~dst pending)
-  in
-  t.ownership.(fs) <-
-    Moving
-      {
-        src = Some src;
-        dst;
-        pending;
-        handle;
-        flush_done_at = Desim.Sim.now t.sim +. flush_seconds;
-        span = Obs.Span.none;
-      };
-  init_seconds
-
-(* Lease timers armed while the source shard owned the set must fire
-   on the destination shard's simulator after the handover — at the
-   same absolute expiry, with the expiry action rebuilt against the
-   destination cluster — so each timer fires exactly once, at the same
-   virtual time, as in the serial run. *)
-let migrate_lease_timers ~src ~dst ~fs =
-  match src.locking.domains.(fs) with
-  | None -> ()
-  | Some d ->
-    List.iter
-      (fun lt ->
-        Desim.Sim.cancel lt.lt_sim lt.lt_handle;
-        arm_lease dst d lt)
-      d.lease_timers
-
-(* In-flight requests for [fs] still at this shard's servers.  After a
-   cross-shard handover their completions touch the (shared) lock
-   domain from this shard, concurrently with the new owner — the
-   engine detects that hazard here and falls back to lockstep until
-   the residue drains. *)
-let inflight_fs t ~fs =
-  Hashtbl.fold (fun _ b acc -> if b.fs = fs then acc + 1 else acc) t.inflight 0
-
 (* The common half of crash and partition handling: the server stops
    serving, its sets are orphaned (journaled), its in-flight moves die,
    and its interrupted requests are re-buffered.  Callers decide what
@@ -1331,7 +1196,7 @@ let lock_active_keys t =
   Array.fold_left
     (fun acc d ->
       match d with None -> acc | Some d -> acc + Lock_manager.active_keys d.lm)
-    0 t.locking.domains
+    0 t.lock_domains
 
 let lock_domain_of t ~fs = (domain_of t fs).lm
 
@@ -1387,7 +1252,7 @@ let conservation t =
       Array.fold_left
         (fun acc d ->
           match d with None -> acc | Some d -> acc + Hashtbl.length d.waits)
-        0 t.locking.domains;
+        0 t.lock_domains;
   }
 
 (* --- fsck: ledger-vs-memory audit --- *)

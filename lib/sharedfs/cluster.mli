@@ -81,17 +81,6 @@ type fsck_report = {
 
 type t
 
-type locking
-(** The lock service's state, partitioned per file set (lock keys are
-    [{fs; ino}], so file sets never share lock state).  Normally each
-    cluster creates its own; the parallel engine creates one with
-    {!locking_create} and passes it to every shard's {!create} so lock
-    semantics stay cluster-wide while servers are sharded. *)
-
-(** [locking_create ~nfs] makes an empty lock service for [nfs] file
-    sets (interned ids [0 .. nfs-1]). *)
-val locking_create : nfs:int -> locking
-
 (** [lease_duration] bounds every lock hold: a grant not released
     within it is reclaimed (Storage Tank's client leases), which also
     guarantees no request can block forever behind a lost client.
@@ -114,7 +103,6 @@ val create :
   series_interval:float ->
   servers:(Server_id.t * float) list ->
   ?topology:Topology.t ->
-  ?locking:locking ->
   ?obs:Obs.Ctx.t ->
   unit ->
   t
@@ -133,14 +121,10 @@ val obs : t -> Obs.Ctx.t
 
 val catalog : t -> File_set.Catalog.t
 
-(** [interner t] maps file-set names to the dense ids used by every
-    hot-path table.  Ids equal catalog positions, and equal the
-    file-set indices of a {!Workload.Stream} built over the same name
-    list. *)
-val interner : t -> File_set.Interner.t
-
-(** [fs_id t name] is the interned id; raises [Invalid_argument] for
-    names outside the catalog. *)
+(** [fs_id t name] is the dense id every hot-path table uses for
+    [name]: its catalog position, equal to the file-set index of a
+    {!Workload.Stream} built over the same name list.  Raises
+    [Invalid_argument] for names outside the catalog. *)
 val fs_id : t -> string -> int
 
 (** [fs_name t fs] is the inverse of {!fs_id}. *)
@@ -249,44 +233,6 @@ val lock_stats : t -> lock_stats
     Orphaned sets are adopted with recovery cost instead of flush
     cost. *)
 val move : t -> file_set:string -> dst:Server_id.t -> unit
-
-(** {2 Parallel-engine hooks}
-
-    The domain-parallel streaming engine shards servers across cluster
-    instances (one per domain, each with its own simulator) and moves
-    file sets between shards at synchronization barriers.  These
-    entry points split the serial {!move} into its per-shard halves;
-    ordinary runs never need them. *)
-
-(** [owner_fs t fs] is {!owner} with the file-set id already
-    interned. *)
-val owner_fs : t -> int -> Server_id.t option
-
-(** [move_out t ~fs ~dst] executes the source half of a cross-shard
-    move on the shard owning [fs]: journals the intent, sheds and
-    flushes the set, marks it [Unassigned] here, and returns the
-    source server and the flush time.  Raises [Invalid_argument] when
-    the set is not owned by this shard. *)
-val move_out : t -> fs:int -> dst:Server_id.t -> Server_id.t * float
-
-(** [move_in t ~fs ~src ~flush_seconds ~dst] executes the destination
-    half: starts the in-transit buffer and schedules the move
-    completion on this shard's simulator at
-    [now + flush_seconds + init_seconds]; returns the init time. *)
-val move_in :
-  t -> fs:int -> src:Server_id.t -> flush_seconds:float -> dst:Server_id.t ->
-  float
-
-(** [migrate_lease_timers ~src ~dst ~fs] re-arms every pending lock
-    lease timer of [fs] on the destination shard's simulator at the
-    same absolute expiry (cancelling it at the source), so each timer
-    fires exactly once at the serial run's virtual time. *)
-val migrate_lease_timers : src:t -> dst:t -> fs:int -> unit
-
-(** [inflight_fs t ~fs] counts requests of [fs] delivered to this
-    shard's servers and not yet completed — the engine's handover
-    hazard detector. *)
-val inflight_fs : t -> fs:int -> int
 
 (** [fail_server t id] crashes a server: interrupted and queued
     requests are re-buffered ([requests.rebuffered]), its file sets

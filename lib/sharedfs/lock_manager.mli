@@ -17,9 +17,8 @@ type key = { fs : int; ino : int }
 type t
 
 (** [create ()] makes an empty lock table.  [size] hints the initial
-    hash-table capacity: the cluster-wide table keeps the default, the
-    per-file-set domains the parallel engine shards over use a small
-    one. *)
+    hash-table capacity: a cluster-wide table keeps the default, the
+    cluster's per-file-set tables use a small one. *)
 val create : ?size:int -> unit -> t
 
 (** [acquire t ~key ~client ~mode] grants immediately when compatible

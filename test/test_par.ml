@@ -58,31 +58,6 @@ let test_run_earliest_exception_wins () =
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom n -> check_int "earliest thunk" 1 n
 
-let test_pool_reuse_across_batches () =
-  let pool = Par.Pool.create ~domains:2 in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      for batch = 0 to 3 do
-        let futures =
-          List.init 6 (fun i -> Par.Pool.submit pool (fun () -> (batch * 10) + i))
-        in
-        let got = List.map Par.Pool.await futures in
-        Alcotest.(check (list int))
-          "batch results"
-          (List.init 6 (fun i -> (batch * 10) + i))
-          got
-      done)
-
-let test_await_after_shutdown_resolved () =
-  (* Futures resolved before shutdown stay readable afterwards. *)
-  let pool = Par.Pool.create ~domains:1 in
-  let f = Par.Pool.submit pool (fun () -> 41 + 1) in
-  let v = Par.Pool.await f in
-  Par.Pool.shutdown pool;
-  check_int "value survives shutdown" 42 (Par.Pool.await f);
-  check_int "first read" 42 v
-
 (* The acceptance contract of the fan-out: a figure regenerated with
    jobs > 1 is indistinguishable from the serial run.  Wall-clock
    fields are the only nondeterministic outputs, so compare everything
@@ -141,54 +116,6 @@ let test_parallel_traced_matches_serial () =
         (r1.telemetry = r2.telemetry))
     serial.Experiments.Figures.results parallel.Experiments.Figures.results
 
-(* The single-run fan-out: one streaming simulation sharded across
-   domains must be byte-identical to the serial driver — not just the
-   headline numbers but every per-server series point, every latency
-   percentile, and every move record in issue order.  Wall clock and
-   heap peak are the only legitimately different fields (the heap is
-   per-shard under fan-out). *)
-let stream_result ~jobs ~requests ~seed =
-  let stream =
-    Workload.Dfs_like.stream
-      { Workload.Dfs_like.default_config with requests; seed }
-  in
-  Experiments.Runner.run_stream Experiments.Scenario.default
-    (Experiments.Scenario.Anu Placement.Anu.default_config)
-    ~stream ~jobs ()
-
-let expect_identical_run ~what (a : Experiments.Runner.result)
-    (b : Experiments.Runner.result) =
-  let ck name cond = check_bool (what ^ ": " ^ name) true cond in
-  check_int (what ^ ": submitted") a.submitted b.submitted;
-  check_int (what ^ ": completed") a.completed b.completed;
-  check_int (what ^ ": reconfig_rounds") a.reconfig_rounds b.reconfig_rounds;
-  check_int (what ^ ": sim_events") a.sim_events b.sim_events;
-  check_int (what ^ ": move count") (List.length a.moves)
-    (List.length b.moves);
-  ck "moves" (a.moves = b.moves);
-  ck "duration" (a.duration = b.duration);
-  ck "overall_mean" (a.overall_mean = b.overall_mean);
-  ck "overall_p95" (a.overall_p95 = b.overall_p95);
-  ck "overall_max" (a.overall_max = b.overall_max);
-  ck "per_server_mean" (a.per_server_mean = b.per_server_mean);
-  ck "per_server_requests" (a.per_server_requests = b.per_server_requests);
-  ck "utilizations" (a.utilizations = b.utilizations);
-  ck "server_series" (a.server_series = b.server_series);
-  ck "violations" (a.violations = b.violations)
-
-let test_stream_parallel_matches_serial () =
-  let requests = 20_000 and seed = 7 in
-  let serial = stream_result ~jobs:1 ~requests ~seed in
-  (* the workload must actually exercise the cross-shard machinery *)
-  check_bool "serial run moved file sets" true (List.length serial.moves > 0);
-  List.iter
-    (fun jobs ->
-      let par = stream_result ~jobs ~requests ~seed in
-      expect_identical_run
-        ~what:(Printf.sprintf "jobs=%d" jobs)
-        serial par)
-    [ 2; 3; 5 ]
-
 let suite =
   [
     Alcotest.test_case "serial fast path" `Quick test_run_serial_fast_path;
@@ -199,13 +126,8 @@ let suite =
       test_run_propagates_exception;
     Alcotest.test_case "earliest exception wins" `Quick
       test_run_earliest_exception_wins;
-    Alcotest.test_case "pool reuse" `Quick test_pool_reuse_across_batches;
-    Alcotest.test_case "await after shutdown" `Quick
-      test_await_after_shutdown_resolved;
     Alcotest.test_case "parallel figure == serial" `Slow
       test_parallel_figure_matches_serial;
     Alcotest.test_case "parallel figure == serial under tracing" `Slow
       test_parallel_traced_matches_serial;
-    Alcotest.test_case "parallel stream run == serial" `Slow
-      test_stream_parallel_matches_serial;
   ]

@@ -111,11 +111,10 @@ let test_run_until_with_cancelled_head () =
   check_float "clock" 2.0 (Sim.now sim)
 
 (* Regression: a tombstone sitting at the heap head must be invisible
-   to every consumer of "what fires next".  The hot-path scheduler
-   leaves cancelled events in place until they bubble up, so peeking
-   paths (next_event_time, the step source-vs-heap merge) have to
-   purge first or they would compare against a time that will never
-   fire. *)
+   to "what fires next".  The hot-path scheduler leaves cancelled
+   events in place until they bubble up, so the step source-vs-heap
+   merge has to purge first or it would compare against a time that
+   will never fire. *)
 let test_tombstone_at_head_invisible () =
   let sim = Sim.create () in
   let log = ref [] in
@@ -124,8 +123,6 @@ let test_tombstone_at_head_invisible () =
     Sim.schedule_at sim ~time:3.0 (fun () -> log := 3.0 :: !log)
   in
   Sim.cancel sim h1;
-  (* The dead head must not masquerade as the next event. *)
-  check_float "next_event_time skips tombstone" 3.0 (Sim.next_event_time sim);
   (* The step source/heap merge must compare against the live head:
      a source event at t=2 fires before the t=3 heap event even though
      the (dead) heap head carried t=1. *)
@@ -147,7 +144,6 @@ let test_tombstones_all_dead_reports_idle () =
         Sim.schedule_at sim ~time:(float_of_int (i + 1)) (fun () -> ()))
   in
   List.iter (Sim.cancel sim) handles;
-  check_float "idle" Float.infinity (Sim.next_event_time sim);
   check_bool "step finds nothing" false (Sim.step sim);
   check_int "nothing fired" 0 (Sim.events_fired sim)
 
