@@ -140,9 +140,24 @@ let obs_ctx_of_options opts =
   if sinks = [] && metrics = None && telemetry = None then None
   else Some (Obs.Ctx.create ~sinks ?metrics ?telemetry ())
 
+(* Output files are opened before the run, so a bad path fails at once
+   with a message naming it instead of escaping as an exception after
+   the whole run.  Logging must be set up first. *)
+let open_output ~what path =
+  try (path, open_out path)
+  with Sys_error msg ->
+    Logs.err (fun m -> m "cannot open %s file: %s" what msg);
+    exit 1
+
+let write_output (path, oc) contents =
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc contents);
+  Printf.printf "wrote %s\n" path
+
 (* [--metrics-json] / [--telemetry-json] payload: one entry per run, so
    multi-policy figures keep their runs distinguishable. *)
-let write_runs_json path figure ~field_name ~snapshot =
+let write_runs_json output figure ~field_name ~snapshot =
   let runs =
     List.filter_map
       (fun r ->
@@ -157,14 +172,8 @@ let write_runs_json path figure ~field_name ~snapshot =
           (snapshot r))
       figure.Experiments.Figures.results
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        (Obs.Json.to_string (Obs.Json.Obj [ ("runs", Obs.Json.List runs) ]));
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" path
+  write_output output
+    (Obs.Json.to_string (Obs.Json.Obj [ ("runs", Obs.Json.List runs) ]) ^ "\n")
 
 let run_cmd =
   let doc = "Run one experiment and print its series and summary." in
@@ -243,6 +252,13 @@ let run_cmd =
                ~known:(Experiments.Figures.all_ids @ [ "fig6-stream" ])));
       exit 1
     | Some build ->
+      let csv = Option.map (open_output ~what:"CSV") csv in
+      let metrics_json =
+        Option.map (open_output ~what:"metrics") obs_opts.metrics_json
+      in
+      let telemetry_json =
+        Option.map (open_output ~what:"telemetry") obs_opts.telemetry_json
+      in
       let ctx =
         try obs_ctx_of_options obs_opts
         with Sys_error msg ->
@@ -271,18 +287,19 @@ let run_cmd =
                 Obs.Metrics.pp_snapshot snapshot)
           figure.Experiments.Figures.results;
       Option.iter
-        (fun path ->
-          write_runs_json path figure ~field_name:"metrics" ~snapshot:(fun r ->
+        (fun output ->
+          write_runs_json output figure ~field_name:"metrics"
+            ~snapshot:(fun r ->
               Option.map Obs.Metrics.snapshot_to_json
                 r.Experiments.Runner.metrics))
-        obs_opts.metrics_json;
+        metrics_json;
       Option.iter
-        (fun path ->
-          write_runs_json path figure ~field_name:"telemetry"
+        (fun output ->
+          write_runs_json output figure ~field_name:"telemetry"
             ~snapshot:(fun r ->
               Option.map Obs.Telemetry.snapshot_to_json
                 r.Experiments.Runner.telemetry))
-        obs_opts.telemetry_json;
+        telemetry_json;
       Option.iter
         (fun path -> Printf.printf "wrote Chrome trace %s\n" path)
         obs_opts.trace_chrome;
@@ -290,13 +307,8 @@ let run_cmd =
         (fun path -> Printf.printf "wrote JSONL trace %s\n" path)
         obs_opts.trace_jsonl;
       Option.iter
-        (fun path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc (Experiments.Report.figure_to_csv figure));
-          Printf.printf "wrote %s\n" path)
+        (fun output ->
+          write_output output (Experiments.Report.figure_to_csv figure))
         csv
   in
   Cmd.v (Cmd.info "run" ~doc)
@@ -322,6 +334,8 @@ let trace_cmd =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc:"Generator seed.")
   in
   let run kind out seed =
+    setup_logs (Some Logs.Warning);
+    let _, oc = open_output ~what:"trace" out in
     let trace =
       match kind with
       | `Dfs ->
@@ -331,7 +345,9 @@ let trace_cmd =
         Workload.Synthetic.generate
           { Workload.Synthetic.default_config with seed }
     in
-    Workload.Trace_io.save trace ~path:out;
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> output_string oc (Workload.Trace_io.to_string trace));
     Printf.printf "wrote %d records (%.0f s, %d file sets) to %s\n"
       (Workload.Trace.length trace)
       (Workload.Trace.duration trace)

@@ -17,6 +17,8 @@ type span = {
   begin_time : float;
   mutable end_time : float option;  (** [None]: lost to a crash *)
   mutable outcome : string option;
+  mutable staged : bool;
+      (** a child span of category ["request"] began inside this one *)
 }
 
 type t = { events : Event.t array; spans : span list }
@@ -71,8 +73,15 @@ let load path =
                     begin_time = time;
                     end_time = None;
                     outcome = None;
+                    staged = false;
                   }
                 in
+                (match parent with
+                | Some p when cat = "request" -> (
+                  match Hashtbl.find_opt open_spans p with
+                  | Some ps -> ps.staged <- true
+                  | None -> ())
+                | _ -> ());
                 Hashtbl.add open_spans id s;
                 all := s :: !all
               | Event.Span_end { time; id; server; outcome; _ } -> (
@@ -97,6 +106,9 @@ type attribution = {
   request_seconds : float;
   queue_seconds : float;
   service_seconds : float;
+      (** service spans, plus the whole width of each request span
+          with no stage (delivered once, at submission, to an idle
+          server) *)
   buffered_seconds : float;  (** move-induced: waiting out a transfer *)
 }
 
@@ -105,6 +117,11 @@ type attribution = {
    window shifts. *)
 let in_window ~from_ ~until time = time >= from_ && time <= until
 
+(* A request with no stage was delivered once, at submission, to an
+   idle server, so it was in service for its whole width.  Adding that
+   width when the fold reaches the request span keeps the additions
+   into [service_seconds] in the order an explicit service span (which
+   began right after its request span) would have given. *)
 let attribution ~from_ ~until t =
   List.fold_left
     (fun acc s ->
@@ -123,6 +140,9 @@ let attribution ~from_ ~until t =
               acc with
               requests = acc.requests + 1;
               request_seconds = acc.request_seconds +. d;
+              service_seconds =
+                (if s.staged then acc.service_seconds
+                 else acc.service_seconds +. d);
             }
           | "queue" -> { acc with queue_seconds = acc.queue_seconds +. d }
           | "service" -> { acc with service_seconds = acc.service_seconds +. d }

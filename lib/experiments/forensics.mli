@@ -28,6 +28,9 @@ type attribution = {
   request_seconds : float;
   queue_seconds : float;
   service_seconds : float;
+      (** service spans, plus the whole width of each request span
+          with no stage (delivered once, at submission, to an idle
+          server) *)
   buffered_seconds : float;  (** move-induced: waiting out a transfer *)
 }
 

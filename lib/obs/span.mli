@@ -13,9 +13,10 @@
     serving server.  Its children are the stages that actually
     happened: ["buffered"] while the request waits out a move,
     ["queue"] only when the server was busy at delivery (so every
-    queue span has positive width), and ["service"].  A request that
-    never waits writes four lines: request and service begin, service
-    and request end.
+    queue span has positive width), and ["service"], written only
+    after a buffered or queue stage or on redelivery after a crash.  A
+    request that never waits writes two lines, its request begin and
+    end; its service is the request span's whole width.
 
     The whole layer is free when tracing is off: {!begin_} returns
     {!none} without allocating, and {!end_} on {!none} is a no-op, so

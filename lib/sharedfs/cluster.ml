@@ -36,6 +36,9 @@ type buffered = {
   mutable bspan : Obs.Span.id;
       (* open "buffered" child while the request waits out a move or an
          orphaned set; ends (and is reset) on delivery *)
+  mutable delivered : bool;
+      (* set at first delivery, so a redelivery after a crash still
+         writes its service stage *)
   on_complete : latency:float -> unit;
 }
 
@@ -503,24 +506,32 @@ let deliver t id b =
      the server is busy, so the request will really wait; [on_start]
      then closes it and opens service with the station's computed
      service time, splitting queueing delay from service exactly.  An
-     idle server starts service at delivery.  All span work is behind
-     the tracing branch; the [on_start] closure is only built when some
-     observer (sinks or telemetry) wants it. *)
+     idle server starts service at delivery.  A request delivered once,
+     at submission, to an idle server writes no stage at all: its
+     service would begin and end with its request span, so forensics
+     derives it from that span instead.  A buffered, queued or
+     redelivered request writes its service stage.  All span work is
+     behind the tracing branch; the [on_start] closure is only built
+     when some observer (sinks or telemetry) wants it. *)
+  let staged = b.bspan <> Obs.Span.none || b.delivered in
+  b.delivered <- true;
   if b.bspan <> Obs.Span.none then begin
     Obs.Span.end_ t.obs ~time:now ~id:b.bspan ~name:"buffered" ~cat:"request"
       ~server:sid ();
     b.bspan <- Obs.Span.none
   end;
   let tracing = Obs.Ctx.tracing t.obs in
+  let waits = tracing && Server.in_service server in
   let qspan =
-    if tracing && Server.in_service server then
+    if waits then
       Obs.Span.begin_ t.obs ~time:now ~parent:b.span ~name:"queue"
         ~cat:"request" ~server:sid ~file_set:b.req.Request.file_set ()
     else Obs.Span.none
   in
+  let service_span = waits || (tracing && staged) in
   let sspan = ref Obs.Span.none in
   let on_start =
-    if (not tracing) && t.telemetry = None then None
+    if (not service_span) && t.telemetry = None then None
     else
       Some
         (fun ~service ->
@@ -529,11 +540,14 @@ let deliver t id b =
           | Some tl ->
             Obs.Telemetry.observe_service tl ~time:started ~server:sid ~service
           | None -> ());
-          Obs.Span.end_ t.obs ~time:started ~id:qspan ~name:"queue"
-            ~cat:"request" ~server:sid ();
-          sspan :=
-            Obs.Span.begin_ t.obs ~time:started ~parent:b.span ~name:"service"
-              ~cat:"request" ~server:sid ~file_set:b.req.Request.file_set ())
+          if service_span then begin
+            Obs.Span.end_ t.obs ~time:started ~id:qspan ~name:"queue"
+              ~cat:"request" ~server:sid ();
+            sspan :=
+              Obs.Span.begin_ t.obs ~time:started ~parent:b.span
+                ~name:"service" ~cat:"request" ~server:sid
+                ~file_set:b.req.Request.file_set ()
+          end)
   in
   Server.submit server ~fs:b.fs ~base_demand:b.base_demand ~tag ~extra_latency
     ?on_start b.req ~on_complete:(fun ~latency ->
@@ -592,7 +606,16 @@ let submit_fs t ~fs ~base_demand req ~on_complete =
     else Obs.Span.none
   in
   let b =
-    { req; fs; base_demand; arrival; span; bspan = Obs.Span.none; on_complete }
+    {
+      req;
+      fs;
+      base_demand;
+      arrival;
+      span;
+      bspan = Obs.Span.none;
+      delivered = false;
+      on_complete;
+    }
   in
   t.submitted_n <- t.submitted_n + 1;
   (match t.instruments with
@@ -701,6 +724,7 @@ let submit_stream t ~fs ~op ~base_demand ~path_hash ~client =
         arrival = Desim.Sim.now t.sim;
         span = Obs.Span.none;
         bspan = Obs.Span.none;
+        delivered = false;
         on_complete;
       }
     in

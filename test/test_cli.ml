@@ -1,5 +1,6 @@
-(* The shdisk-sim command line on bad flag values: a clear usage error
-   naming the flag, never an uncaught exception or a silent accept. *)
+(* The shdisk-sim command line on bad flag values and unwritable output
+   paths: a clear error naming the flag or path, never an uncaught
+   exception or a silent accept. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -53,8 +54,38 @@ let test_non_positive_counts_rejected () =
       ("--jobs", [ "fig6"; "--quick"; "--jobs=-4" ]);
     ]
 
+(* Every output path is opened before the run: a path under a regular
+   file cannot be created, and must fail with a message naming it. *)
+let test_unwritable_outputs_rejected () =
+  check_bool "CLI binary built" true (Sys.file_exists exe);
+  let file = Filename.temp_file "cli_test" ".dir" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let bad name = Filename.concat file name in
+      List.iter
+        (fun args ->
+          let what = String.concat " " args in
+          let path = List.nth args (List.length args - 1) in
+          let status, stderr = run_cli args in
+          check_bool (what ^ ": non-zero exit") true (status <> 0);
+          check_bool (what ^ ": stderr names the path") true
+            (contains stderr path);
+          check_bool (what ^ ": no uncaught exception") false
+            (contains stderr "exception" || contains stderr "Fatal error"))
+        [
+          [ "run"; "fig6"; "--quick"; "--csv"; bad "x.csv" ];
+          [ "run"; "fig6"; "--quick"; "--metrics-json"; bad "m.json" ];
+          [ "run"; "fig6"; "--quick"; "--telemetry-json"; bad "t.json" ];
+          [ "run"; "fig6"; "--quick"; "--trace-jsonl"; bad "t.jsonl" ];
+          [ "run"; "fig6"; "--quick"; "--trace"; bad "t.json" ];
+          [ "trace"; "--out"; bad "trace.txt" ];
+        ])
+
 let suite =
   [
     Alcotest.test_case "non-positive --jobs and --requests rejected" `Quick
       test_non_positive_counts_rejected;
+    Alcotest.test_case "unwritable output paths rejected" `Quick
+      test_unwritable_outputs_rejected;
   ]

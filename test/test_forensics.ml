@@ -54,9 +54,10 @@ let request ~id ~file_set ~server ~submitted ~completed stages =
   @ [ span_end ~time:completed ~id ~name:"request" ~cat:"request" ~server () ]
 
 (* Three completed requests — one queued 0.4 s and served 0.6 s, one
-   that waited 0.5 s out a move, one served straight away — one request
-   lost to a crash, plus the operational events a violation's causal
-   slice must pick out. *)
+   that waited 0.5 s out a move, one served straight away (no stage, so
+   its whole 0.5 s counts as service) — one request lost to a crash,
+   plus the operational events a violation's causal slice must pick
+   out. *)
 let synthetic_events =
   request ~id:1 ~file_set:"fs-a" ~server:3 ~submitted:0.0 ~completed:1.0
     [
@@ -116,7 +117,7 @@ let test_attribution_and_ranking () =
       Alcotest.(check (float 1e-9))
         "queue seconds" 0.4 a.Experiments.Forensics.queue_seconds;
       Alcotest.(check (float 1e-9))
-        "service seconds" 0.6 a.Experiments.Forensics.service_seconds;
+        "service seconds" 1.1 a.Experiments.Forensics.service_seconds;
       Alcotest.(check (float 1e-9))
         "buffered seconds" 0.5 a.Experiments.Forensics.buffered_seconds;
       (match r.Experiments.Forensics.servers with
@@ -132,6 +133,85 @@ let test_attribution_and_ranking () =
         Alcotest.(check string)
           "hottest file set" "fs-a" f1.Experiments.Forensics.file_set
       | [] -> Alcotest.fail "no hot file sets")
+
+let attribution_of events =
+  with_temp_file (fun path ->
+      write_events path events;
+      match Experiments.Forensics.load path with
+      | Error msg -> Alcotest.failf "load failed: %s" msg
+      | Ok t ->
+        (Experiments.Forensics.analyze t).Experiments.Forensics.attribution)
+
+(* A trace written before stage-less requests existed gives every
+   request a service child.  Those are read as before: the explicit
+   spans are summed and nothing is derived.  Request 7's explicit
+   service span and the width derived for it when it has no stage are
+   the same float. *)
+let test_old_format_service_spans () =
+  let service ~id ~parent ~from_ ~until ~server =
+    [
+      span_begin ~time:from_ ~id ~parent ~name:"service" ~cat:"request"
+        ~server ();
+      span_end ~time:until ~id ~name:"service" ~cat:"request" ~server ();
+    ]
+  in
+  let request_7 stages =
+    request ~id:7 ~file_set:"fs-a" ~server:3 ~submitted:3.0 ~completed:3.5
+      stages
+  in
+  let old_format =
+    List.concat_map
+      (function
+        | Obs.Event.Span_end { id = 4; _ } as e ->
+          e :: service ~id:8 ~parent:6 ~from_:2.5 ~until:3.0 ~server:1
+        | Obs.Event.Span_begin { id = 7; _ } as e ->
+          e :: service ~id:9 ~parent:7 ~from_:3.0 ~until:3.5 ~server:3
+        | e -> [ e ])
+      synthetic_events
+  in
+  let a = attribution_of old_format in
+  check_int "completed request spans" 3 a.Experiments.Forensics.requests;
+  Alcotest.(check (float 1e-9))
+    "request seconds" 2.5 a.Experiments.Forensics.request_seconds;
+  Alcotest.(check (float 1e-9))
+    "queue seconds" 0.4 a.Experiments.Forensics.queue_seconds;
+  Alcotest.(check (float 1e-9))
+    "service seconds: the three explicit spans" 1.6
+    a.Experiments.Forensics.service_seconds;
+  Alcotest.(check (float 1e-9))
+    "buffered seconds" 0.5 a.Experiments.Forensics.buffered_seconds;
+  let explicit =
+    attribution_of
+      (request_7 (service ~id:9 ~parent:7 ~from_:3.0 ~until:3.5 ~server:3))
+  in
+  check_bool "derived service equals the explicit span" true
+    (explicit = attribution_of (request_7 []))
+
+(* A request first delivered to an idle server writes no stage; a
+   crash interrupts it and it waits, stage-less, for its set to be
+   adopted; the redelivery writes its service stage.  Only that stage
+   counts: the time lost to the crash is not service. *)
+let test_redelivered_request () =
+  let a =
+    attribution_of
+      (request ~id:1 ~file_set:"fs-a" ~server:2 ~submitted:0.0 ~completed:2.25
+         [
+           span_begin ~time:2.0 ~id:2 ~parent:1 ~name:"service" ~cat:"request"
+             ~server:2 ();
+           span_end ~time:2.25 ~id:2 ~name:"service" ~cat:"request" ~server:2
+             ();
+         ])
+  in
+  check_int "one completed request" 1 a.Experiments.Forensics.requests;
+  Alcotest.(check (float 1e-9))
+    "request seconds" 2.25 a.Experiments.Forensics.request_seconds;
+  Alcotest.(check (float 1e-9))
+    "service seconds: the redelivery's stage only" 0.25
+    a.Experiments.Forensics.service_seconds;
+  Alcotest.(check (float 1e-9))
+    "no queue" 0.0 a.Experiments.Forensics.queue_seconds;
+  Alcotest.(check (float 1e-9))
+    "no buffering" 0.0 a.Experiments.Forensics.buffered_seconds
 
 let test_windowing () =
   load_synthetic (fun t ->
@@ -388,6 +468,9 @@ let suite =
   [
     Alcotest.test_case "attribution and ranking" `Quick
       test_attribution_and_ranking;
+    Alcotest.test_case "old-format service spans" `Quick
+      test_old_format_service_spans;
+    Alcotest.test_case "redelivered request" `Quick test_redelivered_request;
     Alcotest.test_case "windowing" `Quick test_windowing;
     Alcotest.test_case "explain violation" `Quick test_explain_violation;
     Alcotest.test_case "load reports bad line" `Quick test_load_reports_bad_line;

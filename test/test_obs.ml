@@ -1286,59 +1286,102 @@ let check_queue_widths events =
     events
 
 let test_request_lifecycle_fault_free () =
-  let ring = Obs.Sink.Ring.create ~capacity:50_000 in
-  let obs = Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ] () in
-  let r =
-    Experiments.Runner.run Experiments.Scenario.default
-      (Experiments.Scenario.Anu Placement.Anu.default_config)
-      ~trace:small_trace ~obs ()
-  in
-  let events = Obs.Sink.Ring.contents ring in
-  check_int "nothing evicted" 0 (Obs.Sink.Ring.dropped ring);
-  check_int "one request begin per submitted request"
-    r.Experiments.Runner.submitted
-    (count_request_spans `Begin events);
-  check_int "one request end per completed request"
-    r.Experiments.Runner.completed
-    (count_request_spans `End events);
-  check_request_attrs events;
-  check_queue_widths events;
-  (* The queue rule: a request is delivered when it is submitted, or
-     when its buffered stage ends; a queue stage exists exactly when
-     service starts after delivery, and then spans delivery to service
-     start. *)
-  let queued = ref 0 in
-  Hashtbl.iter
-    (fun _ l ->
-      if l.req_end <> None then begin
-        let stage n = List.assoc_opt n l.stages in
-        let delivered =
-          match stage "buffered" with
-          | Some (_, Some e) -> e
-          | _ -> l.req_begin
-        in
-        let service_start =
-          match stage "service" with
-          | Some (b, Some _) -> b
-          | _ -> Alcotest.fail "completed request without a closed service"
-        in
-        match stage "queue" with
-        | Some (qb, Some qe) ->
-          incr queued;
-          check_bool "queue opens at delivery" true (qb = delivered);
-          check_bool "queue closes at service start" true
-            (qe = service_start);
-          check_bool "service started after delivery" true
-            (service_start > delivered)
-        | Some (_, None) -> Alcotest.fail "unclosed queue span"
-        | None ->
-          check_bool "no queue span: service starts at delivery" true
-            (service_start = delivered)
-      end)
-    (lifecycles events);
-  check_bool "some requests queued" true (!queued > 0);
-  check_bool "most did not" true
-    (!queued < r.Experiments.Runner.completed / 2)
+  with_temp_file (fun path ->
+      let ring = Obs.Sink.Ring.create ~capacity:50_000 in
+      let obs =
+        Obs.Ctx.create
+          ~sinks:[ Obs.Sink.Ring.sink ring; Obs.Sink.jsonl_file path ]
+          ()
+      in
+      let cluster = ref None in
+      let r =
+        Experiments.Runner.run Experiments.Scenario.default
+          (Experiments.Scenario.Anu Placement.Anu.default_config)
+          ~trace:small_trace ~obs
+          ~on_cluster:(fun c -> cluster := Some c)
+          ()
+      in
+      Obs.Ctx.close obs;
+      let events = Obs.Sink.Ring.contents ring in
+      check_int "nothing evicted" 0 (Obs.Sink.Ring.dropped ring);
+      check_int "one request begin per submitted request"
+        r.Experiments.Runner.submitted
+        (count_request_spans `Begin events);
+      check_int "one request end per completed request"
+        r.Experiments.Runner.completed
+        (count_request_spans `End events);
+      check_request_attrs events;
+      check_queue_widths events;
+      (* The stage rule: a request is delivered when it is submitted,
+         or when its buffered stage ends.  A service stage exists
+         exactly when the request was buffered or queued (no request
+         is redelivered without faults); a queue stage exists exactly
+         when service starts after delivery, and then spans delivery
+         to service start.  A request with no stage was in service for
+         its whole width. *)
+      let queued = ref 0 and stageless = ref 0 in
+      Hashtbl.iter
+        (fun _ l ->
+          if l.req_end <> None then begin
+            let stage n = List.assoc_opt n l.stages in
+            let waited = stage "buffered" <> None || stage "queue" <> None in
+            match stage "service" with
+            | None ->
+              incr stageless;
+              check_bool "no service stage: the request never waited" false
+                waited;
+              check_int "no service stage: no stage at all" 0
+                (List.length l.stages)
+            | Some (_, None) -> Alcotest.fail "unclosed service span"
+            | Some (service_start, Some _) -> (
+              check_bool "a service stage: the request waited" true waited;
+              let delivered =
+                match stage "buffered" with
+                | Some (_, Some e) -> e
+                | _ -> l.req_begin
+              in
+              match stage "queue" with
+              | Some (qb, Some qe) ->
+                incr queued;
+                check_bool "queue opens at delivery" true (qb = delivered);
+                check_bool "queue closes at service start" true
+                  (qe = service_start);
+                check_bool "service started after delivery" true
+                  (service_start > delivered)
+              | Some (_, None) -> Alcotest.fail "unclosed queue span"
+              | None ->
+                check_bool "no queue span: service starts at delivery" true
+                  (service_start = delivered))
+          end)
+        (lifecycles events);
+      check_bool "some requests queued" true (!queued > 0);
+      check_bool "most did not" true
+        (!queued < r.Experiments.Runner.completed / 2);
+      check_bool "most requests have no stage" true
+        (!stageless > r.Experiments.Runner.completed / 2);
+      (* Exact oracle: stations serve nothing but requests, so the
+         service time forensics attributes, derived or explicit, is the
+         stations' busy time. *)
+      let busy =
+        match !cluster with
+        | None -> Alcotest.fail "on_cluster never ran"
+        | Some c ->
+          List.fold_left
+            (fun acc srv -> acc +. Sharedfs.Server.utilization srv ~until:1.0)
+            0.0 (Sharedfs.Cluster.servers c)
+      in
+      let service =
+        match Experiments.Forensics.load path with
+        | Error msg -> Alcotest.fail msg
+        | Ok t ->
+          (Experiments.Forensics.analyze t).Experiments.Forensics.attribution
+            .service_seconds
+      in
+      check_bool
+        (Printf.sprintf "forensics service %.17g = busy time %.17g" service
+           busy)
+        true
+        (Float.abs (service -. busy) <= 1e-9 *. busy))
 
 let test_request_lifecycle_partition_mix () =
   let trace =
@@ -1372,6 +1415,49 @@ let test_request_lifecycle_partition_mix () =
     (count_request_spans `End events);
   check_request_attrs events;
   check_queue_widths events
+
+(* A crash-interrupted request goes back to an orphan queue with no
+   stage of its own.  Its redelivery to an idle server must still write
+   a service stage, or forensics would count the time lost to the
+   crash as service. *)
+let test_request_lifecycle_redelivery () =
+  let module C = Sharedfs.Cluster in
+  let id = Sharedfs.Server_id.of_int in
+  let ring = Obs.Sink.Ring.create ~capacity:1_000 in
+  let obs = Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ] () in
+  let sim = Desim.Sim.create () in
+  let cluster =
+    C.create sim
+      ~disk:(Sharedfs.Shared_disk.create ())
+      ~catalog:(Sharedfs.File_set.Catalog.create [ "a" ])
+      ~series_interval:10.0
+      ~servers:[ (id 0, 1.0); (id 1, 1.0) ]
+      ~obs ()
+  in
+  C.assign_initial cluster [ ("a", id 0) ];
+  let completed = ref 0 in
+  C.submit cluster ~base_demand:100.0
+    {
+      Sharedfs.Request.op = Sharedfs.Request.Open_file;
+      file_set = "a";
+      path_hash = 1;
+      client = 0;
+    }
+    ~on_complete:(fun ~latency:_ -> incr completed);
+  let (_ : Desim.Sim.handle) =
+    Desim.Sim.schedule_at sim ~time:1.0 (fun () ->
+        let (_ : string list) = C.fail_server cluster (id 0) in
+        C.move cluster ~file_set:"a" ~dst:(id 1))
+  in
+  Desim.Sim.run sim;
+  check_int "served after the crash" 1 !completed;
+  match
+    Hashtbl.fold (fun _ l acc -> l :: acc) (lifecycles (Obs.Sink.Ring.contents ring)) []
+  with
+  | [ { req_end = Some e; stages = [ ("service", (b, Some e')) ]; _ } ] ->
+    check_bool "service starts after the crash" true (b > 1.0);
+    check_bool "service ends with the request" true (e = e')
+  | _ -> Alcotest.fail "expected one completed request with one service stage"
 
 (* Attributes survive the JSONL round trip and render like the oracle,
    on a real run's request spans. *)
@@ -1458,6 +1544,8 @@ let suite =
       test_request_lifecycle_fault_free;
     Alcotest.test_case "request lifecycle: partition-mix spans" `Quick
       test_request_lifecycle_partition_mix;
+    Alcotest.test_case "request lifecycle: redelivery writes service" `Quick
+      test_request_lifecycle_redelivery;
     Alcotest.test_case "request attributes round-trip" `Quick
       test_request_attrs_round_trip;
   ]
