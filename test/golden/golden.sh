@@ -3,9 +3,10 @@
 # byte-identical: every registered experiment's quick summary, the
 # chaos reports of the default, partition and domain plans, the
 # crash-point sweep, the ledger fsck of the domain and partition
-# runs, and the trace-report of three traced runs (fault-free
-# streaming, server crashes, partitions).  Any command that exits
-# non-zero fails the whole run.
+# runs, the trace-report of three traced runs (fault-free streaming,
+# server crashes, partitions), and the checksums of the raw trace,
+# metrics and telemetry files of two fault-free runs.  Any command that
+# exits non-zero fails the whole run.
 #
 # Usage: golden.sh SHDISK_SIM
 set -eu
@@ -39,3 +40,18 @@ traced() {
 traced fig6-stream --requests 20000
 traced failure-recovery-chaos --quick
 traced partition-chaos --quick
+
+# The raw observer files, pinned byte for byte by their checksums: the
+# JSONL and Chrome traces, the metrics snapshot and the telemetry
+# snapshot.
+raw() {
+  echo "=== shdisk-sim run $* (raw observer files) ==="
+  "$sim" run "$@" --summary --trace-jsonl trace.jsonl --trace trace.json \
+    --metrics-json metrics.json --telemetry-json telemetry.json >/dev/null
+  cksum trace.jsonl trace.json metrics.json telemetry.json
+  rm -f trace.jsonl trace.json metrics.json telemetry.json
+  echo
+}
+
+raw fig6 --quick
+raw fig6-stream --requests 20000
