@@ -11,7 +11,9 @@
    [on_complete] closure in the ring, while the allocation-free
    [submit_tagged] stores a shared sentinel and routes the completion
    through the station-wide [sink] installed by [set_sink] — the tag
-   identifies the job. *)
+   identifies the job.  Service starts follow the same split: a per-job
+   [on_start] closure, or the station-wide [start_hook] for tagged
+   jobs. *)
 
 type job = { demand : float; tag : int; enqueued_at : float }
 
@@ -46,6 +48,7 @@ type t = {
   mutable finish_action : unit -> unit;
   sink_sentinel : latency:float -> unit;
   mutable sink : tag:int -> latency:float -> unit;
+  mutable start_hook : (tag:int -> service:float -> unit) option;
   mutable completed : int;
   mutable is_failed : bool;
 }
@@ -62,6 +65,12 @@ let set_speed t s =
   t.fstate.(f_speed) <- s
 
 let set_sink t sink = t.sink <- sink
+
+let set_start_hook t hook = t.start_hook <- Some hook
+
+let clear_hooks t =
+  t.sink <- no_sink;
+  t.start_hook <- None
 
 let queue_length t = t.qlen
 
@@ -130,7 +139,13 @@ let rec start_next t =
     t.serving <- true;
     t.handle <-
       Sim.schedule_at t.sim ~time:(t.clockc.(0) +. service) t.finish_action;
-    match t.cur_os with Some f -> f ~service | None -> ()
+    match t.cur_os with
+    | Some f -> f ~service
+    | None -> (
+      if t.cur_oc == t.sink_sentinel then
+        match t.start_hook with
+        | Some f -> f ~tag:t.cur_tag ~service
+        | None -> ())
   end
 
 and finish t =
@@ -169,6 +184,7 @@ let create sim ~name ~speed =
       finish_action = (fun () -> ());
       sink_sentinel = sentinel;
       sink = no_sink;
+      start_hook = None;
       completed = 0;
       is_failed = false;
     }

@@ -56,6 +56,18 @@ val submit_tagged : t -> demand:float -> tag:int -> unit
     replaces the first. *)
 val set_sink : t -> (tag:int -> latency:float -> unit) -> unit
 
+(** [set_start_hook t f] installs the shared start callback for jobs
+    submitted via {!submit_tagged}: [f ~tag ~service] fires when such a
+    job begins its [service]-second slot, at the point where {!submit}'s
+    [on_start] would.  Without a hook, tagged jobs start silently.  At
+    most one; a second call replaces the first. *)
+val set_start_hook : t -> (tag:int -> service:float -> unit) -> unit
+
+(** [clear_hooks t] detaches the sink and the start hook, so the
+    station no longer keeps whatever their closures hold.  A tagged job
+    completing afterwards raises [Failure], as before {!set_sink}. *)
+val clear_hooks : t -> unit
+
 (** [queue_length t] counts jobs waiting, excluding any job in
     service. *)
 val queue_length : t -> int

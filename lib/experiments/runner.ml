@@ -569,27 +569,25 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
     let moved = reconcile cluster policy names in
     emit_rehash ~time:0.0 ~trigger:"recovery" moved;
     check_now ());
-  (* The streaming driver has two arrival paths.  The default is a
-     self-re-arming cursor event: only the next not-yet-due request
-     occupies the heap, so heap occupancy is O(streams + inflight) —
-     never O(requests).  When nothing wants per-request hooks (no
-     faults, no scripted events, no tracing/metrics/telemetry, no
-     [on_request_complete], no invariant sweeps) and the stream offers
-     a column cursor, the driver switches to the allocation-free path:
-     requests live as column rows fed to the engine as an external
-     ordered source ({!Desim.Sim.set_source}) — arrivals never occupy
-     the heap at all, so the heap holds only completions and timers —
-     and completions report to a sink instead of a per-request
-     closure.  Same dispatch times, same counted events, no
-     per-request allocation or heap traffic. *)
+  (* The streaming driver has two arrival paths.  When the stream offers
+     a column cursor and nothing needs a per-request closure — no
+     faults, no scripted events, no invariant sweeps, no [restore], no
+     [on_request_complete] — requests live as column rows fed to the
+     engine as an external ordered source ({!Desim.Sim.set_source}):
+     arrivals never occupy the heap, so it holds only completions and
+     timers, and the cluster keeps each request's state in a reused slot
+     whose completion reports to a sink.  Tracing, metrics and
+     telemetry ride this path too: the cluster writes the same events,
+     in the same order and with the same span ids, from its station
+     hooks.  Every other run takes the closure path, a self-re-arming
+     cursor event: only the next not-yet-due request occupies the heap,
+     so heap occupancy is O(streams + inflight) — never O(requests).
+     Same dispatch times and counted events either way. *)
   let fast_path =
     Option.is_none faults && events = []
     && Option.is_none on_request_complete
     && (not do_check)
     && Option.is_none restore
-    && (not (Obs.Ctx.tracing obs))
-    && Option.is_none (Obs.Ctx.metrics obs)
-    && Option.is_none (Obs.Ctx.telemetry obs)
   in
   let batch = if fast_path then Workload.Stream.start_batch stream else None in
   (match batch with
@@ -881,6 +879,13 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
     events;
   (* Run to completion: every queued request eventually drains. *)
   let profile = Desim.Sim.run_profiled sim in
+  (* Detach the arrival source and the completion sink: a caller that
+     keeps the cluster (through [on_cluster]) must not also keep the
+     stream cursor and the per-file-set latency summaries they hold. *)
+  if Option.is_some batch then begin
+    Desim.Sim.clear_source sim;
+    Sharedfs.Cluster.clear_stream_sink cluster
+  end;
   let end_time = Float.max duration (Desim.Sim.now sim) in
   Obs.Span.end_ obs ~time:end_time ~id:run_span ~name:"run" ~cat:"run" ();
   let all_servers = Sharedfs.Cluster.servers cluster in

@@ -138,12 +138,17 @@ val throughput : result list -> throughput
     with its originating trace record (synthesized from the stream
     item) and client-perceived latency.
 
-    When nothing wants per-request hooks — no faults, no scripted
-    events, no tracing/metrics/telemetry, no [on_request_complete], no
-    invariant sweeps — and the stream provides a column cursor
-    ({!Workload.Stream.start_batch}), arrivals take an allocation-free
-    fast path: identical events at identical times, completions
-    reported through a sink instead of per-request closures. *)
+    When nothing needs a per-request closure — no faults, no scripted
+    events, no invariant sweeps, no [on_request_complete] — and the
+    stream provides a column cursor ({!Workload.Stream.start_batch}),
+    arrivals take an allocation-free column path: identical events at
+    identical times, per-request state in the cluster's reused slots,
+    completions reported through a sink instead of per-request
+    closures.  Tracing, metrics and telemetry ride this path and see
+    exactly what they see on the closure path.  When the run ends the
+    runner detaches the arrival source and the sink, so a cluster kept
+    through [on_cluster] does not keep the run's cursor or latency
+    summaries alive. *)
 val run_stream :
   Scenario.t ->
   Scenario.policy_spec ->

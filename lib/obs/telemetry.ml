@@ -13,44 +13,62 @@ let default_config = { interval = 60.0; top_k = 10; max_tracked_servers = None }
    recording that floor as the overestimate error.  Guarantees every
    key with true frequency > N/capacity is present. *)
 module Sketch = struct
-  type entry = { mutable count : int; mutable error : int }
-
-  type t = { capacity : int; entries : (string, entry) Hashtbl.t }
+  (* Slot [i < size] tracks [keys.(i)] with its count and error in the
+     parallel int arrays; [index] maps a tracked key to its slot.  The
+     arrays make the eviction scan a plain loop: no closure, no tuple
+     per candidate. *)
+  type t = {
+    keys : string array;
+    counts : int array;
+    errors : int array;
+    mutable size : int;
+    index : (string, int) Hashtbl.t;
+  }
 
   let create ~capacity =
     if capacity <= 0 then
       invalid_arg "Telemetry.Sketch.create: capacity must be > 0";
-    { capacity; entries = Hashtbl.create capacity }
+    {
+      keys = Array.make capacity "";
+      counts = Array.make capacity 0;
+      errors = Array.make capacity 0;
+      size = 0;
+      index = Hashtbl.create capacity;
+    }
 
   let observe t key =
-    match Hashtbl.find_opt t.entries key with
-    | Some e -> e.count <- e.count + 1
-    | None ->
-      if Hashtbl.length t.entries < t.capacity then
-        Hashtbl.add t.entries key { count = 1; error = 0 }
+    match Hashtbl.find t.index key with
+    | i -> t.counts.(i) <- t.counts.(i) + 1
+    | exception Not_found ->
+      if t.size < Array.length t.keys then begin
+        let i = t.size in
+        t.size <- i + 1;
+        t.keys.(i) <- key;
+        t.counts.(i) <- 1;
+        t.errors.(i) <- 0;
+        Hashtbl.add t.index key i
+      end
       else begin
         (* Evict the minimum-count entry; break count ties on the
            smallest key so the sketch is deterministic across runs. *)
-        let victim = ref None in
-        Hashtbl.iter
-          (fun k (e : entry) ->
-            match !victim with
-            | None -> victim := Some (k, e)
-            | Some (vk, ve) ->
-              if e.count < ve.count || (e.count = ve.count && k < vk) then
-                victim := Some (k, e))
-          t.entries;
-        match !victim with
-        | None -> assert false
-        | Some (vk, ve) ->
-          Hashtbl.remove t.entries vk;
-          Hashtbl.add t.entries key
-            { count = ve.count + 1; error = ve.count }
+        let v = ref 0 in
+        for i = 1 to t.size - 1 do
+          let c = t.counts.(i) and vc = t.counts.(!v) in
+          if c < vc || (c = vc && String.compare t.keys.(i) t.keys.(!v) < 0)
+          then v := i
+        done;
+        let v = !v in
+        let floor = t.counts.(v) in
+        Hashtbl.remove t.index t.keys.(v);
+        t.keys.(v) <- key;
+        t.counts.(v) <- floor + 1;
+        t.errors.(v) <- floor;
+        Hashtbl.add t.index key v
       end
 
   (* Entries sorted by count desc, then key asc — a stable ranking. *)
   let ranked t =
-    Hashtbl.fold (fun k e acc -> (k, e.count, e.error) :: acc) t.entries []
+    List.init t.size (fun i -> (t.keys.(i), t.counts.(i), t.errors.(i)))
     |> List.sort (fun (ka, ca, _) (kb, cb, _) ->
            if ca <> cb then compare cb ca else String.compare ka kb)
 end

@@ -104,6 +104,50 @@ type lock_domain = {
   waits : (Lock_manager.key * int, lock_waiter) Hashtbl.t;
 }
 
+(* Per-request state of the requests [submit_stream] hands straight to
+   their owner: one slot per such request in flight, numbered by the
+   tag its station job carries.  Freed slot numbers go on a stack and
+   are reused, so the store only allocates while the number of
+   requests in flight reaches a new peak. *)
+type slots = {
+  mutable slot_fs : int array;  (* interned file-set id *)
+  mutable slot_span : Obs.Span.id array;  (* the request span *)
+  mutable slot_qspan : Obs.Span.id array;  (* open "queue" stage *)
+  mutable slot_sspan : Obs.Span.id array;  (* open "service" stage *)
+  mutable slot_lock : buffered option array;
+      (* a lock operation's record, which completes through the lock
+         service; [None] for a plain operation and for every free slot *)
+  mutable free : int array;  (* stack of free slot numbers *)
+  mutable nfree : int;
+}
+
+let take_slot s =
+  if s.nfree = 0 then begin
+    let cap = Array.length s.slot_fs in
+    let ncap = max 16 (2 * cap) in
+    let grow a =
+      let b = Array.make ncap 0 in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    s.slot_fs <- grow s.slot_fs;
+    s.slot_span <- grow s.slot_span;
+    s.slot_qspan <- grow s.slot_qspan;
+    s.slot_sspan <- grow s.slot_sspan;
+    s.slot_lock <-
+      Array.init ncap (fun i -> if i < cap then s.slot_lock.(i) else None);
+    s.free <- Array.init ncap (fun i -> ncap - 1 - i);
+    s.nfree <- ncap - cap
+  end;
+  s.nfree <- s.nfree - 1;
+  s.free.(s.nfree)
+
+let release_slot s slot =
+  s.free.(s.nfree) <- slot;
+  s.nfree <- s.nfree + 1
+
+let slots_in_use s = Array.length s.slot_fs - s.nfree
+
 (* Cluster-wide metric handles, resolved once at creation. *)
 type instruments = {
   registry : Obs.Metrics.t;
@@ -145,6 +189,7 @@ type t = {
   mutable stream_sink : (fs:int -> latency:float -> unit) option;
   ownership : ownership array;  (* indexed by interned file-set id *)
   inflight : (int, buffered) Hashtbl.t;
+  slots : slots;
   lock_domains : lock_domain option array;
       (* indexed by interned file-set id; created on first lock touch *)
   mutable lock_stats : lock_stats;
@@ -236,6 +281,16 @@ let create sim ~disk ~catalog ?(move_config = default_move_config)
       ownership =
         Array.make (max 1 (File_set.Interner.size interner)) Unassigned;
       inflight = Hashtbl.create 1024;
+      slots =
+        {
+          slot_fs = [||];
+          slot_span = [||];
+          slot_qspan = [||];
+          slot_sspan = [||];
+          slot_lock = [||];
+          free = [||];
+          nfree = 0;
+        };
       lock_domains =
         Array.make (max 1 (File_set.Interner.size interner)) None;
       lock_stats =
@@ -493,6 +548,54 @@ let complete_request t b ~latency =
   | Request.Remove | Request.Rename | Request.Readdir | Request.Set_attr ->
     b.on_complete ~latency
 
+(* A request delivered to a busy [server] opens its queue stage, which
+   [start_service] closes; otherwise (or untraced) it has none. *)
+let open_queue t server ~sid ~span ~file_set =
+  if Obs.Ctx.tracing t.obs && Server.in_service server then
+    Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~parent:span
+      ~name:"queue" ~cat:"request" ~server:sid ~file_set ()
+  else Obs.Span.none
+
+(* A delivered request begins service: telemetry sees the service time,
+   and a request with stages closes its queue stage (a no-op when it
+   has none) and opens its service stage, returned.  Without stages it
+   returns {!Obs.Span.none}. *)
+let start_service t ~sid ~span ~qspan ~file_set ~staged ~service =
+  let started = Desim.Sim.now t.sim in
+  (match t.telemetry with
+  | Some tl ->
+    Obs.Telemetry.observe_service tl ~time:started ~server:sid ~service
+  | None -> ());
+  if staged then begin
+    Obs.Span.end_ t.obs ~time:started ~id:qspan ~name:"queue" ~cat:"request"
+      ~server:sid ();
+    Obs.Span.begin_ t.obs ~time:started ~parent:span ~name:"service"
+      ~cat:"request" ~server:sid ~file_set ()
+  end
+  else Obs.Span.none
+
+(* A delivered request's server has finished it: the request counters
+   and histogram, telemetry, then its service stage and request span
+   close. *)
+let finish_service t server ~sid ~span ~sspan ~latency =
+  (match t.instruments with
+  | None -> ()
+  | Some i ->
+    Obs.Metrics.Counter.incr i.completed_ctr;
+    Obs.Metrics.Histogram.observe i.latency latency);
+  (match t.telemetry with
+  | Some tl ->
+    Obs.Telemetry.observe_complete tl ~time:(Desim.Sim.now t.sim) ~server:sid
+      ~queue_depth:(Server.queue_length server) ~latency
+  | None -> ());
+  if Obs.Ctx.tracing t.obs then begin
+    let finished = Desim.Sim.now t.sim in
+    Obs.Span.end_ t.obs ~time:finished ~id:sspan ~name:"service"
+      ~cat:"request" ~server:sid ();
+    Obs.Span.end_ t.obs ~time:finished ~id:span ~name:"request"
+      ~cat:"request" ~server:sid ()
+  end
+
 let deliver t id b =
   let server = server t id in
   let tag = t.next_tag in
@@ -520,55 +623,26 @@ let deliver t id b =
       ~server:sid ();
     b.bspan <- Obs.Span.none
   end;
-  let tracing = Obs.Ctx.tracing t.obs in
-  let waits = tracing && Server.in_service server in
   let qspan =
-    if waits then
-      Obs.Span.begin_ t.obs ~time:now ~parent:b.span ~name:"queue"
-        ~cat:"request" ~server:sid ~file_set:b.req.Request.file_set ()
-    else Obs.Span.none
+    open_queue t server ~sid ~span:b.span ~file_set:b.req.Request.file_set
   in
-  let service_span = waits || (tracing && staged) in
+  let service_span =
+    qspan <> Obs.Span.none || (Obs.Ctx.tracing t.obs && staged)
+  in
   let sspan = ref Obs.Span.none in
   let on_start =
     if (not service_span) && t.telemetry = None then None
     else
       Some
         (fun ~service ->
-          let started = Desim.Sim.now t.sim in
-          (match t.telemetry with
-          | Some tl ->
-            Obs.Telemetry.observe_service tl ~time:started ~server:sid ~service
-          | None -> ());
-          if service_span then begin
-            Obs.Span.end_ t.obs ~time:started ~id:qspan ~name:"queue"
-              ~cat:"request" ~server:sid ();
-            sspan :=
-              Obs.Span.begin_ t.obs ~time:started ~parent:b.span
-                ~name:"service" ~cat:"request" ~server:sid
-                ~file_set:b.req.Request.file_set ()
-          end)
+          sspan :=
+            start_service t ~sid ~span:b.span ~qspan
+              ~file_set:b.req.Request.file_set ~staged:service_span ~service)
   in
   Server.submit server ~fs:b.fs ~base_demand:b.base_demand ~tag ~extra_latency
     ?on_start b.req ~on_complete:(fun ~latency ->
       Hashtbl.remove t.inflight tag;
-      (match t.instruments with
-      | None -> ()
-      | Some i ->
-        Obs.Metrics.Counter.incr i.completed_ctr;
-        Obs.Metrics.Histogram.observe i.latency latency);
-      let finished = Desim.Sim.now t.sim in
-      (match t.telemetry with
-      | Some tl ->
-        Obs.Telemetry.observe_complete tl ~time:finished ~server:sid
-          ~queue_depth:(Server.queue_length server) ~latency
-      | None -> ());
-      if tracing then begin
-        Obs.Span.end_ t.obs ~time:finished ~id:!sspan ~name:"service"
-          ~cat:"request" ~server:sid ();
-        Obs.Span.end_ t.obs ~time:finished ~id:b.span ~name:"request"
-          ~cat:"request" ~server:sid ()
-      end;
+      finish_service t server ~sid ~span:b.span ~sspan:!sspan ~latency;
       complete_request t b ~latency)
 
 (* A request span's [Op] attribute as a preallocated one-element list
@@ -581,6 +655,29 @@ let op_attrs =
 
 let op_attr op = List.assq op op_attrs
 
+(* A request arrives: telemetry counts it, its request span opens, and
+   the submission counters move.  The request span is the request's
+   whole record: its begin carries the file set, client and operation,
+   its end the server. *)
+let open_request t ~file_set ~client ~op =
+  (match t.telemetry with
+  | Some tl ->
+    Obs.Telemetry.observe_submit tl ~time:(Desim.Sim.now t.sim) ~file_set
+  | None -> ());
+  let span =
+    if Obs.Ctx.tracing t.obs then
+      Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name:"request"
+        ~cat:"request" ~file_set
+        ~attrs:(Obs.Event.Client client :: op_attr op)
+        ()
+    else Obs.Span.none
+  in
+  t.submitted_n <- t.submitted_n + 1;
+  (match t.instruments with
+  | None -> ()
+  | Some i -> Obs.Metrics.Counter.incr i.submitted);
+  span
+
 let submit_fs t ~fs ~base_demand req ~on_complete =
   (* Wrap the completion so the conservation counters see every exit
      path — direct completion, deferred lock grant, replay after a
@@ -590,20 +687,9 @@ let submit_fs t ~fs ~base_demand req ~on_complete =
     on_complete ~latency
   in
   let arrival = Desim.Sim.now t.sim in
-  (match t.telemetry with
-  | Some tl ->
-    Obs.Telemetry.observe_submit tl ~time:arrival
-      ~file_set:req.Request.file_set
-  | None -> ());
-  (* The request span is the request's whole record: its begin
-     carries the file set, client and operation, its end the server. *)
   let span =
-    if Obs.Ctx.tracing t.obs then
-      Obs.Span.begin_ t.obs ~time:arrival ~name:"request" ~cat:"request"
-        ~file_set:req.Request.file_set
-        ~attrs:(Obs.Event.Client req.Request.client :: op_attr req.Request.op)
-        ()
-    else Obs.Span.none
+    open_request t ~file_set:req.Request.file_set ~client:req.Request.client
+      ~op:req.Request.op
   in
   let b =
     {
@@ -617,10 +703,6 @@ let submit_fs t ~fs ~base_demand req ~on_complete =
       on_complete;
     }
   in
-  t.submitted_n <- t.submitted_n + 1;
-  (match t.instruments with
-  | None -> ()
-  | Some i -> Obs.Metrics.Counter.incr i.submitted);
   (* A request held back by a move or an orphaned set gets an explicit
      "buffered" stage, so forensics can attribute that part of its
      latency to the move rather than to queueing. *)
@@ -646,19 +728,20 @@ let submit t ~base_demand req ~on_complete =
 
 (* --- allocation-free streaming submission ---
 
-   Plain operations carry the file-set id itself as the station tag: a
-   completion only needs the set for accounting, so the request costs
-   no closure, no [buffered] record and no [inflight] entry.  Lock
-   operations still need per-request rendezvous state (the waiter
-   tables key on client and path), so they get tags in a disjoint
-   range ([>= lock_base]) that the sink routes through [inflight] and
-   [complete_request] — identical semantics to the closure path.
-   Requests arriving for a set that is mid-move buffer a full
-   [buffered] record, so move replay uses the ordinary [deliver] path
-   unchanged (demand is computed at drain time against the
-   destination's cold cache, exactly as the closure path does). *)
-
-let lock_base = 1 lsl 30
+   A request for an owned set is delivered with no closure and no
+   [inflight] entry: its per-request state lives in a slot ([slots])
+   whose number is the station tag, and the server's station-wide start
+   hook and completion sink do the work [deliver]'s closures do —
+   telemetry, the queue/service stages and the request span, the
+   request counters — in the same order, so an observed run writes the
+   same events with the same span ids on either path.  Such a request
+   is on its first delivery, so it has a queue stage only when the
+   server is busy, and a service stage only after a queue stage.  A
+   plain operation needs nothing more; a lock operation also keeps its
+   [buffered] record in the slot, because it completes through the lock
+   service ([complete_request]).  Requests for a set that is moving or
+   orphaned take [submit_fs], the [buffered] record path, with the sink
+   as their completion. *)
 
 let is_lock_op = function
   | Request.Lock_acquire | Request.Lock_release -> true
@@ -678,67 +761,85 @@ let set_stream_sink t k =
     (fun s -> by_int.(Server_id.to_int (Server.id s)) <- Some s)
     t.sorted_servers;
   t.servers_by_int <- by_int;
+  let observed = Obs.Ctx.tracing t.obs || Option.is_some t.telemetry in
+  let sl = t.slots in
   List.iter
-    (fun s ->
-      Server.set_stream_sink s (fun ~tag ~latency ->
-          if tag < lock_base then begin
+    (fun server ->
+      let sid = Server_id.to_int (Server.id server) in
+      if observed then
+        Server.set_stream_start server (fun ~tag ~service ->
+            let qspan = sl.slot_qspan.(tag) in
+            sl.slot_sspan.(tag) <-
+              start_service t ~sid ~span:sl.slot_span.(tag) ~qspan
+                ~file_set:(fs_name t sl.slot_fs.(tag))
+                ~staged:(qspan <> Obs.Span.none) ~service);
+      Server.set_stream_sink server (fun ~tag ~latency ->
+          let fs = sl.slot_fs.(tag) in
+          let lock = sl.slot_lock.(tag) in
+          finish_service t server ~sid ~span:sl.slot_span.(tag)
+            ~sspan:sl.slot_sspan.(tag) ~latency;
+          release_slot sl tag;
+          match lock with
+          | None ->
             t.completed_n <- t.completed_n + 1;
-            k ~fs:tag ~latency
-          end
-          else
-            match Hashtbl.find_opt t.inflight tag with
-            | Some b ->
-              Hashtbl.remove t.inflight tag;
-              complete_request t b ~latency
-            | None -> assert false))
+            k ~fs ~latency
+          | Some b ->
+            sl.slot_lock.(tag) <- None;
+            complete_request t b ~latency))
     t.sorted_servers
+
+let clear_stream_sink t =
+  t.stream_sink <- None;
+  List.iter Server.clear_stream_hooks t.sorted_servers
 
 let stream_server_exn t id =
   match t.servers_by_int.(Server_id.to_int id) with
   | Some s -> s
   | None -> assert false (* set_stream_sink built the table *)
 
+let stream_sink_exn t =
+  match t.stream_sink with
+  | Some k -> k
+  | None -> failwith "Cluster.submit_stream: set_stream_sink first"
+
 let submit_stream t ~fs ~op ~base_demand ~path_hash ~client =
-  t.submitted_n <- t.submitted_n + 1;
   match t.ownership.(fs) with
-  | Owned id when not (is_lock_op op) ->
-    Server.submit_stream (stream_server_exn t id) ~fs ~op ~base_demand ~tag:fs
-  | o -> (
-    (* Lock operations and sets caught mid-move take the slow path: a
-       full [buffered] record whose completion feeds the sink. *)
-    let k =
-      match t.stream_sink with
-      | Some k -> k
-      | None -> failwith "Cluster.submit_stream: set_stream_sink first"
-    in
-    let on_complete ~latency =
-      t.completed_n <- t.completed_n + 1;
-      k ~fs ~latency
-    in
-    let req = { Request.op; file_set = fs_name t fs; path_hash; client } in
-    let b =
-      {
-        req;
-        fs;
-        base_demand;
-        arrival = Desim.Sim.now t.sim;
-        span = Obs.Span.none;
-        bspan = Obs.Span.none;
-        delivered = false;
-        on_complete;
-      }
-    in
-    match o with
-    | Owned id ->
-      let tag = lock_base + t.next_tag in
-      t.next_tag <- t.next_tag + 1;
-      Hashtbl.add t.inflight tag b;
-      Server.submit_stream (stream_server_exn t id) ~fs ~op ~base_demand ~tag
-    | Moving { pending; _ } -> Queue.add b pending
-    | Orphaned pending -> Queue.add b pending
-    | Unassigned ->
-      failwith
-        ("Cluster.submit_stream: file set never assigned: " ^ fs_name t fs))
+  | Owned id ->
+    (* [submit_fs] then [deliver], without the closures. *)
+    let file_set = fs_name t fs in
+    let span = open_request t ~file_set ~client ~op in
+    let server = stream_server_exn t id in
+    let sl = t.slots in
+    let slot = take_slot sl in
+    sl.slot_fs.(slot) <- fs;
+    sl.slot_span.(slot) <- span;
+    sl.slot_qspan.(slot) <-
+      open_queue t server ~sid:(Server_id.to_int id) ~span ~file_set;
+    sl.slot_sspan.(slot) <- Obs.Span.none;
+    if is_lock_op op then begin
+      let k = stream_sink_exn t in
+      sl.slot_lock.(slot) <-
+        Some
+          {
+            req = { Request.op; file_set; path_hash; client };
+            fs;
+            base_demand;
+            arrival = Desim.Sim.now t.sim;
+            span;
+            bspan = Obs.Span.none;
+            delivered = true;
+            on_complete =
+              (fun ~latency ->
+                t.completed_n <- t.completed_n + 1;
+                k ~fs ~latency);
+          }
+    end;
+    Server.submit_stream server ~fs ~op ~base_demand ~tag:slot
+  | Moving _ | Orphaned _ | Unassigned ->
+    let k = stream_sink_exn t in
+    submit_fs t ~fs ~base_demand
+      { Request.op; file_set = fs_name t fs; path_hash; client }
+      ~on_complete:(fun ~latency -> k ~fs ~latency)
 
 let init_seconds t fs =
   let entry = File_set.Catalog.nth t.catalog fs in
@@ -1270,7 +1371,7 @@ let conservation t =
   {
     submitted = t.submitted_n;
     completed = t.completed_n;
-    inflight = Hashtbl.length t.inflight;
+    inflight = Hashtbl.length t.inflight + slots_in_use t.slots;
     buffered = pending_requests t;
     lock_waiting =
       Array.fold_left

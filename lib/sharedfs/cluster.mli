@@ -193,21 +193,32 @@ val submit_fs :
   unit
 
 (** [set_stream_sink t k] installs the completion sink for
-    {!submit_stream} and builds the dense server lookup the streaming
-    path uses.  Call after {!assign_initial} (membership changes after
-    installation are not supported on the streaming path).  [k] fires
-    once per completed request with the request's interned file-set id
-    and its full latency (including lock waits and move buffering). *)
+    {!submit_stream}, the servers' start hooks when the cluster's
+    context traces or keeps telemetry, and the dense server lookup the
+    streaming path uses.  Call after {!assign_initial} (membership
+    changes after installation are not supported on the streaming
+    path).  [k] fires once per completed request with the request's
+    interned file-set id and its full latency (including lock waits and
+    move buffering). *)
 val set_stream_sink : t -> (fs:int -> latency:float -> unit) -> unit
 
+(** [clear_stream_sink t] detaches the sink and the servers' hooks that
+    {!set_stream_sink} installed, so a cluster kept after its run no
+    longer holds what [k] closes over.  Call once the run has drained:
+    a streamed request completing afterwards raises [Failure]. *)
+val clear_stream_sink : t -> unit
+
 (** [submit_stream t ~fs ~op ~base_demand ~path_hash ~client] is the
-    allocation-free counterpart of {!submit_fs}: no request record, no
-    completion closure — completion is reported to the sink installed
-    with {!set_stream_sink}.  Semantics match {!submit_fs} exactly:
-    lock operations pass through the lock service (with deferred
-    grants included in latency), and requests for a set in transit
-    buffer until the move completes.  Requires a fault-free run:
-    streamed requests are not recoverable by {!fail_server}. *)
+    allocation-free counterpart of {!submit_fs}: a plain operation on
+    an owned set gets no request record and no closure — its state
+    lives in a reused slot, and its completion is reported to the sink
+    installed with {!set_stream_sink}.  Semantics and observation match
+    {!submit_fs} exactly, down to the events written, their order and
+    their span ids: lock operations pass through the lock service (with
+    deferred grants included in latency), and requests for a set in
+    transit buffer until the move completes — both through
+    {!submit_fs} itself.  Requires a fault-free run: streamed requests
+    are not recoverable by {!fail_server}. *)
 val submit_stream :
   t ->
   fs:int ->

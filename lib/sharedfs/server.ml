@@ -67,19 +67,26 @@ let observe t ~latency =
     Obs.Metrics.Gauge.set i.queue_depth
       (float_of_int (Desim.Station.queue_length t.station))
 
+(* The queue-depth gauge, set after every submission. *)
+let note_queue_depth t =
+  match t.instruments with
+  | None -> ()
+  | Some i ->
+    Obs.Metrics.Gauge.set i.queue_depth
+      (float_of_int (Desim.Station.queue_length t.station))
+
 (* Allocation-free submission: same demand formula as [submit], but no
-   per-request completion closure — the job's completion is reported to
-   the station sink installed by [set_stream_sink], identified by
-   [tag].  The cluster uses the file-set id as the tag for plain
-   requests (a completion only needs the set for accounting) and a
-   disjoint tag range for lock operations that must rendezvous with
-   per-request state. *)
+   per-request closures — the job's start and completion are reported
+   to the station hooks installed by [set_stream_start] and
+   [set_stream_sink], identified by [tag] (the cluster's request
+   slot). *)
 let submit_stream t ~fs ~op ~base_demand ~tag =
   let multiplier =
     Cache.access t.cache ~fs ~dirties:(Request.dirties_cache op)
   in
   let demand = base_demand *. Request.demand_factor op *. multiplier in
-  Desim.Station.submit_tagged t.station ~demand ~tag
+  Desim.Station.submit_tagged t.station ~demand ~tag;
+  note_queue_depth t
 
 (* The sink observes first (exactly where the legacy closure observed)
    and then hands the completion to the cluster's dispatcher. *)
@@ -87,6 +94,10 @@ let set_stream_sink t k =
   Desim.Station.set_sink t.station (fun ~tag ~latency ->
       observe t ~latency;
       k ~tag ~latency)
+
+let set_stream_start t f = Desim.Station.set_start_hook t.station f
+
+let clear_stream_hooks t = Desim.Station.clear_hooks t.station
 
 let submit t ~fs ~base_demand ?tag ?(extra_latency = 0.0) ?on_start req
     ~on_complete =
@@ -109,11 +120,7 @@ let submit t ~fs ~base_demand ?tag ?(extra_latency = 0.0) ?on_start req
       let latency = latency +. extra_latency in
       observe t ~latency;
       on_complete ~latency);
-  match t.instruments with
-  | None -> ()
-  | Some i ->
-    Obs.Metrics.Gauge.set i.queue_depth
-      (float_of_int (Desim.Station.queue_length t.station))
+  note_queue_depth t
 
 let queue_length t = Desim.Station.queue_length t.station
 

@@ -65,18 +65,28 @@ val submit :
 
 (** [submit_stream t ~fs ~op ~base_demand ~tag] is the allocation-free
     counterpart of {!submit}: the same demand formula (operation factor
-    times cache multiplier), but no per-request closure — completion is
-    reported to the sink installed with {!set_stream_sink}, identified
-    by [tag].  No [extra_latency], no [on_start], no per-request
-    instruments update: callers gate on those features being off. *)
+    times cache multiplier) and the same queue-depth gauge update, but
+    no per-request closure — the job's start is reported to the hook
+    installed with {!set_stream_start} and its completion to the sink
+    installed with {!set_stream_sink}, both identified by [tag].  No
+    [extra_latency]: callers submit this way only at the request's
+    arrival. *)
 val submit_stream :
   t -> fs:int -> op:Request.op -> base_demand:float -> tag:int -> unit
 
 (** [set_stream_sink t k] installs the completion sink used by
     {!submit_stream} jobs.  The server records the latency in its
-    window and series (exactly as {!submit} does) before calling
-    [k ~tag ~latency]. *)
+    window, series and instruments (exactly as {!submit} does) before
+    calling [k ~tag ~latency]. *)
 val set_stream_sink : t -> (tag:int -> latency:float -> unit) -> unit
+
+(** [set_stream_start t f] installs the start hook of {!submit_stream}
+    jobs: [f ~tag ~service] fires where {!submit}'s [on_start] would. *)
+val set_stream_start : t -> (tag:int -> service:float -> unit) -> unit
+
+(** [clear_stream_hooks t] detaches the sink and the start hook, so the
+    server no longer keeps what their closures hold. *)
+val clear_stream_hooks : t -> unit
 
 val queue_length : t -> int
 

@@ -257,6 +257,128 @@ let test_run_matches_run_stream_traced () =
     "byte-identical traces with spans enabled" true (String.equal a b);
   Alcotest.(check bool) "trace is non-trivial" true (String.length a > 0)
 
+(* Observers ride the column path.  One workload with lock operations,
+   moves that replay buffered requests, and queueing runs twice with
+   JSONL tracing, metrics and telemetry attached: plainly (column path,
+   per-request state in the cluster's slots) and with a no-op
+   [on_request_complete] (closure path).  Everything observable must
+   match: the trace bytes, the metrics and telemetry snapshots, the
+   result, and the conservation ledger read mid-run — whose [inflight]
+   must count the requests the column path holds in slots. *)
+let test_column_path_observed_matches_closure_path () =
+  let stream =
+    Dfs_like.stream
+      { Dfs_like.default_config with requests = 12_000; duration = 600.0 }
+  in
+  let scenario = Experiments.Scenario.default in
+  let spec = Experiments.Scenario.Anu Placement.Anu.default_config in
+  let probes = List.init 12 (fun i -> 37.123 +. (float_of_int i *. 47.31)) in
+  let observe ?on_request_complete () =
+    let ring = Obs.Sink.Ring.create ~capacity:200_000 in
+    let obs =
+      Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ]
+        ~metrics:(Obs.Metrics.create ()) ~telemetry:(Obs.Telemetry.create ())
+        ()
+    in
+    let cluster = ref None in
+    let ledger = ref [] in
+    let on_sim_created sim =
+      List.iter
+        (fun at ->
+          ignore
+            (Desim.Sim.schedule_at sim ~time:at (fun () ->
+                 ledger :=
+                   Sharedfs.Cluster.conservation (Option.get !cluster)
+                   :: !ledger)
+              : Desim.Sim.handle))
+        probes
+    in
+    let r =
+      Experiments.Runner.run_stream scenario spec ~stream ~obs ~on_sim_created
+        ~on_cluster:(fun c -> cluster := Some c)
+        ?on_request_complete ()
+    in
+    check_int "nothing evicted" 0 (Obs.Sink.Ring.dropped ring);
+    let events = Obs.Sink.Ring.contents ring in
+    (r, events, List.rev !ledger)
+  in
+  let col, col_events, col_ledger = observe () in
+  let clo, clo_events, clo_ledger =
+    observe ~on_request_complete:(fun _ ~latency:_ -> ()) ()
+  in
+  (* The workload exercises what the column path must get right. *)
+  let has p = List.exists p col_events in
+  Alcotest.(check bool) "a move replays buffered requests" true
+    (has (function
+      | Obs.Event.Move_end { replayed; _ } -> replayed > 0
+      | _ -> false));
+  Alcotest.(check bool) "requests queue" true
+    (has (function
+      | Obs.Event.Span_begin { name = "queue"; _ } -> true
+      | _ -> false));
+  Alcotest.(check bool) "lock operations run" true
+    (has (function
+      | Obs.Event.Span_begin { attrs; _ } ->
+        List.mem (Obs.Event.Op "lock") attrs
+      | _ -> false));
+  (* The two runs took different paths: only the closure path keeps the
+     next arrival in the event heap. *)
+  Alcotest.(check bool) "column path keeps arrivals off the heap" true
+    (col.sim_peak_pending < clo.sim_peak_pending);
+  let jsonl evs = String.concat "\n" (List.map Obs.Event.to_jsonl evs) in
+  Alcotest.(check bool) "byte-identical traces" true
+    (String.equal (jsonl col_events) (jsonl clo_events));
+  Alcotest.(check bool) "same metrics snapshot" true (col.metrics = clo.metrics);
+  Alcotest.(check bool) "metrics were collected" true (col.metrics <> None);
+  Alcotest.(check bool) "same telemetry snapshot" true
+    (col.telemetry = clo.telemetry);
+  Alcotest.(check bool) "telemetry was collected" true (col.telemetry <> None);
+  let comparable (r : Experiments.Runner.result) =
+    { r with sim_wall_seconds = 0.0; sim_peak_pending = 0 }
+  in
+  Alcotest.(check bool) "same result" true (comparable col = comparable clo);
+  check_int "every probe fired" (List.length probes) (List.length col_ledger);
+  Alcotest.(check bool) "same conservation ledger mid-run" true
+    (col_ledger = clo_ledger);
+  Alcotest.(check bool) "some probe sees requests in flight" true
+    (List.exists (fun c -> c.Sharedfs.Cluster.inflight > 0) col_ledger);
+  List.iter
+    (fun (c : Sharedfs.Cluster.conservation) ->
+      check_int "conservation holds" c.submitted
+        (c.completed + c.inflight + c.buffered + c.lock_waiting))
+    col_ledger
+
+(* A caller that keeps the cluster after the run (through [on_cluster])
+   must not also keep the run's arrival cursor and per-file-set latency
+   summaries: the runner detaches the source and the completion sink
+   when the run ends.  Bounds the live heap each kept cluster adds. *)
+let test_kept_cluster_releases_run_state () =
+  let runs = 8 in
+  let kept = ref [] in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  for seed = 1 to runs do
+    let stream =
+      Dfs_like.stream { Dfs_like.default_config with requests = 4_000; seed }
+    in
+    let (_ : Experiments.Runner.result) =
+      Experiments.Runner.run_stream Experiments.Scenario.default
+        (Experiments.Scenario.Anu Placement.Anu.default_config)
+        ~stream
+        ~on_cluster:(fun c -> kept := c :: !kept)
+        ()
+    in
+    ()
+  done;
+  let per_cluster = (live () - before) * (Sys.word_size / 8) / runs in
+  check_int "every cluster kept" runs (List.length !kept);
+  if per_cluster >= 200_000 then
+    Alcotest.failf "each kept cluster holds %d bytes (bound 200000)"
+      per_cluster
+
 let suite =
   [
     Alcotest.test_case "generators: streamed == materialized" `Quick
@@ -271,6 +393,10 @@ let suite =
     Alcotest.test_case "run == run_stream" `Quick test_run_matches_run_stream;
     Alcotest.test_case "run == run_stream under tracing" `Quick
       test_run_matches_run_stream_traced;
+    Alcotest.test_case "observed column path == closure path" `Quick
+      test_column_path_observed_matches_closure_path;
+    Alcotest.test_case "kept cluster releases run state" `Quick
+      test_kept_cluster_releases_run_state;
     QCheck_alcotest.to_alcotest prop_streamed_equals_materialized;
     QCheck_alcotest.to_alcotest prop_interner_roundtrip;
   ]
