@@ -121,24 +121,27 @@ type slots = {
   mutable nfree : int;
 }
 
+let grow_slots s =
+  let cap = Array.length s.slot_fs in
+  let ncap = max 16 (2 * cap) in
+  let grow a =
+    let b = Array.make ncap 0 in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  s.slot_fs <- grow s.slot_fs;
+  s.slot_span <- grow s.slot_span;
+  s.slot_qspan <- grow s.slot_qspan;
+  s.slot_sspan <- grow s.slot_sspan;
+  s.slot_lock <-
+    Array.init ncap (fun i -> if i < cap then s.slot_lock.(i) else None);
+  (* Every old slot is in use, so the stack's live part is the new
+     slots, lowest on top; entries past [nfree] are never read. *)
+  s.free <- Array.init ncap (fun i -> ncap - 1 - i);
+  s.nfree <- ncap - cap
+
 let take_slot s =
-  if s.nfree = 0 then begin
-    let cap = Array.length s.slot_fs in
-    let ncap = max 16 (2 * cap) in
-    let grow a =
-      let b = Array.make ncap 0 in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    s.slot_fs <- grow s.slot_fs;
-    s.slot_span <- grow s.slot_span;
-    s.slot_qspan <- grow s.slot_qspan;
-    s.slot_sspan <- grow s.slot_sspan;
-    s.slot_lock <-
-      Array.init ncap (fun i -> if i < cap then s.slot_lock.(i) else None);
-    s.free <- Array.init ncap (fun i -> ncap - 1 - i);
-    s.nfree <- ncap - cap
-  end;
+  if s.nfree = 0 then grow_slots s;
   s.nfree <- s.nfree - 1;
   s.free.(s.nfree)
 
@@ -550,7 +553,7 @@ let complete_request t b ~latency =
 
 (* A request delivered to a busy [server] opens its queue stage, which
    [start_service] closes; otherwise (or untraced) it has none. *)
-let open_queue t server ~sid ~span ~file_set =
+let[@inline] open_queue t server ~sid ~span ~file_set =
   if Obs.Ctx.tracing t.obs && Server.in_service server then
     Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~parent:span
       ~name:"queue" ~cat:"request" ~server:sid ~file_set ()
@@ -577,7 +580,7 @@ let start_service t ~sid ~span ~qspan ~file_set ~staged ~service =
 (* A delivered request's server has finished it: the request counters
    and histogram, telemetry, then its service stage and request span
    close. *)
-let finish_service t server ~sid ~span ~sspan ~latency =
+let[@inline] finish_service t server ~sid ~span ~sspan ~latency =
   (match t.instruments with
   | None -> ()
   | Some i ->
@@ -659,7 +662,7 @@ let op_attr op = List.assq op op_attrs
    the submission counters move.  The request span is the request's
    whole record: its begin carries the file set, client and operation,
    its end the server. *)
-let open_request t ~file_set ~client ~op =
+let[@inline] open_request t ~file_set ~client ~op =
   (match t.telemetry with
   | Some tl ->
     Obs.Telemetry.observe_submit tl ~time:(Desim.Sim.now t.sim) ~file_set
