@@ -140,12 +140,12 @@ let grow_slots s =
   s.free <- Array.init ncap (fun i -> ncap - 1 - i);
   s.nfree <- ncap - cap
 
-let take_slot s =
+let[@inline] take_slot s =
   if s.nfree = 0 then grow_slots s;
   s.nfree <- s.nfree - 1;
   s.free.(s.nfree)
 
-let release_slot s slot =
+let[@inline] release_slot s slot =
   s.free.(s.nfree) <- slot;
   s.nfree <- s.nfree + 1
 
@@ -553,10 +553,10 @@ let complete_request t b ~latency =
 
 (* A request delivered to a busy [server] opens its queue stage, which
    [start_service] closes; otherwise (or untraced) it has none. *)
-let[@inline] open_queue t server ~sid ~span ~file_set =
+let[@inline] open_queue t server ~sid ~span ~fs =
   if Obs.Ctx.tracing t.obs && Server.in_service server then
     Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~parent:span
-      ~name:"queue" ~cat:"request" ~server:sid ~file_set ()
+      ~name:"queue" ~cat:"request" ~server:sid ~file_set:(fs_name t fs) ()
   else Obs.Span.none
 
 (* A delivered request begins service: telemetry sees the service time,
@@ -627,7 +627,7 @@ let deliver t id b =
     b.bspan <- Obs.Span.none
   end;
   let qspan =
-    open_queue t server ~sid ~span:b.span ~file_set:b.req.Request.file_set
+    open_queue t server ~sid ~span:b.span ~fs:b.fs
   in
   let service_span =
     qspan <> Obs.Span.none || (Obs.Ctx.tracing t.obs && staged)
@@ -662,15 +662,16 @@ let op_attr op = List.assq op op_attrs
    the submission counters move.  The request span is the request's
    whole record: its begin carries the file set, client and operation,
    its end the server. *)
-let[@inline] open_request t ~file_set ~client ~op =
+let[@inline] open_request t ~fs ~client ~op =
   (match t.telemetry with
   | Some tl ->
-    Obs.Telemetry.observe_submit tl ~time:(Desim.Sim.now t.sim) ~file_set
+    Obs.Telemetry.observe_submit tl ~time:(Desim.Sim.now t.sim)
+      ~file_set:(fs_name t fs)
   | None -> ());
   let span =
     if Obs.Ctx.tracing t.obs then
       Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name:"request"
-        ~cat:"request" ~file_set
+        ~cat:"request" ~file_set:(fs_name t fs)
         ~attrs:(Obs.Event.Client client :: op_attr op)
         ()
     else Obs.Span.none
@@ -691,8 +692,7 @@ let submit_fs t ~fs ~base_demand req ~on_complete =
   in
   let arrival = Desim.Sim.now t.sim in
   let span =
-    open_request t ~file_set:req.Request.file_set ~client:req.Request.client
-      ~op:req.Request.op
+    open_request t ~fs ~client:req.Request.client ~op:req.Request.op
   in
   let b =
     {
@@ -809,22 +809,21 @@ let submit_stream t ~fs ~op ~base_demand ~path_hash ~client =
   match t.ownership.(fs) with
   | Owned id ->
     (* [submit_fs] then [deliver], without the closures. *)
-    let file_set = fs_name t fs in
-    let span = open_request t ~file_set ~client ~op in
+    let span = open_request t ~fs ~client ~op in
     let server = stream_server_exn t id in
     let sl = t.slots in
     let slot = take_slot sl in
     sl.slot_fs.(slot) <- fs;
     sl.slot_span.(slot) <- span;
     sl.slot_qspan.(slot) <-
-      open_queue t server ~sid:(Server_id.to_int id) ~span ~file_set;
+      open_queue t server ~sid:(Server_id.to_int id) ~span ~fs;
     sl.slot_sspan.(slot) <- Obs.Span.none;
     if is_lock_op op then begin
       let k = stream_sink_exn t in
       sl.slot_lock.(slot) <-
         Some
           {
-            req = { Request.op; file_set; path_hash; client };
+            req = { Request.op; file_set = fs_name t fs; path_hash; client };
             fs;
             base_demand;
             arrival = Desim.Sim.now t.sim;
