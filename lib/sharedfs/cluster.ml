@@ -563,7 +563,7 @@ let[@inline] open_queue t server ~sid ~span ~fs =
    and a request with stages closes its queue stage (a no-op when it
    has none) and opens its service stage, returned.  Without stages it
    returns {!Obs.Span.none}. *)
-let start_service t ~sid ~span ~qspan ~file_set ~staged ~service =
+let start_service t ~sid ~span ~qspan ~fs ~staged ~service =
   let started = Desim.Sim.now t.sim in
   (match t.telemetry with
   | Some tl ->
@@ -573,7 +573,7 @@ let start_service t ~sid ~span ~qspan ~file_set ~staged ~service =
     Obs.Span.end_ t.obs ~time:started ~id:qspan ~name:"queue" ~cat:"request"
       ~server:sid ();
     Obs.Span.begin_ t.obs ~time:started ~parent:span ~name:"service"
-      ~cat:"request" ~server:sid ~file_set ()
+      ~cat:"request" ~server:sid ~file_set:(fs_name t fs) ()
   end
   else Obs.Span.none
 
@@ -639,8 +639,8 @@ let deliver t id b =
       Some
         (fun ~service ->
           sspan :=
-            start_service t ~sid ~span:b.span ~qspan
-              ~file_set:b.req.Request.file_set ~staged:service_span ~service)
+            start_service t ~sid ~span:b.span ~qspan ~fs:b.fs
+              ~staged:service_span ~service)
   in
   Server.submit server ~fs:b.fs ~base_demand:b.base_demand ~tag ~extra_latency
     ?on_start b.req ~on_complete:(fun ~latency ->
@@ -774,8 +774,8 @@ let set_stream_sink t k =
             let qspan = sl.slot_qspan.(tag) in
             sl.slot_sspan.(tag) <-
               start_service t ~sid ~span:sl.slot_span.(tag) ~qspan
-                ~file_set:(fs_name t sl.slot_fs.(tag))
-                ~staged:(qspan <> Obs.Span.none) ~service);
+                ~fs:sl.slot_fs.(tag) ~staged:(qspan <> Obs.Span.none)
+                ~service);
       Server.set_stream_sink server (fun ~tag ~latency ->
           let fs = sl.slot_fs.(tag) in
           let lock = sl.slot_lock.(tag) in
