@@ -215,9 +215,9 @@ val clear_stream_sink : t -> unit
     installed with {!set_stream_sink}.  Semantics and observation match
     {!submit_fs} exactly, down to the events written, their order and
     their span ids: lock operations pass through the lock service (with
-    deferred grants included in latency), and requests for a set in
-    transit buffer until the move completes — both through
-    {!submit_fs} itself.  Requires a fault-free run: streamed requests
+    deferred grants included in latency), and a request for a set that
+    is moving or orphaned goes through {!submit_fs} itself and buffers
+    until a move delivers the set.  Requires a fault-free run: streamed requests
     are not recoverable by {!fail_server}. *)
 val submit_stream :
   t ->
