@@ -54,8 +54,6 @@ let next_state t =
   t.state <- Int64.float_of_bits s;
   s
 
-let bits64 t = mix64 (next_state t)
-
 let split t =
   let s = next_state t in
   let g = next_state t in
@@ -64,11 +62,9 @@ let split t =
     gamma = Int64.float_of_bits (mix_gamma g);
   }
 
-(* The one genuinely hot draw: every distribution below reduces to
-   [float].  The counter advance and mixer are inlined by hand so the
-   whole body is a single allocation-free chain of unboxed int64
-   locals (non-flambda only unboxes within one function body). *)
-let float t =
+(* The SplitMix64 core: advance the counter and mix.  [@inline] keeps
+   the int64 chain unboxed in registers inside each draw below. *)
+let[@inline] mixed t =
   let s =
     Int64.add (Int64.bits_of_float t.state) (Int64.bits_of_float t.gamma)
   in
@@ -77,44 +73,32 @@ let float t =
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  (* 53 high-quality bits into [0,1). *)
-  let x = Int64.shift_right_logical z 11 in
-  Int64.to_float x *. (1.0 /. 9007199254740992.0)
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* The 53 high bits as an [int]: an [int] result crosses a function
+   boundary unboxed, so callers in other modules (compiled [-opaque],
+   hence never inlined into) draw without allocating. *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (mixed t) 11)
+
+let unit_of_bits53 = 1.0 /. 9007199254740992.0
+
+(* 53 high-quality bits into [0,1); every distribution below reduces to
+   this. *)
+let float t = Stdlib.float_of_int (bits53 t) *. unit_of_bits53
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free for our purposes: floating multiply is unbiased
-     enough for bounds far below 2^53.  The [float] body is repeated
-     inline so the draw never crosses a function boundary — a call to
-     [float t] would box its return on every generated request. *)
-  let s =
-    Int64.add (Int64.bits_of_float t.state) (Int64.bits_of_float t.gamma)
-  in
-  t.state <- Int64.float_of_bits s;
-  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30))
-      0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  let x = Int64.shift_right_logical z 11 in
-  let u = Int64.to_float x *. (1.0 /. 9007199254740992.0) in
+     enough for bounds far below 2^53. *)
+  let u = Stdlib.float_of_int (bits53 t) *. unit_of_bits53 in
   let r = int_of_float (u *. Stdlib.float_of_int bound) in
   if r >= bound then bound - 1 else r
 
+let bits64 t = mixed t
+
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 
-let bool t =
-  let s =
-    Int64.add (Int64.bits_of_float t.state) (Int64.bits_of_float t.gamma)
-  in
-  t.state <- Int64.float_of_bits s;
-  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30))
-      0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.logand z 1L = 1L
+let bool t = Int64.logand (mixed t) 1L = 1L
 
 let exponential t ~mean =
   if mean <= 0.0 then invalid_arg "Rng.exponential: mean must be positive";
@@ -157,32 +141,27 @@ let rec gamma t ~shape ~scale =
     attempt () *. scale
   end
 
-(* The exponential draws are inlined by hand: the demand of every
-   generated request flows through here, and calling [exponential] in a
-   loop boxed two floats per stage (the draw's return and the
-   accumulator store).  The arithmetic below is term-for-term the same
+(* Erlang as a sum of [shape] exponential draws, inlined by hand: the
+   demand of every generated request flows through here, and calling
+   [exponential] in a loop boxed two floats per stage (the draw's return
+   and the accumulator store).  The arithmetic is term-for-term the same
    as [total := !total +. exponential t ~mean:scale], so the sequences
-   are bit-identical. *)
-let erlang t ~shape ~mean =
+   are bit-identical.  [@inline] lets {!erlang_into} store the sum
+   without boxing it. *)
+let[@inline] erlang_sum t ~shape ~mean =
   if shape <= 0 then invalid_arg "Rng.erlang: shape must be positive";
   let scale = mean /. Stdlib.float_of_int shape in
-  if scale <= 0.0 then invalid_arg "Rng.exponential: mean must be positive";
+  if not (scale > 0.0) then invalid_arg "Rng.erlang: mean must be positive";
   let total = ref 0.0 in
   for _ = 1 to shape do
-    let s =
-      Int64.add (Int64.bits_of_float t.state) (Int64.bits_of_float t.gamma)
-    in
-    t.state <- Int64.float_of_bits s;
-    let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30))
-        0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    let x = Int64.shift_right_logical z 11 in
-    let u = 1.0 -. (Int64.to_float x *. (1.0 /. 9007199254740992.0)) in
+    let u = 1.0 -. (Stdlib.float_of_int (bits53 t) *. unit_of_bits53) in
     total := !total +. (-.scale *. log u)
   done;
   !total
+
+let erlang t ~shape ~mean = erlang_sum t ~shape ~mean
+
+let erlang_into t ~shape ~mean dst i = dst.(i) <- erlang_sum t ~shape ~mean
 
 let poisson t ~mean =
   if mean < 0.0 then invalid_arg "Rng.poisson: mean must be non-negative";

@@ -24,6 +24,16 @@ val split : t -> t
 (** [bits64 t] is the next raw 64-bit output. *)
 val bits64 : t -> int64
 
+(** [bits53 t] is the next 53 high bits of a raw output, as a
+    non-negative [int].  [float t] is exactly
+    [float_of_int (bits53 t) *. unit_of_bits53]; unlike a [float], an
+    [int] result is never boxed, so hot loops in other modules draw
+    through this without allocating. *)
+val bits53 : t -> int
+
+(** [unit_of_bits53] is [2^-53]. *)
+val unit_of_bits53 : float
+
 (** [float t] is uniform on [\[0, 1)]. *)
 val float : t -> float
 
@@ -48,6 +58,10 @@ val gamma : t -> shape:float -> scale:float -> float
 (** [erlang t ~shape ~mean] draws a low-variance positive service time:
     Gamma with integer [shape] and mean [mean] (CV = 1/sqrt shape). *)
 val erlang : t -> shape:int -> mean:float -> float
+
+(** [erlang_into t ~shape ~mean dst i] stores the next {!erlang} draw
+    in [dst.(i)] without boxing it. *)
+val erlang_into : t -> shape:int -> mean:float -> float array -> int -> unit
 
 (** [normal t ~mu ~sigma] draws from N(mu, sigma^2) (Box–Muller). *)
 val normal : t -> mu:float -> sigma:float -> float

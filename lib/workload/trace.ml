@@ -138,7 +138,9 @@ let op_mix_cum =
   a
 
 let sample_op rng =
-  let u = Desim.Rng.float rng in
+  (* [Rng.float], drawn through the unboxed core so that no float is
+     allocated per generated request. *)
+  let u = float_of_int (Desim.Rng.bits53 rng) *. Desim.Rng.unit_of_bits53 in
   let n = Array.length op_mix_cum in
   let i = ref 0 in
   while !i < n && u >= op_mix_cum.(!i) do
