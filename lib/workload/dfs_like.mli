@@ -40,7 +40,10 @@ val default_config : config
 (** [stream config] is the pull-based form: sorted arrival times are
     pushed through the inverse CDF of the per-slot intensity mixture,
     so the trace's bursty temporal shape survives streaming.
-    [generate] is exactly [Stream.to_trace (stream config)]. *)
+    [generate] is exactly [Stream.to_trace (stream config)].  Its batch
+    cursors are {!Stream.prefetch}ed.  Raises [Invalid_argument] on a
+    non-positive count, a non-finite float, or a value outside its
+    range. *)
 val stream : config -> Stream.t
 
 (** [generate config] materializes {!stream}.  File sets are named

@@ -166,6 +166,35 @@ let test_dfs_default_matches_paper_scale () =
   check_int "21 file sets" 21 c.Dfs_like.file_sets;
   check_float 1e-9 "one hour" 3600.0 c.Dfs_like.duration
 
+(* Every bad field is rejected when the stream is built, NaN included,
+   never mid-run (where a prefetched stream would fail on another
+   domain). *)
+let test_dfs_validation () =
+  let rejects field what cfg =
+    Alcotest.check_raises field
+      (Invalid_argument ("Dfs_like.generate: " ^ what))
+      (fun () -> ignore (Dfs_like.stream cfg))
+  in
+  let c = small_dfs in
+  rejects "duration NaN" "duration must be positive and finite"
+    { c with Dfs_like.duration = nan };
+  rejects "duration infinite" "duration must be positive and finite"
+    { c with Dfs_like.duration = infinity };
+  rejects "slot_seconds NaN" "slot_seconds must be positive and finite"
+    { c with Dfs_like.slot_seconds = nan };
+  rejects "skew_ratio NaN" "skew_ratio must be finite and >= 1"
+    { c with Dfs_like.skew_ratio = nan };
+  rejects "burst_multiplier NaN" "burst_multiplier must be finite and >= 1"
+    { c with Dfs_like.burst_multiplier = nan };
+  rejects "burst_fraction NaN" "burst_fraction must lie in [0, 1]"
+    { c with Dfs_like.burst_fraction = nan };
+  rejects "mean_demand zero" "mean_demand must be positive and finite"
+    { c with Dfs_like.mean_demand = 0.0 };
+  rejects "mean_demand NaN" "mean_demand must be positive and finite"
+    { c with Dfs_like.mean_demand = nan };
+  rejects "demand_shape zero" "demand_shape must be positive"
+    { c with Dfs_like.demand_shape = 0 }
+
 (* --- Trace_io --- *)
 
 let test_io_round_trip () =
@@ -238,6 +267,7 @@ let suite =
     Alcotest.test_case "dfs skew" `Slow test_dfs_skew_matches_paper;
     Alcotest.test_case "dfs base weights" `Quick test_dfs_base_weights;
     Alcotest.test_case "dfs paper scale" `Quick test_dfs_default_matches_paper_scale;
+    Alcotest.test_case "dfs validation" `Quick test_dfs_validation;
     Alcotest.test_case "io round trip" `Quick test_io_round_trip;
     Alcotest.test_case "io parse errors" `Quick test_io_parse_errors;
     Alcotest.test_case "io comments" `Quick test_io_comments_and_blank_lines;
