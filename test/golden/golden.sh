@@ -1,16 +1,19 @@
 #!/bin/sh
 # Prints the outputs that a behaviour-preserving change must leave
 # byte-identical: every registered experiment's quick summary, the
-# chaos reports of the default, partition and domain plans, the
-# crash-point sweep, the ledger fsck of the domain and partition
-# runs, the trace-report of three traced runs (fault-free streaming,
-# server crashes, partitions), and the checksums of the raw trace,
-# metrics and telemetry files of two fault-free runs.  Any command that
-# exits non-zero fails the whole run.
+# full-size motivation experiment and claim check, the chaos reports
+# of the default, partition and domain plans, the crash-point sweep,
+# the ledger fsck of the domain and partition runs, the trace-report
+# of three traced runs (fault-free streaming, server crashes,
+# partitions), the checksums of the raw trace, metrics and telemetry
+# files of two fault-free and four faulty runs, and the output of
+# every example program.  Any command that exits non-zero fails the
+# whole run.
 #
-# Usage: golden.sh SHDISK_SIM
+# Usage: golden.sh SHDISK_SIM EXAMPLES_DIR
 set -eu
 sim=$1
+examples=$2
 
 step() {
   echo "=== shdisk-sim $* ==="
@@ -22,6 +25,8 @@ step list
 for id in $("$sim" list); do
   step run "$id" --quick --summary
 done
+step motivation
+step validate
 step chaos --seed 42 --duration short --policy anu
 step chaos --seed 42 --duration short --plan partition --policy anu
 step chaos --seed 42 --duration short --plan domain --policy anu
@@ -43,7 +48,8 @@ traced partition-chaos --quick
 
 # The raw observer files, pinned byte for byte by their checksums: the
 # JSONL and Chrome traces, the metrics snapshot and the telemetry
-# snapshot.
+# snapshot.  The faulty runs pin what crashes, partitions and domain
+# failures do to every request, not only the summary.
 raw() {
   echo "=== shdisk-sim run $* (raw observer files) ==="
   "$sim" run "$@" --summary --trace-jsonl trace.jsonl --trace trace.json \
@@ -55,3 +61,15 @@ raw() {
 
 raw fig6 --quick
 raw fig6-stream --requests 20000
+raw failure-recovery --quick
+raw failure-recovery-chaos --quick
+raw partition-chaos --quick
+raw domain-failure-collateral --quick
+
+# The example programs, which drive the library API directly.
+for ex in quickstart heterogeneous_cluster failover elastic_provisioning \
+  trace_replay client_sessions closed_loop; do
+  echo "=== example $ex ==="
+  "$examples/$ex.exe"
+  echo
+done
