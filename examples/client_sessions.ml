@@ -85,13 +85,18 @@ let () =
     (List.map
        (fun name -> (name, Placement.Anu.locate anu name))
        (Workload.Trace.file_sets trace));
+  Sharedfs.Cluster.set_sink cluster
+    (fun ~fs:_ ~op:_ ~path_hash:_ ~client:_ ~latency:_ -> ());
   Array.iter
     (fun r ->
+      let req = r.Workload.Trace.request in
       let (_ : Desim.Sim.handle) =
         Desim.Sim.schedule_at sim ~time:r.Workload.Trace.time (fun () ->
             Sharedfs.Cluster.submit cluster
-              ~base_demand:r.Workload.Trace.demand r.Workload.Trace.request
-              ~on_complete:(fun ~latency:_ -> ()))
+              ~fs:(Sharedfs.Cluster.fs_id cluster req.Sharedfs.Request.file_set)
+              ~op:req.Sharedfs.Request.op ~base_demand:r.Workload.Trace.demand
+              ~path_hash:req.Sharedfs.Request.path_hash
+              ~client:req.Sharedfs.Request.client)
       in
       ())
     (Workload.Trace.records trace);

@@ -37,6 +37,13 @@ let () =
   let rng = Desim.Rng.create 99 in
   let completed = ref 0 in
   let latency_sum = ref 0.0 in
+  let population = 60 in
+  (* Each client has at most one request outstanding, so the completion
+     sink files every reply under the client that issued it. *)
+  let replies = Array.make (population + 1) None in
+  Sharedfs.Cluster.set_sink cluster
+    (fun ~fs:_ ~op:_ ~path_hash:_ ~client ~latency ->
+      replies.(client) <- Some latency);
 
   (* Each client is a sequential process: its loop state lives on its
      stack across simulated waits. *)
@@ -45,18 +52,22 @@ let () =
         let my_rng = Desim.Rng.split rng in
         while Desim.Sim.now sim < duration do
           let name = List.nth file_sets (Desim.Rng.int my_rng 40) in
-          let reply = ref None in
-          Sharedfs.Cluster.submit cluster ~base_demand:0.08
+          let req =
             {
               Sharedfs.Request.op = Workload.Trace.sample_op my_rng;
               file_set = name;
               path_hash = Desim.Rng.int my_rng 10_000;
               client = id;
             }
-            ~on_complete:(fun ~latency -> reply := Some latency);
+          in
+          replies.(id) <- None;
+          Sharedfs.Cluster.submit cluster
+            ~fs:(Sharedfs.Cluster.fs_id cluster name)
+            ~op:req.Sharedfs.Request.op ~base_demand:0.08
+            ~path_hash:req.Sharedfs.Request.path_hash ~client:id;
           Desim.Process.wait_until ~poll_interval:0.005 (fun () ->
-              !reply <> None);
-          (match !reply with
+              replies.(id) <> None);
+          (match replies.(id) with
           | Some l ->
             incr completed;
             latency_sum := !latency_sum +. l
@@ -65,7 +76,6 @@ let () =
           Desim.Process.wait (Desim.Rng.exponential my_rng ~mean:0.4)
         done)
   in
-  let population = 60 in
   for id = 1 to population do
     client id
   done;

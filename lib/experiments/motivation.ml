@@ -9,11 +9,8 @@ type result = {
 (* Deterministic per-request transfer size: 64 KiB to ~4 MiB, derived
    from the request's path hash so every policy sees identical data
    work. *)
-let transfer_bytes record =
-  let h =
-    Hashlib.Mix64.mix
-      (Int64.of_int record.Workload.Trace.request.Sharedfs.Request.path_hash)
-  in
+let transfer_bytes ~path_hash =
+  let h = Hashlib.Mix64.mix (Int64.of_int path_hash) in
   let u = Hashlib.Mix64.to_unit_float h in
   65_536 + int_of_float (u *. 4_000_000.0)
 
@@ -36,12 +33,12 @@ let run scenario spec ~trace ~san_bandwidth =
                 Sharedfs.San.utilization s ~until:duration)
         in
         ())
-      ~on_request_complete:(fun record ~latency ->
-        match record.Workload.Trace.request.Sharedfs.Request.op with
+      ~on_request_complete:(fun ~fs:_ ~op ~path_hash ~client:_ ~latency ->
+        match op with
         | Sharedfs.Request.Open_file ->
           Desim.Welford.add opens latency;
           let s = Option.get !san in
-          Sharedfs.San.transfer s ~bytes:(transfer_bytes record)
+          Sharedfs.San.transfer s ~bytes:(transfer_bytes ~path_hash)
             ~on_complete:(fun () -> ())
         | Sharedfs.Request.Close_file | Sharedfs.Request.Stat
         | Sharedfs.Request.Create | Sharedfs.Request.Remove

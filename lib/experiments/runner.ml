@@ -569,89 +569,54 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
     let moved = reconcile cluster policy names in
     emit_rehash ~time:0.0 ~trigger:"recovery" moved;
     check_now ());
-  (* The streaming driver has two arrival paths.  When the stream offers
-     a column cursor and nothing needs a per-request closure — no
-     faults, no scripted events, no invariant sweeps, no [restore], no
-     [on_request_complete] — requests live as column rows fed to the
-     engine as an external ordered source ({!Desim.Sim.set_source}):
-     arrivals never occupy the heap, so it holds only completions and
-     timers, and the cluster keeps each request's state in a reused slot
-     whose completion reports to a sink.  Tracing, metrics and
-     telemetry ride this path too: the cluster writes the same events,
-     in the same order and with the same span ids, from its station
-     hooks.  Every other run takes the closure path, a self-re-arming
-     cursor event: only the next not-yet-due request occupies the heap,
-     so heap occupancy is O(streams + inflight) — never O(requests).
-     Same dispatch times and counted events either way. *)
-  let fast_path =
-    Option.is_none faults && events = []
-    && Option.is_none on_request_complete
-    && (not do_check)
-    && Option.is_none restore
+  (* Arrivals are column rows fed to the engine as an external ordered
+     source ({!Desim.Sim.set_source}): they never occupy the heap, so it
+     holds only completions and timers, and the cluster keeps each
+     request's state in a reused slot whose completion reports to the
+     sink. *)
+  let sink =
+    match on_request_complete with
+    | None ->
+      fun ~fs ~op:_ ~path_hash:_ ~client:_ ~latency -> record_latency fs latency
+    | Some f ->
+      fun ~fs ~op ~path_hash ~client ~latency ->
+        record_latency fs latency;
+        f ~fs ~op ~path_hash ~client ~latency
   in
-  let batch = if fast_path then Workload.Stream.start_batch stream else None in
-  (match batch with
-  | Some batch ->
-    Sharedfs.Cluster.set_stream_sink cluster (fun ~fs ~latency ->
-        record_latency fs latency);
-    let cols = Workload.Stream.make_cols 64 in
-    let next = [| Float.infinity |] in
-    let idx = ref 0 in
-    let cnt = ref 0 in
-    let refill () =
-      let n = batch cols in
-      cnt := n;
-      idx := 0;
-      next.(0) <-
-        (if n > 0 then cols.Workload.Stream.times.(0) else Float.infinity)
-    in
-    let fire () =
-      let i = !idx in
-      let fs = cols.Workload.Stream.fs.(i) in
-      let op = cols.Workload.Stream.ops.(i) in
-      let path_hash = cols.Workload.Stream.path.(i) in
-      let client = cols.Workload.Stream.client.(i) in
-      let demand = cols.Workload.Stream.demand.(i) in
-      idx := i + 1;
-      (* Advance the cursor before submitting (mirroring the event
-         path's arm-next-then-submit order); the row was copied out
-         above, so overwriting the columns on refill is safe. *)
-      if !idx = !cnt then refill ()
-      else next.(0) <- cols.Workload.Stream.times.(!idx);
-      Sharedfs.Cluster.submit_stream cluster ~fs ~op ~base_demand:demand
-        ~path_hash ~client
-    in
-    refill ();
-    Desim.Sim.set_source sim ~next ~fire
-  | None ->
-    let arrivals = Workload.Stream.start stream in
-    let submit (it : Workload.Stream.item) =
-      Sharedfs.Cluster.submit_fs cluster ~fs:it.Workload.Stream.fs
-        ~base_demand:it.Workload.Stream.demand it.Workload.Stream.request
-        ~on_complete:(fun ~latency ->
-          record_latency it.Workload.Stream.fs latency;
-          match on_request_complete with
-          | None -> ()
-          | Some f ->
-            f
-              {
-                Workload.Trace.time = it.Workload.Stream.time;
-                request = it.Workload.Stream.request;
-                demand = it.Workload.Stream.demand;
-              }
-              ~latency)
-    in
-    let rec arm_arrival (it : Workload.Stream.item) =
-      let (_ : Desim.Sim.handle) =
-        Desim.Sim.schedule_at sim ~time:it.Workload.Stream.time (fun () ->
-            (match arrivals () with
-            | Some next -> arm_arrival next
-            | None -> ());
-            submit it)
-      in
-      ()
-    in
-    (match arrivals () with Some first -> arm_arrival first | None -> ()));
+  Sharedfs.Cluster.set_sink cluster sink;
+  let batch =
+    match Workload.Stream.start_batch stream with
+    | Some batch -> batch
+    | None -> assert false (* [Stream.make] derives one when none is given *)
+  in
+  let cols = Workload.Stream.make_cols 64 in
+  let next = [| Float.infinity |] in
+  let idx = ref 0 in
+  let cnt = ref 0 in
+  let refill () =
+    let n = batch cols in
+    cnt := n;
+    idx := 0;
+    next.(0) <-
+      (if n > 0 then cols.Workload.Stream.times.(0) else Float.infinity)
+  in
+  let fire () =
+    let i = !idx in
+    let fs = cols.Workload.Stream.fs.(i) in
+    let op = cols.Workload.Stream.ops.(i) in
+    let path_hash = cols.Workload.Stream.path.(i) in
+    let client = cols.Workload.Stream.client.(i) in
+    let demand = cols.Workload.Stream.demand.(i) in
+    idx := i + 1;
+    (* Advance the cursor before submitting; the row was copied out
+       above, so overwriting the columns on refill is safe. *)
+    if !idx = !cnt then refill ()
+    else next.(0) <- cols.Workload.Stream.times.(!idx);
+    Sharedfs.Cluster.submit cluster ~fs ~op ~base_demand:demand ~path_hash
+      ~client
+  in
+  refill ();
+  Desim.Sim.set_source sim ~next ~fire;
   (* Delegate rounds at every interval boundary within the trace; each
      round arms the next, so at most one round event is pending. *)
   let rounds = int_of_float (Float.floor (duration /. interval)) in
@@ -882,10 +847,8 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
   (* Detach the arrival source and the completion sink: a caller that
      keeps the cluster (through [on_cluster]) must not also keep the
      stream cursor and the per-file-set latency summaries they hold. *)
-  if Option.is_some batch then begin
-    Desim.Sim.clear_source sim;
-    Sharedfs.Cluster.clear_stream_sink cluster
-  end;
+  Desim.Sim.clear_source sim;
+  Sharedfs.Cluster.clear_sink cluster;
   let end_time = Float.max duration (Desim.Sim.now sim) in
   Obs.Span.end_ obs ~time:end_time ~id:run_span ~name:"run" ~cat:"run" ();
   let all_servers = Sharedfs.Cluster.servers cluster in

@@ -161,7 +161,13 @@ val run_stream :
   ?light_invariants:bool ->
   ?on_sim_created:(Desim.Sim.t -> unit) ->
   ?on_cluster:(Sharedfs.Cluster.t -> unit) ->
-  ?on_request_complete:(Workload.Trace.record -> latency:float -> unit) ->
+  ?on_request_complete:
+    (fs:int ->
+    op:Sharedfs.Request.op ->
+    path_hash:int ->
+    client:int ->
+    latency:float ->
+    unit) ->
   unit ->
   result
 
@@ -181,7 +187,13 @@ val run :
   ?invariant_extra:(unit -> string list) ->
   ?on_sim_created:(Desim.Sim.t -> unit) ->
   ?on_cluster:(Sharedfs.Cluster.t -> unit) ->
-  ?on_request_complete:(Workload.Trace.record -> latency:float -> unit) ->
+  ?on_request_complete:
+    (fs:int ->
+    op:Sharedfs.Request.op ->
+    path_hash:int ->
+    client:int ->
+    latency:float ->
+    unit) ->
   unit ->
   result
 

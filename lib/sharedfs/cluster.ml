@@ -26,29 +26,13 @@ type move_record = {
   init_seconds : float;
 }
 
-type buffered = {
-  req : Request.t;
-  fs : int;  (* interned id of req.file_set; carried so replay paths
-                never re-hash the name *)
-  base_demand : float;
-  arrival : float;
-  span : Obs.Span.id;  (* the request's root span; none when not tracing *)
-  mutable bspan : Obs.Span.id;
-      (* open "buffered" child while the request waits out a move or an
-         orphaned set; ends (and is reset) on delivery *)
-  mutable delivered : bool;
-      (* set at first delivery, so a redelivery after a crash still
-         writes its service stage *)
-  on_complete : latency:float -> unit;
-}
-
 type ownership =
   | Unassigned
   | Owned of Server_id.t
   | Moving of {
       src : Server_id.t option;
       dst : Server_id.t;
-      pending : buffered Queue.t;
+      pending : int Queue.t;  (* request slots, in arrival order *)
       handle : Desim.Sim.handle;
           (* the scheduled completion; cancelled when the move is
              interrupted by a crash of either endpoint *)
@@ -59,7 +43,7 @@ type ownership =
           (* the move's span: ends with outcome commit/orphan at
              completion, or interrupted when an endpoint dies *)
     }
-  | Orphaned of buffered Queue.t
+  | Orphaned of int Queue.t
 
 type ownership_state =
   | State_owned of Server_id.t
@@ -92,31 +76,41 @@ type lock_stats = {
   leases_expired : int;
 }
 
-(* A lock acquisition that queued behind a conflicting hold: its
-   completion callback is deferred until the grant. *)
-type lock_waiter = { arrival : float; notify : latency:float -> unit }
-
 (* The lock state of one file set.  Lock keys are [{fs; ino}], so a
    single cluster-wide table is already logically partitioned by [fs];
-   materializing the partition keeps each table tiny. *)
+   materializing the partition keeps each table tiny.  [waits] maps a
+   queued acquisition to its request slot, whose completion is deferred
+   until the grant. *)
 type lock_domain = {
   lm : Lock_manager.t;
-  waits : (Lock_manager.key * int, lock_waiter) Hashtbl.t;
+  waits : (Lock_manager.key * int, int) Hashtbl.t;
 }
 
-(* Per-request state of the requests [submit_stream] hands straight to
-   their owner: one slot per such request in flight, numbered by the
-   tag its station job carries.  Freed slot numbers go on a stack and
-   are reused, so the store only allocates while the number of
-   requests in flight reaches a new peak. *)
+(* Every request's whole record, from submission to completion: one
+   slot per request not yet completed, numbered by the tag its station
+   job carries.  A slot is taken at submission and freed at completion,
+   through buffering behind a move or an orphaned set, service, a
+   redelivery after a crash and a lock wait.  Freed slot numbers go on
+   a stack and are reused, so the store only allocates while the number
+   of requests in flight reaches a new peak. *)
 type slots = {
   mutable slot_fs : int array;  (* interned file-set id *)
+  mutable slot_op : Request.op array;
+  mutable slot_path : int array;  (* path hash *)
+  mutable slot_client : int array;
+  mutable slot_demand : float array;  (* base demand *)
+  mutable slot_arrival : float array;  (* submission time *)
   mutable slot_span : Obs.Span.id array;  (* the request span *)
+  mutable slot_bspan : Obs.Span.id array;
+      (* open "buffered" stage while the request waits out a move or an
+         orphaned set; ends (and is reset) on delivery *)
   mutable slot_qspan : Obs.Span.id array;  (* open "queue" stage *)
   mutable slot_sspan : Obs.Span.id array;  (* open "service" stage *)
-  mutable slot_lock : buffered option array;
-      (* a lock operation's record, which completes through the lock
-         service; [None] for a plain operation and for every free slot *)
+  mutable slot_delivered : bool array;
+      (* set at first delivery, so a redelivery after a crash still
+         writes its service stage *)
+  mutable slot_staged : bool array;
+      (* the current delivery writes a service stage *)
   mutable free : int array;  (* stack of free slot numbers *)
   mutable nfree : int;
 }
@@ -124,17 +118,23 @@ type slots = {
 let grow_slots s =
   let cap = Array.length s.slot_fs in
   let ncap = max 16 (2 * cap) in
-  let grow a =
-    let b = Array.make ncap 0 in
+  let grow a zero =
+    let b = Array.make ncap zero in
     Array.blit a 0 b 0 cap;
     b
   in
-  s.slot_fs <- grow s.slot_fs;
-  s.slot_span <- grow s.slot_span;
-  s.slot_qspan <- grow s.slot_qspan;
-  s.slot_sspan <- grow s.slot_sspan;
-  s.slot_lock <-
-    Array.init ncap (fun i -> if i < cap then s.slot_lock.(i) else None);
+  s.slot_fs <- grow s.slot_fs 0;
+  s.slot_op <- grow s.slot_op Request.Stat;
+  s.slot_path <- grow s.slot_path 0;
+  s.slot_client <- grow s.slot_client 0;
+  s.slot_demand <- grow s.slot_demand 0.0;
+  s.slot_arrival <- grow s.slot_arrival 0.0;
+  s.slot_span <- grow s.slot_span Obs.Span.none;
+  s.slot_bspan <- grow s.slot_bspan Obs.Span.none;
+  s.slot_qspan <- grow s.slot_qspan Obs.Span.none;
+  s.slot_sspan <- grow s.slot_sspan Obs.Span.none;
+  s.slot_delivered <- grow s.slot_delivered false;
+  s.slot_staged <- grow s.slot_staged false;
   (* Every old slot is in use, so the stack's live part is the new
      slots, lowest on top; entries past [nfree] are never read. *)
   s.free <- Array.init ncap (fun i -> ncap - 1 - i);
@@ -149,8 +149,6 @@ let[@inline] release_slot s slot =
   s.free.(s.nfree) <- slot;
   s.nfree <- s.nfree + 1
 
-let slots_in_use s = Array.length s.slot_fs - s.nfree
-
 (* Cluster-wide metric handles, resolved once at creation. *)
 type instruments = {
   registry : Obs.Metrics.t;
@@ -162,8 +160,14 @@ type instruments = {
   rebuffered : Obs.Metrics.Counter.c;  (* requests.rebuffered *)
 }
 
+(* The completion sink: every request's columns and latency. *)
+type sink =
+  fs:int -> op:Request.op -> path_hash:int -> client:int -> latency:float ->
+  unit
+
 type t = {
   sim : Desim.Sim.t;
+  clockc : float array;  (* Sim.time_cell: unboxed clock reads *)
   disk : Shared_disk.t;
   ledger : Ledger.t;
   catalog : File_set.Catalog.t;
@@ -187,16 +191,15 @@ type t = {
   mutable sorted_servers : Server.t list;
       (* cached [servers] result, rebuilt only on membership change *)
   mutable servers_by_int : Server.t option array;
-      (* dense [Server_id.to_int]-indexed view, built by
-         [set_stream_sink] so the streaming path never hashes an id *)
-  mutable stream_sink : (fs:int -> latency:float -> unit) option;
+      (* dense [Server_id.to_int]-indexed view of [servers], so delivery
+         never hashes an id *)
+  mutable sink : sink option;
   ownership : ownership array;  (* indexed by interned file-set id *)
-  inflight : (int, buffered) Hashtbl.t;
   slots : slots;
+  mutable inflight_n : int;  (* requests delivered to a server *)
   lock_domains : lock_domain option array;
       (* indexed by interned file-set id; created on first lock touch *)
   mutable lock_stats : lock_stats;
-  mutable next_tag : int;
   mutable move_log : move_record list;
   mutable moves_started : int;
   mutable moves_failed : int;
@@ -219,7 +222,17 @@ type t = {
 let rebuild_sorted_servers t =
   t.sorted_servers <-
     Hashtbl.fold (fun _ s acc -> s :: acc) t.servers []
-    |> List.sort (fun a b -> Server_id.compare (Server.id a) (Server.id b))
+    |> List.sort (fun a b -> Server_id.compare (Server.id a) (Server.id b));
+  let max_id =
+    List.fold_left
+      (fun m s -> max m (Server_id.to_int (Server.id s)))
+      0 t.sorted_servers
+  in
+  let by_int = Array.make (max_id + 1) None in
+  List.iter
+    (fun s -> by_int.(Server_id.to_int (Server.id s)) <- Some s)
+    t.sorted_servers;
+  t.servers_by_int <- by_int
 
 let create sim ~disk ~catalog ?(move_config = default_move_config)
     ?cache_config ?(lease_duration = 30.0) ?(delegate_lease = 300.0)
@@ -262,6 +275,7 @@ let create sim ~disk ~catalog ?(move_config = default_move_config)
   let t =
     {
       sim;
+      clockc = Desim.Sim.time_cell sim;
       disk;
       ledger = Ledger.attach disk;
       catalog;
@@ -280,25 +294,31 @@ let create sim ~disk ~catalog ?(move_config = default_move_config)
       servers = Hashtbl.create 16;
       sorted_servers = [];
       servers_by_int = [||];
-      stream_sink = None;
+      sink = None;
       ownership =
         Array.make (max 1 (File_set.Interner.size interner)) Unassigned;
-      inflight = Hashtbl.create 1024;
       slots =
         {
           slot_fs = [||];
+          slot_op = [||];
+          slot_path = [||];
+          slot_client = [||];
+          slot_demand = [||];
+          slot_arrival = [||];
           slot_span = [||];
+          slot_bspan = [||];
           slot_qspan = [||];
           slot_sspan = [||];
-          slot_lock = [||];
+          slot_delivered = [||];
+          slot_staged = [||];
           free = [||];
           nfree = 0;
         };
+      inflight_n = 0;
       lock_domains =
         Array.make (max 1 (File_set.Interner.size interner)) None;
       lock_stats =
         { granted_immediately = 0; waited = 0; cancelled = 0; leases_expired = 0 };
-      next_tag = 0;
       move_log = [];
       moves_started = 0;
       moves_failed = 0;
@@ -459,9 +479,6 @@ let restore_recovered t ~owned ~orphaned =
     orphans;
   (List.length owned, List.length orphans)
 
-let lock_key b =
-  { Lock_manager.fs = b.fs; ino = abs b.req.Request.path_hash }
-
 (* The lock domain of one file set, created on first lock touch (a
    workload without lock operations never allocates any). *)
 let domain_of t fs =
@@ -475,17 +492,34 @@ let domain_of t fs =
     ds.(fs) <- Some d;
     d
 
-(* Fire the deferred completions of clients whose queued acquisitions
+(* The request in [slot] is done: its slot is freed and the sink sees
+   its columns.  Every exit path — direct completion, deferred lock
+   grant, delivery after a move or a crash — ends here exactly once, so
+   the conservation counters see each request once. *)
+let complete t slot ~latency =
+  let sl = t.slots in
+  let fs = sl.slot_fs.(slot) in
+  let op = sl.slot_op.(slot) in
+  let path_hash = sl.slot_path.(slot) in
+  let client = sl.slot_client.(slot) in
+  release_slot sl slot;
+  t.completed_n <- t.completed_n + 1;
+  match t.sink with
+  | Some k -> k ~fs ~op ~path_hash ~client ~latency
+  | None -> failwith "Cluster: a request completed without a sink"
+
+(* Complete the deferred requests of clients whose queued acquisitions
    were just granted, and start their leases. *)
 let rec grant_waiters t d key granted =
   List.iter
     (fun client ->
       match Hashtbl.find_opt d.waits (key, client) with
       | None -> ()
-      | Some waiter ->
+      | Some slot ->
         Hashtbl.remove d.waits (key, client);
         start_lease t d key client;
-        waiter.notify ~latency:(Desim.Sim.now t.sim -. waiter.arrival))
+        complete t slot
+          ~latency:(t.clockc.(0) -. t.slots.slot_arrival.(slot)))
     granted
 
 (* Storage Tank's client leases: a hold not released within the lease
@@ -503,20 +537,24 @@ and start_lease t d key client =
   in
   ()
 
-(* The server has finished processing the request; apply the lock
-   semantics before reporting completion to the client. *)
-let complete_request t b ~latency =
-  let req = b.req in
-  match req.Request.op with
+(* The server has finished processing the request in [slot]; apply the
+   lock semantics before reporting completion to the client. *)
+let complete_request t slot ~latency =
+  let sl = t.slots in
+  match sl.slot_op.(slot) with
   | Request.Lock_acquire ->
-    let d = domain_of t b.fs in
-    let key = lock_key b in
-    let client = req.Request.client in
+    let fs = sl.slot_fs.(slot) in
+    let d = domain_of t fs in
+    let key = { Lock_manager.fs; ino = abs sl.slot_path.(slot) } in
+    let client = sl.slot_client.(slot) in
     if List.mem_assoc client (Lock_manager.holders d.lm ~key) then
       (* Re-acquisition of a held lock: grant immediately. *)
-      b.on_complete ~latency
+      complete t slot ~latency
     else begin
-      match Lock_manager.acquire d.lm ~key ~client ~mode:(Request.lock_mode req) with
+      match
+        Lock_manager.acquire d.lm ~key ~client
+          ~mode:(Request.lock_mode ~path_hash:sl.slot_path.(slot))
+      with
       | `Granted ->
         t.lock_stats <-
           {
@@ -524,16 +562,16 @@ let complete_request t b ~latency =
             granted_immediately = t.lock_stats.granted_immediately + 1;
           };
         start_lease t d key client;
-        b.on_complete ~latency
+        complete t slot ~latency
       | `Queued ->
         t.lock_stats <- { t.lock_stats with waited = t.lock_stats.waited + 1 };
-        Hashtbl.add d.waits (key, client)
-          { arrival = b.arrival; notify = b.on_complete }
+        Hashtbl.add d.waits (key, client) slot
     end
   | Request.Lock_release ->
-    let d = domain_of t b.fs in
-    let key = lock_key b in
-    let client = req.Request.client in
+    let fs = sl.slot_fs.(slot) in
+    let d = domain_of t fs in
+    let key = { Lock_manager.fs; ino = abs sl.slot_path.(slot) } in
+    let client = sl.slot_client.(slot) in
     let was_waiting = Hashtbl.find_opt d.waits (key, client) in
     let granted = Lock_manager.release d.lm ~key ~client in
     (match was_waiting with
@@ -543,20 +581,21 @@ let complete_request t b ~latency =
       Hashtbl.remove d.waits (key, client);
       t.lock_stats <-
         { t.lock_stats with cancelled = t.lock_stats.cancelled + 1 };
-      waiter.notify ~latency:(Desim.Sim.now t.sim -. waiter.arrival)
+      complete t waiter
+        ~latency:(t.clockc.(0) -. sl.slot_arrival.(waiter))
     | None -> ());
     grant_waiters t d key granted;
-    b.on_complete ~latency
+    complete t slot ~latency
   | Request.Open_file | Request.Close_file | Request.Stat | Request.Create
   | Request.Remove | Request.Rename | Request.Readdir | Request.Set_attr ->
-    b.on_complete ~latency
+    complete t slot ~latency
 
 (* A request delivered to a busy [server] opens its queue stage, which
    [start_service] closes; otherwise (or untraced) it has none. *)
 let[@inline] open_queue t server ~sid ~span ~fs =
   if Obs.Ctx.tracing t.obs && Server.in_service server then
-    Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~parent:span
-      ~name:"queue" ~cat:"request" ~server:sid ~file_set:(fs_name t fs) ()
+    Obs.Span.begin_ t.obs ~time:t.clockc.(0) ~parent:span ~name:"queue"
+      ~cat:"request" ~server:sid ~file_set:(fs_name t fs) ()
   else Obs.Span.none
 
 (* A delivered request begins service: telemetry sees the service time,
@@ -564,7 +603,7 @@ let[@inline] open_queue t server ~sid ~span ~fs =
    has none) and opens its service stage, returned.  Without stages it
    returns {!Obs.Span.none}. *)
 let start_service t ~sid ~span ~qspan ~fs ~staged ~service =
-  let started = Desim.Sim.now t.sim in
+  let started = t.clockc.(0) in
   (match t.telemetry with
   | Some tl ->
     Obs.Telemetry.observe_service tl ~time:started ~server:sid ~service
@@ -588,65 +627,89 @@ let[@inline] finish_service t server ~sid ~span ~sspan ~latency =
     Obs.Metrics.Histogram.observe i.latency latency);
   (match t.telemetry with
   | Some tl ->
-    Obs.Telemetry.observe_complete tl ~time:(Desim.Sim.now t.sim) ~server:sid
+    Obs.Telemetry.observe_complete tl ~time:t.clockc.(0) ~server:sid
       ~queue_depth:(Server.queue_length server) ~latency
   | None -> ());
   if Obs.Ctx.tracing t.obs then begin
-    let finished = Desim.Sim.now t.sim in
+    let finished = t.clockc.(0) in
     Obs.Span.end_ t.obs ~time:finished ~id:sspan ~name:"service"
       ~cat:"request" ~server:sid ();
     Obs.Span.end_ t.obs ~time:finished ~id:span ~name:"request"
       ~cat:"request" ~server:sid ()
   end
 
-let deliver t id b =
-  let server = server t id in
-  let tag = t.next_tag in
-  t.next_tag <- tag + 1;
-  Hashtbl.add t.inflight tag b;
-  let now = Desim.Sim.now t.sim in
-  let extra_latency = now -. b.arrival in
+(* The servers' station hooks: the start hook (only when some observer
+   wants it) opens the service stage of a delivery that writes one, and
+   the sink closes the request's stages and passes it on to the lock
+   service and the completion sink. *)
+let install_hooks t server =
+  let sid = Server_id.to_int (Server.id server) in
+  let sl = t.slots in
+  if Obs.Ctx.tracing t.obs || Option.is_some t.telemetry then
+    Server.set_start_hook server (fun ~tag ~service ->
+        sl.slot_sspan.(tag) <-
+          start_service t ~sid ~span:sl.slot_span.(tag)
+            ~qspan:sl.slot_qspan.(tag) ~fs:sl.slot_fs.(tag)
+            ~staged:sl.slot_staged.(tag) ~service);
+  Server.set_sink server (fun ~tag ~latency ->
+      t.inflight_n <- t.inflight_n - 1;
+      finish_service t server ~sid ~span:sl.slot_span.(tag)
+        ~sspan:sl.slot_sspan.(tag) ~latency;
+      complete_request t tag ~latency)
+
+let set_sink t k =
+  t.sink <- Some k;
+  List.iter (install_hooks t) t.sorted_servers
+
+let clear_sink t =
+  t.sink <- None;
+  List.iter Server.clear_hooks t.sorted_servers
+
+(* Hand the request in [slot] to [id], which owns its file set.  The
+   buffered stage (if the request waited out a move) closes, and the
+   stages that follow are decided here.  A queue stage is opened only
+   when the server is busy, so the request will really wait; the start
+   hook then closes it and opens service with the station's computed
+   service time, splitting queueing delay from service exactly.  An idle
+   server starts service at delivery.  A request delivered once, at
+   submission, to an idle server writes no stage at all: its service
+   would begin and end with its request span, so forensics derives it
+   from that span instead.  A buffered, queued or redelivered request
+   writes its service stage.  [base_demand] and [extra_latency] are the
+   slot's demand and the time since arrival, passed in so that a
+   delivery at submission boxes no float. *)
+let deliver t id slot ~base_demand ~extra_latency =
+  let server =
+    match t.servers_by_int.(Server_id.to_int id) with
+    | Some s -> s
+    | None -> assert false (* an owner is always a known server *)
+  in
+  let sl = t.slots in
   let sid = Server_id.to_int id in
-  (* Close the buffered stage (if the request waited out a move) and
-     record the stages that follow.  A queue stage is opened only when
-     the server is busy, so the request will really wait; [on_start]
-     then closes it and opens service with the station's computed
-     service time, splitting queueing delay from service exactly.  An
-     idle server starts service at delivery.  A request delivered once,
-     at submission, to an idle server writes no stage at all: its
-     service would begin and end with its request span, so forensics
-     derives it from that span instead.  A buffered, queued or
-     redelivered request writes its service stage.  All span work is
-     behind the tracing branch; the [on_start] closure is only built
-     when some observer (sinks or telemetry) wants it. *)
-  let staged = b.bspan <> Obs.Span.none || b.delivered in
-  b.delivered <- true;
-  if b.bspan <> Obs.Span.none then begin
-    Obs.Span.end_ t.obs ~time:now ~id:b.bspan ~name:"buffered" ~cat:"request"
-      ~server:sid ();
-    b.bspan <- Obs.Span.none
+  let fs = sl.slot_fs.(slot) in
+  let bspan = sl.slot_bspan.(slot) in
+  let staged = bspan <> Obs.Span.none || sl.slot_delivered.(slot) in
+  sl.slot_delivered.(slot) <- true;
+  if bspan <> Obs.Span.none then begin
+    Obs.Span.end_ t.obs ~time:t.clockc.(0) ~id:bspan ~name:"buffered"
+      ~cat:"request" ~server:sid ();
+    sl.slot_bspan.(slot) <- Obs.Span.none
   end;
-  let qspan =
-    open_queue t server ~sid ~span:b.span ~fs:b.fs
-  in
-  let service_span =
-    qspan <> Obs.Span.none || (Obs.Ctx.tracing t.obs && staged)
-  in
-  let sspan = ref Obs.Span.none in
-  let on_start =
-    if (not service_span) && t.telemetry = None then None
-    else
-      Some
-        (fun ~service ->
-          sspan :=
-            start_service t ~sid ~span:b.span ~qspan ~fs:b.fs
-              ~staged:service_span ~service)
-  in
-  Server.submit server ~fs:b.fs ~base_demand:b.base_demand ~tag ~extra_latency
-    ?on_start b.req ~on_complete:(fun ~latency ->
-      Hashtbl.remove t.inflight tag;
-      finish_service t server ~sid ~span:b.span ~sspan:!sspan ~latency;
-      complete_request t b ~latency)
+  let qspan = open_queue t server ~sid ~span:sl.slot_span.(slot) ~fs in
+  sl.slot_qspan.(slot) <- qspan;
+  sl.slot_sspan.(slot) <- Obs.Span.none;
+  sl.slot_staged.(slot) <-
+    qspan <> Obs.Span.none || (Obs.Ctx.tracing t.obs && staged);
+  t.inflight_n <- t.inflight_n + 1;
+  Server.submit server ~fs ~op:sl.slot_op.(slot) ~base_demand ~tag:slot
+    ~extra_latency
+
+(* Deliver a request that waited: buffered behind a move or an orphaned
+   set, or interrupted by a crash. *)
+let redeliver t id slot =
+  let sl = t.slots in
+  deliver t id slot ~base_demand:sl.slot_demand.(slot)
+    ~extra_latency:(t.clockc.(0) -. sl.slot_arrival.(slot))
 
 (* A request span's [Op] attribute as a preallocated one-element list
    per operation, so a traced submission allocates only the [Client]
@@ -660,17 +723,17 @@ let op_attr op = List.assq op op_attrs
 
 (* A request arrives: telemetry counts it, its request span opens, and
    the submission counters move.  The request span is the request's
-   whole record: its begin carries the file set, client and operation,
-   its end the server. *)
+   whole record in a trace: its begin carries the file set, client and
+   operation, its end the server. *)
 let[@inline] open_request t ~fs ~client ~op =
   (match t.telemetry with
   | Some tl ->
-    Obs.Telemetry.observe_submit tl ~time:(Desim.Sim.now t.sim)
+    Obs.Telemetry.observe_submit tl ~time:t.clockc.(0)
       ~file_set:(fs_name t fs)
   | None -> ());
   let span =
     if Obs.Ctx.tracing t.obs then
-      Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name:"request"
+      Obs.Span.begin_ t.obs ~time:t.clockc.(0) ~name:"request"
         ~cat:"request" ~file_set:(fs_name t fs)
         ~attrs:(Obs.Event.Client client :: op_attr op)
         ()
@@ -682,166 +745,35 @@ let[@inline] open_request t ~fs ~client ~op =
   | Some i -> Obs.Metrics.Counter.incr i.submitted);
   span
 
-let submit_fs t ~fs ~base_demand req ~on_complete =
-  (* Wrap the completion so the conservation counters see every exit
-     path — direct completion, deferred lock grant, replay after a
-     move or a crash — exactly once. *)
-  let on_complete ~latency =
-    t.completed_n <- t.completed_n + 1;
-    on_complete ~latency
-  in
-  let arrival = Desim.Sim.now t.sim in
-  let span =
-    open_request t ~fs ~client:req.Request.client ~op:req.Request.op
-  in
-  let b =
-    {
-      req;
-      fs;
-      base_demand;
-      arrival;
-      span;
-      bspan = Obs.Span.none;
-      delivered = false;
-      on_complete;
-    }
-  in
-  (* A request held back by a move or an orphaned set gets an explicit
-     "buffered" stage, so forensics can attribute that part of its
-     latency to the move rather than to queueing. *)
-  let buffer_into pending =
-    b.bspan <-
-      Obs.Span.begin_ t.obs ~time:arrival ~parent:span ~name:"buffered"
-        ~cat:"request" ~file_set:req.Request.file_set ();
-    Queue.add b pending
-  in
-  match t.ownership.(fs) with
-  | Owned id -> deliver t id b
-  | Moving { pending; _ } -> buffer_into pending
-  | Orphaned pending -> buffer_into pending
+let submit t ~fs ~op ~base_demand ~path_hash ~client =
+  let ownership = t.ownership.(fs) in
+  (match ownership with
   | Unassigned ->
-    failwith
-      ("Cluster.submit: file set never assigned: " ^ req.Request.file_set)
-
-let submit t ~base_demand req ~on_complete =
-  let name = req.Request.file_set in
-  match File_set.Interner.find t.interner name with
-  | Some fs -> submit_fs t ~fs ~base_demand req ~on_complete
-  | None -> failwith ("Cluster.submit: file set never assigned: " ^ name)
-
-(* --- allocation-free streaming submission ---
-
-   A request for an owned set is delivered with no closure and no
-   [inflight] entry: its per-request state lives in a slot ([slots])
-   whose number is the station tag, and the server's station-wide start
-   hook and completion sink do the work [deliver]'s closures do —
-   telemetry, the queue/service stages and the request span, the
-   request counters — in the same order, so an observed run writes the
-   same events with the same span ids on either path.  Such a request
-   is on its first delivery, so it has a queue stage only when the
-   server is busy, and a service stage only after a queue stage.  A
-   plain operation needs nothing more; a lock operation also keeps its
-   [buffered] record in the slot, because it completes through the lock
-   service ([complete_request]).  Requests for a set that is moving or
-   orphaned take [submit_fs], the [buffered] record path, with the sink
-   as their completion. *)
-
-let is_lock_op = function
-  | Request.Lock_acquire | Request.Lock_release -> true
-  | Request.Open_file | Request.Close_file | Request.Stat | Request.Create
-  | Request.Remove | Request.Rename | Request.Readdir | Request.Set_attr ->
-    false
-
-let set_stream_sink t k =
-  t.stream_sink <- Some k;
-  let max_id =
-    List.fold_left
-      (fun m s -> max m (Server_id.to_int (Server.id s)))
-      0 t.sorted_servers
-  in
-  let by_int = Array.make (max_id + 1) None in
-  List.iter
-    (fun s -> by_int.(Server_id.to_int (Server.id s)) <- Some s)
-    t.sorted_servers;
-  t.servers_by_int <- by_int;
-  let observed = Obs.Ctx.tracing t.obs || Option.is_some t.telemetry in
+    failwith ("Cluster.submit: file set never assigned: " ^ fs_name t fs)
+  | Owned _ | Moving _ | Orphaned _ -> ());
+  if Option.is_none t.sink then failwith "Cluster.submit: set_sink first";
+  let span = open_request t ~fs ~client ~op in
   let sl = t.slots in
-  List.iter
-    (fun server ->
-      let sid = Server_id.to_int (Server.id server) in
-      if observed then
-        Server.set_stream_start server (fun ~tag ~service ->
-            let qspan = sl.slot_qspan.(tag) in
-            sl.slot_sspan.(tag) <-
-              start_service t ~sid ~span:sl.slot_span.(tag) ~qspan
-                ~fs:sl.slot_fs.(tag) ~staged:(qspan <> Obs.Span.none)
-                ~service);
-      Server.set_stream_sink server (fun ~tag ~latency ->
-          let fs = sl.slot_fs.(tag) in
-          let lock = sl.slot_lock.(tag) in
-          finish_service t server ~sid ~span:sl.slot_span.(tag)
-            ~sspan:sl.slot_sspan.(tag) ~latency;
-          release_slot sl tag;
-          match lock with
-          | None ->
-            t.completed_n <- t.completed_n + 1;
-            k ~fs ~latency
-          | Some b ->
-            sl.slot_lock.(tag) <- None;
-            complete_request t b ~latency))
-    t.sorted_servers
-
-let clear_stream_sink t =
-  t.stream_sink <- None;
-  List.iter Server.clear_stream_hooks t.sorted_servers
-
-let stream_server_exn t id =
-  match t.servers_by_int.(Server_id.to_int id) with
-  | Some s -> s
-  | None -> assert false (* set_stream_sink built the table *)
-
-let stream_sink_exn t =
-  match t.stream_sink with
-  | Some k -> k
-  | None -> failwith "Cluster.submit_stream: set_stream_sink first"
-
-let submit_stream t ~fs ~op ~base_demand ~path_hash ~client =
-  match t.ownership.(fs) with
-  | Owned id ->
-    (* [submit_fs] then [deliver], without the closures. *)
-    let span = open_request t ~fs ~client ~op in
-    let server = stream_server_exn t id in
-    let sl = t.slots in
-    let slot = take_slot sl in
-    sl.slot_fs.(slot) <- fs;
-    sl.slot_span.(slot) <- span;
-    sl.slot_qspan.(slot) <-
-      open_queue t server ~sid:(Server_id.to_int id) ~span ~fs;
-    sl.slot_sspan.(slot) <- Obs.Span.none;
-    if is_lock_op op then begin
-      let k = stream_sink_exn t in
-      sl.slot_lock.(slot) <-
-        Some
-          {
-            req = { Request.op; file_set = fs_name t fs; path_hash; client };
-            fs;
-            base_demand;
-            arrival = Desim.Sim.now t.sim;
-            span;
-            bspan = Obs.Span.none;
-            delivered = true;
-            on_complete =
-              (fun ~latency ->
-                t.completed_n <- t.completed_n + 1;
-                k ~fs ~latency);
-          }
-    end;
-    Server.submit_stream server ~fs ~op ~base_demand ~tag:slot
-  | Moving _ | Orphaned _ | Unassigned ->
-    let k = stream_sink_exn t in
-    submit_fs t ~fs ~base_demand
-      { Request.op; file_set = fs_name t fs; path_hash; client }
-      ~on_complete:(fun ~latency -> k ~fs ~latency)
+  let slot = take_slot sl in
+  sl.slot_fs.(slot) <- fs;
+  sl.slot_op.(slot) <- op;
+  sl.slot_path.(slot) <- path_hash;
+  sl.slot_client.(slot) <- client;
+  sl.slot_demand.(slot) <- base_demand;
+  sl.slot_arrival.(slot) <- t.clockc.(0);
+  sl.slot_span.(slot) <- span;
+  sl.slot_delivered.(slot) <- false;
+  match ownership with
+  | Owned id -> deliver t id slot ~base_demand ~extra_latency:0.0
+  | Moving { pending; _ } | Orphaned pending ->
+    (* A request held back by a move or an orphaned set gets an explicit
+       "buffered" stage, so forensics can attribute that part of its
+       latency to the move rather than to queueing. *)
+    sl.slot_bspan.(slot) <-
+      Obs.Span.begin_ t.obs ~time:t.clockc.(0) ~parent:span ~name:"buffered"
+        ~cat:"request" ~file_set:(fs_name t fs) ();
+    Queue.add slot pending
+  | Unassigned -> assert false
 
 let init_seconds t fs =
   let entry = File_set.Catalog.nth t.catalog fs in
@@ -888,7 +820,7 @@ let complete_move t ~fs ~src ~dst pending =
              dst = Server_id.to_int dst;
              replayed = Queue.length pending;
            });
-    Queue.iter (fun b -> deliver t dst b) pending;
+    Queue.iter (fun slot -> redeliver t dst slot) pending;
     Queue.clear pending
   end
 
@@ -1020,16 +952,14 @@ let take_down t id =
   let failed_server = server t id in
   begin
     let now = Desim.Sim.now t.sim in
-    let interrupted_tags = Server.fail failed_server in
+    (* The server's jobs are tagged with their request slots. *)
+    let interrupted = Server.fail failed_server in
+    t.inflight_n <- t.inflight_n - List.length interrupted;
+    let arrival = t.slots.slot_arrival in
     let interrupted =
-      List.filter_map
-        (fun tag ->
-          let b = Hashtbl.find_opt t.inflight tag in
-          Hashtbl.remove t.inflight tag;
-          b)
-        interrupted_tags
-      |> List.sort (fun (a : buffered) (b : buffered) ->
-             Float.compare a.arrival b.arrival)
+      List.sort
+        (fun a b -> Float.compare arrival.(a) arrival.(b))
+        interrupted
     in
     (* Orphan every file set the dead server owned, then re-buffer its
        interrupted requests behind the right orphan queues. *)
@@ -1095,16 +1025,16 @@ let take_down t id =
                }))
       dead_moves;
     List.iter
-      (fun b ->
+      (fun slot ->
         t.rebuffered <- t.rebuffered + 1;
         (match t.instruments with
         | None -> ()
         | Some i -> Obs.Metrics.Counter.incr i.rebuffered);
-        match t.ownership.(b.fs) with
-        | Orphaned q -> Queue.add b q
-        | Moving { pending; _ } -> Queue.add b pending
-        | Owned owner -> deliver t owner b
-        | Unassigned -> ())
+        match t.ownership.(t.slots.slot_fs.(slot)) with
+        | Orphaned q -> Queue.add slot q
+        | Moving { pending; _ } -> Queue.add slot pending
+        | Owned owner -> redeliver t owner slot
+        | Unassigned -> assert false (* it was delivered *))
       interrupted;
     List.sort_uniq String.compare
       (orphaned @ List.map (fun (name, _, _, _, _, _) -> name) dead_moves)
@@ -1313,7 +1243,8 @@ let add_server t id ~speed =
       ~series_interval:t.series_interval ~obs:t.obs ()
   in
   Hashtbl.add t.servers id server;
-  rebuild_sorted_servers t
+  rebuild_sorted_servers t;
+  if Option.is_some t.sink then install_hooks t server
 
 let ledger t = t.ledger
 
@@ -1373,7 +1304,7 @@ let conservation t =
   {
     submitted = t.submitted_n;
     completed = t.completed_n;
-    inflight = Hashtbl.length t.inflight + slots_in_use t.slots;
+    inflight = t.inflight_n;
     buffered = pending_requests t;
     lock_waiting =
       Array.fold_left

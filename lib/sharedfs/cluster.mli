@@ -167,59 +167,44 @@ val assign_initial : t -> (string * Server_id.t) list -> unit
 val restore_recovered :
   t -> owned:(string * int) list -> orphaned:string list -> int * int
 
-(** [submit t ~base_demand req ~on_complete] routes a request to the
-    owner of its file set, buffering it if the set is in transit.
-    [Lock_acquire] requests additionally pass through the lock
-    service: when the requested lock conflicts with a current hold,
-    [on_complete] is deferred until the grant (release, cancellation
-    or lease expiry of the blockers), and the wait is included in the
-    reported latency.  Raises if the file set was never assigned. *)
+(** [set_sink t k] installs the completion sink and the servers'
+    station hooks (a start hook only when the cluster's context traces
+    or keeps telemetry); a server added later with {!add_server} gets
+    them too.  [k] fires once per completed request with the request's
+    interned file-set id, operation, path hash and client, and its full
+    latency (including move buffering, service at a server that crashed
+    and lock waits).  At most one sink; a second call replaces the
+    first. *)
+val set_sink :
+  t ->
+  (fs:int ->
+  op:Request.op ->
+  path_hash:int ->
+  client:int ->
+  latency:float ->
+  unit) ->
+  unit
+
+(** [clear_sink t] detaches the sink and the servers' hooks, so a
+    cluster kept after its run no longer holds what [k] closes over.
+    Call once the run has drained: a request completing afterwards
+    raises [Failure]. *)
+val clear_sink : t -> unit
+
+(** [submit t ~fs ~op ~base_demand ~path_hash ~client] routes a request
+    for the file set with interned id [fs] to the set's owner, or
+    buffers it while the set is in transit or orphaned.  The request's
+    whole state lives in a reused slot of the cluster until it
+    completes, so a request allocates no record and no closure.  A
+    server crash re-buffers the requests it held, in arrival order, and
+    redelivers them with the time already spent added to their latency.
+    [Lock_acquire] requests additionally pass through the lock service:
+    when the requested lock conflicts with a current hold, completion is
+    deferred until the grant (release, cancellation or lease expiry of
+    the blockers), and the wait is included in the reported latency.
+    Raises [Failure] if the file set was never assigned or no sink is
+    installed ({!set_sink}). *)
 val submit :
-  t ->
-  base_demand:float ->
-  Request.t ->
-  on_complete:(latency:float -> unit) ->
-  unit
-
-(** [submit_fs] is {!submit} with the file-set id already interned —
-    the streaming driver's hot path, which never hashes the name.
-    [fs] must be [fs_id t req.file_set]. *)
-val submit_fs :
-  t ->
-  fs:int ->
-  base_demand:float ->
-  Request.t ->
-  on_complete:(latency:float -> unit) ->
-  unit
-
-(** [set_stream_sink t k] installs the completion sink for
-    {!submit_stream}, the servers' start hooks when the cluster's
-    context traces or keeps telemetry, and the dense server lookup the
-    streaming path uses.  Call after {!assign_initial} (membership
-    changes after installation are not supported on the streaming
-    path).  [k] fires once per completed request with the request's
-    interned file-set id and its full latency (including lock waits and
-    move buffering). *)
-val set_stream_sink : t -> (fs:int -> latency:float -> unit) -> unit
-
-(** [clear_stream_sink t] detaches the sink and the servers' hooks that
-    {!set_stream_sink} installed, so a cluster kept after its run no
-    longer holds what [k] closes over.  Call once the run has drained:
-    a streamed request completing afterwards raises [Failure]. *)
-val clear_stream_sink : t -> unit
-
-(** [submit_stream t ~fs ~op ~base_demand ~path_hash ~client] is the
-    allocation-free counterpart of {!submit_fs}: a plain operation on
-    an owned set gets no request record and no closure — its state
-    lives in a reused slot, and its completion is reported to the sink
-    installed with {!set_stream_sink}.  Semantics and observation match
-    {!submit_fs} exactly, down to the events written, their order and
-    their span ids: lock operations pass through the lock service (with
-    deferred grants included in latency), and a request for a set that
-    is moving or orphaned goes through {!submit_fs} itself and buffers
-    until a move delivers the set.  Requires a fault-free run: streamed requests
-    are not recoverable by {!fail_server}. *)
-val submit_stream :
   t ->
   fs:int ->
   op:Request.op ->

@@ -18,8 +18,8 @@ let make ?(client = 0) op ~file_set ~path_hash =
 (* Deterministic mode choice: roughly a quarter of lock acquisitions
    are exclusive (writers), derived from the target file so replays
    agree. *)
-let lock_mode t =
-  if t.path_hash land 3 = 0 then Lock_manager.Exclusive
+let lock_mode ~path_hash =
+  if path_hash land 3 = 0 then Lock_manager.Exclusive
   else Lock_manager.Shared
 
 let demand_factor = function

@@ -29,10 +29,10 @@ type t = {
     to 0. *)
 val make : ?client:int -> op -> file_set:string -> path_hash:int -> t
 
-(** [lock_mode r] is the lock mode a [Lock_acquire] request asks for,
-    derived deterministically from the target file (about a quarter of
-    acquisitions are exclusive). *)
-val lock_mode : t -> Lock_manager.mode
+(** [lock_mode ~path_hash] is the lock mode a [Lock_acquire] request
+    for the file [path_hash] asks for, derived deterministically from
+    the target file (about a quarter of acquisitions are exclusive). *)
+val lock_mode : path_hash:int -> Lock_manager.mode
 
 (** [demand_factor op] scales the workload's base service demand: a
     [Stat] is cheap, a [Rename] touches two directory entries, etc. *)

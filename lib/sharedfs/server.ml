@@ -16,7 +16,9 @@ type t = {
   clockc : float array; (* Sim.time_cell: unboxed clock reads in observe *)
   window : Desim.Welford.t;
   series : Desim.Timeseries.t;
-  mutable next_tag : int;
+  mutable extra : float array;
+      (* tag -> delay the job's request suffered before reaching this
+         server, added to its station latency *)
   instruments : instruments option;
 }
 
@@ -46,7 +48,7 @@ let create sim ~id ~speed ?cache_config ~series_interval
     sim;
     window = Desim.Welford.create ();
     series = Desim.Timeseries.create ~interval:series_interval;
-    next_tag = 0;
+    extra = [||];
     instruments;
   }
 
@@ -75,52 +77,40 @@ let note_queue_depth t =
     Obs.Metrics.Gauge.set i.queue_depth
       (float_of_int (Desim.Station.queue_length t.station))
 
-(* Allocation-free submission: same demand formula as [submit], but no
-   per-request closures — the job's start and completion are reported
-   to the station hooks installed by [set_stream_start] and
-   [set_stream_sink], identified by [tag] (the cluster's request
-   slot). *)
-let submit_stream t ~fs ~op ~base_demand ~tag =
+(* No per-request closure: the job's start and completion are reported
+   to the station hooks installed by [set_start_hook] and [set_sink],
+   identified by [tag] (the cluster's request slot). *)
+let submit t ~fs ~op ~base_demand ~tag ~extra_latency =
   let multiplier =
     Cache.access t.cache ~fs ~dirties:(Request.dirties_cache op)
   in
   let demand = base_demand *. Request.demand_factor op *. multiplier in
+  if tag >= Array.length t.extra then begin
+    let extra = Array.make (max 16 (2 * tag)) 0.0 in
+    Array.blit t.extra 0 extra 0 (Array.length t.extra);
+    t.extra <- extra
+  end;
+  t.extra.(tag) <- extra_latency;
   Desim.Station.submit_tagged t.station ~demand ~tag;
   note_queue_depth t
 
-(* The sink observes first (exactly where the legacy closure observed)
-   and then hands the completion to the cluster's dispatcher. *)
-let set_stream_sink t k =
+let report t k ~tag ~latency =
+  observe t ~latency;
+  k ~tag ~latency
+
+(* The sink adds the delay before this server, then observes the result
+   and hands the completion on.  Most jobs have none, and adding 0.0 to
+   a station latency (never -0.0) is the identity, so those pass on the
+   latency the station boxed instead of boxing a new float. *)
+let set_sink t k =
   Desim.Station.set_sink t.station (fun ~tag ~latency ->
-      observe t ~latency;
-      k ~tag ~latency)
+      let extra = t.extra.(tag) in
+      if extra = 0.0 then report t k ~tag ~latency
+      else report t k ~tag ~latency:(latency +. extra))
 
-let set_stream_start t f = Desim.Station.set_start_hook t.station f
+let set_start_hook t f = Desim.Station.set_start_hook t.station f
 
-let clear_stream_hooks t = Desim.Station.clear_hooks t.station
-
-let submit t ~fs ~base_demand ?tag ?(extra_latency = 0.0) ?on_start req
-    ~on_complete =
-  let multiplier =
-    Cache.access t.cache ~fs ~dirties:(Request.dirties_cache req.Request.op)
-  in
-  let demand =
-    base_demand *. Request.demand_factor req.Request.op *. multiplier
-  in
-  let tag =
-    match tag with
-    | Some tag -> tag
-    | None ->
-      let tag = t.next_tag in
-      t.next_tag <- tag + 1;
-      tag
-  in
-  Desim.Station.submit ?on_start t.station ~demand ~tag
-    ~on_complete:(fun ~latency ->
-      let latency = latency +. extra_latency in
-      observe t ~latency;
-      on_complete ~latency);
-  note_queue_depth t
+let clear_hooks t = Desim.Station.clear_hooks t.station
 
 let queue_length t = Desim.Station.queue_length t.station
 

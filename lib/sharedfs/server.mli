@@ -40,53 +40,39 @@ val speed : t -> float
     that start service afterwards. *)
 val set_speed : t -> float -> unit
 
-(** [submit t ~fs ~base_demand ?tag ?extra_latency req ~on_complete]
-    serves a metadata request: the effective demand is [base_demand]
-    times the request's operation factor times the cache multiplier
-    for the file set.  [fs] is the request's interned file-set id (the
-    server's hot path never hashes the name).  [tag] identifies the
-    job to {!fail}; defaults to an internal counter.  [extra_latency]
-    is delay already suffered before reaching this server (e.g.
-    buffering during a file-set move) and is added to the recorded and
-    reported latency.  [on_start ~service] fires when the job begins
-    service (instrumentation splits queueing delay from service time
-    with it).  Latency is recorded in the window and series before
-    [on_complete] runs. *)
+(** [submit t ~fs ~op ~base_demand ~tag ~extra_latency] serves a
+    metadata request: the effective demand is [base_demand] times the
+    operation's factor times the cache multiplier for the file set.
+    [fs] is the request's interned file-set id (the server's hot path
+    never hashes the name).  [tag] identifies the job to the hooks and
+    to {!fail}: the job's start is reported to the hook installed with
+    {!set_start_hook} and its completion to the sink installed with
+    {!set_sink}.  [extra_latency] is delay already suffered before
+    reaching this server (buffering during a file-set move, service at
+    a server that crashed) and is added to the recorded and reported
+    latency. *)
 val submit :
   t ->
   fs:int ->
+  op:Request.op ->
   base_demand:float ->
-  ?tag:int ->
-  ?extra_latency:float ->
-  ?on_start:(service:float -> unit) ->
-  Request.t ->
-  on_complete:(latency:float -> unit) ->
+  tag:int ->
+  extra_latency:float ->
   unit
 
-(** [submit_stream t ~fs ~op ~base_demand ~tag] is the allocation-free
-    counterpart of {!submit}: the same demand formula (operation factor
-    times cache multiplier) and the same queue-depth gauge update, but
-    no per-request closure — the job's start is reported to the hook
-    installed with {!set_stream_start} and its completion to the sink
-    installed with {!set_stream_sink}, both identified by [tag].  No
-    [extra_latency]: callers submit this way only at the request's
-    arrival. *)
-val submit_stream :
-  t -> fs:int -> op:Request.op -> base_demand:float -> tag:int -> unit
+(** [set_sink t k] installs the completion sink of {!submit} jobs.  The
+    server records the latency (with the job's [extra_latency]) in its
+    window, series and instruments before calling [k ~tag ~latency]. *)
+val set_sink : t -> (tag:int -> latency:float -> unit) -> unit
 
-(** [set_stream_sink t k] installs the completion sink used by
-    {!submit_stream} jobs.  The server records the latency in its
-    window, series and instruments (exactly as {!submit} does) before
-    calling [k ~tag ~latency]. *)
-val set_stream_sink : t -> (tag:int -> latency:float -> unit) -> unit
+(** [set_start_hook t f] installs the start hook of {!submit} jobs:
+    [f ~tag ~service] fires when the job begins its [service]-second
+    slot, which splits queueing delay from service time. *)
+val set_start_hook : t -> (tag:int -> service:float -> unit) -> unit
 
-(** [set_stream_start t f] installs the start hook of {!submit_stream}
-    jobs: [f ~tag ~service] fires where {!submit}'s [on_start] would. *)
-val set_stream_start : t -> (tag:int -> service:float -> unit) -> unit
-
-(** [clear_stream_hooks t] detaches the sink and the start hook, so the
-    server no longer keeps what their closures hold. *)
-val clear_stream_hooks : t -> unit
+(** [clear_hooks t] detaches the sink and the start hook, so the server
+    no longer keeps what their closures hold. *)
+val clear_hooks : t -> unit
 
 val queue_length : t -> int
 

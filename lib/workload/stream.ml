@@ -235,13 +235,41 @@ type t = {
   total : int;
   file_sets : string list;
   fresh : unit -> cursor;
-  fresh_batch : (unit -> batch_cursor) option;
+  fresh_batch : unit -> batch_cursor;
 }
 
+(* The batch cursor of a generator that offers only items: each row is
+   copied field by field out of the next item. *)
+let batch_of_cursor (c : cursor) =
+  let exhausted = ref false in
+  fun (cols : cols) ->
+    let cap = Array.length cols.times in
+    let n = ref 0 in
+    while (not !exhausted) && !n < cap do
+      match c () with
+      | None -> exhausted := true
+      | Some it ->
+        let j = !n in
+        let req = it.request in
+        cols.times.(j) <- it.time;
+        cols.fs.(j) <- it.fs;
+        cols.ops.(j) <- req.Sharedfs.Request.op;
+        cols.path.(j) <- req.Sharedfs.Request.path_hash;
+        cols.client.(j) <- req.Sharedfs.Request.client;
+        cols.demand.(j) <- it.demand;
+        n := j + 1
+    done;
+    !n
+
 let make ?fresh_batch ~duration ~total ~file_sets ~fresh () =
-  if duration <= 0.0 then
-    invalid_arg "Stream.make: non-positive duration";
+  if not (duration > 0.0 && Float.is_finite duration) then
+    invalid_arg "Stream.make: duration must be positive and finite";
   if total < 0 then invalid_arg "Stream.make: negative total";
+  let fresh_batch =
+    match fresh_batch with
+    | Some f -> f
+    | None -> fun () -> batch_of_cursor (fresh ())
+  in
   { duration; total; file_sets; fresh; fresh_batch }
 
 let duration t = t.duration
@@ -252,7 +280,7 @@ let file_sets t = t.file_sets
 
 let start t = t.fresh ()
 
-let start_batch t = Option.map (fun f -> f ()) t.fresh_batch
+let start_batch t = Some (t.fresh_batch ())
 
 let iter f t =
   let c = start t in

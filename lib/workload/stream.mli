@@ -73,8 +73,11 @@ type t
     [file_sets] lists every name the stream may emit, in id order;
     [total] is the exact number of items a cursor yields; [fresh]
     builds an independent cursor positioned at the first request.
-    [fresh_batch], when given, builds an independent {e batch} cursor
-    producing the identical sequence in column form. *)
+    [fresh_batch] builds an independent {e batch} cursor producing the
+    identical sequence in column form; without it, the batch cursor
+    copies the rows out of a [fresh] item cursor.  Raises
+    [Invalid_argument] unless [duration] is positive and finite, or if
+    [total] is negative. *)
 val make :
   ?fresh_batch:(unit -> batch_cursor) ->
   duration:float ->
@@ -96,8 +99,8 @@ val file_sets : t -> string list
 (** [start t] begins an independent replay of the stream. *)
 val start : t -> cursor
 
-(** [start_batch t] begins an independent column-form replay, when the
-    generator provides one ({!of_trace} and the DFS generator do). *)
+(** [start_batch t] begins an independent column-form replay.  Every
+    stream has one (see {!make}), so the result is never [None]. *)
 val start_batch : t -> batch_cursor option
 
 val iter : (item -> unit) -> t -> unit

@@ -19,7 +19,7 @@ let test_server_report_window () =
     Server.create sim ~id:(Id.of_int 0) ~speed:2.0 ~series_interval:10.0 ()
   in
   Server.gain_file_set s ~fs:0 ~cold:false;
-  Server.submit s ~fs:0 ~base_demand:2.0 (req "a") ~on_complete:(fun ~latency:_ -> ());
+  Completions.serve s ~base_demand:2.0 (req "a") ~on_complete:(fun ~latency:_ -> ());
   Desim.Sim.run sim;
   let r = Server.take_report s in
   check_int "requests" 1 r.Server.requests;
@@ -40,9 +40,9 @@ let test_server_cold_cache_slows_service () =
   Server.gain_file_set warm ~fs:0 ~cold:false;
   Server.gain_file_set cold ~fs:0 ~cold:true;
   let lw = ref 0.0 and lc = ref 0.0 in
-  Server.submit warm ~fs:0 ~base_demand:1.0 (req "a") ~on_complete:(fun ~latency ->
+  Completions.serve warm ~base_demand:1.0 (req "a") ~on_complete:(fun ~latency ->
       lw := latency);
-  Server.submit cold ~fs:0 ~base_demand:1.0 (req "a") ~on_complete:(fun ~latency ->
+  Completions.serve cold ~base_demand:1.0 (req "a") ~on_complete:(fun ~latency ->
       lc := latency);
   Desim.Sim.run sim;
   check_bool "cold slower" true (!lc > !lw *. 2.0)
@@ -54,7 +54,7 @@ let test_server_extra_latency_accounted () =
   in
   Server.gain_file_set s ~fs:0 ~cold:false;
   let got = ref 0.0 in
-  Server.submit s ~fs:0 ~base_demand:1.0 ~extra_latency:5.0 (req "a")
+  Completions.serve s ~base_demand:1.0 ~extra_latency:5.0 (req "a")
     ~on_complete:(fun ~latency -> got := latency);
   Desim.Sim.run sim;
   check_float 1e-9 "buffering delay included" 6.0 !got;
@@ -69,7 +69,7 @@ let test_server_series () =
   Server.gain_file_set s ~fs:0 ~cold:false;
   let (_ : Desim.Sim.handle) =
     Desim.Sim.schedule_at sim ~time:15.0 (fun () ->
-        Server.submit s ~fs:0 ~base_demand:1.0 (req "a")
+        Completions.serve s ~base_demand:1.0 (req "a")
           ~on_complete:(fun ~latency:_ -> ()))
   in
   Desim.Sim.run sim;
@@ -95,6 +95,7 @@ let assign_all cluster names id =
 
 let test_cluster_routing () =
   let sim, cluster = make_cluster () in
+  let hand = Completions.install cluster in
   Cluster.assign_initial cluster
     [ ("a", Id.of_int 0); ("b", Id.of_int 1); ("c", Id.of_int 0);
       ("d", Id.of_int 1) ];
@@ -102,9 +103,9 @@ let test_cluster_routing () =
   Alcotest.(check (list string)) "owned_by 0" [ "a"; "c" ]
     (Cluster.owned_by cluster (Id.of_int 0));
   let done_count = ref 0 in
-  Cluster.submit cluster ~base_demand:1.0 (req "a")
+  Completions.submit hand ~base_demand:1.0 (req "a")
     ~on_complete:(fun ~latency:_ -> incr done_count);
-  Cluster.submit cluster ~base_demand:1.0 (req "b")
+  Completions.submit hand ~base_demand:1.0 (req "b")
     ~on_complete:(fun ~latency:_ -> incr done_count);
   Desim.Sim.run sim;
   check_int "both served" 2 !done_count;
@@ -114,17 +115,18 @@ let test_cluster_rejects_unknown () =
   let _sim, cluster = make_cluster () in
   Alcotest.check_raises "unassigned"
     (Failure "Cluster.submit: file set never assigned: a") (fun () ->
-      Cluster.submit cluster ~base_demand:1.0 (req "a")
-        ~on_complete:(fun ~latency:_ -> ()));
+      Cluster.submit cluster ~fs:(Cluster.fs_id cluster "a")
+        ~op:Request.Open_file ~base_demand:1.0 ~path_hash:1 ~client:0);
   Alcotest.check_raises "double assign"
     (Invalid_argument "Cluster.assign_initial: a assigned twice") (fun () ->
       Cluster.assign_initial cluster [ ("a", Id.of_int 0); ("a", Id.of_int 1) ])
 
 let test_cluster_move_timing_and_buffering () =
   let sim, cluster = make_cluster () in
+  let hand = Completions.install cluster in
   assign_all cluster [ "a"; "b"; "c"; "d" ] 0;
   (* Dirty the cache a bit so flush has work. *)
-  Cluster.submit cluster ~base_demand:0.1 (req ~op:Request.Create "a")
+  Completions.submit hand ~base_demand:0.1 (req ~op:Request.Create "a")
     ~on_complete:(fun ~latency:_ -> ());
   Desim.Sim.run sim;
   Cluster.move cluster ~file_set:"a" ~dst:(Id.of_int 1);
@@ -133,7 +135,7 @@ let test_cluster_move_timing_and_buffering () =
   (* A request arriving during the move buffers and completes after,
      with the buffering time in its latency. *)
   let latency = ref 0.0 in
-  Cluster.submit cluster ~base_demand:0.1 (req "a") ~on_complete:(fun ~latency:l ->
+  Completions.submit hand ~base_demand:0.1 (req "a") ~on_complete:(fun ~latency:l ->
       latency := l);
   check_int "buffered" 1 (Cluster.pending_requests cluster);
   Desim.Sim.run sim;
@@ -166,14 +168,15 @@ let test_cluster_move_cold_cache_at_dst () =
 
 let test_cluster_failure_orphans_and_adoption () =
   let sim, cluster = make_cluster () in
+  let hand = Completions.install cluster in
   Cluster.assign_initial cluster
     [ ("a", Id.of_int 0); ("b", Id.of_int 0); ("c", Id.of_int 1);
       ("d", Id.of_int 1) ];
   (* Put long work on server 0, then fail it mid-service. *)
   let latencies = ref [] in
-  Cluster.submit cluster ~base_demand:100.0 (req "a")
+  Completions.submit hand ~base_demand:100.0 (req "a")
     ~on_complete:(fun ~latency -> latencies := latency :: !latencies);
-  Cluster.submit cluster ~base_demand:1.0 (req "b")
+  Completions.submit hand ~base_demand:1.0 (req "b")
     ~on_complete:(fun ~latency -> latencies := latency :: !latencies);
   let (_ : Desim.Sim.handle) =
     Desim.Sim.schedule_at sim ~time:1.0 (fun () ->
@@ -251,6 +254,7 @@ let prop_random_ops_conserve_requests =
     (QCheck.make gen)
     (fun ops ->
       let sim, cluster = make_cluster ~speeds:[ 1.0; 2.0; 4.0 ] () in
+      let hand = Completions.install cluster in
       let names = [| "a"; "b"; "c"; "d" |] in
       assign_all cluster [ "a"; "b"; "c"; "d" ] 0;
       let submitted = ref 0 in
@@ -265,7 +269,7 @@ let prop_random_ops_conserve_requests =
                     ~dst:(Id.of_int srv)
                 else begin
                   incr submitted;
-                  Cluster.submit cluster ~base_demand:0.2 (req names.(fs))
+                  Completions.submit hand ~base_demand:0.2 (req names.(fs))
                     ~on_complete:(fun ~latency:_ -> incr completed)
                 end)
           in

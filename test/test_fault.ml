@@ -358,11 +358,12 @@ let mid_move_crash_case ~role () =
       ("d", Id.of_int 2);
     ];
   let completed = ref 0 in
+  let hand = Completions.install cluster in
   let (_ : Desim.Sim.handle) =
     Desim.Sim.schedule_at sim ~time:1.0 (fun () ->
         Cluster.move cluster ~file_set:"a" ~dst:(Id.of_int 1);
         (* Arrives mid-move: buffered behind the transfer. *)
-        Cluster.submit cluster ~base_demand:0.1 (req "a")
+        Completions.submit hand ~base_demand:0.1 (req "a")
           ~on_complete:(fun ~latency:_ -> incr completed))
   in
   (* flush_fixed is 2.0 s, so t=2.0 is mid-flush for the source and

@@ -1436,7 +1436,7 @@ let test_request_lifecycle_redelivery () =
   in
   C.assign_initial cluster [ ("a", id 0) ];
   let completed = ref 0 in
-  C.submit cluster ~base_demand:100.0
+  Completions.submit (Completions.install cluster) ~base_demand:100.0
     {
       Sharedfs.Request.op = Sharedfs.Request.Open_file;
       file_set = "a";

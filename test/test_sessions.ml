@@ -120,15 +120,15 @@ let make_cluster () =
       ()
   in
   Cluster.assign_initial cluster [ ("a", Id.of_int 0); ("b", Id.of_int 0) ];
-  (sim, cluster)
+  (sim, cluster, Completions.install cluster)
 
 let test_conflicting_acquire_waits_for_release () =
-  let sim, cluster = make_cluster () in
+  let sim, cluster, hand = make_cluster () in
   let grant_times = ref [] in
   let submit_at time req =
     let (_ : Desim.Sim.handle) =
       Desim.Sim.schedule_at sim ~time (fun () ->
-          Cluster.submit cluster ~base_demand:0.1 req
+          Completions.submit hand ~base_demand:0.1 req
             ~on_complete:(fun ~latency:_ ->
               grant_times := (req.Request.client, Desim.Sim.now sim) :: !grant_times))
     in
@@ -148,11 +148,11 @@ let test_conflicting_acquire_waits_for_release () =
   check_bool "well before lease expiry" true (t2 < 10.0)
 
 let test_shared_locks_do_not_conflict () =
-  let sim, cluster = make_cluster () in
+  let sim, cluster, hand = make_cluster () in
   let completed = ref 0 in
   List.iter
     (fun client ->
-      Cluster.submit cluster ~base_demand:0.1
+      Completions.submit hand ~base_demand:0.1
         (lock_req ~exclusive:false ~client "a")
         ~on_complete:(fun ~latency:_ -> incr completed))
     [ 1; 2; 3 ];
@@ -162,14 +162,14 @@ let test_shared_locks_do_not_conflict () =
   check_int "no waits" 0 stats.Cluster.waited
 
 let test_lease_reclaims_abandoned_lock () =
-  let sim, cluster = make_cluster () in
+  let sim, cluster, hand = make_cluster () in
   let t2_granted = ref 0.0 in
   (* Client 1 takes the lock and never releases (crashed client). *)
-  Cluster.submit cluster ~base_demand:0.1 (lock_req ~client:1 "a")
+  Completions.submit hand ~base_demand:0.1 (lock_req ~client:1 "a")
     ~on_complete:(fun ~latency:_ -> ());
   let (_ : Desim.Sim.handle) =
     Desim.Sim.schedule_at sim ~time:2.0 (fun () ->
-        Cluster.submit cluster ~base_demand:0.1 (lock_req ~client:2 "a")
+        Completions.submit hand ~base_demand:0.1 (lock_req ~client:2 "a")
           ~on_complete:(fun ~latency:_ -> t2_granted := Desim.Sim.now sim))
   in
   Desim.Sim.run sim;
@@ -182,19 +182,19 @@ let test_lease_reclaims_abandoned_lock () =
     (!t2_granted >= 30.0 && !t2_granted < 32.0)
 
 let test_release_of_queued_acquire_completes_it () =
-  let sim, cluster = make_cluster () in
+  let sim, cluster, hand = make_cluster () in
   let completions = ref 0 in
-  Cluster.submit cluster ~base_demand:0.1 (lock_req ~client:1 "a")
+  Completions.submit hand ~base_demand:0.1 (lock_req ~client:1 "a")
     ~on_complete:(fun ~latency:_ -> incr completions);
   let (_ : Desim.Sim.handle) =
     Desim.Sim.schedule_at sim ~time:1.0 (fun () ->
-        Cluster.submit cluster ~base_demand:0.1 (lock_req ~client:2 "a")
+        Completions.submit hand ~base_demand:0.1 (lock_req ~client:2 "a")
           ~on_complete:(fun ~latency:_ -> incr completions))
   in
   (* Client 2 gives up before ever being granted. *)
   let (_ : Desim.Sim.handle) =
     Desim.Sim.schedule_at sim ~time:3.0 (fun () ->
-        Cluster.submit cluster ~base_demand:0.1 (release_req ~client:2 "a")
+        Completions.submit hand ~base_demand:0.1 (release_req ~client:2 "a")
           ~on_complete:(fun ~latency:_ -> incr completions))
   in
   Desim.Sim.run sim;
