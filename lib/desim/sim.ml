@@ -214,10 +214,14 @@ let fire_head t =
 
 (* Fire the next source event.  The source contract (see the mli)
    guarantees nondecreasing times, checked here so a buggy cursor
-   surfaces as [Past_event] instead of time travel. *)
+   surfaces as [Past_event] instead of time travel, and a NaN time as
+   [Invalid_argument] instead of a NaN clock.  One comparison covers
+   both on the way in: it is false for NaN. *)
 let fire_source t time =
-  if time < t.clockv.(0) then
-    raise (Past_event { now = t.clockv.(0); requested = time });
+  if not (time >= t.clockv.(0)) then begin
+    if Float.is_nan time then invalid_arg "Sim.fire_source: NaN time";
+    raise (Past_event { now = t.clockv.(0); requested = time })
+  end;
   t.clockv.(0) <- time;
   t.fired <- t.fired + 1;
   t.source_fire ();

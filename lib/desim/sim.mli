@@ -73,8 +73,8 @@ val cancelled : t -> handle -> bool
     source win exact ties.  When the source is due, the clock advances
     to [next.(0)], the fired-event counter increments, and [fire] runs;
     [fire] must update [next.(0)] to the following event's time
-    (nondecreasing — a regression raises {!Past_event}) or to
-    [Float.infinity].  Source events never occupy the heap, so
+    (nondecreasing — a regression raises {!Past_event}, a NaN
+    [Invalid_argument]) or to [Float.infinity].  Source events never occupy the heap, so
     {!pending} and {!peak_pending} exclude them.  At most one source;
     a second call replaces the first. *)
 val set_source : t -> next:float array -> fire:(unit -> unit) -> unit

@@ -2,15 +2,22 @@ type record = { time : float; request : Sharedfs.Request.t; demand : float }
 
 type t = { records : record array; duration : float }
 
+(* Written so that NaN fails every check: each comparison is false for
+   it. *)
+let valid_duration d = d > 0.0 && Float.is_finite d
+
+let valid_demand d = d > 0.0 && Float.is_finite d
+
 let create ~duration records =
-  if duration <= 0.0 then invalid_arg "Trace.create: non-positive duration";
+  if not (valid_duration duration) then
+    invalid_arg "Trace.create: duration must be positive and finite";
   List.iter
     (fun r ->
-      if r.time < 0.0 || r.time > duration then
+      if not (r.time >= 0.0 && r.time <= duration) then
         invalid_arg
           (Printf.sprintf "Trace.create: record at %g outside [0, %g]" r.time
              duration);
-      if r.demand <= 0.0 then
+      if not (valid_demand r.demand) then
         invalid_arg "Trace.create: non-positive demand")
     records;
   let arr = Array.of_list records in
@@ -18,16 +25,16 @@ let create ~duration records =
   { records = arr; duration }
 
 let of_sorted_records ~duration records =
-  if duration <= 0.0 then
-    invalid_arg "Trace.of_sorted_records: non-positive duration";
+  if not (valid_duration duration) then
+    invalid_arg "Trace.of_sorted_records: duration must be positive and finite";
   let arr = Array.of_list records in
   Array.iteri
     (fun i r ->
-      if r.time < 0.0 || r.time > duration then
+      if not (r.time >= 0.0 && r.time <= duration) then
         invalid_arg
           (Printf.sprintf "Trace.of_sorted_records: record at %g outside [0, %g]"
              r.time duration);
-      if r.demand <= 0.0 then
+      if not (valid_demand r.demand) then
         invalid_arg "Trace.of_sorted_records: non-positive demand";
       if i > 0 && arr.(i - 1).time > r.time then
         invalid_arg "Trace.of_sorted_records: records not time-sorted")

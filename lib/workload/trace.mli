@@ -11,14 +11,16 @@ type record = { time : float; request : Sharedfs.Request.t; demand : float }
 type t
 
 (** [create ~duration records] sorts the records by time and validates
-    they fall within [\[0, duration\]]. *)
+    them.  Raises [Invalid_argument] unless [duration] is positive and
+    finite, every record falls within [\[0, duration\]] and every
+    demand is positive and finite. *)
 val create : duration:float -> record list -> t
 
 (** [of_sorted_records ~duration records] builds a trace from records
     already in nondecreasing time order — the materialize path for
     {!Stream.to_trace}, which skips the sort.  Raises
-    [Invalid_argument] if the records are out of order or outside
-    [\[0, duration\]]. *)
+    [Invalid_argument] if the records are out of order, or on what
+    {!create} rejects. *)
 val of_sorted_records : duration:float -> record list -> t
 
 val records : t -> record array

@@ -43,7 +43,10 @@ let parse_line ~what ~lineno line =
              (String.length line - String.length prefix))
       in
       match float_of_string_opt v with
-      | Some d -> Duration d
+      | Some d when Float.is_finite d -> Duration d
+      | Some _ ->
+        failwith
+          (Printf.sprintf "%s: non-finite duration at line %d" what lineno)
       | None ->
         failwith (Printf.sprintf "%s: bad duration at line %d" what lineno)
     end
@@ -71,6 +74,13 @@ let parse_line ~what ~lineno line =
         float_of_string_opt demand )
     with
     | Some time, Some op, Some path_hash, Some client, Some demand ->
+      (* [nan] and [inf] parse as floats, and every ordering check
+         passes for NaN: reject them here, with the line. *)
+      if not (Float.is_finite time) then
+        failwith (Printf.sprintf "%s: non-finite time at line %d" what lineno);
+      if not (Float.is_finite demand) then
+        failwith
+          (Printf.sprintf "%s: non-finite demand at line %d" what lineno);
       Record
         {
           Trace.time;
@@ -134,10 +144,10 @@ let load ~path =
     (fun () ->
       (* Line-at-a-time: peak memory is the records, never a second
          copy of the file as one string. *)
-      parse_all ~what:"Trace_io.of_string" (line_source_of_channel ic))
+      parse_all ~what:("Trace_io.load: " ^ path) (line_source_of_channel ic))
 
 let stream ~path =
-  let what = "Trace_io.stream" in
+  let what = "Trace_io.stream: " ^ path in
   (* Pre-scan: count records, find the duration and the file-set name
      universe, and insist on time-sorted input — the price of replay
      without ever materializing. *)

@@ -11,7 +11,8 @@
 val to_string : Trace.t -> string
 
 (** [of_string s] parses; raises [Failure] with a line number on
-    malformed input.  Without a duration header the last record's time
+    malformed input, including a [nan] or infinite time, demand or
+    duration header.  Without a duration header the last record's time
     is used. *)
 val of_string : string -> Trace.t
 
@@ -19,15 +20,16 @@ val save : Trace.t -> path:string -> unit
 
 (** [load ~path] reads a trace file line-at-a-time (never holding the
     file as one string) and materializes it; lines may be in any time
-    order. *)
+    order.  Fails like {!of_string}, with [path] in the message. *)
 val load : path:string -> Trace.t
 
 (** [stream ~path] replays a trace file as a constant-memory
     {!Stream.t}: a pre-scan pass counts records, resolves the duration
     and the file-set universe, and checks the records are time-sorted
-    (raising [Failure] with a line number otherwise — sorted input is
-    the price of replay without materializing); each cursor then
-    re-reads the file one line at a time. *)
+    (raising [Failure] with [path] and a line number otherwise — sorted
+    input is the price of replay without materializing), and rejects
+    what {!of_string} rejects; each cursor then re-reads the file one
+    line at a time. *)
 val stream : path:string -> Stream.t
 
 (** [op_of_string] / [op_to_string] expose the operation encoding. *)

@@ -137,6 +137,15 @@ let test_tombstone_at_head_invisible () =
     (List.rev !log);
   check_int "tombstones are not counted as fired" 2 (Sim.events_fired sim)
 
+(* A NaN source time would otherwise become the clock: every
+   ordering check passes for NaN. *)
+let test_source_rejects_nan () =
+  let sim = Sim.create () in
+  Sim.set_source sim ~next:[| Float.nan |] ~fire:(fun () -> ());
+  Alcotest.check_raises "NaN time" (Invalid_argument "Sim.fire_source: NaN time")
+    (fun () -> Sim.run sim);
+  Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Sim.now sim)
+
 let test_tombstones_all_dead_reports_idle () =
   let sim = Sim.create () in
   let handles =
@@ -229,6 +238,8 @@ let suite =
       test_tombstone_at_head_invisible;
     Alcotest.test_case "all-dead heap reports idle" `Quick
       test_tombstones_all_dead_reports_idle;
+    Alcotest.test_case "source rejects a NaN time" `Quick
+      test_source_rejects_nan;
     Alcotest.test_case "cancel storm + compaction keeps order" `Quick
       test_cancel_storm_with_compaction_keeps_order;
     Alcotest.test_case "events_fired counter" `Quick test_events_fired_counter;

@@ -219,6 +219,80 @@ let test_io_parse_errors () =
     Alcotest.fail "expected failure"
   with Failure _ -> ()
 
+(* [nan] and [inf] parse as floats and pass every ordering check, so
+   each field is rejected on its own, with its line, by every reader:
+   the string parser, the file loader (which names the file) and the
+   streaming reader. *)
+let test_io_rejects_non_finite () =
+  let cases =
+    [
+      ("nan time", "1.0 fs open 1 0 0.5\nnan fs open 1 0 0.5\n",
+       "non-finite time at line 2");
+      ("inf time", "inf fs open 1 0 0.5\n", "non-finite time at line 1");
+      ("nan demand", "1.0 fs open 1 0 nan\n", "non-finite demand at line 1");
+      ("inf demand", "# x\n1.0 fs open 1 0 inf\n",
+       "non-finite demand at line 2");
+      ("nan duration", "# duration: nan\n1.0 fs open 1 0 0.5\n",
+       "non-finite duration at line 1");
+      ("inf duration", "# duration: inf\n1.0 fs open 1 0 0.5\n",
+       "non-finite duration at line 1");
+    ]
+  in
+  List.iter
+    (fun (name, text, why) ->
+      Alcotest.check_raises (name ^ ": of_string")
+        (Failure ("Trace_io.of_string: " ^ why))
+        (fun () -> ignore (Trace_io.of_string text));
+      let path = Filename.temp_file "shdisk_trace" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_text path (fun oc ->
+              Out_channel.output_string oc text);
+          Alcotest.check_raises (name ^ ": load")
+            (Failure ("Trace_io.load: " ^ path ^ ": " ^ why))
+            (fun () -> ignore (Trace_io.load ~path));
+          Alcotest.check_raises (name ^ ": stream")
+            (Failure ("Trace_io.stream: " ^ path ^ ": " ^ why))
+            (fun () -> ignore (Trace_io.stream ~path))))
+    cases
+
+(* A trace or stream built in code meets the same checks. *)
+let test_trace_rejects_non_finite () =
+  let rejects name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let ok = [ record 1.0 "a" Sharedfs.Request.Stat 1.0 ] in
+  rejects "nan duration" "Trace.create: duration must be positive and finite"
+    (fun () -> Trace.create ~duration:Float.nan ok);
+  rejects "inf duration" "Trace.create: duration must be positive and finite"
+    (fun () -> Trace.create ~duration:Float.infinity ok);
+  rejects "nan time" "Trace.create: record at nan outside [0, 10]" (fun () ->
+      Trace.create ~duration:10.0
+        [ record Float.nan "a" Sharedfs.Request.Stat 1.0 ]);
+  rejects "nan demand" "Trace.create: non-positive demand" (fun () ->
+      Trace.create ~duration:10.0
+        [ record 1.0 "a" Sharedfs.Request.Stat Float.nan ]);
+  rejects "inf demand" "Trace.create: non-positive demand" (fun () ->
+      Trace.create ~duration:10.0
+        [ record 1.0 "a" Sharedfs.Request.Stat Float.infinity ]);
+  rejects "sorted: nan duration"
+    "Trace.of_sorted_records: duration must be positive and finite" (fun () ->
+      Trace.of_sorted_records ~duration:Float.nan ok);
+  rejects "sorted: nan time"
+    "Trace.of_sorted_records: record at nan outside [0, 10]" (fun () ->
+      Trace.of_sorted_records ~duration:10.0
+        [ record Float.nan "a" Sharedfs.Request.Stat 1.0 ]);
+  rejects "sorted: nan demand" "Trace.of_sorted_records: non-positive demand"
+    (fun () ->
+      Trace.of_sorted_records ~duration:10.0
+        [ record 1.0 "a" Sharedfs.Request.Stat Float.nan ]);
+  rejects "stream: nan duration"
+    "Stream.make: duration must be positive and finite" (fun () ->
+      Stream.make ~duration:Float.nan ~total:0 ~file_sets:[]
+        ~fresh:(fun () () -> None)
+        ())
+
 let test_io_comments_and_blank_lines () =
   let t =
     Trace_io.of_string
@@ -253,6 +327,10 @@ let suite =
   [
     Alcotest.test_case "trace sorts" `Quick test_trace_sorts_records;
     Alcotest.test_case "trace validation" `Quick test_trace_validation;
+    Alcotest.test_case "trace rejects non-finite" `Quick
+      test_trace_rejects_non_finite;
+    Alcotest.test_case "trace_io rejects non-finite" `Quick
+      test_io_rejects_non_finite;
     Alcotest.test_case "window demand" `Quick test_window_demand;
     Alcotest.test_case "counts and skew" `Quick test_counts_and_skew;
     Alcotest.test_case "merge" `Quick test_merge;
