@@ -1459,6 +1459,105 @@ let test_request_lifecycle_redelivery () =
     check_bool "service ends with the request" true (e = e')
   | _ -> Alcotest.fail "expected one completed request with one service stage"
 
+(* A crash with plain and lock requests in service and queued: the
+   server's slots are re-buffered behind the orphaned sets and
+   redelivered once the sets are adopted.  Every request completes
+   exactly once, each redelivered request writes a service stage that
+   starts after the crash, and the conservation ledger balances at every
+   probe, with the requests it holds counted where they are. *)
+let test_crash_redelivers_plain_and_lock_slots () =
+  let module C = Sharedfs.Cluster in
+  let module R = Sharedfs.Request in
+  let id = Sharedfs.Server_id.of_int in
+  let ring = Obs.Sink.Ring.create ~capacity:1_000 in
+  let obs = Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ] () in
+  let sim = Desim.Sim.create () in
+  let cluster =
+    C.create sim
+      ~disk:(Sharedfs.Shared_disk.create ())
+      ~catalog:(Sharedfs.File_set.Catalog.create [ "a"; "b" ])
+      ~series_interval:10.0
+      ~servers:[ (id 0, 1.0); (id 1, 1.0) ]
+      ~obs ()
+  in
+  C.assign_initial cluster [ ("a", id 0); ("b", id 0) ];
+  (* Each request has its own client, so completions name it. *)
+  let completions = Array.make 6 0 in
+  C.set_sink cluster (fun ~fs:_ ~op:_ ~path_hash:_ ~client ~latency:_ ->
+      completions.(client) <- completions.(client) + 1);
+  let submit ~client ~op ~path_hash name demand =
+    C.submit cluster ~fs:(C.fs_id cluster name) ~op ~base_demand:demand
+      ~path_hash ~client
+  in
+  (* Path hash 4 asks for an exclusive lock. *)
+  submit ~client:0 ~op:R.Open_file ~path_hash:1 "a" 2.0;
+  submit ~client:1 ~op:R.Lock_acquire ~path_hash:4 "a" 0.1;
+  submit ~client:2 ~op:R.Stat ~path_hash:2 "b" 0.1;
+  submit ~client:3 ~op:R.Lock_acquire ~path_hash:4 "a" 0.1;
+  submit ~client:4 ~op:R.Lock_release ~path_hash:4 "a" 0.1;
+  let ledger = ref [] in
+  let probe () = ledger := C.conservation cluster :: !ledger in
+  let at time f =
+    ignore (Desim.Sim.schedule_at sim ~time f : Desim.Sim.handle)
+  in
+  at 0.5 probe;
+  at 1.0 (fun () ->
+      probe ();
+      let (_ : string list) = C.fail_server cluster (id 0) in
+      probe ();
+      C.move cluster ~file_set:"a" ~dst:(id 1);
+      C.move cluster ~file_set:"b" ~dst:(id 1));
+  (* Arrives while [a] is orphaned: buffered, never redelivered. *)
+  at 2.0 (fun () ->
+      submit ~client:5 ~op:R.Stat ~path_hash:3 "a" 0.1;
+      probe ());
+  (* Client 3 queues behind client 1's exclusive hold until its lease
+     runs out, 30 s after the grant. *)
+  List.iter (fun i -> at (10.0 +. (2.0 *. float_of_int i)) probe)
+    (List.init 30 Fun.id);
+  Desim.Sim.run sim;
+  probe ();
+  Alcotest.(check (array int)) "each request completes exactly once"
+    (Array.make 6 1) completions;
+  check_int "the crash re-buffered five requests" 5
+    (C.requests_rebuffered cluster);
+  let ledger = List.rev !ledger in
+  List.iter
+    (fun (c : C.conservation) ->
+      check_int "conservation balances" c.submitted
+        (c.completed + c.inflight + c.buffered + c.lock_waiting))
+    ledger;
+  (match ledger with
+  | before :: at_crash :: after_crash :: _ ->
+    check_int "five at the server before the crash" 5 before.C.inflight;
+    check_int "still five at the crash" 5 at_crash.C.inflight;
+    check_int "none at a server after it" 0 after_crash.C.inflight;
+    check_int "all five buffered after it" 5 after_crash.C.buffered
+  | _ -> Alcotest.fail "expected the probes around the crash");
+  check_bool "a lock wait was seen" true
+    (List.exists (fun (c : C.conservation) -> c.lock_waiting > 0) ledger);
+  let final = List.nth ledger (List.length ledger - 1) in
+  check_int "everything completed" 6 final.C.completed;
+  check_int "nothing parked" 0
+    (final.C.inflight + final.C.buffered + final.C.lock_waiting);
+  (* The five requests at the dead server began before the crash; each
+     writes a service stage on its redelivery. *)
+  let lives =
+    Hashtbl.fold (fun _ l acc -> l :: acc)
+      (lifecycles (Obs.Sink.Ring.contents ring)) []
+  in
+  check_int "six request spans" 6 (List.length lives);
+  let redelivered = List.filter (fun l -> l.req_begin < 1.0) lives in
+  check_int "five redelivered" 5 (List.length redelivered);
+  List.iter
+    (fun l ->
+      match List.assoc_opt "service" l.stages with
+      | Some (b, Some _) ->
+        check_bool "service starts after the crash" true (b > 1.0)
+      | Some (_, None) | None ->
+        Alcotest.fail "a redelivered request without a service stage")
+    redelivered
+
 (* Attributes survive the JSONL round trip and render like the oracle,
    on a real run's request spans. *)
 let test_request_attrs_round_trip () =
@@ -1546,6 +1645,8 @@ let suite =
       test_request_lifecycle_partition_mix;
     Alcotest.test_case "request lifecycle: redelivery writes service" `Quick
       test_request_lifecycle_redelivery;
+    Alcotest.test_case "crash redelivers plain and lock slots" `Quick
+      test_crash_redelivers_plain_and_lock_slots;
     Alcotest.test_case "request attributes round-trip" `Quick
       test_request_attrs_round_trip;
   ]

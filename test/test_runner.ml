@@ -130,6 +130,76 @@ let test_add_server_event () =
   in
   check_bool "new server takes load" true (served > 0)
 
+(* A server added mid-run gets the cluster's station hooks: on an
+   observed run (tracing and telemetry, so the start hook is installed
+   too) the requests for the sets placed on it complete there, with
+   their request spans closing on it. *)
+let test_add_server_observed () =
+  let events = [ { Runner.at = 600.0; action = Runner.Add (9, 9.0) } ] in
+  let ring = Obs.Sink.Ring.create ~capacity:100_000 in
+  let obs =
+    Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ]
+      ~telemetry:(Obs.Telemetry.create ()) ()
+  in
+  let r =
+    Runner.run scenario (Scenario.Anu Placement.Anu.default_config)
+      ~trace:small_trace ~events ~obs ()
+  in
+  check_int "completes" r.Runner.submitted r.Runner.completed;
+  let served = List.assoc 9 r.Runner.per_server_requests in
+  check_bool "new server takes load" true (served > 0);
+  let ended_on_9 =
+    List.length
+      (List.filter
+         (function
+           | Obs.Event.Span_end { name = "request"; server = Some 9; _ } -> true
+           | _ -> false)
+         (Obs.Sink.Ring.contents ring))
+  in
+  check_int "request spans end on it" served ended_on_9;
+  let tl = Option.get r.Runner.telemetry in
+  let s9 =
+    List.find (fun s -> s.Obs.Telemetry.server = 9) tl.Obs.Telemetry.servers
+  in
+  check_int "telemetry counts them" served s9.Obs.Telemetry.requests;
+  check_bool "its start hook ran" true (s9.Obs.Telemetry.busy_seconds > 0.0)
+
+(* The completion hook sees every request exactly once, with its file
+   set, operation, path hash and client, also when a crash redelivers
+   some of them. *)
+let test_on_request_complete_sees_every_request () =
+  let events =
+    [
+      { Runner.at = 500.0; action = Runner.Fail 3 };
+      { Runner.at = 1100.0; action = Runner.Recover 3 };
+    ]
+  in
+  let names = Array.of_list (Workload.Trace.file_sets small_trace) in
+  let key name (req : Sharedfs.Request.t) =
+    (name, req.op, req.path_hash, req.client)
+  in
+  let seen = ref [] in
+  let r =
+    Runner.run scenario (Scenario.Anu Placement.Anu.default_config)
+      ~trace:small_trace ~events
+      ~on_request_complete:(fun ~fs ~op ~path_hash ~client ~latency ->
+        check_bool "latency is positive" true (latency > 0.0);
+        seen := (names.(fs), op, path_hash, client) :: !seen)
+      ()
+  in
+  check_int "completes" r.Runner.submitted r.Runner.completed;
+  let expected =
+    Array.to_list
+      (Array.map
+         (fun rc ->
+           let req = rc.Workload.Trace.request in
+           key req.Sharedfs.Request.file_set req)
+         (Workload.Trace.records small_trace))
+  in
+  check_int "one call per request" (List.length expected) (List.length !seen);
+  check_bool "the same requests" true
+    (List.sort compare expected = List.sort compare !seen)
+
 let test_set_speed_event () =
   let events = [ { Runner.at = 200.0; action = Runner.Set_speed (0, 50.0) } ] in
   let r =
@@ -176,6 +246,10 @@ let suite =
     Alcotest.test_case "failure event" `Slow test_failure_event;
     Alcotest.test_case "failure and recovery" `Slow test_failure_and_recovery_event;
     Alcotest.test_case "add server event" `Slow test_add_server_event;
+    Alcotest.test_case "add server: observed requests" `Slow
+      test_add_server_observed;
+    Alcotest.test_case "on_request_complete: every request" `Slow
+      test_on_request_complete_sees_every_request;
     Alcotest.test_case "set speed event" `Slow test_set_speed_event;
     Alcotest.test_case "summary helpers" `Slow test_summary_helpers;
     Alcotest.test_case "anu beats static" `Slow
