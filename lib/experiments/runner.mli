@@ -1,7 +1,7 @@
 (** The simulation runner: wires a trace, a cluster and a policy
     together and collects everything the figures plot.
 
-    One run builds a fresh simulator, schedules every trace arrival,
+    One run builds a fresh simulator, feeds it every trace arrival,
     installs the policy's initial placement at time zero (prescient
     gets its oracle look-ahead first, so it starts balanced; adaptive
     policies start uniform), and fires a delegate round every
@@ -79,9 +79,12 @@ val throughput : result list -> throughput
     measurements.  The simulation runs past the stream end until every
     queued request drains.
 
-    This is the constant-memory driver: arrivals enter the event heap
-    one at a time through a self-re-arming cursor, so heap occupancy
-    stays O(streams + inflight) no matter how many requests flow;
+    This is the constant-memory driver: arrivals are rows of the
+    stream's column cursor ({!Workload.Stream.start_batch}) fed to the
+    engine as an external source ({!Desim.Sim.set_source}), so they
+    never occupy the event heap and heap occupancy stays O(inflight) no
+    matter how many requests flow; each request lives in a reused
+    cluster slot until it completes ({!Sharedfs.Cluster.submit});
     latency summaries are streaming (exact mean/max, log-binned p95 —
     see {!Desim.Stat.Quantile}); and the prescient oracle is a second,
     lazily-started cursor over the same stream, paid for only when a
@@ -134,21 +137,18 @@ val throughput : result list -> throughput
     data path) to the same virtual clock.  [on_cluster] runs right
     after the cluster is built — the hook that lets a caller keep the
     handle for post-run audits ({!Sharedfs.Cluster.fsck}).
-    [on_request_complete] fires for every completed metadata request
-    with its originating trace record (synthesized from the stream
-    item) and client-perceived latency.
+    [on_request_complete] fires once for every completed metadata
+    request with the columns of the cluster's completion sink: the
+    request's file-set id (its index in
+    {!Workload.Stream.file_sets}), operation, path hash, client and
+    client-perceived latency.
 
-    When nothing needs a per-request closure — no faults, no scripted
-    events, no invariant sweeps, no [on_request_complete] — and the
-    stream provides a column cursor ({!Workload.Stream.start_batch}),
-    arrivals take an allocation-free column path: identical events at
-    identical times, per-request state in the cluster's reused slots,
-    completions reported through a sink instead of per-request
-    closures.  Tracing, metrics and telemetry ride this path and see
-    exactly what they see on the closure path.  When the run ends the
-    runner detaches the arrival source and the sink, so a cluster kept
-    through [on_cluster] does not keep the run's cursor or latency
-    summaries alive. *)
+    Every run takes this one path, whatever it is given: faults,
+    scripted events, invariant checks, observers and
+    [on_request_complete] change what happens to requests, not how
+    they are represented.  When the run ends the runner detaches the
+    arrival source and the sink, so a cluster kept through [on_cluster]
+    does not keep the run's cursor or latency summaries alive. *)
 val run_stream :
   Scenario.t ->
   Scenario.policy_spec ->

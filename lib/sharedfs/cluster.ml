@@ -479,6 +479,9 @@ let restore_recovered t ~owned ~orphaned =
     orphans;
   (List.length owned, List.length orphans)
 
+let lock_key sl slot =
+  { Lock_manager.fs = sl.slot_fs.(slot); ino = abs sl.slot_path.(slot) }
+
 (* The lock domain of one file set, created on first lock touch (a
    workload without lock operations never allocates any). *)
 let domain_of t fs =
@@ -543,9 +546,8 @@ let complete_request t slot ~latency =
   let sl = t.slots in
   match sl.slot_op.(slot) with
   | Request.Lock_acquire ->
-    let fs = sl.slot_fs.(slot) in
-    let d = domain_of t fs in
-    let key = { Lock_manager.fs; ino = abs sl.slot_path.(slot) } in
+    let d = domain_of t sl.slot_fs.(slot) in
+    let key = lock_key sl slot in
     let client = sl.slot_client.(slot) in
     if List.mem_assoc client (Lock_manager.holders d.lm ~key) then
       (* Re-acquisition of a held lock: grant immediately. *)
@@ -568,9 +570,8 @@ let complete_request t slot ~latency =
         Hashtbl.add d.waits (key, client) slot
     end
   | Request.Lock_release ->
-    let fs = sl.slot_fs.(slot) in
-    let d = domain_of t fs in
-    let key = { Lock_manager.fs; ino = abs sl.slot_path.(slot) } in
+    let d = domain_of t sl.slot_fs.(slot) in
+    let key = lock_key sl slot in
     let client = sl.slot_client.(slot) in
     let was_waiting = Hashtbl.find_opt d.waits (key, client) in
     let granted = Lock_manager.release d.lm ~key ~client in
@@ -721,20 +722,22 @@ let op_attrs =
 
 let op_attr op = List.assq op op_attrs
 
-(* A request arrives: telemetry counts it, its request span opens, and
-   the submission counters move.  The request span is the request's
-   whole record in a trace: its begin carries the file set, client and
-   operation, its end the server. *)
-let[@inline] open_request t ~fs ~client ~op =
+(* A request for an assigned set arrives: telemetry counts it, its
+   request span opens, the submission counters move, and it takes a
+   slot, returned.  The request span is the request's whole record in a
+   trace: its begin carries the file set, client and operation, its end
+   the server. *)
+let arrive t ~fs ~op ~base_demand ~path_hash ~client =
+  if Option.is_none t.sink then failwith "Cluster.submit: set_sink first";
+  let now = t.clockc.(0) in
   (match t.telemetry with
   | Some tl ->
-    Obs.Telemetry.observe_submit tl ~time:t.clockc.(0)
-      ~file_set:(fs_name t fs)
+    Obs.Telemetry.observe_submit tl ~time:now ~file_set:(fs_name t fs)
   | None -> ());
   let span =
     if Obs.Ctx.tracing t.obs then
-      Obs.Span.begin_ t.obs ~time:t.clockc.(0) ~name:"request"
-        ~cat:"request" ~file_set:(fs_name t fs)
+      Obs.Span.begin_ t.obs ~time:now ~name:"request" ~cat:"request"
+        ~file_set:(fs_name t fs)
         ~attrs:(Obs.Event.Client client :: op_attr op)
         ()
     else Obs.Span.none
@@ -743,16 +746,6 @@ let[@inline] open_request t ~fs ~client ~op =
   (match t.instruments with
   | None -> ()
   | Some i -> Obs.Metrics.Counter.incr i.submitted);
-  span
-
-let submit t ~fs ~op ~base_demand ~path_hash ~client =
-  let ownership = t.ownership.(fs) in
-  (match ownership with
-  | Unassigned ->
-    failwith ("Cluster.submit: file set never assigned: " ^ fs_name t fs)
-  | Owned _ | Moving _ | Orphaned _ -> ());
-  if Option.is_none t.sink then failwith "Cluster.submit: set_sink first";
-  let span = open_request t ~fs ~client ~op in
   let sl = t.slots in
   let slot = take_slot sl in
   sl.slot_fs.(slot) <- fs;
@@ -760,20 +753,28 @@ let submit t ~fs ~op ~base_demand ~path_hash ~client =
   sl.slot_path.(slot) <- path_hash;
   sl.slot_client.(slot) <- client;
   sl.slot_demand.(slot) <- base_demand;
-  sl.slot_arrival.(slot) <- t.clockc.(0);
+  sl.slot_arrival.(slot) <- now;
   sl.slot_span.(slot) <- span;
   sl.slot_delivered.(slot) <- false;
-  match ownership with
-  | Owned id -> deliver t id slot ~base_demand ~extra_latency:0.0
+  slot
+
+let submit t ~fs ~op ~base_demand ~path_hash ~client =
+  match t.ownership.(fs) with
+  | Owned id ->
+    let slot = arrive t ~fs ~op ~base_demand ~path_hash ~client in
+    deliver t id slot ~base_demand ~extra_latency:0.0
   | Moving { pending; _ } | Orphaned pending ->
+    let slot = arrive t ~fs ~op ~base_demand ~path_hash ~client in
     (* A request held back by a move or an orphaned set gets an explicit
        "buffered" stage, so forensics can attribute that part of its
        latency to the move rather than to queueing. *)
-    sl.slot_bspan.(slot) <-
-      Obs.Span.begin_ t.obs ~time:t.clockc.(0) ~parent:span ~name:"buffered"
-        ~cat:"request" ~file_set:(fs_name t fs) ();
+    t.slots.slot_bspan.(slot) <-
+      Obs.Span.begin_ t.obs ~time:t.clockc.(0)
+        ~parent:t.slots.slot_span.(slot) ~name:"buffered" ~cat:"request"
+        ~file_set:(fs_name t fs) ();
     Queue.add slot pending
-  | Unassigned -> assert false
+  | Unassigned ->
+    failwith ("Cluster.submit: file set never assigned: " ^ fs_name t fs)
 
 let init_seconds t fs =
   let entry = File_set.Catalog.nth t.catalog fs in
