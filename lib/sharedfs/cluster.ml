@@ -100,6 +100,9 @@ type slots = {
   mutable slot_client : int array;
   mutable slot_demand : float array;  (* base demand *)
   mutable slot_arrival : float array;  (* submission time *)
+  mutable slot_extra : float array;
+      (* time from arrival to the current delivery: buffering behind a
+         move or an orphaned set, service at a server that crashed *)
   mutable slot_span : Obs.Span.id array;  (* the request span *)
   mutable slot_bspan : Obs.Span.id array;
       (* open "buffered" stage while the request waits out a move or an
@@ -129,6 +132,7 @@ let grow_slots s =
   s.slot_client <- grow s.slot_client 0;
   s.slot_demand <- grow s.slot_demand 0.0;
   s.slot_arrival <- grow s.slot_arrival 0.0;
+  s.slot_extra <- grow s.slot_extra 0.0;
   s.slot_span <- grow s.slot_span Obs.Span.none;
   s.slot_bspan <- grow s.slot_bspan Obs.Span.none;
   s.slot_qspan <- grow s.slot_qspan Obs.Span.none;
@@ -305,6 +309,7 @@ let create sim ~disk ~catalog ?(move_config = default_move_config)
           slot_client = [||];
           slot_demand = [||];
           slot_arrival = [||];
+          slot_extra = [||];
           slot_span = [||];
           slot_bspan = [||];
           slot_qspan = [||];
@@ -595,8 +600,8 @@ let complete_request t slot ~latency =
    [start_service] closes; otherwise (or untraced) it has none. *)
 let[@inline] open_queue t server ~sid ~span ~fs =
   if Obs.Ctx.tracing t.obs && Server.in_service server then
-    Obs.Span.begin_ t.obs ~time:t.clockc.(0) ~parent:span ~name:"queue"
-      ~cat:"request" ~server:sid ~file_set:(fs_name t fs) ()
+    Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~parent:span
+      ~name:"queue" ~cat:"request" ~server:sid ~file_set:(fs_name t fs) ()
   else Obs.Span.none
 
 (* A delivered request begins service: telemetry sees the service time,
@@ -604,7 +609,7 @@ let[@inline] open_queue t server ~sid ~span ~fs =
    has none) and opens its service stage, returned.  Without stages it
    returns {!Obs.Span.none}. *)
 let start_service t ~sid ~span ~qspan ~fs ~staged ~service =
-  let started = t.clockc.(0) in
+  let started = Desim.Sim.now t.sim in
   (match t.telemetry with
   | Some tl ->
     Obs.Telemetry.observe_service tl ~time:started ~server:sid ~service
@@ -628,21 +633,35 @@ let[@inline] finish_service t server ~sid ~span ~sspan ~latency =
     Obs.Metrics.Histogram.observe i.latency latency);
   (match t.telemetry with
   | Some tl ->
-    Obs.Telemetry.observe_complete tl ~time:t.clockc.(0) ~server:sid
+    Obs.Telemetry.observe_complete tl ~time:(Desim.Sim.now t.sim) ~server:sid
       ~queue_depth:(Server.queue_length server) ~latency
   | None -> ());
   if Obs.Ctx.tracing t.obs then begin
-    let finished = t.clockc.(0) in
+    let finished = Desim.Sim.now t.sim in
     Obs.Span.end_ t.obs ~time:finished ~id:sspan ~name:"service"
       ~cat:"request" ~server:sid ();
     Obs.Span.end_ t.obs ~time:finished ~id:span ~name:"request"
       ~cat:"request" ~server:sid ()
   end
 
+(* [server] has finished the request in [slot]; [latency] includes the
+   time before the delivery.  The server records it, the request's
+   stages close, and the lock service and the completion sink take
+   over. *)
+let finish t server ~sid slot ~latency =
+  Server.record server ~latency;
+  t.inflight_n <- t.inflight_n - 1;
+  let sl = t.slots in
+  finish_service t server ~sid ~span:sl.slot_span.(slot)
+    ~sspan:sl.slot_sspan.(slot) ~latency;
+  complete_request t slot ~latency
+
 (* The servers' station hooks: the start hook (only when some observer
    wants it) opens the service stage of a delivery that writes one, and
-   the sink closes the request's stages and passes it on to the lock
-   service and the completion sink. *)
+   the sink adds the time before the delivery to the station's latency.
+   Most requests were delivered on arrival, and adding 0.0 to a station
+   latency (never -0.0) is the identity, so those pass on the float the
+   station boxed instead of boxing a new one. *)
 let install_hooks t server =
   let sid = Server_id.to_int (Server.id server) in
   let sl = t.slots in
@@ -653,10 +672,9 @@ let install_hooks t server =
             ~qspan:sl.slot_qspan.(tag) ~fs:sl.slot_fs.(tag)
             ~staged:sl.slot_staged.(tag) ~service);
   Server.set_sink server (fun ~tag ~latency ->
-      t.inflight_n <- t.inflight_n - 1;
-      finish_service t server ~sid ~span:sl.slot_span.(tag)
-        ~sspan:sl.slot_sspan.(tag) ~latency;
-      complete_request t tag ~latency)
+      let extra = sl.slot_extra.(tag) in
+      if extra = 0.0 then finish t server ~sid tag ~latency
+      else finish t server ~sid tag ~latency:(latency +. extra))
 
 let set_sink t k =
   t.sink <- Some k;
@@ -676,10 +694,9 @@ let clear_sink t =
    submission, to an idle server writes no stage at all: its service
    would begin and end with its request span, so forensics derives it
    from that span instead.  A buffered, queued or redelivered request
-   writes its service stage.  [base_demand] and [extra_latency] are the
-   slot's demand and the time since arrival, passed in so that a
-   delivery at submission boxes no float. *)
-let deliver t id slot ~base_demand ~extra_latency =
+   writes its service stage.  [base_demand] is the slot's demand, passed
+   in so that a delivery at submission boxes no float. *)
+let deliver t id slot ~base_demand =
   let server =
     match t.servers_by_int.(Server_id.to_int id) with
     | Some s -> s
@@ -701,16 +718,14 @@ let deliver t id slot ~base_demand ~extra_latency =
   sl.slot_sspan.(slot) <- Obs.Span.none;
   sl.slot_staged.(slot) <-
     qspan <> Obs.Span.none || (Obs.Ctx.tracing t.obs && staged);
+  sl.slot_extra.(slot) <- t.clockc.(0) -. sl.slot_arrival.(slot);
   t.inflight_n <- t.inflight_n + 1;
   Server.submit server ~fs ~op:sl.slot_op.(slot) ~base_demand ~tag:slot
-    ~extra_latency
 
 (* Deliver a request that waited: buffered behind a move or an orphaned
    set, or interrupted by a crash. *)
 let redeliver t id slot =
-  let sl = t.slots in
-  deliver t id slot ~base_demand:sl.slot_demand.(slot)
-    ~extra_latency:(t.clockc.(0) -. sl.slot_arrival.(slot))
+  deliver t id slot ~base_demand:t.slots.slot_demand.(slot)
 
 (* A request span's [Op] attribute as a preallocated one-element list
    per operation, so a traced submission allocates only the [Client]
@@ -729,15 +744,15 @@ let op_attr op = List.assq op op_attrs
    the server. *)
 let arrive t ~fs ~op ~base_demand ~path_hash ~client =
   if Option.is_none t.sink then failwith "Cluster.submit: set_sink first";
-  let now = t.clockc.(0) in
   (match t.telemetry with
   | Some tl ->
-    Obs.Telemetry.observe_submit tl ~time:now ~file_set:(fs_name t fs)
+    Obs.Telemetry.observe_submit tl ~time:(Desim.Sim.now t.sim)
+      ~file_set:(fs_name t fs)
   | None -> ());
   let span =
     if Obs.Ctx.tracing t.obs then
-      Obs.Span.begin_ t.obs ~time:now ~name:"request" ~cat:"request"
-        ~file_set:(fs_name t fs)
+      Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name:"request"
+        ~cat:"request" ~file_set:(fs_name t fs)
         ~attrs:(Obs.Event.Client client :: op_attr op)
         ()
     else Obs.Span.none
@@ -753,7 +768,7 @@ let arrive t ~fs ~op ~base_demand ~path_hash ~client =
   sl.slot_path.(slot) <- path_hash;
   sl.slot_client.(slot) <- client;
   sl.slot_demand.(slot) <- base_demand;
-  sl.slot_arrival.(slot) <- now;
+  sl.slot_arrival.(slot) <- t.clockc.(0);
   sl.slot_span.(slot) <- span;
   sl.slot_delivered.(slot) <- false;
   slot
@@ -762,7 +777,7 @@ let submit t ~fs ~op ~base_demand ~path_hash ~client =
   match t.ownership.(fs) with
   | Owned id ->
     let slot = arrive t ~fs ~op ~base_demand ~path_hash ~client in
-    deliver t id slot ~base_demand ~extra_latency:0.0
+    deliver t id slot ~base_demand
   | Moving { pending; _ } | Orphaned pending ->
     let slot = arrive t ~fs ~op ~base_demand ~path_hash ~client in
     (* A request held back by a move or an orphaned set gets an explicit

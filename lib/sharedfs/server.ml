@@ -13,12 +13,9 @@ type t = {
   station : Desim.Station.t;
   cache : Cache.t;
   sim : Desim.Sim.t;
-  clockc : float array; (* Sim.time_cell: unboxed clock reads in observe *)
+  clockc : float array; (* Sim.time_cell: unboxed clock reads in record *)
   window : Desim.Welford.t;
   series : Desim.Timeseries.t;
-  mutable extra : float array;
-      (* tag -> delay the job's request suffered before reaching this
-         server, added to its station latency *)
   instruments : instruments option;
 }
 
@@ -48,7 +45,6 @@ let create sim ~id ~speed ?cache_config ~series_interval
     sim;
     window = Desim.Welford.create ();
     series = Desim.Timeseries.create ~interval:series_interval;
-    extra = [||];
     instruments;
   }
 
@@ -58,7 +54,7 @@ let speed t = Desim.Station.speed t.station
 
 let set_speed t s = Desim.Station.set_speed t.station s
 
-let observe t ~latency =
+let record t ~latency =
   Desim.Welford.add t.window latency;
   Desim.Timeseries.observe t.series ~time:t.clockc.(0) latency;
   match t.instruments with
@@ -80,33 +76,15 @@ let note_queue_depth t =
 (* No per-request closure: the job's start and completion are reported
    to the station hooks installed by [set_start_hook] and [set_sink],
    identified by [tag] (the cluster's request slot). *)
-let submit t ~fs ~op ~base_demand ~tag ~extra_latency =
+let submit t ~fs ~op ~base_demand ~tag =
   let multiplier =
     Cache.access t.cache ~fs ~dirties:(Request.dirties_cache op)
   in
   let demand = base_demand *. Request.demand_factor op *. multiplier in
-  if tag >= Array.length t.extra then begin
-    let extra = Array.make (max 16 (2 * tag)) 0.0 in
-    Array.blit t.extra 0 extra 0 (Array.length t.extra);
-    t.extra <- extra
-  end;
-  t.extra.(tag) <- extra_latency;
   Desim.Station.submit_tagged t.station ~demand ~tag;
   note_queue_depth t
 
-let report t k ~tag ~latency =
-  observe t ~latency;
-  k ~tag ~latency
-
-(* The sink adds the delay before this server, then observes the result
-   and hands the completion on.  Most jobs have none, and adding 0.0 to
-   a station latency (never -0.0) is the identity, so those pass on the
-   latency the station boxed instead of boxing a new float. *)
-let set_sink t k =
-  Desim.Station.set_sink t.station (fun ~tag ~latency ->
-      let extra = t.extra.(tag) in
-      if extra = 0.0 then report t k ~tag ~latency
-      else report t k ~tag ~latency:(latency +. extra))
+let set_sink t k = Desim.Station.set_sink t.station k
 
 let set_start_hook t f = Desim.Station.set_start_hook t.station f
 

@@ -40,30 +40,27 @@ val speed : t -> float
     that start service afterwards. *)
 val set_speed : t -> float -> unit
 
-(** [submit t ~fs ~op ~base_demand ~tag ~extra_latency] serves a
-    metadata request: the effective demand is [base_demand] times the
-    operation's factor times the cache multiplier for the file set.
-    [fs] is the request's interned file-set id (the server's hot path
-    never hashes the name).  [tag] identifies the job to the hooks and
-    to {!fail}: the job's start is reported to the hook installed with
-    {!set_start_hook} and its completion to the sink installed with
-    {!set_sink}.  [extra_latency] is delay already suffered before
-    reaching this server (buffering during a file-set move, service at
-    a server that crashed) and is added to the recorded and reported
-    latency. *)
+(** [submit t ~fs ~op ~base_demand ~tag] serves a metadata request: the
+    effective demand is [base_demand] times the operation's factor times
+    the cache multiplier for the file set.  [fs] is the request's
+    interned file-set id (the server's hot path never hashes the name).
+    [tag] identifies the job to the hooks and to {!fail}: the job's
+    start is reported to the hook installed with {!set_start_hook} and
+    its completion to the sink installed with {!set_sink}. *)
 val submit :
-  t ->
-  fs:int ->
-  op:Request.op ->
-  base_demand:float ->
-  tag:int ->
-  extra_latency:float ->
-  unit
+  t -> fs:int -> op:Request.op -> base_demand:float -> tag:int -> unit
 
-(** [set_sink t k] installs the completion sink of {!submit} jobs.  The
-    server records the latency (with the job's [extra_latency]) in its
-    window, series and instruments before calling [k ~tag ~latency]. *)
+(** [set_sink t k] installs the completion sink of {!submit} jobs:
+    [k ~tag ~latency] fires when the job finishes, with its queueing
+    delay plus service time at this server.  The sink decides the
+    request's full latency and passes it to {!record}. *)
 val set_sink : t -> (tag:int -> latency:float -> unit) -> unit
+
+(** [record t ~latency] counts a request this server completed, with
+    its full latency (including any delay before it reached the
+    server), in the report window, the time series and the server's
+    instruments. *)
+val record : t -> latency:float -> unit
 
 (** [set_start_hook t f] installs the start hook of {!submit} jobs:
     [f ~tag ~service] fires when the job begins its [service]-second

@@ -38,17 +38,16 @@ let submit t ~base_demand (req : Request.t) ~on_complete =
     ~path_hash:req.Request.path_hash ~client:req.Request.client
 
 (* The same for one server: tags number the jobs, each with its
-   callback. *)
+   callback, and the sink records each latency as the cluster's does. *)
 let serve =
   let callbacks = Hashtbl.create 16 in
   let next = ref 0 in
-  fun server ?(extra_latency = 0.0) ~base_demand (req : Request.t)
-      ~on_complete ->
+  fun server ~base_demand (req : Request.t) ~on_complete ->
     let tag = !next in
     incr next;
     Hashtbl.add callbacks tag on_complete;
     Server.set_sink server (fun ~tag ~latency ->
+        Server.record server ~latency;
         (Hashtbl.find callbacks tag) ~latency;
         Hashtbl.remove callbacks tag);
     Server.submit server ~fs:0 ~op:req.Request.op ~base_demand ~tag
-      ~extra_latency
