@@ -47,8 +47,8 @@ type result = {
   sim_wall_seconds : float;
       (** wall-clock seconds the engine spent firing them *)
   sim_peak_pending : int;
-      (** high-water mark of the event heap — O(streams + inflight)
-          under the streaming driver, independent of request count *)
+      (** high-water mark of the event heap — O(inflight), independent
+          of request count: arrivals never enter the heap *)
   metrics : Obs.Metrics.snapshot option;
       (** per-run metrics snapshot when the run's {!Obs.Ctx.t} carried
           a registry *)
