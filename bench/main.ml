@@ -134,9 +134,9 @@ let micro_tests () =
       (Staged.stage (fun () ->
            let sim = Desim.Sim.create () in
            let st = Desim.Station.create sim ~name:"b" ~speed:1.0 in
+           Desim.Station.set_sink st (fun ~tag:_ ~latency:_ -> ());
            for i = 0 to 99 do
-             Desim.Station.submit st ~demand:0.01 ~tag:i
-               ~on_complete:(fun ~latency:_ -> ())
+             Desim.Station.submit_tagged st ~demand:0.01 ~tag:i
            done;
            Desim.Sim.run sim));
   ]

@@ -358,15 +358,12 @@ let trace_cmd =
 
 let validate_cmd =
   let doc = "Verify the paper's headline claims against fresh runs." in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Scale the workloads down ~10x.")
-  in
-  let run () quick =
-    let checks = Experiments.Validate.run ~quick () in
+  let run () =
+    let checks = Experiments.Validate.run () in
     Format.printf "%a@." Experiments.Validate.pp checks;
     if not (Experiments.Validate.all_passed checks) then exit 1
   in
-  Cmd.v (Cmd.info "validate" ~doc) Term.(const run $ verbosity_t $ quick)
+  Cmd.v (Cmd.info "validate" ~doc) Term.(const run $ verbosity_t)
 
 (* Options shared by `chaos' and `fsck' (fsck audits the ledger a
    chaos run leaves behind, so it takes the same knobs). *)
@@ -478,7 +475,7 @@ let explore_cmd =
   let budget =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "budget" ] ~docv:"N"
           ~doc:
             "Probe at most N crash points, sampled reproducibly from the \

@@ -2,9 +2,7 @@
 
    Generates a DFSTrace-like workload, saves it in the text trace
    format, loads it back, replays it through the simulator, and then
-   demonstrates the shared-disk substrate directly: metadata tables
-   that flush through the shared disk when a file set moves, and lock
-   state that travels with the set.
+   shows the lock state that travels with a file set when it moves.
 
      dune exec examples/trace_replay.exe *)
 
@@ -31,42 +29,10 @@ let () =
   in
   Format.printf "replayed: %s@.@." (Experiments.Report.summary_line result);
 
-  (* 3. The metadata substrate, hands on: a file-set table is dirtied
-     by writes, flushed to the shared disk by the releasing server and
-     loaded by the acquiring one. *)
-  let catalog = Sharedfs.File_set.Catalog.create [ "projects"; "scratch" ] in
-  let fs = Sharedfs.File_set.Catalog.get catalog "projects" in
-  let disk = Sharedfs.Shared_disk.create () in
-  let store = Sharedfs.Metadata_store.create ~file_set:fs in
-  List.iter
-    (fun (op, path_hash) ->
-      ignore
-        (Sharedfs.Metadata_store.apply store ~time:1.0
-           { Sharedfs.Request.op; file_set = "projects"; path_hash; client = 1 }))
-    [
-      (Sharedfs.Request.Create, 101);
-      (Sharedfs.Request.Rename, 2002);
-      (Sharedfs.Request.Set_attr, 30003);
-    ];
-  Format.printf
-    "metadata store: %d records, %d dirty (%d bytes) after three writes@."
-    (Sharedfs.Metadata_store.record_count store)
-    (Sharedfs.Metadata_store.dirty_count store)
-    (Sharedfs.Metadata_store.dirty_bytes store);
-  let flush_time = Sharedfs.Metadata_store.flush store disk in
-  let store', load_time = Sharedfs.Metadata_store.load ~file_set:fs disk in
-  Format.printf
-    "flushed in %.4f s (simulated), reloaded %d records in %.4f s; disk saw \
-     %d writes / %d reads@."
-    flush_time
-    (Sharedfs.Metadata_store.record_count store')
-    load_time
-    (Sharedfs.Shared_disk.blocks_written disk)
-    (Sharedfs.Shared_disk.blocks_read disk);
-
-  (* 4. Locks travel with the file set. *)
+  (* 3. Locks travel with the file set: the releasing server exports
+     the set's lock table (file set 0 here) and the acquiring one
+     imports it. *)
   let lm_src = Sharedfs.Lock_manager.create () in
-  (* "projects" interns to id 0 in this two-set catalog. *)
   let key = { Sharedfs.Lock_manager.fs = 0; ino = 101 } in
   ignore
     (Sharedfs.Lock_manager.acquire lm_src ~key ~client:1

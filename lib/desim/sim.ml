@@ -34,7 +34,6 @@ type t = {
   mutable fired : int;
   mutable live_count : int;
   mutable peak_live : int;
-  mutable processes : int;
   mutable on_event : (float -> unit) option;
 }
 
@@ -69,7 +68,6 @@ let create () =
     fired = 0;
     live_count = 0;
     peak_live = 0;
-    processes = 0;
     on_event = None;
   }
 
@@ -301,7 +299,3 @@ let run_profiled (t : t) =
       (if wall_seconds > 0.0 then float_of_int fired /. wall_seconds
        else 0.0);
   }
-
-let internal_adjust_processes t delta = t.processes <- t.processes + delta
-
-let internal_processes t = t.processes

@@ -114,11 +114,3 @@ type profile = { fired : int; wall_seconds : float; events_per_second : float }
     Wall-clock jumps (NTP steps, etc.) cannot skew the numbers. *)
 val run_profiled : t -> profile
 
-(**/**)
-
-(* Bookkeeping used by {!Process}; not part of the public surface. *)
-val internal_adjust_processes : t -> int -> unit
-
-val internal_processes : t -> int
-
-(**/**)

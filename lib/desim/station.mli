@@ -4,8 +4,10 @@
     station with speed [s] serves a demand [d] job in [d /. s] seconds
     of virtual time.  Jobs are served one at a time in arrival order
     (the paper's simulator uses the same first-in-first-out
-    discipline).  Completion latency — queueing delay plus service
-    time — is reported to the per-job callback.
+    discipline).  A job is identified by its integer tag; its
+    completion latency — queueing delay plus service time — is
+    reported with that tag to the station-wide sink installed with
+    {!set_sink}, so the station keeps no per-job closure.
 
     Speed changes take effect for jobs that start service after the
     change; the job on the floor finishes at its already-scheduled
@@ -27,44 +29,29 @@ val speed : t -> float
     jobs. *)
 val set_speed : t -> float -> unit
 
-(** [submit t ?on_start ~demand ~tag ~on_complete] enqueues a job.
-    [on_start ~service] fires when the job reaches the head of the
-    queue and begins its [service]-second slot (immediately, if the
-    station is idle) — instrumentation uses it to split queueing delay
-    from service time.  [on_complete ~latency] fires when the job
-    finishes.  A job interrupted by {!fail} fires neither callback
-    again.  Raises [Invalid_argument] on non-positive demand and
-    [Failure] if the station is failed. *)
-val submit :
-  ?on_start:(service:float -> unit) ->
-  t ->
-  demand:float ->
-  tag:int ->
-  on_complete:(latency:float -> unit) ->
-  unit
-
-(** [submit_tagged t ~demand ~tag] enqueues a job whose completion is
-    reported to the station-wide sink installed with {!set_sink}
-    instead of a per-job closure — the allocation-free path used by the
-    streaming engine.  Same validation and FIFO semantics as
-    {!submit}.  Raises [Failure] at completion time if no sink was
-    installed. *)
+(** [submit_tagged t ~demand ~tag] enqueues a job.  Its completion
+    is reported to the sink installed with {!set_sink} as
+    [sink ~tag ~latency]; its start, to the hook installed with
+    {!set_start_hook}.  A job interrupted by {!fail} is reported to
+    neither again.  Raises [Invalid_argument] on non-positive demand,
+    [Failure] if the station is failed, and [Failure] at completion
+    time if no sink was installed. *)
 val submit_tagged : t -> demand:float -> tag:int -> unit
 
-(** [set_sink t f] installs the shared completion callback for jobs
-    submitted via {!submit_tagged}.  At most one; a second call
-    replaces the first. *)
+(** [set_sink t f] installs the completion callback shared by every
+    job.  At most one; a second call replaces the first. *)
 val set_sink : t -> (tag:int -> latency:float -> unit) -> unit
 
-(** [set_start_hook t f] installs the shared start callback for jobs
-    submitted via {!submit_tagged}: [f ~tag ~service] fires when such a
-    job begins its [service]-second slot, at the point where {!submit}'s
-    [on_start] would.  Without a hook, tagged jobs start silently.  At
-    most one; a second call replaces the first. *)
+(** [set_start_hook t f] installs the start callback shared by every
+    job: [f ~tag ~service] fires when a job reaches the head of the
+    queue and begins its [service]-second slot (immediately, if the
+    station is idle) — instrumentation uses it to split queueing delay
+    from service time.  Without a hook, jobs start silently.  At most
+    one; a second call replaces the first. *)
 val set_start_hook : t -> (tag:int -> service:float -> unit) -> unit
 
 (** [clear_hooks t] detaches the sink and the start hook, so the
-    station no longer keeps whatever their closures hold.  A tagged job
+    station no longer keeps whatever their closures hold.  A job
     completing afterwards raises [Failure], as before {!set_sink}. *)
 val clear_hooks : t -> unit
 

@@ -39,7 +39,6 @@ let run scenario spec ~trace ~san_bandwidth =
           Desim.Welford.add opens latency;
           let s = Option.get !san in
           Sharedfs.San.transfer s ~bytes:(transfer_bytes ~path_hash)
-            ~on_complete:(fun () -> ())
         | Sharedfs.Request.Close_file | Sharedfs.Request.Stat
         | Sharedfs.Request.Create | Sharedfs.Request.Remove
         | Sharedfs.Request.Rename | Sharedfs.Request.Readdir

@@ -278,46 +278,6 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
     let (_ : int) = Sharedfs.Cluster.reelect_delegate cluster in
     bump "delegate.reelections"
   in
-  (* Guarded membership transitions, shared between scripted events
-     and the fault injector: crashing a dead server or recovering an
-     alive one must be a no-op end to end, or a double-fired fault
-     would corrupt the policy's region map. *)
-  let do_fail id =
-    if
-      Sharedfs.Cluster.mem_server cluster id
-      && not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id))
-    then begin
-      let now = Desim.Sim.now sim in
-      (* If the failed server was the elected delegate, its
-         reconfiguration state dies with it; the next delegate runs
-         the same protocol from replicated state only. *)
-      let was_delegate =
-        Sharedfs.Delegate.elect ~alive:(Sharedfs.Cluster.alive_ids cluster)
-        = Some id
-      in
-      let (_ : string list) = Sharedfs.Cluster.fail_server cluster id in
-      if was_delegate then do_delegate_crash ();
-      policy.Placement.Policy.server_failed id;
-      emit_membership ~time:now (Id.to_int id) Obs.Event.Failed;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"fail" moved;
-      check_now ()
-    end
-  in
-  let do_recover id =
-    if
-      Sharedfs.Cluster.mem_server cluster id
-      && Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id)
-    then begin
-      let now = Desim.Sim.now sim in
-      Sharedfs.Cluster.recover_server cluster id;
-      policy.Placement.Policy.server_added id;
-      emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"recover" moved;
-      check_now ()
-    end
-  in
   let emit_partition ~time id ~link ~healed =
     if Obs.Ctx.tracing obs then
       Obs.Ctx.emit obs
@@ -329,83 +289,46 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
              healed;
            })
   in
-  let do_partition id ~link =
-    if
-      Sharedfs.Cluster.mem_server cluster id
-      && (not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id)))
-      && not (Sharedfs.Cluster.is_partitioned cluster id)
-    then begin
-      let now = Desim.Sim.now sim in
-      let was_delegate =
-        Sharedfs.Delegate.elect ~alive:(Sharedfs.Cluster.alive_ids cluster)
-        = Some id
-      in
-      (* Fence first (inside [partition_server]), then re-elect: the
-         isolated server may still believe it holds the lease, but its
-         writes are already dead on arrival and the epoch bump fences
-         whatever round it had in flight. *)
-      let (_ : string list) =
-        Sharedfs.Cluster.partition_server cluster id ~link
-      in
-      if was_delegate then do_delegate_crash ();
-      policy.Placement.Policy.server_failed id;
-      emit_partition ~time:now id ~link ~healed:false;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"partition" moved;
-      check_now ()
-    end
-  in
-  let do_heal id =
-    if
-      Sharedfs.Cluster.mem_server cluster id
-      && Sharedfs.Cluster.is_partitioned cluster id
-    then begin
-      let now = Desim.Sim.now sim in
-      let link =
-        match
-          List.assoc_opt id (Sharedfs.Cluster.partitioned_servers cluster)
-        with
-        | Some l -> l
-        | None -> `Cluster
-      in
-      (* [recover_server] takes the partition-heal path: unfence,
-         drop the stale lease belief, then rejoin cold. *)
-      Sharedfs.Cluster.recover_server cluster id;
-      policy.Placement.Policy.server_added id;
-      emit_partition ~time:now id ~link ~healed:true;
-      emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"heal" moved;
-      check_now ()
-    end
-  in
-  (* Atomic domain transitions.  Every member changes state first,
-     then the policy learns of each departure/arrival, and only then
+  (* Guarded membership transitions, shared between scripted events
+     and the fault injector.  Each takes the members of one fault — a
+     single server ([~domain:None]) or every server of a failure
+     domain — and is atomic: every member changes state first, then
+     the policy learns of each departure or arrival, and only then
      does ONE reconcile re-place the orphans — so a file set can never
      be parked on a member the same correlated fault is about to kill —
      followed by ONE invariant sweep.  One delegate re-election covers
-     the whole domain even when it held the lease.  Members already in
-     the target state are skipped individually, keeping domain faults
-     idempotent against overlapping per-server faults. *)
-  let do_crash_domain ~domain:_ members =
-    let victims =
-      List.filter
-        (fun id ->
-          Sharedfs.Cluster.mem_server cluster id
-          && not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id)))
-        members
-    in
-    match victims with
+     the whole fault even when a member held the lease.  Members
+     already in the target state are skipped individually, so crashing
+     a dead server or recovering an alive one is a no-op end to end,
+     and a double-fired fault cannot corrupt the policy's region map. *)
+  let alive id =
+    Sharedfs.Cluster.mem_server cluster id
+    && not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id))
+  in
+  (* If a departing member was the elected delegate, its
+     reconfiguration state dies with it; the next delegate runs the
+     same protocol from replicated state only. *)
+  let holds_lease victims =
+    match
+      Sharedfs.Delegate.elect ~alive:(Sharedfs.Cluster.alive_ids cluster)
+    with
+    | Some d -> List.exists (Id.equal d) victims
+    | None -> false
+  in
+  (* One reconcile and one sweep; the rehash round is traced under the
+     solo or the domain trigger name. *)
+  let finish ~now ~domain (solo, grouped) =
+    let moved = reconcile cluster policy names in
+    let trigger = match domain with None -> solo | Some _ -> grouped in
+    emit_rehash ~time:now ~trigger moved;
+    check_now ()
+  in
+  let do_crash ~domain members =
+    match List.filter alive members with
     | [] -> ()
-    | _ ->
+    | victims ->
       let now = Desim.Sim.now sim in
-      let delegate_dies =
-        match
-          Sharedfs.Delegate.elect ~alive:(Sharedfs.Cluster.alive_ids cluster)
-        with
-        | Some d -> List.exists (Id.equal d) victims
-        | None -> false
-      in
+      let delegate_dies = holds_lease victims in
       List.iter
         (fun id ->
           ignore (Sharedfs.Cluster.fail_server cluster id : string list))
@@ -415,21 +338,18 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
       List.iter
         (fun id -> emit_membership ~time:now (Id.to_int id) Obs.Event.Failed)
         victims;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"domain-crash" moved;
-      check_now ()
+      finish ~now ~domain ("fail", "domain-crash")
   in
-  let do_recover_domain ~domain:_ members =
-    let back =
+  let do_recover ~domain members =
+    match
       List.filter
         (fun id ->
           Sharedfs.Cluster.mem_server cluster id
           && Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id))
         members
-    in
-    match back with
+    with
     | [] -> ()
-    | _ ->
+    | back ->
       let now = Desim.Sim.now sim in
       List.iter (fun id -> Sharedfs.Cluster.recover_server cluster id) back;
       List.iter (fun id -> policy.Placement.Policy.server_added id) back;
@@ -437,33 +357,23 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
         (fun id ->
           emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered)
         back;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"domain-recover" moved;
-      check_now ()
+      finish ~now ~domain ("recover", "domain-recover")
   in
-  let do_partition_domain ~domain:_ members ~link =
-    let victims =
+  let do_partition ~domain members ~link =
+    match
       List.filter
         (fun id ->
-          Sharedfs.Cluster.mem_server cluster id
-          && (not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id)))
-          && not (Sharedfs.Cluster.is_partitioned cluster id))
+          alive id && not (Sharedfs.Cluster.is_partitioned cluster id))
         members
-    in
-    match victims with
+    with
     | [] -> ()
-    | _ ->
+    | victims ->
       let now = Desim.Sim.now sim in
-      let delegate_dies =
-        match
-          Sharedfs.Delegate.elect ~alive:(Sharedfs.Cluster.alive_ids cluster)
-        with
-        | Some d -> List.exists (Id.equal d) victims
-        | None -> false
-      in
+      let delegate_dies = holds_lease victims in
       (* Fence every member first (inside [partition_server]), then
-         re-elect once: the isolated domain may still believe it holds
-         the lease, but its writes are already dead on arrival. *)
+         re-elect once: the isolated servers may still believe they
+         hold the lease, but their writes are already dead on arrival
+         and the epoch bump fences whatever round they had in flight. *)
       List.iter
         (fun id ->
           ignore
@@ -474,21 +384,18 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
       List.iter
         (fun id -> emit_partition ~time:now id ~link ~healed:false)
         victims;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"domain-partition" moved;
-      check_now ()
+      finish ~now ~domain ("partition", "domain-partition")
   in
-  let do_heal_domain ~domain:_ members =
-    let back =
+  let do_heal ~domain members =
+    match
       List.filter
         (fun id ->
           Sharedfs.Cluster.mem_server cluster id
           && Sharedfs.Cluster.is_partitioned cluster id)
         members
-    in
-    match back with
+    with
     | [] -> ()
-    | _ ->
+    | back ->
       let now = Desim.Sim.now sim in
       let links =
         List.map
@@ -500,6 +407,8 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
             | None -> (id, `Cluster))
           back
       in
+      (* [recover_server] takes the partition-heal path: unfence, drop
+         the stale lease belief, then rejoin cold. *)
       List.iter (fun id -> Sharedfs.Cluster.recover_server cluster id) back;
       List.iter (fun id -> policy.Placement.Policy.server_added id) back;
       List.iter
@@ -507,9 +416,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
           emit_partition ~time:now id ~link ~healed:true;
           emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered)
         links;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"domain-heal" moved;
-      check_now ()
+      finish ~now ~domain ("heal", "domain-heal")
   in
   let injector =
     Option.map
@@ -517,15 +424,11 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
         Fault.Injector.arm ~sim ~cluster ~obs ~duration
           ~actions:
             {
-              Fault.Injector.crash_server = do_fail;
-              recover_server = do_recover;
+              Fault.Injector.crash = do_crash;
+              recover = do_recover;
               crash_delegate = do_delegate_crash;
-              partition_server = do_partition;
-              heal_server = do_heal;
-              crash_domain = do_crash_domain;
-              recover_domain = do_recover_domain;
-              partition_domain = do_partition_domain;
-              heal_domain = do_heal_domain;
+              partition = do_partition;
+              heal = do_heal;
             }
           plan)
       faults
@@ -784,8 +687,8 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
       let (_ : Desim.Sim.handle) =
         Desim.Sim.schedule_at sim ~time:at (fun () ->
             match action with
-            | Fail raw -> do_fail (Id.of_int raw)
-            | Recover raw -> do_recover (Id.of_int raw)
+            | Fail raw -> do_crash ~domain:None [ Id.of_int raw ]
+            | Recover raw -> do_recover ~domain:None [ Id.of_int raw ]
             | Add (raw, speed) ->
               let id = Id.of_int raw in
               Sharedfs.Cluster.add_server cluster id ~speed;

@@ -55,7 +55,7 @@ let anu_vs_prescient ~label ~factor ~max_moves (figure : Figures.figure) =
       (Printf.sprintf "%d moves (bound %d)" (moves anu) max_moves);
   ]
 
-let over_tuning ~quick (figure : Figures.figure) =
+let over_tuning (figure : Figures.figure) =
   let none = find "anu-no-heuristics" figure in
   let all = find "anu-all-three" figure in
   let all_i =
@@ -64,60 +64,31 @@ let over_tuning ~quick (figure : Figures.figure) =
   let none_i =
     Runner.converged_imbalance none ~from_:(none.Runner.duration /. 3.0)
   in
-  let balance_claim =
-    (* The balance win only emerges at full load, where over-tuning's
-       movement costs dominate; the shortened quick trace settles for
-       the heuristics staying in the same band. *)
-    if quick then
-      check "fig10: heuristics keep converged balance in band"
-        (all_i < 1.5 *. none_i)
-        (Printf.sprintf "imbalance %.2f with heuristics vs %.2f without"
-           all_i none_i)
-    else
-      check "fig10: heuristics improve converged balance" (all_i < none_i)
-        "imbalance(all-three) < imbalance(none)"
-  in
   [
     check "fig10: without heuristics the system over-tunes"
       (moves none > 5 * moves all)
       (Printf.sprintf "%d moves without heuristics vs %d with" (moves none)
          (moves all));
-    balance_claim;
+    check "fig10: heuristics improve converged balance" (all_i < none_i)
+      "imbalance(all-three) < imbalance(none)";
   ]
 
-let decomposition ~quick (figure : Figures.figure) =
+let decomposition (figure : Figures.figure) =
   let threshold = find "anu-threshold" figure in
   let top_off = find "anu-top-off" figure in
   let divergent = find "anu-divergent" figure in
-  let ordering =
-    (* The latency ordering among single heuristics only emerges at
-       full load, where over-tuning's movement costs bite; quick mode
-       settles for every variant surviving within a common factor. *)
-    if quick then
-      check "fig11: single heuristics all remain functional"
-        (late top_off < 3.0 *. late divergent
-        && late divergent < 3.0 *. late top_off)
-        (Printf.sprintf "top-off %.1f ms, threshold %.1f ms, divergent %.1f ms"
-           (late top_off *. 1000.0)
-           (late threshold *. 1000.0)
-           (late divergent *. 1000.0))
-    else
-      check "fig11: top-off is the single most effective heuristic"
-        (late top_off <= late threshold && late top_off <= late divergent)
-        (Printf.sprintf "top-off %.1f ms, threshold %.1f ms, divergent %.1f ms"
-           (late top_off *. 1000.0)
-           (late threshold *. 1000.0)
-           (late divergent *. 1000.0))
-  in
-  if quick then [ ordering ]
-  else
-    [
-      ordering;
-      check "fig11: thresholding alone stabilizes but tolerates imbalance"
-        (moves threshold < moves divergent)
-        (Printf.sprintf "threshold %d moves vs divergent %d" (moves threshold)
-           (moves divergent));
-    ]
+  [
+    check "fig11: top-off is the single most effective heuristic"
+      (late top_off <= late threshold && late top_off <= late divergent)
+      (Printf.sprintf "top-off %.1f ms, threshold %.1f ms, divergent %.1f ms"
+         (late top_off *. 1000.0)
+         (late threshold *. 1000.0)
+         (late divergent *. 1000.0));
+    check "fig11: thresholding alone stabilizes but tolerates imbalance"
+      (moves threshold < moves divergent)
+      (Printf.sprintf "threshold %d moves vs divergent %d" (moves threshold)
+         (moves divergent));
+  ]
 
 let decentralized_claim (figure : Figures.figure) =
   let anu = find "anu" figure in
@@ -130,8 +101,8 @@ let decentralized_claim (figure : Figures.figure) =
          (late anu *. 1000.0));
   ]
 
-let motivation_claim ~quick =
-  match Motivation.experiment ~quick () with
+let motivation_claim () =
+  match Motivation.experiment () with
   | [ static; anu ] ->
     [
       check "motivation: metadata imbalance starves the data path"
@@ -149,11 +120,11 @@ let motivation_claim ~quick =
     ]
   | _ -> [ check "motivation: experiment ran" false "unexpected result shape" ]
 
-let convergence_claim ~quick =
+let convergence_claim () =
   (* ANU starts with no knowledge and reaches good balance within a
      few sample periods (paper: ~3 periods; we allow the first ten
      minutes). *)
-  let figure = Figures.fig7 ~quick () in
+  let figure = Figures.fig7 () in
   let anu = find "anu" figure in
   let early = Runner.mean_after anu ~from_:600.0 in
   let initial =
@@ -177,8 +148,8 @@ let convergence_claim ~quick =
          (initial *. 1000.0) (early *. 1000.0));
   ]
 
-let temporal_claim ~quick =
-  let figure = Figures.temporal_shift ~quick () in
+let temporal_claim () =
+  let figure = Figures.temporal_shift () in
   let anu = find "anu" figure in
   let rr = find "round-robin" figure in
   [
@@ -223,27 +194,24 @@ let balance_claim () =
          simple.Placement.Balance_study.mean_ratio);
   ]
 
-let run ?(quick = false) () =
-  let fig6 = Figures.fig6 ~quick () in
-  let fig8 = Figures.fig8 ~quick () in
-  let fig10 = Figures.fig10 ~quick () in
-  let fig11 = Figures.fig11 ~quick () in
-  let dec = Figures.decentralized ~quick () in
-  (* Quick mode has almost no queueing, so the static-vs-adaptive gaps
-     shrink; the full-size claims use the calibrated factors. *)
-  let factor = if quick then 10.0 else 5.0 in
+let run () =
+  let fig6 = Figures.fig6 () in
+  let fig8 = Figures.fig8 () in
+  let fig10 = Figures.fig10 () in
+  let fig11 = Figures.fig11 () in
+  let dec = Figures.decentralized () in
   List.concat
     [
       static_vs_adaptive ~label:"fig6" fig6;
-      anu_vs_prescient ~label:"fig7" ~factor ~max_moves:60 fig6;
-      (if quick then [] else static_vs_adaptive ~label:"fig8" fig8);
+      anu_vs_prescient ~label:"fig7" ~factor:5.0 ~max_moves:60 fig6;
+      static_vs_adaptive ~label:"fig8" fig8;
       anu_vs_prescient ~label:"fig9" ~factor:5.0 ~max_moves:300 fig8;
-      over_tuning ~quick fig10;
-      decomposition ~quick fig11;
+      over_tuning fig10;
+      decomposition fig11;
       decentralized_claim dec;
-      motivation_claim ~quick;
-      convergence_claim ~quick;
-      temporal_claim ~quick;
+      motivation_claim ();
+      convergence_claim ();
+      temporal_claim ();
       membership_claim ();
       balance_claim ();
     ]

@@ -8,9 +8,8 @@
 
 type check = { name : string; ok : bool; detail : string }
 
-(** [run ?quick ()] executes every claim check.  [quick] uses the
-    scaled-down workloads (same checks, looser factors). *)
-val run : ?quick:bool -> unit -> check list
+(** [run ()] executes every claim check on the full-size workloads. *)
+val run : unit -> check list
 
 val all_passed : check list -> bool
 

@@ -16,11 +16,15 @@ val create : Desim.Sim.t -> bandwidth:float -> t
 
 val bandwidth : t -> float
 
-(** [transfer t ~bytes ~on_complete] enqueues a data transfer. *)
-val transfer : t -> bytes:int -> on_complete:(unit -> unit) -> unit
+(** [transfer t ~bytes] enqueues a data transfer.  Nothing is called
+    back when it finishes; completed transfers are read from
+    {!transfers_completed} and {!bytes_completed}. *)
+val transfer : t -> bytes:int -> unit
 
+(** Transfers finished so far. *)
 val transfers_completed : t -> int
 
+(** Bytes of the transfers finished so far. *)
 val bytes_completed : t -> int
 
 (** [utilization t ~until] is the fraction of time the pipe was busy. *)

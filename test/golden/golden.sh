@@ -68,7 +68,7 @@ raw domain-failure-collateral --quick
 
 # The example programs, which drive the library API directly.
 for ex in quickstart heterogeneous_cluster failover elastic_provisioning \
-  trace_replay client_sessions closed_loop; do
+  trace_replay; do
   echo "=== example $ex ==="
   "$examples/$ex.exe"
   echo

@@ -8,7 +8,6 @@ let () =
       ("stat", Test_stat.suite);
       ("timeseries", Test_timeseries.suite);
       ("station", Test_station.suite);
-      ("process", Test_process.suite);
       ("hashlib", Test_hashlib.suite);
       ("unit_interval", Test_unit_interval.suite);
       ("region_map", Test_region_map.suite);
@@ -22,7 +21,6 @@ let () =
       ("cluster", Test_cluster.suite);
       ("workload", Test_workload.suite);
       ("stream", Test_stream.suite);
-      ("sessions", Test_sessions.suite);
       ("obs", Test_obs.suite);
       ("telemetry", Test_telemetry.suite);
       ("forensics", Test_forensics.suite);

@@ -42,16 +42,18 @@ let test_non_positive_counts_rejected () =
   List.iter
     (fun (flag, args) ->
       let what = String.concat " " args in
-      let status, stderr = run_cli ("run" :: args) in
+      let status, stderr = run_cli args in
       check_bool (what ^ ": non-zero exit") true (status <> 0);
       check_bool (what ^ ": stderr names " ^ flag) true (contains stderr flag);
       check_bool (what ^ ": no uncaught exception") false
         (contains stderr "exception" || contains stderr "Fatal error"))
     [
-      ("--requests", [ "fig6-stream"; "--requests"; "0" ]);
-      ("--requests", [ "fig6-stream"; "--requests=-5" ]);
-      ("--jobs", [ "fig6"; "--quick"; "--jobs"; "0" ]);
-      ("--jobs", [ "fig6"; "--quick"; "--jobs=-4" ]);
+      ("--requests", [ "run"; "fig6-stream"; "--requests"; "0" ]);
+      ("--requests", [ "run"; "fig6-stream"; "--requests=-5" ]);
+      ("--jobs", [ "run"; "fig6"; "--quick"; "--jobs"; "0" ]);
+      ("--jobs", [ "run"; "fig6"; "--quick"; "--jobs=-4" ]);
+      ("--budget", [ "explore"; "--budget"; "0" ]);
+      ("--budget", [ "explore"; "--budget=-3" ]);
     ]
 
 (* Every output path is opened before the run: a path under a regular

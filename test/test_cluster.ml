@@ -1,5 +1,6 @@
 (* Server and Cluster: routing, reports, movement with flush/init
-   costs, request buffering, failure and recovery. *)
+   costs, request buffering, failure and recovery, and the live lock
+   service (conflicts, deferred grants, lease reclaim). *)
 
 open Sharedfs
 module Id = Server_id
@@ -294,6 +295,109 @@ let prop_random_ops_conserve_requests =
            (fun name -> Cluster.owner cluster name <> None)
            names)
 
+(* --- Live lock service in the cluster --- *)
+
+let lock_req ?(exclusive = true) ~client file_set =
+  (* path_hash land 3 = 0 selects Exclusive in Request.lock_mode. *)
+  let path_hash = if exclusive then 4 else 1 in
+  { Request.op = Request.Lock_acquire; file_set; path_hash; client }
+
+let release_req ?(exclusive = true) ~client file_set =
+  let path_hash = if exclusive then 4 else 1 in
+  { Request.op = Request.Lock_release; file_set; path_hash; client }
+
+let make_lock_cluster () =
+  let sim = Desim.Sim.create () in
+  let disk = Shared_disk.create () in
+  let catalog = File_set.Catalog.create [ "a"; "b" ] in
+  let cluster =
+    Cluster.create sim ~disk ~catalog ~lease_duration:30.0
+      ~series_interval:10.0
+      ~servers:[ (Id.of_int 0, 1.0) ]
+      ()
+  in
+  Cluster.assign_initial cluster [ ("a", Id.of_int 0); ("b", Id.of_int 0) ];
+  (sim, cluster, Completions.install cluster)
+
+let test_conflicting_acquire_waits_for_release () =
+  let sim, cluster, hand = make_lock_cluster () in
+  let grant_times = ref [] in
+  let submit_at time req =
+    let (_ : Desim.Sim.handle) =
+      Desim.Sim.schedule_at sim ~time (fun () ->
+          Completions.submit hand ~base_demand:0.1 req
+            ~on_complete:(fun ~latency:_ ->
+              grant_times := (req.Request.client, Desim.Sim.now sim) :: !grant_times))
+    in
+    ()
+  in
+  submit_at 0.0 (lock_req ~client:1 "a");
+  submit_at 1.0 (lock_req ~client:2 "a");
+  submit_at 5.0 (release_req ~client:1 "a");
+  Desim.Sim.run sim;
+  let stats = Cluster.lock_stats cluster in
+  check_int "one immediate grant" 1 stats.Cluster.granted_immediately;
+  check_int "one waited" 1 stats.Cluster.waited;
+  (* Client 2's grant lands when client 1 releases (just after t=5),
+     far later than its own service time. *)
+  let t2 = List.assoc 2 !grant_times in
+  check_bool "waited for the release" true (t2 >= 5.0);
+  check_bool "well before lease expiry" true (t2 < 10.0)
+
+let test_shared_locks_do_not_conflict () =
+  let sim, cluster, hand = make_lock_cluster () in
+  let completed = ref 0 in
+  List.iter
+    (fun client ->
+      Completions.submit hand ~base_demand:0.1
+        (lock_req ~exclusive:false ~client "a")
+        ~on_complete:(fun ~latency:_ -> incr completed))
+    [ 1; 2; 3 ];
+  Desim.Sim.run sim;
+  check_int "all granted" 3 !completed;
+  let stats = Cluster.lock_stats cluster in
+  check_int "no waits" 0 stats.Cluster.waited
+
+let test_lease_reclaims_abandoned_lock () =
+  let sim, cluster, hand = make_lock_cluster () in
+  let t2_granted = ref 0.0 in
+  (* Client 1 takes the lock and never releases (crashed client). *)
+  Completions.submit hand ~base_demand:0.1 (lock_req ~client:1 "a")
+    ~on_complete:(fun ~latency:_ -> ());
+  let (_ : Desim.Sim.handle) =
+    Desim.Sim.schedule_at sim ~time:2.0 (fun () ->
+        Completions.submit hand ~base_demand:0.1 (lock_req ~client:2 "a")
+          ~on_complete:(fun ~latency:_ -> t2_granted := Desim.Sim.now sim))
+  in
+  Desim.Sim.run sim;
+  let stats = Cluster.lock_stats cluster in
+  (* Client 1's abandoned hold expires at ~30 s; client 2, also never
+     releasing, expires one lease later. *)
+  check_int "both abandoned leases fired" 2 stats.Cluster.leases_expired;
+  (* The 30-second lease started at the grant (t ~ 0.1). *)
+  check_bool "granted at lease expiry" true
+    (!t2_granted >= 30.0 && !t2_granted < 32.0)
+
+let test_release_of_queued_acquire_completes_it () =
+  let sim, cluster, hand = make_lock_cluster () in
+  let completions = ref 0 in
+  Completions.submit hand ~base_demand:0.1 (lock_req ~client:1 "a")
+    ~on_complete:(fun ~latency:_ -> incr completions);
+  let (_ : Desim.Sim.handle) =
+    Desim.Sim.schedule_at sim ~time:1.0 (fun () ->
+        Completions.submit hand ~base_demand:0.1 (lock_req ~client:2 "a")
+          ~on_complete:(fun ~latency:_ -> incr completions))
+  in
+  (* Client 2 gives up before ever being granted. *)
+  let (_ : Desim.Sim.handle) =
+    Desim.Sim.schedule_at sim ~time:3.0 (fun () ->
+        Completions.submit hand ~base_demand:0.1 (release_req ~client:2 "a")
+          ~on_complete:(fun ~latency:_ -> incr completions))
+  in
+  Desim.Sim.run sim;
+  check_int "nothing left hanging" 3 !completions;
+  check_int "recorded as cancelled" 1 (Cluster.lock_stats cluster).Cluster.cancelled
+
 let suite =
   [
     Alcotest.test_case "server report window" `Quick test_server_report_window;
@@ -314,5 +418,13 @@ let suite =
       test_cluster_recover_and_move_back;
     Alcotest.test_case "add server" `Quick test_cluster_add_server;
     Alcotest.test_case "double move ignored" `Quick test_cluster_double_move_ignored;
+    Alcotest.test_case "conflicting acquire waits" `Quick
+      test_conflicting_acquire_waits_for_release;
+    Alcotest.test_case "shared locks coexist" `Quick
+      test_shared_locks_do_not_conflict;
+    Alcotest.test_case "lease reclaims abandoned lock" `Quick
+      test_lease_reclaims_abandoned_lock;
+    Alcotest.test_case "queued acquire cancelled" `Quick
+      test_release_of_queued_acquire_completes_it;
     QCheck_alcotest.to_alcotest prop_random_ops_conserve_requests;
   ]

@@ -4,34 +4,51 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_float eps = Alcotest.(check (float eps))
 
+(* [(transfers_completed, bytes_completed)] of [san] read at each of
+   [times], in order. *)
+let counts_at sim san times =
+  let seen = ref [] in
+  List.iter
+    (fun time ->
+      let (_ : Desim.Sim.handle) =
+        Desim.Sim.schedule_at sim ~time (fun () ->
+            seen :=
+              ( Sharedfs.San.transfers_completed san,
+                Sharedfs.San.bytes_completed san )
+              :: !seen)
+      in
+      ())
+    times;
+  fun () -> List.rev !seen
+
 let test_transfer_timing () =
   let sim = Desim.Sim.create () in
   let san = Sharedfs.San.create sim ~bandwidth:1e6 in
-  let done_at = ref 0.0 in
-  Sharedfs.San.transfer san ~bytes:500_000 ~on_complete:(fun () ->
-      done_at := Desim.Sim.now sim);
+  Sharedfs.San.transfer san ~bytes:500_000;
+  let seen = counts_at sim san [ 0.499; 0.501 ] in
   Desim.Sim.run sim;
-  check_float 1e-9 "half a second at 1 MB/s" 0.5 !done_at;
+  Alcotest.(check (list (pair int int)))
+    "half a second at 1 MB/s" [ (0, 0); (1, 500_000) ] (seen ());
   check_int "completed" 1 (Sharedfs.San.transfers_completed san);
   check_int "bytes" 500_000 (Sharedfs.San.bytes_completed san)
 
 let test_transfers_share_the_pipe () =
   let sim = Desim.Sim.create () in
   let san = Sharedfs.San.create sim ~bandwidth:1e6 in
-  let finished = ref [] in
-  for i = 1 to 3 do
-    Sharedfs.San.transfer san ~bytes:1_000_000 ~on_complete:(fun () ->
-        finished := (i, Desim.Sim.now sim) :: !finished)
+  for _ = 1 to 3 do
+    Sharedfs.San.transfer san ~bytes:1_000_000
   done;
+  let seen = counts_at sim san [ 0.999; 1.001; 1.999; 2.001; 2.999; 3.001 ] in
   Desim.Sim.run sim;
-  (* FIFO through the shared pipe: 1 s, 2 s, 3 s. *)
-  let times = List.rev_map snd !finished in
-  Alcotest.(check (list (float 1e-9))) "serialized" [ 1.0; 2.0; 3.0 ] times
+  (* FIFO through the shared pipe: done at 1 s, 2 s, 3 s. *)
+  Alcotest.(check (list int))
+    "serialized" [ 0; 1; 1; 2; 2; 3 ]
+    (List.map fst (seen ()))
 
 let test_utilization () =
   let sim = Desim.Sim.create () in
   let san = Sharedfs.San.create sim ~bandwidth:1e6 in
-  Sharedfs.San.transfer san ~bytes:2_000_000 ~on_complete:(fun () -> ());
+  Sharedfs.San.transfer san ~bytes:2_000_000;
   Desim.Sim.run sim;
   check_float 1e-9 "busy 2s of 10" 0.2 (Sharedfs.San.utilization san ~until:10.0)
 
@@ -43,7 +60,7 @@ let test_validation () =
   let san = Sharedfs.San.create sim ~bandwidth:1.0 in
   Alcotest.check_raises "bytes"
     (Invalid_argument "San.transfer: bytes must be positive") (fun () ->
-      Sharedfs.San.transfer san ~bytes:0 ~on_complete:(fun () -> ()))
+      Sharedfs.San.transfer san ~bytes:0)
 
 let test_motivation_experiment () =
   (* The Section 2 claim, in miniature: identical data work, but the

@@ -1,5 +1,5 @@
-(* Sharedfs substrates: requests, catalogs, shared disk, metadata
-   store, lock manager, cache. *)
+(* Sharedfs substrates: requests, catalogs, shared disk, lock
+   manager, cache. *)
 
 open Sharedfs
 
@@ -80,67 +80,6 @@ let test_disk_transfer_time_model () =
   Alcotest.check_raises "negative"
     (Invalid_argument "Shared_disk.transfer_time: negative bytes") (fun () ->
       ignore (Shared_disk.transfer_time d ~bytes:(-1)))
-
-(* --- Metadata_store --- *)
-
-let fs_catalog = File_set.Catalog.create [ "set-a"; "set-b" ]
-
-let req op = { Request.op; file_set = "set-a"; path_hash = 12345; client = 0 }
-
-let test_store_apply_and_dirty () =
-  let fs = File_set.Catalog.get fs_catalog "set-a" in
-  let s = Metadata_store.create ~file_set:fs in
-  check_int "records" fs.File_set.file_count (Metadata_store.record_count s);
-  check_int "clean initially" 0 (Metadata_store.dirty_count s);
-  check_bool "stat clean" false (Metadata_store.apply s ~time:1.0 (req Request.Stat));
-  check_int "still clean" 0 (Metadata_store.dirty_count s);
-  check_bool "create dirties" true
-    (Metadata_store.apply s ~time:2.0 (req Request.Create));
-  check_int "one dirty" 1 (Metadata_store.dirty_count s);
-  check_bool "dirty bytes" true (Metadata_store.dirty_bytes s > 0)
-
-let test_store_flush_and_load_round_trip () =
-  let fs = File_set.Catalog.get fs_catalog "set-a" in
-  let s = Metadata_store.create ~file_set:fs in
-  let disk = Shared_disk.create () in
-  ignore (Metadata_store.apply s ~time:5.0 (req Request.Create));
-  ignore (Metadata_store.apply s ~time:6.0 (req Request.Set_attr));
-  let target_ino = 12345 mod fs.File_set.file_count in
-  let before = Option.get (Metadata_store.lookup s ~ino:target_ino) in
-  let flush_time = Metadata_store.flush s disk in
-  check_bool "flush takes time" true (flush_time > 0.0);
-  check_int "clean after flush" 0 (Metadata_store.dirty_count s);
-  (* A different server loads the set from the shared disk and sees
-     the flushed record. *)
-  let s2, load_time = Metadata_store.load ~file_set:fs disk in
-  check_bool "load takes time" true (load_time > 0.0);
-  let after = Option.get (Metadata_store.lookup s2 ~ino:target_ino) in
-  check_float 1e-9 "mtime travelled" before.Metadata_store.mtime
-    after.Metadata_store.mtime;
-  check_int "nlink travelled" before.Metadata_store.nlink
-    after.Metadata_store.nlink
-
-let test_store_distinct_sets_do_not_collide () =
-  let fa = File_set.Catalog.get fs_catalog "set-a" in
-  let fb = File_set.Catalog.get fs_catalog "set-b" in
-  let sa = Metadata_store.create ~file_set:fa in
-  let sb = Metadata_store.create ~file_set:fb in
-  let disk = Shared_disk.create () in
-  ignore (Metadata_store.apply sa ~time:1.0 (req Request.Create));
-  ignore
-    (Metadata_store.apply sb ~time:2.0
-       {
-         Request.op = Request.Create;
-         file_set = "set-b";
-         path_hash = 12345;
-         client = 0;
-       });
-  ignore (Metadata_store.flush sa disk);
-  ignore (Metadata_store.flush sb disk);
-  let sa', _ = Metadata_store.load ~file_set:fa disk in
-  let ino = 12345 mod fa.File_set.file_count in
-  let ra = Option.get (Metadata_store.lookup sa' ~ino) in
-  check_float 1e-9 "set-a kept its own mtime" 1.0 ra.Metadata_store.mtime
 
 (* --- Lock_manager --- *)
 
@@ -296,11 +235,6 @@ let suite =
     Alcotest.test_case "disk round trip" `Quick test_disk_round_trip;
     Alcotest.test_case "disk missing block" `Quick test_disk_missing_block;
     Alcotest.test_case "disk transfer model" `Quick test_disk_transfer_time_model;
-    Alcotest.test_case "store apply/dirty" `Quick test_store_apply_and_dirty;
-    Alcotest.test_case "store flush/load round trip" `Quick
-      test_store_flush_and_load_round_trip;
-    Alcotest.test_case "store sets isolated" `Quick
-      test_store_distinct_sets_do_not_collide;
     Alcotest.test_case "lock shared compatible" `Quick test_lock_shared_compatible;
     Alcotest.test_case "lock exclusive queues" `Quick test_lock_exclusive_queues;
     Alcotest.test_case "lock cancel queued" `Quick test_lock_release_of_queued_request;

@@ -54,15 +54,6 @@ let small_shifting seed =
 
 let small_dfs seed = { Dfs_like.default_config with requests = 800; seed }
 
-let small_sessions seed =
-  {
-    Sessions.default_config with
-    clients = 12;
-    file_sets = 16;
-    sessions = 80;
-    seed;
-  }
-
 let with_temp_trace trace f =
   let path = Filename.temp_file "shdisk-stream" ".trace" in
   Fun.protect
@@ -81,10 +72,7 @@ let check_all_generators seed =
   expect_stream_equals_trace "dfs_like"
     (Dfs_like.stream (small_dfs seed))
     (Dfs_like.generate (small_dfs seed));
-  expect_stream_equals_trace "sessions"
-    (Sessions.stream (small_sessions seed))
-    (Sessions.generate (small_sessions seed));
-  (* the fifth generator: trace replay from disk *)
+  (* the fourth generator: trace replay from disk *)
   with_temp_trace
     (Dfs_like.generate (small_dfs seed))
     (fun path ->
@@ -104,7 +92,7 @@ let prop_streamed_equals_materialized =
 let test_trace_adapters () =
   let trace = Synthetic.generate (small_synthetic 3) in
   expect_stream_equals_trace "of_trace" (Stream.of_trace trace) trace;
-  let stream = Sessions.stream (small_sessions 9) in
+  let stream = Shifting.stream (small_shifting 9) in
   expect_stream_equals_trace "to_trace" stream (Stream.to_trace stream)
 
 (* Cursors must be independent: draining one before touching the other
