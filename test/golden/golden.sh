@@ -5,7 +5,8 @@
 # of the default, partition and domain plans, the crash-point sweep,
 # the ledger fsck of the domain and partition runs, the trace-report
 # of three traced runs (fault-free streaming, server crashes,
-# partitions), the checksums of the raw trace, metrics and telemetry
+# partitions), windowed trace-reports of a domain-fault run around
+# each domain fault edge, the checksums of the raw trace, metrics and telemetry
 # files of two fault-free and four faulty runs, and the output of
 # every example program.  Any command that exits non-zero fails the
 # whole run.
@@ -45,6 +46,16 @@ traced() {
 traced fig6-stream --requests 20000
 traced failure-recovery-chaos --quick
 traced partition-chaos --quick
+
+# Domain faults, one window per edge: the rack0 partition (cut at
+# 1800 s, healed at 3300 s) and the rack1 crash (at 4500 s, recovered
+# at 6200 s).
+step run domain-failure-collateral --quick --summary --trace-jsonl trace.jsonl
+for window in "1799 1801" "3300 3300" "4499 4501" "6200 6200"; do
+  set -- $window
+  step trace-report trace.jsonl --from "$1" --to "$2"
+done
+rm -f trace.jsonl
 
 # The raw observer files, pinned byte for byte by their checksums: the
 # JSONL and Chrome traces, the metrics snapshot and the telemetry
