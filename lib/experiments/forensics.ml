@@ -14,6 +14,7 @@ type span = {
   mutable server : int option;
       (** the begin's, replaced by the end's when the end names one *)
   file_set : string option;
+  attrs : Event.attr list;  (** the begin's *)
   begin_time : float;
   mutable end_time : float option;  (** [None]: lost to a crash *)
   mutable outcome : string option;
@@ -21,7 +22,12 @@ type span = {
       (** a child span of category ["request"] began inside this one *)
 }
 
-type t = { events : Event.t array; spans : span list }
+type t = {
+  events : Event.t array;
+  spans : span list;
+  closes : span option array;
+      (** for each span end in [events], the span it closed *)
+}
 
 let load path =
   match open_in path with
@@ -55,12 +61,13 @@ let load path =
              recur: an end always closes the most recent open begin with
              that id, and a begin after a close starts a fresh span. *)
           let open_spans : (int, span) Hashtbl.t = Hashtbl.create 1024 in
+          let closes = Array.make (Array.length events) None in
           let all = ref [] in
-          Array.iter
-            (fun e ->
+          Array.iteri
+            (fun i e ->
               match e with
               | Event.Span_begin
-                  { time; id; parent; name; cat; server; file_set; _ }
+                  { time; id; parent; name; cat; server; file_set; attrs; _ }
                 ->
                 let s =
                   {
@@ -70,6 +77,7 @@ let load path =
                     cat;
                     server;
                     file_set;
+                    attrs;
                     begin_time = time;
                     end_time = None;
                     outcome = None;
@@ -90,11 +98,12 @@ let load path =
                   Hashtbl.remove open_spans id;
                   s.end_time <- Some time;
                   if server <> None then s.server <- server;
-                  s.outcome <- outcome
+                  s.outcome <- outcome;
+                  closes.(i) <- Some s
                 | None -> () (* end without begin: tolerate, skip *))
               | _ -> ())
             events;
-          Ok { events; spans = List.rev !all })
+          Ok { events; spans = List.rev !all; closes })
 
 let length t = Array.length t.events
 
@@ -220,25 +229,17 @@ let hot_file_sets ~from_ ~until ~top t =
 
 (* --- timeline and causal slices --- *)
 
+let opt_field key = function
+  | Some v -> Printf.sprintf " %s=%s" key v
+  | None -> ""
+
 let describe (e : Event.t) =
   match e with
-  | Event.Fault { server; file_set; fault; _ } ->
-    let parts =
-      [ "fault "; Event.fault_name fault ]
-      @ (match server with
-        | Some s -> [ Printf.sprintf " server=%d" s ]
-        | None -> [])
-      @
-      match file_set with
-      | Some f -> [ Printf.sprintf " file_set=%s" f ]
-      | None -> []
-    in
-    String.concat "" parts
+  | Event.Fault { server; fault; _ } ->
+    "fault " ^ Event.fault_name fault
+    ^ opt_field "server" (Option.map string_of_int server)
   | Event.Fence { server; action; _ } ->
     Printf.sprintf "fence server=%d action=%s" server action
-  | Event.Partition { server; link; healed; _ } ->
-    Printf.sprintf "partition server=%d link=%s %s" server link
-      (if healed then "healed" else "cut")
   | Event.Membership { server; change; _ } ->
     let change =
       match change with
@@ -249,13 +250,6 @@ let describe (e : Event.t) =
       | Event.Decommissioned -> "decommissioned"
     in
     Printf.sprintf "membership server=%d %s" server change
-  | Event.Move_start { file_set; src; dst; _ } ->
-    Printf.sprintf "move_start file_set=%s src=%s dst=%d" file_set
-      (match src with Some s -> string_of_int s | None -> "-")
-      dst
-  | Event.Move_end { file_set; dst; replayed; _ } ->
-    Printf.sprintf "move_end file_set=%s dst=%d replayed=%d" file_set dst
-      replayed
   | Event.Round_degraded { round; missing; survivors; skipped; _ } ->
     Printf.sprintf "round_degraded round=%d missing=[%s] survivors=%d%s" round
       (String.concat "," (List.map string_of_int missing))
@@ -267,38 +261,64 @@ let describe (e : Event.t) =
   | Event.Invariant_violation { what; _ } ->
     Printf.sprintf "invariant_violation %s" what
   | Event.Span_end { name; server; outcome; _ } ->
-    Printf.sprintf "span_end %s%s%s" name
-      (match server with
-      | Some s -> Printf.sprintf " server=%d" s
-      | None -> "")
-      (match outcome with
-      | Some o -> Printf.sprintf " outcome=%s" o
-      | None -> "")
-  | Event.Span_begin { name; server; _ } ->
-    Printf.sprintf "span_begin %s%s" name
-      (match server with
-      | Some s -> Printf.sprintf " server=%d" s
-      | None -> "")
+    "span_end " ^ name
+    ^ opt_field "server" (Option.map string_of_int server)
+    ^ opt_field "outcome" outcome
+  | Event.Span_begin { name; server; file_set; _ } ->
+    "span_begin " ^ name
+    ^ opt_field "server" (Option.map string_of_int server)
+    ^ opt_field "file_set" file_set
   | other -> Event.kind other
 
 type entry = { time : float; line : string }
 
-(* Operational incidents only: faults, fencing, partitions, membership,
-   degraded rounds, ledger repair and violations.  Request-level events
-   stay out — the timeline is for reading, not replaying. *)
-let timeline_event (e : Event.t) =
+let has_domain attrs =
+  List.exists (function Event.Domain _ -> true | _ -> false) attrs
+
+let fault_line name ?file_set server =
+  "fault " ^ name
+  ^ opt_field "server" (Option.map string_of_int server)
+  ^ opt_field "file_set" file_set
+
+(* The timeline line of the [i]th event when it is an operational
+   incident: a point fault, a fence, a membership change, a degraded
+   round, a ledger repair or a violation, or a span edge that records
+   a fault.  A fault window's edges read as the fault counters name
+   them, and a move span that ends ["interrupted"] reads as a
+   [move_interrupted] fault; an end is joined to its begin for the
+   window's domain and the move's file set.  Request-level events stay
+   out: the timeline is for reading, not replaying. *)
+let incident t i (e : Event.t) =
   match e with
-  | Event.Fault _ | Event.Fence _ | Event.Partition _ | Event.Membership _
-  | Event.Round_degraded _ | Event.Ledger_replay _
-  | Event.Invariant_violation _ -> true
-  | _ -> false
+  | Event.Fault _ | Event.Fence _ | Event.Membership _ | Event.Round_degraded _
+  | Event.Ledger_replay _ | Event.Invariant_violation _ ->
+    Some (describe e)
+  | Event.Span_begin { cat = "fault"; name; server; attrs; _ } ->
+    Some
+      (fault_line
+         (Event.window_edge ~name ~domain:(has_domain attrs) ~closing:false)
+         server)
+  | Event.Span_end { cat = "fault"; name; server; _ } ->
+    let domain =
+      match t.closes.(i) with Some s -> has_domain s.attrs | None -> false
+    in
+    Some (fault_line (Event.window_edge ~name ~domain ~closing:true) server)
+  | Event.Span_end { cat = "move"; outcome = Some "interrupted"; server; _ } ->
+    let file_set = Option.bind t.closes.(i) (fun s -> s.file_set) in
+    Some (fault_line "move_interrupted" ?file_set server)
+  | _ -> None
 
 let timeline ~from_ ~until t =
-  Array.to_list t.events
-  |> List.filter_map (fun e ->
-         if timeline_event e && in_window ~from_ ~until (Event.time e) then
-           Some { time = Event.time e; line = describe e }
-         else None)
+  let entries = ref [] in
+  Array.iteri
+    (fun i e ->
+      let time = Event.time e in
+      if in_window ~from_ ~until time then
+        match incident t i e with
+        | Some line -> entries := { time; line } :: !entries
+        | None -> ())
+    t.events;
+  List.rev !entries
 
 (* --- explain violation --- *)
 
@@ -348,34 +368,34 @@ let violation_entities what =
   in
   scan [] [] tokens
 
-let touches ~servers ~file_sets (e : Event.t) =
+let touches t i ~servers ~file_sets (e : Event.t) =
   let s n = List.mem n servers in
   let so = function Some n -> s n | None -> false in
-  let f name = List.mem name file_sets in
-  let fo = function Some name -> f name | None -> false in
+  let fo = function Some name -> List.mem name file_sets | None -> false in
   match e with
-  | Event.Move_start { file_set; src; dst; _ } -> f file_set || so src || s dst
-  | Event.Move_end { file_set; dst; _ } -> f file_set || s dst
-  | Event.Membership { server; _ }
-  | Event.Fence { server; _ }
-  | Event.Partition { server; _ } -> s server
-  | Event.Fault { server; file_set; _ } -> so server || fo file_set
+  | Event.Membership { server; _ } | Event.Fence { server; _ } -> s server
+  | Event.Fault { server; _ } -> so server
   | Event.Round_degraded { missing; _ } -> List.exists s missing
-  | Event.Span_begin { server; file_set; _ } -> so server || fo file_set
-  | Event.Span_end { server; _ } -> so server
+  | Event.Span_begin { server; file_set; attrs; _ } ->
+    so server || fo file_set
+    || List.exists (function Event.Src n -> s n | _ -> false) attrs
+  | Event.Span_end { server; _ } ->
+    so server || fo (Option.bind t.closes.(i) (fun sp -> sp.file_set))
   | _ -> false
 
-(* Causal-slice candidates: every operational incident, plus moves and
-   fault/move span edges (a crash span's end says when the fault window
-   closed).  Request traffic stays excluded. *)
-let slice_event (e : Event.t) =
-  timeline_event e
-  ||
-  match e with
-  | Event.Move_start _ | Event.Move_end _ -> true
-  | Event.Span_begin { cat; _ } | Event.Span_end { cat; _ } ->
-    cat = "fault" || cat = "move"
-  | _ -> false
+(* The slice line of the [i]th event when it may join a causal slice:
+   every operational incident, plus the other edges of move and fault
+   spans (a move's begin says what moved where).  Request traffic
+   stays excluded. *)
+let slice_line t i (e : Event.t) =
+  match incident t i e with
+  | Some _ as line -> line
+  | None -> (
+    match e with
+    | Event.Span_begin { cat = "fault" | "move"; _ }
+    | Event.Span_end { cat = "fault" | "move"; _ } ->
+      Some (describe e)
+    | _ -> None)
 
 type violation = {
   at : float;
@@ -402,14 +422,14 @@ let explain ~from_ ~until t =
         (try
            for j = i - 1 downto 0 do
              let c = t.events.(j) in
-             if
-               slice_event c
-               && (servers = [] && file_sets = [] || touches ~servers ~file_sets c)
-             then begin
-               slice := { time = Event.time c; line = describe c } :: !slice;
+             match slice_line t j c with
+             | Some line
+               when (servers = [] && file_sets = [])
+                    || touches t j ~servers ~file_sets c ->
+               slice := { time = Event.time c; line } :: !slice;
                incr count;
                if !count >= slice_limit then raise Exit
-             end
+             | _ -> ()
            done
          with Exit -> ());
         violations :=

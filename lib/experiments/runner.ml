@@ -278,17 +278,6 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
     let (_ : int) = Sharedfs.Cluster.reelect_delegate cluster in
     bump "delegate.reelections"
   in
-  let emit_partition ~time id ~link ~healed =
-    if Obs.Ctx.tracing obs then
-      Obs.Ctx.emit obs
-        (Obs.Event.Partition
-           {
-             time;
-             server = Id.to_int id;
-             link = (match link with `Cluster -> "cluster" | `Disk -> "disk");
-             healed;
-           })
-  in
   (* Guarded membership transitions, shared between scripted events
      and the fault injector.  Each takes the members of one fault — a
      single server ([~domain:None]) or every server of a failure
@@ -381,9 +370,6 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
         victims;
       if delegate_dies then do_delegate_crash ();
       List.iter (fun id -> policy.Placement.Policy.server_failed id) victims;
-      List.iter
-        (fun id -> emit_partition ~time:now id ~link ~healed:false)
-        victims;
       finish ~now ~domain ("partition", "domain-partition")
   in
   let do_heal ~domain members =
@@ -397,25 +383,14 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
     | [] -> ()
     | back ->
       let now = Desim.Sim.now sim in
-      let links =
-        List.map
-          (fun id ->
-            match
-              List.assoc_opt id (Sharedfs.Cluster.partitioned_servers cluster)
-            with
-            | Some l -> (id, l)
-            | None -> (id, `Cluster))
-          back
-      in
       (* [recover_server] takes the partition-heal path: unfence, drop
          the stale lease belief, then rejoin cold. *)
       List.iter (fun id -> Sharedfs.Cluster.recover_server cluster id) back;
       List.iter (fun id -> policy.Placement.Policy.server_added id) back;
       List.iter
-        (fun (id, link) ->
-          emit_partition ~time:now id ~link ~healed:true;
+        (fun id ->
           emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered)
-        links;
+        back;
       finish ~now ~domain ("heal", "domain-heal")
   in
   let injector =
@@ -523,14 +498,39 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
   (* Delegate rounds at every interval boundary within the trace; each
      round arms the next, so at most one round event is pending. *)
   let rounds = int_of_float (Float.floor (duration /. interval)) in
-  let apply_round ?(parent = Obs.Span.none) ~at ~round reports =
+  let apply_round ?(parent = Obs.Span.none) ~at reports =
     (* Tune and apply are instantaneous in virtual time (the policy
        decides and the moves are issued at the decision instant); their
        spans are zero-width but keep the round's causal structure —
        the moves they issue open their own spans in the cluster. *)
     let now = Desim.Sim.now sim in
+    let tracing = Obs.Ctx.tracing obs in
+    (* The tune span opens with what the round consumes, every
+       server's report with the queue depth seen at collection and the
+       average, and closes with the regions it produced. *)
     let tspan =
-      Obs.Span.begin_ obs ~time:now ~parent ~name:"tune" ~cat:"round" ()
+      Obs.Span.begin_ obs ~time:now ~parent ~name:"tune" ~cat:"round"
+        ~attrs:
+          (if not tracing then []
+           else
+             Obs.Event.
+               [
+                 Average (Sharedfs.Delegate.mean_latency reports);
+                 Inputs
+                   (List.map
+                      (fun (r : Sharedfs.Delegate.server_report) ->
+                        {
+                          server = Id.to_int r.server;
+                          mean_latency = r.report.Sharedfs.Server.mean_latency;
+                          max_latency = r.report.Sharedfs.Server.max_latency;
+                          requests = r.report.Sharedfs.Server.requests;
+                          queue_depth =
+                            Sharedfs.Server.queue_length
+                              (Sharedfs.Cluster.server cluster r.server);
+                        })
+                      reports);
+               ])
+        ()
     in
     policy.Placement.Policy.rebalance
       {
@@ -538,20 +538,24 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
         reports;
         future_demand = future_demand ~lo:at ~hi:(at +. interval);
       };
-    Obs.Span.end_ obs ~time:now ~id:tspan ~name:"tune" ~cat:"round" ();
+    Obs.Span.end_ obs ~time:now ~id:tspan ~name:"tune" ~cat:"round"
+      ~attrs:
+        (if not tracing then []
+         else
+           match policy.Placement.Policy.regions () with
+           | [] -> []
+           | regions ->
+             [
+               Obs.Event.Regions
+                 (List.map (fun (id, measure) -> (Id.to_int id, measure)) regions);
+             ])
+      ();
     let aspan =
       Obs.Span.begin_ obs ~time:now ~parent ~name:"apply" ~cat:"round" ()
     in
     let moved = reconcile cluster policy names in
     Obs.Span.end_ obs ~time:now ~id:aspan ~name:"apply" ~cat:"round" ();
-    if Obs.Ctx.tracing obs then begin
-      Obs.Ctx.emit obs
-        (Sharedfs.Delegate.round_event cluster ~time:at ~round
-           ~average:(Sharedfs.Delegate.mean_latency reports)
-           ~regions:(policy.Placement.Policy.regions ())
-           reports);
-      emit_rehash ~time:at ~trigger:"delegate-round" moved
-    end;
+    if tracing then emit_rehash ~time:at ~trigger:"delegate-round" moved;
     check_round ()
   in
   let rec arm_round k =
@@ -569,6 +573,9 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
             let rspan =
               Obs.Span.begin_ obs ~time:at ~parent:run_span ~name:"round"
                 ~cat:"round"
+                ~attrs:
+                  (if Obs.Ctx.tracing obs then [ Obs.Event.Round round ]
+                   else [])
                 ~epoch:
                   (Sharedfs.Ledger.current_epoch
                      (Sharedfs.Cluster.ledger cluster))
@@ -592,7 +599,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
                  the pre-chaos behaviour (and byte-identical traces). *)
               let reports = Sharedfs.Delegate.collect cluster in
               end_collect ();
-              apply_round ~parent:rspan ~at ~round reports;
+              apply_round ~parent:rspan ~at reports;
               end_round "applied"
             | Some inj ->
               let plan = Option.get faults in
@@ -654,7 +661,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
                   else
                     match outcome with
                     | Sharedfs.Delegate.Round_complete reports ->
-                      apply_round ~parent:rspan ~at ~round reports;
+                      apply_round ~parent:rspan ~at reports;
                       end_round "applied"
                     | Sharedfs.Delegate.Round_degraded { reports; missing } ->
                       (* A quorum reported: average over the survivors
@@ -663,7 +670,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
                       emit_degraded ~missing
                         ~survivors:(List.length reports)
                         ~skipped:false;
-                      apply_round ~parent:rspan ~at ~round reports;
+                      apply_round ~parent:rspan ~at reports;
                       end_round "degraded"
                     | Sharedfs.Delegate.Round_skipped { missing } ->
                       (* Below quorum: tuning on so little data would be

@@ -18,14 +18,13 @@ type t = {
   actions : actions;
   counts : (string, int ref) Hashtbl.t;
   mutable move_seq : int;  (** moves seen so far, for [Move_crash] *)
-  (* Open fault spans: a crash span runs from injected crash to
+  (* Open fault windows: a crash span runs from injected crash to
      injected recovery, a partition span from cut to heal, so traces
-     show fault {e windows}, not just their edges.  A domain fault
-     opens one span for the whole domain, never one per member. *)
-  crash_spans : (Server_id.t, Obs.Span.id) Hashtbl.t;
-  partition_spans : (Server_id.t, Obs.Span.id) Hashtbl.t;
-  domain_crash_spans : (string, Obs.Span.id) Hashtbl.t;
-  domain_partition_spans : (string, Obs.Span.id) Hashtbl.t;
+     show fault {e windows}, not just their edges.  Keyed by span name,
+     domain and members: a domain fault opens one span for the whole
+     domain, never one per member. *)
+  windows :
+    (string * string option * Server_id.t list, Obs.Span.id) Hashtbl.t;
 }
 
 let bump t name =
@@ -36,7 +35,8 @@ let bump t name =
   | None -> ()
   | Some m -> Obs.Metrics.Counter.incr (Obs.Metrics.counter m ("fault." ^ name))
 
-let record t ?server ?file_set fault =
+(* A point fault: counted, and traced as one event. *)
+let record t ?server fault =
   bump t (Obs.Event.fault_name fault);
   if Obs.Ctx.tracing t.obs then
     Obs.Ctx.emit t.obs
@@ -44,30 +44,58 @@ let record t ?server ?file_set fault =
          {
            time = Desim.Sim.now t.sim;
            server = Option.map Server_id.to_int server;
-           file_set;
            fault;
          })
 
-let crash t id =
-  record t ~server:id Obs.Event.Server_crash;
-  if not (Hashtbl.mem t.crash_spans id) then begin
-    let span =
-      Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name:"crash"
-        ~cat:"fault" ~server:(Server_id.to_int id) ()
-    in
-    if span <> Obs.Span.none then Hashtbl.replace t.crash_spans id span
-  end;
-  t.actions.crash ~domain:None [ id ]
+(* A solo fault's span sits on its server's track; a domain fault's
+   names the domain and its size instead. *)
+let window_server ~domain members =
+  match (domain, members) with
+  | None, [ id ] -> Some (Server_id.to_int id)
+  | _ -> None
 
-let recover t id =
-  record t ~server:id Obs.Event.Server_recover;
-  (match Hashtbl.find_opt t.crash_spans id with
+(* Count the opening edge of a fault window and open its span, unless
+   the same window is already open. *)
+let open_window t ~name ~domain members attrs =
+  bump t (Obs.Event.window_edge ~name ~domain:(domain <> None) ~closing:false);
+  let key = (name, domain, members) in
+  if not (Hashtbl.mem t.windows key) then begin
+    let attrs =
+      if not (Obs.Ctx.tracing t.obs) then []
+      else
+        match domain with
+        | None -> attrs
+        | Some d ->
+          (Obs.Event.Domain d :: attrs)
+          @ [ Obs.Event.Members (List.length members) ]
+    in
+    let span =
+      Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name ~cat:"fault"
+        ?server:(window_server ~domain members)
+        ~attrs ()
+    in
+    if span <> Obs.Span.none then Hashtbl.replace t.windows key span
+  end
+
+let close_window t ~name ~domain members ?outcome () =
+  bump t (Obs.Event.window_edge ~name ~domain:(domain <> None) ~closing:true);
+  let key = (name, domain, members) in
+  match Hashtbl.find_opt t.windows key with
   | Some span ->
-    Hashtbl.remove t.crash_spans id;
-    Obs.Span.end_ t.obs ~time:(Desim.Sim.now t.sim) ~id:span ~name:"crash"
-      ~cat:"fault" ~server:(Server_id.to_int id) ~outcome:"recovered" ()
-  | None -> ());
-  t.actions.recover ~domain:None [ id ]
+    Hashtbl.remove t.windows key;
+    Obs.Span.end_ t.obs ~time:(Desim.Sim.now t.sim) ~id:span ~name
+      ~cat:"fault"
+      ?server:(window_server ~domain members)
+      ?outcome ()
+  | None -> ()
+
+let crash t ~domain members =
+  open_window t ~name:"crash" ~domain members [];
+  t.actions.crash ~domain members
+
+let recover t ~domain members =
+  close_window t ~name:"crash" ~domain members ~outcome:"recovered" ();
+  t.actions.recover ~domain members
 
 let note_delegate_crash t =
   record t Obs.Event.Delegate_crash;
@@ -90,35 +118,23 @@ let rec zombie_probe t id =
     ()
   end
 
-let partition t server ~link =
-  record t ~server (Obs.Event.Partition_cut { link = link_name link });
-  if not (Hashtbl.mem t.partition_spans server) then begin
-    let span =
-      Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim)
-        ~name:("partition:" ^ link_name link)
-        ~cat:"fault" ~server:(Server_id.to_int server) ()
-    in
-    if span <> Obs.Span.none then Hashtbl.replace t.partition_spans server span
-  end;
-  t.actions.partition ~domain:None [ server ] ~link;
-  (* First probe shortly after the cut, then on a steady cadence. *)
-  let (_ : Desim.Sim.handle) =
-    Desim.Sim.schedule t.sim ~delay:1.0 (fun () -> zombie_probe t server)
-  in
-  ()
+let partition t ~domain members ~link =
+  open_window t ~name:"partition" ~domain members
+    [ Obs.Event.Link (link_name link) ];
+  t.actions.partition ~domain members ~link;
+  (* Every isolated member runs its own zombie-write cadence: the
+     first probe shortly after the cut, then on a steady cadence. *)
+  List.iter
+    (fun id ->
+      let (_ : Desim.Sim.handle) =
+        Desim.Sim.schedule t.sim ~delay:1.0 (fun () -> zombie_probe t id)
+      in
+      ())
+    members
 
-let heal t server ~link =
-  record t ~server (Obs.Event.Partition_healed { link = link_name link });
-  (match Hashtbl.find_opt t.partition_spans server with
-  | Some span ->
-    Hashtbl.remove t.partition_spans server;
-    Obs.Span.end_ t.obs ~time:(Desim.Sim.now t.sim) ~id:span
-      ~name:("partition:" ^ link_name link)
-      ~cat:"fault" ~server:(Server_id.to_int server) ~outcome:"healed" ()
-  | None -> ());
-  t.actions.heal ~domain:None [ server ]
-
-(* --- Correlated domain faults --- *)
+let heal t ~domain members =
+  close_window t ~name:"partition" ~domain members ~outcome:"healed" ();
+  t.actions.heal ~domain members
 
 let members t domain =
   match Sharedfs.Topology.servers_of (Cluster.topology t.cluster) domain with
@@ -129,103 +145,40 @@ let members t domain =
     invalid_arg
       (Printf.sprintf "Fault.Injector: unknown failure domain %S" domain)
 
-let domain_crash t domain =
-  let ids = members t domain in
-  record t (Obs.Event.Domain_crash { domain; members = List.length ids });
-  if not (Hashtbl.mem t.domain_crash_spans domain) then begin
-    let span =
-      Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim)
-        ~name:("domain-crash:" ^ domain) ~cat:"fault" ()
-    in
-    if span <> Obs.Span.none then
-      Hashtbl.replace t.domain_crash_spans domain span
-  end;
-  t.actions.crash ~domain:(Some domain) ids
-
-let domain_recover t domain =
-  let ids = members t domain in
-  record t (Obs.Event.Domain_recover { domain; members = List.length ids });
-  (match Hashtbl.find_opt t.domain_crash_spans domain with
-  | Some span ->
-    Hashtbl.remove t.domain_crash_spans domain;
-    Obs.Span.end_ t.obs ~time:(Desim.Sim.now t.sim) ~id:span
-      ~name:("domain-crash:" ^ domain) ~cat:"fault" ~outcome:"recovered" ()
-  | None -> ());
-  t.actions.recover ~domain:(Some domain) ids
-
-let domain_partition t domain ~link =
-  let ids = members t domain in
-  record t
-    (Obs.Event.Domain_partition_cut
-       { domain; link = link_name link; members = List.length ids });
-  if not (Hashtbl.mem t.domain_partition_spans domain) then begin
-    let span =
-      Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim)
-        ~name:("domain-partition:" ^ link_name link ^ ":" ^ domain)
-        ~cat:"fault" ()
-    in
-    if span <> Obs.Span.none then
-      Hashtbl.replace t.domain_partition_spans domain span
-  end;
-  t.actions.partition ~domain:(Some domain) ids ~link;
-  (* Every isolated member runs its own zombie-write cadence, exactly
-     as a solo partition would. *)
-  List.iter
-    (fun id ->
-      let (_ : Desim.Sim.handle) =
-        Desim.Sim.schedule t.sim ~delay:1.0 (fun () -> zombie_probe t id)
-      in
-      ())
-    ids
-
-let domain_heal t domain ~link =
-  let ids = members t domain in
-  record t
-    (Obs.Event.Domain_partition_healed
-       { domain; link = link_name link; members = List.length ids });
-  (match Hashtbl.find_opt t.domain_partition_spans domain with
-  | Some span ->
-    Hashtbl.remove t.domain_partition_spans domain;
-    Obs.Span.end_ t.obs ~time:(Desim.Sim.now t.sim) ~id:span
-      ~name:("domain-partition:" ^ link_name link ^ ":" ^ domain)
-      ~cat:"fault" ~outcome:"healed" ()
-  | None -> ());
-  t.actions.heal ~domain:(Some domain) ids
-
 let schedule_timeline t ~duration =
   List.iter
     (fun (at, fault) ->
       let (_ : Desim.Sim.handle) =
         Desim.Sim.schedule_at t.sim ~time:at (fun () ->
             match fault with
-            | Plan.Crash server -> crash t (Server_id.of_int server)
-            | Plan.Recover server -> recover t (Server_id.of_int server)
+            | Plan.Crash server ->
+              crash t ~domain:None [ Server_id.of_int server ]
+            | Plan.Recover server ->
+              recover t ~domain:None [ Server_id.of_int server ]
             | Plan.Delegate_crash -> note_delegate_crash t
             | Plan.Disk_stall { factor; duration = d } ->
               let disk = Cluster.disk t.cluster in
               Sharedfs.Shared_disk.set_stall disk ~factor;
-              record t (Obs.Event.Disk_stall_start { factor; duration = d });
-              let span =
-                Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim)
-                  ~name:"disk-stall" ~cat:"fault" ()
-              in
+              open_window t ~name:"disk-stall" ~domain:None []
+                [ Obs.Event.Factor factor ];
               let (_ : Desim.Sim.handle) =
                 Desim.Sim.schedule t.sim ~delay:d (fun () ->
                     Sharedfs.Shared_disk.clear_stall disk;
-                    record t Obs.Event.Disk_stall_end;
-                    Obs.Span.end_ t.obs ~time:(Desim.Sim.now t.sim) ~id:span
-                      ~name:"disk-stall" ~cat:"fault" ())
+                    close_window t ~name:"disk-stall" ~domain:None [] ())
               in
               ()
             | Plan.Partition { server; link } ->
-              partition t (Server_id.of_int server) ~link
-            | Plan.Heal { server; link } ->
-              heal t (Server_id.of_int server) ~link
-            | Plan.Domain_crash domain -> domain_crash t domain
-            | Plan.Domain_recover domain -> domain_recover t domain
+              partition t ~domain:None [ Server_id.of_int server ] ~link
+            | Plan.Heal { server; link = _ } ->
+              heal t ~domain:None [ Server_id.of_int server ]
+            | Plan.Domain_crash domain ->
+              crash t ~domain:(Some domain) (members t domain)
+            | Plan.Domain_recover domain ->
+              recover t ~domain:(Some domain) (members t domain)
             | Plan.Domain_partition { domain; link } ->
-              domain_partition t domain ~link
-            | Plan.Domain_heal { domain; link } -> domain_heal t domain ~link)
+              partition t ~domain:(Some domain) (members t domain) ~link
+            | Plan.Domain_heal { domain; link = _ } ->
+              heal t ~domain:(Some domain) (members t domain))
       in
       ())
     (Plan.timeline t.plan ~duration)
@@ -255,7 +208,7 @@ let arm_move_crashes t =
                 ignore file_set;
                 let (_ : Desim.Sim.handle) =
                   Desim.Sim.schedule t.sim ~delay:offset (fun () ->
-                      crash t id)
+                      crash t ~domain:None [ id ])
                 in
                 ()
               | Some _ | None -> ())
@@ -296,10 +249,7 @@ let arm ~sim ~cluster ~obs ~duration ~actions plan =
       actions;
       counts = Hashtbl.create 8;
       move_seq = 0;
-      crash_spans = Hashtbl.create 4;
-      partition_spans = Hashtbl.create 4;
-      domain_crash_spans = Hashtbl.create 4;
-      domain_partition_spans = Hashtbl.create 4;
+      windows = Hashtbl.create 4;
     }
   in
   schedule_timeline t ~duration;

@@ -5,9 +5,15 @@
     mid-move crashes via the cluster's move-start hook, and deciding
     the fate of every latency-report delivery — while the {e policy}
     consequences (re-placement, re-election) stay with the runner,
-    which supplies guarded {!actions}.  Every injected fault is traced
-    as an [Obs.Event.Fault] and counted under [fault.<kind>], so a
-    chaos run's trace doubles as its complete fault log. *)
+    which supplies guarded {!actions}.  Every injected fault is
+    counted under [fault.<kind>] and traced once, so a chaos run's
+    trace doubles as its complete fault log: a fault with a window (a
+    crash, a partition or a disk stall, of one server or of a whole
+    failure domain) as one ["fault"] span from its first edge to its
+    second, named by [Obs.Event.window_edge], and a point fault (a
+    delegate crash, a lost or delayed report, a torn ledger write) as
+    one [Obs.Event.Fault].  A domain fault opens one span, not one per
+    member; a fault whose window is already open opens none. *)
 
 type t
 
@@ -74,5 +80,6 @@ val fate :
 val note_delegate_crash : t -> unit
 
 (** [faults_injected t] tallies every fault delivered so far, by
-    {!Obs.Event.fault_name}, sorted by name. *)
+    {!Obs.Event.fault_name} or {!Obs.Event.window_edge}, sorted by
+    name. *)
 val faults_injected : t -> (string * int) list

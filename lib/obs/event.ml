@@ -6,25 +6,10 @@ type membership_change =
   | Decommissioned
 
 type fault_kind =
-  | Server_crash
-  | Server_recover
   | Delegate_crash
   | Report_lost of { attempt : int }
   | Report_delayed of { delay : float }
-  | Move_interrupted of { role : string }
-  | Disk_stall_start of { factor : float; duration : float }
-  | Disk_stall_end
-  | Partition_cut of { link : string }
-  | Partition_healed of { link : string }
   | Ledger_torn of { seq : int }
-  | Domain_crash of { domain : string; members : int }
-  | Domain_recover of { domain : string; members : int }
-  | Domain_partition_cut of { domain : string; link : string; members : int }
-  | Domain_partition_healed of {
-      domain : string;
-      link : string;
-      members : int;
-    }
 
 type round_input = {
   server : int;
@@ -34,26 +19,24 @@ type round_input = {
   queue_depth : int;
 }
 
-type attr = Op of string | Client of int
+type attr =
+  | Op of string
+  | Client of int
+  | Src of int
+  | Flush_seconds of float
+  | Init_seconds of float
+  | Replayed of int
+  | Role of string
+  | Round of int
+  | Average of float
+  | Inputs of round_input list
+  | Regions of (int * float) list
+  | Domain of string
+  | Link of string
+  | Members of int
+  | Factor of float
 
 type t =
-  | Move_start of {
-      time : float;
-      file_set : string;
-      src : int option;
-      dst : int;
-      flush_seconds : float;
-      init_seconds : float;
-    }
-  | Move_end of { time : float; file_set : string; dst : int; replayed : int }
-  | Delegate_round of {
-      time : float;
-      round : int;
-      delegate : int option;
-      average : float;
-      inputs : round_input list;
-      regions : (int * float) list;
-    }
   | Membership of { time : float; server : int; change : membership_change }
   | Rehash_round of {
       time : float;
@@ -61,12 +44,7 @@ type t =
       checked : int;
       moved : int;
     }
-  | Fault of {
-      time : float;
-      server : int option;
-      file_set : string option;
-      fault : fault_kind;
-    }
+  | Fault of { time : float; server : int option; fault : fault_kind }
   | Round_degraded of {
       time : float;
       round : int;
@@ -75,7 +53,6 @@ type t =
       skipped : bool;
     }
   | Fence of { time : float; server : int; action : string }
-  | Partition of { time : float; server : int; link : string; healed : bool }
   | Ledger_replay of {
       time : float;
       records : int;
@@ -102,52 +79,48 @@ type t =
       cat : string;
       server : int option;
       outcome : string option;
+      attrs : attr list;
     }
 
 let fault_name = function
-  | Server_crash -> "server_crash"
-  | Server_recover -> "server_recover"
   | Delegate_crash -> "delegate_crash"
   | Report_lost _ -> "report_lost"
   | Report_delayed _ -> "report_delayed"
-  | Move_interrupted _ -> "move_interrupted"
-  | Disk_stall_start _ -> "disk_stall_start"
-  | Disk_stall_end -> "disk_stall_end"
-  | Partition_cut _ -> "partition_cut"
-  | Partition_healed _ -> "partition_healed"
   | Ledger_torn _ -> "ledger_torn"
-  (* The dots make the derived counters come out under a shared
-     [fault.domain.] prefix. *)
-  | Domain_crash _ -> "domain.crash"
-  | Domain_recover _ -> "domain.recover"
-  | Domain_partition_cut _ -> "domain.partition_cut"
-  | Domain_partition_healed _ -> "domain.partition_healed"
+
+(* The dots make the derived counters of domain faults come out under
+   a shared [fault.domain.] prefix. *)
+let window_edge ~name ~domain ~closing =
+  match (name, domain, closing) with
+  | "crash", false, false -> "server_crash"
+  | "crash", false, true -> "server_recover"
+  | "crash", true, false -> "domain.crash"
+  | "crash", true, true -> "domain.recover"
+  | "partition", false, false -> "partition_cut"
+  | "partition", false, true -> "partition_healed"
+  | "partition", true, false -> "domain.partition_cut"
+  | "partition", true, true -> "domain.partition_healed"
+  | "disk-stall", _, false -> "disk_stall_start"
+  | "disk-stall", _, true -> "disk_stall_end"
+  | _ -> name
 
 let time = function
-  | Move_start { time; _ }
-  | Move_end { time; _ }
-  | Delegate_round { time; _ }
   | Membership { time; _ }
   | Rehash_round { time; _ }
   | Fault { time; _ }
   | Round_degraded { time; _ }
   | Fence { time; _ }
-  | Partition { time; _ }
   | Ledger_replay { time; _ }
   | Invariant_violation { time; _ }
   | Span_begin { time; _ }
   | Span_end { time; _ } -> time
 
 let kind = function
-  | Move_start _ -> "move_start"
-  | Move_end _ -> "move_end"
-  | Delegate_round _ -> "delegate_round"
   | Membership _ -> "membership"
   | Rehash_round _ -> "rehash_round"
   | Fault _ -> "fault"
   | Round_degraded _ -> "round_degraded"
   | Fence _ -> "fence"
-  | Partition _ -> "partition"
   | Ledger_replay _ -> "ledger_replay"
   | Invariant_violation _ -> "invariant_violation"
   | Span_begin _ -> "span_begin"
@@ -206,24 +179,10 @@ let write_fault m buf f =
   add buf (fault_name f);
   Buffer.add_char buf '"';
   (match f with
-  | Server_crash | Server_recover | Delegate_crash | Disk_stall_end -> ()
+  | Delegate_crash -> ()
   | Report_lost { attempt } -> int m buf {|,"attempt":|} attempt
   | Report_delayed { delay } -> num m buf {|,"delay":|} delay
-  | Move_interrupted { role } -> str buf {|,"role":|} role
-  | Disk_stall_start { factor; duration } ->
-    num m buf {|,"factor":|} factor;
-    num m buf {|,"duration":|} duration
-  | Partition_cut { link } | Partition_healed { link } ->
-    str buf {|,"link":|} link
-  | Ledger_torn { seq } -> int m buf {|,"seq":|} seq
-  | Domain_crash { domain; members } | Domain_recover { domain; members } ->
-    str buf {|,"domain":|} domain;
-    int m buf {|,"members":|} members
-  | Domain_partition_cut { domain; link; members }
-  | Domain_partition_healed { domain; link; members } ->
-    str buf {|,"domain":|} domain;
-    str buf {|,"link":|} link;
-    int m buf {|,"members":|} members);
+  | Ledger_torn { seq } -> int m buf {|,"seq":|} seq);
   Buffer.add_char buf '}'
 
 let rec write_inputs m buf sep = function
@@ -262,29 +221,29 @@ let rec write_attrs m buf sep = function
     add buf (if sep then "," else {|,"attrs":{|});
     (match a with
     | Op op -> str buf {|"op":|} op
-    | Client client -> int m buf {|"client":|} client);
+    | Client client -> int m buf {|"client":|} client
+    | Src src -> int m buf {|"src":|} src
+    | Flush_seconds x -> num m buf {|"flush_seconds":|} x
+    | Init_seconds x -> num m buf {|"init_seconds":|} x
+    | Replayed n -> int m buf {|"replayed":|} n
+    | Role role -> str buf {|"role":|} role
+    | Round round -> int m buf {|"round":|} round
+    | Average x -> num m buf {|"average":|} x
+    | Inputs inputs ->
+      add buf {|"inputs":[|};
+      write_inputs m buf false inputs;
+      Buffer.add_char buf ']'
+    | Regions regions ->
+      add buf {|"regions":[|};
+      write_regions m buf false regions;
+      Buffer.add_char buf ']'
+    | Domain domain -> str buf {|"domain":|} domain
+    | Link link -> str buf {|"link":|} link
+    | Members n -> int m buf {|"members":|} n
+    | Factor x -> num m buf {|"factor":|} x);
     write_attrs m buf true rest
 
 let write_fields m buf = function
-  | Move_start { time = _; file_set; src; dst; flush_seconds; init_seconds } ->
-    str buf {|,"file_set":|} file_set;
-    opt_int m buf {|,"src":|} src;
-    int m buf {|,"dst":|} dst;
-    num m buf {|,"flush_seconds":|} flush_seconds;
-    num m buf {|,"init_seconds":|} init_seconds
-  | Move_end { time = _; file_set; dst; replayed } ->
-    str buf {|,"file_set":|} file_set;
-    int m buf {|,"dst":|} dst;
-    int m buf {|,"replayed":|} replayed
-  | Delegate_round { time = _; round; delegate; average; inputs; regions } ->
-    int m buf {|,"round":|} round;
-    opt_int m buf {|,"delegate":|} delegate;
-    num m buf {|,"average":|} average;
-    add buf {|,"inputs":[|};
-    write_inputs m buf false inputs;
-    add buf {|],"regions":[|};
-    write_regions m buf false regions;
-    Buffer.add_char buf ']'
   | Membership { time = _; server; change } ->
     int m buf {|,"server":|} server;
     add buf {|,"membership":|};
@@ -293,9 +252,8 @@ let write_fields m buf = function
     str buf {|,"trigger":|} trigger;
     int m buf {|,"checked":|} checked;
     int m buf {|,"moved":|} moved
-  | Fault { time = _; server; file_set; fault } ->
+  | Fault { time = _; server; fault } ->
     opt_int m buf {|,"server":|} server;
-    opt_str buf {|,"file_set":|} file_set;
     add buf {|,"fault":|};
     write_fault m buf fault
   | Round_degraded { time = _; round; missing; survivors; skipped } ->
@@ -307,10 +265,6 @@ let write_fields m buf = function
   | Fence { time = _; server; action } ->
     int m buf {|,"server":|} server;
     str buf {|,"action":|} action
-  | Partition { time = _; server; link; healed } ->
-    int m buf {|,"server":|} server;
-    str buf {|,"link":|} link;
-    add buf (if healed then {|,"healed":true|} else {|,"healed":false|})
   | Ledger_replay { time = _; records; torn; repaired; divergent } ->
     int m buf {|,"records":|} records;
     int m buf {|,"torn":|} torn;
@@ -328,12 +282,13 @@ let write_fields m buf = function
     opt_str buf {|,"file_set":|} file_set;
     opt_int m buf {|,"epoch":|} epoch;
     write_attrs m buf false attrs
-  | Span_end { time = _; id; name; cat; server; outcome } ->
+  | Span_end { time = _; id; name; cat; server; outcome; attrs } ->
     int m buf {|,"id":|} id;
     str buf {|,"name":|} name;
     str buf {|,"cat":|} cat;
     opt_int m buf {|,"server":|} server;
-    opt_str buf {|,"outcome":|} outcome
+    opt_str buf {|,"outcome":|} outcome;
+    write_attrs m buf false attrs
 
 let write_jsonl ?memo buf e =
   let m = match memo with Some m -> m | None -> Json.memo () in
@@ -348,10 +303,14 @@ let write_jsonl ?memo buf e =
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let field_float j name =
-  match Json.to_float (Json.member name j) with
-  | Some x -> Ok x
+(* A float must be finite: the parser reads 1e400 as infinity, which
+   no writer produces and every consumer would silently mis-sum. *)
+let finite name = function
+  | Some x when Float.is_finite x -> Ok x
+  | Some _ -> Error (Printf.sprintf "non-finite float field %S" name)
   | None -> Error (Printf.sprintf "missing or invalid float field %S" name)
+
+let field_float j name = finite name (Json.to_float (Json.member name j))
 
 let field_int j name =
   match Json.to_int (Json.member name j) with
@@ -371,12 +330,25 @@ let field_opt_int j name =
     | Some n -> Ok (Some n)
     | None -> Error (Printf.sprintf "invalid optional int field %S" name))
 
+let field_opt_str j name =
+  match Json.member name j with
+  | Json.Null -> Ok None
+  | other -> (
+    match Json.to_str other with
+    | Some s -> Ok (Some s)
+    | None -> Error (Printf.sprintf "invalid optional string field %S" name))
+
 let rec map_result f = function
   | [] -> Ok []
   | x :: rest ->
     let* y = f x in
     let* ys = map_result f rest in
     Ok (y :: ys)
+
+let field_list j name f =
+  match Json.to_list (Json.member name j) with
+  | Some items -> map_result f items
+  | None -> Error (Printf.sprintf "missing or invalid field %S" name)
 
 let input_of_json j =
   let* server = field_int j "server" in
@@ -386,17 +358,58 @@ let input_of_json j =
   let* queue_depth = field_int j "queue_depth" in
   Ok { server; mean_latency; max_latency; requests; queue_depth }
 
+let region_of_json j =
+  let* server = field_int j "server" in
+  let* measure = field_float j "measure" in
+  Ok (server, measure)
+
 let attr_of_json (key, v) =
-  match key with
-  | "op" -> (
+  let str make =
     match Json.to_str v with
-    | Some op -> Ok (Op op)
-    | None -> Error "invalid string attribute \"op\"")
-  | "client" -> (
+    | Some s -> Ok (make s)
+    | None -> Error (Printf.sprintf "invalid string attribute %S" key)
+  in
+  let int make =
     match Json.to_int v with
-    | Some client -> Ok (Client client)
-    | None -> Error "invalid int attribute \"client\"")
+    | Some n -> Ok (make n)
+    | None -> Error (Printf.sprintf "invalid int attribute %S" key)
+  in
+  let float make =
+    match Json.to_float v with
+    | Some x when Float.is_finite x -> Ok (make x)
+    | Some _ -> Error (Printf.sprintf "non-finite float attribute %S" key)
+    | None -> Error (Printf.sprintf "invalid float attribute %S" key)
+  in
+  let list f make =
+    match Json.to_list v with
+    | Some items ->
+      let* xs = map_result f items in
+      Ok (make xs)
+    | None -> Error (Printf.sprintf "invalid list attribute %S" key)
+  in
+  match key with
+  | "op" -> str (fun s -> Op s)
+  | "client" -> int (fun n -> Client n)
+  | "src" -> int (fun n -> Src n)
+  | "flush_seconds" -> float (fun x -> Flush_seconds x)
+  | "init_seconds" -> float (fun x -> Init_seconds x)
+  | "replayed" -> int (fun n -> Replayed n)
+  | "role" -> str (fun s -> Role s)
+  | "round" -> int (fun n -> Round n)
+  | "average" -> float (fun x -> Average x)
+  | "inputs" -> list input_of_json (fun l -> Inputs l)
+  | "regions" -> list region_of_json (fun l -> Regions l)
+  | "domain" -> str (fun s -> Domain s)
+  | "link" -> str (fun s -> Link s)
+  | "members" -> int (fun n -> Members n)
+  | "factor" -> float (fun x -> Factor x)
   | other -> Error (Printf.sprintf "unknown span attribute %S" other)
+
+let field_attrs j =
+  match Json.member "attrs" j with
+  | Json.Null -> Ok []
+  | Json.Obj members -> map_result attr_of_json members
+  | _ -> Error "invalid field \"attrs\""
 
 let change_of_json j =
   let* tag = field_str j "change" in
@@ -415,8 +428,6 @@ let change_of_json j =
 let fault_of_json j =
   let* tag = field_str j "fault" in
   match tag with
-  | "server_crash" -> Ok Server_crash
-  | "server_recover" -> Ok Server_recover
   | "delegate_crash" -> Ok Delegate_crash
   | "report_lost" ->
     let* attempt = field_int j "attempt" in
@@ -424,80 +435,15 @@ let fault_of_json j =
   | "report_delayed" ->
     let* delay = field_float j "delay" in
     Ok (Report_delayed { delay })
-  | "move_interrupted" ->
-    let* role = field_str j "role" in
-    Ok (Move_interrupted { role })
-  | "disk_stall_start" ->
-    let* factor = field_float j "factor" in
-    let* duration = field_float j "duration" in
-    Ok (Disk_stall_start { factor; duration })
-  | "disk_stall_end" -> Ok Disk_stall_end
-  | "partition_cut" ->
-    let* link = field_str j "link" in
-    Ok (Partition_cut { link })
-  | "partition_healed" ->
-    let* link = field_str j "link" in
-    Ok (Partition_healed { link })
   | "ledger_torn" ->
     let* seq = field_int j "seq" in
     Ok (Ledger_torn { seq })
-  | "domain.crash" ->
-    let* domain = field_str j "domain" in
-    let* members = field_int j "members" in
-    Ok (Domain_crash { domain; members })
-  | "domain.recover" ->
-    let* domain = field_str j "domain" in
-    let* members = field_int j "members" in
-    Ok (Domain_recover { domain; members })
-  | "domain.partition_cut" ->
-    let* domain = field_str j "domain" in
-    let* link = field_str j "link" in
-    let* members = field_int j "members" in
-    Ok (Domain_partition_cut { domain; link; members })
-  | "domain.partition_healed" ->
-    let* domain = field_str j "domain" in
-    let* link = field_str j "link" in
-    let* members = field_int j "members" in
-    Ok (Domain_partition_healed { domain; link; members })
   | other -> Error (Printf.sprintf "unknown fault kind %S" other)
 
 let of_json j =
   let* kind = field_str j "type" in
   let* time = field_float j "time" in
   match kind with
-  | "move_start" ->
-    let* file_set = field_str j "file_set" in
-    let* src = field_opt_int j "src" in
-    let* dst = field_int j "dst" in
-    let* flush_seconds = field_float j "flush_seconds" in
-    let* init_seconds = field_float j "init_seconds" in
-    Ok (Move_start { time; file_set; src; dst; flush_seconds; init_seconds })
-  | "move_end" ->
-    let* file_set = field_str j "file_set" in
-    let* dst = field_int j "dst" in
-    let* replayed = field_int j "replayed" in
-    Ok (Move_end { time; file_set; dst; replayed })
-  | "delegate_round" ->
-    let* round = field_int j "round" in
-    let* delegate = field_opt_int j "delegate" in
-    let* average = field_float j "average" in
-    let* inputs =
-      match Json.to_list (Json.member "inputs" j) with
-      | Some items -> map_result input_of_json items
-      | None -> Error "missing or invalid field \"inputs\""
-    in
-    let* regions =
-      match Json.to_list (Json.member "regions" j) with
-      | Some items ->
-        map_result
-          (fun item ->
-            let* server = field_int item "server" in
-            let* measure = field_float item "measure" in
-            Ok (server, measure))
-          items
-      | None -> Error "missing or invalid field \"regions\""
-    in
-    Ok (Delegate_round { time; round; delegate; average; inputs; regions })
   | "membership" ->
     let* server = field_int j "server" in
     let* change = change_of_json (Json.member "membership" j) in
@@ -509,28 +455,15 @@ let of_json j =
     Ok (Rehash_round { time; trigger; checked; moved })
   | "fault" ->
     let* server = field_opt_int j "server" in
-    let* file_set =
-      match Json.member "file_set" j with
-      | Json.Null -> Ok None
-      | other -> (
-        match Json.to_str other with
-        | Some s -> Ok (Some s)
-        | None -> Error "invalid optional string field \"file_set\"")
-    in
     let* fault = fault_of_json (Json.member "fault" j) in
-    Ok (Fault { time; server; file_set; fault })
+    Ok (Fault { time; server; fault })
   | "round_degraded" ->
     let* round = field_int j "round" in
     let* missing =
-      match Json.to_list (Json.member "missing" j) with
-      | Some items ->
-        map_result
-          (fun item ->
-            match Json.to_int item with
-            | Some n -> Ok n
-            | None -> Error "invalid entry in field \"missing\"")
-          items
-      | None -> Error "missing or invalid field \"missing\""
+      field_list j "missing" (fun item ->
+          match Json.to_int item with
+          | Some n -> Ok n
+          | None -> Error "invalid entry in field \"missing\"")
     in
     let* survivors = field_int j "survivors" in
     let* skipped =
@@ -543,15 +476,6 @@ let of_json j =
     let* server = field_int j "server" in
     let* action = field_str j "action" in
     Ok (Fence { time; server; action })
-  | "partition" ->
-    let* server = field_int j "server" in
-    let* link = field_str j "link" in
-    let* healed =
-      match Json.member "healed" j with
-      | Json.Bool b -> Ok b
-      | _ -> Error "missing or invalid bool field \"healed\""
-    in
-    Ok (Partition { time; server; link; healed })
   | "ledger_replay" ->
     let* records = field_int j "records" in
     let* torn = field_int j "torn" in
@@ -567,21 +491,9 @@ let of_json j =
     let* name = field_str j "name" in
     let* cat = field_str j "cat" in
     let* server = field_opt_int j "server" in
-    let* file_set =
-      match Json.member "file_set" j with
-      | Json.Null -> Ok None
-      | other -> (
-        match Json.to_str other with
-        | Some s -> Ok (Some s)
-        | None -> Error "invalid optional string field \"file_set\"")
-    in
+    let* file_set = field_opt_str j "file_set" in
     let* epoch = field_opt_int j "epoch" in
-    let* attrs =
-      match Json.member "attrs" j with
-      | Json.Null -> Ok []
-      | Json.Obj members -> map_result attr_of_json members
-      | _ -> Error "invalid field \"attrs\""
-    in
+    let* attrs = field_attrs j in
     Ok
       (Span_begin
          { time; id; parent; name; cat; server; file_set; epoch; attrs })
@@ -590,15 +502,9 @@ let of_json j =
     let* name = field_str j "name" in
     let* cat = field_str j "cat" in
     let* server = field_opt_int j "server" in
-    let* outcome =
-      match Json.member "outcome" j with
-      | Json.Null -> Ok None
-      | other -> (
-        match Json.to_str other with
-        | Some s -> Ok (Some s)
-        | None -> Error "invalid optional string field \"outcome\"")
-    in
-    Ok (Span_end { time; id; name; cat; server; outcome })
+    let* outcome = field_opt_str j "outcome" in
+    let* attrs = field_attrs j in
+    Ok (Span_end { time; id; name; cat; server; outcome; attrs })
   | other -> Error (Printf.sprintf "unknown event type %S" other)
 
 let to_jsonl e =

@@ -1,15 +1,19 @@
 (** The structured trace-event taxonomy.
 
-    Every interesting state transition in a simulation maps to one
-    variant here: file-set movement, delegate reconfiguration rounds
-    (with the per-server latency inputs and the region-scale decisions
-    they produced), membership churn, faults and re-addressing sweeps.
-    A request's life is recorded by spans alone ({!t.Span_begin} and
-    {!t.Span_end}, see {!Span}): the ["request"] span's begin carries
-    the request's file set and, as typed {!attr}ibutes, its operation
-    and client; its end carries the server that completed it.  Events
-    carry raw integers for server ids so that this library depends on
-    nothing above it; emitters convert with [Server_id.to_int].
+    Every lifecycle in a simulation is recorded once, as a span
+    ({!t.Span_begin} and {!t.Span_end}, see {!Span}): a request and its
+    stages, a file-set move, a delegate round with its collect, tune
+    and apply stages, and a fault window (a crash, a partition, a disk
+    stall, or a whole-domain fault).  A lifecycle's payload rides on
+    the span edge where it becomes known, as typed {!attr}ibutes: a
+    request's operation and client and a move's source and phase
+    times on the begin, a move's replay count on the end, a round's
+    inputs and average on its ["tune"] begin and its regions on the
+    ["tune"] end.  The other variants are instants: membership churn,
+    point faults, fencing, ledger replay, re-addressing sweeps,
+    degraded rounds and invariant violations.  Events carry raw
+    integers for server ids so that this library depends on nothing
+    above it; emitters convert with [Server_id.to_int].
 
     Times are virtual simulation seconds.  All variants serialize to
     single-line JSON ({!to_jsonl}) and parse back exactly
@@ -24,12 +28,12 @@ type membership_change =
       (** planned removal: the server drains cleanly before going
           away, unlike {!Failed} *)
 
-(** What a fault injector did to the run.  Every injected fault is
-    traced as one {!t.Fault} event so a chaos run's trace is a
-    complete, replayable fault log. *)
+(** A point fault: one the injector delivers at an instant, with no
+    window to bracket.  Each is traced as one {!t.Fault} event and
+    counted under [fault.<name>].  Faults with a window (crashes,
+    partitions, disk stalls, whole-domain faults) and interrupted
+    moves are recorded by their spans alone; see {!window_edge}. *)
 type fault_kind =
-  | Server_crash  (** injected hard crash of a server *)
-  | Server_recover  (** injected recovery of a crashed server *)
   | Delegate_crash
       (** the elected delegate's process dies mid-round; its
           divergent-tuning history is lost *)
@@ -37,31 +41,8 @@ type fault_kind =
       (** a server's latency report never reached the delegate *)
   | Report_delayed of { delay : float }
       (** the report arrived [delay] seconds late *)
-  | Move_interrupted of { role : string }
-      (** a file-set move died with the [role] (["src"] or ["dst"])
-          server; the set is orphaned, its buffered requests kept *)
-  | Disk_stall_start of { factor : float; duration : float }
-      (** shared-disk transfers slow down by [factor] *)
-  | Disk_stall_end
-  | Partition_cut of { link : string }
-      (** the server lost its [link] (["cluster"] or ["disk"]) and was
-          fenced at the shared disk *)
-  | Partition_healed of { link : string }
-      (** the partition healed; the server rejoins via recovery *)
   | Ledger_torn of { seq : int }
       (** an armed torn write truncated ledger record [seq] on disk *)
-  | Domain_crash of { domain : string; members : int }
-      (** a whole failure domain ([members] servers) hard-crashed at
-          once — one atomic correlated fault, not [members] events *)
-  | Domain_recover of { domain : string; members : int }
-      (** every server of the crashed domain came back together *)
-  | Domain_partition_cut of { domain : string; link : string; members : int }
-      (** the whole domain lost its [link] and was fenced *)
-  | Domain_partition_healed of {
-      domain : string;
-      link : string;
-      members : int;
-    }  (** the domain-wide partition healed *)
 
 (** One server's contribution to a delegate round: the latency window
     it reported plus the queue depth the delegate observed when
@@ -75,41 +56,35 @@ type round_input = {
 }
 
 (** A typed span attribute: one constructor per key, so a key always
-    carries the same type of value.  Attributes ride on
-    {!t.Span_begin} and say what the span is about beyond its name and
-    file set; new lifecycle families (moves, rounds, faults) add their
-    keys here.  They encode as a trailing ["attrs"] object whose
-    members keep list order, e.g. [,"attrs":{"client":3,"op":"open"}];
-    a span without attributes writes no ["attrs"] field at all. *)
+    carries the same type of value.  Attributes say what a span is
+    about beyond its name and file set, and ride on the edge where the
+    value becomes known: a {!t.Span_begin} or a {!t.Span_end}.  They
+    encode as a trailing ["attrs"] object whose members keep list
+    order, e.g. [,"attrs":{"client":3,"op":"open"}]; an edge without
+    attributes writes no ["attrs"] field at all. *)
 type attr =
   | Op of string  (** a request's metadata operation, e.g. ["open"] *)
   | Client of int  (** the client that issued the request *)
+  | Src of int
+      (** a move's source server; absent when the move adopts an
+          orphaned set *)
+  | Flush_seconds of float  (** a move's flush phase *)
+  | Init_seconds of float  (** a move's cache-initialisation phase *)
+  | Replayed of int  (** requests a committed move had buffered *)
+  | Role of string
+      (** the endpoint (["src"] or ["dst"]) whose crash interrupted a
+          move; the set is orphaned, its buffered requests kept *)
+  | Round of int  (** a delegate round's number, from 1 *)
+  | Average of float  (** the system-wide average latency a round used *)
+  | Inputs of round_input list  (** every server's report to a round *)
+  | Regions of (int * float) list
+      (** per-server region measure after a round's retuning *)
+  | Domain of string  (** the failure domain a fault window hit *)
+  | Link of string  (** a partition's lost link: ["cluster"] or ["disk"] *)
+  | Members of int  (** servers a domain fault took down together *)
+  | Factor of float  (** how much a disk stall slows transfers *)
 
 type t =
-  | Move_start of {
-      time : float;
-      file_set : string;
-      src : int option;  (** [None] for recovery of an orphaned set *)
-      dst : int;
-      flush_seconds : float;
-      init_seconds : float;
-    }
-  | Move_end of {
-      time : float;
-      file_set : string;
-      dst : int;
-      replayed : int;  (** requests buffered during the move *)
-    }
-  | Delegate_round of {
-      time : float;
-      round : int;
-      delegate : int option;
-      average : float;  (** system-wide average latency the round used *)
-      inputs : round_input list;
-      regions : (int * float) list;
-          (** per-server region measure {e after} retuning; empty for
-              policies without region geometry *)
-    }
   | Membership of { time : float; server : int; change : membership_change }
   | Rehash_round of {
       time : float;
@@ -120,7 +95,6 @@ type t =
   | Fault of {
       time : float;
       server : int option;  (** the server the fault hit, when any *)
-      file_set : string option;  (** the file set involved, when any *)
       fault : fault_kind;
     }
   | Round_degraded of {
@@ -137,12 +111,6 @@ type t =
           ["unfenced"], ["write_rejected"] (a fenced server's write
           bounced off the disk) or ["epoch_bump"] (the delegate lease
           moved under a new epoch, fencing every stale believer) *)
-  | Partition of {
-      time : float;
-      server : int;
-      link : string;  (** ["cluster"] or ["disk"] *)
-      healed : bool;  (** false when the partition opens, true on heal *)
-    }
   | Ledger_replay of {
       time : float;
       records : int;  (** valid records scanned *)
@@ -165,8 +133,11 @@ type t =
       file_set : string option;
       epoch : int option;  (** lease epoch for delegate-round spans *)
       attrs : attr list;
-          (** typed attributes; a ["request"] span carries [Client]
-              and [Op], every other span [[]] *)
+          (** what became known as the span opened: a ["request"]
+              span's [Client] and [Op], a ["move"]'s [Src],
+              [Flush_seconds] and [Init_seconds], a ["round"]'s
+              [Round], a ["tune"]'s [Average] and [Inputs], a fault
+              window's [Domain], [Link], [Members] or [Factor] *)
     }
   | Span_end of {
       time : float;
@@ -179,12 +150,29 @@ type t =
       outcome : string option;
           (** how the span closed, e.g. ["commit"], ["orphan"],
               ["applied"], ["fenced"]; [None] for plain completion *)
+      attrs : attr list;
+          (** what became known as the span closed: a committed
+              move's [Replayed], an interrupted move's [Role], a
+              ["tune"]'s [Regions]; [[]] on every other end *)
     }
 
 (** [fault_name k] is the snake_case name of the fault kind, e.g.
     ["report_lost"] — the key used by fault counters and the JSON
     encoding. *)
 val fault_name : fault_kind -> string
+
+(** [window_edge ~name ~domain ~closing] names one edge of a fault
+    window, a ["fault"]-category span, the way the fault counters
+    ([fault.<name>]) and the trace-report timeline know it.  A
+    ["crash"] span opens as ["server_crash"] and closes as
+    ["server_recover"], a ["partition"] span as ["partition_cut"] and
+    ["partition_healed"], each under a ["domain."] form
+    (["domain.crash"], ["domain.recover"], ["domain.partition_cut"],
+    ["domain.partition_healed"]) when [domain] says the span carries a
+    {!Domain} attribute; a ["disk-stall"] span opens as
+    ["disk_stall_start"] and closes as ["disk_stall_end"].  Any other
+    name is returned as it is. *)
+val window_edge : name:string -> domain:bool -> closing:bool -> string
 
 val time : t -> float
 
@@ -193,6 +181,9 @@ val time : t -> float
     encoding. *)
 val kind : t -> string
 
+(** [of_json j] decodes one event.  It rejects an unknown ["type"], a
+    missing or mistyped field, and a non-finite ["time"] or float
+    payload, naming the field. *)
 val of_json : Json.t -> (t, string) result
 
 (** [write_jsonl ?memo buf e] appends the compact one-line JSON

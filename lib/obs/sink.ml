@@ -143,51 +143,63 @@ let counter_record ~name ~ts series =
 let instant ?(args = []) ~name ~cat ~ts ~tid () =
   chrome_record ~args ~name ~cat ~ph:"i" ~ts ~tid [ ("s", Json.Str "t") ]
 
+let num_int n = Json.Num (float_of_int n)
+
+let attr_arg : Event.attr -> string * Json.t = function
+  | Op op -> ("op", Json.Str op)
+  | Client c -> ("client", num_int c)
+  | Src s -> ("src", num_int s)
+  | Flush_seconds x -> ("flush_s", Json.Num x)
+  | Init_seconds x -> ("init_s", Json.Num x)
+  | Replayed n -> ("replayed", num_int n)
+  | Role r -> ("role", Json.Str r)
+  | Round n -> ("round", num_int n)
+  | Average x -> ("average", Json.Num x)
+  | Inputs inputs ->
+    ( "inputs",
+      Json.List
+        (List.map
+           (fun (i : Event.round_input) ->
+             Json.Obj
+               [
+                 ("server", num_int i.server);
+                 ("mean_latency", Json.Num i.mean_latency);
+                 ("max_latency", Json.Num i.max_latency);
+                 ("requests", num_int i.requests);
+                 ("queue_depth", num_int i.queue_depth);
+               ])
+           inputs) )
+  | Regions regions ->
+    ( "regions",
+      Json.List
+        (List.map
+           (fun (server, measure) ->
+             Json.Obj [ ("server", num_int server); ("measure", Json.Num measure) ])
+           regions) )
+  | Domain d -> ("domain", Json.Str d)
+  | Link l -> ("link", Json.Str l)
+  | Members n -> ("members", num_int n)
+  | Factor x -> ("factor", Json.Num x)
+
+(* A round's per-server inputs and retuned regions also draw as
+   counter tracks, so queue depth and region measure plot over time. *)
+let counters_of_attrs ~ts attrs =
+  List.filter_map
+    (function
+      | Event.Inputs inputs ->
+        Some
+          (counter_record ~name:"queue-depth" ~ts
+             (List.map
+                (fun (i : Event.round_input) ->
+                  (i.server, float_of_int i.queue_depth))
+                inputs))
+      | Event.Regions (_ :: _ as regions) ->
+        Some (counter_record ~name:"region-measure" ~ts regions)
+      | _ -> None)
+    attrs
+
 let records_of_event e =
   match (e : Event.t) with
-  | Move_start { time; file_set; src; dst; flush_seconds; init_seconds } ->
-    [
-      chrome_record ~name:("move:" ^ file_set) ~cat:"move" ~ph:"X"
-        ~ts:(usec time) ~tid:(server_tid dst)
-        [ ("dur", Json.Num (usec (flush_seconds +. init_seconds))) ]
-        ~args:
-          [
-            ( "src",
-              match src with
-              | Some s -> Json.Num (float_of_int s)
-              | None -> Json.Null );
-            ("flush_s", Json.Num flush_seconds);
-            ("init_s", Json.Num init_seconds);
-          ];
-    ]
-  | Move_end { time; file_set; dst; replayed } ->
-    [
-      instant ~name:("move-end:" ^ file_set) ~cat:"move" ~ts:(usec time)
-        ~tid:(server_tid dst)
-        ~args:[ ("replayed", Json.Num (float_of_int replayed)) ]
-        ();
-    ]
-  | Delegate_round { time; round; delegate; average; inputs; regions } ->
-    let ts = usec time in
-    instant ~name:"delegate-round" ~cat:"delegate" ~ts ~tid:cluster_tid
-      ~args:
-        [
-          ("round", Json.Num (float_of_int round));
-          ( "delegate",
-            match delegate with
-            | Some d -> Json.Num (float_of_int d)
-            | None -> Json.Null );
-          ("average", Json.Num average);
-        ]
-      ()
-    :: counter_record ~name:"queue-depth" ~ts
-         (List.map
-            (fun (i : Event.round_input) ->
-              (i.server, float_of_int i.queue_depth))
-            inputs)
-    ::
-    (if regions = [] then []
-     else [ counter_record ~name:"region-measure" ~ts regions ])
   | Membership { time; server; change } ->
     let describe =
       match change with
@@ -213,19 +225,14 @@ let records_of_event e =
           ]
         ();
     ]
-  | Fault { time; server; file_set; fault } ->
+  | Fault { time; server; fault } ->
     let tid =
       match server with Some s -> server_tid s | None -> cluster_tid
-    in
-    let args =
-      match file_set with
-      | Some fs -> [ ("file_set", Json.Str fs) ]
-      | None -> []
     in
     [
       instant
         ~name:("fault:" ^ Event.fault_name fault)
-        ~cat:"fault" ~ts:(usec time) ~tid ~args ();
+        ~cat:"fault" ~ts:(usec time) ~tid ();
     ]
   | Round_degraded { time; round; missing; survivors; skipped } ->
     [
@@ -246,13 +253,6 @@ let records_of_event e =
     [
       instant ~name:("fence:" ^ action) ~cat:"fence" ~ts:(usec time)
         ~tid:(server_tid server) ();
-    ]
-  | Partition { time; server; link; healed } ->
-    [
-      instant
-        ~name:
-          (Printf.sprintf "%s:%s" (if healed then "heal" else "partition") link)
-        ~cat:"fault" ~ts:(usec time) ~tid:(server_tid server) ();
     ]
   | Ledger_replay { time; records; torn; repaired; divergent } ->
     [
@@ -292,27 +292,22 @@ let records_of_event e =
       @ (match epoch with
         | Some e -> [ ("epoch", Json.Num (float_of_int e)) ]
         | None -> [])
-      @ List.map
-          (function
-            | Event.Op op -> ("op", Json.Str op)
-            | Event.Client c -> ("client", Json.Num (float_of_int c)))
-          attrs
+      @ List.map attr_arg attrs
     in
-    [
-      chrome_record ~args ~name ~cat ~ph:"b" ~ts:(usec time) ~tid
-        [ ("id", Json.Str (string_of_int id)) ];
-    ]
-  | Span_end { time; id; name; cat; server; outcome } ->
+    chrome_record ~args ~name ~cat ~ph:"b" ~ts:(usec time) ~tid
+      [ ("id", Json.Str (string_of_int id)) ]
+    :: counters_of_attrs ~ts:(usec time) attrs
+  | Span_end { time; id; name; cat; server; outcome; attrs } ->
     let tid =
       match server with Some s -> server_tid s | None -> cluster_tid
     in
     let args =
-      match outcome with Some o -> [ ("outcome", Json.Str o) ] | None -> []
+      (match outcome with Some o -> [ ("outcome", Json.Str o) ] | None -> [])
+      @ List.map attr_arg attrs
     in
-    [
-      chrome_record ~args ~name ~cat ~ph:"e" ~ts:(usec time) ~tid
-        [ ("id", Json.Str (string_of_int id)) ];
-    ]
+    chrome_record ~args ~name ~cat ~ph:"e" ~ts:(usec time) ~tid
+      [ ("id", Json.Str (string_of_int id)) ]
+    :: counters_of_attrs ~ts:(usec time) attrs
 
 let chrome_writer oc ~close_channel =
   let closed = ref false in

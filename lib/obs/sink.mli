@@ -58,12 +58,13 @@ val jsonl_file : string -> t
     understood by [chrome://tracing] and Perfetto.
     {!Event.Span_begin}/{!Event.Span_end} pairs become async duration
     ("b"/"e") records keyed by span id, which render as nested flame
-    charts; a span's parent, file set, epoch and typed attributes (a
-    request's [client] and [op]) go in the "b" record's args.
-    Requests appear only as these spans.  Moves become complete ("X")
-    slices on the destination's track, delegate rounds become instant
-    events plus "queue-depth" and "region-measure" counter tracks.
-    Virtual seconds map to trace microseconds.  [close] writes the
+    charts; a span's parent, file set, epoch and typed attributes go
+    in the "b" record's args, an end's outcome and attributes in the
+    "e" record's.  Requests, moves, rounds and fault windows appear
+    only as these spans; a ["tune"] span's per-server inputs and
+    retuned regions also draw as "queue-depth" and "region-measure"
+    counter tracks.  Every other event is an instant.  Virtual seconds
+    map to trace microseconds.  [close] writes the
     closing bracket and flushes; the caller owns the channel. *)
 val chrome_channel : out_channel -> t
 

@@ -18,6 +18,7 @@ let begin_ ctx ~time ?parent ~name ~cat ?server ?file_set ?epoch
     id
   end
 
-let end_ ctx ~time ~id ~name ~cat ?server ?outcome () =
+let end_ ctx ~time ~id ~name ~cat ?server ?outcome ?(attrs = []) () =
   if id <> none then
-    Ctx.emit ctx (Event.Span_end { time; id; name; cat; server; outcome })
+    Ctx.emit ctx
+      (Event.Span_end { time; id; name; cat; server; outcome; attrs })

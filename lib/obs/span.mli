@@ -7,10 +7,11 @@
     which the Chrome sink renders as nested flame charts and the
     forensics engine joins for latency attribution.
 
-    Spans are the only record of a request's life.  The ["request"]
-    span opens at submission with the file set and the typed
-    attributes [Client] and [Op], and closes at completion on the
-    serving server.  Its children are the stages that actually
+    Spans are the only record of every lifecycle: a request, a move,
+    a delegate round and a fault window each write one begin and one
+    end, nothing beside them.  The ["request"] span opens at
+    submission with the file set and the typed attributes [Client]
+    and [Op], and closes at completion on the serving server.  Its children are the stages that actually
     happened: ["buffered"] while the request waits out a move,
     ["queue"] only when the server was busy at delivery (so every
     queue span has positive width), and ["service"], written only
@@ -47,9 +48,11 @@ val begin_ :
   unit ->
   id
 
-(** [end_ ctx ~time ~id ~name ~cat ?server ?outcome ()] closes span
-    [id]; no-op when [id] is {!none}.  [name]/[cat] are repeated so
-    sinks stay stateless. *)
+(** [end_ ctx ~time ~id ~name ~cat ?server ?outcome ?attrs ()] closes
+    span [id]; no-op when [id] is {!none}.  [name]/[cat] are repeated
+    so sinks stay stateless.  [attrs] (default [[]]) carries what
+    became known as the span closed, under the same guard as
+    {!begin_}'s. *)
 val end_ :
   Ctx.t ->
   time:float ->
@@ -58,5 +61,6 @@ val end_ :
   cat:string ->
   ?server:int ->
   ?outcome:string ->
+  ?attrs:Event.attr list ->
   unit ->
   unit

@@ -805,9 +805,9 @@ let complete_move t ~fs ~src ~dst pending =
   let mspan =
     match t.ownership.(fs) with Moving { span; _ } -> span | _ -> Obs.Span.none
   in
-  let end_move outcome =
+  let end_move ?attrs outcome =
     Obs.Span.end_ t.obs ~time:(Desim.Sim.now t.sim) ~id:mspan ~name:"move"
-      ~cat:"move" ~server:(Server_id.to_int dst) ~outcome ()
+      ~cat:"move" ~server:(Server_id.to_int dst) ~outcome ?attrs ()
   in
   if Server.failed dst_server then begin
     (* Destination died while the set was in transit: the set is
@@ -817,7 +817,10 @@ let complete_move t ~fs ~src ~dst pending =
     journal t Ledger.Commit (Ledger.Orphan { file_set = fs_name t fs })
   end
   else begin
-    end_move "commit";
+    end_move "commit"
+      ~attrs:
+        (if mspan = Obs.Span.none then []
+         else [ Obs.Event.Replayed (Queue.length pending) ]);
     Server.gain_file_set dst_server ~fs ~cold:true;
     t.ownership.(fs) <- Owned dst;
     journal t Ledger.Commit
@@ -827,19 +830,12 @@ let complete_move t ~fs ~src ~dst pending =
            src = Option.map Server_id.to_int src;
            dst = Server_id.to_int dst;
          });
-    if Obs.Ctx.tracing t.obs then
-      Obs.Ctx.emit t.obs
-        (Obs.Event.Move_end
-           {
-             time = Desim.Sim.now t.sim;
-             file_set = fs_name t fs;
-             dst = Server_id.to_int dst;
-             replayed = Queue.length pending;
-           });
     Queue.iter (fun slot -> redeliver t dst slot) pending;
     Queue.clear pending
   end
 
+(* Counts and logs a move and opens its span on the destination's
+   track, with the move's source and phase times. *)
 let record_move t ~file_set ~src ~dst ~flush_seconds ~init_seconds =
   t.moves_started <- t.moves_started + 1;
   (match t.instruments with
@@ -851,17 +847,6 @@ let record_move t ~file_set ~src ~dst ~flush_seconds ~init_seconds =
     Obs.Metrics.Counter.incr
       (Obs.Metrics.counter i.registry
          (Printf.sprintf "server.%d.moves_in" (Server_id.to_int dst))));
-  if Obs.Ctx.tracing t.obs then
-    Obs.Ctx.emit t.obs
-      (Obs.Event.Move_start
-         {
-           time = Desim.Sim.now t.sim;
-           file_set;
-           src = Option.map Server_id.to_int src;
-           dst = Server_id.to_int dst;
-           flush_seconds;
-           init_seconds;
-         });
   t.move_log <-
     {
       started_at = Desim.Sim.now t.sim;
@@ -871,7 +856,19 @@ let record_move t ~file_set ~src ~dst ~flush_seconds ~init_seconds =
       flush_seconds;
       init_seconds;
     }
-    :: t.move_log
+    :: t.move_log;
+  let attrs =
+    if not (Obs.Ctx.tracing t.obs) then []
+    else
+      let phases =
+        Obs.Event.[ Flush_seconds flush_seconds; Init_seconds init_seconds ]
+      in
+      match src with
+      | Some s -> Obs.Event.Src (Server_id.to_int s) :: phases
+      | None -> phases
+  in
+  Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name:"move" ~cat:"move"
+    ~server:(Server_id.to_int dst) ~file_set ~attrs ()
 
 let move t ~file_set ~dst =
   let (_ : File_set.t) = File_set.Catalog.get t.catalog file_set in
@@ -912,6 +909,10 @@ let move t ~file_set ~dst =
       Desim.Sim.schedule t.sim ~delay:(flush_seconds +. init_seconds)
         (fun () -> complete_move t ~fs ~src:(Some src) ~dst pending)
     in
+    let span =
+      record_move t ~file_set ~src:(Some src) ~dst ~flush_seconds
+        ~init_seconds
+    in
     t.ownership.(fs) <-
       Moving
         {
@@ -920,11 +921,8 @@ let move t ~file_set ~dst =
           pending;
           handle;
           flush_done_at = Desim.Sim.now t.sim +. flush_seconds;
-          span =
-            Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name:"move"
-              ~cat:"move" ~server:(Server_id.to_int dst) ~file_set ();
+          span;
         };
-    record_move t ~file_set ~src:(Some src) ~dst ~flush_seconds ~init_seconds;
     Option.iter
       (fun f ->
         f ~file_set ~src:(Some src) ~dst ~flush_seconds ~init_seconds)
@@ -941,6 +939,9 @@ let move t ~file_set ~dst =
     in
     (* No flush phase: the image is already on the shared disk, so
        only a dst crash can interrupt the adoption. *)
+    let span =
+      record_move t ~file_set ~src:None ~dst ~flush_seconds:0.0 ~init_seconds
+    in
     t.ownership.(fs) <-
       Moving
         {
@@ -949,11 +950,8 @@ let move t ~file_set ~dst =
           pending;
           handle;
           flush_done_at = Desim.Sim.now t.sim;
-          span =
-            Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name:"move"
-              ~cat:"move" ~server:(Server_id.to_int dst) ~file_set ();
+          span;
         };
-    record_move t ~file_set ~src:None ~dst ~flush_seconds:0.0 ~init_seconds;
     Option.iter
       (fun f ->
         f ~file_set ~src:None ~dst ~flush_seconds:0.0 ~init_seconds)
@@ -1023,22 +1021,15 @@ let take_down t id =
       (fun (name, fs, pending, handle, span, role) ->
         Desim.Sim.cancel t.sim handle;
         Obs.Span.end_ t.obs ~time:now ~id:span ~name:"move" ~cat:"move"
-          ~server:(Server_id.to_int id) ~outcome:"interrupted" ();
+          ~server:(Server_id.to_int id) ~outcome:"interrupted"
+          ~attrs:(if span = Obs.Span.none then [] else [ Obs.Event.Role role ])
+          ();
         t.ownership.(fs) <- Orphaned pending;
         journal t Ledger.Commit (Ledger.Orphan { file_set = name });
         t.moves_failed <- t.moves_failed + 1;
         (match t.instruments with
         | None -> ()
-        | Some i -> Obs.Metrics.Counter.incr i.moves_failed);
-        if Obs.Ctx.tracing t.obs then
-          Obs.Ctx.emit t.obs
-            (Obs.Event.Fault
-               {
-                 time = now;
-                 server = Some (Server_id.to_int id);
-                 file_set = Some name;
-                 fault = Obs.Event.Move_interrupted { role };
-               }))
+        | Some i -> Obs.Metrics.Counter.incr i.moves_failed))
       dead_moves;
     List.iter
       (fun slot ->

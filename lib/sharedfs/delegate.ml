@@ -142,30 +142,3 @@ let median_latency reports =
     if active mod 2 = 1 then arr.(active / 2)
     else (arr.((active / 2) - 1) +. arr.(active / 2)) /. 2.0
   end
-
-let round_event cluster ~time ~round ~average ~regions reports =
-  let delegate =
-    Option.map Server_id.to_int (elect ~alive:(Cluster.alive_ids cluster))
-  in
-  let inputs =
-    List.map
-      (fun r ->
-        {
-          Obs.Event.server = Server_id.to_int r.server;
-          mean_latency = r.report.Server.mean_latency;
-          max_latency = r.report.Server.max_latency;
-          requests = r.report.Server.requests;
-          queue_depth = Server.queue_length (Cluster.server cluster r.server);
-        })
-      reports
-  in
-  Obs.Event.Delegate_round
-    {
-      time;
-      round;
-      delegate;
-      average;
-      inputs;
-      regions =
-        List.map (fun (id, measure) -> (Server_id.to_int id, measure)) regions;
-    }

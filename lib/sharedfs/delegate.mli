@@ -74,17 +74,3 @@ val mean_latency : server_report list -> float
     when none did. *)
 val median_latency : server_report list -> float
 
-(** [round_event cluster ~time ~round ~average ~regions reports] packs
-    one reconfiguration round into a trace event: the elected
-    delegate, every server's reported latency window plus its current
-    queue depth, and the per-server region measures the round decided
-    on ([regions] may be empty for policies without region
-    geometry). *)
-val round_event :
-  Cluster.t ->
-  time:float ->
-  round:int ->
-  average:float ->
-  regions:(Server_id.t * float) list ->
-  server_report list ->
-  Obs.Event.t

@@ -13,7 +13,6 @@ type t = {
   store : (int, string) Hashtbl.t;
   fenced : (int, unit) Hashtbl.t;
   mutable writes : int;
-  mutable reads : int;
   mutable rejected : int;
   mutable stall : float;
   mutable hook :
@@ -29,9 +28,7 @@ let create ?(config = default_config) () =
   if config.bandwidth <= 0.0 then
     invalid_arg "Shared_disk.create: bandwidth must be positive";
   { cfg = config; store = Hashtbl.create 1024; fenced = Hashtbl.create 8;
-    writes = 0; reads = 0; rejected = 0; stall = 1.0; hook = None }
-
-let config t = t.cfg
+    writes = 0; rejected = 0; stall = 1.0; hook = None }
 
 let set_stall t ~factor =
   if factor < 1.0 then
@@ -78,7 +75,6 @@ let write t ~block data =
   transfer_time t ~bytes:(String.length data)
 
 let read t ~block =
-  t.reads <- t.reads + 1;
   let data = Hashtbl.find_opt t.store block in
   let bytes = match data with None -> 0 | Some d -> String.length d in
   (data, transfer_time t ~bytes)
@@ -97,7 +93,6 @@ let write_as t ~server ~block data =
   else `Ok (write t ~block data)
 
 let compare_and_swap t ~block ~expect data =
-  t.reads <- t.reads + 1;
   let current = Hashtbl.find_opt t.store block in
   if current = expect then begin
     mutate t ~block ~cas:true data;
@@ -105,14 +100,8 @@ let compare_and_swap t ~block ~expect data =
   end
   else false
 
-let blocks_written t = t.writes
-
-let write_points = blocks_written
-
 let set_write_hook t hook = t.hook <- Some hook
 
 let clear_write_hook t = t.hook <- None
-
-let blocks_read t = t.reads
 
 let rejected_writes t = t.rejected

@@ -19,8 +19,6 @@ val default_config : config
 
 val create : ?config:config -> unit -> t
 
-val config : t -> config
-
 (** [write t ~block data] stores [data] and returns the simulated
     service time of the I/O. *)
 val write : t -> block:int -> string -> float
@@ -117,16 +115,6 @@ val set_write_hook :
   t -> (op:int -> block:int -> cas:bool -> data:string -> write_verdict) -> unit
 
 val clear_write_hook : t -> unit
-
-(** [write_points t] is the monotone write-point counter — the number
-    the {e next} mutation will see minus one.  Equal to
-    {!blocks_written}. *)
-val write_points : t -> int
-
-(** [blocks_written t] counts write operations, for tests and reports. *)
-val blocks_written : t -> int
-
-val blocks_read : t -> int
 
 (** [rejected_writes t] counts {!write_as} operations rejected by
     fencing — the observable proof that a fenced server's writes never

@@ -85,24 +85,10 @@ let change_to_json = function
 let fault_to_json f =
   let fields =
     match f with
-    | Server_crash | Server_recover | Delegate_crash | Disk_stall_end -> []
+    | Delegate_crash -> []
     | Report_lost { attempt } -> [ ("attempt", int attempt) ]
     | Report_delayed { delay } -> [ ("delay", num delay) ]
-    | Move_interrupted { role } -> [ ("role", Json.Str role) ]
-    | Disk_stall_start { factor; duration } ->
-      [ ("factor", num factor); ("duration", num duration) ]
-    | Partition_cut { link } | Partition_healed { link } ->
-      [ ("link", Json.Str link) ]
     | Ledger_torn { seq } -> [ ("seq", int seq) ]
-    | Domain_crash { domain; members } | Domain_recover { domain; members } ->
-      [ ("domain", Json.Str domain); ("members", int members) ]
-    | Domain_partition_cut { domain; link; members }
-    | Domain_partition_healed { domain; link; members } ->
-      [
-        ("domain", Json.Str domain);
-        ("link", Json.Str link);
-        ("members", int members);
-      ]
   in
   Json.Obj (("fault", Json.Str (fault_name f)) :: fields)
 
@@ -116,46 +102,37 @@ let input_to_json i =
       ("queue_depth", int i.queue_depth);
     ]
 
+let region_to_json (server, measure) =
+  Json.Obj [ ("server", int server); ("measure", num measure) ]
+
 let attrs_to_json attrs =
   Json.Obj
     (List.map
        (function
          | Op op -> ("op", Json.Str op)
-         | Client client -> ("client", int client))
+         | Client client -> ("client", int client)
+         | Src src -> ("src", int src)
+         | Flush_seconds x -> ("flush_seconds", num x)
+         | Init_seconds x -> ("init_seconds", num x)
+         | Replayed n -> ("replayed", int n)
+         | Role role -> ("role", Json.Str role)
+         | Round round -> ("round", int round)
+         | Average x -> ("average", num x)
+         | Inputs inputs -> ("inputs", Json.List (List.map input_to_json inputs))
+         | Regions regions ->
+           ("regions", Json.List (List.map region_to_json regions))
+         | Domain domain -> ("domain", Json.Str domain)
+         | Link link -> ("link", Json.Str link)
+         | Members n -> ("members", int n)
+         | Factor x -> ("factor", num x))
        attrs)
+
+let attrs_field attrs =
+  if attrs = [] then [] else [ ("attrs", attrs_to_json attrs) ]
 
 let event_to_json e =
   let fields =
     match e with
-    | Move_start { time = _; file_set; src; dst; flush_seconds; init_seconds }
-      ->
-      [
-        ("file_set", Json.Str file_set);
-        ("src", opt_int src);
-        ("dst", int dst);
-        ("flush_seconds", num flush_seconds);
-        ("init_seconds", num init_seconds);
-      ]
-    | Move_end { time = _; file_set; dst; replayed } ->
-      [
-        ("file_set", Json.Str file_set);
-        ("dst", int dst);
-        ("replayed", int replayed);
-      ]
-    | Delegate_round { time = _; round; delegate; average; inputs; regions }
-      ->
-      [
-        ("round", int round);
-        ("delegate", opt_int delegate);
-        ("average", num average);
-        ("inputs", Json.List (List.map input_to_json inputs));
-        ( "regions",
-          Json.List
-            (List.map
-               (fun (server, measure) ->
-                 Json.Obj [ ("server", int server); ("measure", num measure) ])
-               regions) );
-      ]
     | Membership { time = _; server; change } ->
       [ ("server", int server); ("membership", change_to_json change) ]
     | Rehash_round { time = _; trigger; checked; moved } ->
@@ -164,11 +141,9 @@ let event_to_json e =
         ("checked", int checked);
         ("moved", int moved);
       ]
-    | Fault { time = _; server; file_set; fault } ->
+    | Fault { time = _; server; fault } ->
       [
         ("server", opt_int server);
-        ( "file_set",
-          match file_set with None -> Json.Null | Some s -> Json.Str s );
         ("fault", fault_to_json fault);
       ]
     | Round_degraded { time = _; round; missing; survivors; skipped } ->
@@ -180,12 +155,6 @@ let event_to_json e =
       ]
     | Fence { time = _; server; action } ->
       [ ("server", int server); ("action", Json.Str action) ]
-    | Partition { time = _; server; link; healed } ->
-      [
-        ("server", int server);
-        ("link", Json.Str link);
-        ("healed", Json.Bool healed);
-      ]
     | Ledger_replay { time = _; records; torn; repaired; divergent } ->
       [
         ("records", int records);
@@ -206,8 +175,8 @@ let event_to_json e =
           match file_set with None -> Json.Null | Some s -> Json.Str s );
         ("epoch", opt_int epoch);
       ]
-      @ (if attrs = [] then [] else [ ("attrs", attrs_to_json attrs) ])
-    | Span_end { time = _; id; name; cat; server; outcome } ->
+      @ attrs_field attrs
+    | Span_end { time = _; id; name; cat; server; outcome; attrs } ->
       [
         ("id", int id);
         ("name", Json.Str name);
@@ -216,6 +185,7 @@ let event_to_json e =
         ( "outcome",
           match outcome with None -> Json.Null | Some s -> Json.Str s );
       ]
+      @ attrs_field attrs
   in
   Json.Obj (("type", Json.Str (kind e)) :: ("time", num (time e)) :: fields)
 

@@ -40,8 +40,8 @@ let span_begin ?parent ?server ?file_set ?(attrs = []) ~time ~id ~name ~cat
   Obs.Event.Span_begin
     { time; id; parent; name; cat; server; file_set; epoch = None; attrs }
 
-let span_end ?server ?outcome ~time ~id ~name ~cat () =
-  Obs.Event.Span_end { time; id; name; cat; server; outcome }
+let span_end ?server ?outcome ?(attrs = []) ~time ~id ~name ~cat () =
+  Obs.Event.Span_end { time; id; name; cat; server; outcome; attrs }
 
 (* A request as the cluster records it: a span whose begin names the
    file set (and carries the client and op), whose end names the
@@ -79,13 +79,8 @@ let synthetic_events =
     (* a request span that never closes: crash-lost work *)
     span_begin ~time:4.0 ~id:5 ~name:"request" ~cat:"request"
       ~file_set:"fs-a" ();
-    Obs.Event.Fault
-      {
-        time = 5.0;
-        server = Some 3;
-        file_set = None;
-        fault = Obs.Event.Server_crash;
-      };
+    (* the crash window opens on server 3 *)
+    span_begin ~time:5.0 ~id:8 ~name:"crash" ~cat:"fault" ~server:3 ();
     Obs.Event.Fence { time = 5.1; server = 3; action = "fenced" };
     (* noise touching a different server: must stay out of the slice *)
     Obs.Event.Fence { time = 5.2; server = 0; action = "fenced" };
@@ -271,15 +266,35 @@ let test_load_reports_bad_line () =
       | Error msg ->
         check_bool "error names the line" true (contains msg "line 2"))
 
-(* A trace written before requests became spans-only still carries
-   [request_submit]/[request_complete] lines.  Loading it fails on the
-   first such line with the decoder's message, and the CLI turns that
-   into exit status 1 rather than an uncaught exception. *)
-let old_trace_lines =
+(* A trace written before every lifecycle became spans-only still
+   carries the old duplicate records: [request_submit] beside the
+   request span, [move_start]/[move_end] beside the move span,
+   [delegate_round] beside the round span and [partition] beside the
+   fault window.  Loading it fails on the first such line with the
+   decoder's message, and the CLI turns that into exit status 1 rather
+   than an uncaught exception.  So does a number too large for a
+   float. *)
+let old_trace_lines second =
   [
     {|{"type":"span_begin","time":0.5,"id":2,"parent":null,"name":"request","cat":"request","server":null,"file_set":"fs-a","epoch":null}|};
-    {|{"type":"request_submit","time":0.5,"file_set":"fs-a","op":"open","client":2}|};
+    second;
     {|{"type":"span_end","time":0.75,"id":2,"name":"request","cat":"request","server":3,"outcome":null}|};
+  ]
+
+let bad_second_lines =
+  [
+    ( {|{"type":"request_submit","time":0.5,"file_set":"fs-a","op":"open","client":2}|},
+      {|unknown event type "request_submit"|} );
+    ( {|{"type":"move_start","time":0.5,"file_set":"fs-a","src":1,"dst":3,"flush_seconds":0.1,"init_seconds":0.2}|},
+      {|unknown event type "move_start"|} );
+    ( {|{"type":"move_end","time":0.5,"file_set":"fs-a","dst":3,"replayed":0}|},
+      {|unknown event type "move_end"|} );
+    ( {|{"type":"delegate_round","time":0.5,"round":1,"delegate":0,"average":0.1,"inputs":[],"regions":[]}|},
+      {|unknown event type "delegate_round"|} );
+    ( {|{"type":"partition","time":0.5,"server":0,"link":"cluster","healed":false}|},
+      {|unknown event type "partition"|} );
+    ( {|{"type":"span_end","time":1e400,"id":2,"name":"request","cat":"request","server":3,"outcome":null}|},
+      {|non-finite float field "time"|} );
   ]
 
 let write_lines path lines =
@@ -288,39 +303,42 @@ let write_lines path lines =
   close_out oc
 
 let test_old_trace_fails_cleanly () =
-  with_temp_file (fun path ->
-      write_lines path old_trace_lines;
-      (match Experiments.Forensics.load path with
-      | Ok _ -> Alcotest.fail "expected a parse error"
-      | Error msg ->
-        Alcotest.(check string)
-          "decoder message with file and line"
-          (path ^ {|, line 2: unknown event type "request_submit"|})
-          msg);
-      (* The CLI: exit status 1, the same message, no exception. *)
-      (* The CLI is built next to this test binary (see test/dune). *)
-      let exe =
-        List.fold_left Filename.concat
-          (Filename.dirname Sys.executable_name)
-          [ Filename.parent_dir_name; "bin"; "shdisk_sim.exe" ]
-      in
-      check_bool "CLI binary built" true (Sys.file_exists exe);
-      let err = Filename.temp_file "forensics_test" ".err" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove err)
-        (fun () ->
-          let status =
-            Sys.command
-              (Printf.sprintf "%s trace-report %s >/dev/null 2>%s"
-                 (Filename.quote exe) (Filename.quote path)
-                 (Filename.quote err))
-          in
-          check_int "trace-report exits 1" 1 status;
-          let stderr = read_file err in
-          check_bool "stderr names the old event type and line" true
-            (contains stderr {|line 2: unknown event type "request_submit"|});
-          check_bool "no uncaught exception" false
-            (contains stderr "exception" || contains stderr "Fatal error")))
+  (* The CLI is built next to this test binary (see test/dune). *)
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "shdisk_sim.exe" ]
+  in
+  check_bool "CLI binary built" true (Sys.file_exists exe);
+  List.iter
+    (fun (second, message) ->
+      with_temp_file (fun path ->
+          write_lines path (old_trace_lines second);
+          (match Experiments.Forensics.load path with
+          | Ok _ -> Alcotest.fail "expected a parse error"
+          | Error msg ->
+            Alcotest.(check string)
+              "decoder message with file and line"
+              (path ^ ", line 2: " ^ message)
+              msg);
+          (* The CLI: exit status 1, the same message, no exception. *)
+          let err = Filename.temp_file "forensics_test" ".err" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove err)
+            (fun () ->
+              let status =
+                Sys.command
+                  (Printf.sprintf "%s trace-report %s >/dev/null 2>%s"
+                     (Filename.quote exe) (Filename.quote path)
+                     (Filename.quote err))
+              in
+              check_int "trace-report exits 1" 1 status;
+              let stderr = read_file err in
+              check_bool "stderr names the bad record and line" true
+                (contains stderr ("line 2: " ^ message));
+              check_bool "no uncaught exception" false
+                (contains stderr "exception" || contains stderr "Fatal error"))))
+    bad_second_lines
 
 (* On a traced fault-free run, forensics counts every completed request
    once: the attribution and the per-server ranking both read the

@@ -1,5 +1,5 @@
 (* Obs: JSON codec, event round-trips, sinks, metrics, and the
-   runner's instrumentation contract (one Delegate_round per
+   runner's instrumentation contract (one round span per
    reconfiguration interval). *)
 
 let check_int = Alcotest.(check int)
@@ -68,60 +68,119 @@ let sample_events =
         cat = "request";
         server = Some 2;
         outcome = None;
+        attrs = [];
       };
-    Obs.Event.Move_start
+    Obs.Event.Span_begin
       {
         time = 120.0;
-        file_set = "fs-003";
-        src = Some 1;
-        dst = 4;
-        flush_seconds = 0.5;
-        init_seconds = 1.25;
+        id = 3;
+        parent = None;
+        name = "move";
+        cat = "move";
+        server = Some 4;
+        file_set = Some "fs-003";
+        epoch = None;
+        attrs =
+          Obs.Event.[ Src 1; Flush_seconds 0.5; Init_seconds 1.25 ];
       };
-    Obs.Event.Move_start
+    Obs.Event.Span_begin
       {
         time = 121.0;
-        file_set = "fs-orphan";
-        src = None;
-        dst = 0;
-        flush_seconds = 0.0;
-        init_seconds = 2.0;
+        id = 4;
+        parent = None;
+        name = "move";
+        cat = "move";
+        server = Some 0;
+        file_set = Some "fs-orphan";
+        epoch = None;
+        attrs = Obs.Event.[ Flush_seconds 0.0; Init_seconds 2.0 ];
       };
-    Obs.Event.Move_end
-      { time = 122.75; file_set = "fs-003"; dst = 4; replayed = 7 };
-    Obs.Event.Delegate_round
+    Obs.Event.Span_end
+      {
+        time = 122.75;
+        id = 3;
+        name = "move";
+        cat = "move";
+        server = Some 4;
+        outcome = Some "commit";
+        attrs = [ Obs.Event.Replayed 7 ];
+      };
+    Obs.Event.Span_end
+      {
+        time = 123.0;
+        id = 4;
+        name = "move";
+        cat = "move";
+        server = Some 0;
+        outcome = Some "interrupted";
+        attrs = [ Obs.Event.Role "dst" ];
+      };
+    Obs.Event.Span_begin
       {
         time = 240.0;
-        round = 2;
-        delegate = Some 0;
-        average = 0.042;
-        inputs =
-          [
-            {
-              Obs.Event.server = 0;
-              mean_latency = 0.03;
-              max_latency = 0.1;
-              requests = 150;
-              queue_depth = 2;
-            };
-            {
-              Obs.Event.server = 1;
-              mean_latency = 0.07;
-              max_latency = 0.3;
-              requests = 80;
-              queue_depth = 5;
-            };
-          ];
-        regions = [ (0, 0.31); (1, 0.19) ];
+        id = 5;
+        parent = None;
+        name = "round";
+        cat = "round";
+        server = None;
+        file_set = None;
+        epoch = Some 0;
+        attrs = [ Obs.Event.Round 2 ];
       };
-    Obs.Event.Delegate_round
+    Obs.Event.Span_begin
+      {
+        time = 240.0;
+        id = 6;
+        parent = Some 5;
+        name = "tune";
+        cat = "round";
+        server = None;
+        file_set = None;
+        epoch = None;
+        attrs =
+          Obs.Event.
+            [
+              Average 0.042;
+              Inputs
+                [
+                  {
+                    server = 0;
+                    mean_latency = 0.03;
+                    max_latency = 0.1;
+                    requests = 150;
+                    queue_depth = 2;
+                  };
+                  {
+                    server = 1;
+                    mean_latency = 0.07;
+                    max_latency = 0.3;
+                    requests = 80;
+                    queue_depth = 5;
+                  };
+                ];
+            ];
+      };
+    Obs.Event.Span_end
+      {
+        time = 240.0;
+        id = 6;
+        name = "tune";
+        cat = "round";
+        server = None;
+        outcome = None;
+        attrs = [ Obs.Event.Regions [ (0, 0.31); (1, 0.19) ] ];
+      };
+    Obs.Event.Span_begin
       {
         time = 360.0;
-        round = 3;
-        delegate = None;
-        average = 0.0;
-        inputs = [];
-        regions = [];
+        id = 7;
+        parent = None;
+        name = "tune";
+        cat = "round";
+        server = None;
+        file_set = None;
+        epoch = None;
+        attrs = Obs.Event.[ Average 0.0; Inputs []; Regions [] ];
       };
     Obs.Event.Membership { time = 500.0; server = 4; change = Obs.Event.Failed };
     Obs.Event.Membership
@@ -136,59 +195,21 @@ let sample_events =
       { time = 960.0; trigger = "fail"; checked = 40; moved = 9 };
     Obs.Event.Fault
       {
-        time = 970.0;
-        server = Some 2;
-        file_set = None;
-        fault = Obs.Event.Server_crash;
-      };
-    Obs.Event.Fault
-      {
-        time = 971.0;
-        server = Some 2;
-        file_set = None;
-        fault = Obs.Event.Server_recover;
-      };
-    Obs.Event.Fault
-      {
         time = 972.0;
         server = None;
-        file_set = None;
         fault = Obs.Event.Delegate_crash;
       };
     Obs.Event.Fault
       {
         time = 973.0;
         server = Some 1;
-        file_set = None;
         fault = Obs.Event.Report_lost { attempt = 2 };
       };
     Obs.Event.Fault
       {
         time = 974.0;
         server = Some 1;
-        file_set = None;
         fault = Obs.Event.Report_delayed { delay = 0.25 };
-      };
-    Obs.Event.Fault
-      {
-        time = 975.0;
-        server = Some 3;
-        file_set = Some "fs-004";
-        fault = Obs.Event.Move_interrupted { role = "src" };
-      };
-    Obs.Event.Fault
-      {
-        time = 976.0;
-        server = None;
-        file_set = None;
-        fault = Obs.Event.Disk_stall_start { factor = 4.0; duration = 30.0 };
-      };
-    Obs.Event.Fault
-      {
-        time = 977.0;
-        server = None;
-        file_set = None;
-        fault = Obs.Event.Disk_stall_end;
       };
     Obs.Event.Round_degraded
       {
@@ -238,6 +259,7 @@ let sample_events =
         cat = "request";
         server = Some 2;
         outcome = None;
+        attrs = [];
       };
     Obs.Event.Span_end
       {
@@ -247,66 +269,64 @@ let sample_events =
         cat = "round";
         server = None;
         outcome = Some "applied";
+        attrs = [];
       };
-    Obs.Event.Fault
+    Obs.Event.Span_begin
       {
         time = 1010.0;
+        id = 19;
+        parent = None;
+        name = "partition";
+        cat = "fault";
         server = Some 0;
         file_set = None;
-        fault = Obs.Event.Partition_cut { link = "cluster" };
+        epoch = None;
+        attrs = [ Obs.Event.Link "cluster" ];
       };
-    Obs.Event.Fault
+    Obs.Event.Span_begin
       {
-        time = 1011.0;
-        server = Some 0;
+        time = 1013.0;
+        id = 20;
+        parent = None;
+        name = "crash";
+        cat = "fault";
+        server = None;
         file_set = None;
-        fault = Obs.Event.Partition_healed { link = "cluster" };
+        epoch = None;
+        attrs = Obs.Event.[ Domain "rack0"; Members 3 ];
+      };
+    Obs.Event.Span_begin
+      {
+        time = 1015.0;
+        id = 21;
+        parent = None;
+        name = "partition";
+        cat = "fault";
+        server = None;
+        file_set = None;
+        epoch = None;
+        attrs = Obs.Event.[ Domain "rack1"; Link "disk"; Members 2 ];
+      };
+    Obs.Event.Span_begin
+      {
+        time = 1016.0;
+        id = 22;
+        parent = None;
+        name = "disk-stall";
+        cat = "fault";
+        server = None;
+        file_set = None;
+        epoch = None;
+        attrs = [ Obs.Event.Factor 4.0 ];
       };
     Obs.Event.Fault
       {
         time = 1012.0;
         server = None;
-        file_set = None;
         fault = Obs.Event.Ledger_torn { seq = 12 };
-      };
-    Obs.Event.Fault
-      {
-        time = 1013.0;
-        server = None;
-        file_set = None;
-        fault = Obs.Event.Domain_crash { domain = "rack0"; members = 3 };
-      };
-    Obs.Event.Fault
-      {
-        time = 1014.0;
-        server = None;
-        file_set = None;
-        fault = Obs.Event.Domain_recover { domain = "rack0"; members = 3 };
-      };
-    Obs.Event.Fault
-      {
-        time = 1015.0;
-        server = None;
-        file_set = None;
-        fault =
-          Obs.Event.Domain_partition_cut
-            { domain = "rack1"; link = "disk"; members = 2 };
-      };
-    Obs.Event.Fault
-      {
-        time = 1016.0;
-        server = None;
-        file_set = None;
-        fault =
-          Obs.Event.Domain_partition_healed
-            { domain = "rack1"; link = "disk"; members = 2 };
       };
     Obs.Event.Fence { time = 1020.0; server = 3; action = "fenced" };
     Obs.Event.Fence { time = 1020.5; server = 3; action = "write_rejected" };
-    Obs.Event.Partition
-      { time = 1021.0; server = 3; link = "disk"; healed = false };
-    Obs.Event.Partition
-      { time = 1022.0; server = 3; link = "disk"; healed = true };
     Obs.Event.Ledger_replay
       { time = 1023.0; records = 41; torn = 1; repaired = 1; divergent = 0 };
     Obs.Event.Invariant_violation
@@ -324,7 +344,7 @@ let test_event_jsonl_round_trip () =
 
 let test_event_kinds_distinct () =
   let kinds = List.sort_uniq compare (List.map Obs.Event.kind sample_events) in
-  check_int "all thirteen kinds exercised" 13 (List.length kinds);
+  check_int "all nine kinds exercised" 9 (List.length kinds);
   List.iter
     (fun e ->
       let json = Obs_oracle.event_to_json e in
@@ -339,7 +359,7 @@ let test_event_of_jsonl_errors () =
     (Result.is_error (Obs.Event.of_jsonl {|{"type":"martian","time":1}|}));
   check_bool "missing field" true
     (Result.is_error (Obs.Event.of_jsonl {|{"type":"span_end","time":1}|}));
-  (* The request lifecycle is spans only: the old duplicate records are
+  (* Every lifecycle is spans only: the old duplicate records are
      unknown types now, reported by name. *)
   List.iter
     (fun kind ->
@@ -349,7 +369,25 @@ let test_event_of_jsonl_errors () =
         (Result.map ignore
            (Obs.Event.of_jsonl
               (Printf.sprintf {|{"type":%S,"time":1,"file_set":"fs-1"}|} kind))))
-    [ "request_submit"; "request_complete" ];
+    [
+      "request_submit"; "request_complete"; "move_start"; "move_end";
+      "delegate_round"; "partition";
+    ];
+  (* A number too large for a float parses as infinity; a time or a
+     float payload must be finite. *)
+  List.iter
+    (fun (line, err) ->
+      Alcotest.(check (result reject string))
+        line (Error err)
+        (Result.map ignore (Obs.Event.of_jsonl line)))
+    [
+      ( {|{"type":"span_end","time":1e400,"id":2,"name":"request","cat":"request","server":3,"outcome":null}|},
+        {|non-finite float field "time"|} );
+      ( {|{"type":"fault","time":1,"server":1,"file_set":null,"fault":{"fault":"report_delayed","delay":-1e400}}|},
+        {|non-finite float field "delay"|} );
+      ( {|{"type":"span_begin","time":1,"id":2,"parent":null,"name":"disk-stall","cat":"fault","server":null,"file_set":null,"epoch":null,"attrs":{"factor":1e999}}|},
+        {|non-finite float attribute "factor"|} );
+    ];
   let span_begin attrs =
     Printf.sprintf
       {|{"type":"span_begin","time":1,"id":2,"parent":null,"name":"request","cat":"request","server":null,"file_set":null,"epoch":null,"attrs":%s}|}
@@ -622,28 +660,10 @@ let event_gen =
   let fault =
     oneof
       [
-        oneofl E.[ Server_crash; Server_recover; Delegate_crash; Disk_stall_end ];
+        return E.Delegate_crash;
         map (fun attempt -> E.Report_lost { attempt }) num;
         map (fun delay -> E.Report_delayed { delay }) float_gen;
-        map (fun role -> E.Move_interrupted { role }) str;
-        map2
-          (fun factor duration -> E.Disk_stall_start { factor; duration })
-          float_gen float_gen;
-        map (fun link -> E.Partition_cut { link }) str;
-        map (fun link -> E.Partition_healed { link }) str;
         map (fun seq -> E.Ledger_torn { seq }) num;
-        map2 (fun domain members -> E.Domain_crash { domain; members }) str num;
-        map2
-          (fun domain members -> E.Domain_recover { domain; members })
-          str num;
-        map3
-          (fun domain link members ->
-            E.Domain_partition_cut { domain; link; members })
-          str str num;
-        map3
-          (fun domain link members ->
-            E.Domain_partition_healed { domain; link; members })
-          str str num;
       ]
   in
   let change =
@@ -659,36 +679,42 @@ let event_gen =
     and* max_latency = float_gen and* requests = num and* queue_depth = num in
     return { E.server; mean_latency; max_latency; requests; queue_depth }
   in
+  let attrs =
+    list_size (0 -- 3)
+      (oneof
+         [
+           map (fun op -> E.Op op) str;
+           map (fun c -> E.Client c) num;
+           map (fun n -> E.Src n) num;
+           map (fun x -> E.Flush_seconds x) float_gen;
+           map (fun x -> E.Init_seconds x) float_gen;
+           map (fun n -> E.Replayed n) num;
+           map (fun r -> E.Role r) str;
+           map (fun n -> E.Round n) num;
+           map (fun x -> E.Average x) float_gen;
+           map (fun l -> E.Inputs l) (list_size (0 -- 3) input);
+           map (fun l -> E.Regions l) (list_size (0 -- 3) (pair num float_gen));
+           map (fun d -> E.Domain d) str;
+           map (fun l -> E.Link l) str;
+           map (fun n -> E.Members n) num;
+           map (fun x -> E.Factor x) float_gen;
+         ])
+  in
   let* time = float_gen in
   oneof
     [
-      (let* file_set = str and* src = option num and* dst = num
-       and* flush_seconds = float_gen and* init_seconds = float_gen in
-       return
-         (E.Move_start
-            { time; file_set; src; dst; flush_seconds; init_seconds }));
-      (let* file_set = str and* dst = num and* replayed = num in
-       return (E.Move_end { time; file_set; dst; replayed }));
-      (let* round = num and* delegate = option num and* average = float_gen
-       and* inputs = list_size (0 -- 3) input
-       and* regions = list_size (0 -- 3) (pair num float_gen) in
-       return
-         (E.Delegate_round { time; round; delegate; average; inputs; regions }));
       (let* server = num and* change = change in
        return (E.Membership { time; server; change }));
       (let* trigger = str and* checked = num and* moved = num in
        return (E.Rehash_round { time; trigger; checked; moved }));
-      (let* server = option num and* file_set = option str
-       and* fault = fault in
-       return (E.Fault { time; server; file_set; fault }));
+      (let* server = option num and* fault = fault in
+       return (E.Fault { time; server; fault }));
       (let* round = num and* missing = list_size (0 -- 4) num
        and* survivors = num and* skipped = bool in
        return
          (E.Round_degraded { time; round; missing; survivors; skipped }));
       (let* server = num and* action = str in
        return (E.Fence { time; server; action }));
-      (let* server = num and* link = str and* healed = bool in
-       return (E.Partition { time; server; link; healed }));
       (let* records = num and* torn = num and* repaired = num
        and* divergent = num in
        return (E.Ledger_replay { time; records; torn; repaired; divergent }));
@@ -696,18 +722,14 @@ let event_gen =
        return (E.Invariant_violation { time; what }));
       (let* id = num and* parent = option num and* name = str and* cat = str
        and* server = option num and* file_set = option str
-       and* epoch = option num
-       and* attrs =
-         list_size (0 -- 3)
-           (oneof
-              [ map (fun op -> E.Op op) str; map (fun c -> E.Client c) num ])
-       in
+       and* epoch = option num and* attrs = attrs in
        return
          (E.Span_begin
             { time; id; parent; name; cat; server; file_set; epoch; attrs }));
       (let* id = num and* name = str and* cat = str
-       and* server = option num and* outcome = option str in
-       return (E.Span_end { time; id; name; cat; server; outcome }));
+       and* server = option num and* outcome = option str
+       and* attrs = attrs in
+       return (E.Span_end { time; id; name; cat; server; outcome; attrs }));
     ]
 
 let prop_writer_matches_oracle =
@@ -832,22 +854,50 @@ let test_chrome_file_valid_json () =
             check_bool "record has a pid" true
               (Obs.Json.(to_int (member "pid" r)) <> None))
           records;
-        (* Moves appear as complete slices with microsecond
-           timestamps; requests only as spans. *)
-        let slices =
-          List.filter
-            (fun r -> Obs.Json.(to_str (member "ph" r)) = Some "X")
-            records
-        in
-        check_int "one X slice per move start" 2 (List.length slices);
-        (* Spans become async begin/end pairs carrying the span id. *)
+        (* Every lifecycle is a span, so spans become async begin/end
+           pairs carrying the span id, and nothing else is a slice. *)
         let phase ph =
           List.filter
             (fun r -> Obs.Json.(to_str (member "ph" r)) = Some ph)
             records
         in
-        check_int "one b record per span begin" 3 (List.length (phase "b"));
-        check_int "one e record per span end" 3 (List.length (phase "e"));
+        let spans which =
+          List.length
+            (List.filter
+               (fun e ->
+                 match (which, e) with
+                 | `Begin, Obs.Event.Span_begin _ | `End, Obs.Event.Span_end _
+                   ->
+                   true
+                 | _ -> false)
+               sample_events)
+        in
+        check_int "no X slices" 0 (List.length (phase "X"));
+        check_int "one b record per span begin" (spans `Begin)
+          (List.length (phase "b"));
+        check_int "one e record per span end" (spans `End)
+          (List.length (phase "e"));
+        (* The tune span's inputs and regions also draw as counter
+           tracks: two input sets, one non-empty region set. *)
+        Alcotest.(check (list (option string)))
+          "counter tracks"
+          [ Some "queue-depth"; Some "region-measure"; Some "queue-depth" ]
+          (List.map (fun r -> Obs.Json.(to_str (member "name" r))) (phase "C"));
+        (* A move's source and phases land in its b record's args. *)
+        (match
+           List.filter
+             (fun r -> Obs.Json.(to_str (member "name" r)) = Some "move")
+             (phase "b")
+         with
+        | b :: _ ->
+          let args = Obs.Json.member "args" b in
+          Alcotest.(check (option int))
+            "src in args" (Some 1)
+            Obs.Json.(to_int (member "src" args));
+          Alcotest.(check (option (float 0.0)))
+            "flush in args" (Some 0.5)
+            Obs.Json.(to_float (member "flush_s" args))
+        | [] -> Alcotest.fail "expected a move b record");
         (* The request span's attributes land in its b record's args. *)
         (match
            List.filter
@@ -1002,15 +1052,17 @@ let small_trace =
 let count_kind events kind =
   List.length (List.filter (fun e -> Obs.Event.kind e = kind) events)
 
-let count_request_spans which events =
+let count_spans ~name which events =
   List.length
     (List.filter
        (fun e ->
          match (which, e) with
-         | `Begin, Obs.Event.Span_begin { name = "request"; _ }
-         | `End, Obs.Event.Span_end { name = "request"; _ } -> true
+         | `Begin, Obs.Event.Span_begin { name = n; _ }
+         | `End, Obs.Event.Span_end { name = n; _ } -> n = name
          | _ -> false)
        events)
+
+let count_request_spans which events = count_spans ~name:"request" which events
 
 let test_runner_emits_rounds_and_requests () =
   let ring = Obs.Sink.Ring.create ~capacity:50_000 in
@@ -1023,10 +1075,10 @@ let test_runner_emits_rounds_and_requests () =
   in
   let events = Obs.Sink.Ring.contents ring in
   check_int "nothing evicted" 0 (Obs.Sink.Ring.dropped ring);
-  (* The instrumentation contract: exactly one Delegate_round event per
+  (* The instrumentation contract: exactly one round span per
      reconfiguration interval (2000 s / 120 s = 16). *)
-  check_int "one Delegate_round per interval" r.Experiments.Runner.reconfig_rounds
-    (count_kind events "delegate_round");
+  check_int "one round span per interval" r.Experiments.Runner.reconfig_rounds
+    (count_spans ~name:"round" `Begin events);
   check_int "expected 16 rounds on this trace" 16
     r.Experiments.Runner.reconfig_rounds;
   check_int "one request span begin per request"
@@ -1037,18 +1089,36 @@ let test_runner_emits_rounds_and_requests () =
     (count_request_spans `End events);
   check_int "one rehash sweep per round" r.Experiments.Runner.reconfig_rounds
     (count_kind events "rehash_round");
-  check_int "move events paired"
-    (count_kind events "move_start")
-    (count_kind events "move_end");
-  (* Delegate rounds carry per-server inputs and (for ANU) the tuned
-     region measures. *)
+  check_int "move spans paired"
+    (count_spans ~name:"move" `Begin events)
+    (count_spans ~name:"move" `End events);
+  (* Each round is numbered on its span; its tune stage opens with
+     every server's input and closes with (for ANU) the tuned region
+     measures. *)
+  Alcotest.(check (list int))
+    "rounds numbered 1..16"
+    (List.init 16 (fun i -> i + 1))
+    (List.concat_map
+       (function
+         | Obs.Event.Span_begin { name = "round"; attrs; _ } ->
+           List.filter_map
+             (function Obs.Event.Round n -> Some n | _ -> None)
+             attrs
+         | _ -> [])
+       events);
   List.iter
     (fun e ->
       match e with
-      | Obs.Event.Delegate_round { inputs; regions; delegate; _ } ->
-        check_int "inputs from all five servers" 5 (List.length inputs);
-        check_int "regions for all five servers" 5 (List.length regions);
-        check_bool "delegate elected" true (delegate <> None)
+      | Obs.Event.Span_begin { name = "tune"; attrs; _ } -> (
+        match attrs with
+        | [ Obs.Event.Average _; Obs.Event.Inputs inputs ] ->
+          check_int "inputs from all five servers" 5 (List.length inputs)
+        | _ -> Alcotest.fail "tune begin carries the average and inputs")
+      | Obs.Event.Span_end { name = "tune"; attrs; _ } -> (
+        match attrs with
+        | [ Obs.Event.Regions regions ] ->
+          check_int "regions for all five servers" 5 (List.length regions)
+        | _ -> Alcotest.fail "tune end carries the regions")
       | _ -> ())
     events;
   (* Metrics agree with the result's own bookkeeping. *)
@@ -1181,7 +1251,8 @@ let test_e2e_fig6_stream_bytes () =
   check_bool "spans and rounds traced" true
     (List.for_all
        (fun k -> List.mem k (kinds_of events))
-       [ "span_begin"; "span_end"; "delegate_round" ]);
+       [ "span_begin"; "span_end" ]
+    && count_spans ~name:"round" `Begin events > 0);
   check_bool "requests traced as spans" true
     (count_request_spans `Begin events > 0
     && count_request_spans `Begin events = count_request_spans `End events)
@@ -1209,9 +1280,12 @@ let test_e2e_partition_mix_bytes () =
   List.iter
     (fun k ->
       check_bool (k ^ " events traced") true (List.mem k (kinds_of events)))
-    [
-      "fault"; "fence"; "ledger_replay"; "move_start"; "move_end"; "partition";
-    ]
+    [ "fence"; "ledger_replay" ];
+  List.iter
+    (fun name ->
+      check_bool (name ^ " spans traced") true
+        (count_spans ~name `Begin events > 0))
+    [ "move"; "partition" ]
 
 (* --- Request lifecycle: spans only --- *)
 
@@ -1268,8 +1342,10 @@ let check_request_attrs events =
           (match attrs with
           | [ Obs.Event.Client _; Obs.Event.Op _ ] -> true
           | _ -> false)
-      | Obs.Event.Span_begin { attrs; _ } ->
-        check_bool "other spans carry no attributes" true (attrs = [])
+      | Obs.Event.Span_begin { cat = "request"; attrs; _ } ->
+        check_bool "request stages carry no attributes" true (attrs = [])
+      | Obs.Event.Span_end { cat = "request"; attrs; _ } ->
+        check_bool "request ends carry no attributes" true (attrs = [])
       | _ -> ())
     events
 
@@ -1406,7 +1482,12 @@ let test_request_lifecycle_partition_mix () =
   let events = Obs.Sink.Ring.contents ring in
   check_int "nothing evicted" 0 (Obs.Sink.Ring.dropped ring);
   check_bool "faults fired" true
-    (List.exists (function Obs.Event.Fault _ -> true | _ -> false) events);
+    (List.exists
+       (function
+         | Obs.Event.Fault _ | Obs.Event.Span_begin { cat = "fault"; _ } ->
+           true
+         | _ -> false)
+       events);
   check_int "one request begin per submitted request"
     r.Experiments.Runner.submitted
     (count_request_spans `Begin events);
@@ -1591,6 +1672,107 @@ let test_request_attrs_round_trip () =
       | _ -> ())
     events
 
+(* --- Fault and move spans: one record per lifecycle --- *)
+
+(* A figure's runs traced into one ring, split at each run's root
+   span: span ids are unique within a run only. *)
+let traced_runs figure =
+  let ring = Obs.Sink.Ring.create ~capacity:200_000 in
+  let obs = Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ] () in
+  (match Experiments.Figures.by_id figure with
+  | Some run -> ignore (run ~quick:true ~obs ())
+  | None -> Alcotest.failf "no figure %s" figure);
+  Obs.Ctx.close obs;
+  check_int (figure ^ ": nothing evicted") 0 (Obs.Sink.Ring.dropped ring);
+  List.fold_left
+    (fun runs e ->
+      match (e, runs) with
+      | Obs.Event.Span_begin { name = "run"; _ }, _ -> [ e ] :: runs
+      | _, run :: rest -> (e :: run) :: rest
+      | _, [] -> Alcotest.failf "%s: event before the run span" figure)
+    []
+    (Obs.Sink.Ring.contents ring)
+  |> List.rev_map List.rev
+
+let is_window_cat cat = cat = "fault" || cat = "move"
+
+(* Every fault and move span that begins ends once, with its begin's
+   name and category, or is still open when its run ends; no end
+   closes a span that never began. *)
+let check_pairs figure run =
+  let open_ = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Obs.Event.Span_begin { id; name; cat; _ } when is_window_cat cat ->
+        if Hashtbl.mem open_ id then
+          Alcotest.failf "%s: span %d begins twice" figure id;
+        Hashtbl.replace open_ id (name, cat)
+      | Obs.Event.Span_end { id; name; cat; _ } when is_window_cat cat -> (
+        match Hashtbl.find_opt open_ id with
+        | Some (n, c) ->
+          Alcotest.(check (pair string string))
+            (Printf.sprintf "%s: span %d ends as it began" figure id)
+            (n, c) (name, cat);
+          Hashtbl.remove open_ id
+        | None -> Alcotest.failf "%s: span %d ends without a begin" figure id)
+      | _ -> ())
+    run
+
+let fault_begins run =
+  List.filter_map
+    (function
+      | Obs.Event.Span_begin { time; cat = "fault"; attrs; _ } ->
+        Some (time, attrs)
+      | _ -> None)
+    run
+
+let test_fault_and_move_spans_pair () =
+  let traced =
+    List.map
+      (fun figure -> (figure, traced_runs figure))
+      [ "failure-recovery-chaos"; "partition-chaos"; "domain-failure-collateral" ]
+  in
+  List.iter
+    (fun (figure, runs) ->
+      check_bool (figure ^ ": several runs") true (List.length runs > 1);
+      List.iter (check_pairs figure) runs;
+      check_bool (figure ^ ": fault windows traced") true
+        (List.exists (fun run -> fault_begins run <> []) runs))
+    traced;
+  (* A domain fault opens one span that names the domain and its
+     size, and no member opens a span of its own at that instant. *)
+  let domain_spans = ref 0 in
+  List.iter
+    (fun run ->
+      let begins = fault_begins run in
+      List.iter
+        (fun (time, attrs) ->
+          if List.exists (function Obs.Event.Domain _ -> true | _ -> false) attrs
+          then begin
+            incr domain_spans;
+            check_bool "domain span names its size" true
+              (List.exists
+                 (function Obs.Event.Members n -> n >= 1 | _ -> false)
+                 attrs);
+            check_int "one fault span at the domain fault's instant" 1
+              (List.length (List.filter (fun (t, _) -> t = time) begins))
+          end)
+        begins)
+    (List.assoc "domain-failure-collateral" traced);
+  check_bool "domain fault spans traced" true (!domain_spans > 0);
+  (* A move cut short by a crash says which endpoint died. *)
+  let interrupted = ref 0 in
+  List.iter
+    (List.iter (function
+      | Obs.Event.Span_end
+          { cat = "move"; outcome = Some "interrupted"; attrs; _ } ->
+        incr interrupted;
+        check_bool "interrupted move carries its role" true
+          (attrs = [ Obs.Event.Role "src" ] || attrs = [ Obs.Event.Role "dst" ])
+      | _ -> ()))
+    (List.assoc "failure-recovery-chaos" traced);
+  check_bool "moves interrupted" true (!interrupted > 0)
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
@@ -1649,4 +1831,6 @@ let suite =
       test_crash_redelivers_plain_and_lock_slots;
     Alcotest.test_case "request attributes round-trip" `Quick
       test_request_attrs_round_trip;
+    Alcotest.test_case "fault and move spans pair up" `Quick
+      test_fault_and_move_spans_pair;
   ]

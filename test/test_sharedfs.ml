@@ -59,9 +59,7 @@ let test_disk_round_trip () =
   check_bool "write takes time" true (t_w > 0.0);
   let data, t_r = Shared_disk.read d ~block:42 in
   check_bool "read takes time" true (t_r > 0.0);
-  Alcotest.(check (option string)) "data" (Some "hello") data;
-  check_int "writes" 1 (Shared_disk.blocks_written d);
-  check_int "reads" 1 (Shared_disk.blocks_read d)
+  Alcotest.(check (option string)) "data" (Some "hello") data
 
 let test_disk_missing_block () =
   let d = Shared_disk.create () in
@@ -70,7 +68,7 @@ let test_disk_missing_block () =
 
 let test_disk_transfer_time_model () =
   let d = Shared_disk.create () in
-  let cfg = Shared_disk.config d in
+  let cfg = Shared_disk.default_config in
   check_float 1e-12 "zero bytes = overhead" cfg.Shared_disk.op_overhead
     (Shared_disk.transfer_time d ~bytes:0);
   let big = Shared_disk.transfer_time d ~bytes:100_000_000 in

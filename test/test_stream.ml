@@ -299,7 +299,10 @@ let test_observed_with_hook_matches_without () =
   let has p = List.exists p col_events in
   Alcotest.(check bool) "a move replays buffered requests" true
     (has (function
-      | Obs.Event.Move_end { replayed; _ } -> replayed > 0
+      | Obs.Event.Span_end { cat = "move"; attrs; _ } ->
+        List.exists
+          (function Obs.Event.Replayed n -> n > 0 | _ -> false)
+          attrs
       | _ -> false));
   Alcotest.(check bool) "requests queue" true
     (has (function
