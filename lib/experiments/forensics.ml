@@ -233,11 +233,14 @@ let opt_field key = function
   | Some v -> Printf.sprintf " %s=%s" key v
   | None -> ""
 
+let fault_line name ?file_set server =
+  "fault " ^ name
+  ^ opt_field "server" (Option.map string_of_int server)
+  ^ opt_field "file_set" file_set
+
 let describe (e : Event.t) =
   match e with
-  | Event.Fault { server; fault; _ } ->
-    "fault " ^ Event.fault_name fault
-    ^ opt_field "server" (Option.map string_of_int server)
+  | Event.Fault { server; fault; _ } -> fault_line (Event.fault_name fault) server
   | Event.Fence { server; action; _ } ->
     Printf.sprintf "fence server=%d action=%s" server action
   | Event.Membership { server; change; _ } ->
@@ -274,11 +277,6 @@ type entry = { time : float; line : string }
 
 let has_domain attrs =
   List.exists (function Event.Domain _ -> true | _ -> false) attrs
-
-let fault_line name ?file_set server =
-  "fault " ^ name
-  ^ opt_field "server" (Option.map string_of_int server)
-  ^ opt_field "file_set" file_set
 
 (* The timeline line of the [i]th event when it is an operational
    incident: a point fault, a fence, a membership change, a degraded

@@ -91,10 +91,11 @@ val throughput : result list -> throughput
     policy forces [future_demand].
 
     [obs] (default {!Obs.Ctx.null}) observes the run: the cluster
-    emits request and move events, the runner adds one
-    [Delegate_round] event per reconfiguration interval (latency
-    inputs, elected delegate, region-scale decisions) plus
-    [Membership] and [Rehash_round] events, and an attached metrics
+    writes request and move spans, the runner adds one ["round"] span
+    per reconfiguration interval (numbered, with its ["collect"],
+    ["tune"] and ["apply"] stages; the tune stage carries the latency
+    inputs, the average and the retuned regions) plus [Membership]
+    and [Rehash_round] events, and an attached metrics
     registry is {e isolated} at run start (the run gets a fresh
     registry via [Obs.Ctx.isolated]) so [result.metrics] is per-run
     and concurrent runs never share instruments.

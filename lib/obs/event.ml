@@ -305,12 +305,13 @@ let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
 (* A float must be finite: the parser reads 1e400 as infinity, which
    no writer produces and every consumer would silently mis-sum. *)
-let finite name = function
+let finite what name = function
   | Some x when Float.is_finite x -> Ok x
-  | Some _ -> Error (Printf.sprintf "non-finite float field %S" name)
-  | None -> Error (Printf.sprintf "missing or invalid float field %S" name)
+  | Some _ -> Error (Printf.sprintf "non-finite float %s %S" what name)
+  | None -> Error (Printf.sprintf "missing or invalid float %s %S" what name)
 
-let field_float j name = finite name (Json.to_float (Json.member name j))
+let field_float j name =
+  finite "field" name (Json.to_float (Json.member name j))
 
 let field_int j name =
   match Json.to_int (Json.member name j) with
@@ -345,11 +346,6 @@ let rec map_result f = function
     let* ys = map_result f rest in
     Ok (y :: ys)
 
-let field_list j name f =
-  match Json.to_list (Json.member name j) with
-  | Some items -> map_result f items
-  | None -> Error (Printf.sprintf "missing or invalid field %S" name)
-
 let input_of_json j =
   let* server = field_int j "server" in
   let* mean_latency = field_float j "mean_latency" in
@@ -375,10 +371,8 @@ let attr_of_json (key, v) =
     | None -> Error (Printf.sprintf "invalid int attribute %S" key)
   in
   let float make =
-    match Json.to_float v with
-    | Some x when Float.is_finite x -> Ok (make x)
-    | Some _ -> Error (Printf.sprintf "non-finite float attribute %S" key)
-    | None -> Error (Printf.sprintf "invalid float attribute %S" key)
+    let* x = finite "attribute" key (Json.to_float v) in
+    Ok (make x)
   in
   let list f make =
     match Json.to_list v with
@@ -460,10 +454,15 @@ let of_json j =
   | "round_degraded" ->
     let* round = field_int j "round" in
     let* missing =
-      field_list j "missing" (fun item ->
-          match Json.to_int item with
-          | Some n -> Ok n
-          | None -> Error "invalid entry in field \"missing\"")
+      match Json.to_list (Json.member "missing" j) with
+      | Some items ->
+        map_result
+          (fun item ->
+            match Json.to_int item with
+            | Some n -> Ok n
+            | None -> Error "invalid entry in field \"missing\"")
+          items
+      | None -> Error "missing or invalid field \"missing\""
     in
     let* survivors = field_int j "survivors" in
     let* skipped =
