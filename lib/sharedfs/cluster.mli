@@ -85,8 +85,10 @@ type t
     within it is reclaimed (Storage Tank's client leases), which also
     guarantees no request can block forever behind a lost client.
 
-    [obs] (default {!Obs.Ctx.null}) receives the cluster's trace
-    events — request submissions/completions, move start/end — and,
+    [obs] (default {!Obs.Ctx.null}) receives the cluster's spans —
+    every request with its stages, and every move from its begin
+    (source and phase times) to its [commit], [orphan] or
+    [interrupted] end — and,
     when it carries a metrics registry, the [request.latency]
     histogram, [requests.submitted] / [requests.completed] /
     [moves.started] counters, per-destination [server.N.moves_in]
