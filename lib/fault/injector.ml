@@ -21,12 +21,10 @@ type t = {
   (* Open fault windows: a crash span runs from injected crash to
      injected recovery, a partition span from cut to heal, so traces
      show fault {e windows}, not just their edges.  Keyed by span name,
-     domain and members: a domain fault opens one span for the whole
-     domain, never one per member. *)
-  windows :
-    (string * string option * Server_id.t list, Obs.Span.id) Hashtbl.t;
+     domain and, for a solo fault, its server: a domain fault opens one
+     span for the whole domain, never one per member. *)
+  windows : (string * string option * int option, Obs.Span.id) Hashtbl.t;
 }
-
 let bump t name =
   (match Hashtbl.find_opt t.counts name with
   | Some r -> incr r
@@ -54,47 +52,53 @@ let window_server ~domain members =
   | None, [ id ] -> Some (Server_id.to_int id)
   | _ -> None
 
-(* Count the opening edge of a fault window and open its span, unless
-   the same window is already open. *)
-let open_window t ~name ~domain members attrs =
+(* Count the opening edge of a fault window and open its span. *)
+let begin_window t ~name ~domain members attrs =
   bump t (Obs.Event.window_edge ~name ~domain:(domain <> None) ~closing:false);
-  let key = (name, domain, members) in
-  if not (Hashtbl.mem t.windows key) then begin
-    let attrs =
-      if not (Obs.Ctx.tracing t.obs) then []
-      else
-        match domain with
-        | None -> attrs
-        | Some d ->
-          (Obs.Event.Domain d :: attrs)
-          @ [ Obs.Event.Members (List.length members) ]
-    in
-    let span =
-      Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name ~cat:"fault"
-        ?server:(window_server ~domain members)
-        ~attrs ()
-    in
-    if span <> Obs.Span.none then Hashtbl.replace t.windows key span
-  end
+  let attrs =
+    if not (Obs.Ctx.tracing t.obs) then []
+    else
+      match domain with
+      | None -> attrs
+      | Some d ->
+        (Obs.Event.Domain d :: attrs)
+        @ [ Obs.Event.Members (List.length members) ]
+  in
+  Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name ~cat:"fault"
+    ?server:(window_server ~domain members)
+    ~attrs ()
 
-let close_window t ~name ~domain members ?outcome () =
+(* Count the closing edge of a fault window and close [span]. *)
+let end_window t ~name ~domain members ?outcome span =
   bump t (Obs.Event.window_edge ~name ~domain:(domain <> None) ~closing:true);
-  let key = (name, domain, members) in
-  match Hashtbl.find_opt t.windows key with
-  | Some span ->
-    Hashtbl.remove t.windows key;
-    Obs.Span.end_ t.obs ~time:(Desim.Sim.now t.sim) ~id:span ~name
-      ~cat:"fault"
-      ?server:(window_server ~domain members)
-      ?outcome ()
-  | None -> ()
+  Obs.Span.end_ t.obs ~time:(Desim.Sim.now t.sim) ~id:span ~name ~cat:"fault"
+    ?server:(window_server ~domain members)
+    ?outcome ()
+
+(* A crash or partition window: its span opens unless the same window
+   is already open, and the matching heal or recovery closes it. *)
+let open_window t ~name ~domain members attrs =
+  let key = (name, domain, window_server ~domain members) in
+  if Hashtbl.mem t.windows key then
+    bump t (Obs.Event.window_edge ~name ~domain:(domain <> None) ~closing:false)
+  else
+    let span = begin_window t ~name ~domain members attrs in
+    if span <> Obs.Span.none then Hashtbl.replace t.windows key span
+
+let close_window t ~name ~domain members ~outcome =
+  let key = (name, domain, window_server ~domain members) in
+  let span =
+    Option.value (Hashtbl.find_opt t.windows key) ~default:Obs.Span.none
+  in
+  Hashtbl.remove t.windows key;
+  end_window t ~name ~domain members ~outcome span
 
 let crash t ~domain members =
   open_window t ~name:"crash" ~domain members [];
   t.actions.crash ~domain members
 
 let recover t ~domain members =
-  close_window t ~name:"crash" ~domain members ~outcome:"recovered" ();
+  close_window t ~name:"crash" ~domain members ~outcome:"recovered";
   t.actions.recover ~domain members
 
 let note_delegate_crash t =
@@ -133,7 +137,7 @@ let partition t ~domain members ~link =
     members
 
 let heal t ~domain members =
-  close_window t ~name:"partition" ~domain members ~outcome:"healed" ();
+  close_window t ~name:"partition" ~domain members ~outcome:"healed";
   t.actions.heal ~domain members
 
 let members t domain =
@@ -159,12 +163,16 @@ let schedule_timeline t ~duration =
             | Plan.Disk_stall { factor; duration = d } ->
               let disk = Cluster.disk t.cluster in
               Sharedfs.Shared_disk.set_stall disk ~factor;
-              open_window t ~name:"disk-stall" ~domain:None []
-                [ Obs.Event.Factor factor ];
+              (* Every stall is its own span, closed by its own id:
+                 stalls may overlap, and each names its factor. *)
+              let span =
+                begin_window t ~name:"disk-stall" ~domain:None []
+                  [ Obs.Event.Factor factor ]
+              in
               let (_ : Desim.Sim.handle) =
                 Desim.Sim.schedule t.sim ~delay:d (fun () ->
                     Sharedfs.Shared_disk.clear_stall disk;
-                    close_window t ~name:"disk-stall" ~domain:None [] ())
+                    end_window t ~name:"disk-stall" ~domain:None [] span)
               in
               ()
             | Plan.Partition { server; link } ->

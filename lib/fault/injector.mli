@@ -13,7 +13,8 @@
     second, named by [Obs.Event.window_edge], and a point fault (a
     delegate crash, a lost or delayed report, a torn ledger write) as
     one [Obs.Event.Fault].  A domain fault opens one span, not one per
-    member; a fault whose window is already open opens none. *)
+    member, and a crash or partition whose window is already open opens
+    none; every disk stall opens its own span, as stalls may overlap. *)
 
 type t
 

@@ -440,6 +440,60 @@ let test_disk_stall_scales_transfers () =
   check_bool "factor below 1 rejected" true
     (raises (fun () -> Shared_disk.set_stall disk ~factor:0.9))
 
+let test_overlapping_disk_stalls_traced () =
+  (* Two stalls overlap: each is its own "disk-stall" span with its
+     own factor, closed by its own id when its duration ends. *)
+  let sim, cluster = make_cluster () in
+  let ring = Obs.Sink.Ring.create ~capacity:64 in
+  let obs = Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ] () in
+  let nop ~domain:_ _ = () in
+  let actions =
+    {
+      Fault.Injector.crash = nop;
+      recover = nop;
+      crash_delegate = (fun () -> ());
+      partition = (fun ~domain:_ _ ~link:_ -> ());
+      heal = nop;
+    }
+  in
+  let plan =
+    Fault.Plan.make ~seed:1
+      [
+        Fault.Plan.Disk_stall_at { at = 10.0; factor = 2.0; duration = 20.0 };
+        Fault.Plan.Disk_stall_at { at = 15.0; factor = 4.0; duration = 20.0 };
+      ]
+  in
+  let inj =
+    Fault.Injector.arm ~sim ~cluster ~obs ~duration:100.0 ~actions plan
+  in
+  Desim.Sim.run_until sim ~time:100.0;
+  let events = Obs.Sink.Ring.contents ring in
+  let begins =
+    List.filter_map
+      (function
+        | Obs.Event.Span_begin { id; name = "disk-stall"; time; attrs; _ } ->
+          Some (id, time, attrs)
+        | _ -> None)
+      events
+  in
+  let ends =
+    List.filter_map
+      (function
+        | Obs.Event.Span_end { id; name = "disk-stall"; time; _ } ->
+          Some (id, time)
+        | _ -> None)
+      events
+  in
+  check_bool "one span per stall, each with its factor" true
+    (match begins with
+    | [ (a, 10.0, [ Obs.Event.Factor 2.0 ]); (b, 15.0, [ Obs.Event.Factor 4.0 ]) ]
+      ->
+      a <> b && ends = [ (a, 30.0); (b, 35.0) ]
+    | _ -> false);
+  check_bool "both stalls counted at both edges" true
+    (Fault.Injector.faults_injected inj
+    = [ ("disk_stall_end", 2); ("disk_stall_start", 2) ])
+
 (* --- Fault.Invariants --- *)
 
 let fake_policy ?(regions = fun () -> []) ?(check = fun () -> []) () =
@@ -1146,6 +1200,8 @@ let suite =
       test_src_crash_after_flush_harmless;
     Alcotest.test_case "shared disk: stall factor" `Quick
       test_disk_stall_scales_transfers;
+    Alcotest.test_case "injector: overlapping disk stalls traced" `Quick
+      test_overlapping_disk_stalls_traced;
     Alcotest.test_case "invariants: half-occupancy" `Quick
       test_invariants_half_occupancy;
     Alcotest.test_case "invariants: self-check and extra hook" `Quick

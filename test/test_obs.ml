@@ -1280,7 +1280,7 @@ let test_e2e_partition_mix_bytes () =
   List.iter
     (fun k ->
       check_bool (k ^ " events traced") true (List.mem k (kinds_of events)))
-    [ "fence"; "ledger_replay" ];
+    [ "fault"; "fence"; "ledger_replay" ];
   List.iter
     (fun name ->
       check_bool (name ^ " spans traced") true
