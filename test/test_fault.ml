@@ -694,6 +694,153 @@ let test_faultfree_path_unchanged () =
   check_int "and the checked run is healthy" 0
     (List.length checked.Experiments.Runner.violations)
 
+(* Every way a delegate round can end, each produced by a plan: the
+   round span's outcome, the re-addressing sweep it triggers, whether
+   it tuned and applied, and the [rounds.*] counters must agree. *)
+let round_record ?faults () =
+  let kept = ref [] in
+  let sink =
+    {
+      Obs.Sink.name = "rounds";
+      emit =
+        (fun e ->
+          match e with
+          | Obs.Event.Span_begin { cat = "round"; _ }
+          | Obs.Event.Span_end { cat = "round"; _ }
+          | Obs.Event.Rehash_round _ ->
+            kept := e :: !kept
+          | _ -> ());
+      close = ignore;
+    }
+  in
+  let obs =
+    Obs.Ctx.create ~sinks:[ sink ] ~metrics:(Obs.Metrics.create ()) ()
+  in
+  let r =
+    Experiments.Runner.run Experiments.Scenario.default anu_spec
+      ~trace:(small_trace ~seed:11) ~obs ?faults ()
+  in
+  (r, List.rev !kept)
+
+(* [(begin time, outcome, stages)] of every round span, in order. *)
+let rounds_of events =
+  List.filter_map
+    (function
+      | Obs.Event.Span_begin { name = "round"; id; time; _ } ->
+        let outcome =
+          List.find_map
+            (function
+              | Obs.Event.Span_end { name = "round"; id = id'; outcome; _ }
+                when id' = id ->
+                outcome
+              | _ -> None)
+            events
+        in
+        let stages =
+          List.filter_map
+            (function
+              | Obs.Event.Span_begin { parent = Some p; name; _ } when p = id ->
+                Some name
+              | _ -> None)
+            events
+        in
+        Some (time, Option.value outcome ~default:"open", stages)
+      | _ -> None)
+    events
+
+let round_triggers =
+  [ "delegate-round"; "round-skipped"; "round-fenced"; "delegate-crash" ]
+
+let check_round_outcomes ~label ?faults ~expect () =
+  let r, events = round_record ?faults () in
+  let rounds = rounds_of events in
+  check_int (label ^ ": one span per round")
+    r.Experiments.Runner.reconfig_rounds (List.length rounds);
+  List.iter
+    (fun (at, outcome, stages) ->
+      let trigger, tuned =
+        match outcome with
+        | "applied" | "degraded" -> ("delegate-round", true)
+        | "skipped" -> ("round-skipped", false)
+        | "fenced" -> ("round-fenced", false)
+        | "delegate-crash" -> ("delegate-crash", false)
+        | other -> Alcotest.failf "%s: round at %g ended %S" label at other
+      in
+      let swept =
+        List.filter_map
+          (function
+            | Obs.Event.Rehash_round { time; trigger; _ }
+              when time = at && List.mem trigger round_triggers ->
+              Some trigger
+            | _ -> None)
+          events
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: round at %g (%s) sweeps once" label at outcome)
+        [ trigger ] swept;
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: round at %g (%s) stages" label at outcome)
+        (if tuned then [ "collect"; "tune"; "apply" ] else [ "collect" ])
+        stages)
+    rounds;
+  let count o =
+    List.length (List.filter (fun (_, o', _) -> o' = o) rounds)
+  in
+  List.iter
+    (fun (outcome, n) ->
+      check_int (Printf.sprintf "%s: %s rounds" label outcome) n (count outcome))
+    expect;
+  check_int (label ^ ": rounds.degraded") (count "degraded")
+    (counter r "rounds.degraded");
+  check_int (label ^ ": rounds.skipped") (count "skipped")
+    (counter r "rounds.skipped");
+  check_int (label ^ ": rounds.fenced") (count "fenced")
+    (counter r "rounds.fenced");
+  check_int
+    (label ^ ": fault.delegate_crash")
+    (count "delegate-crash")
+    (counter r "fault.delegate_crash");
+  check_int (label ^ ": no invariant violated") 0
+    (List.length r.Experiments.Runner.violations);
+  r
+
+let test_runner_round_outcomes () =
+  (* Fault-free: the synchronous collect, and the lease is never
+     touched. *)
+  let r =
+    check_round_outcomes ~label:"fault-free" ~expect:[ ("applied", 10) ] ()
+  in
+  check_int "fault-free: no epoch bump" 0 (counter r "fence.epoch_bump");
+  List.iter
+    (fun (label, specs, expect) ->
+      let faults = Fault.Plan.make ~seed:3 specs in
+      let (_ : Experiments.Runner.result) =
+        check_round_outcomes ~label ~faults ~expect ()
+      in
+      ())
+    [
+      ("empty plan", [], [ ("applied", 10) ]);
+      ( "report loss",
+        [ Fault.Plan.Report_loss { probability = 0.7 } ],
+        [ ("applied", 1); ("degraded", 6); ("skipped", 3) ] );
+      (* A delay past every retry window silences every server. *)
+      ( "report delay",
+        [ Fault.Plan.Report_delay { base = 100.0; jitter = 0.0 } ],
+        [ ("skipped", 10) ] );
+      (* Reports take half a second; the delegate (server 0) loses the
+         cluster network while round 1's are in flight. *)
+      ( "partition mid-round",
+        [
+          Fault.Plan.Report_delay { base = 0.5; jitter = 0.0 };
+          Fault.Plan.Partition_at
+            { at = 120.25; server = 0; link = `Cluster; heal_after = 400.0 };
+        ],
+        [ ("fenced", 1); ("applied", 9) ] );
+      ( "delegate crash",
+        [ Fault.Plan.Delegate_crash_in_round { round = 2 } ],
+        [ ("delegate-crash", 1); ("applied", 9) ] );
+    ]
+
 (* --- Chaos harness --- *)
 
 let test_chaos_survives_and_reproduces () =
@@ -1222,6 +1369,8 @@ let suite =
       test_runner_decommission_drains_cleanly;
     Alcotest.test_case "runner: fault-free path unchanged" `Quick
       test_faultfree_path_unchanged;
+    Alcotest.test_case "runner: every round outcome" `Quick
+      test_runner_round_outcomes;
     Alcotest.test_case "chaos: survives and reproduces" `Quick
       test_chaos_survives_and_reproduces;
     Alcotest.test_case "runner: delegate partition fences and heals" `Quick
