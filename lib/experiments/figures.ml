@@ -419,7 +419,7 @@ let scale ?(quick = false) ?jobs ?obs () =
         List.map
           (fun spec () ->
             Runner.run_stream scenario spec ~stream:(dfs_stream ~requests)
-              ?obs ~check_invariants:true ~light_invariants:true ())
+              ?obs ~invariants:`Light ())
           [ anu_n; Scenario.Round_robin ])
       sizes
   in

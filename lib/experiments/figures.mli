@@ -103,7 +103,7 @@ val domain_failure_collateral :
     workload at a fixed request count, so only the per-round
     reconfiguration work grows with the cluster.  Every round is
     invariant-checked through the delta-maintained
-    {!Fault.Invariants.Acc} (the runner's [light_invariants] mode);
+    {!Fault.Invariants.Acc} (the runner's [`Light] checker);
     [quick] shrinks the request count for the CI smoke.  Deterministic:
     equal invocations produce byte-identical output. *)
 val scale : ?quick:bool -> ?jobs:int -> ?obs:Obs.Ctx.t -> unit -> figure

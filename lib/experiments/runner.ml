@@ -154,314 +154,42 @@ let merge_latency ~names ~nfs lat_m lat_q =
   done;
   (!lat_moments, !lat_quantile)
 
-let run_stream_serial scenario spec ~stream ~events ~obs ?faults
-    ?check_invariants ?invariant_extra ?(light_invariants = false) ?disk
-    ?restore ?on_sim_created ?on_cluster ?on_request_complete () =
-  let sim = Desim.Sim.create () in
-  Option.iter (fun f -> f sim) on_sim_created;
-  let disk =
-    match disk with Some d -> d | None -> Sharedfs.Shared_disk.create ()
+type invariants = [ `Off | `Full | `Light ]
+
+(* The invariant checker, built once per run: what runs after each
+   delegate round and what runs after each membership change.  [`Light]
+   keeps a delta-maintained accumulator for the rounds, O(changed
+   servers) instead of a full cluster walk, which is what makes checked
+   10k-server runs affordable; membership changes (rare) still run the
+   full oracle and resync the accumulator. *)
+type checks = { after_round : unit -> unit; after_membership : unit -> unit }
+
+let checks invariants ~cluster ~policy ?extra record =
+  let full () =
+    List.iter record (Fault.Invariants.check ?extra ~cluster ~policy ())
   in
-  let names = Workload.Stream.file_sets stream in
-  let catalog = Sharedfs.File_set.Catalog.create names in
-  let servers =
-    List.map (fun (id, s) -> (Id.of_int id, s)) scenario.Scenario.servers
-  in
-  let cluster =
-    Sharedfs.Cluster.create sim ~disk ~catalog
-      ~move_config:scenario.Scenario.move_config
-      ?cache_config:scenario.Scenario.cache_config
-      ~series_interval:scenario.Scenario.series_interval ~servers
-      ?topology:scenario.Scenario.topology ~obs ()
-  in
-  Option.iter (fun f -> f cluster) on_cluster;
-  (* The root span: everything else in the trace nests (directly or
-     causally) under the run.  Deterministic id 1 when tracing. *)
-  let run_span =
-    Obs.Span.begin_ obs ~time:0.0 ~name:"run" ~cat:"run" ()
-  in
-  let emit_rehash ~time ~trigger moved =
-    if Obs.Ctx.tracing obs then
-      Obs.Ctx.emit obs
-        (Obs.Event.Rehash_round
-           { time; trigger; checked = List.length names; moved })
-  in
-  let policy = Scenario.make_policy spec ~scenario ~file_sets:names in
-  let duration = Workload.Stream.duration stream in
-  let interval = scenario.Scenario.reconfig_interval in
-  (* Latency summary without retained samples: exact mean/max via
-     Welford, log-binned p95 — what keeps a 10M-request run in
-     constant memory.  Accumulated per file set and merged in name
-     order at the end ([merge_latency]). *)
-  let nfs = Stdlib.max 1 (List.length names) in
-  let lat_m = Array.init nfs (fun _ -> Desim.Welford.create ()) in
-  let lat_q = Array.init nfs (fun _ -> Desim.Stat.Quantile.create ()) in
-  let completed = ref 0 in
-  let record_latency fs latency =
-    incr completed;
-    Desim.Welford.add lat_m.(fs) latency;
-    Desim.Stat.Quantile.add lat_q.(fs) latency
-  in
-  let reconfig_rounds = ref 0 in
-  (* Chaos plumbing.  Invariants are checked after every round and
-     membership event by default exactly when faults are injected;
-     [check_invariants] overrides either way. *)
-  let do_check =
-    match check_invariants with
-    | Some b -> b
-    | None -> Option.is_some faults
-  in
-  let violations = ref [] in
-  let bump name =
-    match Obs.Ctx.metrics obs with
-    | None -> ()
-    | Some m -> Obs.Metrics.Counter.incr (Obs.Metrics.counter m name)
-  in
-  let record v =
-    violations :=
-      (v.Fault.Invariants.time, v.Fault.Invariants.what) :: !violations;
-    bump "invariants.violations";
-    if Obs.Ctx.tracing obs then
-      Obs.Ctx.emit obs
-        (Obs.Event.Invariant_violation
-           { time = v.Fault.Invariants.time; what = v.Fault.Invariants.what })
-  in
-  (* Light mode keeps a delta-maintained accumulator for the per-round
-     checks: rounds cost O(changed servers) instead of a full cluster
-     walk, which is what makes checked 10k-server runs affordable.
-     Membership events (rare) still run the full oracle check and
-     resync the accumulator. *)
-  let inv_acc =
-    if do_check && light_invariants then
-      Some (Fault.Invariants.Acc.create ~cluster ~policy ())
-    else None
-  in
-  let check_now () =
-    if do_check then begin
-      List.iter record
-        (Fault.Invariants.check ?extra:invariant_extra ~cluster ~policy ());
-      Option.iter Fault.Invariants.Acc.resync inv_acc
-    end
-  in
-  let check_round () =
-    if do_check then
-      match inv_acc with
-      | Some acc ->
-        Fault.Invariants.Acc.round acc;
-        List.iter record (Fault.Invariants.Acc.check acc ~cluster)
-      | None -> check_now ()
-  in
-  (match (Obs.Ctx.metrics obs, faults) with
-  | Some m, Some _ ->
-    (* Pre-register the fault-path counters so a chaos summary can
-       read them from the snapshot even when they stayed at zero. *)
-    List.iter
-      (fun n -> ignore (Obs.Metrics.counter m n))
-      [
-        "delegate.reelections"; "reports.lost"; "rounds.degraded";
-        "rounds.skipped"; "rounds.fenced"; "fence.epoch_bump";
-        "fence.write_rejected"; "ledger.torn_writes"; "ledger.replays";
-        "ledger.repaired"; "invariants.violations";
-      ]
-  | _ -> ());
-  let emit_membership ~time server change =
-    if Obs.Ctx.tracing obs then
-      Obs.Ctx.emit obs (Obs.Event.Membership { time; server; change })
-  in
-  let do_delegate_crash () =
-    (* Picking the successor is trivial (lowest alive id); what a crash
-       actually costs is whatever non-replicated state the delegate
-       held — ANU's divergent-tuning history — plus an epoch bump on
-       the on-disk lease, which fences any round the old incumbent
-       still had in flight. *)
-    policy.Placement.Policy.delegate_crashed ();
-    let (_ : int) = Sharedfs.Cluster.reelect_delegate cluster in
-    bump "delegate.reelections"
-  in
-  (* Guarded membership transitions, shared between scripted events
-     and the fault injector.  Each takes the members of one fault — a
-     single server ([~domain:None]) or every server of a failure
-     domain — and is atomic: every member changes state first, then
-     the policy learns of each departure or arrival, and only then
-     does ONE reconcile re-place the orphans — so a file set can never
-     be parked on a member the same correlated fault is about to kill —
-     followed by ONE invariant sweep.  One delegate re-election covers
-     the whole fault even when a member held the lease.  Members
-     already in the target state are skipped individually, so crashing
-     a dead server or recovering an alive one is a no-op end to end,
-     and a double-fired fault cannot corrupt the policy's region map. *)
-  let alive id =
-    Sharedfs.Cluster.mem_server cluster id
-    && not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id))
-  in
-  (* If a departing member was the elected delegate, its
-     reconfiguration state dies with it; the next delegate runs the
-     same protocol from replicated state only. *)
-  let holds_lease victims =
-    match
-      Sharedfs.Delegate.elect ~alive:(Sharedfs.Cluster.alive_ids cluster)
-    with
-    | Some d -> List.exists (Id.equal d) victims
-    | None -> false
-  in
-  (* One reconcile and one sweep; the rehash round is traced under the
-     solo or the domain trigger name. *)
-  let finish ~now ~domain (solo, grouped) =
-    let moved = reconcile cluster policy names in
-    let trigger = match domain with None -> solo | Some _ -> grouped in
-    emit_rehash ~time:now ~trigger moved;
-    check_now ()
-  in
-  let do_crash ~domain members =
-    match List.filter alive members with
-    | [] -> ()
-    | victims ->
-      let now = Desim.Sim.now sim in
-      let delegate_dies = holds_lease victims in
-      List.iter
-        (fun id ->
-          ignore (Sharedfs.Cluster.fail_server cluster id : string list))
-        victims;
-      if delegate_dies then do_delegate_crash ();
-      List.iter (fun id -> policy.Placement.Policy.server_failed id) victims;
-      List.iter
-        (fun id -> emit_membership ~time:now (Id.to_int id) Obs.Event.Failed)
-        victims;
-      finish ~now ~domain ("fail", "domain-crash")
-  in
-  let do_recover ~domain members =
-    match
-      List.filter
-        (fun id ->
-          Sharedfs.Cluster.mem_server cluster id
-          && Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id))
-        members
-    with
-    | [] -> ()
-    | back ->
-      let now = Desim.Sim.now sim in
-      List.iter (fun id -> Sharedfs.Cluster.recover_server cluster id) back;
-      List.iter (fun id -> policy.Placement.Policy.server_added id) back;
-      List.iter
-        (fun id ->
-          emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered)
-        back;
-      finish ~now ~domain ("recover", "domain-recover")
-  in
-  let do_partition ~domain members ~link =
-    match
-      List.filter
-        (fun id ->
-          alive id && not (Sharedfs.Cluster.is_partitioned cluster id))
-        members
-    with
-    | [] -> ()
-    | victims ->
-      let now = Desim.Sim.now sim in
-      let delegate_dies = holds_lease victims in
-      (* Fence every member first (inside [partition_server]), then
-         re-elect once: the isolated servers may still believe they
-         hold the lease, but their writes are already dead on arrival
-         and the epoch bump fences whatever round they had in flight. *)
-      List.iter
-        (fun id ->
-          ignore
-            (Sharedfs.Cluster.partition_server cluster id ~link : string list))
-        victims;
-      if delegate_dies then do_delegate_crash ();
-      List.iter (fun id -> policy.Placement.Policy.server_failed id) victims;
-      finish ~now ~domain ("partition", "domain-partition")
-  in
-  let do_heal ~domain members =
-    match
-      List.filter
-        (fun id ->
-          Sharedfs.Cluster.mem_server cluster id
-          && Sharedfs.Cluster.is_partitioned cluster id)
-        members
-    with
-    | [] -> ()
-    | back ->
-      let now = Desim.Sim.now sim in
-      (* [recover_server] takes the partition-heal path: unfence, drop
-         the stale lease belief, then rejoin cold. *)
-      List.iter (fun id -> Sharedfs.Cluster.recover_server cluster id) back;
-      List.iter (fun id -> policy.Placement.Policy.server_added id) back;
-      List.iter
-        (fun id ->
-          emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered)
-        back;
-      finish ~now ~domain ("heal", "domain-heal")
-  in
-  let injector =
-    Option.map
-      (fun plan ->
-        Fault.Injector.arm ~sim ~cluster ~obs ~duration
-          ~actions:
-            {
-              Fault.Injector.crash = do_crash;
-              recover = do_recover;
-              crash_delegate = do_delegate_crash;
-              partition = do_partition;
-              heal = do_heal;
-            }
-          plan)
-      faults
-  in
-  let crash_rounds =
-    match faults with
-    | None -> []
-    | Some plan -> Fault.Plan.delegate_crash_rounds plan
-  in
-  let future_demand = make_future_demand stream names in
-  (* Time-zero delegate round: no latencies yet, but the prescient
-     oracle sees the first interval and starts balanced. *)
-  policy.Placement.Policy.rebalance
+  match invariants with
+  | `Off -> { after_round = ignore; after_membership = ignore }
+  | `Full -> { after_round = full; after_membership = full }
+  | `Light ->
+    let acc = Fault.Invariants.Acc.create ~cluster ~policy () in
     {
-      Placement.Policy.time = 0.0;
-      reports = [];
-      future_demand = future_demand ~lo:0.0 ~hi:interval;
-    };
-  (match restore with
-  | None ->
-    Sharedfs.Cluster.assign_initial cluster
-      (Placement.Policy.assignment_of policy names);
-    (* Chaos runs establish the delegate lease at time zero, so a fault
-       landing before the first round already finds an incumbent to
-       fence.  Fault-free runs never touch the lease (byte-identical
-       traces to the pre-lease engine). *)
-    if Option.is_some injector then
-      ignore (Sharedfs.Cluster.ensure_delegate cluster : int)
-  | Some (owned, orphaned) ->
-    (* Post-crash resumption: the time-zero placement comes from the
-       surviving ledger, not the policy.  Forced re-election (never
-       renewal) bumps the epoch past everything the dead incarnation
-       journaled — its lease can look unexpired to a clock that
-       restarted at zero — and one reconcile sweep then lets the fresh
-       policy adopt the orphans and re-address the survivors through
-       the ordinary journaled move path. *)
-    let (_ : int * int) =
-      Sharedfs.Cluster.restore_recovered cluster ~owned ~orphaned
-    in
-    ignore (Sharedfs.Cluster.reelect_delegate cluster : int);
-    let moved = reconcile cluster policy names in
-    emit_rehash ~time:0.0 ~trigger:"recovery" moved;
-    check_now ());
-  (* Arrivals are column rows fed to the engine as an external ordered
-     source ({!Desim.Sim.set_source}): they never occupy the heap, so it
-     holds only completions and timers, and the cluster keeps each
-     request's state in a reused slot whose completion reports to the
-     sink. *)
-  let sink =
-    match on_request_complete with
-    | None ->
-      fun ~fs ~op:_ ~path_hash:_ ~client:_ ~latency -> record_latency fs latency
-    | Some f ->
-      fun ~fs ~op ~path_hash ~client ~latency ->
-        record_latency fs latency;
-        f ~fs ~op ~path_hash ~client ~latency
-  in
-  Sharedfs.Cluster.set_sink cluster sink;
+      after_round =
+        (fun () ->
+          Fault.Invariants.Acc.round acc;
+          List.iter record (Fault.Invariants.Acc.check acc ~cluster));
+      after_membership =
+        (fun () ->
+          full ();
+          Fault.Invariants.Acc.resync acc);
+    }
+
+(* Arrivals are column rows fed to the engine as an external ordered
+   source ({!Desim.Sim.set_source}): they never occupy the heap, so it
+   holds only completions and timers, and the cluster keeps each
+   request's state in a reused slot whose completion reports to the
+   sink. *)
+let feed_arrivals sim cluster stream =
   let batch =
     match Workload.Stream.start_batch stream with
     | Some batch -> batch
@@ -494,15 +222,271 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
       ~client
   in
   refill ();
-  Desim.Sim.set_source sim ~next ~fire;
-  (* Delegate rounds at every interval boundary within the trace; each
-     round arms the next, so at most one round event is pending. *)
-  let rounds = int_of_float (Float.floor (duration /. interval)) in
-  let apply_round ?(parent = Obs.Span.none) ~at reports =
-    (* Tune and apply are instantaneous in virtual time (the policy
-       decides and the moves are issued at the decision instant); their
-       spans are zero-width but keep the round's causal structure —
-       the moves they issue open their own spans in the cluster. *)
+  Desim.Sim.set_source sim ~next ~fire
+
+(* The trigger a membership sweep is traced under: the solo name, or
+   the domain name when the fault took a whole failure domain. *)
+let trigger_of ~domain (solo, grouped) =
+  match domain with None -> solo | Some _ -> grouped
+
+(* The one run driver.  Its parts: the cluster and policy, the checker
+   ([checks]), the re-addressing step every change ends in ([rehome]),
+   the membership transitions shared by scripted events and the fault
+   injector, the delegate round, and the arrival source
+   ([feed_arrivals]).  [disk] and [restore] are the kill-and-restart
+   driver's: a caller-visible disk, and a placement recovered from it.
+   Invariants are checked by default exactly when faults are injected. *)
+let simulate scenario spec ~stream ~events ~obs ?faults
+    ?(invariants = if Option.is_some faults then `Full else `Off)
+    ?invariant_extra ?disk ?restore ?on_sim_created ?on_cluster
+    ?on_request_complete () =
+  let sim = Desim.Sim.create () in
+  Option.iter (fun f -> f sim) on_sim_created;
+  let disk =
+    match disk with Some d -> d | None -> Sharedfs.Shared_disk.create ()
+  in
+  let names = Workload.Stream.file_sets stream in
+  let catalog = Sharedfs.File_set.Catalog.create names in
+  let servers =
+    List.map (fun (id, s) -> (Id.of_int id, s)) scenario.Scenario.servers
+  in
+  let cluster =
+    Sharedfs.Cluster.create sim ~disk ~catalog
+      ~move_config:scenario.Scenario.move_config
+      ?cache_config:scenario.Scenario.cache_config
+      ~series_interval:scenario.Scenario.series_interval ~servers
+      ?topology:scenario.Scenario.topology ~obs ()
+  in
+  Option.iter (fun f -> f cluster) on_cluster;
+  (* The root span: everything else in the trace nests (directly or
+     causally) under the run.  Deterministic id 1 when tracing. *)
+  let run_span =
+    Obs.Span.begin_ obs ~time:0.0 ~name:"run" ~cat:"run" ()
+  in
+  let policy = Scenario.make_policy spec ~scenario ~file_sets:names in
+  let duration = Workload.Stream.duration stream in
+  let interval = scenario.Scenario.reconfig_interval in
+  (* Latency summary without retained samples: exact mean/max via
+     Welford, log-binned p95 — what keeps a 10M-request run in
+     constant memory.  Accumulated per file set and merged in name
+     order at the end ([merge_latency]). *)
+  let nfs = Stdlib.max 1 (List.length names) in
+  let lat_m = Array.init nfs (fun _ -> Desim.Welford.create ()) in
+  let lat_q = Array.init nfs (fun _ -> Desim.Stat.Quantile.create ()) in
+  let completed = ref 0 in
+  let record_latency fs latency =
+    incr completed;
+    Desim.Welford.add lat_m.(fs) latency;
+    Desim.Stat.Quantile.add lat_q.(fs) latency
+  in
+  let reconfig_rounds = ref 0 in
+  let violations = ref [] in
+  let bump name =
+    match Obs.Ctx.metrics obs with
+    | None -> ()
+    | Some m -> Obs.Metrics.Counter.incr (Obs.Metrics.counter m name)
+  in
+  let record v =
+    violations :=
+      (v.Fault.Invariants.time, v.Fault.Invariants.what) :: !violations;
+    bump "invariants.violations";
+    if Obs.Ctx.tracing obs then
+      Obs.Ctx.emit obs
+        (Obs.Event.Invariant_violation
+           { time = v.Fault.Invariants.time; what = v.Fault.Invariants.what })
+  in
+  let checks =
+    checks invariants ~cluster ~policy ?extra:invariant_extra record
+  in
+  (match (Obs.Ctx.metrics obs, faults) with
+  | Some m, Some _ ->
+    (* Pre-register the fault-path counters so a chaos summary can
+       read them from the snapshot even when they stayed at zero. *)
+    List.iter
+      (fun n -> ignore (Obs.Metrics.counter m n))
+      [
+        "delegate.reelections"; "reports.lost"; "rounds.degraded";
+        "rounds.skipped"; "rounds.fenced"; "fence.epoch_bump";
+        "fence.write_rejected"; "ledger.torn_writes"; "ledger.replays";
+        "ledger.repaired"; "invariants.violations";
+      ]
+  | _ -> ());
+  let emit_membership ~time server change =
+    if Obs.Ctx.tracing obs then
+      Obs.Ctx.emit obs (Obs.Event.Membership { time; server; change })
+  in
+  (* The one re-addressing step every change ends in: issue the moves
+     the policy's current addressing asks for, trace the sweep, then
+     check.  A round passes its apply stage, which closes once the
+     moves are issued, and its own check. *)
+  let rehome ?(stage = Obs.Span.none) ?(check = checks.after_membership) ~time
+      ~trigger () =
+    let moved = reconcile cluster policy names in
+    Obs.Span.end_ obs ~time:(Desim.Sim.now sim) ~id:stage ~name:"apply"
+      ~cat:"round" ();
+    if Obs.Ctx.tracing obs then
+      Obs.Ctx.emit obs
+        (Obs.Event.Rehash_round
+           { time; trigger; checked = List.length names; moved });
+    check ()
+  in
+  let do_delegate_crash () =
+    (* Picking the successor is trivial (lowest alive id); what a crash
+       actually costs is whatever non-replicated state the delegate
+       held — ANU's divergent-tuning history — plus an epoch bump on
+       the on-disk lease, which fences any round the old incumbent
+       still had in flight. *)
+    policy.Placement.Policy.delegate_crashed ();
+    let (_ : int) = Sharedfs.Cluster.reelect_delegate cluster in
+    bump "delegate.reelections"
+  in
+  (* Guarded membership transitions, shared between scripted events
+     and the fault injector.  Each takes the members of one fault — a
+     single server ([~domain:None]) or every server of a failure
+     domain — and is atomic: every member changes state first, then
+     the policy learns of each departure or arrival, and only then
+     does ONE rehome re-place the orphans — so a file set can never be
+     parked on a member the same correlated fault is about to kill.
+     One delegate re-election covers the whole fault even when a
+     member held the lease.  Members not in the source state are
+     skipped individually, so crashing a dead server or recovering an
+     alive one is a no-op end to end, and a double-fired fault cannot
+     corrupt the policy's region map. *)
+  let alive id =
+    Sharedfs.Cluster.mem_server cluster id
+    && not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id))
+  in
+  (* A crash or a partition: the alive members that [qualify] are taken
+     down; if one held the lease, its reconfiguration state dies with
+     it and the next delegate runs the same protocol from replicated
+     state only. *)
+  let depart ~qualify ~take_down ~announce triggers ~domain members =
+    match List.filter (fun id -> alive id && qualify id) members with
+    | [] -> ()
+    | victims ->
+      let now = Desim.Sim.now sim in
+      let delegate_dies =
+        match
+          Sharedfs.Delegate.elect ~alive:(Sharedfs.Cluster.alive_ids cluster)
+        with
+        | Some d -> List.exists (Id.equal d) victims
+        | None -> false
+      in
+      List.iter take_down victims;
+      if delegate_dies then do_delegate_crash ();
+      List.iter (fun id -> policy.Placement.Policy.server_failed id) victims;
+      List.iter (announce ~now) victims;
+      rehome ~time:now ~trigger:(trigger_of ~domain triggers) ()
+  in
+  (* A recovery or a heal: the members that [qualify] rejoin cold
+     ([recover_server] also takes the partition-heal path: unfence,
+     drop the stale lease belief, rejoin). *)
+  let rejoin ~qualify triggers ~domain members =
+    match
+      List.filter
+        (fun id -> Sharedfs.Cluster.mem_server cluster id && qualify id)
+        members
+    with
+    | [] -> ()
+    | back ->
+      let now = Desim.Sim.now sim in
+      List.iter (fun id -> Sharedfs.Cluster.recover_server cluster id) back;
+      List.iter (fun id -> policy.Placement.Policy.server_added id) back;
+      List.iter
+        (fun id ->
+          emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered)
+        back;
+      rehome ~time:now ~trigger:(trigger_of ~domain triggers) ()
+  in
+  let failed id = Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id) in
+  let partitioned id = Sharedfs.Cluster.is_partitioned cluster id in
+  let do_crash =
+    depart ~qualify:(fun _ -> true)
+      ~take_down:(fun id ->
+        ignore (Sharedfs.Cluster.fail_server cluster id : string list))
+      ~announce:(fun ~now id ->
+        emit_membership ~time:now (Id.to_int id) Obs.Event.Failed)
+      ("fail", "domain-crash")
+  in
+  (* Fencing happens inside [partition_server], before the one
+     re-election: the isolated servers may still believe they hold the
+     lease, but their writes are already dead on arrival and the epoch
+     bump fences whatever round they had in flight. *)
+  let do_partition ~domain members ~link =
+    depart
+      ~qualify:(fun id -> not (partitioned id))
+      ~take_down:(fun id ->
+        ignore
+          (Sharedfs.Cluster.partition_server cluster id ~link : string list))
+      ~announce:(fun ~now:_ _ -> ())
+      ("partition", "domain-partition") ~domain members
+  in
+  let do_recover = rejoin ~qualify:failed ("recover", "domain-recover") in
+  let do_heal = rejoin ~qualify:partitioned ("heal", "domain-heal") in
+  let injector =
+    Option.map
+      (fun plan ->
+        ( Fault.Injector.arm ~sim ~cluster ~obs ~duration
+            ~actions:
+              {
+                Fault.Injector.crash = do_crash;
+                recover = do_recover;
+                crash_delegate = do_delegate_crash;
+                partition = do_partition;
+                heal = do_heal;
+              }
+            plan,
+          plan ))
+      faults
+  in
+  let future_demand = make_future_demand stream names in
+  (* Time-zero delegate round: no latencies yet, but the prescient
+     oracle sees the first interval and starts balanced. *)
+  policy.Placement.Policy.rebalance
+    {
+      Placement.Policy.time = 0.0;
+      reports = [];
+      future_demand = future_demand ~lo:0.0 ~hi:interval;
+    };
+  (match restore with
+  | None ->
+    Sharedfs.Cluster.assign_initial cluster
+      (Placement.Policy.assignment_of policy names);
+    (* Chaos runs establish the delegate lease at time zero, so a fault
+       landing before the first round already finds an incumbent to
+       fence.  Fault-free runs never touch the lease (byte-identical
+       traces to the pre-lease engine). *)
+    if Option.is_some injector then
+      ignore (Sharedfs.Cluster.ensure_delegate cluster : int)
+  | Some (owned, orphaned) ->
+    (* Post-crash resumption: the time-zero placement comes from the
+       surviving ledger, not the policy.  Forced re-election (never
+       renewal) bumps the epoch past everything the dead incarnation
+       journaled — its lease can look unexpired to a clock that
+       restarted at zero — and one rehome then lets the fresh policy
+       adopt the orphans and re-address the survivors through the
+       ordinary journaled move path. *)
+    let (_ : int * int) =
+      Sharedfs.Cluster.restore_recovered cluster ~owned ~orphaned
+    in
+    ignore (Sharedfs.Cluster.reelect_delegate cluster : int);
+    rehome ~time:0.0 ~trigger:"recovery" ());
+  let sink =
+    match on_request_complete with
+    | None ->
+      fun ~fs ~op:_ ~path_hash:_ ~client:_ ~latency -> record_latency fs latency
+    | Some f ->
+      fun ~fs ~op ~path_hash ~client ~latency ->
+        record_latency fs latency;
+        f ~fs ~op ~path_hash ~client ~latency
+  in
+  Sharedfs.Cluster.set_sink cluster sink;
+  feed_arrivals sim cluster stream;
+  (* Tune and apply are instantaneous in virtual time (the policy
+     decides and the moves are issued at the decision instant); their
+     spans are zero-width but keep the round's causal structure — the
+     moves they issue open their own spans in the cluster. *)
+  let apply_round ~parent ~at reports =
     let now = Desim.Sim.now sim in
     let tracing = Obs.Ctx.tracing obs in
     (* The tune span opens with what the round consumes, every
@@ -550,14 +534,122 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
                  (List.map (fun (id, measure) -> (Id.to_int id, measure)) regions);
              ])
       ();
-    let aspan =
+    let stage =
       Obs.Span.begin_ obs ~time:now ~parent ~name:"apply" ~cat:"round" ()
     in
-    let moved = reconcile cluster policy names in
-    Obs.Span.end_ obs ~time:now ~id:aspan ~name:"apply" ~cat:"round" ();
-    if tracing then emit_rehash ~time:at ~trigger:"delegate-round" moved;
-    check_round ()
+    rehome ~stage ~check:checks.after_round ~time:at ~trigger:"delegate-round"
+      ()
   in
+  (* One delegate round at [at]: collect the servers' reports, then
+     settle — apply a complete or quorum round, or re-place orphans
+     only.  Without an injector the collection is synchronous; with
+     one it is asynchronous over the plan's unreliable report channel,
+     and the round can be overruled before it decides: the delegate
+     dies mid-round, or the lease changed hands while reports were in
+     flight. *)
+  let delegate_round ~at round =
+    (* The round span is epoch-tagged: in fault-free runs the lease is
+       never established and the in-memory epoch stays 0; under chaos
+       it carries the lease epoch the round ran under, which is exactly
+       what fencing forensics needs. *)
+    let rspan =
+      Obs.Span.begin_ obs ~time:at ~parent:run_span ~name:"round" ~cat:"round"
+        ~attrs:(if Obs.Ctx.tracing obs then [ Obs.Event.Round round ] else [])
+        ~epoch:(Sharedfs.Ledger.current_epoch (Sharedfs.Cluster.ledger cluster))
+        ()
+    in
+    let cspan =
+      Obs.Span.begin_ obs ~time:at ~parent:rspan ~name:"collect" ~cat:"round"
+        ()
+    in
+    let emit_degraded ~missing ~survivors ~skipped =
+      if Obs.Ctx.tracing obs then
+        Obs.Ctx.emit obs
+          (Obs.Event.Round_degraded
+             {
+               time = at;
+               round;
+               missing = List.map Id.to_int missing;
+               survivors;
+               skipped;
+             })
+    in
+    let settle ~overruled outcome =
+      Obs.Span.end_ obs ~time:(Desim.Sim.now sim) ~id:cspan ~name:"collect"
+        ~cat:"round" ();
+      let outcome =
+        match overruled () with
+        | Some (trigger, outcome) ->
+          (* The round decides nothing, but orphan healing still
+             runs. *)
+          rehome ~time:at ~trigger ();
+          outcome
+        | None -> (
+          match outcome with
+          | Sharedfs.Delegate.Round_complete reports ->
+            apply_round ~parent:rspan ~at reports;
+            "applied"
+          | Sharedfs.Delegate.Round_degraded { reports; missing } ->
+            (* A quorum reported: average over the survivors rather
+               than wait for the dead. *)
+            bump "rounds.degraded";
+            emit_degraded ~missing ~survivors:(List.length reports)
+              ~skipped:false;
+            apply_round ~parent:rspan ~at reports;
+            "degraded"
+          | Sharedfs.Delegate.Round_skipped { missing } ->
+            (* Below quorum: tuning on so little data would be tuning
+               on garbage, so the round decides nothing.  Orphan
+               healing must not wait for the next healthy round,
+               though. *)
+            bump "rounds.skipped";
+            emit_degraded ~missing ~survivors:0 ~skipped:true;
+            rehome ~time:at ~trigger:"round-skipped" ();
+            "skipped")
+      in
+      Obs.Span.end_ obs ~time:(Desim.Sim.now sim) ~id:rspan ~name:"round"
+        ~cat:"round" ~outcome ()
+    in
+    match injector with
+    | None ->
+      settle
+        ~overruled:(fun () -> None)
+        (Sharedfs.Delegate.Round_complete (Sharedfs.Delegate.collect cluster))
+    | Some (inj, plan) ->
+      (* The round runs under the lease epoch it started with; the
+         decision only lands if that epoch still stands when the
+         reports are in.  Jitter draws come from a per-round generator
+         derived from the plan seed, so a chaos run stays
+         byte-replayable. *)
+      let epoch_at_start = Sharedfs.Cluster.ensure_delegate cluster in
+      let overruled () =
+        if List.mem round (Fault.Plan.delegate_crash_rounds plan) then begin
+          (* The delegate dies after collecting but before deciding:
+             the reports (and its divergent-tuning history) die with
+             it, and the next delegate takes over from replicated
+             state. *)
+          Fault.Injector.note_delegate_crash inj;
+          Some ("delegate-crash", "delegate-crash")
+        end
+        else if Sharedfs.Cluster.ensure_delegate cluster <> epoch_at_start
+        then begin
+          (* The incumbent was partitioned or crashed mid-round: its
+             decision is fenced, discarded and never applied. *)
+          bump "rounds.fenced";
+          Some ("round-fenced", "fenced")
+        end
+        else None
+      in
+      Sharedfs.Delegate.collect_async cluster
+        ~rng:(Desim.Rng.create ((Fault.Plan.seed plan * 1_000_003) + round))
+        ~timeout:(Fault.Plan.timeout plan)
+        ~fate:(fun ~server ~attempt ->
+          Fault.Injector.fate inj ~round ~server ~attempt)
+        ~k:(settle ~overruled)
+  in
+  (* Delegate rounds at every interval boundary within the trace; each
+     round arms the next, so at most one round event is pending. *)
+  let rounds = int_of_float (Float.floor (duration /. interval)) in
   let rec arm_round k =
     if k <= rounds then begin
       let at = float_of_int k *. interval in
@@ -565,124 +657,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
         Desim.Sim.schedule_at sim ~time:at (fun () ->
             arm_round (k + 1);
             incr reconfig_rounds;
-            let round = !reconfig_rounds in
-            (* The round span is epoch-tagged: in fault-free runs the
-               lease is never established and the in-memory epoch stays
-               0; under chaos it carries the lease epoch the round ran
-               under, which is exactly what fencing forensics needs. *)
-            let rspan =
-              Obs.Span.begin_ obs ~time:at ~parent:run_span ~name:"round"
-                ~cat:"round"
-                ~attrs:
-                  (if Obs.Ctx.tracing obs then [ Obs.Event.Round round ]
-                   else [])
-                ~epoch:
-                  (Sharedfs.Ledger.current_epoch
-                     (Sharedfs.Cluster.ledger cluster))
-                ()
-            in
-            let cspan =
-              Obs.Span.begin_ obs ~time:at ~parent:rspan ~name:"collect"
-                ~cat:"round" ()
-            in
-            let end_collect () =
-              Obs.Span.end_ obs ~time:(Desim.Sim.now sim) ~id:cspan
-                ~name:"collect" ~cat:"round" ()
-            in
-            let end_round outcome =
-              Obs.Span.end_ obs ~time:(Desim.Sim.now sim) ~id:rspan
-                ~name:"round" ~cat:"round" ~outcome ()
-            in
-            match injector with
-            | None ->
-              (* Fault-free fast path: synchronous collection, exactly
-                 the pre-chaos behaviour (and byte-identical traces). *)
-              let reports = Sharedfs.Delegate.collect cluster in
-              end_collect ();
-              apply_round ~parent:rspan ~at reports;
-              end_round "applied"
-            | Some inj ->
-              let plan = Option.get faults in
-              let timeout = Fault.Plan.timeout plan in
-              (* The round runs under the lease epoch it started with;
-                 the decision only lands if that epoch still stands
-                 when the reports are in.  Jitter draws come from a
-                 per-round generator derived from the plan seed, so a
-                 chaos run stays byte-replayable. *)
-              let epoch_at_start = Sharedfs.Cluster.ensure_delegate cluster in
-              let rng =
-                Desim.Rng.create
-                  ((Fault.Plan.seed plan * 1_000_003) + round)
-              in
-              let emit_degraded ~missing ~survivors ~skipped =
-                if Obs.Ctx.tracing obs then
-                  Obs.Ctx.emit obs
-                    (Obs.Event.Round_degraded
-                       {
-                         time = at;
-                         round;
-                         missing = List.map Id.to_int missing;
-                         survivors;
-                         skipped;
-                       })
-              in
-              Sharedfs.Delegate.collect_async cluster ~rng ~timeout
-                ~fate:(fun ~server ~attempt ->
-                  Fault.Injector.fate inj ~round ~server ~attempt)
-                ~k:(fun outcome ->
-                  end_collect ();
-                  if List.mem round crash_rounds then begin
-                    (* The delegate dies after collecting but before
-                       deciding: the reports (and its divergent-tuning
-                       history) die with it, the next delegate takes
-                       over from replicated state, and this round tunes
-                       nothing.  Re-placement still runs so orphans
-                       heal. *)
-                    Fault.Injector.note_delegate_crash inj;
-                    let moved = reconcile cluster policy names in
-                    emit_rehash ~time:at ~trigger:"delegate-crash" moved;
-                    check_now ();
-                    end_round "delegate-crash"
-                  end
-                  else if Sharedfs.Cluster.ensure_delegate cluster
-                          <> epoch_at_start
-                  then begin
-                    (* The lease changed hands while reports were in
-                       flight (the incumbent was partitioned or
-                       crashed): the round's decision is fenced —
-                       discarded, never applied — but orphan healing
-                       still runs under the new epoch. *)
-                    bump "rounds.fenced";
-                    let moved = reconcile cluster policy names in
-                    emit_rehash ~time:at ~trigger:"round-fenced" moved;
-                    check_now ();
-                    end_round "fenced"
-                  end
-                  else
-                    match outcome with
-                    | Sharedfs.Delegate.Round_complete reports ->
-                      apply_round ~parent:rspan ~at reports;
-                      end_round "applied"
-                    | Sharedfs.Delegate.Round_degraded { reports; missing } ->
-                      (* A quorum reported: average over the survivors
-                         rather than wait for the dead. *)
-                      bump "rounds.degraded";
-                      emit_degraded ~missing
-                        ~survivors:(List.length reports)
-                        ~skipped:false;
-                      apply_round ~parent:rspan ~at reports;
-                      end_round "degraded"
-                    | Sharedfs.Delegate.Round_skipped { missing } ->
-                      (* Below quorum: tuning on so little data would be
-                         tuning on garbage, so the round decides
-                         nothing.  Orphan healing must not wait for the
-                         next healthy round, though. *)
-                      bump "rounds.skipped";
-                      emit_degraded ~missing ~survivors:0 ~skipped:true;
-                      let moved = reconcile cluster policy names in
-                      emit_rehash ~time:at ~trigger:"round-skipped" moved;
-                      check_now ();
-                      end_round "skipped"))
+            delegate_round ~at !reconfig_rounds)
       in
       ()
     end
@@ -701,9 +676,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
               Sharedfs.Cluster.add_server cluster id ~speed;
               policy.Placement.Policy.server_added id;
               emit_membership ~time:at raw (Obs.Event.Added speed);
-              let moved = reconcile cluster policy names in
-              emit_rehash ~time:at ~trigger:"add" moved;
-              check_now ()
+              rehome ~time:at ~trigger:"add" ()
             | Set_speed (raw, speed) ->
               Sharedfs.Server.set_speed
                 (Sharedfs.Cluster.server cluster (Id.of_int raw))
@@ -712,40 +685,27 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
             | Delegate_crash -> do_delegate_crash ()
             | Decommission raw ->
               let id = Id.of_int raw in
-              if
-                Sharedfs.Cluster.mem_server cluster id
-                && not
-                     (Sharedfs.Server.failed
-                        (Sharedfs.Cluster.server cluster id))
-              then begin
+              if alive id then begin
                 (* Planned removal: re-address first while the server
                    is still up, so its sets leave by the cheap flush
                    path instead of orphan recovery; the machine only
                    goes away after a drain grace period. *)
                 policy.Placement.Policy.server_failed id;
                 emit_membership ~time:at raw Obs.Event.Decommissioned;
-                let moved = reconcile cluster policy names in
-                emit_rehash ~time:at ~trigger:"decommission" moved;
-                check_now ();
+                rehome ~time:at ~trigger:"decommission" ();
                 let (_ : Desim.Sim.handle) =
                   Desim.Sim.schedule sim ~delay:decommission_grace
                     (fun () ->
-                      if
-                        not
-                          (Sharedfs.Server.failed
-                             (Sharedfs.Cluster.server cluster id))
-                      then begin
-                        (* Anything that failed to drain in time goes
-                           down the crash path and heals as an
-                           orphan. *)
+                      (* Anything that failed to drain in time goes
+                         down the crash path and heals as an orphan. *)
+                      if not (failed id) then begin
                         let (_ : string list) =
                           Sharedfs.Cluster.fail_server cluster id
                         in
-                        let moved = reconcile cluster policy names in
-                        emit_rehash ~time:(Desim.Sim.now sim)
-                          ~trigger:"decommission-final" moved
-                      end;
-                      check_now ())
+                        rehome ~time:(Desim.Sim.now sim)
+                          ~trigger:"decommission-final" ()
+                      end
+                      else checks.after_membership ())
                 in
                 ()
               end)
@@ -829,21 +789,18 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
   }
 
 let run_stream scenario spec ~stream ?(events = []) ?(obs = Obs.Ctx.null)
-    ?faults ?check_invariants ?invariant_extra ?light_invariants
-    ?on_sim_created ?on_cluster ?on_request_complete () =
-  (* One figure runs several simulations, possibly concurrently (one
-     per domain): derive a per-run context with a fresh metrics
-     registry so the snapshot attached to this result covers exactly
-     this run and no instrument is shared across domains. *)
-  let obs = Obs.Ctx.isolated obs in
-  run_stream_serial scenario spec ~stream ~events ~obs ?faults
-    ?check_invariants ?invariant_extra ?light_invariants ?on_sim_created
-    ?on_cluster ?on_request_complete ()
+    ?faults ?invariants ?invariant_extra ?on_sim_created ?on_cluster
+    ?on_request_complete () =
+  (* A fresh metrics registry and span-id counter per run, so the
+     snapshot attached to this result covers exactly this run. *)
+  simulate scenario spec ~stream ~events ~obs:(Obs.Ctx.isolated obs) ?faults
+    ?invariants ?invariant_extra ?on_sim_created ?on_cluster
+    ?on_request_complete ()
 
-let run scenario spec ~trace ?events ?obs ?faults ?check_invariants
+let run scenario spec ~trace ?events ?obs ?faults ?invariants
     ?invariant_extra ?on_sim_created ?on_cluster ?on_request_complete () =
   run_stream scenario spec ~stream:(Workload.Stream.of_trace trace) ?events
-    ?obs ?faults ?check_invariants ?invariant_extra ?on_sim_created ?on_cluster
+    ?obs ?faults ?invariants ?invariant_extra ?on_sim_created ?on_cluster
     ?on_request_complete ()
 
 (* ------------------------------------------------------------------ *)
@@ -909,8 +866,8 @@ let run_kill_restart scenario spec ~stream ?(events = []) ?(obs = Obs.Ctx.null)
      plug.  A run that finishes without crashing is reported as [Ran] —
      the sweep's baseline path. *)
   match
-    run_stream_serial scenario spec ~stream ~events
-      ~obs:(Obs.Ctx.isolated obs) ?faults ~check_invariants:true
+    simulate scenario spec ~stream ~events
+      ~obs:(Obs.Ctx.isolated obs) ?faults ~invariants:`Full
       ?invariant_extra ~disk
       ~on_sim_created:(fun sim ->
         sim_ref := Some sim;
@@ -953,9 +910,9 @@ let run_kill_restart scenario spec ~stream ?(events = []) ?(obs = Obs.Ctx.null)
        suite.  The crash consumed the fault plan; the restarted
        cluster runs it no further. *)
     let resumed =
-      run_stream_serial scenario spec
+      simulate scenario spec
         ~stream:(resume_stream stream ~after:crashed_at)
-        ~events:[] ~obs:(Obs.Ctx.isolated obs) ~check_invariants:true
+        ~events:[] ~obs:(Obs.Ctx.isolated obs) ~invariants:`Full
         ?invariant_extra ~disk
         ~restore:(owned, orphaned)
         ~on_cluster:(fun c -> cluster2 := Some c)

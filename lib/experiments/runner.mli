@@ -9,7 +9,30 @@
     the policy re-address, diff the assignment, and have the cluster
     execute the moves (with their flush/init costs and cold caches).
     Scripted membership events inject failures, recoveries, additions
-    and speed changes at given times. *)
+    and speed changes at given times.
+
+    Every run takes one driver, and two steps do all its control-plane
+    work.  The {e rehoming step} ends every change of addressing — a
+    round's apply stage, a crash, recovery, partition or heal, an
+    addition, a decommission and its final drain, a restart from the
+    ledger, and a round that decides nothing: it issues the moves the
+    policy's addressing asks for, traces one [Rehash_round] naming the
+    trigger, and runs one invariant check.  The {e round handler}
+    settles every delegate round, whatever collected its reports: a
+    fault-free run collects synchronously and hands the handler a
+    complete round; a run with an armed fault injector collects
+    asynchronously and the handler first checks whether the round was
+    overruled (the delegate crashed, or the lease changed hands).  A
+    round span ends with one outcome:
+    - ["applied"] or ["degraded"] (a quorum reported): tuned and
+      applied, swept as ["delegate-round"];
+    - ["skipped"] (below quorum): swept as ["round-skipped"];
+    - ["fenced"] (the lease epoch changed mid-round): swept as
+      ["round-fenced"];
+    - ["delegate-crash"] (the delegate died before deciding): swept as
+      ["delegate-crash"].
+
+    Only the first two open ["tune"] and ["apply"] stages. *)
 
 type event_action =
   | Fail of int
@@ -61,6 +84,16 @@ type result = {
           always empty unless invariant checking was on (see
           {!run}) *)
 }
+
+(** The invariant checker a run carries.  [`Off] checks nothing.
+    [`Full] runs {!Fault.Invariants.check} after every reconfiguration
+    round and every membership change.  [`Light] swaps the per-round
+    full check for the delta-maintained {!Fault.Invariants.Acc}, so
+    rounds cost O(changed servers) instead of a full cluster walk —
+    what keeps a checked 10,000-server run affordable (the [scale]
+    figure's configuration); membership changes still run the full
+    check and resync the accumulator. *)
+type invariants = [ `Off | `Full | `Light ]
 
 type throughput = {
   events : int;  (** engine events fired, summed over the runs *)
@@ -116,22 +149,13 @@ val throughput : result list -> throughput
     replay byte-for-byte.  The fault-free path is byte-identical to a
     run without the argument (the lease is never touched).
 
-    [check_invariants] (default: on exactly when [faults] is given)
-    runs {!Fault.Invariants.check} after every reconfiguration round
-    and membership event and accumulates breaches in
-    [result.violations]; each breach is also emitted as an
+    [invariants] picks the checker (see {!invariants}); the default is
+    [`Full] exactly when [faults] is given, [`Off] otherwise.  Breaches
+    accumulate in [result.violations]; each is also emitted as an
     [Obs.Event.Invariant_violation] and counted under
     [invariants.violations].  [invariant_extra] is appended to each
-    check — the test-suite hook for planting a deliberately broken
-    invariant.
-
-    [light_invariants] (default [false]) swaps the per-round full
-    check for the delta-maintained {!Fault.Invariants.Acc} — rounds
-    cost O(changed servers) instead of a full cluster walk, which is
-    what keeps a checked 10,000-server run affordable (the [scale]
-    figure's configuration).  Membership events still run the full
-    oracle check (and resync the accumulator), and [invariant_extra]
-    still rides those full checks.  Meaningless unless checks are on.
+    full check — the test-suite hook for planting a deliberately
+    broken invariant.
 
     [on_sim_created] runs right after the simulator is built, letting
     callers attach additional model components (e.g. a {!Sharedfs.San}
@@ -157,9 +181,8 @@ val run_stream :
   ?events:event list ->
   ?obs:Obs.Ctx.t ->
   ?faults:Fault.Plan.t ->
-  ?check_invariants:bool ->
+  ?invariants:invariants ->
   ?invariant_extra:(unit -> string list) ->
-  ?light_invariants:bool ->
   ?on_sim_created:(Desim.Sim.t -> unit) ->
   ?on_cluster:(Sharedfs.Cluster.t -> unit) ->
   ?on_request_complete:
@@ -184,7 +207,7 @@ val run :
   ?events:event list ->
   ?obs:Obs.Ctx.t ->
   ?faults:Fault.Plan.t ->
-  ?check_invariants:bool ->
+  ?invariants:invariants ->
   ?invariant_extra:(unit -> string list) ->
   ?on_sim_created:(Desim.Sim.t -> unit) ->
   ?on_cluster:(Sharedfs.Cluster.t -> unit) ->
@@ -230,8 +253,8 @@ type kill_outcome =
   | Recovered of recovery
 
 (** [run_kill_restart scenario spec ~stream ()] is the two-phase
-    driver.  Phase 1 runs like {!run_stream} (serial engine, invariant
-    checks forced on) on a caller-visible disk; [arm] runs before the
+    driver.  Phase 1 runs like {!run_stream} (with [`Full] invariant
+    checks) on a caller-visible disk; [arm] runs before the
     first write — the explorer's slot for
     {!Sharedfs.Shared_disk.set_write_hook} — and [kill_at] schedules a
     hook-free power loss at a virtual time.  If the phase completes,

@@ -657,7 +657,7 @@ let test_runner_decommission_drains_cleanly () =
   let obs = Obs.Ctx.create ~metrics:(Obs.Metrics.create ()) () in
   let r =
     Experiments.Runner.run Experiments.Scenario.default anu_spec ~trace ~obs
-      ~check_invariants:true
+      ~invariants:`Full
       ~events:
         [
           {
@@ -682,7 +682,7 @@ let test_faultfree_path_unchanged () =
   in
   let checked =
     Experiments.Runner.run Experiments.Scenario.default anu_spec ~trace
-      ~check_invariants:true ()
+      ~invariants:`Full ()
   in
   check_int "same completions" plain.Experiments.Runner.completed
     checked.Experiments.Runner.completed;
@@ -788,7 +788,9 @@ let check_round_outcomes ~label ?faults ~expect () =
   in
   List.iter
     (fun (outcome, n) ->
-      check_int (Printf.sprintf "%s: %s rounds" label outcome) n (count outcome))
+      check_int
+        (Printf.sprintf "%s: %s rounds" label outcome)
+        n (count outcome))
     expect;
   check_int (label ^ ": rounds.degraded") (count "degraded")
     (counter r "rounds.degraded");

@@ -541,7 +541,7 @@ let test_scale10k_half_occupancy () =
     Experiments.Runner.run_stream
       (Experiments.Scenario.scale_cluster ~n:10_000)
       (Experiments.Scenario.Anu Placement.Anu.default_config)
-      ~stream ~check_invariants:true ~light_invariants:true ()
+      ~stream ~invariants:`Light ()
   in
   check_bool "rounds ran" true (r.Experiments.Runner.reconfig_rounds >= 9);
   Alcotest.(check (list (pair (float 0.0) string)))
