@@ -253,11 +253,6 @@ let describe (e : Event.t) =
       | Event.Decommissioned -> "decommissioned"
     in
     Printf.sprintf "membership server=%d %s" server change
-  | Event.Round_degraded { round; missing; survivors; skipped; _ } ->
-    Printf.sprintf "round_degraded round=%d missing=[%s] survivors=%d%s" round
-      (String.concat "," (List.map string_of_int missing))
-      survivors
-      (if skipped then " skipped" else "")
   | Event.Ledger_replay { records; torn; repaired; divergent; _ } ->
     Printf.sprintf "ledger_replay records=%d torn=%d repaired=%d divergent=%d"
       records torn repaired divergent
@@ -278,18 +273,39 @@ type entry = { time : float; line : string }
 let has_domain attrs =
   List.exists (function Event.Domain _ -> true | _ -> false) attrs
 
+(* A round that heard from only some servers: its number from the
+   begin, the missing servers and survivor count from the end. *)
+let short_round_line ~begin_ ~skipped attrs =
+  let round =
+    Option.bind begin_ (fun s ->
+        List.find_map (function Event.Round n -> Some n | _ -> None) s.attrs)
+  in
+  let missing =
+    List.concat_map (function Event.Missing l -> l | _ -> []) attrs
+  in
+  let survivors =
+    List.fold_left (fun n -> function Event.Survivors k -> k | _ -> n) 0 attrs
+  in
+  Printf.sprintf "round_degraded round=%s missing=[%s] survivors=%d%s"
+    (match round with Some n -> string_of_int n | None -> "?")
+    (String.concat "," (List.map string_of_int missing))
+    survivors
+    (if skipped then " skipped" else "")
+
 (* The timeline line of the [i]th event when it is an operational
-   incident: a point fault, a fence, a membership change, a degraded
-   round, a ledger repair or a violation, or a span edge that records
-   a fault.  A fault window's edges read as the fault counters name
-   them, and a move span that ends ["interrupted"] reads as a
-   [move_interrupted] fault; an end is joined to its begin for the
-   window's domain and the move's file set.  Request-level events stay
-   out: the timeline is for reading, not replaying. *)
+   incident: a point fault, a fence, a membership change, a ledger
+   repair or a violation, or a span edge that records a fault.  A
+   fault window's edges read as the fault counters name them, a move
+   span that ends ["interrupted"] reads as a [move_interrupted] fault,
+   and a round that ends ["degraded"] or ["skipped"] reads as a
+   [round_degraded] line; an end is joined to its begin for the
+   window's domain, the move's file set and the round's number.
+   Request-level events stay out: the timeline is for reading, not
+   replaying. *)
 let incident t i (e : Event.t) =
   match e with
-  | Event.Fault _ | Event.Fence _ | Event.Membership _ | Event.Round_degraded _
-  | Event.Ledger_replay _ | Event.Invariant_violation _ ->
+  | Event.Fault _ | Event.Fence _ | Event.Membership _ | Event.Ledger_replay _
+  | Event.Invariant_violation _ ->
     Some (describe e)
   | Event.Span_begin { cat = "fault"; name; server; attrs; _ } ->
     Some
@@ -304,6 +320,15 @@ let incident t i (e : Event.t) =
   | Event.Span_end { cat = "move"; outcome = Some "interrupted"; server; _ } ->
     let file_set = Option.bind t.closes.(i) (fun s -> s.file_set) in
     Some (fault_line "move_interrupted" ?file_set server)
+  | Event.Span_end
+      {
+        name = "round";
+        outcome = Some (("degraded" | "skipped") as o);
+        attrs;
+        _;
+      } ->
+    Some
+      (short_round_line ~begin_:t.closes.(i) ~skipped:(o = "skipped") attrs)
   | _ -> None
 
 let timeline ~from_ ~until t =
@@ -373,12 +398,15 @@ let touches t i ~servers ~file_sets (e : Event.t) =
   match e with
   | Event.Membership { server; _ } | Event.Fence { server; _ } -> s server
   | Event.Fault { server; _ } -> so server
-  | Event.Round_degraded { missing; _ } -> List.exists s missing
   | Event.Span_begin { server; file_set; attrs; _ } ->
     so server || fo file_set
     || List.exists (function Event.Src n -> s n | _ -> false) attrs
-  | Event.Span_end { server; _ } ->
-    so server || fo (Option.bind t.closes.(i) (fun sp -> sp.file_set))
+  | Event.Span_end { server; attrs; _ } ->
+    so server
+    || fo (Option.bind t.closes.(i) (fun sp -> sp.file_set))
+    || List.exists
+         (function Event.Missing l -> List.exists s l | _ -> false)
+         attrs
   | _ -> false
 
 (* The slice line of the [i]th event when it may join a causal slice:

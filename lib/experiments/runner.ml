@@ -562,53 +562,46 @@ let simulate scenario spec ~stream ~events ~obs ?faults
       Obs.Span.begin_ obs ~time:at ~parent:rspan ~name:"collect" ~cat:"round"
         ()
     in
-    let emit_degraded ~missing ~survivors ~skipped =
-      if Obs.Ctx.tracing obs then
-        Obs.Ctx.emit obs
-          (Obs.Event.Round_degraded
-             {
-               time = at;
-               round;
-               missing = List.map Id.to_int missing;
-               survivors;
-               skipped;
-             })
+    (* A round that heard from only some servers ends naming the
+       missing ones and how many reports it used. *)
+    let short ~missing ~survivors =
+      if not (Obs.Ctx.tracing obs) then []
+      else
+        Obs.Event.
+          [ Missing (List.map Id.to_int missing); Survivors survivors ]
     in
     let settle ~overruled outcome =
       Obs.Span.end_ obs ~time:(Desim.Sim.now sim) ~id:cspan ~name:"collect"
         ~cat:"round" ();
-      let outcome =
+      let outcome, attrs =
         match overruled () with
         | Some (trigger, outcome) ->
           (* The round decides nothing, but orphan healing still
              runs. *)
           rehome ~time:at ~trigger ();
-          outcome
+          (outcome, [])
         | None -> (
           match outcome with
           | Sharedfs.Delegate.Round_complete reports ->
             apply_round ~parent:rspan ~at reports;
-            "applied"
+            ("applied", [])
           | Sharedfs.Delegate.Round_degraded { reports; missing } ->
             (* A quorum reported: average over the survivors rather
                than wait for the dead. *)
             bump "rounds.degraded";
-            emit_degraded ~missing ~survivors:(List.length reports)
-              ~skipped:false;
             apply_round ~parent:rspan ~at reports;
-            "degraded"
+            ("degraded", short ~missing ~survivors:(List.length reports))
           | Sharedfs.Delegate.Round_skipped { missing } ->
             (* Below quorum: tuning on so little data would be tuning
                on garbage, so the round decides nothing.  Orphan
                healing must not wait for the next healthy round,
                though. *)
             bump "rounds.skipped";
-            emit_degraded ~missing ~survivors:0 ~skipped:true;
             rehome ~time:at ~trigger:"round-skipped" ();
-            "skipped")
+            ("skipped", short ~missing ~survivors:0))
       in
       Obs.Span.end_ obs ~time:(Desim.Sim.now sim) ~id:rspan ~name:"round"
-        ~cat:"round" ~outcome ()
+        ~cat:"round" ~outcome ~attrs ()
     in
     match injector with
     | None ->

@@ -35,6 +35,8 @@ type attr =
   | Link of string
   | Members of int
   | Factor of float
+  | Missing of int list
+  | Survivors of int
 
 type t =
   | Membership of { time : float; server : int; change : membership_change }
@@ -45,13 +47,6 @@ type t =
       moved : int;
     }
   | Fault of { time : float; server : int option; fault : fault_kind }
-  | Round_degraded of {
-      time : float;
-      round : int;
-      missing : int list;
-      survivors : int;
-      skipped : bool;
-    }
   | Fence of { time : float; server : int; action : string }
   | Ledger_replay of {
       time : float;
@@ -108,7 +103,6 @@ let time = function
   | Membership { time; _ }
   | Rehash_round { time; _ }
   | Fault { time; _ }
-  | Round_degraded { time; _ }
   | Fence { time; _ }
   | Ledger_replay { time; _ }
   | Invariant_violation { time; _ }
@@ -119,7 +113,6 @@ let kind = function
   | Membership _ -> "membership"
   | Rehash_round _ -> "rehash_round"
   | Fault _ -> "fault"
-  | Round_degraded _ -> "round_degraded"
   | Fence _ -> "fence"
   | Ledger_replay _ -> "ledger_replay"
   | Invariant_violation _ -> "invariant_violation"
@@ -240,7 +233,12 @@ let rec write_attrs m buf sep = function
     | Domain domain -> str buf {|"domain":|} domain
     | Link link -> str buf {|"link":|} link
     | Members n -> int m buf {|"members":|} n
-    | Factor x -> num m buf {|"factor":|} x);
+    | Factor x -> num m buf {|"factor":|} x
+    | Missing servers ->
+      add buf {|"missing":[|};
+      write_ints m buf false servers;
+      Buffer.add_char buf ']'
+    | Survivors n -> int m buf {|"survivors":|} n);
     write_attrs m buf true rest
 
 let write_fields m buf = function
@@ -256,12 +254,6 @@ let write_fields m buf = function
     opt_int m buf {|,"server":|} server;
     add buf {|,"fault":|};
     write_fault m buf fault
-  | Round_degraded { time = _; round; missing; survivors; skipped } ->
-    int m buf {|,"round":|} round;
-    add buf {|,"missing":[|};
-    write_ints m buf false missing;
-    int m buf {|],"survivors":|} survivors;
-    add buf (if skipped then {|,"skipped":true|} else {|,"skipped":false|})
   | Fence { time = _; server; action } ->
     int m buf {|,"server":|} server;
     str buf {|,"action":|} action
@@ -397,6 +389,14 @@ let attr_of_json (key, v) =
   | "link" -> str (fun s -> Link s)
   | "members" -> int (fun n -> Members n)
   | "factor" -> float (fun x -> Factor x)
+  | "missing" ->
+    list
+      (fun item ->
+        match Json.to_int item with
+        | Some n -> Ok n
+        | None -> Error "invalid entry in attribute \"missing\"")
+      (fun l -> Missing l)
+  | "survivors" -> int (fun n -> Survivors n)
   | other -> Error (Printf.sprintf "unknown span attribute %S" other)
 
 let field_attrs j =
@@ -451,26 +451,6 @@ let of_json j =
     let* server = field_opt_int j "server" in
     let* fault = fault_of_json (Json.member "fault" j) in
     Ok (Fault { time; server; fault })
-  | "round_degraded" ->
-    let* round = field_int j "round" in
-    let* missing =
-      match Json.to_list (Json.member "missing" j) with
-      | Some items ->
-        map_result
-          (fun item ->
-            match Json.to_int item with
-            | Some n -> Ok n
-            | None -> Error "invalid entry in field \"missing\"")
-          items
-      | None -> Error "missing or invalid field \"missing\""
-    in
-    let* survivors = field_int j "survivors" in
-    let* skipped =
-      match Json.member "skipped" j with
-      | Json.Bool b -> Ok b
-      | _ -> Error "missing or invalid bool field \"skipped\""
-    in
-    Ok (Round_degraded { time; round; missing; survivors; skipped })
   | "fence" ->
     let* server = field_int j "server" in
     let* action = field_str j "action" in

@@ -8,10 +8,11 @@
     the span edge where it becomes known, as typed {!attr}ibutes: a
     request's operation and client and a move's source and phase
     times on the begin, a move's replay count on the end, a round's
-    inputs and average on its ["tune"] begin and its regions on the
-    ["tune"] end.  The other variants are instants: membership churn,
-    point faults, fencing, ledger replay, re-addressing sweeps,
-    degraded rounds and invariant violations.  Events carry raw
+    inputs and average on its ["tune"] begin, its regions on the
+    ["tune"] end, and the missing servers and survivor count of a
+    degraded or skipped round on the round's end.  The other variants
+    are instants: membership churn, point faults, fencing, ledger
+    replay, re-addressing sweeps and invariant violations.  Events carry raw
     integers for server ids so that this library depends on nothing
     above it; emitters convert with [Server_id.to_int].
 
@@ -83,6 +84,12 @@ type attr =
   | Link of string  (** a partition's lost link: ["cluster"] or ["disk"] *)
   | Members of int  (** servers a domain fault took down together *)
   | Factor of float  (** how much a disk stall slows transfers *)
+  | Missing of int list
+      (** servers whose reports never reached a ["degraded"] or
+          ["skipped"] round *)
+  | Survivors of int
+      (** reports a ["degraded"] round was computed from; 0 for a
+          ["skipped"] one *)
 
 type t =
   | Membership of { time : float; server : int; change : membership_change }
@@ -96,15 +103,6 @@ type t =
       time : float;
       server : int option;  (** the server the fault hit, when any *)
       fault : fault_kind;
-    }
-  | Round_degraded of {
-      time : float;
-      round : int;
-      missing : int list;  (** servers whose reports never arrived *)
-      survivors : int;  (** reports the round was computed from *)
-      skipped : bool;
-          (** true when the survivors missed quorum and the round
-              tuned nothing *)
     }
   | Fence of { time : float; server : int; action : string }
       (** a fencing transition at the shared disk: ["fenced"],
@@ -153,7 +151,9 @@ type t =
       attrs : attr list;
           (** what became known as the span closed: a committed
               move's [Replayed], an interrupted move's [Role], a
-              ["tune"]'s [Regions]; [[]] on every other end *)
+              ["tune"]'s [Regions], a ["degraded"] or ["skipped"]
+              ["round"]'s [Missing] and [Survivors]; [[]] on every
+              other end *)
     }
 
 (** [fault_name k] is the snake_case name of the fault kind, e.g.

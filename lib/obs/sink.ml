@@ -180,6 +180,8 @@ let attr_arg : Event.attr -> string * Json.t = function
   | Link l -> ("link", Json.Str l)
   | Members n -> ("members", num_int n)
   | Factor x -> ("factor", Json.Num x)
+  | Missing servers -> ("missing", Json.List (List.map num_int servers))
+  | Survivors n -> ("survivors", num_int n)
 
 (* A round's per-server inputs and retuned regions also draw as
    counter tracks, so queue depth and region measure plot over time. *)
@@ -233,21 +235,6 @@ let records_of_event e =
       instant
         ~name:("fault:" ^ Event.fault_name fault)
         ~cat:"fault" ~ts:(usec time) ~tid ();
-    ]
-  | Round_degraded { time; round; missing; survivors; skipped } ->
-    [
-      instant
-        ~name:(if skipped then "round-skipped" else "round-degraded")
-        ~cat:"fault" ~ts:(usec time) ~tid:cluster_tid
-        ~args:
-          [
-            ("round", Json.Num (float_of_int round));
-            ( "missing",
-              Json.List
-                (List.map (fun s -> Json.Num (float_of_int s)) missing) );
-            ("survivors", Json.Num (float_of_int survivors));
-          ]
-        ();
     ]
   | Fence { time; server; action } ->
     [

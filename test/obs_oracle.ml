@@ -124,7 +124,9 @@ let attrs_to_json attrs =
          | Domain domain -> ("domain", Json.Str domain)
          | Link link -> ("link", Json.Str link)
          | Members n -> ("members", int n)
-         | Factor x -> ("factor", num x))
+         | Factor x -> ("factor", num x)
+         | Missing servers -> ("missing", Json.List (List.map int servers))
+         | Survivors n -> ("survivors", int n))
        attrs)
 
 let attrs_field attrs =
@@ -145,13 +147,6 @@ let event_to_json e =
       [
         ("server", opt_int server);
         ("fault", fault_to_json fault);
-      ]
-    | Round_degraded { time = _; round; missing; survivors; skipped } ->
-      [
-        ("round", int round);
-        ("missing", Json.List (List.map int missing));
-        ("survivors", int survivors);
-        ("skipped", Json.Bool skipped);
       ]
     | Fence { time = _; server; action } ->
       [ ("server", int server); ("action", Json.Str action) ]

@@ -211,21 +211,25 @@ let sample_events =
         server = Some 1;
         fault = Obs.Event.Report_delayed { delay = 0.25 };
       };
-    Obs.Event.Round_degraded
+    Obs.Event.Span_end
       {
         time = 980.0;
-        round = 8;
-        missing = [ 1; 3 ];
-        survivors = 3;
-        skipped = false;
+        id = 15;
+        name = "round";
+        cat = "round";
+        server = None;
+        outcome = Some "degraded";
+        attrs = [ Obs.Event.Missing [ 1; 3 ]; Obs.Event.Survivors 3 ];
       };
-    Obs.Event.Round_degraded
+    Obs.Event.Span_end
       {
         time = 990.0;
-        round = 9;
-        missing = [ 0; 1; 2 ];
-        survivors = 0;
-        skipped = true;
+        id = 16;
+        name = "round";
+        cat = "round";
+        server = None;
+        outcome = Some "skipped";
+        attrs = [ Obs.Event.Missing [ 0; 1; 2 ]; Obs.Event.Survivors 0 ];
       };
     Obs.Event.Span_begin
       {
@@ -344,7 +348,7 @@ let test_event_jsonl_round_trip () =
 
 let test_event_kinds_distinct () =
   let kinds = List.sort_uniq compare (List.map Obs.Event.kind sample_events) in
-  check_int "all nine kinds exercised" 9 (List.length kinds);
+  check_int "all eight kinds exercised" 8 (List.length kinds);
   List.iter
     (fun e ->
       let json = Obs_oracle.event_to_json e in
@@ -371,7 +375,7 @@ let test_event_of_jsonl_errors () =
               (Printf.sprintf {|{"type":%S,"time":1,"file_set":"fs-1"}|} kind))))
     [
       "request_submit"; "request_complete"; "move_start"; "move_end";
-      "delegate_round"; "partition";
+      "delegate_round"; "partition"; "round_degraded";
     ];
   (* A number too large for a float parses as infinity; a time or a
      float payload must be finite. *)
@@ -698,6 +702,8 @@ let event_gen =
            map (fun l -> E.Link l) str;
            map (fun n -> E.Members n) num;
            map (fun x -> E.Factor x) float_gen;
+           map (fun l -> E.Missing l) (list_size (0 -- 3) num);
+           map (fun n -> E.Survivors n) num;
          ])
   in
   let* time = float_gen in
@@ -709,10 +715,6 @@ let event_gen =
        return (E.Rehash_round { time; trigger; checked; moved }));
       (let* server = option num and* fault = fault in
        return (E.Fault { time; server; fault }));
-      (let* round = num and* missing = list_size (0 -- 4) num
-       and* survivors = num and* skipped = bool in
-       return
-         (E.Round_degraded { time; round; missing; survivors; skipped }));
       (let* server = num and* action = str in
        return (E.Fence { time; server; action }));
       (let* records = num and* torn = num and* repaired = num
