@@ -75,23 +75,22 @@ let end_window t ~name ~domain members ?outcome span =
     ?server:(window_server ~domain members)
     ?outcome ()
 
-(* A crash or partition window: its span opens unless the same window
-   is already open, and the matching heal or recovery closes it. *)
+(* A crash or partition window opens unless the same window is already
+   open, and the matching heal or recovery closes it.  Only these two
+   edges count: a crash that finds its window open and a recovery that
+   finds none inject nothing. *)
 let open_window t ~name ~domain members attrs =
   let key = (name, domain, window_server ~domain members) in
-  if Hashtbl.mem t.windows key then
-    bump t (Obs.Event.window_edge ~name ~domain:(domain <> None) ~closing:false)
-  else
-    let span = begin_window t ~name ~domain members attrs in
-    if span <> Obs.Span.none then Hashtbl.replace t.windows key span
+  if not (Hashtbl.mem t.windows key) then
+    Hashtbl.replace t.windows key (begin_window t ~name ~domain members attrs)
 
 let close_window t ~name ~domain members ~outcome =
   let key = (name, domain, window_server ~domain members) in
-  let span =
-    Option.value (Hashtbl.find_opt t.windows key) ~default:Obs.Span.none
-  in
-  Hashtbl.remove t.windows key;
-  end_window t ~name ~domain members ~outcome span
+  match Hashtbl.find_opt t.windows key with
+  | None -> ()
+  | Some span ->
+    Hashtbl.remove t.windows key;
+    end_window t ~name ~domain members ~outcome span
 
 let crash t ~domain members =
   open_window t ~name:"crash" ~domain members [];

@@ -13,8 +13,10 @@
     second, named by [Obs.Event.window_edge], and a point fault (a
     delegate crash, a lost or delayed report, a torn ledger write) as
     one [Obs.Event.Fault].  A domain fault opens one span, not one per
-    member, and a crash or partition whose window is already open opens
-    none; every disk stall opens its own span, as stalls may overlap. *)
+    member.  A crash or partition whose window is already open, and a
+    recovery or heal that finds none open, is neither counted nor
+    traced: the counters and the spans agree edge for edge.  Every disk
+    stall opens its own span, as stalls may overlap. *)
 
 type t
 
@@ -82,5 +84,6 @@ val note_delegate_crash : t -> unit
 
 (** [faults_injected t] tallies every fault delivered so far, by
     {!Obs.Event.fault_name} or {!Obs.Event.window_edge}, sorted by
-    name. *)
+    name; a window edge counts only when it opens or closes a
+    window. *)
 val faults_injected : t -> (string * int) list

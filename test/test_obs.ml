@@ -1775,6 +1775,62 @@ let test_fault_and_move_spans_pair () =
     (List.assoc "failure-recovery-chaos" traced);
   check_bool "moves interrupted" true (!interrupted > 0)
 
+(* A fault counter counts the window edges the trace shows, no more: a
+   crash of a server that is already down opens no window and counts
+   nothing. *)
+let test_fault_counters_match_windows () =
+  let ring = Obs.Sink.Ring.create ~capacity:200_000 in
+  let obs =
+    Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ]
+      ~metrics:(Obs.Metrics.create ()) ()
+  in
+  let figure =
+    match Experiments.Figures.by_id "failure-recovery-chaos" with
+    | Some run -> run ~quick:true ~obs ()
+    | None -> Alcotest.fail "no figure failure-recovery-chaos"
+  in
+  let runs =
+    List.fold_left
+      (fun runs e ->
+        match (e, runs) with
+        | Obs.Event.Span_begin { name = "run"; _ }, _ -> [ e ] :: runs
+        | _, run :: rest -> (e :: run) :: rest
+        | _, [] -> runs)
+      [] (Obs.Sink.Ring.contents ring)
+  in
+  let results = figure.Experiments.Figures.results in
+  check_int "one trace per run" (List.length results) (List.length runs);
+  let crashes =
+    List.map2
+      (fun (r : Experiments.Runner.result) run ->
+        let counter name =
+          match r.metrics with
+          | None -> 0
+          | Some snap ->
+            Option.value ~default:0
+              (List.assoc_opt ("fault." ^ name) snap.Obs.Metrics.counters)
+        in
+        let edges closing =
+          List.length
+            (List.filter
+               (function
+                 | Obs.Event.Span_begin { cat = "fault"; name = "crash"; _ } ->
+                   not closing
+                 | Obs.Event.Span_end { cat = "fault"; name = "crash"; _ } ->
+                   closing
+                 | _ -> false)
+               run)
+        in
+        check_int (r.policy_name ^ ": server_crash counts crash spans")
+          (edges false) (counter "server_crash");
+        check_int (r.policy_name ^ ": server_recover counts their ends")
+          (edges true) (counter "server_recover");
+        edges false)
+      results (List.rev runs)
+  in
+  check_int "four crash windows over both runs" 4
+    (List.fold_left ( + ) 0 crashes)
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
@@ -1835,4 +1891,6 @@ let suite =
       test_request_attrs_round_trip;
     Alcotest.test_case "fault and move spans pair up" `Quick
       test_fault_and_move_spans_pair;
+    Alcotest.test_case "fault counters match their windows" `Quick
+      test_fault_counters_match_windows;
   ]
