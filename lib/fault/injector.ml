@@ -170,7 +170,7 @@ let schedule_timeline t ~duration =
               in
               let (_ : Desim.Sim.handle) =
                 Desim.Sim.schedule t.sim ~delay:d (fun () ->
-                    Sharedfs.Shared_disk.clear_stall disk;
+                    Sharedfs.Shared_disk.clear_stall disk ~factor;
                     end_window t ~name:"disk-stall" ~domain:None [] span)
               in
               ()

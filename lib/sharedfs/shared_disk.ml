@@ -14,7 +14,8 @@ type t = {
   fenced : (int, unit) Hashtbl.t;
   mutable writes : int;
   mutable rejected : int;
-  mutable stall : float;
+  mutable stalls : float list;  (** the factors of the active stalls *)
+  mutable stall : float;  (** the largest of them, 1.0 when none *)
   mutable hook :
     (op:int -> block:int -> cas:bool -> data:string -> write_verdict) option;
 }
@@ -28,14 +29,21 @@ let create ?(config = default_config) () =
   if config.bandwidth <= 0.0 then
     invalid_arg "Shared_disk.create: bandwidth must be positive";
   { cfg = config; store = Hashtbl.create 1024; fenced = Hashtbl.create 8;
-    writes = 0; rejected = 0; stall = 1.0; hook = None }
+    writes = 0; rejected = 0; stalls = []; stall = 1.0; hook = None }
 
 let set_stall t ~factor =
   if factor < 1.0 then
     invalid_arg "Shared_disk.set_stall: factor must be at least 1";
-  t.stall <- factor
+  t.stalls <- factor :: t.stalls;
+  t.stall <- Float.max t.stall factor
 
-let clear_stall t = t.stall <- 1.0
+let clear_stall t ~factor =
+  let rec drop = function
+    | [] -> []
+    | f :: rest -> if f = factor then rest else f :: drop rest
+  in
+  t.stalls <- drop t.stalls;
+  t.stall <- List.fold_left Float.max 1.0 t.stalls
 
 let stall_factor t = t.stall
 

@@ -36,16 +36,20 @@ val transfer_time : t -> bytes:int -> float
 
     A stall models a congested or degraded interconnect: every I/O
     time is multiplied by the stall factor until the stall clears.
-    The fault injector arms and clears stalls on the virtual clock. *)
+    Stalls may overlap; the disk then runs at the largest factor still
+    active.  The fault injector arms and clears stalls on the virtual
+    clock. *)
 
-(** [set_stall t ~factor] slows subsequent transfers by [factor]
-    ([>= 1.0]; raises [Invalid_argument] otherwise). *)
+(** [set_stall t ~factor] starts a stall that slows transfers by
+    [factor] ([>= 1.0]; raises [Invalid_argument] otherwise). *)
 val set_stall : t -> factor:float -> unit
 
-(** [clear_stall t] restores full speed. *)
-val clear_stall : t -> unit
+(** [clear_stall t ~factor] ends one active stall of [factor], leaving
+    any other active stall in force. *)
+val clear_stall : t -> factor:float -> unit
 
-(** [stall_factor t] is the current multiplier (1.0 when healthy). *)
+(** [stall_factor t] is the current multiplier: the largest active
+    stall's factor, 1.0 when none is active. *)
 val stall_factor : t -> float
 
 (** {2 Fencing and atomic primitives}

@@ -434,15 +434,23 @@ let test_disk_stall_scales_transfers () =
   Shared_disk.set_stall disk ~factor:4.0;
   check_float 1e-9 "stalled transfer is 4x" (4.0 *. base)
     (Shared_disk.transfer_time disk ~bytes:1_000_000);
-  Shared_disk.clear_stall disk;
+  Shared_disk.clear_stall disk ~factor:4.0;
   check_float 1e-9 "clear restores" base
     (Shared_disk.transfer_time disk ~bytes:1_000_000);
+  (* Two stalls of one factor: ending one leaves the other in force. *)
+  Shared_disk.set_stall disk ~factor:2.0;
+  Shared_disk.set_stall disk ~factor:2.0;
+  Shared_disk.clear_stall disk ~factor:2.0;
+  check_float 0.0 "the other stall holds" 2.0 (Shared_disk.stall_factor disk);
+  Shared_disk.clear_stall disk ~factor:2.0;
+  check_float 0.0 "both ended" 1.0 (Shared_disk.stall_factor disk);
   check_bool "factor below 1 rejected" true
     (raises (fun () -> Shared_disk.set_stall disk ~factor:0.9))
 
 let test_overlapping_disk_stalls_traced () =
   (* Two stalls overlap: each is its own "disk-stall" span with its
-     own factor, closed by its own id when its duration ends. *)
+     own factor, closed by its own id when its duration ends, and the
+     disk runs at the larger factor until the later one ends. *)
   let sim, cluster = make_cluster () in
   let ring = Obs.Sink.Ring.create ~capacity:64 in
   let obs = Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ] () in
@@ -466,6 +474,13 @@ let test_overlapping_disk_stalls_traced () =
   let inj =
     Fault.Injector.arm ~sim ~cluster ~obs ~duration:100.0 ~actions plan
   in
+  let disk = Cluster.disk cluster in
+  List.iter
+    (fun (time, factor) ->
+      Desim.Sim.run_until sim ~time;
+      check_float 0.0 (Printf.sprintf "stall factor at %g s" time) factor
+        (Shared_disk.stall_factor disk))
+    [ (12.0, 2.0); (20.0, 4.0); (32.0, 4.0); (36.0, 1.0) ];
   Desim.Sim.run_until sim ~time:100.0;
   let events = Obs.Sink.Ring.contents ring in
   let begins =
