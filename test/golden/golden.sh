@@ -2,14 +2,15 @@
 # Prints the outputs that a behaviour-preserving change must leave
 # byte-identical: every registered experiment's quick summary, the
 # full-size motivation experiment and claim check, the chaos reports
-# of the default, partition and domain plans, the crash-point sweep,
-# the ledger fsck of the domain and partition runs, the trace-report
-# of three traced runs (fault-free streaming, server crashes,
-# partitions), windowed trace-reports of a domain-fault run around
-# each domain fault edge, the checksums of the raw trace, metrics and telemetry
-# files of two fault-free and four faulty runs, and the output of
-# every example program.  Any command that exits non-zero fails the
-# whole run.
+# of the default, partition and domain plans under ANU and under the
+# round-robin baseline (the domain plan with its post-recovery
+# re-deal), the crash-point sweep, the ledger fsck of the domain and
+# partition runs, the trace-report of three traced runs (fault-free
+# streaming, server crashes, partitions), windowed trace-reports of a
+# domain-fault run around each domain fault edge, the checksums of the
+# raw trace, metrics and telemetry files of two fault-free and four
+# faulty runs, and the output of every example program.  Any command
+# that exits non-zero fails the whole run.
 #
 # Usage: golden.sh SHDISK_SIM EXAMPLES_DIR
 set -eu
@@ -31,6 +32,10 @@ step validate
 step chaos --seed 42 --duration short --policy anu
 step chaos --seed 42 --duration short --plan partition --policy anu
 step chaos --seed 42 --duration short --plan domain --policy anu
+step chaos --seed 42 --duration short --policy round-robin
+step chaos --seed 42 --duration short --plan partition --policy round-robin
+step chaos --seed 42 --duration short --plan domain \
+  --policy round-robin-rebalance
 step explore --seed 42 --plan partition --policy anu
 step fsck --seed 42 --duration short --plan domain --policy anu
 step fsck --seed 42 --duration short --plan partition --policy anu
