@@ -352,15 +352,14 @@ let simulate scenario spec ~stream ~events ~obs ?faults
      skipped individually, so crashing a dead server or recovering an
      alive one is a no-op end to end, and a double-fired fault cannot
      corrupt the policy's region map. *)
-  let alive id =
-    Sharedfs.Cluster.mem_server cluster id
-    && not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id))
-  in
+  let failed id = Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id) in
+  let partitioned id = Sharedfs.Cluster.is_partitioned cluster id in
+  let alive id = Sharedfs.Cluster.mem_server cluster id && not (failed id) in
   (* A crash or a partition: the alive members that [qualify] are taken
      down; if one held the lease, its reconfiguration state dies with
      it and the next delegate runs the same protocol from replicated
      state only. *)
-  let depart ~qualify ~take_down ~announce triggers ~domain members =
+  let depart ~qualify ~take_down ?announce triggers ~domain members =
     match List.filter (fun id -> alive id && qualify id) members with
     | [] -> ()
     | victims ->
@@ -375,7 +374,12 @@ let simulate scenario spec ~stream ~events ~obs ?faults
       List.iter take_down victims;
       if delegate_dies then do_delegate_crash ();
       List.iter (fun id -> policy.Placement.Policy.server_failed id) victims;
-      List.iter (announce ~now) victims;
+      Option.iter
+        (fun change ->
+          List.iter
+            (fun id -> emit_membership ~time:now (Id.to_int id) change)
+            victims)
+        announce;
       rehome ~time:now ~trigger:(trigger_of ~domain triggers) ()
   in
   (* A recovery or a heal: the members that [qualify] rejoin cold
@@ -398,15 +402,11 @@ let simulate scenario spec ~stream ~events ~obs ?faults
         back;
       rehome ~time:now ~trigger:(trigger_of ~domain triggers) ()
   in
-  let failed id = Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id) in
-  let partitioned id = Sharedfs.Cluster.is_partitioned cluster id in
   let do_crash =
     depart ~qualify:(fun _ -> true)
       ~take_down:(fun id ->
         ignore (Sharedfs.Cluster.fail_server cluster id : string list))
-      ~announce:(fun ~now id ->
-        emit_membership ~time:now (Id.to_int id) Obs.Event.Failed)
-      ("fail", "domain-crash")
+      ~announce:Obs.Event.Failed ("fail", "domain-crash")
   in
   (* Fencing happens inside [partition_server], before the one
      re-election: the isolated servers may still believe they hold the
@@ -418,7 +418,6 @@ let simulate scenario spec ~stream ~events ~obs ?faults
       ~take_down:(fun id ->
         ignore
           (Sharedfs.Cluster.partition_server cluster id ~link : string list))
-      ~announce:(fun ~now:_ _ -> ())
       ("partition", "domain-partition") ~domain members
   in
   let do_recover = rejoin ~qualify:failed ("recover", "domain-recover") in
@@ -547,6 +546,13 @@ let simulate scenario spec ~stream ~events ~obs ?faults
      and the round can be overruled before it decides: the delegate
      dies mid-round, or the lease changed hands while reports were in
      flight. *)
+  (* A round that heard from only some servers ends naming the missing
+     ones and how many reports it used. *)
+  let shortfall ~missing ~survivors =
+    if not (Obs.Ctx.tracing obs) then []
+    else
+      Obs.Event.[ Missing (List.map Id.to_int missing); Survivors survivors ]
+  in
   let delegate_round ~at round =
     (* The round span is epoch-tagged: in fault-free runs the lease is
        never established and the in-memory epoch stays 0; under chaos
@@ -561,14 +567,6 @@ let simulate scenario spec ~stream ~events ~obs ?faults
     let cspan =
       Obs.Span.begin_ obs ~time:at ~parent:rspan ~name:"collect" ~cat:"round"
         ()
-    in
-    (* A round that heard from only some servers ends naming the
-       missing ones and how many reports it used. *)
-    let short ~missing ~survivors =
-      if not (Obs.Ctx.tracing obs) then []
-      else
-        Obs.Event.
-          [ Missing (List.map Id.to_int missing); Survivors survivors ]
     in
     let settle ~overruled outcome =
       Obs.Span.end_ obs ~time:(Desim.Sim.now sim) ~id:cspan ~name:"collect"
@@ -590,7 +588,7 @@ let simulate scenario spec ~stream ~events ~obs ?faults
                than wait for the dead. *)
             bump "rounds.degraded";
             apply_round ~parent:rspan ~at reports;
-            ("degraded", short ~missing ~survivors:(List.length reports))
+            ("degraded", shortfall ~missing ~survivors:(List.length reports))
           | Sharedfs.Delegate.Round_skipped { missing } ->
             (* Below quorum: tuning on so little data would be tuning
                on garbage, so the round decides nothing.  Orphan
@@ -598,7 +596,7 @@ let simulate scenario spec ~stream ~events ~obs ?faults
                though. *)
             bump "rounds.skipped";
             rehome ~time:at ~trigger:"round-skipped" ();
-            ("skipped", short ~missing ~survivors:0))
+            ("skipped", shortfall ~missing ~survivors:0))
       in
       Obs.Span.end_ obs ~time:(Desim.Sim.now sim) ~id:rspan ~name:"round"
         ~cat:"round" ~outcome ~attrs ()
