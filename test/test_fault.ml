@@ -737,7 +737,8 @@ let round_record ?faults () =
   in
   (r, List.rev !kept)
 
-(* [(begin time, outcome, stages)] of every round span, in order. *)
+(* [(begin time, (outcome, end attributes), stages)] of every round
+   span, in order. *)
 let rounds_of events =
   List.filter_map
     (function
@@ -745,9 +746,10 @@ let rounds_of events =
         let outcome =
           List.find_map
             (function
-              | Obs.Event.Span_end { name = "round"; id = id'; outcome; _ }
+              | Obs.Event.Span_end
+                  { name = "round"; id = id'; outcome = Some o; attrs; _ }
                 when id' = id ->
-                outcome
+                Some (o, attrs)
               | _ -> None)
             events
         in
@@ -759,7 +761,7 @@ let rounds_of events =
               | _ -> None)
             events
         in
-        Some (time, Option.value outcome ~default:"open", stages)
+        Some (time, Option.value outcome ~default:("open", []), stages)
       | _ -> None)
     events
 
@@ -772,7 +774,7 @@ let check_round_outcomes ~label ?faults ~expect () =
   check_int (label ^ ": one span per round")
     r.Experiments.Runner.reconfig_rounds (List.length rounds);
   List.iter
-    (fun (at, outcome, stages) ->
+    (fun (at, (outcome, attrs), stages) ->
       let trigger, tuned =
         match outcome with
         | "applied" | "degraded" -> ("delegate-round", true)
@@ -796,10 +798,21 @@ let check_round_outcomes ~label ?faults ~expect () =
       Alcotest.(check (list string))
         (Printf.sprintf "%s: round at %g (%s) stages" label at outcome)
         (if tuned then [ "collect"; "tune"; "apply" ] else [ "collect" ])
-        stages)
+        stages;
+      (* Only a round that heard from some servers names the others. *)
+      check_bool
+        (Printf.sprintf "%s: round at %g (%s) end attributes" label at outcome)
+        true
+        (match (outcome, attrs) with
+        | "degraded", [ Obs.Event.Missing (_ :: _); Obs.Event.Survivors n ] ->
+          n > 0
+        | "skipped", [ Obs.Event.Missing (_ :: _); Obs.Event.Survivors 0 ] ->
+          true
+        | ("degraded" | "skipped"), _ -> false
+        | _, attrs -> attrs = []))
     rounds;
   let count o =
-    List.length (List.filter (fun (_, o', _) -> o' = o) rounds)
+    List.length (List.filter (fun (_, (o', _), _) -> o' = o) rounds)
   in
   List.iter
     (fun (outcome, n) ->
