@@ -127,8 +127,10 @@ val throughput : result list -> throughput
     writes request and move spans, the runner adds one ["round"] span
     per reconfiguration interval (numbered, with its ["collect"],
     ["tune"] and ["apply"] stages; the tune stage carries the latency
-    inputs, the average and the retuned regions) plus [Membership]
-    and [Rehash_round] events, and an attached metrics
+    inputs, the average and the retuned regions, and a degraded or
+    skipped round's end names the missing servers and the survivor
+    count) plus [Membership] and [Rehash_round] events, and an
+    attached metrics
     registry is {e isolated} at run start (the run gets a fresh
     registry via [Obs.Ctx.isolated]) so [result.metrics] is per-run
     and concurrent runs never share instruments.
