@@ -121,175 +121,161 @@ let kind = function
 
 (* --- JSON encoding ---
 
-   Written straight into the caller's buffer: field order, escaping and
+   Written straight into the caller's writer: field order, escaping and
    number rendering match [Json.to_string] of the equivalent object
    tree byte for byte (the test suite keeps that tree encoder as its
-   oracle).  Helpers take the buffer and memo as arguments rather than
-   closing over them, so an event allocates nothing beyond numbers
-   outside [Json]'s exact renderer range. *)
+   oracle).  Each event's header, [{"type":...,"time":], is one
+   literal, as is each key with the separator before it and each
+   absent optional with its key, e.g. [,"parent":null].  An event
+   allocates nothing beyond numbers outside [Json]'s exact renderer
+   range. *)
 
-let add = Buffer.add_string
+module W = Json.Writer
 
-(* One field each; [key] is the literal that precedes the value, e.g.
-   [,"name":]. *)
-let str buf key s =
-  add buf key;
-  Json.add_string buf s
+let str = W.string_field
 
-let int m buf key n =
-  add buf key;
-  Json.add_int m buf n
+let int = W.int_field
 
-let num m buf key x =
-  add buf key;
-  Json.add_number m buf x
+let num = W.number_field
 
-let opt_int m buf key = function
-  | None ->
-    add buf key;
-    add buf "null"
-  | Some n -> int m buf key n
+let opt_int = W.opt_int_field
 
-let opt_str buf key = function
-  | None ->
-    add buf key;
-    add buf "null"
-  | Some s -> str buf key s
+let opt_str = W.opt_string_field
 
-let write_change m buf = function
-  | Failed -> add buf {|{"change":"failed"}|}
-  | Recovered -> add buf {|{"change":"recovered"}|}
+let write_change w = function
+  | Failed -> W.literal w {|{"change":"failed"}|}
+  | Recovered -> W.literal w {|{"change":"recovered"}|}
   | Added speed ->
-    num m buf {|{"change":"added","speed":|} speed;
-    Buffer.add_char buf '}'
+    num w {|{"change":"added","speed":|} speed;
+    W.char w '}'
   | Speed_changed speed ->
-    num m buf {|{"change":"speed_changed","speed":|} speed;
-    Buffer.add_char buf '}'
-  | Decommissioned -> add buf {|{"change":"decommissioned"}|}
+    num w {|{"change":"speed_changed","speed":|} speed;
+    W.char w '}'
+  | Decommissioned -> W.literal w {|{"change":"decommissioned"}|}
 
-let write_fault m buf f =
-  add buf {|{"fault":"|};
-  add buf (fault_name f);
-  Buffer.add_char buf '"';
-  (match f with
-  | Delegate_crash -> ()
-  | Report_lost { attempt } -> int m buf {|,"attempt":|} attempt
-  | Report_delayed { delay } -> num m buf {|,"delay":|} delay
-  | Ledger_torn { seq } -> int m buf {|,"seq":|} seq);
-  Buffer.add_char buf '}'
+let write_fault w = function
+  | Delegate_crash -> W.literal w {|{"fault":"delegate_crash"}|}
+  | Report_lost { attempt } ->
+    int w {|{"fault":"report_lost","attempt":|} attempt;
+    W.char w '}'
+  | Report_delayed { delay } ->
+    num w {|{"fault":"report_delayed","delay":|} delay;
+    W.char w '}'
+  | Ledger_torn { seq } ->
+    int w {|{"fault":"ledger_torn","seq":|} seq;
+    W.char w '}'
 
-let rec write_inputs m buf sep = function
+let rec write_inputs w sep = function
   | [] -> ()
   | i :: rest ->
-    if sep then Buffer.add_char buf ',';
-    int m buf {|{"server":|} i.server;
-    num m buf {|,"mean_latency":|} i.mean_latency;
-    num m buf {|,"max_latency":|} i.max_latency;
-    int m buf {|,"requests":|} i.requests;
-    int m buf {|,"queue_depth":|} i.queue_depth;
-    Buffer.add_char buf '}';
-    write_inputs m buf true rest
+    int w (if sep then {|,{"server":|} else {|{"server":|}) i.server;
+    num w {|,"mean_latency":|} i.mean_latency;
+    num w {|,"max_latency":|} i.max_latency;
+    int w {|,"requests":|} i.requests;
+    int w {|,"queue_depth":|} i.queue_depth;
+    W.char w '}';
+    write_inputs w true rest
 
-let rec write_regions m buf sep = function
+let rec write_regions w sep = function
   | [] -> ()
   | (server, measure) :: rest ->
-    if sep then Buffer.add_char buf ',';
-    int m buf {|{"server":|} server;
-    num m buf {|,"measure":|} measure;
-    Buffer.add_char buf '}';
-    write_regions m buf true rest
+    int w (if sep then {|,{"server":|} else {|{"server":|}) server;
+    num w {|,"measure":|} measure;
+    W.char w '}';
+    write_regions w true rest
 
-let rec write_ints m buf sep = function
+let rec write_ints w sep = function
   | [] -> ()
   | n :: rest ->
-    if sep then Buffer.add_char buf ',';
-    Json.add_int m buf n;
-    write_ints m buf true rest
+    if sep then W.char w ',';
+    W.int w n;
+    write_ints w true rest
 
 (* The ["attrs"] object, one member per attribute in list order; an
    empty list writes nothing at all. *)
-let rec write_attrs m buf sep = function
-  | [] -> if sep then Buffer.add_char buf '}'
+let rec write_attrs w sep = function
+  | [] -> if sep then W.char w '}'
   | a :: rest ->
-    add buf (if sep then "," else {|,"attrs":{|});
+    W.literal w (if sep then "," else {|,"attrs":{|});
     (match a with
-    | Op op -> str buf {|"op":|} op
-    | Client client -> int m buf {|"client":|} client
-    | Src src -> int m buf {|"src":|} src
-    | Flush_seconds x -> num m buf {|"flush_seconds":|} x
-    | Init_seconds x -> num m buf {|"init_seconds":|} x
-    | Replayed n -> int m buf {|"replayed":|} n
-    | Role role -> str buf {|"role":|} role
-    | Round round -> int m buf {|"round":|} round
-    | Average x -> num m buf {|"average":|} x
+    | Op op -> str w {|"op":|} op
+    | Client client -> int w {|"client":|} client
+    | Src src -> int w {|"src":|} src
+    | Flush_seconds x -> num w {|"flush_seconds":|} x
+    | Init_seconds x -> num w {|"init_seconds":|} x
+    | Replayed n -> int w {|"replayed":|} n
+    | Role role -> str w {|"role":|} role
+    | Round round -> int w {|"round":|} round
+    | Average x -> num w {|"average":|} x
     | Inputs inputs ->
-      add buf {|"inputs":[|};
-      write_inputs m buf false inputs;
-      Buffer.add_char buf ']'
+      W.literal w {|"inputs":[|};
+      write_inputs w false inputs;
+      W.char w ']'
     | Regions regions ->
-      add buf {|"regions":[|};
-      write_regions m buf false regions;
-      Buffer.add_char buf ']'
-    | Domain domain -> str buf {|"domain":|} domain
-    | Link link -> str buf {|"link":|} link
-    | Members n -> int m buf {|"members":|} n
-    | Factor x -> num m buf {|"factor":|} x
+      W.literal w {|"regions":[|};
+      write_regions w false regions;
+      W.char w ']'
+    | Domain domain -> str w {|"domain":|} domain
+    | Link link -> str w {|"link":|} link
+    | Members n -> int w {|"members":|} n
+    | Factor x -> num w {|"factor":|} x
     | Missing servers ->
-      add buf {|"missing":[|};
-      write_ints m buf false servers;
-      Buffer.add_char buf ']'
-    | Survivors n -> int m buf {|"survivors":|} n);
-    write_attrs m buf true rest
+      W.literal w {|"missing":[|};
+      write_ints w false servers;
+      W.char w ']'
+    | Survivors n -> int w {|"survivors":|} n);
+    write_attrs w true rest
 
-let write_fields m buf = function
-  | Membership { time = _; server; change } ->
-    int m buf {|,"server":|} server;
-    add buf {|,"membership":|};
-    write_change m buf change
-  | Rehash_round { time = _; trigger; checked; moved } ->
-    str buf {|,"trigger":|} trigger;
-    int m buf {|,"checked":|} checked;
-    int m buf {|,"moved":|} moved
-  | Fault { time = _; server; fault } ->
-    opt_int m buf {|,"server":|} server;
-    add buf {|,"fault":|};
-    write_fault m buf fault
-  | Fence { time = _; server; action } ->
-    int m buf {|,"server":|} server;
-    str buf {|,"action":|} action
-  | Ledger_replay { time = _; records; torn; repaired; divergent } ->
-    int m buf {|,"records":|} records;
-    int m buf {|,"torn":|} torn;
-    int m buf {|,"repaired":|} repaired;
-    int m buf {|,"divergent":|} divergent
-  | Invariant_violation { time = _; what } ->
-    str buf {|,"what":|} what
-  | Span_begin
-      { time = _; id; parent; name; cat; server; file_set; epoch; attrs } ->
-    int m buf {|,"id":|} id;
-    opt_int m buf {|,"parent":|} parent;
-    str buf {|,"name":|} name;
-    str buf {|,"cat":|} cat;
-    opt_int m buf {|,"server":|} server;
-    opt_str buf {|,"file_set":|} file_set;
-    opt_int m buf {|,"epoch":|} epoch;
-    write_attrs m buf false attrs
-  | Span_end { time = _; id; name; cat; server; outcome; attrs } ->
-    int m buf {|,"id":|} id;
-    str buf {|,"name":|} name;
-    str buf {|,"cat":|} cat;
-    opt_int m buf {|,"server":|} server;
-    opt_str buf {|,"outcome":|} outcome;
-    write_attrs m buf false attrs
-
-let write_jsonl ?memo buf e =
-  let m = match memo with Some m -> m | None -> Json.memo () in
-  add buf {|{"type":"|};
-  add buf (kind e);
-  add buf {|","time":|};
-  Json.add_number m buf (time e);
-  write_fields m buf e;
-  Buffer.add_char buf '}'
+let write_jsonl w e =
+  (match e with
+  | Membership { time; server; change } ->
+    num w {|{"type":"membership","time":|} time;
+    int w {|,"server":|} server;
+    W.literal w {|,"membership":|};
+    write_change w change
+  | Rehash_round { time; trigger; checked; moved } ->
+    num w {|{"type":"rehash_round","time":|} time;
+    str w {|,"trigger":|} trigger;
+    int w {|,"checked":|} checked;
+    int w {|,"moved":|} moved
+  | Fault { time; server; fault } ->
+    num w {|{"type":"fault","time":|} time;
+    opt_int w {|,"server":|} {|,"server":null|} server;
+    W.literal w {|,"fault":|};
+    write_fault w fault
+  | Fence { time; server; action } ->
+    num w {|{"type":"fence","time":|} time;
+    int w {|,"server":|} server;
+    str w {|,"action":|} action
+  | Ledger_replay { time; records; torn; repaired; divergent } ->
+    num w {|{"type":"ledger_replay","time":|} time;
+    int w {|,"records":|} records;
+    int w {|,"torn":|} torn;
+    int w {|,"repaired":|} repaired;
+    int w {|,"divergent":|} divergent
+  | Invariant_violation { time; what } ->
+    num w {|{"type":"invariant_violation","time":|} time;
+    str w {|,"what":|} what
+  | Span_begin { time; id; parent; name; cat; server; file_set; epoch; attrs }
+    ->
+    num w {|{"type":"span_begin","time":|} time;
+    int w {|,"id":|} id;
+    opt_int w {|,"parent":|} {|,"parent":null|} parent;
+    str w {|,"name":|} name;
+    str w {|,"cat":|} cat;
+    opt_int w {|,"server":|} {|,"server":null|} server;
+    opt_str w {|,"file_set":|} {|,"file_set":null|} file_set;
+    opt_int w {|,"epoch":|} {|,"epoch":null|} epoch;
+    write_attrs w false attrs
+  | Span_end { time; id; name; cat; server; outcome; attrs } ->
+    num w {|{"type":"span_end","time":|} time;
+    int w {|,"id":|} id;
+    str w {|,"name":|} name;
+    str w {|,"cat":|} cat;
+    opt_int w {|,"server":|} {|,"server":null|} server;
+    opt_str w {|,"outcome":|} {|,"outcome":null|} outcome;
+    write_attrs w false attrs);
+  W.char w '}'
 
 (* --- JSON decoding --- *)
 
@@ -487,9 +473,9 @@ let of_json j =
   | other -> Error (Printf.sprintf "unknown event type %S" other)
 
 let to_jsonl e =
-  let buf = Buffer.create 256 in
-  write_jsonl buf e;
-  Buffer.contents buf
+  let w = W.create 256 in
+  write_jsonl w e;
+  W.contents w
 
 let of_jsonl line =
   let* j = Json.of_string line in

@@ -186,15 +186,14 @@ val kind : t -> string
     payload, naming the field. *)
 val of_json : Json.t -> (t, string) result
 
-(** [write_jsonl ?memo buf e] appends the compact one-line JSON
-    encoding of [e] (no trailing newline) to [buf].  The fields appear
-    in declaration order after ["type"] and ["time"]; numbers render as
+(** [write_jsonl w e] appends the compact one-line JSON encoding of
+    [e] (no trailing newline) to [w].  The fields appear in declaration
+    order after ["type"] and ["time"]; numbers render as
     {!Json.number_to_string} renders them, and an event allocates
-    nothing when its numbers lie in the exact renderer's range.
-    [memo] carries rendered numbers across calls (a sink passes its
-    own); without it each call starts fresh.  The output does not
-    depend on [memo]. *)
-val write_jsonl : ?memo:Json.memo -> Buffer.t -> t -> unit
+    nothing when its numbers lie in the exact renderer's range and [w]
+    has room.  [w]'s number cache carries rendered numbers across
+    calls; the output does not depend on it. *)
+val write_jsonl : Json.Writer.t -> t -> unit
 
 (** [to_jsonl e] is {!write_jsonl}'s line as a string. *)
 val to_jsonl : t -> string

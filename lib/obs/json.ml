@@ -71,15 +71,73 @@ let at_least_pow10 x j =
 
 let digit n = Char.unsafe_chr (48 + n)
 
-(* The [len] decimal digits of [n] at [b.[pos .. pos + len - 1]]. *)
-let put_digits b pos len n =
-  let n = ref n in
-  for i = pos + len - 1 downto pos do
-    Bytes.unsafe_set b i (digit (!n mod 10));
-    n := !n / 10
-  done
+(* "00" "01" .. "99": two digits per division by 100. *)
+let pairs =
+  String.init 200 (fun i ->
+      digit (if i land 1 = 0 then i / 20 else i / 2 mod 10))
 
-let rec count_digits n = if n < 10 then 1 else 1 + count_digits (n / 10)
+(* Unaligned two-byte loads and stores, inlined by the compiler: a
+   pair of digits moves as one. *)
+external get16 : string -> int -> int = "%caml_string_get16u"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+(* The [len] low decimal digits of [n] at [b.[pos .. pos + len - 1]],
+   with leading zeros when [n] has fewer. *)
+let put_pairs b pos len n =
+  let n = ref n and i = ref (pos + len) in
+  while !i - pos >= 2 do
+    let q = !n / 100 in
+    i := !i - 2;
+    set16 b !i (get16 pairs (2 * (!n - (q * 100))));
+    n := q
+  done;
+  if !i > pos then Bytes.unsafe_set b pos (digit (!n mod 10))
+
+(* Exactly eight digits of [0 <= n < 10^8] at [b.[pos ..]]: the four
+   pairs come from two levels of division rather than a chain of
+   four. *)
+let put8 b pos n =
+  let hi = n / 10000 in
+  let lo = n - (hi * 10000) in
+  let h = hi / 100 and l = lo / 100 in
+  set16 b pos (get16 pairs (2 * h));
+  set16 b (pos + 2) (get16 pairs (2 * (hi - (h * 100))));
+  set16 b (pos + 4) (get16 pairs (2 * l));
+  set16 b (pos + 6) (get16 pairs (2 * (lo - (l * 100))))
+
+(* The same as [put_pairs], eight digits at a time from the right. *)
+let put_digits b pos len n =
+  let n = ref n and len = ref len in
+  while !len > 8 do
+    let q = !n / 100_000_000 in
+    len := !len - 8;
+    put8 b (pos + !len) (!n - (q * 100_000_000));
+    n := q
+  done;
+  put_pairs b pos !len !n
+
+(* Decimal digits of [0 <= n < 10^15]; small numbers, the common case,
+   return after a comparison or two. *)
+let count_digits n =
+  if n < 10 then 1
+  else if n < 100 then 2
+  else if n < 1000 then 3
+  else if n < 10000 then 4
+  else begin
+    let l = ref 5 and p = ref 100_000 in
+    while n >= !p do
+      incr l;
+      p := !p * 10
+    done;
+    !l
+  end
+
+(* [n] copies of [c] at [b.[pos ..]]; [n] is a handful at most, too few
+   to pay for a call into the C runtime. *)
+let put_fill b pos n c =
+  for i = pos to pos + n - 1 do
+    Bytes.unsafe_set b i c
+  done
 
 (* [%.<p>g] of the value [n * 10^(e - p + 1)], where [n] has exactly
    [p] digits and [e] is the decimal exponent: exponent form when
@@ -108,12 +166,16 @@ let put_g b pos n p e =
   else if e >= 0 then
     if l <= e + 1 then begin
       put_digits b pos l n;
-      Bytes.unsafe_fill b (pos + l) (e + 1 - l) '0';
+      put_fill b (pos + l) (e + 1 - l) '0';
       pos + e + 1
     end
     else begin
+      (* The digits go one place right, then the integer part moves
+         back in front of the point. *)
       put_digits b (pos + 1) l n;
-      Bytes.unsafe_blit b (pos + 1) b pos (e + 1);
+      for i = pos to pos + e do
+        Bytes.unsafe_set b i (Bytes.unsafe_get b (i + 1))
+      done;
       Bytes.unsafe_set b (pos + e + 1) '.';
       pos + l + 1
     end
@@ -121,7 +183,7 @@ let put_g b pos n p e =
     let z = -e - 1 in
     Bytes.unsafe_set b pos '0';
     Bytes.unsafe_set b (pos + 1) '.';
-    Bytes.unsafe_fill b (pos + 2) z '0';
+    put_fill b (pos + 2) z '0';
     put_digits b (pos + 2 + z) l n;
     pos + 2 + z + l
   end
@@ -148,14 +210,21 @@ let put_exact b pos x =
     if k < min_exp || k > max_exp then -1
     else begin
       let pos =
-        if Float.sign_bit x then begin
+        if x < 0.0 then begin
           Bytes.unsafe_set b pos '-';
           pos + 1
         end
         else pos
       in
       let s15 = 14 - k in
-      let n15 = scaled x s15 in
+      let n17 = scaled x (s15 + 2) in
+      (* [x] to 15 digits is [n17] to 15 digits, unless [n17] ends in
+         exactly 50: [n17] is within 1/2 of [|x| * 10^(s15 + 2)], so
+         its last two digits decide the rounding of
+         [|x| * 10^s15] on either side of 50. *)
+      let q = n17 / 100 in
+      let r = n17 - (q * 100) in
+      let n15 = if r < 50 then q else if r > 50 then q + 1 else scaled x s15 in
       (* Clinger: [n15 < 2^53] and [10^s15] are exact doubles, so one
          correctly rounded division is what strtod returns for the
          [%.15g] text. *)
@@ -163,17 +232,15 @@ let put_exact b pos x =
         if n15 = 1_000_000_000_000_000 then
           put_g b pos 100_000_000_000_000 15 (k + 1)
         else put_g b pos n15 15 k
-      else
-        let n17 = scaled x (16 - k) in
-        if n17 = 100_000_000_000_000_000 then
-          put_g b pos 10_000_000_000_000_000 17 (k + 1)
-        else put_g b pos n17 17 k
+      else if n17 = 100_000_000_000_000_000 then
+        put_g b pos 10_000_000_000_000_000 17 (k + 1)
+      else put_g b pos n17 17 k
     end
 
 (* Writes [x]'s text at [b.[pos ..]] (at most 24 bytes) and returns its
    length. *)
 let render b pos x =
-  if not (Float.is_finite x) then begin
+  if not (x -. x = 0.0) then begin
     Bytes.blit_string "null" 0 b pos 4;
     4
   end
@@ -181,7 +248,7 @@ let render b pos x =
     let ax = Float.abs x in
     if ax < 1e15 && float_of_int (int_of_float ax) = ax then begin
       let n = int_of_float ax in
-      let sign = if Float.sign_bit x then 1 else 0 in
+      let sign = if x < 0.0 || (x = 0.0 && 1.0 /. x < 0.0) then 1 else 0 in
       if sign = 1 then Bytes.unsafe_set b pos '-';
       let l = count_digits n in
       put_digits b (pos + sign) l n;
@@ -200,113 +267,249 @@ let number_to_string x =
   let b = Bytes.create 24 in
   Bytes.sub_string b 0 (render b 0 x)
 
-(* Two-entry cache of rendered numbers keyed by bit pattern, so [-0.0]
-   and [0.0] stay apart (every NaN still renders as "null").  Slot [i]
-   is [texts.[i * slot .. i * slot + lens.(i) - 1]]; a miss renders
-   straight into the least recently used slot ([victim]) and only then
-   takes its key, so a slot never holds a half-written text.  Both
-   slots start as a real entry (0.0 -> "0"). *)
-let slot = 32
+(* [x] is the cached key [k]: equal, with [0.0] and [-0.0] apart.  A
+   NaN equals nothing, so it never hits and renders "null" afresh.
+   Plain float comparisons, where [Float.sign_bit] and
+   [Int64.bits_of_float] would each be a call into the C runtime. *)
+let[@inline] same (x : float) k = x = k && (x <> 0.0 || 1.0 /. x = 1.0 /. k)
 
-type memo = {
-  keys : Float.Array.t;
-  lens : int array;
-  texts : Bytes.t;
-  mutable victim : int;
-}
-
-let memo () =
-  let texts = Bytes.make (2 * slot) '0' in
-  { keys = Float.Array.make 2 0.0; lens = [| 1; 1 |]; texts; victim = 0 }
-
-let same_bits (a : float) b = Int64.bits_of_float a = Int64.bits_of_float b
-
-let add_number memo buf x =
-  let i =
-    if same_bits x (Float.Array.unsafe_get memo.keys 0) then 0
-    else if same_bits x (Float.Array.unsafe_get memo.keys 1) then 1
-    else begin
-      let i = memo.victim in
-      Array.unsafe_set memo.lens i (render memo.texts (i * slot) x);
-      Float.Array.unsafe_set memo.keys i x;
-      i
-    end
-  in
-  memo.victim <- 1 - i;
-  Buffer.add_subbytes buf memo.texts (i * slot) (Array.unsafe_get memo.lens i)
-
-(* Integers below 1e15 in magnitude print as their digits, exactly as
-   [number_to_string (float_of_int n)] would; larger ones take that
-   float path, rounding included. *)
-let rec add_digits buf n =
-  if n >= 10 then add_digits buf (n / 10);
-  Buffer.add_char buf (digit (n mod 10))
-
-let add_int memo buf n =
-  if n >= 0 && n < 1_000_000_000_000_000 then add_digits buf n
-  else if n < 0 && n > -1_000_000_000_000_000 then begin
-    Buffer.add_char buf '-';
-    add_digits buf (-n)
-  end
-  else add_number memo buf (float_of_int n)
-
-let rec needs_escape s i =
-  i < String.length s
-  && (match String.unsafe_get s i with
-     | '"' | '\\' | '\000' .. '\031' -> true
-     | _ -> needs_escape s (i + 1))
+let[@inline] needs_escape c = c < ' ' || c = '"' || c = '\\'
 
 let hex_digit n = "0123456789abcdef".[n]
 
-let add_string buf s =
-  Buffer.add_char buf '"';
-  if not (needs_escape s 0) then Buffer.add_string buf s
-  else
-    for i = 0 to String.length s - 1 do
-      match String.unsafe_get s i with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf "\\u00";
-        Buffer.add_char buf (hex_digit (Char.code c lsr 4));
-        Buffer.add_char buf (hex_digit (Char.code c land 15))
-      | c -> Buffer.add_char buf c
-    done;
-  Buffer.add_char buf '"'
+(* --- the byte writer ---
 
-let rec write memo buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num x -> add_number memo buf x
-  | Str s -> add_string buf s
-  | List items ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i item ->
-        if i > 0 then Buffer.add_char buf ',';
-        write memo buf item)
-      items;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (name, value) ->
-        if i > 0 then Buffer.add_char buf ',';
-        add_string buf name;
-        Buffer.add_char buf ':';
-        write memo buf value)
-      fields;
-    Buffer.add_char buf '}'
+   Every JSON byte this library produces goes through here: the event
+   encoder in [Event], the JSONL and Chrome sinks and [to_string].  A
+   writer is a [Bytes] buffer and a position, so a write is a capacity
+   check and a few stores, with no [Buffer] call in between; the
+   per-byte primitives stay in this module, where they inline.
+
+   Numbers go through a two-entry cache keyed by value, with [-0.0] and
+   [0.0] apart.
+   Slot [i] is [texts.[i * slot .. i * slot + lens.(i) - 1]]; a miss
+   renders straight into the least recently used slot ([victim]) and
+   only then takes its key, so a slot never holds a half-written text.
+   Both slots start as a real entry (0.0 -> "0"). *)
+
+let slot = 32
+
+(* Unaligned 8-byte loads and stores, inlined by the compiler: a short
+   copy is a few of these rather than a call into the C runtime. *)
+external get64 : string -> int -> int64 = "%caml_string_get64u"
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* [s.[0 .. n - 1]] to [b.[p ..]]: whole words, then one last word
+   ending at [n] that may overlap the one before; byte by byte below a
+   word; memmove above a few words. *)
+let copy_string s b p n =
+  if n > 64 then Bytes.unsafe_blit_string s 0 b p n
+  else if n >= 8 then begin
+    let i = ref 0 in
+    while !i < n - 8 do
+      set64 b (p + !i) (get64 s !i);
+      i := !i + 8
+    done;
+    set64 b (p + n - 8) (get64 s (n - 8))
+  end
+  else
+    for i = 0 to n - 1 do
+      Bytes.unsafe_set b (p + i) (String.unsafe_get s i)
+    done
+
+module Writer = struct
+  type t = {
+    mutable buf : Bytes.t;
+    mutable pos : int;
+    keys : Float.Array.t;
+    lens : int array;
+    texts : Bytes.t;
+    mutable victim : int;
+  }
+
+  let create size =
+    {
+      buf = Bytes.create (max 64 size);
+      pos = 0;
+      keys = Float.Array.make 2 0.0;
+      lens = [| 1; 1 |];
+      texts = Bytes.make (2 * slot) '0';
+      victim = 0;
+    }
+
+  let length w = w.pos
+
+  let clear w = w.pos <- 0
+
+  let contents w = Bytes.sub_string w.buf 0 w.pos
+
+  let output oc w =
+    output oc w.buf 0 w.pos;
+    w.pos <- 0
+
+  (* Doubling, or more for a single write larger than the buffer, such
+     as a round's inputs at thousands of servers. *)
+  let grow w n =
+    let size = max (2 * Bytes.length w.buf) (w.pos + n) in
+    let buf = Bytes.create size in
+    Bytes.unsafe_blit w.buf 0 buf 0 w.pos;
+    w.buf <- buf
+
+  let[@inline] reserve w n = if w.pos + n > Bytes.length w.buf then grow w n
+
+  let char w c =
+    reserve w 1;
+    Bytes.unsafe_set w.buf w.pos c;
+    w.pos <- w.pos + 1
+
+  let literal w s =
+    let n = String.length s in
+    reserve w n;
+    copy_string s w.buf w.pos n;
+    w.pos <- w.pos + n
+
+  let number w x =
+    let i =
+      if same x (Float.Array.unsafe_get w.keys 0) then 0
+      else if same x (Float.Array.unsafe_get w.keys 1) then 1
+      else begin
+        let i = w.victim in
+        Array.unsafe_set w.lens i (render w.texts (i * slot) x);
+        Float.Array.unsafe_set w.keys i x;
+        i
+      end
+    in
+    w.victim <- 1 - i;
+    (* A slot's text is at most 24 bytes: copy three words whatever
+       its length. *)
+    reserve w 24;
+    let src = i * slot and b = w.buf and p = w.pos in
+    set64 b p (bytes_get64 w.texts src);
+    set64 b (p + 8) (bytes_get64 w.texts (src + 8));
+    set64 b (p + 16) (bytes_get64 w.texts (src + 16));
+    w.pos <- p + Array.unsafe_get w.lens i
+
+  (* Integers below 1e15 in magnitude print as their digits, exactly
+     as [number_to_string (float_of_int n)] would; larger ones take
+     that float path, rounding included. *)
+  let int w n =
+    if n > -1_000_000_000_000_000 && n < 1_000_000_000_000_000 then begin
+      let sign = if n < 0 then 1 else 0 in
+      let m = abs n in
+      let l = count_digits m in
+      reserve w (sign + l);
+      if sign = 1 then Bytes.unsafe_set w.buf w.pos '-';
+      put_digits w.buf (w.pos + sign) l m;
+      w.pos <- w.pos + sign + l
+    end
+    else number w (float_of_int n)
+
+  let escape w c =
+    match c with
+    | '"' -> literal w "\\\""
+    | '\\' -> literal w "\\\\"
+    | '\n' -> literal w "\\n"
+    | '\r' -> literal w "\\r"
+    | '\t' -> literal w "\\t"
+    | '\b' -> literal w "\\b"
+    | '\012' -> literal w "\\f"
+    | c ->
+      literal w "\\u00";
+      char w (hex_digit (Char.code c lsr 4));
+      char w (hex_digit (Char.code c land 15))
+
+  (* [s] quoted.  One loop copies the bytes as it scans them and stops
+     at the first that needs an escape; a string without one (every
+     name the simulator emits) never leaves it. *)
+  let string w s =
+    let n = String.length s in
+    reserve w (n + 2);
+    let b = w.buf and p = w.pos + 1 in
+    Bytes.unsafe_set b w.pos '"';
+    let i = ref 0 in
+    while !i < n && not (needs_escape (String.unsafe_get s !i)) do
+      Bytes.unsafe_set b (p + !i) (String.unsafe_get s !i);
+      incr i
+    done;
+    if !i = n then begin
+      Bytes.unsafe_set b (p + n) '"';
+      w.pos <- p + n + 1
+    end
+    else begin
+      w.pos <- p + !i;
+      for j = !i to n - 1 do
+        let c = String.unsafe_get s j in
+        if needs_escape c then escape w c else char w c
+      done;
+      char w '"'
+    end
+
+  (* One object member, with the separator before it, per call: [key]
+     is the literal that precedes the value, e.g. [,"id":], and
+     [absent] the whole member for [None], e.g. [,"parent":null]. *)
+  let int_field w key n =
+    literal w key;
+    int w n
+
+  let number_field w key x =
+    literal w key;
+    number w x
+
+  let string_field w key s =
+    literal w key;
+    string w s
+
+  let opt_int_field w key absent = function
+    | None -> literal w absent
+    | Some n -> int_field w key n
+
+  let opt_string_field w key absent = function
+    | None -> literal w absent
+    | Some s -> string_field w key s
+
+  let rec value w = function
+    | Null -> literal w "null"
+    | Bool b -> literal w (if b then "true" else "false")
+    | Num x -> number w x
+    | Str s -> string w s
+    | List [] -> literal w "[]"
+    | List (item :: items) ->
+      char w '[';
+      value w item;
+      items_after w items;
+      char w ']'
+    | Obj [] -> literal w "{}"
+    | Obj (field :: fields) ->
+      char w '{';
+      member w field;
+      members_after w fields;
+      char w '}'
+
+  and items_after w = function
+    | [] -> ()
+    | item :: items ->
+      char w ',';
+      value w item;
+      items_after w items
+
+  and member w (name, v) =
+    string w name;
+    char w ':';
+    value w v
+
+  and members_after w = function
+    | [] -> ()
+    | field :: fields ->
+      char w ',';
+      member w field;
+      members_after w fields
+end
 
 let to_string v =
-  let buf = Buffer.create 256 in
-  write (memo ()) buf v;
-  Buffer.contents buf
+  let w = Writer.create 256 in
+  Writer.value w v;
+  Writer.contents w
 
 (* --- parser: plain recursive descent over the string --- *)
 

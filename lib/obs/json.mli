@@ -29,30 +29,73 @@ val to_string : t -> string
     [Printf.sprintf]'s. *)
 val number_to_string : float -> string
 
-(** {2 Direct writing}
+(** {2 The byte writer}
 
-    Appending JSON fragments straight into a buffer, byte-identical to
-    the corresponding parts of {!to_string}'s output, for encoders that
-    skip building a {!t}. *)
+    The one encoder behind every JSON byte this library writes:
+    {!to_string}, the event encoder ({!Event.write_jsonl}) and the
+    JSONL and Chrome sinks.  Each call appends a fragment of JSON,
+    byte-identical to the corresponding part of {!to_string}'s
+    output, to a growable byte buffer. *)
+module Writer : sig
+  type json := t
 
-(** A writer's number state: two fixed byte slots caching the last two
-    rendered numbers, keyed by bit pattern.  Not thread-safe: one per
-    writer. *)
-type memo
+  (** A byte buffer, its fill position and a two-slot cache of the
+      last two rendered numbers, keyed by bit pattern.  Not
+      thread-safe: one per producer. *)
+  type t
 
-val memo : unit -> memo
+  (** [create size] starts with room for [size] bytes; the buffer
+      grows as needed, also for a single write larger than it. *)
+  val create : int -> t
 
-(** [add_number memo buf x] appends [number_to_string x].  It
-    allocates nothing unless [x] is outside the exact renderer's range
-    (or [buf] grows). *)
-val add_number : memo -> Buffer.t -> float -> unit
+  (** Bytes written since creation or the last {!clear} or
+      {!output}. *)
+  val length : t -> int
 
-(** [add_int memo buf n] appends [number_to_string (float_of_int n)],
-    without allocating when [|n| < 1e15]. *)
-val add_int : memo -> Buffer.t -> int -> unit
+  (** [clear w] empties the buffer; the number cache is kept. *)
+  val clear : t -> unit
 
-(** [add_string buf s] appends [s] as a quoted, escaped JSON string. *)
-val add_string : Buffer.t -> string -> unit
+  val contents : t -> string
+
+  (** [output oc w] writes the buffered bytes to [oc] and clears. *)
+  val output : out_channel -> t -> unit
+
+  val char : t -> char -> unit
+
+  (** [literal w s] appends [s] as it is: a key, a separator or a
+      whole fixed prefix such as [{"type":"span_end","time":]. *)
+  val literal : t -> string -> unit
+
+  (** [number w x] appends [number_to_string x].  It allocates nothing
+      unless [x] is outside the exact renderer's range or the buffer
+      grows. *)
+  val number : t -> float -> unit
+
+  (** [int w n] appends [number_to_string (float_of_int n)], without
+      allocating when [|n| < 1e15]. *)
+  val int : t -> int -> unit
+
+  (** [string w s] appends [s] as a quoted, escaped JSON string. *)
+  val string : t -> string -> unit
+
+  (** [int_field w key n] is [literal w key; int w n]: one object
+      member with what precedes it, e.g. [key = {|,"id":|}]. *)
+  val int_field : t -> string -> int -> unit
+
+  val number_field : t -> string -> float -> unit
+
+  val string_field : t -> string -> string -> unit
+
+  (** [opt_int_field w key absent o] is [int_field w key n] for
+      [Some n] and [literal w absent] for [None], where [absent] is
+      the whole member, e.g. [{|,"parent":null|}]. *)
+  val opt_int_field : t -> string -> string -> int option -> unit
+
+  val opt_string_field : t -> string -> string -> string option -> unit
+
+  (** [value w v] appends {!to_string}[ v]. *)
+  val value : t -> json -> unit
+end
 
 (** [of_string s] parses one JSON value, requiring only trailing
     whitespace after it. *)

@@ -13,6 +13,8 @@ module Gauge = struct
 
   let set g v = g.value <- v
 
+  let set_int g n = g.value <- float_of_int n
+
   let value g = g.value
 end
 
@@ -21,9 +23,10 @@ module Histogram = struct
     bounds : float array;  (* upper bounds, strictly increasing *)
     counts : int array;  (* length bounds + 1; last is overflow *)
     mutable count : int;
-    mutable sum : float;
-    mutable min_seen : float;
-    mutable max_seen : float;
+    stats : float array;
+        (* [| sum; min_seen; max_seen |]: mutable float fields of this
+           mixed record would box on every store, so [observe] would
+           allocate; array stores are flat *)
   }
 
   let make bounds =
@@ -37,9 +40,7 @@ module Histogram = struct
       bounds = Array.copy bounds;
       counts = Array.make (n + 1) 0;
       count = 0;
-      sum = 0.0;
-      min_seen = infinity;
-      max_seen = neg_infinity;
+      stats = [| 0.0; infinity; neg_infinity |];
     }
 
   (* Index of the first bound >= x, or [n] (overflow). *)
@@ -59,19 +60,23 @@ module Histogram = struct
     let i = bucket_index h x in
     h.counts.(i) <- h.counts.(i) + 1;
     h.count <- h.count + 1;
-    h.sum <- h.sum +. x;
-    if x < h.min_seen then h.min_seen <- x;
-    if x > h.max_seen then h.max_seen <- x
+    h.stats.(0) <- h.stats.(0) +. x;
+    if x < h.stats.(1) then h.stats.(1) <- x;
+    if x > h.stats.(2) then h.stats.(2) <- x
 
   let count h = h.count
 
-  let sum h = h.sum
+  let sum h = h.stats.(0)
 
-  let mean h = if h.count = 0 then 0.0 else h.sum /. float_of_int h.count
+  let min_seen h = h.stats.(1)
 
-  let max_value h = if h.count = 0 then 0.0 else h.max_seen
+  let max_seen h = h.stats.(2)
 
-  let min_value h = if h.count = 0 then 0.0 else h.min_seen
+  let mean h = if h.count = 0 then 0.0 else sum h /. float_of_int h.count
+
+  let max_value h = if h.count = 0 then 0.0 else max_seen h
+
+  let min_value h = if h.count = 0 then 0.0 else min_seen h
 
   let percentile h p =
     if p < 0.0 || p > 100.0 then
@@ -92,7 +97,7 @@ module Histogram = struct
       in
       let i = find 0 0 in
       let estimate =
-        if i >= n then h.max_seen
+        if i >= n then max_seen h
         else begin
           let below = cumulative_before i 0 0 in
           let inside = h.counts.(i) in
@@ -106,7 +111,7 @@ module Histogram = struct
             lo +. ((hi -. lo) *. Float.max 0.0 (Float.min 1.0 fraction))
         end
       in
-      Float.max h.min_seen (Float.min h.max_seen estimate)
+      Float.max (min_seen h) (Float.min (max_seen h) estimate)
     end
 
   let bounds h = Array.copy h.bounds
@@ -114,9 +119,9 @@ module Histogram = struct
   let reset h =
     Array.fill h.counts 0 (Array.length h.counts) 0;
     h.count <- 0;
-    h.sum <- 0.0;
-    h.min_seen <- infinity;
-    h.max_seen <- neg_infinity
+    h.stats.(0) <- 0.0;
+    h.stats.(1) <- infinity;
+    h.stats.(2) <- neg_infinity
 end
 
 let default_latency_bounds =

@@ -32,12 +32,17 @@ module Gauge : sig
 
   val set : g -> float -> unit
 
+  (** [set_int g n] is [set g (float_of_int n)] without boxing the
+      float on the way. *)
+  val set_int : g -> int -> unit
+
   val value : g -> float
 end
 
 module Histogram : sig
   type h
 
+  (** [observe h x] records one value; it allocates nothing. *)
   val observe : h -> float -> unit
 
   val count : h -> int

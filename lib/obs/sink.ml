@@ -7,22 +7,31 @@ type t = {
 let null = { name = "null"; emit = (fun _ -> ()); close = (fun () -> ()) }
 
 module Ring = struct
+  (* Free slots hold [placeholder], so a push stores the event itself
+     rather than an option around it. *)
   type ring = {
-    slots : Event.t option array;
+    slots : Event.t array;
     mutable next : int;  (* insertion index *)
     mutable stored : int;
     mutable dropped : int;
   }
 
+  let placeholder = Event.Invariant_violation { time = 0.0; what = "" }
+
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Sink.Ring.create: capacity must be > 0";
-    { slots = Array.make capacity None; next = 0; stored = 0; dropped = 0 }
+    {
+      slots = Array.make capacity placeholder;
+      next = 0;
+      stored = 0;
+      dropped = 0;
+    }
 
   let push r e =
     let capacity = Array.length r.slots in
     if r.stored = capacity then r.dropped <- r.dropped + 1
     else r.stored <- r.stored + 1;
-    r.slots.(r.next) <- Some e;
+    r.slots.(r.next) <- e;
     r.next <- (r.next + 1) mod capacity
 
   (* Dropped events are silent data loss for forensics; surface the
@@ -46,51 +55,42 @@ module Ring = struct
   let contents r =
     let capacity = Array.length r.slots in
     let oldest = (r.next - r.stored + capacity) mod capacity in
-    List.init r.stored (fun i ->
-        match r.slots.((oldest + i) mod capacity) with
-        | Some e -> e
-        | None -> assert false)
+    List.init r.stored (fun i -> r.slots.((oldest + i) mod capacity))
 
   let clear r =
-    Array.fill r.slots 0 (Array.length r.slots) None;
+    Array.fill r.slots 0 (Array.length r.slots) placeholder;
     r.next <- 0;
     r.stored <- 0;
     r.dropped <- 0
 end
 
-(* Encode each event straight into a buffer and hand whole lines to
-   the channel in ~64 KiB batches: per-event [output_string] calls and
-   per-event strings dominate traced-run wall time, which distorts
+(* Encode each event straight into a byte writer and hand whole lines
+   to the channel in ~64 KiB batches: per-event [output_string] calls
+   and per-event strings dominate traced-run wall time, which distorts
    exactly the timings a trace is meant to capture.  The buffer drains
-   on overflow and on close, so a closed sink has always written every
-   event.  The number memo is this writer's own state: a request's
-   [time] repeats across its span begins and ends, so most
+   once it holds [jsonl_buffer_size] bytes and on close, so a closed
+   sink has always written every event; an event larger than the
+   buffer grows it.  The writer's number cache is this sink's own: a
+   request's [time] repeats across its span begins and ends, so most
    numbers are formatted once. *)
 let jsonl_buffer_size = 65536
 
 let jsonl_writer oc ~close_channel =
   let closed = ref false in
-  let buf = Buffer.create jsonl_buffer_size in
-  (* Passed on as [?memo], so no option is built per event. *)
-  let memo = Some (Json.memo ()) in
-  let drain () =
-    if Buffer.length buf > 0 then begin
-      Buffer.output_buffer oc buf;
-      Buffer.clear buf
-    end
-  in
+  let w = Json.Writer.create jsonl_buffer_size in
   {
     name = "jsonl";
     emit =
       (fun e ->
-        Event.write_jsonl ?memo buf e;
-        Buffer.add_char buf '\n';
-        if Buffer.length buf >= jsonl_buffer_size then drain ());
+        Event.write_jsonl w e;
+        Json.Writer.char w '\n';
+        if Json.Writer.length w >= jsonl_buffer_size then
+          Json.Writer.output oc w);
     close =
       (fun () ->
         if not !closed then begin
           closed := true;
-          drain ();
+          Json.Writer.output oc w;
           if close_channel then close_out oc else flush oc
         end);
   }
@@ -300,9 +300,11 @@ let chrome_writer oc ~close_channel =
   let closed = ref false in
   let first = ref true in
   let named_tids = Hashtbl.create 16 in
+  let w = Json.Writer.create 1024 in
   let write_record j =
-    if !first then first := false else output_string oc ",\n";
-    output_string oc (Json.to_string j)
+    if !first then first := false else Json.Writer.literal w ",\n";
+    Json.Writer.value w j;
+    Json.Writer.output oc w
   in
   let name_tid tid =
     if not (Hashtbl.mem named_tids tid) then begin

@@ -73,11 +73,14 @@ module Sketch = struct
            if ca <> cb then compare cb ca else String.compare ka kb)
 end
 
+(* Busy seconds sit in a one-slot float array: a mutable float field of
+   a mixed record boxes on every store, which made each service start
+   allocate. *)
 type server_state = {
   queue_depth : Desim.Timeseries.t;
   occupancy : Desim.Timeseries.t;  (* service-seconds started per bucket *)
   latency : Desim.Timeseries.t;
-  mutable busy_seconds : float;
+  busy_seconds : float array;
   mutable requests : int;
 }
 
@@ -85,7 +88,7 @@ type server_state = {
    10,000 servers the per-bucket point lists are what blow memory up,
    while two scalars per server stay trivial, so requests and
    utilization remain exact for everybody no matter the cap. *)
-type scalar_state = { mutable s_requests : int; mutable s_busy : float }
+type scalar_state = { mutable s_requests : int; s_busy : float array }
 
 type t = {
   config : config;
@@ -127,23 +130,24 @@ let fresh_state t =
     queue_depth = Desim.Timeseries.create ~interval:t.config.interval;
     occupancy = Desim.Timeseries.create ~interval:t.config.interval;
     latency = Desim.Timeseries.create ~interval:t.config.interval;
-    busy_seconds = 0.0;
+    busy_seconds = [| 0.0 |];
     requests = 0;
   }
 
+(* [Hashtbl.find] rather than [find_opt]: no [Some] per request. *)
 let server_state t server =
-  match Hashtbl.find_opt t.servers server with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.servers server with
+  | s -> s
+  | exception Not_found ->
     let s = fresh_state t in
     Hashtbl.add t.servers server s;
     s
 
 let scalar_state t server =
-  match Hashtbl.find_opt t.scalars server with
-  | Some s -> s
-  | None ->
-    let s = { s_requests = 0; s_busy = 0.0 } in
+  match Hashtbl.find t.scalars server with
+  | s -> s
+  | exception Not_found ->
+    let s = { s_requests = 0; s_busy = [| 0.0 |] } in
     Hashtbl.add t.scalars server s;
     s
 
@@ -202,14 +206,14 @@ let observe_service t ~time ~server ~service =
   match t.config.max_tracked_servers with
   | None ->
     let s = server_state t server in
-    s.busy_seconds <- s.busy_seconds +. service;
+    s.busy_seconds.(0) <- s.busy_seconds.(0) +. service;
     Desim.Timeseries.observe s.occupancy ~time service
   | Some _ ->
     let sc = scalar_state t server in
-    sc.s_busy <- sc.s_busy +. service;
+    sc.s_busy.(0) <- sc.s_busy.(0) +. service;
     (match tracked_state t server ~scalar:sc with
     | Some s ->
-      s.busy_seconds <- s.busy_seconds +. service;
+      s.busy_seconds.(0) <- s.busy_seconds.(0) +. service;
       Desim.Timeseries.observe s.occupancy ~time service
     | None -> ())
 
@@ -260,9 +264,9 @@ let snapshot (t : t) ~until =
           {
             server;
             requests = s.requests;
-            busy_seconds = s.busy_seconds;
+            busy_seconds = s.busy_seconds.(0);
             utilization =
-              (if until > 0.0 then s.busy_seconds /. until else 0.0);
+              (if until > 0.0 then s.busy_seconds.(0) /. until else 0.0);
             queue_depth = Desim.Timeseries.finish s.queue_depth ~until;
             occupancy = Desim.Timeseries.finish s.occupancy ~until;
             latency = Desim.Timeseries.finish s.latency ~until;
@@ -289,8 +293,9 @@ let snapshot (t : t) ~until =
           {
             server;
             requests = sc.s_requests;
-            busy_seconds = sc.s_busy;
-            utilization = (if until > 0.0 then sc.s_busy /. until else 0.0);
+            busy_seconds = sc.s_busy.(0);
+            utilization =
+              (if until > 0.0 then sc.s_busy.(0) /. until else 0.0);
             queue_depth;
             occupancy;
             latency;

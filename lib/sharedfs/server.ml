@@ -62,16 +62,16 @@ let record t ~latency =
   | Some i ->
     Obs.Metrics.Counter.incr i.served;
     Obs.Metrics.Histogram.observe i.latency_hist latency;
-    Obs.Metrics.Gauge.set i.queue_depth
-      (float_of_int (Desim.Station.queue_length t.station))
+    Obs.Metrics.Gauge.set_int i.queue_depth
+      (Desim.Station.queue_length t.station)
 
 (* The queue-depth gauge, set after every submission. *)
 let note_queue_depth t =
   match t.instruments with
   | None -> ()
   | Some i ->
-    Obs.Metrics.Gauge.set i.queue_depth
-      (float_of_int (Desim.Station.queue_length t.station))
+    Obs.Metrics.Gauge.set_int i.queue_depth
+      (Desim.Station.queue_length t.station)
 
 (* No per-request closure: the job's start and completion are reported
    to the station hooks installed by [set_start_hook] and [set_sink],

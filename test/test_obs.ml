@@ -526,11 +526,11 @@ let test_number_exact_table () =
 (* Rendering never allocates: 10k distinct trace-like values (times,
    latencies, negative offsets, a few integers) into a buffer sized up
    front.  A list holds them boxed, as event records do. *)
-let rec add_numbers memo buf = function
+let rec add_numbers w = function
   | [] -> ()
   | x :: rest ->
-    Obs.Json.add_number memo buf x;
-    add_numbers memo buf rest
+    Obs.Json.Writer.number w x;
+    add_numbers w rest
 
 let test_number_render_allocates_nothing () =
   let st = Random.State.make [| 14 |] in
@@ -542,15 +542,14 @@ let test_number_render_allocates_nothing () =
         | 2 -> -.Random.State.float st 1e4
         | _ -> float_of_int i)
   in
-  let memo = Obs.Json.memo () in
-  let buf = Buffer.create (32 * 10_000) in
+  let w = Obs.Json.Writer.create (32 * 10_000) in
   let before = Gc.minor_words () in
-  add_numbers memo buf xs;
+  add_numbers w xs;
   let after = Gc.minor_words () in
   Alcotest.(check (float 0.0)) "minor words" 0.0 (after -. before);
   check_string "same text as the oracle"
     (String.concat "" (List.map Obs_oracle.number_to_string xs))
-    (Buffer.contents buf)
+    (Obs.Json.Writer.contents w)
 
 (* Floats drawn mostly from a small pool, so that sequences repeat a
    value, alternate A/B/A, put -0.0 next to 0.0 and a NaN or infinity
@@ -572,10 +571,11 @@ let float_gen =
             (int_range (-100_000) 100_000) );
       ])
 
-let add_number_text memo x =
-  let buf = Buffer.create 32 in
-  Obs.Json.add_number memo buf x;
-  Buffer.contents buf
+(* One number's text through a writer that keeps its cache. *)
+let add_number_text w x =
+  Obs.Json.Writer.clear w;
+  Obs.Json.Writer.number w x;
+  Obs.Json.Writer.contents w
 
 let prop_memo_sequences =
   QCheck.Test.make ~count:500
@@ -586,18 +586,18 @@ let prop_memo_sequences =
           String.concat "; " (List.map (Printf.sprintf "%h") xs))
         Gen.(list_size (1 -- 30) float_gen))
     (fun xs ->
-      let memo = Obs.Json.memo () in
+      let w = Obs.Json.Writer.create 32 in
       List.for_all
         (fun x ->
-          String.equal (add_number_text memo x) (Obs_oracle.number_to_string x))
+          String.equal (add_number_text w x) (Obs_oracle.number_to_string x))
         xs)
 
 let test_memo_fixed_sequences () =
-  let memo = Obs.Json.memo () in
+  let w = Obs.Json.Writer.create 32 in
   List.iter
     (List.iter (fun x ->
          check_string (Printf.sprintf "%h" x) (Obs_oracle.number_to_string x)
-           (add_number_text memo x)))
+           (add_number_text w x)))
     [
       [ 1.5; 1.5; 1.5 ];
       [ 0.25; 0.75; 0.25; 0.75; 0.125; 0.25 ];
@@ -619,18 +619,18 @@ let test_writer_matches_oracle () =
       check_string (Obs.Event.kind e) (Obs_oracle.event_to_jsonl e)
         (Obs.Event.to_jsonl e))
     sample_events;
-  (* The same samples through one shared memo, as a sink writes them. *)
-  let memo = Some (Obs.Json.memo ()) in
-  let buf = Buffer.create 4096 in
+  (* The same samples through one shared writer, as a sink writes
+     them. *)
+  let w = Obs.Json.Writer.create 4096 in
   List.iter
     (fun e ->
-      Obs.Event.write_jsonl ?memo buf e;
-      Buffer.add_char buf '\n')
+      Obs.Event.write_jsonl w e;
+      Obs.Json.Writer.char w '\n')
     sample_events;
   check_string "one buffer, one memo"
     (String.concat ""
        (List.map (fun e -> Obs_oracle.event_to_jsonl e ^ "\n") sample_events))
-    (Buffer.contents buf)
+    (Obs.Json.Writer.contents w)
 
 (* Random events: strings that need escaping, ids far outside the
    integer fast path, every None/Some combination, memo-heavy floats. *)
@@ -743,12 +743,13 @@ let prop_writer_matches_oracle =
           String.concat "\n" (List.map Obs_oracle.event_to_jsonl es))
         Gen.(list_size (1 -- 12) event_gen))
     (fun events ->
-      let memo = Some (Obs.Json.memo ()) in
+      let w = Obs.Json.Writer.create 256 in
       List.for_all
         (fun e ->
-          let buf = Buffer.create 256 in
-          Obs.Event.write_jsonl ?memo buf e;
-          String.equal (Buffer.contents buf) (Obs_oracle.event_to_jsonl e))
+          Obs.Json.Writer.clear w;
+          Obs.Event.write_jsonl w e;
+          String.equal (Obs.Json.Writer.contents w)
+            (Obs_oracle.event_to_jsonl e))
         events)
 
 (* --- Ring sink --- *)
@@ -833,6 +834,72 @@ let test_jsonl_sink_buffers_until_close () =
       in
       check_int "close drains every buffered event"
         (List.length sample_events) (List.length lines))
+
+(* Random events through [Sink.jsonl_channel] into a file, past the
+   sink's 64 KiB drain threshold several times, with one event (a
+   round's inputs at 3,000 servers) larger than the whole buffer.
+   Before close the file holds whole drained batches and not the
+   rest; after it, exactly the oracle's lines. *)
+let test_jsonl_sink_drains_match_oracle () =
+  let st = Random.State.make [| 24 |] in
+  let random n =
+    List.init n (fun _ -> QCheck.Gen.generate1 ~rand:st event_gen)
+  in
+  let big =
+    Obs.Event.Span_begin
+      {
+        time = 3.5;
+        id = 7;
+        parent = Some 6;
+        name = "tune";
+        cat = "round";
+        server = None;
+        file_set = None;
+        epoch = Some 2;
+        attrs =
+          [
+            Obs.Event.Average 0.0371;
+            Obs.Event.Inputs
+              (List.init 3000 (fun i ->
+                   {
+                     Obs.Event.server = i;
+                     mean_latency = 0.001 *. float_of_int i;
+                     max_latency = 1.0 /. float_of_int (i + 3);
+                     requests = i * 7;
+                     queue_depth = i mod 13;
+                   }));
+          ];
+      }
+  in
+  let events = random 1500 @ [ big ] @ random 1500 in
+  let expected =
+    String.concat ""
+      (List.map (fun e -> Obs_oracle.event_to_jsonl e ^ "\n") events)
+  in
+  check_bool "crosses the drain threshold several times" true
+    (String.length expected > 4 * 65536);
+  check_bool "one event larger than the buffer" true
+    (String.length (Obs_oracle.event_to_jsonl big) > 65536);
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      let sink = Obs.Sink.jsonl_channel oc in
+      List.iter sink.Obs.Sink.emit events;
+      flush oc;
+      let drained = read_file path in
+      check_bool "drained batches reached the file" true
+        (String.length drained > 0);
+      check_bool "the last batch waits for close" true
+        (String.length drained < String.length expected);
+      check_bool "what was drained is a prefix of the oracle" true
+        (String.equal drained
+           (String.sub expected 0 (String.length drained)));
+      sink.Obs.Sink.close ();
+      close_out oc;
+      let written = read_file path in
+      check_int "close writes every event" (String.length expected)
+        (String.length written);
+      check_bool "file equals the oracle's lines" true
+        (String.equal expected written))
 
 (* --- Chrome sink --- *)
 
@@ -951,6 +1018,38 @@ let test_counter_gauge () =
   check_int "reset zeroes counters" 0 (Obs.Metrics.Counter.value c);
   Alcotest.(check (float 0.0))
     "reset zeroes gauges" 0.0 (Obs.Metrics.Gauge.value g)
+
+(* Recording allocates nothing: 10,000 histogram observations of
+   boxed values (a list holds them, as callers' records do) and as
+   many integer gauge sets. *)
+let rec record_all h g i = function
+  | [] -> ()
+  | x :: rest ->
+    Obs.Metrics.Histogram.observe h x;
+    Obs.Metrics.Gauge.set_int g i;
+    record_all h g (i + 1) rest
+
+let test_metrics_allocate_nothing () =
+  let m = Obs.Metrics.create () in
+  let h = Obs.Metrics.histogram m "latency"
+  and g = Obs.Metrics.gauge m "depth" in
+  let xs =
+    List.init 10_000 (fun i -> 1e-5 +. (0.001 *. float_of_int (i mod 997)))
+  in
+  let before = Gc.minor_words () in
+  record_all h g 0 xs;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (after -. before);
+  check_int "every observation counted" 10_000
+    (Obs.Metrics.Histogram.count h);
+  Alcotest.(check (float 1e-9))
+    "sum" (List.fold_left ( +. ) 0.0 xs)
+    (Obs.Metrics.Histogram.sum h);
+  Alcotest.(check (float 0.0))
+    "max" (List.fold_left Float.max 0.0 xs)
+    (Obs.Metrics.Histogram.max_value h);
+  Alcotest.(check (float 0.0))
+    "last gauge set" 9999.0 (Obs.Metrics.Gauge.value g)
 
 (* The histogram estimates percentiles by interpolating within the
    bucket that holds the target rank, so against the exact retained-
@@ -1862,11 +1961,15 @@ let suite =
     Alcotest.test_case "jsonl file sink" `Quick test_jsonl_file_sink;
     Alcotest.test_case "jsonl sink buffers until close" `Quick
       test_jsonl_sink_buffers_until_close;
+    Alcotest.test_case "jsonl sink bytes across drains" `Quick
+      test_jsonl_sink_drains_match_oracle;
     Alcotest.test_case "chrome trace valid json" `Quick
       test_chrome_file_valid_json;
     Alcotest.test_case "chrome empty trace valid" `Quick
       test_chrome_empty_trace_valid;
     Alcotest.test_case "counter and gauge" `Quick test_counter_gauge;
+    Alcotest.test_case "metrics record without allocating" `Quick
+      test_metrics_allocate_nothing;
     Alcotest.test_case "histogram percentiles vs Stat" `Quick
       test_histogram_percentiles_vs_stat;
     Alcotest.test_case "histogram overflow and empty" `Quick

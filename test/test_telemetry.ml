@@ -188,6 +188,27 @@ let test_max_tracked_servers_cap () =
   check_bool "hot newcomer tracked" true (has_series (by_id 2));
   check_bool "coldest server evicted" false (has_series (by_id 0))
 
+(* A service start allocates nothing once its server has state: the
+   time and service arrive boxed, as the cluster passes them. *)
+let test_observe_service_allocates_nothing () =
+  let tl = Obs.Telemetry.create ~interval:60.0 () in
+  let time = Sys.opaque_identity 12.5 and service = Sys.opaque_identity 0.25 in
+  Obs.Telemetry.observe_service tl ~time ~server:3 ~service;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Obs.Telemetry.observe_service tl ~time ~server:3 ~service
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.0))
+    "minor words per call" 0.0
+    ((after -. before) /. 10_000.0);
+  match (Obs.Telemetry.snapshot tl ~until:60.0).servers with
+  | [ s ] ->
+    check_int "server" 3 s.server;
+    Alcotest.(check (float 0.0))
+      "busy seconds" (10_001.0 *. 0.25) s.busy_seconds
+  | servers -> Alcotest.failf "%d servers, expected 1" (List.length servers)
+
 let suite =
   [
     Alcotest.test_case "sketch exact under capacity" `Quick
@@ -201,4 +222,6 @@ let suite =
       test_runner_telemetry_snapshot;
     Alcotest.test_case "telemetry isolated per run" `Quick
       test_runner_telemetry_isolated_per_run;
+    Alcotest.test_case "observe_service allocates nothing" `Quick
+      test_observe_service_allocates_nothing;
   ]
