@@ -132,15 +132,28 @@ let kind = function
 
 module W = Json.Writer
 
-let str = W.string_field
+(* One member each; [key] is the literal that precedes the value, e.g.
+   [,"name":], and [none] the whole member when absent, e.g.
+   [,"server":null]. *)
+let str w key s =
+  W.literal w key;
+  W.string w s
 
-let int = W.int_field
+let int w key n =
+  W.literal w key;
+  W.int w n
 
-let num = W.number_field
+let num w key x =
+  W.literal w key;
+  W.number w x
 
-let opt_int = W.opt_int_field
+let opt_int w key none = function
+  | None -> W.literal w none
+  | Some n -> int w key n
 
-let opt_str = W.opt_string_field
+let opt_str w key none = function
+  | None -> W.literal w none
+  | Some s -> str w key s
 
 let write_change w = function
   | Failed -> W.literal w {|{"change":"failed"}|}

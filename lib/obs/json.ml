@@ -83,7 +83,7 @@ external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 
 (* The [len] low decimal digits of [n] at [b.[pos .. pos + len - 1]],
    with leading zeros when [n] has fewer. *)
-let put_pairs b pos len n =
+let put_digits b pos len n =
   let n = ref n and i = ref (pos + len) in
   while !i - pos >= 2 do
     let q = !n / 100 in
@@ -92,29 +92,6 @@ let put_pairs b pos len n =
     n := q
   done;
   if !i > pos then Bytes.unsafe_set b pos (digit (!n mod 10))
-
-(* Exactly eight digits of [0 <= n < 10^8] at [b.[pos ..]]: the four
-   pairs come from two levels of division rather than a chain of
-   four. *)
-let put8 b pos n =
-  let hi = n / 10000 in
-  let lo = n - (hi * 10000) in
-  let h = hi / 100 and l = lo / 100 in
-  set16 b pos (get16 pairs (2 * h));
-  set16 b (pos + 2) (get16 pairs (2 * (hi - (h * 100))));
-  set16 b (pos + 4) (get16 pairs (2 * l));
-  set16 b (pos + 6) (get16 pairs (2 * (lo - (l * 100))))
-
-(* The same as [put_pairs], eight digits at a time from the right. *)
-let put_digits b pos len n =
-  let n = ref n and len = ref len in
-  while !len > 8 do
-    let q = !n / 100_000_000 in
-    len := !len - 8;
-    put8 b (pos + !len) (!n - (q * 100_000_000));
-    n := q
-  done;
-  put_pairs b pos !len !n
 
 (* Decimal digits of [0 <= n < 10^15]; small numbers, the common case,
    return after a comparison or two. *)
@@ -131,13 +108,6 @@ let count_digits n =
     done;
     !l
   end
-
-(* [n] copies of [c] at [b.[pos ..]]; [n] is a handful at most, too few
-   to pay for a call into the C runtime. *)
-let put_fill b pos n c =
-  for i = pos to pos + n - 1 do
-    Bytes.unsafe_set b i c
-  done
 
 (* [%.<p>g] of the value [n * 10^(e - p + 1)], where [n] has exactly
    [p] digits and [e] is the decimal exponent: exponent form when
@@ -166,16 +136,12 @@ let put_g b pos n p e =
   else if e >= 0 then
     if l <= e + 1 then begin
       put_digits b pos l n;
-      put_fill b (pos + l) (e + 1 - l) '0';
+      Bytes.unsafe_fill b (pos + l) (e + 1 - l) '0';
       pos + e + 1
     end
     else begin
-      (* The digits go one place right, then the integer part moves
-         back in front of the point. *)
       put_digits b (pos + 1) l n;
-      for i = pos to pos + e do
-        Bytes.unsafe_set b i (Bytes.unsafe_get b (i + 1))
-      done;
+      Bytes.unsafe_blit b (pos + 1) b pos (e + 1);
       Bytes.unsafe_set b (pos + e + 1) '.';
       pos + l + 1
     end
@@ -183,7 +149,7 @@ let put_g b pos n p e =
     let z = -e - 1 in
     Bytes.unsafe_set b pos '0';
     Bytes.unsafe_set b (pos + 1) '.';
-    put_fill b (pos + 2) z '0';
+    Bytes.unsafe_fill b (pos + 2) z '0';
     put_digits b (pos + 2 + z) l n;
     pos + 2 + z + l
   end
@@ -210,21 +176,14 @@ let put_exact b pos x =
     if k < min_exp || k > max_exp then -1
     else begin
       let pos =
-        if x < 0.0 then begin
+        if Float.sign_bit x then begin
           Bytes.unsafe_set b pos '-';
           pos + 1
         end
         else pos
       in
       let s15 = 14 - k in
-      let n17 = scaled x (s15 + 2) in
-      (* [x] to 15 digits is [n17] to 15 digits, unless [n17] ends in
-         exactly 50: [n17] is within 1/2 of [|x| * 10^(s15 + 2)], so
-         its last two digits decide the rounding of
-         [|x| * 10^s15] on either side of 50. *)
-      let q = n17 / 100 in
-      let r = n17 - (q * 100) in
-      let n15 = if r < 50 then q else if r > 50 then q + 1 else scaled x s15 in
+      let n15 = scaled x s15 in
       (* Clinger: [n15 < 2^53] and [10^s15] are exact doubles, so one
          correctly rounded division is what strtod returns for the
          [%.15g] text. *)
@@ -232,15 +191,17 @@ let put_exact b pos x =
         if n15 = 1_000_000_000_000_000 then
           put_g b pos 100_000_000_000_000 15 (k + 1)
         else put_g b pos n15 15 k
-      else if n17 = 100_000_000_000_000_000 then
-        put_g b pos 10_000_000_000_000_000 17 (k + 1)
-      else put_g b pos n17 17 k
+      else
+        let n17 = scaled x (16 - k) in
+        if n17 = 100_000_000_000_000_000 then
+          put_g b pos 10_000_000_000_000_000 17 (k + 1)
+        else put_g b pos n17 17 k
     end
 
 (* Writes [x]'s text at [b.[pos ..]] (at most 24 bytes) and returns its
    length. *)
 let render b pos x =
-  if not (x -. x = 0.0) then begin
+  if not (Float.is_finite x) then begin
     Bytes.blit_string "null" 0 b pos 4;
     4
   end
@@ -248,7 +209,7 @@ let render b pos x =
     let ax = Float.abs x in
     if ax < 1e15 && float_of_int (int_of_float ax) = ax then begin
       let n = int_of_float ax in
-      let sign = if x < 0.0 || (x = 0.0 && 1.0 /. x < 0.0) then 1 else 0 in
+      let sign = if Float.sign_bit x then 1 else 0 in
       if sign = 1 then Bytes.unsafe_set b pos '-';
       let l = count_digits n in
       put_digits b (pos + sign) l n;
@@ -267,11 +228,7 @@ let number_to_string x =
   let b = Bytes.create 24 in
   Bytes.sub_string b 0 (render b 0 x)
 
-(* [x] is the cached key [k]: equal, with [0.0] and [-0.0] apart.  A
-   NaN equals nothing, so it never hits and renders "null" afresh.
-   Plain float comparisons, where [Float.sign_bit] and
-   [Int64.bits_of_float] would each be a call into the C runtime. *)
-let[@inline] same (x : float) k = x = k && (x <> 0.0 || 1.0 /. x = 1.0 /. k)
+let same_bits (a : float) b = Int64.bits_of_float a = Int64.bits_of_float b
 
 let[@inline] needs_escape c = c < ' ' || c = '"' || c = '\\'
 
@@ -285,8 +242,8 @@ let hex_digit n = "0123456789abcdef".[n]
    check and a few stores, with no [Buffer] call in between; the
    per-byte primitives stay in this module, where they inline.
 
-   Numbers go through a two-entry cache keyed by value, with [-0.0] and
-   [0.0] apart.
+   Numbers go through a two-entry cache keyed by bit pattern, so
+   [-0.0] and [0.0] stay apart (every NaN still renders as "null").
    Slot [i] is [texts.[i * slot .. i * slot + lens.(i) - 1]]; a miss
    renders straight into the least recently used slot ([victim]) and
    only then takes its key, so a slot never holds a half-written text.
@@ -371,8 +328,8 @@ module Writer = struct
 
   let number w x =
     let i =
-      if same x (Float.Array.unsafe_get w.keys 0) then 0
-      else if same x (Float.Array.unsafe_get w.keys 1) then 1
+      if same_bits x (Float.Array.unsafe_get w.keys 0) then 0
+      else if same_bits x (Float.Array.unsafe_get w.keys 1) then 1
       else begin
         let i = w.victim in
         Array.unsafe_set w.lens i (render w.texts (i * slot) x);
@@ -444,29 +401,6 @@ module Writer = struct
       done;
       char w '"'
     end
-
-  (* One object member, with the separator before it, per call: [key]
-     is the literal that precedes the value, e.g. [,"id":], and
-     [absent] the whole member for [None], e.g. [,"parent":null]. *)
-  let int_field w key n =
-    literal w key;
-    int w n
-
-  let number_field w key x =
-    literal w key;
-    number w x
-
-  let string_field w key s =
-    literal w key;
-    string w s
-
-  let opt_int_field w key absent = function
-    | None -> literal w absent
-    | Some n -> int_field w key n
-
-  let opt_string_field w key absent = function
-    | None -> literal w absent
-    | Some s -> string_field w key s
 
   let rec value w = function
     | Null -> literal w "null"

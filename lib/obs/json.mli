@@ -78,21 +78,6 @@ module Writer : sig
   (** [string w s] appends [s] as a quoted, escaped JSON string. *)
   val string : t -> string -> unit
 
-  (** [int_field w key n] is [literal w key; int w n]: one object
-      member with what precedes it, e.g. [key = {|,"id":|}]. *)
-  val int_field : t -> string -> int -> unit
-
-  val number_field : t -> string -> float -> unit
-
-  val string_field : t -> string -> string -> unit
-
-  (** [opt_int_field w key absent o] is [int_field w key n] for
-      [Some n] and [literal w absent] for [None], where [absent] is
-      the whole member, e.g. [{|,"parent":null|}]. *)
-  val opt_int_field : t -> string -> string -> int option -> unit
-
-  val opt_string_field : t -> string -> string -> string option -> unit
-
   (** [value w v] appends {!to_string}[ v]. *)
   val value : t -> json -> unit
 end
