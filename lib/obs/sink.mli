@@ -45,8 +45,10 @@ end
 (** {2 File writers} *)
 
 (** [jsonl_channel oc] writes one {!Event.write_jsonl} line per event.
-    Lines are batched in a ~64 KiB buffer (per-event syscall flushing
-    distorts traced-run timings); [close] drains the buffer and flushes
+    Lines are batched in a ~64 KiB {!Json.Writer} buffer (per-event
+    syscall flushing distorts traced-run timings), which drains to [oc]
+    once it holds 64 KiB and grows for an event larger than itself;
+    [close] drains the buffer and flushes
     but leaves the channel open (the caller owns it).  An unclosed sink
     may hold buffered events, so always close. *)
 val jsonl_channel : out_channel -> t
