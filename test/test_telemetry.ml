@@ -192,7 +192,8 @@ let test_max_tracked_servers_cap () =
    time and service arrive boxed, as the cluster passes them. *)
 let test_observe_service_allocates_nothing () =
   let tl = Obs.Telemetry.create ~interval:60.0 () in
-  let time = Sys.opaque_identity 12.5 and service = Sys.opaque_identity 0.25 in
+  let time = Sys.opaque_identity 12.5
+  and service = Sys.opaque_identity 0.25 in
   Obs.Telemetry.observe_service tl ~time ~server:3 ~service;
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
