@@ -74,9 +74,13 @@ let four_policies = [ Scenario.Simple_random; Round_robin; Prescient; anu_spec ]
    a domain pool.  [jobs <= 1] (the default) runs serially in this
    domain; either way results come back in spec order and each run is
    single-domain deterministic, so output is bit-identical across
-   [jobs] values. *)
+   [jobs] values.  Traced runs go one after another: they share the
+   sinks, and each numbers its spans from 1. *)
+let fan_out ?(obs = Obs.Ctx.null) ~jobs thunks =
+  Par.Pool.run ~jobs:(if Obs.Ctx.tracing obs then 1 else jobs) thunks
+
 let run_all ?(obs = Obs.Ctx.null) ?(jobs = 1) ~trace specs =
-  Par.Pool.run ~jobs
+  fan_out ~obs ~jobs
     (List.map
        (fun spec () -> Runner.run Scenario.default spec ~trace ~obs ())
        specs)
@@ -167,7 +171,7 @@ let fig11 ?(quick = false) ?jobs ?obs () =
 let ablation_interval ?(quick = false) ?(jobs = 1) ?obs () =
   let trace = synthetic_trace ~quick in
   let results =
-    Par.Pool.run ~jobs
+    fan_out ?obs ~jobs
       (List.map
          (fun interval () ->
            let scenario =
@@ -437,7 +441,7 @@ let scale ?(quick = false) ?jobs ?obs () =
          come in size order — ANU then round-robin at n = 100, 1,000, \
          10,000."
         requests;
-    results = Par.Pool.run ~jobs runs;
+    results = fan_out ?obs ~jobs runs;
   }
 
 let registry =

@@ -11,7 +11,10 @@
     the figure's independent simulations out over that many domains;
     every simulation remains single-domain deterministic and results
     keep their spec order, so the figure is bit-identical for every
-    [jobs] value — only wall-clock time changes. *)
+    [jobs] value — only wall-clock time changes.  When [obs] carries a
+    trace sink the simulations run one after another whatever [jobs]
+    says: each run numbers its spans from 1, so interleaved runs would
+    make the trace depend on [jobs]. *)
 
 type figure = {
   id : string;

@@ -712,6 +712,12 @@ let simulate scenario spec ~stream ~events ~obs ?faults
   Sharedfs.Cluster.clear_sink cluster;
   let end_time = Float.max duration (Desim.Sim.now sim) in
   Obs.Span.end_ obs ~time:end_time ~id:run_span ~name:"run" ~cat:"run" ();
+  (* A JSONL sink may still be encoding the run's events on the helper
+     domain: wait for it, and count the wait as engine time, where the
+     encoding was when it ran inline. *)
+  let drain_start = Desim.Clock.now_ns () in
+  Obs.Ctx.flush obs;
+  let drain_seconds = Desim.Clock.seconds_since drain_start in
   let all_servers = Sharedfs.Cluster.servers cluster in
   let server_series =
     List.map
@@ -769,7 +775,7 @@ let simulate scenario spec ~stream ~events ~obs ?faults
     moves = Sharedfs.Cluster.moves cluster;
     reconfig_rounds = !reconfig_rounds;
     sim_events = profile.Desim.Sim.fired;
-    sim_wall_seconds = profile.Desim.Sim.wall_seconds;
+    sim_wall_seconds = profile.Desim.Sim.wall_seconds +. drain_seconds;
     sim_peak_pending = Desim.Sim.peak_pending sim;
     metrics = Obs.Ctx.snapshot obs;
     telemetry =

@@ -68,7 +68,10 @@ type result = {
   reconfig_rounds : int;
   sim_events : int;  (** engine events fired over the whole run *)
   sim_wall_seconds : float;
-      (** wall-clock seconds the engine spent firing them *)
+      (** wall-clock seconds the engine spent firing them, plus the
+          wait at the run's end for a trace sink to finish encoding
+          its events ({!Obs.Ctx.flush}): encoding that overlaps the
+          engine on a helper domain is thus still counted once *)
   sim_peak_pending : int;
       (** high-water mark of the event heap — O(inflight), independent
           of request count: arrivals never enter the heap *)

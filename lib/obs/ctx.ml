@@ -78,6 +78,11 @@ let emit t e =
       Printexc.raise_with_backtrace ex bt
   end
 
+let flush t =
+  if Array.length t.sinks > 0 then
+    Mutex.protect t.emit_mutex (fun () ->
+        Array.iter (fun (s : Sink.t) -> s.flush ()) t.sinks)
+
 let snapshot t = Option.map Metrics.snapshot t.metrics
 
 let close t = Array.iter (fun (s : Sink.t) -> s.close ()) t.sinks

@@ -48,6 +48,13 @@ val alloc_span : t -> int
     (contexts without sinks never take the lock). *)
 val emit : t -> Event.t -> unit
 
+(** [flush t] calls every sink's [flush], in attachment order, under
+    the emission lock: when it returns, every event emitted before it
+    has been handled (encoded, for a JSONL sink) and no sink keeps the
+    helper domain ({!Par.Helper}) busy.  It re-raises an error a sink's
+    helper met.  The runner flushes at the end of every run. *)
+val flush : t -> unit
+
 (** [snapshot t] is the metrics snapshot, when a registry is
     attached. *)
 val snapshot : t -> Metrics.snapshot option

@@ -1,10 +1,11 @@
 type t = {
   name : string;
   emit : Event.t -> unit;
+  flush : unit -> unit;
   close : unit -> unit;
 }
 
-let null = { name = "null"; emit = (fun _ -> ()); close = (fun () -> ()) }
+let null = { name = "null"; emit = ignore; flush = ignore; close = ignore }
 
 module Ring = struct
   (* Free slots hold [placeholder], so a push stores the event itself
@@ -40,6 +41,7 @@ module Ring = struct
     {
       name = "ring";
       emit = push r;
+      flush = ignore;
       close =
         (fun () ->
           if r.dropped > 0 then
@@ -72,26 +74,202 @@ end
    sink has always written every event; an event larger than the
    buffer grows it.  The writer's number cache is this sink's own: a
    request's [time] repeats across its span begins and ends, so most
-   numbers are formatted once. *)
+   numbers are formatted once.
+
+   The caller encodes the first [inline_events] events after creation
+   or a flush itself, so a run's set-up never wakes the helper domain
+   ([Par.Helper]).  Then it attaches a poller: [emit] stores each event
+   in a ring of [ring_size], and whichever side holds [busy] encodes
+   the next chunk of at most [chunk] events through the same
+   [Event.write_jsonl] — the helper whenever events wait, the caller
+   only when the ring is full, rather than wait for a helper that is
+   slow or not yet running.  [flush] encodes alongside the helper until
+   the ring is empty and the poller has finished.  The writer and the
+   channel belong to the side holding [busy], and to the caller alone
+   while no poller is attached. *)
 let jsonl_buffer_size = 65536
 
+let inline_events = 64
+
+let ring_size = 256 (* a power of two *)
+
+let chunk = 64
+
+(* The caller publishes [pushed] every [batch] events, not every one:
+   the helper polls it while idle, and each store would pull its cache
+   line back across cores. *)
+let batch = 16
+
+type jsonl = {
+  oc : out_channel;
+  w : Json.Writer.t;
+  ring : Event.t array;
+  pushed : int Atomic.t;  (* events stored in the ring and published *)
+  encoded : int Atomic.t;  (* events encoded *)
+  busy : bool Atomic.t;  (* a side is encoding *)
+  release : bool Atomic.t;  (* finish once the ring is empty *)
+  mutable error : (exn * Printexc.raw_backtrace) option;
+      (* an encode or write error, set under [busy], for the caller *)
+  mutable helper : Par.Helper.t option;  (* this and the rest: the caller's *)
+  mutable head : int;  (* events stored, [pushed] or up to [batch] ahead *)
+  mutable room : int;  (* [head] may reach this before [encoded] is read *)
+  mutable inline : int;  (* events encoded on the caller since the last flush *)
+}
+
+let encode s e =
+  Event.write_jsonl s.w e;
+  Json.Writer.char s.w '\n';
+  if Json.Writer.length s.w >= jsonl_buffer_size then
+    Json.Writer.output s.oc s.w
+
+(* Encodes the next chunk; the caller holds [busy].  An error drops the
+   chunk and is kept in [error]; [false] then. *)
+let encode_chunk s =
+  let e0 = Atomic.get s.encoded in
+  let n = min chunk (Atomic.get s.pushed - e0) in
+  let ok =
+    match
+      for i = e0 to e0 + n - 1 do
+        let j = i land (ring_size - 1) in
+        encode s s.ring.(j);
+        s.ring.(j) <- Ring.placeholder
+      done
+    with
+    | () -> true
+    | exception ex ->
+      s.error <- Some (ex, Printexc.get_raw_backtrace ());
+      false
+  in
+  Atomic.set s.encoded (e0 + n);
+  ok
+
+let reraise s =
+  match s.error with
+  | None -> ()
+  | Some (ex, bt) ->
+    s.error <- None;
+    Printexc.raise_with_backtrace ex bt
+
+(* Encodes the next chunk unless no event waits or the other side
+   holds [busy] ([Idle]); [Finished] on an error. *)
+let try_encode s =
+  if
+    Atomic.get s.pushed > Atomic.get s.encoded
+    && Atomic.compare_and_set s.busy false true
+  then begin
+    let ok = encode_chunk s in
+    Atomic.set s.busy false;
+    if ok then Par.Helper.Worked else Par.Helper.Finished
+  end
+  else Par.Helper.Idle
+
+(* [release] is read before [pushed]: the caller sets it after its last
+   store, so a poller that sees it also sees every event.  An error
+   finishes the poller at once; the caller meets it when it finds the
+   poller dropped. *)
+let poll s () =
+  let releasing = Atomic.get s.release in
+  match try_encode s with
+  | Par.Helper.Idle
+    when releasing && Atomic.get s.pushed = Atomic.get s.encoded ->
+    Par.Helper.Finished
+  | status -> status
+
+(* Back to encoding on the caller.  Events an error left in the ring
+   are dropped with it. *)
+let detached s =
+  s.helper <- None;
+  s.inline <- 0;
+  Atomic.set s.release false;
+  Atomic.set s.pushed s.head;
+  Atomic.set s.encoded s.head;
+  reraise s
+
+(* The ring is full as far as the caller knows: publish every event,
+   then encode chunks until a slot is free, unless the helper is. *)
+let make_room s =
+  Atomic.set s.pushed s.head;
+  let spins = ref 0 in
+  while s.head - Atomic.get s.encoded >= ring_size do
+    match try_encode s with
+    | Par.Helper.Worked -> ()
+    | Par.Helper.Finished -> reraise s
+    | Par.Helper.Idle ->
+      Par.Helper.backoff !spins;
+      incr spins
+  done;
+  s.room <- Atomic.get s.encoded + ring_size
+
+let rec emit s e =
+  match s.helper with
+  | Some h when not (Par.Helper.attached h) ->
+    detached s;
+    emit s e
+  | Some _ ->
+    if s.head = s.room then make_room s;
+    s.ring.(s.head land (ring_size - 1)) <- e;
+    s.head <- s.head + 1;
+    if s.head land (batch - 1) = 0 then Atomic.set s.pushed s.head
+  | None ->
+    encode s e;
+    s.inline <- s.inline + 1;
+    if s.inline = inline_events then begin
+      s.room <- s.head + ring_size;
+      s.helper <- Par.Helper.attach (poll s)
+    end
+
+(* Encodes alongside the helper until it has finished; an error met on
+   either side is raised once the helper is released. *)
+let release s =
+  match s.helper with
+  | None -> s.inline <- 0
+  | Some h ->
+    Atomic.set s.pushed s.head;
+    Atomic.set s.release true;
+    let spins = ref 0 in
+    while Par.Helper.attached h do
+      match try_encode s with
+      | Par.Helper.Idle ->
+        Par.Helper.backoff !spins;
+        incr spins
+      | Par.Helper.Worked | Par.Helper.Finished -> ()
+    done;
+    detached s
+
 let jsonl_writer oc ~close_channel =
+  let s =
+    {
+      oc;
+      w = Json.Writer.create jsonl_buffer_size;
+      ring = Array.make ring_size Ring.placeholder;
+      pushed = Atomic.make 0;
+      encoded = Atomic.make 0;
+      busy = Atomic.make false;
+      release = Atomic.make false;
+      error = None;
+      helper = None;
+      head = 0;
+      room = 0;
+      inline = 0;
+    }
+  in
   let closed = ref false in
-  let w = Json.Writer.create jsonl_buffer_size in
   {
     name = "jsonl";
-    emit =
-      (fun e ->
-        Event.write_jsonl w e;
-        Json.Writer.char w '\n';
-        if Json.Writer.length w >= jsonl_buffer_size then
-          Json.Writer.output oc w);
+    emit = emit s;
+    flush = (fun () -> release s);
     close =
       (fun () ->
         if not !closed then begin
           closed := true;
-          Json.Writer.output oc w;
-          if close_channel then close_out oc else flush oc
+          match release s with
+          | () ->
+            Json.Writer.output oc s.w;
+            if close_channel then close_out oc else flush oc
+          | exception ex ->
+            let bt = Printexc.get_raw_backtrace () in
+            if close_channel then close_out_noerr oc;
+            Printexc.raise_with_backtrace ex bt
         end);
   }
 
@@ -319,6 +497,7 @@ let chrome_writer oc ~close_channel =
   output_string oc "[\n";
   {
     name = "chrome";
+    flush = ignore;
     emit =
       (fun e ->
         List.iter

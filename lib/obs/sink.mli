@@ -1,7 +1,8 @@
 (** Pluggable trace sinks.
 
-    A sink is just a pair of closures: [emit] consumes one event,
-    [close] finalizes whatever the sink writes.  Components never see
+    A sink is a few closures: [emit] consumes one event, [flush] waits
+    for work the sink does in the background, [close] finalizes
+    whatever the sink writes.  Components never see
     sinks directly — they emit through {!Ctx} — so any number of sinks
     can observe one run, and attaching none costs a single branch per
     would-be event. *)
@@ -9,6 +10,13 @@
 type t = {
   name : string;
   emit : Event.t -> unit;
+  flush : unit -> unit;
+      (** waits until every event emitted before it has been handled
+          (encoded, for the JSONL sink) and releases the helper domain
+          the sink used, if any.  It does not write buffered bytes out:
+          only [close] promises that.  It re-raises an error the helper
+          met on the sink's behalf.  A no-op for sinks that do all
+          their work in [emit]. *)
   close : unit -> unit;
       (** idempotent; flushes and releases whatever the sink holds *)
 }
@@ -50,7 +58,21 @@ end
     once it holds 64 KiB and grows for an event larger than itself;
     [close] drains the buffer and flushes
     but leaves the channel open (the caller owns it).  An unclosed sink
-    may hold buffered events, so always close. *)
+    may hold buffered events, so always close.
+
+    Where {!Par.Helper} can run, encoding moves to the helper domain
+    after the first 64 events since creation or the last [flush]:
+    [emit] then stores the event in a ring of 256, and the helper
+    encodes the stored events in order, in chunks of at most 64,
+    through the same {!Event.write_jsonl} — the bytes do not depend on
+    which domain encoded them.  An emitter that finds the ring full
+    encodes the next chunk itself rather than wait.  Until [flush] or
+    [close] returns, the helper may be writing to [oc], so the caller
+    must not use [oc] in between.  An encode or write error on the
+    helper is re-raised at the next [emit], [flush] or [close]; the
+    events still in the ring are dropped with it.  Elsewhere (one
+    core, an emitter off the main domain, no domain left to spawn)
+    every event is encoded on the caller. *)
 val jsonl_channel : out_channel -> t
 
 (** [jsonl_file path] opens [path] for writing; [close] closes it. *)

@@ -38,40 +38,19 @@ let make_cols n =
     demand = Array.make n 0.0;
   }
 
-(* Prefetch: a batch cursor run ahead of its consumer on a helper
-   domain, through a ring of [ring_slots] column buffers of [ring_rows]
-   rows each.  The helper fills slots in order and publishes each by
-   bumping [filled]; the consumer copies rows out into the caller's
-   columns and hands a slot back by bumping [freed].  Both sides wait
-   by polling with [Domain.cpu_relax]: the waits are short, and a
-   helper that blocked between slots measured slower than no helper at
-   all (see DESIGN.md section 11). *)
+(* Prefetch: a batch cursor run ahead of its consumer by the shared
+   helper domain ([Par.Helper]), through a ring of [ring_slots] column
+   buffers of [ring_rows] rows each.  Whichever side holds [busy] calls
+   [inner] and fills the next slot: the helper's poller whenever a slot
+   is free, the consumer whenever it finds the ring empty.  So until the
+   helper runs the consumer generates its own rows, and nothing is
+   handed over.  A filled slot is published by bumping [filled]; the
+   consumer copies rows out into the caller's columns and hands the
+   slot back by bumping [freed].  Row data and counts are plain array
+   writes, ordered by those atomics. *)
 let ring_slots = 4 (* a power of two *)
 
 let ring_rows = 256
-
-(* One step of the consumer's wait for a slot, the [n]th in a row.
-   Every 4,096th step (about 0.2 ms, several times what the helper
-   takes to fill a slot) sleeps for 20 µs instead: a consumer that
-   waits that long is most likely sharing its core with the helper,
-   and spinning would hold the core until the scheduler preempted it.
-   The helper itself only polls: a sleeping domain answers the
-   stop-the-world minor collections of the engine's domain late. *)
-let backoff n =
-  if n land 4095 = 4095 then Unix.sleepf 20e-6 else Domain.cpu_relax ()
-
-(* The helper's life, in [ring.state]: spawned, not yet running; running
-   and waiting for the consumer to hand it the cursor; owning the cursor
-   and filling the ring; told to exit.  Only the helper moves
-   [starting] to [waiting]; only the consumer (or its finaliser) moves
-   [waiting] to [handed] and anything to [stopped]. *)
-let starting = 0
-
-let waiting = 1
-
-let handed = 2
-
-let stopped = 3
 
 type ring = {
   slots : cols array;
@@ -79,41 +58,9 @@ type ring = {
   mutable error : (exn * Printexc.raw_backtrace) option;
   filled : int Atomic.t;  (* slots published so far *)
   freed : int Atomic.t;  (* slots handed back so far *)
-  state : int Atomic.t;
+  busy : bool Atomic.t;  (* a side is calling [inner] *)
+  over : bool Atomic.t;  (* [inner] ended or raised, or the cursor was dropped *)
 }
-
-let run_helper ring inner ~backtrace () =
-  Printexc.record_backtrace backtrace;
-  if Atomic.compare_and_set ring.state starting waiting then begin
-    while Atomic.get ring.state = waiting do
-      Domain.cpu_relax ()
-    done;
-    let k = ref 0 in
-    let live = ref (Atomic.get ring.state = handed) in
-    while !live do
-      while
-        !k - Atomic.get ring.freed >= ring_slots
-        && Atomic.get ring.state = handed
-      do
-        Domain.cpu_relax ()
-      done;
-      if Atomic.get ring.state <> handed then live := false
-      else begin
-        let i = !k land (ring_slots - 1) in
-        let n =
-          match inner ring.slots.(i) with
-          | n -> n
-          | exception e ->
-            ring.error <- Some (e, Printexc.get_raw_backtrace ());
-            -1
-        in
-        ring.counts.(i) <- n;
-        incr k;
-        Atomic.set ring.filled !k;
-        live := n > 0
-      end
-    done
-  end
 
 let new_ring () =
   {
@@ -122,18 +69,58 @@ let new_ring () =
     error = None;
     filled = Atomic.make 0;
     freed = Atomic.make 0;
-    state = Atomic.make starting;
+    busy = Atomic.make false;
+    over = Atomic.make false;
   }
 
+(* Fills and publishes the next slot, unless [inner] is over or the
+   ring is full; the caller holds [busy]. *)
+let produce ring inner =
+  let k = Atomic.get ring.filled in
+  if (not (Atomic.get ring.over)) && k - Atomic.get ring.freed < ring_slots
+  then begin
+    let i = k land (ring_slots - 1) in
+    let n =
+      match inner ring.slots.(i) with
+      | n -> n
+      | exception e ->
+        ring.error <- Some (e, Printexc.get_raw_backtrace ());
+        -1
+    in
+    ring.counts.(i) <- n;
+    if n <= 0 then Atomic.set ring.over true;
+    Atomic.set ring.filled (k + 1)
+  end
+
+(* The helper's side: one slot per call while the ring has room. *)
+let poll ring inner () =
+  if Atomic.get ring.over then Par.Helper.Finished
+  else if
+    Atomic.get ring.filled - Atomic.get ring.freed < ring_slots
+    && Atomic.compare_and_set ring.busy false true
+  then begin
+    produce ring inner;
+    Atomic.set ring.busy false;
+    Par.Helper.Worked
+  end
+  else Par.Helper.Idle
+
 (* The consumer's side: [taken] slots handed back, [pos] rows of the
-   current one copied out. *)
-let copy_out ring ~taken ~pos (c : cols) =
+   current one copied out.  An empty ring is filled on the spot unless
+   the helper is already filling it. *)
+let copy_out ring inner ~taken ~pos (c : cols) =
   let k = !taken in
   if !pos = 0 then begin
     let spins = ref 0 in
     while Atomic.get ring.filled <= k do
-      backoff !spins;
-      incr spins
+      if Atomic.compare_and_set ring.busy false true then begin
+        produce ring inner;
+        Atomic.set ring.busy false
+      end
+      else begin
+        Par.Helper.backoff !spins;
+        incr spins
+      end
     done
   end;
   let i = k land (ring_slots - 1) in
@@ -165,67 +152,43 @@ let copy_out ring ~taken ~pos (c : cols) =
     m
   end
 
-(* Where a prefetched cursor stands: generating its own rows, with no
-   helper yet ([Unstarted]) or ever ([Alone]); generating its own rows
-   while its helper starts up ([Starting]); copying rows out of the
-   ring its helper fills ([Handed]). *)
-type phase = Unstarted | Alone | Starting of ring | Handed of ring
+(* Where a prefetched cursor stands: before its first fill
+   ([Unstarted]), generating its own rows with no helper ([Alone]), or
+   sharing a ring with the helper ([Shared]). *)
+type phase = Unstarted | Alone | Shared of ring
 
 let prefetch ~rows inner =
-  if
-    not
-      (Domain.is_main_domain ()
-      && Domain.recommended_domain_count () > 1
-      && rows > ring_slots * ring_rows)
-  then inner
+  if not (Par.Helper.available () && rows > ring_slots * ring_rows) then inner
   else begin
     let phase = ref Unstarted in
     let produced = ref 0 in
     let taken = ref 0 in
     let pos = ref 0 in
-    let stop () =
-      match !phase with
-      | Starting ring -> Atomic.set ring.state stopped
-      | Unstarted | Alone | Handed _ -> ()
-    in
-    let local c =
-      match inner c with
-      | n ->
-        produced := !produced + n;
-        if n = 0 then stop ();
-        n
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        stop ();
-        Printexc.raise_with_backtrace e bt
-    in
-    (* The helper is spawned by the second call, not the first: the
-       first is a run's set-up, and [Domain.spawn] blocks its caller.
-       Until the helper runs, the consumer keeps calling [inner]
-       itself, so the helper's start-up delay stalls nothing. *)
+    (* The helper is attached by the second call, not the first: the
+       first is a run's set-up, and spawning the helper blocks its
+       caller. *)
     let rec fill c =
       match !phase with
-      | Handed ring -> copy_out ring ~taken ~pos c
-      | Starting ring when Atomic.get ring.state = waiting ->
-        Atomic.set ring.state handed;
-        phase := Handed ring;
-        copy_out ring ~taken ~pos c
-      | Starting _ | Alone -> local c
-      | Unstarted when !produced = 0 -> local c
+      | Shared ring -> copy_out ring inner ~taken ~pos c
+      | Alone -> inner c
+      | Unstarted when !produced = 0 ->
+        let n = inner c in
+        produced := n;
+        if n = 0 then phase := Alone;
+        n
       | Unstarted ->
         if rows - !produced <= ring_slots * ring_rows then phase := Alone
         else begin
           let ring = new_ring () in
-          let backtrace = Printexc.backtrace_status () in
-          match Domain.spawn (run_helper ring inner ~backtrace) with
-          | (_ : unit Domain.t) ->
-            phase := Starting ring;
+          match Par.Helper.attach (poll ring inner) with
+          | Some _ ->
+            phase := Shared ring;
             (* A consumer dropped before the end must not leave its
-               helper polling forever. *)
-            Gc.finalise (fun _ -> Atomic.set ring.state stopped) fill
-          | exception Failure _ -> phase := Alone (* out of domains *)
+               poller on the helper. *)
+            Gc.finalise (fun _ -> Atomic.set ring.over true) fill
+          | None -> phase := Alone
         end;
-        local c
+        fill c
     in
     fill
   end

@@ -50,19 +50,22 @@ type batch_cursor = cols -> int
 (** [make_cols n] allocates a column buffer of capacity [n]. *)
 val make_cols : int -> cols
 
-(** [prefetch ~rows inner] is [inner] run ahead of its consumer on a
-    helper domain: the helper fills a small fixed ring of column
-    buffers (4 x 256 rows) and the returned cursor copies rows out of
-    it, on the caller's domain.  It yields exactly the rows of [inner],
-    in order, and re-raises an exception of [inner] with its backtrace.
-    [rows] is the number of rows [inner] yields in all.
+(** [prefetch ~rows inner] is [inner] run ahead of its consumer on the
+    shared helper domain ({!Par.Helper}): the helper fills a small fixed
+    ring of column buffers (4 x 256 rows) and the returned cursor
+    copies rows out of it, on the caller's domain.  It yields exactly
+    the rows of [inner], in order, and re-raises an exception of
+    [inner] with its backtrace.  [rows] is the number of rows [inner]
+    yields in all.
 
-    A helper starts only when the cursor is created on the main domain
-    ([Par.Pool] workers never start one), the host offers more than one
-    core, and more rows remain than the ring holds; otherwise [inner]
-    is returned as is.  The consumer generates rows itself until the
-    helper runs and takes over [inner], so neither spawning nor the
-    helper's start-up delay stalls a call.  The helper exits when
+    The cursor attaches to the helper on its second call (the first is
+    a run's set-up) when more rows remain than the ring holds and
+    {!Par.Helper.available} holds (the main domain of a host with more
+    than one core); otherwise, and when [rows] is that small to begin
+    with, [inner] runs on the caller.  Whichever side finds work calls
+    [inner]: the helper while the ring has a free slot, the consumer
+    when it finds the ring empty, so neither the helper's start-up nor
+    a slow helper stalls a call.  The cursor leaves the helper when
     [inner] is exhausted or raises, or once the cursor is garbage
     collected. *)
 val prefetch : rows:int -> batch_cursor -> batch_cursor

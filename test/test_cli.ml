@@ -84,10 +84,35 @@ let test_unwritable_outputs_rejected () =
           [ "trace"; "--out"; bad "trace.txt" ];
         ])
 
+(* Traced runs of a figure share one sink, so [--jobs] must not change
+   the trace: the JSONL files of [--jobs 2] and [--jobs 1] are
+   byte-equal. *)
+let test_jobs_trace_identical () =
+  let trace jobs =
+    let path = Filename.temp_file "cli_test" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let status, stderr =
+          run_cli
+            [ "run"; "fig6"; "--quick"; "--jobs"; string_of_int jobs;
+              "--trace-jsonl"; path ]
+        in
+        check_bool (Printf.sprintf "--jobs %d: exit 0 (%s)" jobs stderr) true
+          (status = 0);
+        read_file path)
+  in
+  let serial = trace 1 in
+  check_bool "a non-empty trace" true (String.length serial > 0);
+  check_bool "--jobs 2 trace == --jobs 1 trace" true
+    (String.equal serial (trace 2))
+
 let suite =
   [
     Alcotest.test_case "non-positive --jobs and --requests rejected" `Quick
       test_non_positive_counts_rejected;
     Alcotest.test_case "unwritable output paths rejected" `Quick
       test_unwritable_outputs_rejected;
+    Alcotest.test_case "--jobs leaves the trace unchanged" `Quick
+      test_jobs_trace_identical;
   ]

@@ -725,6 +725,7 @@ let round_record ?faults () =
           | Obs.Event.Rehash_round _ ->
             kept := e :: !kept
           | _ -> ());
+      flush = ignore;
       close = ignore;
     }
   in

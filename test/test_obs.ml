@@ -838,8 +838,8 @@ let test_jsonl_sink_buffers_until_close () =
 (* Random events through [Sink.jsonl_channel] into a file, past the
    sink's 64 KiB drain threshold several times, with one event (a
    round's inputs at 3,000 servers) larger than the whole buffer.
-   Before close the file holds whole drained batches and not the
-   rest; after it, exactly the oracle's lines. *)
+   After a flush the file holds whole drained batches and not the
+   rest; after close, exactly the oracle's lines. *)
 let test_jsonl_sink_drains_match_oracle () =
   let st = Random.State.make [| 24 |] in
   let random n =
@@ -884,6 +884,9 @@ let test_jsonl_sink_drains_match_oracle () =
       let oc = open_out_bin path in
       let sink = Obs.Sink.jsonl_channel oc in
       List.iter sink.Obs.Sink.emit events;
+      (* Until [flush] returns the helper may still be encoding, and
+         what has reached the file depends on how far it got. *)
+      sink.Obs.Sink.flush ();
       flush oc;
       let drained = read_file path in
       check_bool "drained batches reached the file" true
@@ -900,6 +903,163 @@ let test_jsonl_sink_drains_match_oracle () =
         (String.length written);
       check_bool "file equals the oracle's lines" true
         (String.equal expected written))
+
+(* Whether [cond] holds within [limit] seconds. *)
+let eventually ?(limit = 5.0) cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < limit do
+    Unix.sleepf 1e-4
+  done;
+  cond ()
+
+(* A poller of an earlier test (a prefetch cursor not yet collected)
+   leaves the helper once its owner is collected. *)
+let quiesce () =
+  Gc.full_major ();
+  Gc.full_major ();
+  check_bool "no helper left by earlier tests" true
+    (eventually (fun () -> not (Par.Helper.running ())))
+
+(* A round's tune span at [servers] servers: one line of about 95
+   bytes per server. *)
+let tune_span ~servers =
+  Obs.Event.Span_begin
+    {
+      time = 3.5;
+      id = 7;
+      parent = Some 6;
+      name = "tune";
+      cat = "round";
+      server = None;
+      file_set = None;
+      epoch = Some 2;
+      attrs =
+        [
+          Obs.Event.Inputs
+            (List.init servers (fun i ->
+                 {
+                   Obs.Event.server = i;
+                   mean_latency = 0.001 *. float_of_int i;
+                   max_latency = 1.0 /. float_of_int (i + 3);
+                   requests = i * 7;
+                   queue_depth = i mod 13;
+                 }));
+        ];
+    }
+
+(* Many times the helper's ring, with a tune event larger than the
+   writer's buffer in the middle, through the helper where a spare
+   core allows one: the helper runs until the flush and no longer,
+   and the bytes are the oracle's. *)
+let test_jsonl_sink_helper_path () =
+  quiesce ();
+  let st = Random.State.make [| 25 |] in
+  let random n =
+    List.init n (fun _ -> QCheck.Gen.generate1 ~rand:st event_gen)
+  in
+  let big = tune_span ~servers:1_000 in
+  check_bool "one event larger than the buffer" true
+    (String.length (Obs_oracle.event_to_jsonl big) > 65536);
+  let events = random 2_000 @ [ big ] @ random 2_000 in
+  let after = random 10 in
+  let expected =
+    String.concat ""
+      (List.map
+         (fun e -> Obs_oracle.event_to_jsonl e ^ "\n")
+         (events @ after))
+  in
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      let sink = Obs.Sink.jsonl_channel oc in
+      List.iter sink.Obs.Sink.emit events;
+      check_bool "the helper runs where it can" (Par.Helper.available ())
+        (Par.Helper.running ());
+      sink.Obs.Sink.flush ();
+      check_bool "the flush released the helper" false
+        (Par.Helper.running ());
+      (* Set-up again: a flushed sink encodes on the caller until its
+         next 64 events. *)
+      List.iter sink.Obs.Sink.emit after;
+      check_bool "no helper for the first events after a flush" false
+        (Par.Helper.running ());
+      sink.Obs.Sink.close ();
+      close_out oc;
+      check_bool "file equals the oracle's lines" true
+        (String.equal expected (read_file path)))
+
+(* The channel closed under a sink whose helper still has events to
+   write: the write error reaches the emitter, at an emit, the flush or
+   the close, and nothing hangs. *)
+let test_jsonl_sink_helper_error () =
+  quiesce ();
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      let sink = Obs.Sink.jsonl_channel oc in
+      let raised = ref 0 in
+      let call f = try f () with Sys_error _ -> incr raised in
+      for _ = 1 to 64 do
+        sink.Obs.Sink.emit (tune_span ~servers:1)
+      done;
+      close_out oc;
+      (* More than the 64 KiB buffer, in fewer events than the ring
+         holds, so the helper drains to the closed channel. *)
+      for _ = 1 to 4 do
+        call (fun () -> sink.Obs.Sink.emit (tune_span ~servers:300))
+      done;
+      if Par.Helper.available () then Unix.sleepf 0.05;
+      call sink.Obs.Sink.flush;
+      check_bool "the write error reached the emitter" true (!raised > 0);
+      check_bool "no helper left running" false (Par.Helper.running ());
+      call sink.Obs.Sink.close;
+      call sink.Obs.Sink.close)
+
+(* Two domains emit through one shared context while the main domain's
+   helper encodes: every line parses, and each emitter's events are all
+   there, in its own order. *)
+let test_jsonl_sink_two_emitters () =
+  quiesce ();
+  let per_domain = 3_000 in
+  let mark who i =
+    Obs.Event.Rehash_round
+      { time = float_of_int i; trigger = who; checked = i; moved = 0 }
+  in
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      let ctx = Obs.Ctx.create ~sinks:[ Obs.Sink.jsonl_channel oc ] () in
+      for i = 1 to 100 do
+        Obs.Ctx.emit ctx (mark "main" i)
+      done;
+      let emitter who =
+        Domain.spawn (fun () ->
+            for i = 1 to per_domain do
+              Obs.Ctx.emit ctx (mark who i)
+            done)
+      in
+      let a = emitter "a" and b = emitter "b" in
+      Domain.join a;
+      Domain.join b;
+      Obs.Ctx.flush ctx;
+      check_bool "no helper after the flush" false (Par.Helper.running ());
+      Obs.Ctx.close ctx;
+      close_out oc;
+      let seen = Hashtbl.create 3 in
+      List.iter
+        (fun line ->
+          if line <> "" then
+            match Obs.Event.of_jsonl line with
+            | Ok (Obs.Event.Rehash_round { trigger; checked; _ }) ->
+              let last = Option.value ~default:0 (Hashtbl.find_opt seen trigger) in
+              if checked <> last + 1 then
+                Alcotest.failf "%s: event %d after %d" trigger checked last;
+              Hashtbl.replace seen trigger checked
+            | Ok _ -> Alcotest.fail "an event nobody emitted"
+            | Error err -> Alcotest.failf "line failed to parse: %s" err)
+        (String.split_on_char '\n' (read_file path));
+      List.iter
+        (fun (who, n) ->
+          check_int (who ^ ": every event") n
+            (Option.value ~default:0 (Hashtbl.find_opt seen who)))
+        [ ("main", 100); ("a", per_domain); ("b", per_domain) ])
 
 (* --- Chrome sink --- *)
 
@@ -1963,6 +2123,12 @@ let suite =
       test_jsonl_sink_buffers_until_close;
     Alcotest.test_case "jsonl sink bytes across drains" `Quick
       test_jsonl_sink_drains_match_oracle;
+    Alcotest.test_case "jsonl sink: helper path bytes and lifetime" `Quick
+      test_jsonl_sink_helper_path;
+    Alcotest.test_case "jsonl sink: helper write error reaches emitter"
+      `Quick test_jsonl_sink_helper_error;
+    Alcotest.test_case "jsonl sink: two emitting domains" `Quick
+      test_jsonl_sink_two_emitters;
     Alcotest.test_case "chrome trace valid json" `Quick
       test_chrome_file_valid_json;
     Alcotest.test_case "chrome empty trace valid" `Quick

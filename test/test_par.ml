@@ -88,10 +88,10 @@ let test_parallel_figure_matches_serial () =
   check_bool "identical results" true (a = b)
 
 (* Same contract with the full observability pipeline attached: span
-   tracing and telemetry must not perturb the simulations under
-   fan-out (each run gets an isolated registry and span counter; only
-   sink interleaving may differ, and that is not part of the
-   results). *)
+   tracing and telemetry must not perturb the simulations (each run
+   gets an isolated registry and span counter).  Traced runs share the
+   sinks, so they run one after another whatever [jobs] says, and the
+   traces are identical too. *)
 let test_parallel_traced_matches_serial () =
   let build = Option.get (Experiments.Figures.by_id "fig6") in
   let run jobs =
@@ -101,10 +101,11 @@ let test_parallel_traced_matches_serial () =
         ~sinks:[ Obs.Sink.Ring.sink ring ]
         ~telemetry:(Obs.Telemetry.create ()) ()
     in
-    build ~quick:true ~jobs ~obs ()
+    (build ~quick:true ~jobs ~obs (), Obs.Sink.Ring.contents ring)
   in
-  let serial = run 1 in
-  let parallel = run 3 in
+  let serial, serial_trace = run 1 in
+  let parallel, parallel_trace = run 3 in
+  check_bool "identical traces" true (serial_trace = parallel_trace);
   let a = List.map comparable serial.Experiments.Figures.results in
   let b = List.map comparable parallel.Experiments.Figures.results in
   check_int "same run count" (List.length a) (List.length b);
@@ -115,6 +116,114 @@ let test_parallel_traced_matches_serial () =
       check_bool "identical telemetry snapshots" true
         (r1.telemetry = r2.telemetry))
     serial.Experiments.Figures.results parallel.Experiments.Figures.results
+
+(* --- Par.Helper --- *)
+
+(* Whether [cond] holds within [limit] seconds. *)
+let eventually ?(limit = 5.0) cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < limit do
+    Unix.sleepf 1e-4
+  done;
+  cond ()
+
+(* A poller of an earlier test (a prefetch cursor not yet collected)
+   leaves the helper once its owner is collected. *)
+let quiesce () =
+  Gc.full_major ();
+  Gc.full_major ();
+  check_bool "no helper left by earlier tests" true
+    (eventually (fun () -> not (Par.Helper.running ())))
+
+(* A poller that finishes once told to, and counts the calls it gets
+   after it finished. *)
+type probe = {
+  stop : bool Atomic.t;
+  calls : int Atomic.t;
+  late : int Atomic.t;
+  mutable reg : Par.Helper.t option;
+}
+
+let probe () =
+  let p =
+    {
+      stop = Atomic.make false;
+      calls = Atomic.make 0;
+      late = Atomic.make 0;
+      reg = None;
+    }
+  in
+  let finished = Atomic.make false in
+  let poll () =
+    if Atomic.get finished then begin
+      Atomic.incr p.late;
+      Par.Helper.Idle
+    end
+    else begin
+      Atomic.incr p.calls;
+      if Atomic.get p.stop then begin
+        Atomic.set finished true;
+        Par.Helper.Finished
+      end
+      else Par.Helper.Idle
+    end
+  in
+  p.reg <- Par.Helper.attach poll;
+  p
+
+(* Pollers attached and finished in random interleavings: the helper
+   runs exactly while one is attached, a finished poller is never
+   called again, and once none remains no helper is left running. *)
+let test_helper_lifecycle () =
+  quiesce ();
+  if not (Par.Helper.available ()) then begin
+    check_bool "no helper without a spare core" true
+      ((probe ()).reg = None);
+    check_bool "nothing runs" false (Par.Helper.running ())
+  end
+  else
+    for seed = 1 to 20 do
+      let st = Random.State.make [| seed |] in
+      let to_attach = ref (1 + Random.State.int st 6) in
+      let live = ref [] and all = ref [] in
+      while !to_attach > 0 || !live <> [] do
+        if !live = [] || (!to_attach > 0 && Random.State.bool st) then begin
+          let p = probe () in
+          check_bool "attached" true (p.reg <> None);
+          live := p :: !live;
+          all := p :: !all;
+          decr to_attach
+        end
+        else begin
+          let i = Random.State.int st (List.length !live) in
+          let p = List.nth !live i in
+          live := List.filter (fun q -> q != p) !live;
+          Atomic.set p.stop true;
+          let reg = Option.get p.reg in
+          check_bool "dropped after finishing" true
+            (eventually (fun () -> not (Par.Helper.attached reg)));
+          check_bool
+            (Printf.sprintf "seed %d: running while pollers remain" seed)
+            (!live <> []) (Par.Helper.running ())
+        end
+      done;
+      List.iter
+        (fun p ->
+          check_bool "called" true (Atomic.get p.calls > 0);
+          check_int "never called after finishing" 0 (Atomic.get p.late))
+        !all
+    done;
+  check_bool "a domain still spawns" true
+    (Domain.join (Domain.spawn (fun () -> true)))
+
+let test_helper_gated_off_main () =
+  let off_main =
+    Domain.join
+      (Domain.spawn (fun () ->
+           (Par.Helper.available (), Par.Helper.attach (fun () -> Par.Helper.Finished))))
+  in
+  check_bool "not available off the main domain" false (fst off_main);
+  check_bool "attach refused off the main domain" true (snd off_main = None)
 
 let suite =
   [
@@ -130,4 +239,8 @@ let suite =
       test_parallel_figure_matches_serial;
     Alcotest.test_case "parallel figure == serial under tracing" `Slow
       test_parallel_traced_matches_serial;
+    Alcotest.test_case "helper runs exactly while pollers remain" `Quick
+      test_helper_lifecycle;
+    Alcotest.test_case "helper refused off the main domain" `Quick
+      test_helper_gated_off_main;
   ]

@@ -373,8 +373,9 @@ let dfs_rows requests =
   Dfs_like.stream { Dfs_like.default_config with requests; duration = 600.0 }
 
 (* Every row a batch cursor writes through columns of capacity [cap],
-   in order.  After the second call — the one that starts a helper —
-   the drain pauses, so the helper is up and takes the cursor over. *)
+   in order.  After the second call — the one that attaches the
+   cursor's poller to the helper — the drain pauses, so the helper is
+   up and fills the ring. *)
 let drain_rows ?(pause = 0.02) cap (b : Stream.batch_cursor) =
   let c = Stream.make_cols cap in
   let rows = ref [] and calls = ref 0 in
@@ -478,8 +479,8 @@ let test_prefetch_reraises () =
 let spec = Experiments.Scenario.Anu Placement.Anu.default_config
 
 (* More abandoned cursors than OCaml allows domains at once (128): each
-   started helper must exit once its cursor is collected, so domains
-   and full runs still work afterwards. *)
+   cursor's poller must leave the helper once the cursor is collected,
+   so domains and full runs still work afterwards. *)
 let test_prefetch_abandoned_helpers_exit () =
   let stream = dfs_rows 20_000 in
   let c = Stream.make_cols 64 in
@@ -495,6 +496,41 @@ let test_prefetch_abandoned_helpers_exit () =
     (Domain.join (Domain.spawn (fun () -> 7)));
   let r =
     Experiments.Runner.run_stream Experiments.Scenario.default spec ~stream ()
+  in
+  check_int "a full run completes" 20_000 r.completed
+
+(* Whether [cond] holds within [limit] seconds. *)
+let eventually ?(limit = 5.0) cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < limit do
+    Unix.sleepf 1e-4
+  done;
+  cond ()
+
+(* Two hundred traced runs, each with its own JSONL sink, closed after
+   the run: the helper that generated a run's arrivals and encoded its
+   trace stops with it, so domains and full runs still work
+   afterwards. *)
+let test_traced_runs_release_helper () =
+  let stream = dfs_rows 2_000 in
+  let devnull = open_out_bin "/dev/null" in
+  for _ = 1 to 200 do
+    let obs = Obs.Ctx.create ~sinks:[ Obs.Sink.jsonl_channel devnull ] () in
+    let r =
+      Experiments.Runner.run_stream Experiments.Scenario.default spec ~stream
+        ~obs ()
+    in
+    Obs.Ctx.close obs;
+    check_int "every request completes" 2_000 r.completed;
+    if not (eventually (fun () -> not (Par.Helper.running ()))) then
+      Alcotest.fail "a helper outlived its run"
+  done;
+  close_out devnull;
+  check_int "a domain still spawns" 7
+    (Domain.join (Domain.spawn (fun () -> 7)));
+  let r =
+    Experiments.Runner.run_stream Experiments.Scenario.default spec
+      ~stream:(dfs_rows 20_000) ()
   in
   check_int "a full run completes" 20_000 r.completed
 
@@ -561,6 +597,8 @@ let suite =
       test_prefetch_reraises;
     Alcotest.test_case "abandoned prefetch helpers exit" `Quick
       test_prefetch_abandoned_helpers_exit;
+    Alcotest.test_case "traced runs release the helper" `Quick
+      test_traced_runs_release_helper;
     Alcotest.test_case "prefetched run == plain run" `Quick
       test_prefetched_run_matches_plain;
     QCheck_alcotest.to_alcotest prop_streamed_equals_materialized;
