@@ -219,7 +219,10 @@ let rec emit s e =
     end
 
 (* Encodes alongside the helper until it has finished; an error met on
-   either side is raised once the helper is released. *)
+   either side is raised once the helper is released.  When that left
+   the helper idle, its domain's exit is awaited here: the runner counts
+   the flush as engine time, and the exit would otherwise land in the
+   work after the run. *)
 let release s =
   match s.helper with
   | None -> s.inline <- 0
@@ -234,6 +237,7 @@ let release s =
         incr spins
       | Par.Helper.Worked | Par.Helper.Finished -> ()
     done;
+    Par.Helper.await_exit ();
     detached s
 
 let jsonl_writer oc ~close_channel =

@@ -31,9 +31,7 @@ let without p ps =
 
 (* Drops a finished poller; [true] when it was the last, and the helper
    is then no longer [running].  [live] is cleared only after that, so
-   an owner that sees its poller dropped also sees the helper stopped.
-   The stopped domain is joined by the next [attach]: joining it here
-   would make the owner wait out the domain's exit, about 0.3 ms. *)
+   an owner that sees its poller dropped also sees the helper stopped. *)
 let drop p =
   Mutex.lock lock;
   let ps = without p (Atomic.get pollers) in
@@ -63,6 +61,19 @@ let helper () =
     if !continue && not !worked then Domain.cpu_relax ()
   done
 
+(* Joins the last helper once it has stopped; the caller holds [lock].
+   A stopped helper takes the lock no more, so this cannot wait on it. *)
+let join_stopped () =
+  if not (Atomic.get running_) then begin
+    Option.iter Domain.join !last;
+    last := None
+  end
+
+let await_exit () =
+  Mutex.lock lock;
+  join_stopped ();
+  Mutex.unlock lock
+
 let attach poll =
   if not (available ()) then None
   else begin
@@ -73,8 +84,7 @@ let attach poll =
     let started =
       Atomic.get running_
       ||
-      (Option.iter Domain.join !last;
-       last := None;
+      (join_stopped ();
        match Domain.spawn helper with
        | d ->
          last := Some d;
