@@ -76,17 +76,14 @@ end
    request's [time] repeats across its span begins and ends, so most
    numbers are formatted once.
 
-   The caller encodes the first [inline_events] events after creation
-   or a flush itself, so a run's set-up never wakes the helper domain
-   ([Par.Helper]).  Then it attaches a poller: [emit] stores each event
-   in a ring of [ring_size], and whichever side holds [busy] encodes
-   the next chunk of at most [chunk] events through the same
-   [Event.write_jsonl] — the helper whenever events wait, the caller
-   only when the ring is full, rather than wait for a helper that is
-   slow or not yet running.  [flush] encodes alongside the helper until
-   the ring is empty and the poller has finished.  The writer and the
-   channel belong to the side holding [busy], and to the caller alone
-   while no poller is attached. *)
+   Encoding moves to the helper domain ([Par.Helper], DESIGN.md section
+   11) after the first [inline_events] events since creation or a
+   flush, so a run's set-up never wakes it.  [emit] then stores the
+   event in a ring, and whichever side holds [busy] encodes the next
+   chunk: the helper whenever events wait, the caller only when the
+   ring is full, rather than wait for a helper that is slow or not yet
+   running.  The writer and the channel belong to the side holding
+   [busy], and to the caller while no poller is attached. *)
 let jsonl_buffer_size = 65536
 
 let inline_events = 64
@@ -113,7 +110,7 @@ type jsonl = {
   mutable helper : Par.Helper.t option;  (* this and the rest: the caller's *)
   mutable head : int;  (* events stored, [pushed] or up to [batch] ahead *)
   mutable room : int;  (* [head] may reach this before [encoded] is read *)
-  mutable inline : int;  (* events encoded on the caller since the last flush *)
+  mutable inline : int;  (* events encoded here since the last flush *)
 }
 
 let encode s e =
@@ -123,11 +120,11 @@ let encode s e =
     Json.Writer.output s.oc s.w
 
 (* Encodes the next chunk; the caller holds [busy].  An error drops the
-   chunk and is kept in [error]; [false] then. *)
+   chunk and is kept in [error]: [Finished] then. *)
 let encode_chunk s =
   let e0 = Atomic.get s.encoded in
   let n = min chunk (Atomic.get s.pushed - e0) in
-  let ok =
+  let status =
     match
       for i = e0 to e0 + n - 1 do
         let j = i land (ring_size - 1) in
@@ -135,13 +132,13 @@ let encode_chunk s =
         s.ring.(j) <- Ring.placeholder
       done
     with
-    | () -> true
+    | () -> Par.Helper.Worked
     | exception ex ->
       s.error <- Some (ex, Printexc.get_raw_backtrace ());
-      false
+      Par.Helper.Finished
   in
   Atomic.set s.encoded (e0 + n);
-  ok
+  status
 
 let reraise s =
   match s.error with
@@ -157,9 +154,9 @@ let try_encode s =
     Atomic.get s.pushed > Atomic.get s.encoded
     && Atomic.compare_and_set s.busy false true
   then begin
-    let ok = encode_chunk s in
+    let status = encode_chunk s in
     Atomic.set s.busy false;
-    if ok then Par.Helper.Worked else Par.Helper.Finished
+    status
   end
   else Par.Helper.Idle
 

@@ -74,6 +74,16 @@ let await_exit () =
   join_stopped ();
   Mutex.unlock lock
 
+(* Starts a helper; the caller holds [lock]. *)
+let spawn () =
+  join_stopped ();
+  match Domain.spawn helper with
+  | d ->
+    last := Some d;
+    Atomic.set running_ true;
+    true
+  | exception Failure _ -> false (* out of domains *)
+
 let attach poll =
   if not (available ()) then None
   else begin
@@ -81,17 +91,7 @@ let attach poll =
     Mutex.lock lock;
     let before = Atomic.get pollers in
     Atomic.set pollers (Array.append before [| p |]);
-    let started =
-      Atomic.get running_
-      ||
-      (join_stopped ();
-       match Domain.spawn helper with
-       | d ->
-         last := Some d;
-         Atomic.set running_ true;
-         true
-       | exception Failure _ -> false (* out of domains *))
-    in
+    let started = Atomic.get running_ || spawn () in
     if not started then Atomic.set pollers before;
     Mutex.unlock lock;
     if started then Some p else None

@@ -59,7 +59,7 @@ type ring = {
   filled : int Atomic.t;  (* slots published so far *)
   freed : int Atomic.t;  (* slots handed back so far *)
   busy : bool Atomic.t;  (* a side is calling [inner] *)
-  over : bool Atomic.t;  (* [inner] ended or raised, or the cursor was dropped *)
+  over : bool Atomic.t;  (* [inner] ended or raised, or the cursor is gone *)
 }
 
 let new_ring () =

@@ -1048,7 +1048,9 @@ let test_jsonl_sink_two_emitters () =
           if line <> "" then
             match Obs.Event.of_jsonl line with
             | Ok (Obs.Event.Rehash_round { trigger; checked; _ }) ->
-              let last = Option.value ~default:0 (Hashtbl.find_opt seen trigger) in
+              let last =
+                Option.value ~default:0 (Hashtbl.find_opt seen trigger)
+              in
               if checked <> last + 1 then
                 Alcotest.failf "%s: event %d after %d" trigger checked last;
               Hashtbl.replace seen trigger checked

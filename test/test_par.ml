@@ -217,13 +217,14 @@ let test_helper_lifecycle () =
     (Domain.join (Domain.spawn (fun () -> true)))
 
 let test_helper_gated_off_main () =
-  let off_main =
+  let available, attached =
     Domain.join
       (Domain.spawn (fun () ->
-           (Par.Helper.available (), Par.Helper.attach (fun () -> Par.Helper.Finished))))
+           ( Par.Helper.available (),
+             Par.Helper.attach (fun () -> Par.Helper.Finished) )))
   in
-  check_bool "not available off the main domain" false (fst off_main);
-  check_bool "attach refused off the main domain" true (snd off_main = None)
+  check_bool "not available off the main domain" false available;
+  check_bool "attach refused off the main domain" true (attached = None)
 
 let suite =
   [
