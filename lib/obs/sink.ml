@@ -92,24 +92,17 @@ let ring_size = 256 (* a power of two *)
 
 let chunk = 64
 
-(* The caller publishes [pushed] every [batch] events, not every one:
-   the helper polls it while idle, and each store would pull its cache
-   line back across cores. *)
-let batch = 16
-
 type jsonl = {
   oc : out_channel;
   w : Json.Writer.t;
   ring : Event.t array;
-  pushed : int Atomic.t;  (* events stored in the ring and published *)
+  pushed : int Atomic.t;  (* events stored in the ring *)
   encoded : int Atomic.t;  (* events encoded *)
   busy : bool Atomic.t;  (* a side is encoding *)
   release : bool Atomic.t;  (* finish once the ring is empty *)
   mutable error : (exn * Printexc.raw_backtrace) option;
       (* an encode or write error, set under [busy], for the caller *)
-  mutable helper : Par.Helper.t option;  (* this and the rest: the caller's *)
-  mutable head : int;  (* events stored, [pushed] or up to [batch] ahead *)
-  mutable room : int;  (* [head] may reach this before [encoded] is read *)
+  mutable helper : Par.Helper.t option;  (* this and [inline]: the caller's *)
   mutable inline : int;  (* events encoded here since the last flush *)
 }
 
@@ -178,24 +171,21 @@ let detached s =
   s.helper <- None;
   s.inline <- 0;
   Atomic.set s.release false;
-  Atomic.set s.pushed s.head;
-  Atomic.set s.encoded s.head;
+  Atomic.set s.encoded (Atomic.get s.pushed);
   reraise s
 
-(* The ring is full as far as the caller knows: publish every event,
-   then encode chunks until a slot is free, unless the helper is. *)
+(* The ring is full: encode chunks until a slot is free, unless the
+   helper is. *)
 let make_room s =
-  Atomic.set s.pushed s.head;
   let spins = ref 0 in
-  while s.head - Atomic.get s.encoded >= ring_size do
+  while Atomic.get s.pushed - Atomic.get s.encoded >= ring_size do
     match try_encode s with
     | Par.Helper.Worked -> ()
     | Par.Helper.Finished -> reraise s
     | Par.Helper.Idle ->
       Par.Helper.backoff !spins;
       incr spins
-  done;
-  s.room <- Atomic.get s.encoded + ring_size
+  done
 
 let rec emit s e =
   match s.helper with
@@ -203,17 +193,14 @@ let rec emit s e =
     detached s;
     emit s e
   | Some _ ->
-    if s.head = s.room then make_room s;
-    s.ring.(s.head land (ring_size - 1)) <- e;
-    s.head <- s.head + 1;
-    if s.head land (batch - 1) = 0 then Atomic.set s.pushed s.head
+    let p = Atomic.get s.pushed in
+    if p - Atomic.get s.encoded >= ring_size then make_room s;
+    s.ring.(p land (ring_size - 1)) <- e;
+    Atomic.set s.pushed (p + 1)
   | None ->
     encode s e;
     s.inline <- s.inline + 1;
-    if s.inline = inline_events then begin
-      s.room <- s.head + ring_size;
-      s.helper <- Par.Helper.attach (poll s)
-    end
+    if s.inline = inline_events then s.helper <- Par.Helper.attach (poll s)
 
 (* Encodes alongside the helper until it has finished; an error met on
    either side is raised once the helper is released.  When that left
@@ -224,7 +211,6 @@ let release s =
   match s.helper with
   | None -> s.inline <- 0
   | Some h ->
-    Atomic.set s.pushed s.head;
     Atomic.set s.release true;
     let spins = ref 0 in
     while Par.Helper.attached h do
@@ -249,8 +235,6 @@ let jsonl_writer oc ~close_channel =
       release = Atomic.make false;
       error = None;
       helper = None;
-      head = 0;
-      room = 0;
       inline = 0;
     }
   in

@@ -62,17 +62,13 @@ end
 
     Where {!Par.Helper} can run, encoding moves to the helper domain
     after the first 64 events since creation or the last [flush]:
-    [emit] then stores the event in a ring of 256, and the helper
-    encodes the stored events in order, in chunks of at most 64,
-    through the same {!Event.write_jsonl} — the bytes do not depend on
-    which domain encoded them.  An emitter that finds the ring full
-    encodes the next chunk itself rather than wait.  Until [flush] or
-    [close] returns, the helper may be writing to [oc], so the caller
-    must not use [oc] in between.  An encode or write error on the
-    helper is re-raised at the next [emit], [flush] or [close]; the
-    events still in the ring are dropped with it.  Elsewhere (one
-    core, an emitter off the main domain, no domain left to spawn)
-    every event is encoded on the caller. *)
+    [emit] stores the event in a ring of 256, and the helper encodes
+    the events in order, in chunks of at most 64, through the same
+    {!Event.write_jsonl}; an emitter that finds the ring full encodes a
+    chunk itself.  Until [flush] or [close] returns the helper may be
+    writing to [oc], so the caller must leave [oc] alone.  An encode or
+    write error on the helper is re-raised at the next [emit], [flush]
+    or [close], and the events still in the ring are dropped. *)
 val jsonl_channel : out_channel -> t
 
 (** [jsonl_file path] opens [path] for writing; [close] closes it. *)

@@ -2,17 +2,14 @@
 
     Work that is independent of the engine — generating arrivals ahead
     of a stream's consumer ({!Workload.Stream.prefetch}), encoding a
-    JSONL trace ({!Obs.Sink.jsonl_channel}) — registers a {e poller}
-    here.  One helper domain calls every registered poller in turn,
-    over and over, allocating nothing of its own per pass, and relaxes
-    the core for one step when no poller did any work.  It is spawned
-    by the {!attach} that finds none running and exits as soon as its
-    last poller has finished, so between runs no domain polls.
-
-    A helper runs only where a spare core can be expected: on the main
-    domain ([Par.Pool] workers never start one) of a host offering more
-    than one core ([taskset -c 0] makes it one).  No setting turns it
-    on or off. *)
+    JSONL trace ({!Obs.Sink.jsonl_channel}) — registers a {e poller}.
+    The helper calls every registered poller in turn, over and over,
+    allocating nothing per pass, and relaxes the core for one step when
+    none did any work.  The {!attach} that finds no helper running
+    spawns one; it stops as soon as its last poller has finished.  A
+    helper runs only on the main domain ([Par.Pool] workers never start
+    one) of a host offering more than one core; no setting turns it on
+    or off. *)
 
 (** What a poller reports for one call. *)
 type status =
@@ -24,34 +21,29 @@ type status =
 type t
 
 (** [available ()] is whether {!attach} can start a helper from this
-    domain: it is the main domain and the host offers more than one
-    core. *)
+    domain. *)
 val available : unit -> bool
 
-(** [attach poll] registers [poll] with the helper, spawning the helper
-    domain if none is running.  [poll] then runs on the helper, never
-    concurrently with itself, until it returns [Finished].  It must not
-    raise: a poller stores its own errors for its owner to re-raise.
-    The helper records backtraces, so a stored exception keeps its
-    backtrace.  [None] when no helper can run it: {!available} is
-    false, or no domain could be spawned; [poll] is then never
-    called. *)
+(** [attach poll] registers [poll], spawning the helper domain if none
+    is running.  [poll] then runs on the helper, never concurrently
+    with itself, until it returns [Finished].  It must not raise: it
+    keeps its errors for its owner, and the helper records backtraces.
+    [None] when {!available} is false or no domain could be spawned;
+    [poll] is then never called. *)
 val attach : (unit -> status) -> t option
 
 (** [attached p] is true until the helper has dropped [p] after it
-    returned [Finished].  Once it is false, [p] is never called again
-    and, when [p] was the last poller, the helper has stopped polling
-    ([running] is false): an owner that waits for it may use whatever
+    returned [Finished].  From then on [p] is never called again and,
+    when [p] was the last poller, the helper has stopped polling
+    ({!running} is false): an owner that waited for it may use whatever
     [p] touched. *)
 val attached : t -> bool
 
-(** [await_exit ()] returns once a stopped helper domain has exited,
-    and at once while a helper runs or when none was started.  The
+(** [await_exit ()] returns once a stopped helper domain has exited, and
+    at once while a helper runs or none was started.  Otherwise the
     exit (about 0.3 ms, with one stop-the-world minor collection) runs
-    on its own otherwise, during whatever the owner does next; an owner
-    that saw its poller dropped calls this to take that cost at a point
-    of its choosing.  {!attach} joins a stopped domain before spawning
-    another, so at most one helper domain exists at a time. *)
+    during whatever the owner does next.  {!attach} joins a stopped
+    domain before spawning another, so at most one exists. *)
 val await_exit : unit -> unit
 
 (** [running ()] is whether a helper domain is running pollers. *)
@@ -59,7 +51,6 @@ val running : unit -> bool
 
 (** [backoff n] is the [n]th step (from 0) of a wait for a poller's
     work: [Domain.cpu_relax], except that every 4,096th step (about
-    0.2 ms) sleeps for 20 µs instead.  A waiter that waits that long
-    most likely shares its core with the helper, and spinning would
-    hold the core until the scheduler preempted it. *)
+    0.2 ms) sleeps for 20 µs, since a waiter that waits that long most
+    likely shares its core with the helper. *)
 val backoff : int -> unit
