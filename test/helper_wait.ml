@@ -1,0 +1,18 @@
+(* Waiting on the shared helper domain ([Par.Helper]) in tests. *)
+
+(* Whether [cond] holds within [limit] seconds. *)
+let eventually ?(limit = 5.0) cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < limit do
+    Unix.sleepf 1e-4
+  done;
+  cond ()
+
+(* A poller of an earlier test (a prefetch cursor not yet collected)
+   leaves the helper once its owner is collected. *)
+let quiesce () =
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool)
+    "no helper left by earlier tests" true
+    (eventually (fun () -> not (Par.Helper.running ())))

@@ -904,22 +904,6 @@ let test_jsonl_sink_drains_match_oracle () =
       check_bool "file equals the oracle's lines" true
         (String.equal expected written))
 
-(* Whether [cond] holds within [limit] seconds. *)
-let eventually ?(limit = 5.0) cond =
-  let t0 = Unix.gettimeofday () in
-  while (not (cond ())) && Unix.gettimeofday () -. t0 < limit do
-    Unix.sleepf 1e-4
-  done;
-  cond ()
-
-(* A poller of an earlier test (a prefetch cursor not yet collected)
-   leaves the helper once its owner is collected. *)
-let quiesce () =
-  Gc.full_major ();
-  Gc.full_major ();
-  check_bool "no helper left by earlier tests" true
-    (eventually (fun () -> not (Par.Helper.running ())))
-
 (* A round's tune span at [servers] servers: one line of about 95
    bytes per server. *)
 let tune_span ~servers =
@@ -952,7 +936,7 @@ let tune_span ~servers =
    core allows one: the helper runs until the flush and no longer,
    and the bytes are the oracle's. *)
 let test_jsonl_sink_helper_path () =
-  quiesce ();
+  Helper_wait.quiesce ();
   let st = Random.State.make [| 25 |] in
   let random n =
     List.init n (fun _ -> QCheck.Gen.generate1 ~rand:st event_gen)
@@ -991,7 +975,7 @@ let test_jsonl_sink_helper_path () =
    write: the write error reaches the emitter, at an emit, the flush or
    the close, and nothing hangs. *)
 let test_jsonl_sink_helper_error () =
-  quiesce ();
+  Helper_wait.quiesce ();
   with_temp_file (fun path ->
       let oc = open_out_bin path in
       let sink = Obs.Sink.jsonl_channel oc in
@@ -1017,7 +1001,7 @@ let test_jsonl_sink_helper_error () =
    helper encodes: every line parses, and each emitter's events are all
    there, in its own order. *)
 let test_jsonl_sink_two_emitters () =
-  quiesce ();
+  Helper_wait.quiesce ();
   let per_domain = 3_000 in
   let mark who i =
     Obs.Event.Rehash_round

@@ -119,22 +119,6 @@ let test_parallel_traced_matches_serial () =
 
 (* --- Par.Helper --- *)
 
-(* Whether [cond] holds within [limit] seconds. *)
-let eventually ?(limit = 5.0) cond =
-  let t0 = Unix.gettimeofday () in
-  while (not (cond ())) && Unix.gettimeofday () -. t0 < limit do
-    Unix.sleepf 1e-4
-  done;
-  cond ()
-
-(* A poller of an earlier test (a prefetch cursor not yet collected)
-   leaves the helper once its owner is collected. *)
-let quiesce () =
-  Gc.full_major ();
-  Gc.full_major ();
-  check_bool "no helper left by earlier tests" true
-    (eventually (fun () -> not (Par.Helper.running ())))
-
 (* A poller that finishes once told to, and counts the calls it gets
    after it finished. *)
 type probe = {
@@ -175,7 +159,7 @@ let probe () =
    runs exactly while one is attached, a finished poller is never
    called again, and once none remains no helper is left running. *)
 let test_helper_lifecycle () =
-  quiesce ();
+  Helper_wait.quiesce ();
   if not (Par.Helper.available ()) then begin
     check_bool "no helper without a spare core" true
       ((probe ()).reg = None);
@@ -201,7 +185,8 @@ let test_helper_lifecycle () =
           Atomic.set p.stop true;
           let reg = Option.get p.reg in
           check_bool "dropped after finishing" true
-            (eventually (fun () -> not (Par.Helper.attached reg)));
+            (Helper_wait.eventually (fun () ->
+                 not (Par.Helper.attached reg)));
           check_bool
             (Printf.sprintf "seed %d: running while pollers remain" seed)
             (!live <> []) (Par.Helper.running ())
@@ -215,6 +200,30 @@ let test_helper_lifecycle () =
     done;
   check_bool "a domain still spawns" true
     (Domain.join (Domain.spawn (fun () -> true)))
+
+(* The helper's loop allocates nothing per pass: a poller that reads the
+   helper domain's own allocation counter 10,000 passes apart finds it
+   unchanged. *)
+let test_helper_passes_allocate_nothing () =
+  Helper_wait.quiesce ();
+  let words = Float.Array.make 2 0.0 in
+  let calls = ref 0 in
+  let poll () =
+    incr calls;
+    if !calls = 100 then Float.Array.set words 0 (Gc.minor_words ())
+    else if !calls = 10_100 then Float.Array.set words 1 (Gc.minor_words ());
+    if !calls >= 10_100 then Par.Helper.Finished else Par.Helper.Idle
+  in
+  match Par.Helper.attach poll with
+  | None ->
+    check_bool "no helper without a spare core" false
+      (Par.Helper.available ())
+  | Some p ->
+    check_bool "ran 10,100 passes" true
+      (Helper_wait.eventually (fun () -> not (Par.Helper.attached p)));
+    Alcotest.(check (float 0.0))
+      "words allocated" 0.0
+      (Float.Array.get words 1 -. Float.Array.get words 0)
 
 let test_helper_gated_off_main () =
   let available, attached =
@@ -244,4 +253,6 @@ let suite =
       test_helper_lifecycle;
     Alcotest.test_case "helper refused off the main domain" `Quick
       test_helper_gated_off_main;
+    Alcotest.test_case "helper passes allocate nothing" `Quick
+      test_helper_passes_allocate_nothing;
   ]

@@ -499,14 +499,6 @@ let test_prefetch_abandoned_helpers_exit () =
   in
   check_int "a full run completes" 20_000 r.completed
 
-(* Whether [cond] holds within [limit] seconds. *)
-let eventually ?(limit = 5.0) cond =
-  let t0 = Unix.gettimeofday () in
-  while (not (cond ())) && Unix.gettimeofday () -. t0 < limit do
-    Unix.sleepf 1e-4
-  done;
-  cond ()
-
 (* Two hundred traced runs, each with its own JSONL sink, closed after
    the run: the helper that generated a run's arrivals and encoded its
    trace stops with it, so domains and full runs still work
@@ -522,7 +514,8 @@ let test_traced_runs_release_helper () =
     in
     Obs.Ctx.close obs;
     check_int "every request completes" 2_000 r.completed;
-    if not (eventually (fun () -> not (Par.Helper.running ()))) then
+    let stopped () = not (Par.Helper.running ()) in
+    if not (Helper_wait.eventually stopped) then
       Alcotest.fail "a helper outlived its run"
   done;
   close_out devnull;
