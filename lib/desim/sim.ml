@@ -21,7 +21,6 @@ type t = {
   mutable dead : Bytes.t;  (* slot -> '\001' when cancelled (tombstone) *)
   mutable free : int array;  (* free-slot stack *)
   mutable free_len : int;
-  mutable batch_slots : int array;  (* scratch for [schedule_monotone] *)
   clockv : float array;  (* single cell: the virtual clock *)
   (* External event source (the streaming driver's arrival cursor).
      [source_next.(0)] is the time of its next event, [infinity] when
@@ -61,7 +60,6 @@ let create () =
     dead = Bytes.empty;
     free = [||];
     free_len = 0;
-    batch_slots = [||];
     clockv = [| 0.0 |];
     source_next = [| Float.infinity |];
     source_fire = no_action;
@@ -124,20 +122,6 @@ let schedule_at t ~time f =
   (t.gens.(s) lsl slot_bits) lor s
 
 let schedule t ~delay f = schedule_at t ~time:(t.clockv.(0) +. delay) f
-
-let schedule_monotone t ~times ~count f =
-  if count > 0 then begin
-    if times.(0) < t.clockv.(0) then
-      raise (Past_event { now = t.clockv.(0); requested = times.(0) });
-    if Array.length t.batch_slots < count then
-      t.batch_slots <- Array.make count 0;
-    for i = 0 to count - 1 do
-      t.batch_slots.(i) <- alloc_slot t f
-    done;
-    Event_heap.add_sorted t.heap ~times ~count t.batch_slots;
-    t.live_count <- t.live_count + count;
-    if t.live_count > t.peak_live then t.peak_live <- t.live_count
-  end
 
 (* Cancelled events stay in the heap as tombstones until they reach the
    head.  Workloads that cancel aggressively (e.g. timeout races) can

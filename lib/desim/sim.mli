@@ -41,16 +41,6 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
     Negative delays raise {!Past_event}. *)
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 
-(** [schedule_monotone t ~times ~count f] schedules [f] at each of
-    [times.(0 .. count-1)] — equivalent to [count] successive
-    {!schedule_at} calls with the same action, but inserted through the
-    heap's batch path ({!Event_heap.add_sorted}), so a sorted arrival
-    run costs one capacity check and no per-call allocation.  Requires
-    [times] nondecreasing with [times.(0) >= now t]; the batched events
-    cannot be individually cancelled (no handles are returned). *)
-val schedule_monotone :
-  t -> times:float array -> count:int -> (unit -> unit) -> unit
-
 (** [time_cell t] is the one-element array holding the virtual clock —
     [ (time_cell t).(0) = now t ] at all times.  Hot paths cache it once
     and read the clock as an unboxed array load instead of paying a

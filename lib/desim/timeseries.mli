@@ -24,6 +24,16 @@ val create : interval:float -> t
     times before the current bucket raise [Invalid_argument]. *)
 val observe : t -> time:float -> float -> unit
 
+(** [observe_now t ~clock value] is [observe t ~time:clock.(0) value]
+    for a clock cell such as [Sim.time_cell]: the time is read
+    unboxed, so the call allocates nothing when [value] arrives
+    boxed. *)
+val observe_now : t -> clock:float array -> float -> unit
+
+(** [observe_now_int t ~clock n] observes [float_of_int n] at
+    [clock.(0)], allocating nothing. *)
+val observe_now_int : t -> clock:float array -> int -> unit
+
 (** [finish t ~until] closes all buckets up to (and including the one
     containing) [until] and returns every point in order.  Empty buckets
     between observations are materialized with [count = 0]. *)

@@ -74,8 +74,9 @@ let four_policies = [ Scenario.Simple_random; Round_robin; Prescient; anu_spec ]
    a domain pool.  [jobs <= 1] (the default) runs serially in this
    domain; either way results come back in spec order and each run is
    single-domain deterministic, so output is bit-identical across
-   [jobs] values.  Traced runs go one after another: they share the
-   sinks, and each numbers its spans from 1. *)
+   [jobs] values.  Traced runs go one after another on this domain:
+   they share the sinks, each numbers its spans from 1, and a context
+   with sinks refuses a second emitting domain ([Obs.Ctx.emit]). *)
 let fan_out ?(obs = Obs.Ctx.null) ~jobs thunks =
   Par.Pool.run ~jobs:(if Obs.Ctx.tracing obs then 1 else jobs) thunks
 

@@ -7,14 +7,15 @@
     bench harness runs full size.  [obs] observes every simulation the
     figure runs (each run derives an isolated per-run metrics
     registry, with the snapshot on its {!Runner.result}; trace sinks
-    are shared, with whole-event atomicity).  [jobs] (default 1) fans
+    are shared, and emitted to from the caller's domain only).  [jobs] (default 1) fans
     the figure's independent simulations out over that many domains;
     every simulation remains single-domain deterministic and results
     keep their spec order, so the figure is bit-identical for every
     [jobs] value — only wall-clock time changes.  When [obs] carries a
-    trace sink the simulations run one after another whatever [jobs]
-    says: each run numbers its spans from 1, so interleaved runs would
-    make the trace depend on [jobs]. *)
+    trace sink the simulations run one after another on the caller's
+    domain whatever [jobs] says: each run numbers its spans from 1, so
+    interleaved runs would make the trace depend on [jobs], and a
+    context with sinks refuses a second emitting domain. *)
 
 type figure = {
   id : string;

@@ -6,12 +6,15 @@ type t = {
      context (fresh counter) so ids are deterministic within a run and
      never contended across domains. *)
   span_counter : int ref;
-  (* Guards sink emission only.  Concurrent runs (one per domain) share
-     the sinks, and every sink carries internal state (channels, the
-     chrome writer's comma/thread-name bookkeeping, the ring's cursor);
-     one lock per context keeps each event atomic.  Contexts without
-     sinks never touch it. *)
-  emit_mutex : Mutex.t;
+  (* The one domain that emits to the sinks: -1 until the first event,
+     then that event's domain for good.  Sinks keep unsynchronised
+     state (channels, the chrome writer's comma and thread-name
+     bookkeeping, the ring's cursor, the JSONL ring's producer side),
+     so a second emitting domain is refused rather than serialised;
+     traced runs go one after another on the caller
+     ([Figures.fan_out]).  Shared with the isolated contexts, like the
+     sinks. *)
+  emitter : int Atomic.t;
 }
 
 let null =
@@ -20,7 +23,7 @@ let null =
     metrics = None;
     telemetry = None;
     span_counter = ref 0;
-    emit_mutex = Mutex.create ();
+    emitter = Atomic.make (-1);
   }
 
 let create ?(sinks = []) ?metrics ?telemetry () =
@@ -29,7 +32,7 @@ let create ?(sinks = []) ?metrics ?telemetry () =
     metrics;
     telemetry;
     span_counter = ref 0;
-    emit_mutex = Mutex.create ();
+    emitter = Atomic.make (-1);
   }
 
 let tracing t = Array.length t.sinks > 0
@@ -38,13 +41,13 @@ let metrics t = t.metrics
 
 let telemetry t = t.telemetry
 
-(* A per-run context: same sinks (and lock), but fresh instruments — a
-   new metrics registry when the parent collects metrics, a new (empty,
-   same-shape) telemetry registry when the parent collects telemetry,
-   and always a fresh span counter.  The runner isolates itself with
-   this instead of resetting shared state, so that concurrent runs on
-   separate domains never share mutable instruments and span ids are
-   deterministic per run. *)
+(* A per-run context: same sinks (and emitting domain), but fresh
+   instruments — a new metrics registry when the parent collects
+   metrics, a new (empty, same-shape) telemetry registry when the
+   parent collects telemetry, and always a fresh span counter.  The
+   runner isolates itself with this instead of resetting shared state,
+   so that untraced runs on separate domains never share mutable
+   instruments and span ids are deterministic per run. *)
 let isolated t =
   {
     t with
@@ -61,27 +64,37 @@ let alloc_span t =
   incr t.span_counter;
   !(t.span_counter)
 
-(* A plain loop and handler rather than [Fun.protect] and [Array.iter]:
-   no closure is allocated per event. *)
+let claim t me =
+  if not (Atomic.compare_and_set t.emitter (-1) me) then
+    invalid_arg
+      (Printf.sprintf
+         "Obs.Ctx: domain %d emits to sinks that domain %d emits to" me
+         (Atomic.get t.emitter))
+
+let[@inline] check_emitter t =
+  let me = (Domain.self () :> int) in
+  if Atomic.get t.emitter <> me then claim t me
+
+(* Plain loops rather than [Array.iter]: no closure per event. *)
 let emit t e =
   if Array.length t.sinks > 0 then begin
-    Mutex.lock t.emit_mutex;
-    match
-      for i = 0 to Array.length t.sinks - 1 do
-        t.sinks.(i).Sink.emit e
-      done
-    with
-    | () -> Mutex.unlock t.emit_mutex
-    | exception ex ->
-      let bt = Printexc.get_raw_backtrace () in
-      Mutex.unlock t.emit_mutex;
-      Printexc.raise_with_backtrace ex bt
+    check_emitter t;
+    for i = 0 to Array.length t.sinks - 1 do
+      t.sinks.(i).Sink.emit e
+    done
   end
 
+let record t src kind ~id ~parent ~server ~fs ~client ~op =
+  check_emitter t;
+  for i = 0 to Array.length t.sinks - 1 do
+    t.sinks.(i).Sink.record src kind ~id ~parent ~server ~fs ~client ~op
+  done
+
 let flush t =
-  if Array.length t.sinks > 0 then
-    Mutex.protect t.emit_mutex (fun () ->
-        Array.iter (fun (s : Sink.t) -> s.flush ()) t.sinks)
+  if Array.length t.sinks > 0 then begin
+    check_emitter t;
+    Array.iter (fun (s : Sink.t) -> s.flush ()) t.sinks
+  end
 
 let snapshot t = Option.map Metrics.snapshot t.metrics
 

@@ -30,14 +30,17 @@ let pow10 = Array.init 23 (fun i -> float_of_string ("1e" ^ string_of_int i))
 
 (* Functions below take the caller's (already boxed) float and return
    ints or bools: without flambda a float argument or result that is
-   computed on the way would be boxed, and a render must not allocate. *)
+   computed on the way would be boxed, and a render must not allocate.
+   The ones [render] reaches are inlined into it, and it into the
+   writer, so a number read from a float array ([Writer.number_at])
+   is rendered without being boxed either. *)
 
 (* [|x| * 10^s] rounded half-to-even to an integer, exactly, for
    [0 <= s <= 22] and a product below 10^17.  [hi + lo] is the exact
    product (an error-free transformation: [lo] is the rounding error of
    [hi], which a fused multiply-add computes exactly), and the rounding
    decision compares exactly representable quantities only. *)
-let scaled x s =
+let[@inline] scaled x s =
   let ax = Float.abs x in
   let p = Array.unsafe_get pow10 s in
   let hi = ax *. p in
@@ -61,7 +64,7 @@ let scaled x s =
   end
 
 (* [|x| >= 10^j], exactly, for [-22 <= j <= 22]. *)
-let at_least_pow10 x j =
+let[@inline] at_least_pow10 x j =
   let ax = Float.abs x in
   if j >= 0 then ax >= Array.unsafe_get pow10 j
   else
@@ -163,7 +166,7 @@ and max_exp = 14
    writes the text at [b.[pos ..]] and returns the position after it,
    or returns [-1], having written nothing, when [x] lies outside the
    range. *)
-let put_exact b pos x =
+let[@inline] put_exact b pos x =
   (* floor (log10 |x|) is [k0] or [k0 + 1], where [k0] is
      floor (e2 * log10 2) for the binary exponent [e2]. *)
   let e2 =
@@ -182,25 +185,34 @@ let put_exact b pos x =
         end
         else pos
       in
-      let s15 = 14 - k in
-      let n15 = scaled x s15 in
+      let n17 = scaled x (16 - k) in
+      (* The [%.15g] digits [n15] round-trip only when they are [n17]'s
+         first fifteen, rounded: a 15-digit decimal that converts back
+         to [x] lies within [2^-53 * 10^15 < 0.12] units of its last
+         digit from [x], so [n17] is within 12 of [100 * n15], and no
+         other 15-digit decimal converts back to [x].  So [n17] names
+         the one candidate, and most 17-digit numbers need no
+         division. *)
+      let q = n17 / 100 and r = n17 mod 100 in
+      let n15 = if r <= 12 then q else if r >= 88 then q + 1 else -1 in
       (* Clinger: [n15 < 2^53] and [10^s15] are exact doubles, so one
          correctly rounded division is what strtod returns for the
          [%.15g] text. *)
-      if float_of_int n15 /. Array.unsafe_get pow10 s15 = Float.abs x then
+      if
+        n15 >= 0
+        && float_of_int n15 /. Array.unsafe_get pow10 (14 - k) = Float.abs x
+      then
         if n15 = 1_000_000_000_000_000 then
           put_g b pos 100_000_000_000_000 15 (k + 1)
         else put_g b pos n15 15 k
-      else
-        let n17 = scaled x (16 - k) in
-        if n17 = 100_000_000_000_000_000 then
-          put_g b pos 10_000_000_000_000_000 17 (k + 1)
-        else put_g b pos n17 17 k
+      else if n17 = 100_000_000_000_000_000 then
+        put_g b pos 10_000_000_000_000_000 17 (k + 1)
+      else put_g b pos n17 17 k
     end
 
 (* Writes [x]'s text at [b.[pos ..]] (at most 24 bytes) and returns its
    length. *)
-let render b pos x =
+let[@inline] render b pos x =
   if not (Float.is_finite x) then begin
     Bytes.blit_string "null" 0 b pos 4;
     4
@@ -228,7 +240,8 @@ let number_to_string x =
   let b = Bytes.create 24 in
   Bytes.sub_string b 0 (render b 0 x)
 
-let same_bits (a : float) b = Int64.bits_of_float a = Int64.bits_of_float b
+let[@inline] same_bits (a : float) b =
+  Int64.bits_of_float a = Int64.bits_of_float b
 
 let[@inline] needs_escape c = c < ' ' || c = '"' || c = '\\'
 
@@ -326,7 +339,7 @@ module Writer = struct
     copy_string s w.buf w.pos n;
     w.pos <- w.pos + n
 
-  let number w x =
+  let[@inline] number w x =
     let i =
       if same_bits x (Float.Array.unsafe_get w.keys 0) then 0
       else if same_bits x (Float.Array.unsafe_get w.keys 1) then 1
@@ -346,6 +359,8 @@ module Writer = struct
     set64 b (p + 8) (bytes_get64 w.texts (src + 8));
     set64 b (p + 16) (bytes_get64 w.texts (src + 16));
     w.pos <- p + Array.unsafe_get w.lens i
+
+  let number_at w a i = number w a.(i)
 
   (* Integers below 1e15 in magnitude print as their digits, exactly
      as [number_to_string (float_of_int n)] would; larger ones take

@@ -71,6 +71,10 @@ module Writer : sig
       grows. *)
   val number : t -> float -> unit
 
+  (** [number_at w a i] appends [number_to_string a.(i)] without boxing
+      the float: a column of unboxed times is written as it stands. *)
+  val number_at : t -> float array -> int -> unit
+
   (** [int w n] appends [number_to_string (float_of_int n)], without
       allocating when [|n| < 1e15]. *)
   val int : t -> int -> unit

@@ -1,11 +1,34 @@
 type t = {
   name : string;
   emit : Event.t -> unit;
+  record :
+    Record.source -> Record.kind -> id:int -> parent:int -> server:int ->
+    fs:int -> client:int -> op:int -> unit;
   flush : unit -> unit;
   close : unit -> unit;
 }
 
-let null = { name = "null"; emit = ignore; flush = ignore; close = ignore }
+let make ?(flush = ignore) ?(close = ignore) ~name emit =
+  {
+    name;
+    emit;
+    record =
+      (fun src kind ~id ~parent ~server ~fs ~client ~op ->
+        emit
+          (Record.to_event src kind ~id ~parent ~server ~fs ~client ~op
+             ~time:src.Record.clock.(0)));
+    flush;
+    close;
+  }
+
+let null =
+  {
+    name = "null";
+    emit = ignore;
+    record = (fun _ _ ~id:_ ~parent:_ ~server:_ ~fs:_ ~client:_ ~op:_ -> ());
+    flush = ignore;
+    close = ignore;
+  }
 
 module Ring = struct
   (* Free slots hold [placeholder], so a push stores the event itself
@@ -38,17 +61,10 @@ module Ring = struct
   (* Dropped events are silent data loss for forensics; surface the
      count once, at close, so a truncated trace never goes unnoticed. *)
   let sink r =
-    {
-      name = "ring";
-      emit = push r;
-      flush = ignore;
-      close =
-        (fun () ->
-          if r.dropped > 0 then
-            Printf.eprintf
-              "obs: ring sink dropped %d event(s) (capacity %d)\n%!" r.dropped
-              (Array.length r.slots));
-    }
+    make ~name:"ring" (push r) ~close:(fun () ->
+        if r.dropped > 0 then
+          Printf.eprintf "obs: ring sink dropped %d event(s) (capacity %d)\n%!"
+            r.dropped (Array.length r.slots))
 
   let length r = r.stored
 
@@ -74,16 +90,19 @@ end
    sink has always written every event; an event larger than the
    buffer grows it.  The writer's number cache is this sink's own: a
    request's [time] repeats across its span begins and ends, so most
-   numbers are formatted once.
+   numbers are formatted once.  A request record is written from its
+   source's templates ([Record.write_jsonl]), rebuilt whenever the
+   record's source differs from the last one encoded.
 
    Encoding moves to the helper domain ([Par.Helper], DESIGN.md section
-   11) after the first [inline_events] events since creation or a
-   flush, so a run's set-up never wakes it.  [emit] then stores the
-   event in a ring, and whichever side holds [busy] encodes the next
-   chunk: the helper whenever events wait, the caller only when the
-   ring is full, rather than wait for a helper that is slow or not yet
-   running.  The writer and the channel belong to the side holding
-   [busy], and to the caller while no poller is attached. *)
+   11) after the first [inline_events] lines since creation or a
+   flush, so a run's set-up never wakes it.  [emit] and [record] then
+   store the event or the record in a ring slot, and whichever side
+   holds [busy] encodes the next chunk: the helper whenever lines wait,
+   the caller only when the ring is full, rather than wait for a helper
+   that is slow or not yet running.  The writer, the channel and the
+   templates belong to the side holding [busy], and to the caller while
+   no poller is attached. *)
 let jsonl_buffer_size = 65536
 
 let inline_events = 64
@@ -92,25 +111,66 @@ let ring_size = 256 (* a power of two *)
 
 let chunk = 64
 
+let no_source = { Record.clock = [| 0.0 |]; file_sets = [||]; ops = [||] }
+
+(* Slot [j] holds an event when [events.(j)] is not [Ring.placeholder],
+   and a request record in the other columns otherwise.  Every slot
+   below [encoded] holds the placeholder. *)
 type jsonl = {
   oc : out_channel;
   w : Json.Writer.t;
-  ring : Event.t array;
-  pushed : int Atomic.t;  (* events stored in the ring *)
-  encoded : int Atomic.t;  (* events encoded *)
+  events : Event.t array;
+  kinds : Record.kind array;
+  sources : Record.source array;
+  ids : int array;
+  parents : int array;
+  servers : int array;
+  fss : int array;
+  clients : int array;
+  ops : int array;
+  times : float array;
+  mutable tpl : Record.templates;  (* the encoder's *)
+  pushed : int Atomic.t;  (* lines stored in the ring *)
+  encoded : int Atomic.t;  (* lines encoded *)
   busy : bool Atomic.t;  (* a side is encoding *)
   release : bool Atomic.t;  (* finish once the ring is empty *)
   mutable error : (exn * Printexc.raw_backtrace) option;
       (* an encode or write error, set under [busy], for the caller *)
   mutable helper : Par.Helper.t option;  (* this and [inline]: the caller's *)
-  mutable inline : int;  (* events encoded here since the last flush *)
+  mutable inline : int;  (* lines encoded here since the last flush *)
 }
 
-let encode s e =
-  Event.write_jsonl s.w e;
+let end_line s =
   Json.Writer.char s.w '\n';
   if Json.Writer.length s.w >= jsonl_buffer_size then
     Json.Writer.output s.oc s.w
+
+let encode s e =
+  Event.write_jsonl s.w e;
+  end_line s
+
+let encode_record s src kind ~id ~parent ~server ~fs ~client ~op ~times ~at =
+  if Record.source s.tpl != src then s.tpl <- Record.templates src;
+  Record.write_jsonl s.w s.tpl kind ~id ~parent ~server ~fs ~client ~op ~times
+    ~at;
+  end_line s
+
+let encode_slot s j =
+  let e = s.events.(j) in
+  if e != Ring.placeholder then begin
+    encode s e;
+    s.events.(j) <- Ring.placeholder
+  end
+  else
+    encode_record s s.sources.(j) s.kinds.(j) ~id:s.ids.(j)
+      ~parent:s.parents.(j) ~server:s.servers.(j) ~fs:s.fss.(j)
+      ~client:s.clients.(j) ~op:s.ops.(j) ~times:s.times ~at:j
+
+(* Drops the lines in slots [first, last). *)
+let drop s first last =
+  for i = first to last - 1 do
+    s.events.(i land (ring_size - 1)) <- Ring.placeholder
+  done
 
 (* Encodes the next chunk; the caller holds [busy].  An error drops the
    chunk and is kept in [error]: [Finished] then. *)
@@ -120,14 +180,13 @@ let encode_chunk s =
   let status =
     match
       for i = e0 to e0 + n - 1 do
-        let j = i land (ring_size - 1) in
-        encode s s.ring.(j);
-        s.ring.(j) <- Ring.placeholder
+        encode_slot s (i land (ring_size - 1))
       done
     with
     | () -> Par.Helper.Worked
     | exception ex ->
       s.error <- Some (ex, Printexc.get_raw_backtrace ());
+      drop s e0 (e0 + n);
       Par.Helper.Finished
   in
   Atomic.set s.encoded (e0 + n);
@@ -140,8 +199,8 @@ let reraise s =
     s.error <- None;
     Printexc.raise_with_backtrace ex bt
 
-(* Encodes the next chunk unless no event waits or the other side
-   holds [busy] ([Idle]); [Finished] on an error. *)
+(* Encodes the next chunk unless no line waits or the other side holds
+   [busy] ([Idle]); [Finished] on an error. *)
 let try_encode s =
   if
     Atomic.get s.pushed > Atomic.get s.encoded
@@ -154,7 +213,7 @@ let try_encode s =
   else Par.Helper.Idle
 
 (* [release] is read before [pushed]: the caller sets it after its last
-   store, so a poller that sees it also sees every event.  An error
+   store, so a poller that sees it also sees every line.  An error
    finishes the poller at once; the caller meets it when it finds the
    poller dropped. *)
 let poll s () =
@@ -165,12 +224,13 @@ let poll s () =
     Par.Helper.Finished
   | status -> status
 
-(* Back to encoding on the caller.  Events an error left in the ring
+(* Back to encoding on the caller.  Lines an error left in the ring
    are dropped with it. *)
 let detached s =
   s.helper <- None;
   s.inline <- 0;
   Atomic.set s.release false;
+  drop s (Atomic.get s.encoded) (Atomic.get s.pushed);
   Atomic.set s.encoded (Atomic.get s.pushed);
   reraise s
 
@@ -187,20 +247,57 @@ let make_room s =
       incr spins
   done
 
-let rec emit s e =
+(* A line encoded on the caller; the [inline_events]th attaches the
+   helper. *)
+let inlined s =
+  s.inline <- s.inline + 1;
+  if s.inline = inline_events then s.helper <- Par.Helper.attach (poll s)
+
+(* The ring slot for the next line, or -1 when it is to be encoded
+   here.  [pushed] moves on once the caller has filled the slot. *)
+let rec next_slot s =
   match s.helper with
   | Some h when not (Par.Helper.attached h) ->
     detached s;
-    emit s e
+    next_slot s
   | Some _ ->
     let p = Atomic.get s.pushed in
     if p - Atomic.get s.encoded >= ring_size then make_room s;
-    s.ring.(p land (ring_size - 1)) <- e;
-    Atomic.set s.pushed (p + 1)
-  | None ->
+    p land (ring_size - 1)
+  | None -> -1
+
+let pushed s = Atomic.set s.pushed (Atomic.get s.pushed + 1)
+
+let emit s e =
+  let j = next_slot s in
+  if j < 0 then begin
     encode s e;
-    s.inline <- s.inline + 1;
-    if s.inline = inline_events then s.helper <- Par.Helper.attach (poll s)
+    inlined s
+  end
+  else begin
+    s.events.(j) <- e;
+    pushed s
+  end
+
+let record s src kind ~id ~parent ~server ~fs ~client ~op =
+  let j = next_slot s in
+  if j < 0 then begin
+    encode_record s src kind ~id ~parent ~server ~fs ~client ~op
+      ~times:src.Record.clock ~at:0;
+    inlined s
+  end
+  else begin
+    s.kinds.(j) <- kind;
+    if s.sources.(j) != src then s.sources.(j) <- src;
+    s.ids.(j) <- id;
+    s.parents.(j) <- parent;
+    s.servers.(j) <- server;
+    s.fss.(j) <- fs;
+    s.clients.(j) <- client;
+    s.ops.(j) <- op;
+    s.times.(j) <- src.Record.clock.(0);
+    pushed s
+  end
 
 (* Encodes alongside the helper until it has finished; an error met on
    either side is raised once the helper is released.  When that left
@@ -224,11 +321,22 @@ let release s =
     detached s
 
 let jsonl_writer oc ~close_channel =
+  let ints () = Array.make ring_size 0 in
   let s =
     {
       oc;
       w = Json.Writer.create jsonl_buffer_size;
-      ring = Array.make ring_size Ring.placeholder;
+      events = Array.make ring_size Ring.placeholder;
+      kinds = Array.make ring_size Record.Request_begin;
+      sources = Array.make ring_size no_source;
+      ids = ints ();
+      parents = ints ();
+      servers = ints ();
+      fss = ints ();
+      clients = ints ();
+      ops = ints ();
+      times = Array.make ring_size 0.0;
+      tpl = Record.templates no_source;
       pushed = Atomic.make 0;
       encoded = Atomic.make 0;
       busy = Atomic.make false;
@@ -242,6 +350,9 @@ let jsonl_writer oc ~close_channel =
   {
     name = "jsonl";
     emit = emit s;
+    record =
+      (fun src kind ~id ~parent ~server ~fs ~client ~op ->
+        record s src kind ~id ~parent ~server ~fs ~client ~op);
     flush = (fun () -> release s);
     close =
       (fun () ->
@@ -459,7 +570,8 @@ let records_of_event e =
       [ ("id", Json.Str (string_of_int id)) ]
     :: counters_of_attrs ~ts:(usec time) attrs
 
-let chrome_writer oc ~close_channel =
+let chrome_file path =
+  let oc = open_out path in
   let closed = ref false in
   let first = ref true in
   let named_tids = Hashtbl.create 16 in
@@ -480,27 +592,18 @@ let chrome_writer oc ~close_channel =
     end
   in
   output_string oc "[\n";
-  {
-    name = "chrome";
-    flush = ignore;
-    emit =
-      (fun e ->
-        List.iter
-          (fun j ->
-            (match Json.to_int (Json.member "tid" j) with
-            | Some tid -> name_tid tid
-            | None -> ());
-            write_record j)
-          (records_of_event e));
-    close =
-      (fun () ->
-        if not !closed then begin
-          closed := true;
-          output_string oc "\n]\n";
-          if close_channel then close_out oc else flush oc
-        end);
-  }
-
-let chrome_channel oc = chrome_writer oc ~close_channel:false
-
-let chrome_file path = chrome_writer (open_out path) ~close_channel:true
+  make ~name:"chrome"
+    (fun e ->
+      List.iter
+        (fun j ->
+          (match Json.to_int (Json.member "tid" j) with
+          | Some tid -> name_tid tid
+          | None -> ());
+          write_record j)
+        (records_of_event e))
+    ~close:(fun () ->
+      if not !closed then begin
+        closed := true;
+        output_string oc "\n]\n";
+        close_out oc
+      end)

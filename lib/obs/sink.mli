@@ -1,6 +1,7 @@
 (** Pluggable trace sinks.
 
-    A sink is a few closures: [emit] consumes one event, [flush] waits
+    A sink is a few closures: [emit] consumes one event, [record] one
+    request record, [flush] waits
     for work the sink does in the background, [close] finalizes
     whatever the sink writes.  Components never see
     sinks directly — they emit through {!Ctx} — so any number of sinks
@@ -10,6 +11,12 @@
 type t = {
   name : string;
   emit : Event.t -> unit;
+  record :
+    Record.source -> Record.kind -> id:int -> parent:int -> server:int ->
+    fs:int -> client:int -> op:int -> unit;
+      (** consumes one request record (see {!Record}), timed at its
+          source's clock; a sink that keeps events builds the
+          {!Record.to_event} of it *)
   flush : unit -> unit;
       (** waits until every event emitted before it has been handled
           (encoded, for the JSONL sink) and releases the helper domain
@@ -20,6 +27,13 @@ type t = {
   close : unit -> unit;
       (** idempotent; flushes and releases whatever the sink holds *)
 }
+
+(** [make ?flush ?close ~name emit] is a sink that hands every event to
+    [emit], request records as their {!Record.to_event}.  [flush] and
+    [close] default to no-ops. *)
+val make :
+  ?flush:(unit -> unit) -> ?close:(unit -> unit) -> name:string ->
+  (Event.t -> unit) -> t
 
 (** Swallows everything. *)
 val null : t
@@ -52,29 +66,31 @@ end
 
 (** {2 File writers} *)
 
-(** [jsonl_channel oc] writes one {!Event.write_jsonl} line per event.
-    Lines are batched in a ~64 KiB {!Json.Writer} buffer (per-event
-    syscall flushing distorts traced-run timings), which drains to [oc]
-    once it holds 64 KiB and grows for an event larger than itself;
-    [close] drains the buffer and flushes
-    but leaves the channel open (the caller owns it).  An unclosed sink
-    may hold buffered events, so always close.
+(** [jsonl_channel oc] writes one {!Event.write_jsonl} line per event
+    and the same line, through {!Record.write_jsonl}, per request
+    record.  Lines are batched in a ~64 KiB {!Json.Writer} buffer
+    (per-event syscall flushing distorts traced-run timings), which
+    drains to [oc] once it holds 64 KiB and grows for a line larger
+    than itself; [close] drains the buffer and flushes but leaves the
+    channel open (the caller owns it).  An unclosed sink may hold
+    buffered lines, so always close.
 
     Where {!Par.Helper} can run, encoding moves to the helper domain
-    after the first 64 events since creation or the last [flush]:
-    [emit] stores the event in a ring of 256, and the helper encodes
-    the events in order, in chunks of at most 64, through the same
-    {!Event.write_jsonl}; an emitter that finds the ring full encodes a
-    chunk itself.  Until [flush] or [close] returns the helper may be
+    after the first 64 lines since creation or the last [flush]:
+    [emit] and [record] store the event or the record in a ring of
+    256 slots, and the helper encodes them in order, in chunks of at
+    most 64; an emitter that finds the ring full encodes a chunk
+    itself.  Until [flush] or [close] returns the helper may be
     writing to [oc], so the caller must leave [oc] alone.  An encode or
-    write error on the helper is re-raised at the next [emit], [flush]
-    or [close], and the events still in the ring are dropped. *)
+    write error on the helper is re-raised at the next [emit],
+    [record], [flush] or [close], and the lines still in the ring are
+    dropped. *)
 val jsonl_channel : out_channel -> t
 
 (** [jsonl_file path] opens [path] for writing; [close] closes it. *)
 val jsonl_file : string -> t
 
-(** [chrome_channel oc] writes the Chrome trace_event JSON-array format
+(** [chrome_file path] writes the Chrome trace_event JSON-array format
     understood by [chrome://tracing] and Perfetto.
     {!Event.Span_begin}/{!Event.Span_end} pairs become async duration
     ("b"/"e") records keyed by span id, which render as nested flame
@@ -85,9 +101,5 @@ val jsonl_file : string -> t
     retuned regions also draw as "queue-depth" and "region-measure"
     counter tracks.  Every other event is an instant.  Virtual seconds
     map to trace microseconds.  [close] writes the
-    closing bracket and flushes; the caller owns the channel. *)
-val chrome_channel : out_channel -> t
-
-(** [chrome_file path] is {!chrome_channel} on a fresh file; [close]
-    closes it. *)
+    closing bracket and closes the file. *)
 val chrome_file : string -> t

@@ -64,3 +64,45 @@ val end_ :
   ?attrs:Event.attr list ->
   unit ->
   unit
+
+(** {2 Request spans}
+
+    The request lifecycle's spans, typed: each entry point takes ints,
+    reads the time from the cluster's clock cell and hands a
+    {!Record} to the sinks, so a traced request builds no {!Event.t},
+    option or attribute list.  The events a sink that keeps events
+    sees are exactly those {!begin_} and {!end_} would emit: a
+    ["request"] begin with its file set and [[Client; Op]], stage
+    begins with their parent (and server, for queue and service), and
+    ends with their server.  Like {!begin_}, a begin returns {!none}
+    without sinks, and an end of {!none} is a no-op. *)
+module Request : sig
+  type t
+
+  (** [create ctx ~clock ~file_sets ~ops]: [clock] is the simulator's
+      time cell ([Desim.Sim.time_cell]), and a record's [fs] and [op]
+      index [file_sets] and [ops]. *)
+  val create :
+    Ctx.t -> clock:float array -> file_sets:string array ->
+    ops:string array -> t
+
+  val tracing : t -> bool
+
+  (** A ["request"] span opens at submission. *)
+  val begin_ : t -> fs:int -> client:int -> op:int -> id
+
+  val buffered_begin : t -> parent:id -> fs:int -> id
+
+  val queue_begin : t -> parent:id -> server:int -> fs:int -> id
+
+  val service_begin : t -> parent:id -> server:int -> fs:int -> id
+
+  (** The ["request"] span closes on the server that completed it. *)
+  val end_ : t -> id:id -> server:int -> unit
+
+  val buffered_end : t -> id:id -> server:int -> unit
+
+  val queue_end : t -> id:id -> server:int -> unit
+
+  val service_end : t -> id:id -> server:int -> unit
+end

@@ -8,67 +8,78 @@ let default_config = { interval = 60.0; top_k = 10; max_tracked_servers = None }
 
 (* --- Space-saving heavy-hitter sketch (Metwally et al.) ---
 
-   Tracks at most [capacity] keys.  A miss at capacity evicts the
-   minimum-count entry and adopts its count as the newcomer's floor,
-   recording that floor as the overestimate error.  Guarantees every
-   key with true frequency > N/capacity is present. *)
+   Tracks at most [capacity] file sets, by index.  A miss at capacity
+   evicts the minimum-count entry and adopts its count as the
+   newcomer's floor, recording that floor as the overestimate error.
+   Guarantees every key with true frequency > N/capacity is present.
+   Ties are broken on the file-set names, so the sketch ranks and
+   evicts exactly as one keyed by name would. *)
 module Sketch = struct
-  (* Slot [i < size] tracks [keys.(i)] with its count and error in the
-     parallel int arrays; [index] maps a tracked key to its slot.  The
-     arrays make the eviction scan a plain loop: no closure, no tuple
-     per candidate. *)
+  (* Slot [i < size] tracks file set [keys.(i)] with its count and
+     error in the parallel int arrays; [slot_of.(fs)] is that slot, or
+     -1 while [fs] is untracked.  The arrays make the eviction scan a
+     plain loop: no closure, no tuple per candidate. *)
   type t = {
-    keys : string array;
+    keys : int array;
     counts : int array;
     errors : int array;
     mutable size : int;
-    index : (string, int) Hashtbl.t;
+    mutable slot_of : int array;
   }
 
   let create ~capacity =
     if capacity <= 0 then
       invalid_arg "Telemetry.Sketch.create: capacity must be > 0";
     {
-      keys = Array.make capacity "";
+      keys = Array.make capacity 0;
       counts = Array.make capacity 0;
       errors = Array.make capacity 0;
       size = 0;
-      index = Hashtbl.create capacity;
+      slot_of = [||];
     }
 
-  let observe t key =
-    match Hashtbl.find t.index key with
-    | i -> t.counts.(i) <- t.counts.(i) + 1
-    | exception Not_found ->
-      if t.size < Array.length t.keys then begin
-        let i = t.size in
-        t.size <- i + 1;
-        t.keys.(i) <- key;
-        t.counts.(i) <- 1;
-        t.errors.(i) <- 0;
-        Hashtbl.add t.index key i
-      end
-      else begin
-        (* Evict the minimum-count entry; break count ties on the
-           smallest key so the sketch is deterministic across runs. *)
-        let v = ref 0 in
-        for i = 1 to t.size - 1 do
-          let c = t.counts.(i) and vc = t.counts.(!v) in
-          if c < vc || (c = vc && String.compare t.keys.(i) t.keys.(!v) < 0)
-          then v := i
-        done;
-        let v = !v in
-        let floor = t.counts.(v) in
-        Hashtbl.remove t.index t.keys.(v);
-        t.keys.(v) <- key;
-        t.counts.(v) <- floor + 1;
-        t.errors.(v) <- floor;
-        Hashtbl.add t.index key v
-      end
+  let grow t fs =
+    let n = Array.length t.slot_of in
+    let slot_of = Array.make (max (fs + 1) (2 * n)) (-1) in
+    Array.blit t.slot_of 0 slot_of 0 n;
+    t.slot_of <- slot_of
 
-  (* Entries sorted by count desc, then key asc — a stable ranking. *)
-  let ranked t =
-    List.init t.size (fun i -> (t.keys.(i), t.counts.(i), t.errors.(i)))
+  let observe t ~names fs =
+    if fs >= Array.length t.slot_of then grow t fs;
+    let i = t.slot_of.(fs) in
+    if i >= 0 then t.counts.(i) <- t.counts.(i) + 1
+    else if t.size < Array.length t.keys then begin
+      let i = t.size in
+      t.size <- i + 1;
+      t.keys.(i) <- fs;
+      t.counts.(i) <- 1;
+      t.errors.(i) <- 0;
+      t.slot_of.(fs) <- i
+    end
+    else begin
+      (* Evict the minimum-count entry; break count ties on the
+         smallest name so the sketch is deterministic across runs. *)
+      let v = ref 0 in
+      for i = 1 to t.size - 1 do
+        let c = t.counts.(i) and vc = t.counts.(!v) in
+        if
+          c < vc
+          || c = vc
+             && String.compare names.(t.keys.(i)) names.(t.keys.(!v)) < 0
+        then v := i
+      done;
+      let v = !v in
+      let floor = t.counts.(v) in
+      t.slot_of.(t.keys.(v)) <- -1;
+      t.keys.(v) <- fs;
+      t.counts.(v) <- floor + 1;
+      t.errors.(v) <- floor;
+      t.slot_of.(fs) <- v
+    end
+
+  (* Entries sorted by count desc, then name asc — a stable ranking. *)
+  let ranked t ~names =
+    List.init t.size (fun i -> (names.(t.keys.(i)), t.counts.(i), t.errors.(i)))
     |> List.sort (fun (ka, ca, _) (kb, cb, _) ->
            if ca <> cb then compare cb ca else String.compare ka kb)
 end
@@ -90,10 +101,15 @@ type server_state = {
    utilization remain exact for everybody no matter the cap. *)
 type scalar_state = { mutable s_requests : int; s_busy : float array }
 
+(* Per-server state sits in arrays indexed by server id, grown on
+   demand. *)
 type t = {
   config : config;
-  servers : (int, server_state) Hashtbl.t;
-  scalars : (int, scalar_state) Hashtbl.t;  (* capped mode only *)
+  mutable clock : float array;  (* the bound time cell *)
+  mutable file_sets : string array;  (* the bound file-set names *)
+  mutable servers : server_state option array;
+  mutable tracked : int;  (* [Some] entries of [servers], capped mode *)
+  mutable scalars : scalar_state option array;  (* capped mode only *)
   mutable tracked_min : int;
       (* lower bound on the smallest tracked request count; promotion
          scans only when a scalar count crosses it *)
@@ -111,8 +127,11 @@ let of_config config =
   | Some _ | None -> ());
   {
     config;
-    servers = Hashtbl.create 16;
-    scalars = Hashtbl.create 16;
+    clock = [| 0.0 |];
+    file_sets = [||];
+    servers = [||];
+    tracked = 0;
+    scalars = [||];
     tracked_min = 0;
     request_rate = Desim.Timeseries.create ~interval:config.interval;
     sketch = Sketch.create ~capacity:(max 1 config.top_k);
@@ -125,6 +144,10 @@ let create ?(interval = default_config.interval)
 
 let config t = t.config
 
+let bind t ~clock ~file_sets =
+  t.clock <- clock;
+  t.file_sets <- file_sets
+
 let fresh_state t =
   {
     queue_depth = Desim.Timeseries.create ~interval:t.config.interval;
@@ -134,21 +157,27 @@ let fresh_state t =
     requests = 0;
   }
 
-(* [Hashtbl.find] rather than [find_opt]: no [Some] per request. *)
+let grown a server =
+  let b = Array.make (max (server + 1) (2 * Array.length a)) None in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let server_state t server =
-  match Hashtbl.find t.servers server with
-  | s -> s
-  | exception Not_found ->
+  if server >= Array.length t.servers then t.servers <- grown t.servers server;
+  match t.servers.(server) with
+  | Some s -> s
+  | None ->
     let s = fresh_state t in
-    Hashtbl.add t.servers server s;
+    t.servers.(server) <- Some s;
     s
 
 let scalar_state t server =
-  match Hashtbl.find t.scalars server with
-  | s -> s
-  | exception Not_found ->
+  if server >= Array.length t.scalars then t.scalars <- grown t.scalars server;
+  match t.scalars.(server) with
+  | Some s -> s
+  | None ->
     let s = { s_requests = 0; s_busy = [| 0.0 |] } in
-    Hashtbl.add t.scalars server s;
+    t.scalars.(server) <- Some s;
     s
 
 (* Capped-mode series lookup: the first [k] servers get series
@@ -160,78 +189,79 @@ let scalar_state t server =
    server starts fresh series from its promotion time; its scalar
    totals are unaffected. *)
 let tracked_state t server ~(scalar : scalar_state) =
-  match Hashtbl.find_opt t.servers server with
-  | Some s -> Some s
+  if server >= Array.length t.servers then t.servers <- grown t.servers server;
+  match t.servers.(server) with
+  | Some _ as s -> s
   | None ->
     let k =
       match t.config.max_tracked_servers with Some k -> k | None -> assert false
     in
-    if Hashtbl.length t.servers < k then begin
+    let track () =
       let s = fresh_state t in
-      Hashtbl.add t.servers server s;
+      t.servers.(server) <- Some s;
       Some s
+    in
+    if t.tracked < k then begin
+      t.tracked <- t.tracked + 1;
+      track ()
     end
     else if scalar.s_requests <= t.tracked_min then None
     else begin
-      let victim = ref None in
-      Hashtbl.iter
-        (fun id (s : server_state) ->
-          match !victim with
-          | None -> victim := Some (id, s)
-          | Some (vid, vs) ->
-            if
-              s.requests < vs.requests
-              || (s.requests = vs.requests && id < vid)
-            then victim := Some (id, s))
+      (* The first minimum in id order: ties evict the smallest id. *)
+      let victim = ref (-1) and vreq = ref max_int in
+      Array.iteri
+        (fun id -> function
+          | Some (s : server_state) when s.requests < !vreq ->
+            victim := id;
+            vreq := s.requests
+          | Some _ | None -> ())
         t.servers;
-      match !victim with
-      | None -> None
-      | Some (vid, vs) ->
-        t.tracked_min <- vs.requests;
-        if scalar.s_requests <= vs.requests then None
+      if !victim < 0 then None
+      else begin
+        t.tracked_min <- !vreq;
+        if scalar.s_requests <= !vreq then None
         else begin
-          Hashtbl.remove t.servers vid;
-          let s = fresh_state t in
-          Hashtbl.add t.servers server s;
-          Some s
+          t.servers.(!victim) <- None;
+          track ()
         end
+      end
     end
 
-let observe_submit t ~time ~file_set =
+let observe_submit t ~fs =
   t.total_requests <- t.total_requests + 1;
-  Desim.Timeseries.observe t.request_rate ~time 1.0;
-  Sketch.observe t.sketch file_set
+  Desim.Timeseries.observe_now_int t.request_rate ~clock:t.clock 1;
+  Sketch.observe t.sketch ~names:t.file_sets fs
 
-let observe_service t ~time ~server ~service =
+let observe_service t ~server ~service =
   match t.config.max_tracked_servers with
   | None ->
     let s = server_state t server in
     s.busy_seconds.(0) <- s.busy_seconds.(0) +. service;
-    Desim.Timeseries.observe s.occupancy ~time service
+    Desim.Timeseries.observe_now s.occupancy ~clock:t.clock service
   | Some _ ->
     let sc = scalar_state t server in
     sc.s_busy.(0) <- sc.s_busy.(0) +. service;
     (match tracked_state t server ~scalar:sc with
     | Some s ->
       s.busy_seconds.(0) <- s.busy_seconds.(0) +. service;
-      Desim.Timeseries.observe s.occupancy ~time service
+      Desim.Timeseries.observe_now s.occupancy ~clock:t.clock service
     | None -> ())
 
-let observe_complete t ~time ~server ~queue_depth ~latency =
+let observe_complete t ~server ~queue_depth ~latency =
   match t.config.max_tracked_servers with
   | None ->
     let s = server_state t server in
     s.requests <- s.requests + 1;
-    Desim.Timeseries.observe s.queue_depth ~time (float_of_int queue_depth);
-    Desim.Timeseries.observe s.latency ~time latency
+    Desim.Timeseries.observe_now_int s.queue_depth ~clock:t.clock queue_depth;
+    Desim.Timeseries.observe_now s.latency ~clock:t.clock latency
   | Some _ ->
     let sc = scalar_state t server in
     sc.s_requests <- sc.s_requests + 1;
     (match tracked_state t server ~scalar:sc with
     | Some s ->
       s.requests <- s.requests + 1;
-      Desim.Timeseries.observe s.queue_depth ~time (float_of_int queue_depth);
-      Desim.Timeseries.observe s.latency ~time latency
+      Desim.Timeseries.observe_now_int s.queue_depth ~clock:t.clock queue_depth;
+      Desim.Timeseries.observe_now s.latency ~clock:t.clock latency
     | None -> ())
 
 type server_summary = {
@@ -255,12 +285,19 @@ type snapshot = {
   heavy_hitters : heavy_hitter list;
 }
 
+(* The [Some] entries of an id-indexed array, in id order. *)
+let by_id a f =
+  let acc = ref [] in
+  for id = Array.length a - 1 downto 0 do
+    match a.(id) with Some x -> acc := f id x :: !acc | None -> ()
+  done;
+  !acc
+
 let snapshot (t : t) ~until =
   let servers =
     match t.config.max_tracked_servers with
     | None ->
-      Hashtbl.fold
-        (fun server (s : server_state) acc ->
+      by_id t.servers (fun server (s : server_state) ->
           {
             server;
             requests = s.requests;
@@ -270,26 +307,24 @@ let snapshot (t : t) ~until =
             queue_depth = Desim.Timeseries.finish s.queue_depth ~until;
             occupancy = Desim.Timeseries.finish s.occupancy ~until;
             latency = Desim.Timeseries.finish s.latency ~until;
-          }
-          :: acc)
-        t.servers []
-      |> List.sort (fun a b -> compare a.server b.server)
+          })
     | Some _ ->
       (* Scalar totals are exact for every server; series exist only
          for the currently-tracked top-k (a promoted server's series
          start at its promotion, so they may cover less than its
          scalar totals). *)
-      Hashtbl.fold
-        (fun server (sc : scalar_state) acc ->
-          let series =
-            match Hashtbl.find_opt t.servers server with
+      by_id t.scalars (fun server (sc : scalar_state) ->
+          let queue_depth, occupancy, latency =
+            match
+              if server < Array.length t.servers then t.servers.(server)
+              else None
+            with
             | Some s ->
               ( Desim.Timeseries.finish s.queue_depth ~until,
                 Desim.Timeseries.finish s.occupancy ~until,
                 Desim.Timeseries.finish s.latency ~until )
             | None -> ([], [], [])
           in
-          let queue_depth, occupancy, latency = series in
           {
             server;
             requests = sc.s_requests;
@@ -299,10 +334,7 @@ let snapshot (t : t) ~until =
             queue_depth;
             occupancy;
             latency;
-          }
-          :: acc)
-        t.scalars []
-      |> List.sort (fun a b -> compare a.server b.server)
+          })
   in
   {
     interval = t.config.interval;
@@ -314,7 +346,7 @@ let snapshot (t : t) ~until =
       List.map
         (fun (file_set, count, overestimate) ->
           { file_set; count; overestimate })
-        (Sketch.ranked t.sketch);
+        (Sketch.ranked t.sketch ~names:t.file_sets);
   }
 
 (* --- JSON rendering (behind --telemetry-json) --- *)

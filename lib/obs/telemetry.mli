@@ -10,8 +10,9 @@
     the zero-overhead-when-disabled contract.
 
     The heavy-hitter sketch is the space-saving algorithm: at most
-    [top_k] tracked file sets, evicting the minimum-count entry on
-    overflow and inheriting its count as a floor.  Each reported entry
+    [top_k] tracked file sets, evicting the minimum-count entry (the
+    smallest name among equal counts) on overflow and inheriting its
+    count as a floor.  Each reported entry
     carries the [overestimate] bound it inherited, so a consumer can
     tell exact counts (overestimate 0) from inherited floors. *)
 
@@ -52,21 +53,33 @@ val of_config : config -> t
 
 val config : t -> config
 
-(** [observe_submit t ~time ~file_set] — one request entered the
+(** [bind t ~clock ~file_sets] names the time cell the observations
+    read their time from ([Desim.Sim.time_cell] of the run's
+    simulator) and the file sets an [fs] index names.  The cluster a
+    registry observes binds it when it is created; until then the time
+    reads 0 and no file set has a name. *)
+val bind : t -> clock:float array -> file_sets:string array -> unit
+
+(** The observations take unboxed inputs: the time is the bound
+    clock's, and the file set an index, so a call allocates nothing
+    once its server has state (a float argument such as [service]
+    arrives boxed from the caller and is not copied).
+
+    [observe_submit t ~fs] — one request for file set [fs] entered the
     system: bumps the request-rate series and the file-set sketch. *)
-val observe_submit : t -> time:float -> file_set:string -> unit
+val observe_submit : t -> fs:int -> unit
 
-(** [observe_service t ~time ~server ~service] — [server] started a
-    service of [service] seconds at [time]: feeds its occupancy
-    series and busy-time total. *)
-val observe_service : t -> time:float -> server:int -> service:float -> unit
+(** [observe_service t ~server ~service] — [server] started a service
+    of [service] seconds now: feeds its occupancy series and busy-time
+    total. *)
+val observe_service : t -> server:int -> service:float -> unit
 
-(** [observe_complete t ~time ~server ~queue_depth ~latency] — a
-    request finished on [server]: feeds its queue-depth and latency
-    series.  Times must be non-decreasing per series (the simulator's
-    event order guarantees this). *)
+(** [observe_complete t ~server ~queue_depth ~latency] — a request
+    finished on [server]: feeds its queue-depth and latency series.
+    Times must be non-decreasing per series (the simulator's event
+    order guarantees this). *)
 val observe_complete :
-  t -> time:float -> server:int -> queue_depth:int -> latency:float -> unit
+  t -> server:int -> queue_depth:int -> latency:float -> unit
 
 type server_summary = {
   server : int;

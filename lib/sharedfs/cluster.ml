@@ -219,6 +219,7 @@ type t = {
     unit)
     option;
   obs : Obs.Ctx.t;
+  requests : Obs.Span.Request.t;  (* the request spans' typed front *)
   telemetry : Obs.Telemetry.t option;
   instruments : instruments option;
 }
@@ -276,10 +277,14 @@ let create sim ~disk ~catalog ?(move_config = default_move_config)
       (Obs.Ctx.metrics obs)
   in
   let interner = File_set.Interner.of_names (File_set.Catalog.names catalog) in
+  let clock = Desim.Sim.time_cell sim in
+  let file_sets = Array.of_list (File_set.Interner.names interner) in
+  let telemetry = Obs.Ctx.telemetry obs in
+  Option.iter (fun tl -> Obs.Telemetry.bind tl ~clock ~file_sets) telemetry;
   let t =
     {
       sim;
-      clockc = Desim.Sim.time_cell sim;
+      clockc = clock;
       disk;
       ledger = Ledger.attach disk;
       catalog;
@@ -332,7 +337,10 @@ let create sim ~disk ~catalog ?(move_config = default_move_config)
       completed_n = 0;
       on_move_start = None;
       obs;
-      telemetry = Obs.Ctx.telemetry obs;
+      requests =
+        Obs.Span.Request.create obs ~clock ~file_sets
+          ~ops:(Array.of_list (List.map Request.op_name Request.all_ops));
+      telemetry;
       instruments;
     }
   in
@@ -600,8 +608,7 @@ let complete_request t slot ~latency =
    [start_service] closes; otherwise (or untraced) it has none. *)
 let[@inline] open_queue t server ~sid ~span ~fs =
   if Obs.Ctx.tracing t.obs && Server.in_service server then
-    Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~parent:span
-      ~name:"queue" ~cat:"request" ~server:sid ~file_set:(fs_name t fs) ()
+    Obs.Span.Request.queue_begin t.requests ~parent:span ~server:sid ~fs
   else Obs.Span.none
 
 (* A delivered request begins service: telemetry sees the service time,
@@ -609,16 +616,12 @@ let[@inline] open_queue t server ~sid ~span ~fs =
    has none) and opens its service stage, returned.  Without stages it
    returns {!Obs.Span.none}. *)
 let start_service t ~sid ~span ~qspan ~fs ~staged ~service =
-  let started = Desim.Sim.now t.sim in
   (match t.telemetry with
-  | Some tl ->
-    Obs.Telemetry.observe_service tl ~time:started ~server:sid ~service
+  | Some tl -> Obs.Telemetry.observe_service tl ~server:sid ~service
   | None -> ());
   if staged then begin
-    Obs.Span.end_ t.obs ~time:started ~id:qspan ~name:"queue" ~cat:"request"
-      ~server:sid ();
-    Obs.Span.begin_ t.obs ~time:started ~parent:span ~name:"service"
-      ~cat:"request" ~server:sid ~file_set:(fs_name t fs) ()
+    Obs.Span.Request.queue_end t.requests ~id:qspan ~server:sid;
+    Obs.Span.Request.service_begin t.requests ~parent:span ~server:sid ~fs
   end
   else Obs.Span.none
 
@@ -633,15 +636,12 @@ let[@inline] finish_service t server ~sid ~span ~sspan ~latency =
     Obs.Metrics.Histogram.observe i.latency latency);
   (match t.telemetry with
   | Some tl ->
-    Obs.Telemetry.observe_complete tl ~time:(Desim.Sim.now t.sim) ~server:sid
+    Obs.Telemetry.observe_complete tl ~server:sid
       ~queue_depth:(Server.queue_length server) ~latency
   | None -> ());
   if Obs.Ctx.tracing t.obs then begin
-    let finished = Desim.Sim.now t.sim in
-    Obs.Span.end_ t.obs ~time:finished ~id:sspan ~name:"service"
-      ~cat:"request" ~server:sid ();
-    Obs.Span.end_ t.obs ~time:finished ~id:span ~name:"request"
-      ~cat:"request" ~server:sid ()
+    Obs.Span.Request.service_end t.requests ~id:sspan ~server:sid;
+    Obs.Span.Request.end_ t.requests ~id:span ~server:sid
   end
 
 (* [server] has finished the request in [slot]; [latency] includes the
@@ -709,8 +709,7 @@ let deliver t id slot ~base_demand =
   let staged = bspan <> Obs.Span.none || sl.slot_delivered.(slot) in
   sl.slot_delivered.(slot) <- true;
   if bspan <> Obs.Span.none then begin
-    Obs.Span.end_ t.obs ~time:t.clockc.(0) ~id:bspan ~name:"buffered"
-      ~cat:"request" ~server:sid ();
+    Obs.Span.Request.buffered_end t.requests ~id:bspan ~server:sid;
     sl.slot_bspan.(slot) <- Obs.Span.none
   end;
   let qspan = open_queue t server ~sid ~span:sl.slot_span.(slot) ~fs in
@@ -727,16 +726,6 @@ let deliver t id slot ~base_demand =
 let redeliver t id slot =
   deliver t id slot ~base_demand:t.slots.slot_demand.(slot)
 
-(* A request span's [Op] attribute as a preallocated one-element list
-   per operation, so a traced submission allocates only the [Client]
-   cell in front of it. *)
-let op_attrs =
-  List.map
-    (fun op -> (op, [ Obs.Event.Op (Request.op_name op) ]))
-    Request.all_ops
-
-let op_attr op = List.assq op op_attrs
-
 (* A request for an assigned set arrives: telemetry counts it, its
    request span opens, the submission counters move, and it takes a
    slot, returned.  The request span is the request's whole record in a
@@ -745,16 +734,11 @@ let op_attr op = List.assq op op_attrs
 let arrive t ~fs ~op ~base_demand ~path_hash ~client =
   if Option.is_none t.sink then failwith "Cluster.submit: set_sink first";
   (match t.telemetry with
-  | Some tl ->
-    Obs.Telemetry.observe_submit tl ~time:(Desim.Sim.now t.sim)
-      ~file_set:(fs_name t fs)
+  | Some tl -> Obs.Telemetry.observe_submit tl ~fs
   | None -> ());
   let span =
     if Obs.Ctx.tracing t.obs then
-      Obs.Span.begin_ t.obs ~time:(Desim.Sim.now t.sim) ~name:"request"
-        ~cat:"request" ~file_set:(fs_name t fs)
-        ~attrs:(Obs.Event.Client client :: op_attr op)
-        ()
+      Obs.Span.Request.begin_ t.requests ~fs ~client ~op:(Request.op_index op)
     else Obs.Span.none
   in
   t.submitted_n <- t.submitted_n + 1;
@@ -784,9 +768,8 @@ let submit t ~fs ~op ~base_demand ~path_hash ~client =
        "buffered" stage, so forensics can attribute that part of its
        latency to the move rather than to queueing. *)
     t.slots.slot_bspan.(slot) <-
-      Obs.Span.begin_ t.obs ~time:t.clockc.(0)
-        ~parent:t.slots.slot_span.(slot) ~name:"buffered" ~cat:"request"
-        ~file_set:(fs_name t fs) ();
+      Obs.Span.Request.buffered_begin t.requests
+        ~parent:t.slots.slot_span.(slot) ~fs;
     Queue.add slot pending
   | Unassigned ->
     failwith ("Cluster.submit: file set never assigned: " ^ fs_name t fs)
@@ -1110,13 +1093,6 @@ let recover_server t id =
     journal t Ledger.Commit (Ledger.Member { server = sid; change = "join" })
   end
 
-let heal_partition t id =
-  if Hashtbl.mem t.partitioned id then begin
-    recover_server t id;
-    true
-  end
-  else false
-
 (* --- zombie writes ---
 
    A partitioned server that still believes it owns metadata will keep
@@ -1256,14 +1232,6 @@ let add_server t id ~speed =
 let ledger t = t.ledger
 
 let set_on_torn t f = t.on_torn <- Some f
-
-let lock_active_keys t =
-  Array.fold_left
-    (fun acc d ->
-      match d with None -> acc | Some d -> acc + Lock_manager.active_keys d.lm)
-    0 t.lock_domains
-
-let lock_domain_of t ~fs = (domain_of t fs).lm
 
 let lock_stats t = t.lock_stats
 

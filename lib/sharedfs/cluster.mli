@@ -215,15 +215,6 @@ val submit :
   client:int ->
   unit
 
-(** [lock_active_keys t] counts lock keys with holders or queued
-    requests, summed over every file set's lock domain. *)
-val lock_active_keys : t -> int
-
-(** [lock_domain_of t ~fs] is the lock table of one file set (lock
-    keys are per-[fs], so domains are independent); mostly for
-    tests. *)
-val lock_domain_of : t -> fs:int -> Lock_manager.t
-
 val lock_stats : t -> lock_stats
 
 (** [move t ~file_set ~dst] starts a movement.  No-op when [dst]
@@ -265,11 +256,6 @@ val recover_server : t -> Server_id.t -> unit
     {!fail_server}.  Partitioning a dead or already-partitioned server
     is a no-op returning [[]]. *)
 val partition_server : t -> Server_id.t -> link:link -> string list
-
-(** [heal_partition t id] heals a partition opened by
-    {!partition_server} (via {!recover_server}); [false] when [id] was
-    not partitioned. *)
-val heal_partition : t -> Server_id.t -> bool
 
 val is_partitioned : t -> Server_id.t -> bool
 

@@ -64,5 +64,17 @@ let all_ops =
     Set_attr;
   ]
 
+let op_index = function
+  | Open_file -> 0
+  | Close_file -> 1
+  | Stat -> 2
+  | Create -> 3
+  | Remove -> 4
+  | Rename -> 5
+  | Readdir -> 6
+  | Lock_acquire -> 7
+  | Lock_release -> 8
+  | Set_attr -> 9
+
 let pp fmt t =
   Format.fprintf fmt "%s(%s, #%d)" (op_name t.op) t.file_set t.path_hash

@@ -46,4 +46,7 @@ val op_name : op -> string
 
 val all_ops : op list
 
+(** [op_index op] is [op]'s position in {!all_ops}. *)
+val op_index : op -> int
+
 val pp : Format.formatter -> t -> unit

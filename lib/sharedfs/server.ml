@@ -56,7 +56,7 @@ let set_speed t s = Desim.Station.set_speed t.station s
 
 let record t ~latency =
   Desim.Welford.add t.window latency;
-  Desim.Timeseries.observe t.series ~time:t.clockc.(0) latency;
+  Desim.Timeseries.observe_now t.series ~clock:t.clockc latency;
   match t.instruments with
   | None -> ()
   | Some i ->
@@ -110,8 +110,6 @@ let take_report t =
   let r = report_of_window t.window in
   Desim.Welford.reset t.window;
   r
-
-let peek_report t = report_of_window t.window
 
 let series t ~until = Desim.Timeseries.finish t.series ~until
 

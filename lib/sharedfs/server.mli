@@ -84,9 +84,6 @@ val utilization : t -> until:float -> float
 (** [take_report t] returns the current window and resets it. *)
 val take_report : t -> report
 
-(** [peek_report t] returns the current window without resetting. *)
-val peek_report : t -> report
-
 (** [series t ~until] closes the full latency time series. *)
 val series : t -> until:float -> Desim.Timeseries.point list
 

@@ -13,7 +13,6 @@ type t = {
   store : (int, string) Hashtbl.t;
   fenced : (int, unit) Hashtbl.t;
   mutable writes : int;
-  mutable rejected : int;
   mutable stalls : float list;  (** the factors of the active stalls *)
   mutable stall : float;  (** the largest of them, 1.0 when none *)
   mutable hook :
@@ -29,7 +28,7 @@ let create ?(config = default_config) () =
   if config.bandwidth <= 0.0 then
     invalid_arg "Shared_disk.create: bandwidth must be positive";
   { cfg = config; store = Hashtbl.create 1024; fenced = Hashtbl.create 8;
-    writes = 0; rejected = 0; stalls = []; stall = 1.0; hook = None }
+    writes = 0; stalls = []; stall = 1.0; hook = None }
 
 let set_stall t ~factor =
   if factor < 1.0 then
@@ -94,10 +93,7 @@ let unfence t ~server = Hashtbl.remove t.fenced server
 let is_fenced t ~server = Hashtbl.mem t.fenced server
 
 let write_as t ~server ~block data =
-  if Hashtbl.mem t.fenced server then begin
-    t.rejected <- t.rejected + 1;
-    `Fenced
-  end
+  if Hashtbl.mem t.fenced server then `Fenced
   else `Ok (write t ~block data)
 
 let compare_and_swap t ~block ~expect data =
@@ -111,5 +107,3 @@ let compare_and_swap t ~block ~expect data =
 let set_write_hook t hook = t.hook <- Some hook
 
 let clear_write_hook t = t.hook <- None
-
-let rejected_writes t = t.rejected

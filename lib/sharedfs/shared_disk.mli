@@ -120,7 +120,3 @@ val set_write_hook :
 
 val clear_write_hook : t -> unit
 
-(** [rejected_writes t] counts {!write_as} operations rejected by
-    fencing — the observable proof that a fenced server's writes never
-    reach the shared image. *)
-val rejected_writes : t -> int

@@ -715,19 +715,13 @@ let test_faultfree_path_unchanged () =
 let round_record ?faults () =
   let kept = ref [] in
   let sink =
-    {
-      Obs.Sink.name = "rounds";
-      emit =
-        (fun e ->
-          match e with
-          | Obs.Event.Span_begin { cat = "round"; _ }
-          | Obs.Event.Span_end { cat = "round"; _ }
-          | Obs.Event.Rehash_round _ ->
-            kept := e :: !kept
-          | _ -> ());
-      flush = ignore;
-      close = ignore;
-    }
+    Obs.Sink.make ~name:"rounds" (fun e ->
+        match e with
+        | Obs.Event.Span_begin { cat = "round"; _ }
+        | Obs.Event.Span_end { cat = "round"; _ }
+        | Obs.Event.Rehash_round _ ->
+          kept := e :: !kept
+        | _ -> ())
   in
   let obs =
     Obs.Ctx.create ~sinks:[ sink ] ~metrics:(Obs.Metrics.create ()) ()

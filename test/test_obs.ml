@@ -997,55 +997,66 @@ let test_jsonl_sink_helper_error () =
       call sink.Obs.Sink.close;
       call sink.Obs.Sink.close)
 
-(* Two domains emit through one shared context while the main domain's
-   helper encodes: every line parses, and each emitter's events are all
-   there, in its own order. *)
-let test_jsonl_sink_two_emitters () =
+(* A context with sinks has one emitting domain: an emit, a request
+   record or a flush from a second domain raises [Invalid_argument]
+   before reaching a sink, and the trace written so far (events and
+   records, across the helper's ring) stays a valid prefix. *)
+let test_ctx_second_emitting_domain () =
   Helper_wait.quiesce ();
-  let per_domain = 3_000 in
-  let mark who i =
+  let mark i =
     Obs.Event.Rehash_round
-      { time = float_of_int i; trigger = who; checked = i; moved = 0 }
+      { time = float_of_int i; trigger = "main"; checked = i; moved = 0 }
   in
   with_temp_file (fun path ->
       let oc = open_out_bin path in
       let ctx = Obs.Ctx.create ~sinks:[ Obs.Sink.jsonl_channel oc ] () in
-      for i = 1 to 100 do
-        Obs.Ctx.emit ctx (mark "main" i)
-      done;
-      let emitter who =
-        Domain.spawn (fun () ->
-            for i = 1 to per_domain do
-              Obs.Ctx.emit ctx (mark who i)
-            done)
+      let requests =
+        Obs.Span.Request.create ctx ~clock:[| 1.5 |] ~file_sets:[| "fs" |]
+          ~ops:[| "open" |]
       in
-      let a = emitter "a" and b = emitter "b" in
-      Domain.join a;
-      Domain.join b;
+      for i = 1 to 300 do
+        Obs.Ctx.emit ctx (mark i);
+        ignore (Obs.Span.Request.begin_ requests ~fs:0 ~client:i ~op:0 : int)
+      done;
+      let refused f =
+        match f () with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      let from_other_domain =
+        Domain.join
+          (Domain.spawn (fun () ->
+               [
+                 refused (fun () -> Obs.Ctx.emit ctx (mark 0));
+                 refused (fun () ->
+                     ignore
+                       (Obs.Span.Request.begin_ requests ~fs:0 ~client:0 ~op:0
+                         : int));
+                 refused (fun () -> Obs.Ctx.flush ctx);
+               ]))
+      in
+      Alcotest.(check (list bool))
+        "emit, record and flush refused" [ true; true; true ] from_other_domain;
+      Obs.Ctx.emit ctx (mark 301);
       Obs.Ctx.flush ctx;
-      check_bool "no helper after the flush" false (Par.Helper.running ());
       Obs.Ctx.close ctx;
       close_out oc;
-      let seen = Hashtbl.create 3 in
-      List.iter
-        (fun line ->
-          if line <> "" then
-            match Obs.Event.of_jsonl line with
-            | Ok (Obs.Event.Rehash_round { trigger; checked; _ }) ->
-              let last =
-                Option.value ~default:0 (Hashtbl.find_opt seen trigger)
-              in
-              if checked <> last + 1 then
-                Alcotest.failf "%s: event %d after %d" trigger checked last;
-              Hashtbl.replace seen trigger checked
-            | Ok _ -> Alcotest.fail "an event nobody emitted"
-            | Error err -> Alcotest.failf "line failed to parse: %s" err)
-        (String.split_on_char '\n' (read_file path));
-      List.iter
-        (fun (who, n) ->
-          check_int (who ^ ": every event") n
-            (Option.value ~default:0 (Hashtbl.find_opt seen who)))
-        [ ("main", 100); ("a", per_domain); ("b", per_domain) ])
+      let lines =
+        List.filter (( <> ) "") (String.split_on_char '\n' (read_file path))
+      in
+      check_int "every line of the emitting domain" 601 (List.length lines);
+      List.iteri
+        (fun n line ->
+          match Obs.Event.of_jsonl line with
+          | Ok (Obs.Event.Rehash_round { checked; _ }) ->
+            check_int "events in order" ((n / 2) + 1) checked
+          | Ok (Obs.Event.Span_begin { id; attrs; _ }) ->
+            check_int "records in order" ((n / 2) + 1) id;
+            check_bool "the record's client" true
+              (List.mem (Obs.Event.Client id) attrs)
+          | Ok _ -> Alcotest.fail "an event nobody emitted"
+          | Error err -> Alcotest.failf "line failed to parse: %s" err)
+        lines)
 
 (* --- Chrome sink --- *)
 
@@ -2113,8 +2124,8 @@ let suite =
       test_jsonl_sink_helper_path;
     Alcotest.test_case "jsonl sink: helper write error reaches emitter"
       `Quick test_jsonl_sink_helper_error;
-    Alcotest.test_case "jsonl sink: two emitting domains" `Quick
-      test_jsonl_sink_two_emitters;
+    Alcotest.test_case "ctx: a second emitting domain is refused" `Quick
+      test_ctx_second_emitting_domain;
     Alcotest.test_case "chrome trace valid json" `Quick
       test_chrome_file_valid_json;
     Alcotest.test_case "chrome empty trace valid" `Quick

@@ -6,12 +6,37 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let submit tl ~time ~file_set = Obs.Telemetry.observe_submit tl ~time ~file_set
+(* Every registry here reads its time from [clock], which each call
+   below sets first, and names the file sets of [file_sets]. *)
+let clock = [| 0.0 |]
+
+let file_sets = [| "a"; "b"; "c"; "d" |]
+
+let create ?interval ?top_k ?max_tracked_servers () =
+  let tl = Obs.Telemetry.create ?interval ?top_k ?max_tracked_servers () in
+  Obs.Telemetry.bind tl ~clock ~file_sets;
+  tl
+
+let fs_index name =
+  let rec go i = if file_sets.(i) = name then i else go (i + 1) in
+  go 0
+
+let submit tl ~time ~file_set =
+  clock.(0) <- time;
+  Obs.Telemetry.observe_submit tl ~fs:(fs_index file_set)
+
+let service tl ~time ~server ~service =
+  clock.(0) <- time;
+  Obs.Telemetry.observe_service tl ~server ~service
+
+let complete tl ~time ~server ~queue_depth ~latency =
+  clock.(0) <- time;
+  Obs.Telemetry.observe_complete tl ~server ~queue_depth ~latency
 
 (* Below capacity the sketch is an exact counter: every entry reports
    its true frequency with overestimate 0, ranked by count then name. *)
 let test_sketch_exact_under_capacity () =
-  let tl = Obs.Telemetry.create ~interval:10.0 ~top_k:4 () in
+  let tl = create ~interval:10.0 ~top_k:4 () in
   List.iter
     (fun (time, file_set) -> submit tl ~time ~file_set)
     [
@@ -34,7 +59,7 @@ let test_sketch_exact_under_capacity () =
    floor and carries it as its overestimate bound, so consumers can
    separate exact counts from inherited ones. *)
 let test_sketch_eviction_overestimate () =
-  let tl = Obs.Telemetry.create ~interval:10.0 ~top_k:2 () in
+  let tl = create ~interval:10.0 ~top_k:2 () in
   List.iter
     (fun (time, file_set) -> submit tl ~time ~file_set)
     [ (0.0, "a"); (1.0, "a"); (2.0, "b"); (3.0, "c") ];
@@ -57,15 +82,15 @@ let test_sketch_eviction_overestimate () =
    observations, utilization is busy/until, request counts come from
    completions, and every series closes at the snapshot horizon. *)
 let test_server_summaries () =
-  let tl = Obs.Telemetry.create ~interval:10.0 () in
-  Obs.Telemetry.observe_service tl ~time:1.0 ~server:0 ~service:2.0;
-  Obs.Telemetry.observe_complete tl ~time:3.0 ~server:0 ~queue_depth:1
+  let tl = create ~interval:10.0 () in
+  service tl ~time:1.0 ~server:0 ~service:2.0;
+  complete tl ~time:3.0 ~server:0 ~queue_depth:1
     ~latency:2.5;
-  Obs.Telemetry.observe_service tl ~time:12.0 ~server:0 ~service:3.0;
-  Obs.Telemetry.observe_complete tl ~time:15.0 ~server:0 ~queue_depth:0
+  service tl ~time:12.0 ~server:0 ~service:3.0;
+  complete tl ~time:15.0 ~server:0 ~queue_depth:0
     ~latency:3.0;
-  Obs.Telemetry.observe_service tl ~time:4.0 ~server:2 ~service:1.0;
-  Obs.Telemetry.observe_complete tl ~time:5.0 ~server:2 ~queue_depth:4
+  service tl ~time:4.0 ~server:2 ~service:1.0;
+  complete tl ~time:5.0 ~server:2 ~queue_depth:4
     ~latency:1.0;
   let s = Obs.Telemetry.snapshot tl ~until:20.0 in
   match s.Obs.Telemetry.servers with
@@ -160,12 +185,11 @@ let test_runner_telemetry_isolated_per_run () =
    (space-saving over servers). *)
 let test_max_tracked_servers_cap () =
   let tl =
-    Obs.Telemetry.create ~interval:10.0 ~max_tracked_servers:2 ()
+    create ~interval:10.0 ~max_tracked_servers:2 ()
   in
   let complete ~time ~server =
-    Obs.Telemetry.observe_service tl ~time ~server ~service:1.0;
-    Obs.Telemetry.observe_complete tl ~time ~server ~queue_depth:0
-      ~latency:0.5
+    service tl ~time ~server ~service:1.0;
+    complete tl ~time ~server ~queue_depth:0 ~latency:0.5
   in
   (* Servers 0 and 1 claim the two slots; then server 2 completes more
      than either and must take a slot over. *)
@@ -189,15 +213,16 @@ let test_max_tracked_servers_cap () =
   check_bool "coldest server evicted" false (has_series (by_id 0))
 
 (* A service start allocates nothing once its server has state: the
-   time and service arrive boxed, as the cluster passes them. *)
+   time comes from the bound clock and the service arrives boxed, as
+   the cluster passes it. *)
 let test_observe_service_allocates_nothing () =
-  let tl = Obs.Telemetry.create ~interval:60.0 () in
-  let time = Sys.opaque_identity 12.5
-  and service = Sys.opaque_identity 0.25 in
-  Obs.Telemetry.observe_service tl ~time ~server:3 ~service;
+  let tl = create ~interval:60.0 () in
+  let service = Sys.opaque_identity 0.25 in
+  clock.(0) <- 12.5;
+  Obs.Telemetry.observe_service tl ~server:3 ~service;
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    Obs.Telemetry.observe_service tl ~time ~server:3 ~service
+    Obs.Telemetry.observe_service tl ~server:3 ~service
   done;
   let after = Gc.minor_words () in
   Alcotest.(check (float 0.0))
@@ -210,8 +235,74 @@ let test_observe_service_allocates_nothing () =
       "busy seconds" (10_001.0 *. 0.25) s.busy_seconds
   | servers -> Alcotest.failf "%d servers, expected 1" (List.length servers)
 
+(* Submissions and completions allocate nothing either: the queue
+   depth is an int, the file set an index, the latency arrives boxed,
+   and the time moves on inside one bucket. *)
+let test_observe_submit_complete_allocate_nothing () =
+  let tl = create ~interval:1e6 ~top_k:2 () in
+  let latency = Sys.opaque_identity 0.125 in
+  let step i =
+    clock.(0) <- float_of_int i *. 0.01;
+    Obs.Telemetry.observe_submit tl ~fs:(i land 3);
+    Obs.Telemetry.observe_complete tl ~server:(i land 1) ~queue_depth:(i land 7)
+      ~latency
+  in
+  for i = 0 to 3 do
+    step i
+  done;
+  let before = Gc.minor_words () in
+  for i = 4 to 10_003 do
+    step i
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.0))
+    "minor words per call" 0.0
+    ((after -. before) /. 10_000.0);
+  let s = Obs.Telemetry.snapshot tl ~until:100.0 in
+  check_int "every submission counted" 10_004 s.total_requests;
+  check_int "both servers" 2 (List.length s.servers)
+
+(* The index-keyed sketch ranks, evicts and breaks count ties exactly
+   as the name-keyed oracle does: random streams over fewer and more
+   distinct file sets than [top_k], the names in an order unrelated to
+   their indexes so that a tie broken on the index would show. *)
+let prop_sketch_matches_oracle =
+  let gen =
+    let open QCheck.Gen in
+    let* top_k = 1 -- 6 and* keys = 1 -- 12 in
+    let* stream = list_size (0 -- 300) (0 -- (keys - 1)) in
+    return (top_k, keys, stream)
+  in
+  QCheck.Test.make ~count:500 ~name:"index-keyed sketch ranks as the oracle"
+    (QCheck.make
+       ~print:(fun (k, n, s) ->
+         Printf.sprintf "top_k=%d keys=%d [%s]" k n
+           (String.concat ";" (List.map string_of_int s)))
+       gen)
+    (fun (top_k, keys, stream) ->
+      let names =
+        Array.init keys (fun i ->
+            Printf.sprintf "fs-%c%d" (Char.chr (122 - (i * 7 mod 26))) i)
+      in
+      let tl = Obs.Telemetry.create ~top_k () in
+      Obs.Telemetry.bind tl ~clock:[| 0.0 |] ~file_sets:names;
+      let oracle = Sketch_oracle.create ~capacity:top_k in
+      List.iter
+        (fun fs ->
+          Obs.Telemetry.observe_submit tl ~fs;
+          Sketch_oracle.observe oracle names.(fs))
+        stream;
+      let got =
+        List.map
+          (fun (h : Obs.Telemetry.heavy_hitter) ->
+            (h.file_set, h.count, h.overestimate))
+          (Obs.Telemetry.snapshot tl ~until:1.0).heavy_hitters
+      in
+      got = Sketch_oracle.ranked oracle)
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_sketch_matches_oracle;
     Alcotest.test_case "sketch exact under capacity" `Quick
       test_sketch_exact_under_capacity;
     Alcotest.test_case "max_tracked_servers cap" `Quick
@@ -225,4 +316,6 @@ let suite =
       test_runner_telemetry_isolated_per_run;
     Alcotest.test_case "observe_service allocates nothing" `Quick
       test_observe_service_allocates_nothing;
+    Alcotest.test_case "observe_submit and observe_complete allocate nothing"
+      `Quick test_observe_submit_complete_allocate_nothing;
   ]
