@@ -37,8 +37,8 @@ let close_current t =
 
 let bucket_of t time = int_of_float (Float.floor (time /. t.interval))
 
-(* Inlined into each entry point below, so that a time read from a
-   clock cell and an int's float stay unboxed. *)
+(* Inlined into both entry points below, so that the time read from
+   the clock cell and an int's float stay unboxed. *)
 let[@inline] add t time value =
   let idx = bucket_of t time in
   if idx < t.current_index then
@@ -50,11 +50,9 @@ let[@inline] add t time value =
   t.count <- t.count + 1;
   if value > t.acc.(1) then t.acc.(1) <- value
 
-let observe t ~time value = add t time value
+let observe t ~clock value = add t clock.(0) value
 
-let observe_now t ~clock value = add t clock.(0) value
-
-let observe_now_int t ~clock n = add t clock.(0) (float_of_int n)
+let observe_int t ~clock n = add t clock.(0) (float_of_int n)
 
 let finish t ~until =
   let last = bucket_of t until in

@@ -19,20 +19,16 @@ type point = {
     (must be positive). *)
 val create : interval:float -> t
 
-(** [observe t ~time value] adds an observation.  Out-of-order times are
-    accepted as long as they fall in the current or a later bucket;
-    times before the current bucket raise [Invalid_argument]. *)
-val observe : t -> time:float -> float -> unit
+(** [observe t ~clock value] adds an observation at [clock.(0)], a
+    clock cell such as [Sim.time_cell]: the time is read unboxed, so
+    the call allocates nothing when [value] arrives boxed.  Out-of-order
+    times are accepted as long as they fall in the current or a later
+    bucket; times before the current bucket raise [Invalid_argument]. *)
+val observe : t -> clock:float array -> float -> unit
 
-(** [observe_now t ~clock value] is [observe t ~time:clock.(0) value]
-    for a clock cell such as [Sim.time_cell]: the time is read
-    unboxed, so the call allocates nothing when [value] arrives
-    boxed. *)
-val observe_now : t -> clock:float array -> float -> unit
-
-(** [observe_now_int t ~clock n] observes [float_of_int n] at
-    [clock.(0)], allocating nothing. *)
-val observe_now_int : t -> clock:float array -> int -> unit
+(** [observe_int t ~clock n] observes [float_of_int n] at [clock.(0)],
+    allocating nothing. *)
+val observe_int : t -> clock:float array -> int -> unit
 
 (** [finish t ~until] closes all buckets up to (and including the one
     containing) [until] and returns every point in order.  Empty buckets

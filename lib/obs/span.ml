@@ -29,8 +29,6 @@ module Request = struct
   let create ctx ~clock ~file_sets ~ops =
     { ctx; src = { Record.clock; file_sets; ops } }
 
-  let tracing r = Ctx.tracing r.ctx
-
   let open_ r kind ~parent ~server ~fs ~client ~op =
     if not (Ctx.tracing r.ctx) then none
     else begin

@@ -86,8 +86,6 @@ module Request : sig
     Ctx.t -> clock:float array -> file_sets:string array ->
     ops:string array -> t
 
-  val tracing : t -> bool
-
   (** A ["request"] span opens at submission. *)
   val begin_ : t -> fs:int -> client:int -> op:int -> id
 

@@ -229,7 +229,7 @@ let tracked_state t server ~(scalar : scalar_state) =
 
 let observe_submit t ~fs =
   t.total_requests <- t.total_requests + 1;
-  Desim.Timeseries.observe_now_int t.request_rate ~clock:t.clock 1;
+  Desim.Timeseries.observe_int t.request_rate ~clock:t.clock 1;
   Sketch.observe t.sketch ~names:t.file_sets fs
 
 let observe_service t ~server ~service =
@@ -237,14 +237,14 @@ let observe_service t ~server ~service =
   | None ->
     let s = server_state t server in
     s.busy_seconds.(0) <- s.busy_seconds.(0) +. service;
-    Desim.Timeseries.observe_now s.occupancy ~clock:t.clock service
+    Desim.Timeseries.observe s.occupancy ~clock:t.clock service
   | Some _ ->
     let sc = scalar_state t server in
     sc.s_busy.(0) <- sc.s_busy.(0) +. service;
     (match tracked_state t server ~scalar:sc with
     | Some s ->
       s.busy_seconds.(0) <- s.busy_seconds.(0) +. service;
-      Desim.Timeseries.observe_now s.occupancy ~clock:t.clock service
+      Desim.Timeseries.observe s.occupancy ~clock:t.clock service
     | None -> ())
 
 let observe_complete t ~server ~queue_depth ~latency =
@@ -252,16 +252,16 @@ let observe_complete t ~server ~queue_depth ~latency =
   | None ->
     let s = server_state t server in
     s.requests <- s.requests + 1;
-    Desim.Timeseries.observe_now_int s.queue_depth ~clock:t.clock queue_depth;
-    Desim.Timeseries.observe_now s.latency ~clock:t.clock latency
+    Desim.Timeseries.observe_int s.queue_depth ~clock:t.clock queue_depth;
+    Desim.Timeseries.observe s.latency ~clock:t.clock latency
   | Some _ ->
     let sc = scalar_state t server in
     sc.s_requests <- sc.s_requests + 1;
     (match tracked_state t server ~scalar:sc with
     | Some s ->
       s.requests <- s.requests + 1;
-      Desim.Timeseries.observe_now_int s.queue_depth ~clock:t.clock queue_depth;
-      Desim.Timeseries.observe_now s.latency ~clock:t.clock latency
+      Desim.Timeseries.observe_int s.queue_depth ~clock:t.clock queue_depth;
+      Desim.Timeseries.observe s.latency ~clock:t.clock latency
     | None -> ())
 
 type server_summary = {

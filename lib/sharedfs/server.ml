@@ -56,7 +56,7 @@ let set_speed t s = Desim.Station.set_speed t.station s
 
 let record t ~latency =
   Desim.Welford.add t.window latency;
-  Desim.Timeseries.observe_now t.series ~clock:t.clockc latency;
+  Desim.Timeseries.observe t.series ~clock:t.clockc latency;
   match t.instruments with
   | None -> ()
   | Some i ->

@@ -5,11 +5,14 @@ open Desim
 let check_int = Alcotest.(check int)
 let check_float eps = Alcotest.(check (float eps))
 
+(* An observation at [time], through a clock cell holding it. *)
+let observe ts ~time x = Timeseries.observe ts ~clock:[| time |] x
+
 let test_basic_bucketing () =
   let ts = Timeseries.create ~interval:10.0 in
-  Timeseries.observe ts ~time:1.0 4.0;
-  Timeseries.observe ts ~time:2.0 6.0;
-  Timeseries.observe ts ~time:15.0 10.0;
+  observe ts ~time:1.0 4.0;
+  observe ts ~time:2.0 6.0;
+  observe ts ~time:15.0 10.0;
   let points = Timeseries.finish ts ~until:19.9 in
   check_int "buckets" 2 (List.length points);
   (match points with
@@ -25,8 +28,8 @@ let test_basic_bucketing () =
 
 let test_empty_gap_buckets () =
   let ts = Timeseries.create ~interval:1.0 in
-  Timeseries.observe ts ~time:0.5 1.0;
-  Timeseries.observe ts ~time:3.5 2.0;
+  observe ts ~time:0.5 1.0;
+  observe ts ~time:3.5 2.0;
   let points = Timeseries.finish ts ~until:3.9 in
   check_int "four buckets" 4 (List.length points);
   let counts = List.map (fun p -> p.Timeseries.count) points in
@@ -41,15 +44,15 @@ let test_no_observations () =
 
 let test_observation_before_current_bucket_rejected () =
   let ts = Timeseries.create ~interval:1.0 in
-  Timeseries.observe ts ~time:5.5 1.0;
+  observe ts ~time:5.5 1.0;
   Alcotest.check_raises "stale"
     (Invalid_argument "Timeseries.observe: observation before current bucket")
-    (fun () -> Timeseries.observe ts ~time:4.0 1.0)
+    (fun () -> observe ts ~time:4.0 1.0)
 
 let test_same_bucket_out_of_order_ok () =
   let ts = Timeseries.create ~interval:10.0 in
-  Timeseries.observe ts ~time:7.0 1.0;
-  Timeseries.observe ts ~time:3.0 3.0;
+  observe ts ~time:7.0 1.0;
+  observe ts ~time:3.0 3.0;
   let points = Timeseries.finish ts ~until:9.0 in
   match points with
   | [ p ] -> check_float 1e-9 "mean" 2.0 p.Timeseries.mean
@@ -60,7 +63,7 @@ let test_same_bucket_out_of_order_ok () =
    boundary still materializes the bucket that starts there. *)
 let test_boundary_observation () =
   let ts = Timeseries.create ~interval:10.0 in
-  Timeseries.observe ts ~time:10.0 3.0;
+  observe ts ~time:10.0 3.0;
   let points = Timeseries.finish ts ~until:20.0 in
   check_int "three buckets up to the boundary" 3 (List.length points);
   match points with
@@ -79,8 +82,8 @@ let test_boundary_observation () =
    without re-deriving the time axis. *)
 let test_sparse_long_gap () =
   let ts = Timeseries.create ~interval:1.0 in
-  Timeseries.observe ts ~time:0.5 1.0;
-  Timeseries.observe ts ~time:100.5 2.0;
+  observe ts ~time:0.5 1.0;
+  observe ts ~time:100.5 2.0;
   let points = Timeseries.finish ts ~until:100.5 in
   check_int "101 buckets" 101 (List.length points);
   let nonzero =
@@ -97,10 +100,10 @@ let test_sparse_long_gap () =
    observation sitting exactly on a closed bucket's boundary. *)
 let test_boundary_out_of_order_rejected () =
   let ts = Timeseries.create ~interval:10.0 in
-  Timeseries.observe ts ~time:10.0 1.0;
+  observe ts ~time:10.0 1.0;
   Alcotest.check_raises "closed boundary stale"
     (Invalid_argument "Timeseries.observe: observation before current bucket")
-    (fun () -> Timeseries.observe ts ~time:9.999 1.0)
+    (fun () -> observe ts ~time:9.999 1.0)
 
 let test_invalid_interval () =
   Alcotest.check_raises "zero"
@@ -109,7 +112,7 @@ let test_invalid_interval () =
 
 let test_bucket_starts_are_multiples () =
   let ts = Timeseries.create ~interval:2.5 in
-  Timeseries.observe ts ~time:6.0 1.0;
+  observe ts ~time:6.0 1.0;
   let points = Timeseries.finish ts ~until:6.0 in
   let starts = List.map (fun p -> p.Timeseries.bucket_start) points in
   Alcotest.(check (list (float 1e-9))) "starts" [ 0.0; 2.5; 5.0 ] starts
