@@ -15,12 +15,12 @@ type source = {
 }
 
 let to_event src kind ~id ~parent ~server ~fs ~client ~op ~time =
-  let begin_ name ~server attrs =
+  let span_begin name ~parent ~server attrs =
     Event.Span_begin
       {
         time;
         id;
-        parent = (if parent = 0 then None else Some parent);
+        parent;
         name;
         cat = "request";
         server;
@@ -29,7 +29,7 @@ let to_event src kind ~id ~parent ~server ~fs ~client ~op ~time =
         attrs;
       }
   in
-  let end_ name =
+  let span_end name =
     Event.Span_end
       {
         time;
@@ -41,27 +41,18 @@ let to_event src kind ~id ~parent ~server ~fs ~client ~op ~time =
         attrs = [];
       }
   in
+  let parent = if parent = 0 then None else Some parent in
   match kind with
   | Request_begin ->
-    Event.Span_begin
-      {
-        time;
-        id;
-        parent = None;
-        name = "request";
-        cat = "request";
-        server = None;
-        file_set = Some src.file_sets.(fs);
-        epoch = None;
-        attrs = [ Event.Client client; Event.Op src.ops.(op) ];
-      }
-  | Buffered_begin -> begin_ "buffered" ~server:None []
-  | Queue_begin -> begin_ "queue" ~server:(Some server) []
-  | Service_begin -> begin_ "service" ~server:(Some server) []
-  | Request_end -> end_ "request"
-  | Buffered_end -> end_ "buffered"
-  | Queue_end -> end_ "queue"
-  | Service_end -> end_ "service"
+    span_begin "request" ~parent:None ~server:None
+      [ Event.Client client; Event.Op src.ops.(op) ]
+  | Buffered_begin -> span_begin "buffered" ~parent ~server:None []
+  | Queue_begin -> span_begin "queue" ~parent ~server:(Some server) []
+  | Service_begin -> span_begin "service" ~parent ~server:(Some server) []
+  | Request_end -> span_end "request"
+  | Buffered_end -> span_end "buffered"
+  | Queue_end -> span_end "queue"
+  | Service_end -> span_end "service"
 
 (* --- Template encoding ---
 
