@@ -9,9 +9,27 @@
    [Int64.bits_of_float] / [float_of_bits] let the compiler keep the
    whole mixing chain in registers inside a single function body.  The
    bit patterns — and therefore every stream ever drawn — are
-   unchanged; only the representation moved. *)
+   unchanged; only the representation moved.
 
-type t = { mutable state : float; gamma : float }
+   The two words sit in the middle of a block of 16 floats, so that
+   their cache lines hold nothing else: the stream prefetch helper
+   draws, several times per row, from a generator the engine
+   allocated, and an engine object that shared its line made `stream`
+   lose 15% to a layout change elsewhere in the program. *)
+
+type t = float array
+
+let state = 7 (* [gamma] is word 8 *)
+
+let make s g =
+  let t = Array.make 16 0.0 in
+  t.(state) <- s;
+  t.(state + 1) <- g;
+  t
+
+let[@inline] state_of t = Array.unsafe_get t state
+
+let[@inline] gamma_of t = Array.unsafe_get t (state + 1)
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -40,35 +58,33 @@ let mix_gamma z =
   if popcount n < 24 then Int64.logxor z 0xAAAAAAAAAAAAAAAAL else z
 
 let create seed =
-  {
-    state = Int64.float_of_bits (mix64 (Int64.of_int seed));
-    gamma = Int64.float_of_bits golden_gamma;
-  }
+  make
+    (Int64.float_of_bits (mix64 (Int64.of_int seed)))
+    (Int64.float_of_bits golden_gamma)
 
-let copy t = { state = t.state; gamma = t.gamma }
+let copy t = make (state_of t) (gamma_of t)
 
 let next_state t =
   let s =
-    Int64.add (Int64.bits_of_float t.state) (Int64.bits_of_float t.gamma)
+    Int64.add (Int64.bits_of_float (state_of t))
+      (Int64.bits_of_float (gamma_of t))
   in
-  t.state <- Int64.float_of_bits s;
+  Array.unsafe_set t state (Int64.float_of_bits s);
   s
 
 let split t =
   let s = next_state t in
   let g = next_state t in
-  {
-    state = Int64.float_of_bits (mix64 s);
-    gamma = Int64.float_of_bits (mix_gamma g);
-  }
+  make (Int64.float_of_bits (mix64 s)) (Int64.float_of_bits (mix_gamma g))
 
 (* The SplitMix64 core: advance the counter and mix.  [@inline] keeps
    the int64 chain unboxed in registers inside each draw below. *)
 let[@inline] mixed t =
   let s =
-    Int64.add (Int64.bits_of_float t.state) (Int64.bits_of_float t.gamma)
+    Int64.add (Int64.bits_of_float (state_of t))
+      (Int64.bits_of_float (gamma_of t))
   in
-  t.state <- Int64.float_of_bits s;
+  Array.unsafe_set t state (Int64.float_of_bits s);
   let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))

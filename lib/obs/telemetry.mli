@@ -57,7 +57,8 @@ val config : t -> config
     read their time from ([Desim.Sim.time_cell] of the run's
     simulator) and the file sets an [fs] index names.  The cluster a
     registry observes binds it when it is created; until then the time
-    reads 0 and no file set has a name. *)
+    reads 0, and an [fs] outside [file_sets] makes a tie in the sketch
+    or {!snapshot} raise [Invalid_argument]. *)
 val bind : t -> clock:float array -> file_sets:string array -> unit
 
 (** The observations take unboxed inputs: the time is the bound

@@ -201,7 +201,10 @@ let stream config =
     let arrivals = Desim.Rng.split rng in
     let emitted = ref 0 in
     let slot = ref 0 in
-    let vcell = [| 0.0 |] in
+    (* The walk's position, written for every row by whichever domain
+       generates: word 8 of 16, so that its cache line holds nothing
+       the engine writes (as [Rng.t] keeps its state). *)
+    let vcell = Array.make 16 0.0 in
     fun (c : Stream.cols) ->
       let cap = Array.length c.times in
       let count = min cap (config.requests - !emitted) in
@@ -211,13 +214,13 @@ let stream config =
            ~hi:1.0]: conditional law of the next order statistic. *)
         let remaining = config.requests - (base + j) in
         let u = uniform (Desim.Rng.bits53 arrivals) in
-        let v0 = vcell.(0) in
+        let v0 = vcell.(8) in
         let v =
           v0
           +. (1.0 -. v0)
              *. (1.0 -. ((1.0 -. u) ** (1.0 /. float_of_int remaining)))
         in
-        vcell.(0) <- v;
+        vcell.(8) <- v;
         let target = v *. grand in
         while !slot < slots - 1 && slot_cum.(!slot) < target do
           incr slot
