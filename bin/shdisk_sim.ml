@@ -63,6 +63,21 @@ let positive_int =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+(* A float option value for which [ok] holds, such as a finite window
+   bound or a positive minute cap; rejected like [positive_int]. *)
+let float_where ~what ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when ok x -> Ok x
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+  in
+  Arg.conv ~docv:"T" (parse, Format.pp_print_float)
+
+let finite_float = float_where ~what:"a finite number" Float.is_finite
+
+let positive_float = float_where ~what:"a positive number" (fun x -> x > 0.0)
+
 (* Observability options of `run': where to write traces and whether
    to collect and print metrics. *)
 type obs_options = {
@@ -197,7 +212,7 @@ let run_cmd =
   in
   let minutes =
     Arg.(
-      value & opt float 60.0
+      value & opt positive_float 60.0
       & info [ "minutes" ] ~docv:"M" ~doc:"Cap table rows at M minutes.")
   in
   let jobs =
@@ -547,14 +562,14 @@ let trace_report_cmd =
   let from_ =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_float) None
       & info [ "from" ] ~docv:"T"
           ~doc:"Window start, virtual seconds (default: trace start).")
   in
   let to_ =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_float) None
       & info [ "to" ] ~docv:"T"
           ~doc:"Window end, virtual seconds (default: trace end).")
   in
@@ -569,18 +584,24 @@ let trace_report_cmd =
       Logs.err (fun m -> m "--top must be non-negative (got %d)" top);
       exit 1
     end;
-    match Experiments.Forensics.load file with
-    | Error msg ->
-      Logs.err (fun m -> m "cannot load trace: %s" msg);
-      exit 1
-    | Ok trace ->
-      let report =
-        Experiments.Forensics.analyze ?from_ ?until:to_ ~top ~path:file trace
-      in
-      Format.printf "%a" Experiments.Forensics.pp_report report
+    match (from_, to_) with
+    | Some a, Some b when b < a ->
+      `Error (true, Printf.sprintf "--to %g is before --from %g" b a)
+    | _ -> (
+      match Experiments.Forensics.load file with
+      | Error msg ->
+        Logs.err (fun m -> m "cannot load trace: %s" msg);
+        exit 1
+      | Ok trace ->
+        let report =
+          Experiments.Forensics.analyze ?from_ ?until:to_ ~top ~path:file
+            trace
+        in
+        Format.printf "%a" Experiments.Forensics.pp_report report;
+        `Ok ())
   in
   Cmd.v (Cmd.info "trace-report" ~doc)
-    Term.(const run $ verbosity_t $ file $ from_ $ to_ $ top)
+    Term.(ret (const run $ verbosity_t $ file $ from_ $ to_ $ top))
 
 let motivation_cmd =
   let doc =

@@ -144,56 +144,6 @@ let add h ~time value =
   sift_up_from h i;
   seq
 
-(* Batch insertion for a sorted run of events.
-
-   Equivalence with one-by-one [add] is exact, not approximate: the
-   entries receive the same consecutive sequence numbers they would get
-   from sequential [add] calls, and the pop order of a heap is a pure
-   function of its [(time, seq)] key multiset — any valid heap shape
-   yields the same fired sequence.  For a nondecreasing [times] run the
-   per-element sift-up terminates after one comparison (each new entry
-   is a maximum), so the batch costs O(count) with no NaN check or
-   capacity test per element. *)
-let add_sorted h ~times ~count values =
-  if count < 0 || count > Array.length times || count > Array.length values
-  then invalid_arg "Event_heap.add_sorted: bad count";
-  for i = 1 to count - 1 do
-    if not (times.(i) >= times.(i - 1)) then
-      invalid_arg "Event_heap.add_sorted: times not sorted"
-  done;
-  if count > 0 then begin
-    if Float.is_nan times.(0) then
-      invalid_arg "Event_heap.add_sorted: NaN time";
-    (* Grow once to the final size. *)
-    let cap = Array.length h.times in
-    if h.len + count > cap then begin
-      let ncap = ref (if cap = 0 then initial_capacity else cap) in
-      while h.len + count > !ncap do
-        ncap := !ncap * 2
-      done;
-      let ncap = !ncap in
-      let ntimes = Array.make ncap 0.0 in
-      let nseqs = Array.make ncap 0 in
-      let nvalues = Array.make ncap values.(0) in
-      Array.blit h.times 0 ntimes 0 h.len;
-      Array.blit h.seqs 0 nseqs 0 h.len;
-      Array.blit h.values 0 nvalues 0 h.len;
-      h.times <- ntimes;
-      h.seqs <- nseqs;
-      h.values <- nvalues
-    end;
-    let first_seq = h.next_seq in
-    h.next_seq <- first_seq + count;
-    for i = 0 to count - 1 do
-      let j = h.len in
-      h.len <- j + 1;
-      h.times.(j) <- times.(i);
-      h.seqs.(j) <- first_seq + i;
-      h.values.(j) <- values.(i);
-      sift_up_from h j
-    done
-  end
-
 let peek_time h = if h.len = 0 then None else Some h.times.(0)
 
 let peek h =

@@ -30,18 +30,6 @@ val create : unit -> 'a t
     sequence number assigned to the entry. *)
 val add : 'a t -> time:float -> 'a -> int
 
-(** [add_sorted h ~times ~count values] inserts
-    [times.(0..count-1)] / [values.(0..count-1)] as if by [count]
-    successive {!add} calls: identical sequence numbers, identical
-    subsequent pop order (pop order is a function of the [(time, seq)]
-    key multiset alone, so the heap shape cannot matter).  Requires
-    [times] nondecreasing over the first [count] entries; raises
-    [Invalid_argument] otherwise, on NaN, or when [count] exceeds either
-    array.  One capacity check for the whole batch and a one-comparison
-    sift per element make this the cheap path for scheduling sorted
-    arrival runs. *)
-val add_sorted : 'a t -> times:float array -> count:int -> 'a array -> unit
-
 val is_empty : 'a t -> bool
 
 val size : 'a t -> int

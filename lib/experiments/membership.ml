@@ -2,11 +2,6 @@ module Id = Sharedfs.Server_id
 
 type mechanism = Simple_random | Consistent_hash | Anu
 
-let mechanism_name = function
-  | Simple_random -> "simple-random"
-  | Consistent_hash -> "consistent-hash"
-  | Anu -> "anu"
-
 type result = {
   mechanism : mechanism;
   file_sets : int;
@@ -120,18 +115,3 @@ let collateral_under_chaos ?(quick = false) ~seed ~spec () =
     requests_rebuffered = counter "requests.rebuffered";
     violations = List.length chaos.Runner.violations;
   }
-
-let pp_chaos_collateral fmt c =
-  Format.fprintf fmt
-    "%-16s seed=%d  moves clean %4d -> chaos %4d (%d died mid-flight);  \
-     rebuffered %d;  violations %d"
-    c.policy c.seed c.clean_moves c.chaos_moves c.moves_failed
-    c.requests_rebuffered c.violations
-
-let pp_result fmt r =
-  Format.fprintf fmt
-    "%-16s n=%d m=%-6d failed server owned %4d sets;  collateral moves on \
-     failure %5d;  moves on recovery %5d"
-    (mechanism_name r.mechanism)
-    r.servers r.file_sets r.owned_by_failed r.collateral_on_failure
-    r.moved_on_recovery

@@ -13,8 +13,6 @@
 
 type mechanism = Simple_random | Consistent_hash | Anu
 
-val mechanism_name : mechanism -> string
-
 type result = {
   mechanism : mechanism;
   file_sets : int;
@@ -29,8 +27,6 @@ val study :
 
 val compare_all :
   servers:int -> file_sets:int -> failed:int -> seed:int -> result list
-
-val pp_result : Format.formatter -> result -> unit
 
 (** How much extra movement a fault campaign causes end to end: the
     same synthetic workload run clean and under
@@ -52,5 +48,3 @@ val collateral_under_chaos :
   spec:Scenario.policy_spec ->
   unit ->
   chaos_collateral
-
-val pp_chaos_collateral : Format.formatter -> chaos_collateral -> unit

@@ -675,8 +675,11 @@ let member name = function
 
 let to_float = function Num x -> Some x | _ -> None
 
+(* OCaml's ints span [-2^62, 2^62); an integral float outside that
+   range would wrap. *)
 let to_int = function
-  | Num x when Float.is_integer x -> Some (int_of_float x)
+  | Num x when Float.is_integer x && x >= -0x1p62 && x < 0x1p62 ->
+    Some (int_of_float x)
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None

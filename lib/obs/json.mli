@@ -98,6 +98,8 @@ val member : string -> t -> t
 
 val to_float : t -> float option
 
+(** [to_int v] is [Some n] for an integral number inside OCaml's [int]
+    range, [None] otherwise. *)
 val to_int : t -> int option
 
 val to_str : t -> string option

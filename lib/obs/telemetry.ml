@@ -1,10 +1,6 @@
-type config = {
-  interval : float;
-  top_k : int;
-  max_tracked_servers : int option;
-}
+type config = { interval : float; top_k : int }
 
-let default_config = { interval = 60.0; top_k = 10; max_tracked_servers = None }
+let default_config = { interval = 60.0; top_k = 10 }
 
 (* --- Space-saving heavy-hitter sketch (Metwally et al.) ---
 
@@ -95,24 +91,13 @@ type server_state = {
   mutable requests : int;
 }
 
-(* Scalar totals kept for every server when the series cap is on: at
-   10,000 servers the per-bucket point lists are what blow memory up,
-   while two scalars per server stay trivial, so requests and
-   utilization remain exact for everybody no matter the cap. *)
-type scalar_state = { mutable s_requests : int; s_busy : float array }
-
-(* Per-server state sits in arrays indexed by server id, grown on
+(* Per-server state sits in an array indexed by server id, grown on
    demand. *)
 type t = {
   config : config;
   mutable clock : float array;  (* the bound time cell *)
   mutable file_sets : string array;  (* the bound file-set names *)
   mutable servers : server_state option array;
-  mutable tracked : int;  (* [Some] entries of [servers], capped mode *)
-  mutable scalars : scalar_state option array;  (* capped mode only *)
-  mutable tracked_min : int;
-      (* lower bound on the smallest tracked request count; promotion
-         scans only when a scalar count crosses it *)
   request_rate : Desim.Timeseries.t;
   sketch : Sketch.t;
   mutable total_requests : int;
@@ -121,26 +106,19 @@ type t = {
 let of_config config =
   if config.interval <= 0.0 then
     invalid_arg "Telemetry.create: interval must be positive";
-  (match config.max_tracked_servers with
-  | Some k when k <= 0 ->
-    invalid_arg "Telemetry.create: max_tracked_servers must be > 0"
-  | Some _ | None -> ());
   {
     config;
     clock = [| 0.0 |];
     file_sets = [||];
     servers = [||];
-    tracked = 0;
-    scalars = [||];
-    tracked_min = 0;
     request_rate = Desim.Timeseries.create ~interval:config.interval;
     sketch = Sketch.create ~capacity:(max 1 config.top_k);
     total_requests = 0;
   }
 
 let create ?(interval = default_config.interval)
-    ?(top_k = default_config.top_k) ?max_tracked_servers () =
-  of_config { interval; top_k; max_tracked_servers }
+    ?(top_k = default_config.top_k) () =
+  of_config { interval; top_k }
 
 let config t = t.config
 
@@ -157,13 +135,13 @@ let fresh_state t =
     requests = 0;
   }
 
-let grown a server =
-  let b = Array.make (max (server + 1) (2 * Array.length a)) None in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
 let server_state t server =
-  if server >= Array.length t.servers then t.servers <- grown t.servers server;
+  let n = Array.length t.servers in
+  if server >= n then begin
+    let grown = Array.make (max (server + 1) (2 * n)) None in
+    Array.blit t.servers 0 grown 0 n;
+    t.servers <- grown
+  end;
   match t.servers.(server) with
   | Some s -> s
   | None ->
@@ -171,98 +149,21 @@ let server_state t server =
     t.servers.(server) <- Some s;
     s
 
-let scalar_state t server =
-  if server >= Array.length t.scalars then t.scalars <- grown t.scalars server;
-  match t.scalars.(server) with
-  | Some s -> s
-  | None ->
-    let s = { s_requests = 0; s_busy = [| 0.0 |] } in
-    t.scalars.(server) <- Some s;
-    s
-
-(* Capped-mode series lookup: the first [k] servers get series
-   outright; afterwards a server whose completed-request total
-   overtakes the smallest tracked total evicts that entry
-   (space-saving over servers — the same idea as the file-set sketch,
-   with the per-server scalar as the exact count).  Ties evict the
-   smallest id, mirroring the sketch's determinism rule.  A promoted
-   server starts fresh series from its promotion time; its scalar
-   totals are unaffected. *)
-let tracked_state t server ~(scalar : scalar_state) =
-  if server >= Array.length t.servers then t.servers <- grown t.servers server;
-  match t.servers.(server) with
-  | Some _ as s -> s
-  | None ->
-    let k =
-      match t.config.max_tracked_servers with Some k -> k | None -> assert false
-    in
-    let track () =
-      let s = fresh_state t in
-      t.servers.(server) <- Some s;
-      Some s
-    in
-    if t.tracked < k then begin
-      t.tracked <- t.tracked + 1;
-      track ()
-    end
-    else if scalar.s_requests <= t.tracked_min then None
-    else begin
-      (* The first minimum in id order: ties evict the smallest id. *)
-      let victim = ref (-1) and vreq = ref max_int in
-      Array.iteri
-        (fun id -> function
-          | Some (s : server_state) when s.requests < !vreq ->
-            victim := id;
-            vreq := s.requests
-          | Some _ | None -> ())
-        t.servers;
-      if !victim < 0 then None
-      else begin
-        t.tracked_min <- !vreq;
-        if scalar.s_requests <= !vreq then None
-        else begin
-          t.servers.(!victim) <- None;
-          track ()
-        end
-      end
-    end
-
 let observe_submit t ~fs =
   t.total_requests <- t.total_requests + 1;
   Desim.Timeseries.observe_int t.request_rate ~clock:t.clock 1;
   Sketch.observe t.sketch ~names:t.file_sets fs
 
 let observe_service t ~server ~service =
-  match t.config.max_tracked_servers with
-  | None ->
-    let s = server_state t server in
-    s.busy_seconds.(0) <- s.busy_seconds.(0) +. service;
-    Desim.Timeseries.observe s.occupancy ~clock:t.clock service
-  | Some _ ->
-    let sc = scalar_state t server in
-    sc.s_busy.(0) <- sc.s_busy.(0) +. service;
-    (match tracked_state t server ~scalar:sc with
-    | Some s ->
-      s.busy_seconds.(0) <- s.busy_seconds.(0) +. service;
-      Desim.Timeseries.observe s.occupancy ~clock:t.clock service
-    | None -> ())
+  let s = server_state t server in
+  s.busy_seconds.(0) <- s.busy_seconds.(0) +. service;
+  Desim.Timeseries.observe s.occupancy ~clock:t.clock service
 
 let observe_complete t ~server ~queue_depth ~latency =
-  match t.config.max_tracked_servers with
-  | None ->
-    let s = server_state t server in
-    s.requests <- s.requests + 1;
-    Desim.Timeseries.observe_int s.queue_depth ~clock:t.clock queue_depth;
-    Desim.Timeseries.observe s.latency ~clock:t.clock latency
-  | Some _ ->
-    let sc = scalar_state t server in
-    sc.s_requests <- sc.s_requests + 1;
-    (match tracked_state t server ~scalar:sc with
-    | Some s ->
-      s.requests <- s.requests + 1;
-      Desim.Timeseries.observe_int s.queue_depth ~clock:t.clock queue_depth;
-      Desim.Timeseries.observe s.latency ~clock:t.clock latency
-    | None -> ())
+  let s = server_state t server in
+  s.requests <- s.requests + 1;
+  Desim.Timeseries.observe_int s.queue_depth ~clock:t.clock queue_depth;
+  Desim.Timeseries.observe s.latency ~clock:t.clock latency
 
 type server_summary = {
   server : int;
@@ -295,46 +196,17 @@ let by_id a f =
 
 let snapshot (t : t) ~until =
   let servers =
-    match t.config.max_tracked_servers with
-    | None ->
-      by_id t.servers (fun server (s : server_state) ->
-          {
-            server;
-            requests = s.requests;
-            busy_seconds = s.busy_seconds.(0);
-            utilization =
-              (if until > 0.0 then s.busy_seconds.(0) /. until else 0.0);
-            queue_depth = Desim.Timeseries.finish s.queue_depth ~until;
-            occupancy = Desim.Timeseries.finish s.occupancy ~until;
-            latency = Desim.Timeseries.finish s.latency ~until;
-          })
-    | Some _ ->
-      (* Scalar totals are exact for every server; series exist only
-         for the currently-tracked top-k (a promoted server's series
-         start at its promotion, so they may cover less than its
-         scalar totals). *)
-      by_id t.scalars (fun server (sc : scalar_state) ->
-          let queue_depth, occupancy, latency =
-            match
-              if server < Array.length t.servers then t.servers.(server)
-              else None
-            with
-            | Some s ->
-              ( Desim.Timeseries.finish s.queue_depth ~until,
-                Desim.Timeseries.finish s.occupancy ~until,
-                Desim.Timeseries.finish s.latency ~until )
-            | None -> ([], [], [])
-          in
-          {
-            server;
-            requests = sc.s_requests;
-            busy_seconds = sc.s_busy.(0);
-            utilization =
-              (if until > 0.0 then sc.s_busy.(0) /. until else 0.0);
-            queue_depth;
-            occupancy;
-            latency;
-          })
+    by_id t.servers (fun server (s : server_state) ->
+        {
+          server;
+          requests = s.requests;
+          busy_seconds = s.busy_seconds.(0);
+          utilization =
+            (if until > 0.0 then s.busy_seconds.(0) /. until else 0.0);
+          queue_depth = Desim.Timeseries.finish s.queue_depth ~until;
+          occupancy = Desim.Timeseries.finish s.occupancy ~until;
+          latency = Desim.Timeseries.finish s.latency ~until;
+        })
   in
   {
     interval = t.config.interval;

@@ -19,33 +19,15 @@
 type config = {
   interval : float;  (** bucket width, virtual seconds *)
   top_k : int;  (** sketch capacity *)
-  max_tracked_servers : int option;
-      (** cap on servers carrying full time series; [None] (the
-          default) tracks every server — see {!create} *)
 }
 
 val default_config : config
 
 type t
 
-(** [create ?interval ?top_k ?max_tracked_servers ()] — defaults: 60 s
-    windows, top 10, no server cap.
-
-    [max_tracked_servers] bounds the memory of the per-server series
-    at big clusters: point lists grow as servers × buckets, so a
-    10,000-server hour at 60 s windows is 1.8M points per metric.
-    With the cap set to [k], at most [k] servers carry series at a
-    time, chosen space-saving-style by completed-request count (the
-    first [k] observed are tracked; later a server whose total
-    overtakes the smallest tracked total evicts that entry, ties
-    evicting the smallest id — the same determinism rule as the
-    file-set sketch).  Scalar totals (requests, busy time,
-    utilization) stay exact for {e every} server regardless; an
-    untracked server's snapshot entry just has empty series, and a
-    promoted server's series start at its promotion time.  Uncapped
-    behaviour is byte-identical to earlier releases. *)
-val create :
-  ?interval:float -> ?top_k:int -> ?max_tracked_servers:int -> unit -> t
+(** [create ?interval ?top_k ()] — defaults: 60 s windows, top 10.
+    Every observed server carries its own series. *)
+val create : ?interval:float -> ?top_k:int -> unit -> t
 
 (** [of_config c] — used by [Ctx.isolated] to derive a fresh, empty
     registry with the same shape for each run. *)

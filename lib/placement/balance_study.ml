@@ -102,9 +102,3 @@ let compare_all ~servers ~file_sets ~trials ~seed =
   List.map
     (study ~servers ~file_sets ~trials ~tuning_rounds:8 ~seed)
     [ Simple; Anu_static; Anu_tuned ]
-
-let pp_result fmt r =
-  Format.fprintf fmt
-    "%-22s n=%-3d m=%-6d trials=%-3d  max/mean: avg %.3f  p95 %.3f  worst %.3f"
-    (mechanism_name r.mechanism)
-    r.servers r.file_sets r.trials r.mean_ratio r.p95_ratio r.worst_ratio

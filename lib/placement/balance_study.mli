@@ -47,5 +47,3 @@ val study :
     mechanisms with the default tuning depth. *)
 val compare_all :
   servers:int -> file_sets:int -> trials:int -> seed:int -> result list
-
-val pp_result : Format.formatter -> result -> unit

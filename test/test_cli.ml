@@ -54,6 +54,11 @@ let test_non_positive_counts_rejected () =
       ("--jobs", [ "run"; "fig6"; "--quick"; "--jobs=-4" ]);
       ("--budget", [ "explore"; "--budget"; "0" ]);
       ("--budget", [ "explore"; "--budget=-3" ]);
+      ("--from", [ "trace-report"; "t.jsonl"; "--from"; "nan" ]);
+      ("--to", [ "trace-report"; "t.jsonl"; "--to"; "nan" ]);
+      ("--to", [ "trace-report"; "t.jsonl"; "--from"; "100"; "--to"; "50" ]);
+      ("--minutes", [ "run"; "fig6"; "--quick"; "--minutes"; "nan" ]);
+      ("--minutes", [ "run"; "fig6"; "--quick"; "--minutes"; "0" ]);
     ]
 
 (* Every output path is opened before the run: a path under a regular

@@ -122,94 +122,6 @@ let prop_compact_preserves_pop_order =
       = List.filter (fun (_, _, v) -> keep v) (drain reference)
       && Event_heap.check_invariant compacted)
 
-(* add_sorted edges: the empty batch is a no-op, a singleton batch is
-   exactly one add, and the preconditions (sortedness, NaN, count
-   bounds) are enforced. *)
-let test_add_sorted_edges () =
-  let h = Event_heap.create () in
-  Event_heap.add_sorted h ~times:[||] ~count:0 [||];
-  check_int "empty batch is a no-op" 0 (Event_heap.size h);
-  Event_heap.add_sorted h ~times:[| 4.0 |] ~count:1 [| "only" |];
-  check_int "singleton" 1 (Event_heap.size h);
-  (match Event_heap.pop h with
-  | t, _, v ->
-    Alcotest.(check (float 0.0)) "singleton time" 4.0 t;
-    Alcotest.(check string) "singleton value" "only" v);
-  Alcotest.check_raises "unsorted rejected"
-    (Invalid_argument "Event_heap.add_sorted: times not sorted") (fun () ->
-      Event_heap.add_sorted h ~times:[| 2.0; 1.0 |] ~count:2 [| "a"; "b" |]);
-  Alcotest.check_raises "NaN rejected"
-    (Invalid_argument "Event_heap.add_sorted: NaN time") (fun () ->
-      Event_heap.add_sorted h ~times:[| Float.nan |] ~count:1 [| "a" |]);
-  Alcotest.check_raises "count beyond the arrays rejected"
-    (Invalid_argument "Event_heap.add_sorted: bad count") (fun () ->
-      Event_heap.add_sorted h ~times:[| 1.0 |] ~count:2 [| "a" |])
-
-(* Drain a heap to the full (time, seq, value) triple list — sequence
-   numbers included, so "as if by successive add calls" is checked
-   byte-for-byte, not just up to pop order. *)
-let drain_triples h =
-  let acc = ref [] in
-  while not (Event_heap.is_empty h) do
-    acc := Event_heap.pop h :: !acc
-  done;
-  List.rev !acc
-
-let sorted_batch_gen =
-  (* A heap pre-populated with random singles, then a monotone batch:
-     add_sorted must interleave with existing contents exactly like
-     the one-by-one path. *)
-  QCheck.(
-    pair
-      (list (float_bound_exclusive 100.0))
-      (list (float_bound_exclusive 100.0)))
-
-let prop_add_sorted_equals_adds =
-  QCheck.Test.make ~count:300
-    ~name:"add_sorted == successive adds (seqs, pop order, invariant)"
-    sorted_batch_gen
-    (fun (singles, batch) ->
-      let batch = List.sort Float.compare batch in
-      let times = Array.of_list batch in
-      let count = Array.length times in
-      let values = Array.init count (fun i -> i + 1_000_000) in
-      let fill_singles h =
-        List.iteri (fun i t -> ignore (Event_heap.add h ~time:t i)) singles
-      in
-      let batched = Event_heap.create () in
-      fill_singles batched;
-      Event_heap.add_sorted batched ~times ~count values;
-      let reference = Event_heap.create () in
-      fill_singles reference;
-      Array.iteri
-        (fun i t -> ignore (Event_heap.add reference ~time:t values.(i)))
-        times;
-      Event_heap.check_invariant batched
-      && drain_triples batched = drain_triples reference)
-
-let prop_add_sorted_then_compact =
-  (* Compaction after a batch insert keeps the batch's (time, seq)
-     keys: survivors pop exactly like the filtered reference. *)
-  QCheck.Test.make ~count:200 ~name:"add_sorted survives compaction"
-    QCheck.(list (float_bound_exclusive 50.0))
-    (fun batch ->
-      let batch = List.sort Float.compare batch in
-      let times = Array.of_list batch in
-      let count = Array.length times in
-      let values = Array.init count Fun.id in
-      let fill () =
-        let h = Event_heap.create () in
-        Event_heap.add_sorted h ~times ~count values;
-        h
-      in
-      let keep v = v mod 3 <> 1 in
-      let compacted = fill () in
-      Event_heap.compact compacted ~keep;
-      let reference = fill () in
-      Event_heap.check_invariant compacted
-      && drain_triples compacted
-         = List.filter (fun (_, _, v) -> keep v) (drain_triples reference))
-
 let test_grow_beyond_initial_capacity () =
   let h = Event_heap.create () in
   for i = 1000 downto 1 do
@@ -270,9 +182,6 @@ let suite =
     Alcotest.test_case "compact removes only filtered" `Quick
       test_compact_removes_only_filtered;
     Alcotest.test_case "growth" `Quick test_grow_beyond_initial_capacity;
-    Alcotest.test_case "add_sorted edges" `Quick test_add_sorted_edges;
-    QCheck_alcotest.to_alcotest prop_add_sorted_equals_adds;
-    QCheck_alcotest.to_alcotest prop_add_sorted_then_compact;
     QCheck_alcotest.to_alcotest prop_heap_sorted;
     QCheck_alcotest.to_alcotest prop_interleaved;
     QCheck_alcotest.to_alcotest prop_compact_preserves_pop_order;

@@ -1,0 +1,78 @@
+(* Exact counts and an allocation budget for the engine's hot paths.
+
+   Every count here is a pure function of the code and its seeds, so
+   each is an exact gate: a change to hashing, to what the engine keeps
+   pending or to how many events a request costs moves one of them.
+   The allocation budget reads the engine domain's own minor words: on
+   a multi-core host the stream's arrivals are generated on the helper
+   domain and allocate there. *)
+
+let check_int = Alcotest.(check int)
+
+(* ANU addressing over 20,000 distinct names on a fresh 5-server
+   instance of family seed 42: one probe per hash round tried. *)
+let test_addressing_probes () =
+  let anu =
+    Placement.Anu.create
+      ~family:(Hashlib.Hash_family.create ~seed:42)
+      ~servers:(List.init 5 Sharedfs.Server_id.of_int)
+      ()
+  in
+  let probes = ref 0 in
+  for i = 0 to 19_999 do
+    let _, rounds =
+      Placement.Anu.locate_with_rounds anu (Printf.sprintf "file-set-%d" i)
+    in
+    probes := !probes + rounds
+  done;
+  check_int "probes for 20,000 lookups" 40_052 !probes
+
+(* The engine's events and peak pending count per policy of the quick
+   figure 6. *)
+let test_fig6_quick_counts () =
+  let results = (Experiments.Figures.fig6 ~quick:true ()).results in
+  Alcotest.(check (list (pair string int)))
+    "peak pending events per policy"
+    [
+      ("simple-random", 8); ("round-robin", 8); ("prescient", 8); ("anu", 10);
+    ]
+    (List.map
+       (fun (r : Experiments.Runner.result) ->
+         (r.policy_name, r.sim_peak_pending))
+       results);
+  check_int "events over the figure" 91_038
+    (List.fold_left
+       (fun n (r : Experiments.Runner.result) -> n + r.sim_events)
+       0 results)
+
+(* The untraced twin of the record suite's traced budget: ANU on the
+   figure-6 stream at 200,000 requests with no observer.  It measured
+   14.0 minor words per request (6.9 per event), on one CPU and on
+   two; one boxed float more per completion reads 16.0. *)
+let test_untraced_stream () =
+  Helper_wait.quiesce ();
+  let run () =
+    Experiments.Runner.run_stream Experiments.Scenario.default
+      (Experiments.Scenario.Anu Placement.Anu.default_config)
+      ~stream:(Experiments.Figures.dfs_stream ~requests:200_000)
+      ()
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. before in
+  check_int "every request served" r.submitted r.completed;
+  check_int "peak pending events" 62 r.sim_peak_pending;
+  let per_request = words /. float_of_int r.submitted in
+  if per_request > 15.0 then
+    Alcotest.failf "%.2f minor words per untraced request, budget 15"
+      per_request
+
+let suite =
+  [
+    Alcotest.test_case "anu addressing probes" `Quick test_addressing_probes;
+    Alcotest.test_case "fig6 quick events and peak pending" `Quick
+      test_fig6_quick_counts;
+    Alcotest.test_case "untraced stream: peak pending and allocation" `Quick
+      test_untraced_stream;
+  ]

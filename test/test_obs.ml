@@ -378,7 +378,7 @@ let test_event_of_jsonl_errors () =
       "delegate_round"; "partition"; "round_degraded";
     ];
   (* A number too large for a float parses as infinity; a time or a
-     float payload must be finite. *)
+     float payload must be finite, and an int must fit OCaml's int. *)
   List.iter
     (fun (line, err) ->
       Alcotest.(check (result reject string))
@@ -391,6 +391,8 @@ let test_event_of_jsonl_errors () =
         {|non-finite float field "delay"|} );
       ( {|{"type":"span_begin","time":1,"id":2,"parent":null,"name":"disk-stall","cat":"fault","server":null,"file_set":null,"epoch":null,"attrs":{"factor":1e999}}|},
         {|non-finite float attribute "factor"|} );
+      ( {|{"type":"span_end","time":1,"id":99999999999999999999999,"name":"request","cat":"request","server":3,"outcome":null}|},
+        {|missing or invalid int field "id"|} );
     ];
   let span_begin attrs =
     Printf.sprintf

@@ -12,8 +12,8 @@ let clock = [| 0.0 |]
 
 let file_sets = [| "a"; "b"; "c"; "d" |]
 
-let create ?interval ?top_k ?max_tracked_servers () =
-  let tl = Obs.Telemetry.create ?interval ?top_k ?max_tracked_servers () in
+let create ?interval ?top_k () =
+  let tl = Obs.Telemetry.create ?interval ?top_k () in
   Obs.Telemetry.bind tl ~clock ~file_sets;
   tl
 
@@ -179,39 +179,6 @@ let test_runner_telemetry_isolated_per_run () =
   check_bool "equal snapshots across runs off one context" true
     (a.Experiments.Runner.telemetry = b.Experiments.Runner.telemetry)
 
-(* The big-n series cap: scalar totals stay exact for every server, at
-   most [max_tracked_servers] carry series at a time, and a busy
-   server overtaking the smallest tracked total evicts it
-   (space-saving over servers). *)
-let test_max_tracked_servers_cap () =
-  let tl =
-    create ~interval:10.0 ~max_tracked_servers:2 ()
-  in
-  let complete ~time ~server =
-    service tl ~time ~server ~service:1.0;
-    complete tl ~time ~server ~queue_depth:0 ~latency:0.5
-  in
-  (* Servers 0 and 1 claim the two slots; then server 2 completes more
-     than either and must take a slot over. *)
-  complete ~time:0.0 ~server:0;
-  complete ~time:1.0 ~server:1;
-  complete ~time:2.0 ~server:1;
-  List.iter (fun time -> complete ~time ~server:2) [ 3.0; 4.0; 5.0; 6.0 ];
-  let s = Obs.Telemetry.snapshot tl ~until:10.0 in
-  check_int "every server reported" 3 (List.length s.Obs.Telemetry.servers);
-  let by_id id =
-    List.find (fun sv -> sv.Obs.Telemetry.server = id) s.Obs.Telemetry.servers
-  in
-  (* Exact scalars for all, including the evicted server 0. *)
-  check_int "server 0 requests exact" 1 (by_id 0).Obs.Telemetry.requests;
-  check_int "server 1 requests exact" 2 (by_id 1).Obs.Telemetry.requests;
-  check_int "server 2 requests exact" 4 (by_id 2).Obs.Telemetry.requests;
-  let has_series sv = sv.Obs.Telemetry.latency <> [] in
-  check_int "at most two servers carry series" 2
-    (List.length (List.filter has_series s.Obs.Telemetry.servers));
-  check_bool "hot newcomer tracked" true (has_series (by_id 2));
-  check_bool "coldest server evicted" false (has_series (by_id 0))
-
 (* A service start allocates nothing once its server has state: the
    time comes from the bound clock and the service arrives boxed, as
    the cluster passes it. *)
@@ -305,8 +272,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sketch_matches_oracle;
     Alcotest.test_case "sketch exact under capacity" `Quick
       test_sketch_exact_under_capacity;
-    Alcotest.test_case "max_tracked_servers cap" `Quick
-      test_max_tracked_servers_cap;
     Alcotest.test_case "sketch eviction overestimate" `Quick
       test_sketch_eviction_overestimate;
     Alcotest.test_case "server summaries" `Quick test_server_summaries;
