@@ -39,7 +39,8 @@ type t = {
   mutable handle : Sim.handle;
   mutable finish_action : unit -> unit;
   mutable sink : tag:int -> latency:float -> unit;
-  mutable start_hook : (tag:int -> service:float -> unit) option;
+  mutable start_hook :
+    (tag:int -> service:float array -> at:int -> unit) option;
   mutable completed : int;
   mutable is_failed : bool;
 }
@@ -119,7 +120,7 @@ let rec start_next t =
     t.handle <-
       Sim.schedule_at t.sim ~time:(t.clockc.(0) +. service) t.finish_action;
     match t.start_hook with
-    | Some f -> f ~tag:t.cur_tag ~service
+    | Some f -> f ~tag:t.cur_tag ~service:t.fstate ~at:f_cur_service
     | None -> ()
   end
 

@@ -43,12 +43,15 @@ val submit_tagged : t -> demand:float -> tag:int -> unit
 val set_sink : t -> (tag:int -> latency:float -> unit) -> unit
 
 (** [set_start_hook t f] installs the start callback shared by every
-    job: [f ~tag ~service] fires when a job reaches the head of the
-    queue and begins its [service]-second slot (immediately, if the
-    station is idle) — instrumentation uses it to split queueing delay
-    from service time.  Without a hook, jobs start silently.  At most
-    one; a second call replaces the first. *)
-val set_start_hook : t -> (tag:int -> service:float -> unit) -> unit
+    job: [f ~tag ~service ~at] fires when a job reaches the head of the
+    queue and begins its slot of [service.(at)] seconds (immediately,
+    if the station is idle) — instrumentation uses it to split queueing
+    delay from service time.  [service] is the station's own state, so
+    the time is read unboxed, as a clock cell is; it holds the job's
+    service time only during the call.  Without a hook, jobs start
+    silently.  At most one; a second call replaces the first. *)
+val set_start_hook :
+  t -> (tag:int -> service:float array -> at:int -> unit) -> unit
 
 (** [clear_hooks t] detaches the sink and the start hook, so the
     station no longer keeps whatever their closures hold.  A job

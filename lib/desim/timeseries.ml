@@ -37,7 +37,7 @@ let close_current t =
 
 let bucket_of t time = int_of_float (Float.floor (time /. t.interval))
 
-(* Inlined into both entry points below, so that the time read from
+(* Inlined into the entry points below, so that the time read from
    the clock cell and an int's float stay unboxed. *)
 let[@inline] add t time value =
   let idx = bucket_of t time in
@@ -53,6 +53,8 @@ let[@inline] add t time value =
 let observe t ~clock value = add t clock.(0) value
 
 let observe_int t ~clock n = add t clock.(0) (float_of_int n)
+
+let observe_at t ~clock values i = add t clock.(0) values.(i)
 
 let finish t ~until =
   let last = bucket_of t until in

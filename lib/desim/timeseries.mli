@@ -30,6 +30,10 @@ val observe : t -> clock:float array -> float -> unit
     allocating nothing. *)
 val observe_int : t -> clock:float array -> int -> unit
 
+(** [observe_at t ~clock values i] observes [values.(i)] at
+    [clock.(0)], reading both unboxed: it allocates nothing. *)
+val observe_at : t -> clock:float array -> float array -> int -> unit
+
 (** [finish t ~until] closes all buckets up to (and including the one
     containing) [until] and returns every point in order.  Empty buckets
     between observations are materialized with [count = 0]. *)

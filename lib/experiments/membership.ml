@@ -72,46 +72,3 @@ let compare_all ~servers ~file_sets ~failed ~seed =
   List.map
     (study ~servers ~file_sets ~failed ~seed)
     [ Simple_random; Consistent_hash; Anu ]
-
-type chaos_collateral = {
-  policy : string;
-  seed : int;
-  clean_moves : int;
-  chaos_moves : int;
-  moves_failed : int;
-  requests_rebuffered : int;
-  violations : int;
-}
-
-let collateral_under_chaos ?(quick = false) ~seed ~spec () =
-  let cfg = { Workload.Synthetic.default_config with seed } in
-  let cfg =
-    if quick then
-      {
-        cfg with
-        Workload.Synthetic.requests = cfg.requests / 10;
-        file_sets = cfg.file_sets / 5;
-      }
-    else cfg
-  in
-  let trace = Workload.Synthetic.generate cfg in
-  let duration = Workload.Trace.duration trace in
-  let clean = Runner.run Scenario.default spec ~trace () in
-  let faults = Fault.Plan.default ~seed ~duration in
-  let obs = Obs.Ctx.create ~metrics:(Obs.Metrics.create ()) () in
-  let chaos = Runner.run Scenario.default spec ~trace ~faults ~obs () in
-  let counter name =
-    match chaos.Runner.metrics with
-    | None -> 0
-    | Some snap ->
-      Option.value ~default:0 (List.assoc_opt name snap.Obs.Metrics.counters)
-  in
-  {
-    policy = clean.Runner.policy_name;
-    seed;
-    clean_moves = List.length clean.Runner.moves;
-    chaos_moves = List.length chaos.Runner.moves;
-    moves_failed = counter "moves.failed";
-    requests_rebuffered = counter "requests.rebuffered";
-    violations = List.length chaos.Runner.violations;
-  }

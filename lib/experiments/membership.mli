@@ -27,24 +27,3 @@ val study :
 
 val compare_all :
   servers:int -> file_sets:int -> failed:int -> seed:int -> result list
-
-(** How much extra movement a fault campaign causes end to end: the
-    same synthetic workload run clean and under
-    [Fault.Plan.default ~seed], with full invariant checking on the
-    faulty run. *)
-type chaos_collateral = {
-  policy : string;
-  seed : int;
-  clean_moves : int;  (** moves the fault-free run performed *)
-  chaos_moves : int;  (** moves under the fault plan (incl. re-placement) *)
-  moves_failed : int;  (** moves killed mid-flight by endpoint crashes *)
-  requests_rebuffered : int;
-  violations : int;  (** invariant breaches detected (0 = healthy) *)
-}
-
-val collateral_under_chaos :
-  ?quick:bool ->
-  seed:int ->
-  spec:Scenario.policy_spec ->
-  unit ->
-  chaos_collateral

@@ -328,6 +328,11 @@ module Writer = struct
 
   let[@inline] reserve w n = if w.pos + n > Bytes.length w.buf then grow w n
 
+  let append w src =
+    reserve w src.pos;
+    Bytes.unsafe_blit src.buf 0 w.buf w.pos src.pos;
+    w.pos <- w.pos + src.pos
+
   let char w c =
     reserve w 1;
     Bytes.unsafe_set w.buf w.pos c;

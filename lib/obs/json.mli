@@ -60,6 +60,10 @@ module Writer : sig
   (** [output oc w] writes the buffered bytes to [oc] and clears. *)
   val output : out_channel -> t -> unit
 
+  (** [append w src] appends the bytes [src] holds; [src] is left as
+      it is. *)
+  val append : t -> t -> unit
+
   val char : t -> char -> unit
 
   (** [literal w s] appends [s] as it is: a key, a separator or a

@@ -88,40 +88,61 @@ end
    exactly the timings a trace is meant to capture.  The buffer drains
    once it holds [jsonl_buffer_size] bytes and on close, so a closed
    sink has always written every event; an event larger than the
-   buffer grows it.  The writer's number cache is this sink's own: a
-   request's [time] repeats across its span begins and ends, so most
-   numbers are formatted once.  A request record is written from its
-   source's templates ([Record.write_jsonl]), rebuilt whenever the
-   record's source differs from the last one encoded.
+   buffer grows it.  Each writer has its own number cache: a request's
+   [time] repeats across its span begins and ends, so most numbers are
+   formatted once.  A request record is written from its source's
+   templates ([Record.write_jsonl]), which the emitter rebuilds
+   whenever a record's source differs from the last one.
 
    Encoding moves to the helper domain ([Par.Helper], DESIGN.md section
    11) after the first [inline_events] lines since creation or a
-   flush, so a run's set-up never wakes it.  [emit] and [record] then
-   store the event or the record in a ring slot, and whichever side
-   holds [busy] encodes the next chunk: the helper whenever lines wait,
-   the caller only when the ring is full, rather than wait for a helper
-   that is slow or not yet running.  The writer, the channel and the
-   templates belong to the side holding [busy], and to the caller while
-   no poller is attached. *)
+   flush, so a run's set-up never wakes it.  Lines then cross to the
+   helper a block at a time: [emit] and [record] store a line in the
+   block being filled, counted in a plain field, and publish the block
+   with one atomic store once it is full ([flush] publishes a partial
+   one).  Whichever side claims a published block encodes it into the
+   block's own writer: the helper whenever one waits, the emitter when
+   it finds every block taken, rather than wait for a helper that is
+   slow or not yet running.  Encoded blocks join the buffer strictly
+   in order, appended by one side at a time. *)
 let jsonl_buffer_size = 65536
 
 let inline_events = 64
 
-let ring_size = 256 (* a power of two *)
+(* [blocks] (a power of two) blocks of [block_lines] lines.  In every
+   column a block's slots are followed by a cache line of unused ones,
+   so the emitter filling one block and a side encoding the block
+   before it never share a line. *)
+let blocks = 4
 
-let chunk = 64
+let block_lines = 64
 
-let no_source = { Record.clock = [| 0.0 |]; file_sets = [||]; ops = [||] }
+let stride = block_lines + 8
 
-(* Slot [j] holds an event when [events.(j)] is not [Ring.placeholder],
-   and a request record in the other columns otherwise.  Every slot
-   below [encoded] holds the placeholder. *)
-type jsonl = {
-  oc : out_channel;
-  w : Json.Writer.t;
+(* An atomic on a cache line of its own.  OCaml 5.1 has no
+   [Atomic.make_contended]: the cell is a 16-word block whose first
+   word the atomic operations use, so whatever the allocator places
+   after it starts a cache line further on. *)
+let padded_atomic (v : 'a) : 'a Atomic.t =
+  let b = Obj.new_block 0 16 in
+  Obj.set_field b 0 (Obj.repr v);
+  Obj.obj b
+
+(* Everything the helper touches, built when it first attaches.  Block
+   [c], counted over the sink's life, lives in the slots from
+   [(c land (blocks - 1)) * stride].  The emitter fills it, sets its
+   [lines] and moves [published] past it; a side moves [claimed] past
+   it with a CAS, encodes it into its writer and sets its [encoded] to
+   [c + 1]; the side holding [writing] appends it to [buf] and moves
+   [written] past it, which frees the block for the emitter.  Slot [j]
+   holds an event when [events.(j)] is not [Ring.placeholder], and a
+   request record in the other columns otherwise. *)
+type ring = {
+  out : out_channel;
+  buf : Json.Writer.t;  (* the sink's *)
   events : Event.t array;
   kinds : Record.kind array;
-  sources : Record.source array;
+  tpls : Record.templates array;
   ids : int array;
   parents : int array;
   servers : int array;
@@ -129,16 +150,64 @@ type jsonl = {
   clients : int array;
   ops : int array;
   times : float array;
-  mutable tpl : Record.templates;  (* the encoder's *)
-  pushed : int Atomic.t;  (* lines stored in the ring *)
-  encoded : int Atomic.t;  (* lines encoded *)
-  busy : bool Atomic.t;  (* a side is encoding *)
-  release : bool Atomic.t;  (* finish once the ring is empty *)
-  mutable error : (exn * Printexc.raw_backtrace) option;
-      (* an encode or write error, set under [busy], for the caller *)
-  mutable helper : Par.Helper.t option;  (* this and [inline]: the caller's *)
+  lines : int array;  (* per block *)
+  writers : Json.Writer.t array;  (* per block *)
+  published : int Atomic.t;
+  claimed : int Atomic.t;
+  encoded : int Atomic.t array;  (* per block *)
+  written : int Atomic.t;
+  writing : bool Atomic.t;
+  release : bool Atomic.t;  (* finish once every block is written *)
+  error : (exn * Printexc.raw_backtrace) option Atomic.t;
+      (* the first encode or write error, for the emitter *)
+}
+
+(* The emitter's side.  While [helper] is attached, [head] is the block
+   being filled and [filled] the lines it holds; blocks below [limit]
+   were free when [written] was last read. *)
+type jsonl = {
+  oc : out_channel;
+  w : Json.Writer.t;
+  mutable tpl : Record.templates;  (* the last record's source's *)
+  mutable ring : ring option;
+  mutable helper : Par.Helper.t option;
+  mutable head : int;
+  mutable filled : int;
+  mutable limit : int;
   mutable inline : int;  (* lines encoded here since the last flush *)
 }
+
+let no_templates =
+  Record.templates { Record.clock = [| 0.0 |]; file_sets = [||]; ops = [||] }
+
+let make_ring oc w =
+  let slots = blocks * stride in
+  let ints () = Array.make slots 0 in
+  {
+    out = oc;
+    buf = w;
+    events = Array.make slots Ring.placeholder;
+    kinds = Array.make slots Record.Request_begin;
+    tpls = Array.make slots no_templates;
+    ids = ints ();
+    parents = ints ();
+    servers = ints ();
+    fss = ints ();
+    clients = ints ();
+    ops = ints ();
+    times = Array.make slots 0.0;
+    lines = Array.make blocks 0;
+    writers =
+      Array.init blocks (fun _ ->
+          Json.Writer.create (jsonl_buffer_size / blocks));
+    published = padded_atomic 0;
+    claimed = padded_atomic 0;
+    encoded = Array.init blocks (fun _ -> padded_atomic 0);
+    written = padded_atomic 0;
+    writing = padded_atomic false;
+    release = padded_atomic false;
+    error = Atomic.make None;
+  }
 
 let end_line s =
   Json.Writer.char s.w '\n';
@@ -149,169 +218,217 @@ let encode s e =
   Event.write_jsonl s.w e;
   end_line s
 
-let encode_record s src kind ~id ~parent ~server ~fs ~client ~op ~times ~at =
+let templates s src =
   if Record.source s.tpl != src then s.tpl <- Record.templates src;
-  Record.write_jsonl s.w s.tpl kind ~id ~parent ~server ~fs ~client ~op ~times
-    ~at;
+  s.tpl
+
+let encode_record s src kind ~id ~parent ~server ~fs ~client ~op =
+  Record.write_jsonl s.w (templates s src) kind ~id ~parent ~server ~fs
+    ~client ~op ~times:src.Record.clock ~at:0;
   end_line s
 
-let encode_slot s j =
-  let e = s.events.(j) in
-  if e != Ring.placeholder then begin
-    encode s e;
-    s.events.(j) <- Ring.placeholder
+(* Encodes block [c], which this side claimed, into the block's writer. *)
+let encode_block r c =
+  let b = c land (blocks - 1) in
+  let w = r.writers.(b) and first = b * stride in
+  for j = first to first + r.lines.(b) - 1 do
+    let e = r.events.(j) in
+    if e != Ring.placeholder then begin
+      Event.write_jsonl w e;
+      r.events.(j) <- Ring.placeholder
+    end
+    else
+      Record.write_jsonl w r.tpls.(j) r.kinds.(j) ~id:r.ids.(j)
+        ~parent:r.parents.(j) ~server:r.servers.(j) ~fs:r.fss.(j)
+        ~client:r.clients.(j) ~op:r.ops.(j) ~times:r.times ~at:j;
+    Json.Writer.char w '\n'
+  done;
+  Atomic.set r.encoded.(b) (c + 1)
+
+(* Claims and encodes the oldest published block nobody has claimed. *)
+let encode_next r =
+  let c = Atomic.get r.claimed in
+  c < Atomic.get r.published
+  && Atomic.compare_and_set r.claimed c (c + 1)
+  && begin
+       encode_block r c;
+       true
+     end
+
+(* Appends block [n] and the encoded blocks after it, in order, to the
+   buffer; the caller holds [writing]. *)
+let rec append_from r n =
+  let b = n land (blocks - 1) in
+  if Atomic.get r.encoded.(b) = n + 1 then begin
+    let w = r.writers.(b) in
+    Json.Writer.append r.buf w;
+    Json.Writer.clear w;
+    if Json.Writer.length r.buf >= jsonl_buffer_size then
+      Json.Writer.output r.out r.buf;
+    Atomic.set r.written (n + 1);
+    append_from r (n + 1)
   end
-  else
-    encode_record s s.sources.(j) s.kinds.(j) ~id:s.ids.(j)
-      ~parent:s.parents.(j) ~server:s.servers.(j) ~fs:s.fss.(j)
-      ~client:s.clients.(j) ~op:s.ops.(j) ~times:s.times ~at:j
 
-(* Drops the lines in slots [first, last). *)
-let drop s first last =
-  for i = first to last - 1 do
-    s.events.(i land (ring_size - 1)) <- Ring.placeholder
-  done
+(* Appends the blocks encoded next in order, unless the other side is
+   appending. *)
+let append_encoded r =
+  let n = Atomic.get r.written in
+  Atomic.get r.encoded.(n land (blocks - 1)) = n + 1
+  && Atomic.compare_and_set r.writing false true
+  && begin
+       append_from r (Atomic.get r.written);
+       Atomic.set r.writing false;
+       true
+     end
 
-(* Encodes the next chunk; the caller holds [busy].  An error drops the
-   chunk and is kept in [error]: [Finished] then. *)
-let encode_chunk s =
-  let e0 = Atomic.get s.encoded in
-  let n = min chunk (Atomic.get s.pushed - e0) in
-  let status =
-    match
-      for i = e0 to e0 + n - 1 do
-        encode_slot s (i land (ring_size - 1))
-      done
-    with
-    | () -> Par.Helper.Worked
-    | exception ex ->
-      s.error <- Some (ex, Printexc.get_raw_backtrace ());
-      drop s e0 (e0 + n);
-      Par.Helper.Finished
-  in
-  Atomic.set s.encoded (e0 + n);
-  status
-
-let reraise s =
-  match s.error with
-  | None -> ()
-  | Some (ex, bt) ->
-    s.error <- None;
-    Printexc.raise_with_backtrace ex bt
-
-(* Encodes the next chunk unless no line waits or the other side holds
-   [busy] ([Idle]); [Finished] on an error. *)
-let try_encode s =
-  if
-    Atomic.get s.pushed > Atomic.get s.encoded
-    && Atomic.compare_and_set s.busy false true
-  then begin
-    let status = encode_chunk s in
-    Atomic.set s.busy false;
-    status
-  end
-  else Par.Helper.Idle
-
-(* [release] is read before [pushed]: the caller sets it after its last
-   store, so a poller that sees it also sees every line.  An error
-   finishes the poller at once; the caller meets it when it finds the
-   poller dropped. *)
-let poll s () =
-  let releasing = Atomic.get s.release in
-  match try_encode s with
-  | Par.Helper.Idle
-    when releasing && Atomic.get s.pushed = Atomic.get s.encoded ->
+(* One step of either side: append what is encoded, else encode a
+   block.  An error is kept for the emitter ([Finished]); the helper
+   stops at it, and [writing] stays taken. *)
+let work r =
+  match append_encoded r || encode_next r with
+  | true -> Par.Helper.Worked
+  | false -> Par.Helper.Idle
+  | exception ex ->
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (Atomic.compare_and_set r.error None (Some (ex, bt)) : bool);
     Par.Helper.Finished
-  | status -> status
 
-(* Back to encoding on the caller.  Lines an error left in the ring
-   are dropped with it. *)
+(* [release] is read before [written]: the emitter sets it after its
+   last publication, so a poller that sees it and finds every block
+   written is done. *)
+let poll r () =
+  let releasing = Atomic.get r.release in
+  match Atomic.get r.error with
+  | Some _ -> Par.Helper.Finished
+  | None -> (
+    match work r with
+    | Par.Helper.Idle
+      when releasing && Atomic.get r.written = Atomic.get r.published ->
+      Par.Helper.Finished
+    | status -> status)
+
+(* Back to encoding here, once the helper has left the ring.  After an
+   error the lines still in the ring are dropped and the error raised. *)
 let detached s =
   s.helper <- None;
   s.inline <- 0;
-  Atomic.set s.release false;
-  drop s (Atomic.get s.encoded) (Atomic.get s.pushed);
-  Atomic.set s.encoded (Atomic.get s.pushed);
-  reraise s
+  match s.ring with
+  | None -> ()
+  | Some r -> (
+    Atomic.set r.release false;
+    Atomic.set r.writing false;
+    Atomic.set r.claimed s.head;
+    Atomic.set r.written s.head;
+    s.filled <- 0;
+    s.limit <- s.head + blocks;
+    Array.iter Json.Writer.clear r.writers;
+    Array.fill r.events 0 (Array.length r.events) Ring.placeholder;
+    match Atomic.exchange r.error None with
+    | None -> ()
+    | Some (ex, bt) -> Printexc.raise_with_backtrace ex bt)
 
-(* The ring is full: encode chunks until a slot is free, unless the
-   helper is. *)
-let make_room s =
+(* Waits for the helper to leave after an error, then raises it. *)
+let leave s h =
   let spins = ref 0 in
-  while Atomic.get s.pushed - Atomic.get s.encoded >= ring_size do
-    match try_encode s with
-    | Par.Helper.Worked -> ()
-    | Par.Helper.Finished -> reraise s
+  while Par.Helper.attached h do
+    Par.Helper.backoff !spins;
+    incr spins
+  done;
+  detached s
+
+let publish s r =
+  r.lines.(s.head land (blocks - 1)) <- s.filled;
+  s.head <- s.head + 1;
+  s.filled <- 0;
+  Atomic.set r.published s.head
+
+(* Block [head] has not been written out since its last use: append and
+   encode blocks here until it has. *)
+let make_room s r h =
+  s.limit <- Atomic.get r.written + blocks;
+  let spins = ref 0 in
+  while s.head >= s.limit do
+    (match if Par.Helper.attached h then work r else Par.Helper.Finished with
     | Par.Helper.Idle ->
       Par.Helper.backoff !spins;
       incr spins
+    | Par.Helper.Worked -> ()
+    | Par.Helper.Finished -> leave s h);
+    s.limit <- Atomic.get r.written + blocks
   done
 
-(* A line encoded on the caller; the [inline_events]th attaches the
-   helper. *)
+(* A line stored in block [head]; the one that fills it publishes it. *)
+let stored s r h =
+  s.filled <- s.filled + 1;
+  if s.filled = block_lines then begin
+    publish s r;
+    if s.head >= s.limit then make_room s r h
+  end
+
+(* A line encoded here; the [inline_events]th attaches the helper where
+   one can run. *)
 let inlined s =
   s.inline <- s.inline + 1;
-  if s.inline = inline_events then s.helper <- Par.Helper.attach (poll s)
+  if s.inline = inline_events && Par.Helper.available () then begin
+    let r =
+      match s.ring with
+      | Some r -> r
+      | None ->
+        let r = make_ring s.oc s.w in
+        s.ring <- Some r;
+        r
+    in
+    s.helper <- Par.Helper.attach (poll r)
+  end
 
-(* The ring slot for the next line, or -1 when it is to be encoded
-   here.  [pushed] moves on once the caller has filled the slot. *)
-let rec next_slot s =
-  match s.helper with
-  | Some h when not (Par.Helper.attached h) ->
+let[@inline] slot s = ((s.head land (blocks - 1)) * stride) + s.filled
+
+let rec emit s e =
+  match (s.helper, s.ring) with
+  | Some h, Some r when Par.Helper.attached h ->
+    r.events.(slot s) <- e;
+    stored s r h
+  | Some _, _ ->
     detached s;
-    next_slot s
-  | Some _ ->
-    let p = Atomic.get s.pushed in
-    if p - Atomic.get s.encoded >= ring_size then make_room s;
-    p land (ring_size - 1)
-  | None -> -1
-
-let pushed s = Atomic.set s.pushed (Atomic.get s.pushed + 1)
-
-let emit s e =
-  let j = next_slot s in
-  if j < 0 then begin
+    emit s e
+  | None, _ ->
     encode s e;
     inlined s
-  end
-  else begin
-    s.events.(j) <- e;
-    pushed s
-  end
 
-let record s src kind ~id ~parent ~server ~fs ~client ~op =
-  let j = next_slot s in
-  if j < 0 then begin
-    encode_record s src kind ~id ~parent ~server ~fs ~client ~op
-      ~times:src.Record.clock ~at:0;
+let rec record s src kind ~id ~parent ~server ~fs ~client ~op =
+  match (s.helper, s.ring) with
+  | Some h, Some r when Par.Helper.attached h ->
+    let j = slot s and tpl = templates s src in
+    r.kinds.(j) <- kind;
+    if r.tpls.(j) != tpl then r.tpls.(j) <- tpl;
+    r.ids.(j) <- id;
+    r.parents.(j) <- parent;
+    r.servers.(j) <- server;
+    r.fss.(j) <- fs;
+    r.clients.(j) <- client;
+    r.ops.(j) <- op;
+    r.times.(j) <- src.Record.clock.(0);
+    stored s r h
+  | Some _, _ ->
+    detached s;
+    record s src kind ~id ~parent ~server ~fs ~client ~op
+  | None, _ ->
+    encode_record s src kind ~id ~parent ~server ~fs ~client ~op;
     inlined s
-  end
-  else begin
-    s.kinds.(j) <- kind;
-    if s.sources.(j) != src then s.sources.(j) <- src;
-    s.ids.(j) <- id;
-    s.parents.(j) <- parent;
-    s.servers.(j) <- server;
-    s.fss.(j) <- fs;
-    s.clients.(j) <- client;
-    s.ops.(j) <- op;
-    s.times.(j) <- src.Record.clock.(0);
-    pushed s
-  end
 
-(* Encodes alongside the helper until it has finished; an error met on
-   either side is raised once the helper is released.  When that left
-   the helper idle, its domain's exit is awaited here: the runner counts
-   the flush as engine time, and the exit would otherwise land in the
-   work after the run. *)
+(* Publishes the partial block and encodes alongside the helper until it
+   has finished; an error met on either side is raised once the helper
+   has left.  When that left the helper idle, its domain's exit is
+   awaited here: the runner counts the flush as engine time, and the
+   exit would otherwise land in the work after the run. *)
 let release s =
-  match s.helper with
-  | None -> s.inline <- 0
-  | Some h ->
-    Atomic.set s.release true;
+  match (s.helper, s.ring) with
+  | Some h, Some r ->
+    if s.filled > 0 then publish s r;
+    Atomic.set r.release true;
     let spins = ref 0 in
     while Par.Helper.attached h do
-      match try_encode s with
+      match work r with
       | Par.Helper.Idle ->
         Par.Helper.backoff !spins;
         incr spins
@@ -319,30 +436,19 @@ let release s =
     done;
     Par.Helper.await_exit ();
     detached s
+  | _ -> s.inline <- 0
 
 let jsonl_writer oc ~close_channel =
-  let ints () = Array.make ring_size 0 in
   let s =
     {
       oc;
       w = Json.Writer.create jsonl_buffer_size;
-      events = Array.make ring_size Ring.placeholder;
-      kinds = Array.make ring_size Record.Request_begin;
-      sources = Array.make ring_size no_source;
-      ids = ints ();
-      parents = ints ();
-      servers = ints ();
-      fss = ints ();
-      clients = ints ();
-      ops = ints ();
-      times = Array.make ring_size 0.0;
-      tpl = Record.templates no_source;
-      pushed = Atomic.make 0;
-      encoded = Atomic.make 0;
-      busy = Atomic.make false;
-      release = Atomic.make false;
-      error = None;
+      tpl = no_templates;
+      ring = None;
       helper = None;
+      head = 0;
+      filled = 0;
+      limit = blocks;
       inline = 0;
     }
   in

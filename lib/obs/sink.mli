@@ -77,14 +77,17 @@ end
 
     Where {!Par.Helper} can run, encoding moves to the helper domain
     after the first 64 lines since creation or the last [flush]:
-    [emit] and [record] store the event or the record in a ring of
-    256 slots, and the helper encodes them in order, in chunks of at
-    most 64; an emitter that finds the ring full encodes a chunk
-    itself.  Until [flush] or [close] returns the helper may be
-    writing to [oc], so the caller must leave [oc] alone.  An encode or
-    write error on the helper is re-raised at the next [emit],
-    [record], [flush] or [close], and the lines still in the ring are
-    dropped. *)
+    [emit] and [record] store the event or the record in a block of 64
+    lines and hand the block over once it is full ([flush] hands over
+    a partial one), in a ring of four blocks.  The helper encodes the
+    blocks handed over, and an emitter that finds all four taken
+    encodes the oldest one the helper has not started itself rather
+    than wait; whichever domain encodes a block, the lines reach the
+    buffer and [oc] in the order they were emitted.  Until [flush] or
+    [close] returns the helper may be writing to [oc], so the caller
+    must leave [oc] alone.  An encode or write error on either domain
+    is re-raised at the next [emit], [record], [flush] or [close], and
+    the lines still in the ring are dropped. *)
 val jsonl_channel : out_channel -> t
 
 (** [jsonl_file path] opens [path] for writing; [close] closes it. *)

@@ -154,10 +154,10 @@ let observe_submit t ~fs =
   Desim.Timeseries.observe_int t.request_rate ~clock:t.clock 1;
   Sketch.observe t.sketch ~names:t.file_sets fs
 
-let observe_service t ~server ~service =
+let observe_service t ~server ~service ~at =
   let s = server_state t server in
-  s.busy_seconds.(0) <- s.busy_seconds.(0) +. service;
-  Desim.Timeseries.observe s.occupancy ~clock:t.clock service
+  s.busy_seconds.(0) <- s.busy_seconds.(0) +. service.(at);
+  Desim.Timeseries.observe_at s.occupancy ~clock:t.clock service at
 
 let observe_complete t ~server ~queue_depth ~latency =
   let s = server_state t server in

@@ -44,18 +44,20 @@ val config : t -> config
 val bind : t -> clock:float array -> file_sets:string array -> unit
 
 (** The observations take unboxed inputs: the time is the bound
-    clock's, and the file set an index, so a call allocates nothing
-    once its server has state (a float argument such as [service]
+    clock's, the file set an index and the service time a cell, so a
+    call allocates nothing once its server has state (the latency
     arrives boxed from the caller and is not copied).
 
     [observe_submit t ~fs] — one request for file set [fs] entered the
     system: bumps the request-rate series and the file-set sketch. *)
 val observe_submit : t -> fs:int -> unit
 
-(** [observe_service t ~server ~service] — [server] started a service
-    of [service] seconds now: feeds its occupancy series and busy-time
-    total. *)
-val observe_service : t -> server:int -> service:float -> unit
+(** [observe_service t ~server ~service ~at] — [server] started a
+    service of [service.(at)] seconds now (a station's state cell, see
+    {!Desim.Station.set_start_hook}): feeds its occupancy series and
+    busy-time total. *)
+val observe_service :
+  t -> server:int -> service:float array -> at:int -> unit
 
 (** [observe_complete t ~server ~queue_depth ~latency] — a request
     finished on [server]: feeds its queue-depth and latency series.

@@ -611,13 +611,13 @@ let[@inline] open_queue t server ~sid ~span ~fs =
     Obs.Span.Request.queue_begin t.requests ~parent:span ~server:sid ~fs
   else Obs.Span.none
 
-(* A delivered request begins service: telemetry sees the service time,
-   and a request with stages closes its queue stage (a no-op when it
-   has none) and opens its service stage, returned.  Without stages it
-   returns {!Obs.Span.none}. *)
-let start_service t ~sid ~span ~qspan ~fs ~staged ~service =
+(* A delivered request begins service: telemetry sees the service time
+   [service.(at)], and a request with stages closes its queue stage (a
+   no-op when it has none) and opens its service stage, returned.
+   Without stages it returns {!Obs.Span.none}. *)
+let start_service t ~sid ~span ~qspan ~fs ~staged ~service ~at =
   (match t.telemetry with
-  | Some tl -> Obs.Telemetry.observe_service tl ~server:sid ~service
+  | Some tl -> Obs.Telemetry.observe_service tl ~server:sid ~service ~at
   | None -> ());
   if staged then begin
     Obs.Span.Request.queue_end t.requests ~id:qspan ~server:sid;
@@ -666,11 +666,11 @@ let install_hooks t server =
   let sid = Server_id.to_int (Server.id server) in
   let sl = t.slots in
   if Obs.Ctx.tracing t.obs || Option.is_some t.telemetry then
-    Server.set_start_hook server (fun ~tag ~service ->
+    Server.set_start_hook server (fun ~tag ~service ~at ->
         sl.slot_sspan.(tag) <-
           start_service t ~sid ~span:sl.slot_span.(tag)
             ~qspan:sl.slot_qspan.(tag) ~fs:sl.slot_fs.(tag)
-            ~staged:sl.slot_staged.(tag) ~service);
+            ~staged:sl.slot_staged.(tag) ~service ~at);
   Server.set_sink server (fun ~tag ~latency ->
       let extra = sl.slot_extra.(tag) in
       if extra = 0.0 then finish t server ~sid tag ~latency

@@ -63,9 +63,11 @@ val set_sink : t -> (tag:int -> latency:float -> unit) -> unit
 val record : t -> latency:float -> unit
 
 (** [set_start_hook t f] installs the start hook of {!submit} jobs:
-    [f ~tag ~service] fires when the job begins its [service]-second
-    slot, which splits queueing delay from service time. *)
-val set_start_hook : t -> (tag:int -> service:float -> unit) -> unit
+    [f ~tag ~service ~at] fires when the job begins its slot of
+    [service.(at)] seconds ({!Desim.Station.set_start_hook}), which
+    splits queueing delay from service time. *)
+val set_start_hook :
+  t -> (tag:int -> service:float array -> at:int -> unit) -> unit
 
 (** [clear_hooks t] detaches the sink and the start hook, so the server
     no longer keeps what their closures hold. *)

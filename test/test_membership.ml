@@ -159,24 +159,67 @@ let test_membership_validation () =
         (Experiments.Membership.study ~servers:3 ~file_sets:10 ~failed:3
            ~seed:0 Experiments.Membership.Anu))
 
+(* How much extra movement a fault campaign causes end to end: the
+   same synthetic workload run clean and under [Fault.Plan.default
+   ~seed], with full invariant checking on the faulty run. *)
+type chaos_collateral = {
+  policy : string;
+  seed : int;
+  clean_moves : int;  (* moves the fault-free run performed *)
+  chaos_moves : int;  (* moves under the fault plan (incl. re-placement) *)
+  moves_failed : int;  (* moves killed mid-flight by endpoint crashes *)
+  requests_rebuffered : int;
+  violations : int;  (* invariant breaches detected (0 = healthy) *)
+}
+
+let collateral_under_chaos ?(quick = false) ~seed ~spec () =
+  let module R = Experiments.Runner in
+  let module S = Experiments.Scenario in
+  let cfg = { Workload.Synthetic.default_config with seed } in
+  let cfg =
+    if quick then
+      {
+        cfg with
+        Workload.Synthetic.requests = cfg.requests / 10;
+        file_sets = cfg.file_sets / 5;
+      }
+    else cfg
+  in
+  let trace = Workload.Synthetic.generate cfg in
+  let duration = Workload.Trace.duration trace in
+  let clean = R.run S.default spec ~trace () in
+  let faults = Fault.Plan.default ~seed ~duration in
+  let obs = Obs.Ctx.create ~metrics:(Obs.Metrics.create ()) () in
+  let chaos = R.run S.default spec ~trace ~faults ~obs () in
+  let counter name =
+    match chaos.R.metrics with
+    | None -> 0
+    | Some snap ->
+      Option.value ~default:0 (List.assoc_opt name snap.Obs.Metrics.counters)
+  in
+  {
+    policy = clean.R.policy_name;
+    seed;
+    clean_moves = List.length clean.R.moves;
+    chaos_moves = List.length chaos.R.moves;
+    moves_failed = counter "moves.failed";
+    requests_rebuffered = counter "requests.rebuffered";
+    violations = List.length chaos.R.violations;
+  }
+
 let test_collateral_under_chaos_reproducible () =
   (* The chaos-collateral study is a pure function of its seed: two
      invocations agree field for field. *)
   let spec = Experiments.Scenario.Anu Placement.Anu.default_config in
-  let run () =
-    Experiments.Membership.collateral_under_chaos ~quick:true ~seed:23 ~spec ()
-  in
+  let run () = collateral_under_chaos ~quick:true ~seed:23 ~spec () in
   let a = run () in
   let b = run () in
   check_bool "byte-reproducible at a fixed seed" true (a = b);
-  check_int "seed recorded" 23 a.Experiments.Membership.seed;
-  check_bool "policy recorded" true
-    (a.Experiments.Membership.policy = "anu");
-  check_int "no invariant violated" 0 a.Experiments.Membership.violations;
+  check_int "seed recorded" 23 a.seed;
+  check_bool "policy recorded" true (a.policy = "anu");
+  check_int "no invariant violated" 0 a.violations;
   check_bool "chaos perturbs movement" true
-    (a.Experiments.Membership.chaos_moves
-    <> a.Experiments.Membership.clean_moves
-    || a.Experiments.Membership.moves_failed > 0)
+    (a.chaos_moves <> a.clean_moves || a.moves_failed > 0)
 
 let test_consistent_hash_runs_in_simulator () =
   let trace =

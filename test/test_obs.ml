@@ -933,20 +933,29 @@ let tune_span ~servers =
         ];
     }
 
-(* Many times the helper's ring, with a tune event larger than the
-   writer's buffer in the middle, through the helper where a spare
-   core allows one: the helper runs until the flush and no longer,
-   and the bytes are the oracle's. *)
+(* Through the helper where a spare core allows one: 10,001 events
+   after the 64 encoded inline fill 155 blocks of 64 lines, wrapping
+   the ring of four blocks 38 times, and the flush publishes the 17
+   lines of the last, partial block.  Two rare events are larger than
+   a block's 16 KiB writer, one of them larger than the whole 64 KiB
+   buffer.  The helper runs until the flush and no longer, and the
+   bytes are the oracle's. *)
 let test_jsonl_sink_helper_path () =
   Helper_wait.quiesce ();
   let st = Random.State.make [| 25 |] in
   let random n =
     List.init n (fun _ -> QCheck.Gen.generate1 ~rand:st event_gen)
   in
-  let big = tune_span ~servers:1_000 in
+  let big = tune_span ~servers:1_000 and block_sized = tune_span ~servers:300 in
   check_bool "one event larger than the buffer" true
     (String.length (Obs_oracle.event_to_jsonl big) > 65536);
-  let events = random 2_000 @ [ big ] @ random 2_000 in
+  check_bool "one larger than a block's writer only" true
+    (String.length (Obs_oracle.event_to_jsonl block_sized) > 16384
+    && String.length (Obs_oracle.event_to_jsonl block_sized) < 65536);
+  let events =
+    random 3_000 @ [ big ] @ random 3_000 @ [ block_sized ] @ random 3_999
+  in
+  check_int "a partial block at the flush" 17 ((List.length events - 64) mod 64);
   let after = random 10 in
   let expected =
     String.concat ""
@@ -975,7 +984,11 @@ let test_jsonl_sink_helper_path () =
 
 (* The channel closed under a sink whose helper still has events to
    write: the write error reaches the emitter, at an emit, the flush or
-   the close, and nothing hangs. *)
+   the close, and nothing hangs.  Then the same where the emitter meets
+   the error itself: a poller that holds the helper for 0.2 s keeps the
+   sink's poller from running, so the emitter, finding every block
+   taken, encodes blocks and appends them to the buffer, whose drain
+   fails. *)
 let test_jsonl_sink_helper_error () =
   Helper_wait.quiesce ();
   with_temp_file (fun path ->
@@ -997,7 +1010,37 @@ let test_jsonl_sink_helper_error () =
       check_bool "the write error reached the emitter" true (!raised > 0);
       check_bool "no helper left running" false (Par.Helper.running ());
       call sink.Obs.Sink.close;
-      call sink.Obs.Sink.close)
+      call sink.Obs.Sink.close);
+  Helper_wait.quiesce ();
+  let until = Unix.gettimeofday () +. 0.2 in
+  let hold () =
+    while Unix.gettimeofday () < until do
+      Domain.cpu_relax ()
+    done;
+    Par.Helper.Finished
+  in
+  let holder = Par.Helper.attach hold in
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      let sink = Obs.Sink.jsonl_channel oc in
+      close_out oc;
+      let at_emit = ref 0 and elsewhere = ref 0 in
+      let call count f = try f () with Sys_error _ -> incr count in
+      (* About 200 bytes each: the buffer drains after some 20 blocks. *)
+      for _ = 1 to 3_000 do
+        call at_emit (fun () -> sink.Obs.Sink.emit (tune_span ~servers:1))
+      done;
+      call elsewhere sink.Obs.Sink.flush;
+      check_bool "the emitter's write error reached an emit" true
+        (!at_emit > 0);
+      Option.iter
+        (fun h ->
+          check_bool "the holder has finished" true
+            (Helper_wait.eventually (fun () -> not (Par.Helper.attached h))))
+        holder;
+      check_bool "no helper left running" false (Par.Helper.running ());
+      call elsewhere sink.Obs.Sink.close;
+      call elsewhere sink.Obs.Sink.close)
 
 (* A context with sinks has one emitting domain: an emit, a request
    record or a flush from a second domain raises [Invalid_argument]
@@ -1465,6 +1508,54 @@ let test_runner_unobserved_unchanged () =
     (List.length observed.Experiments.Runner.moves);
   check_bool "plain run has no metrics" true
     (plain.Experiments.Runner.metrics = None)
+
+(* The sink's helper work allocates nothing: a probe polled on the
+   helper beside the sink's poller reads the helper domain's own
+   allocation counter at its first pass and again once the traced run
+   has ended, before the flush drops the sink's poller (a drop
+   allocates), and finds it unchanged. *)
+let test_jsonl_sink_helper_allocates_nothing () =
+  Helper_wait.quiesce ();
+  let words = Float.Array.make 2 0.0 in
+  let started = ref false and stop = Atomic.make false in
+  let probe () =
+    if not !started then begin
+      Float.Array.set words 0 (Gc.minor_words ());
+      started := true
+    end;
+    if Atomic.get stop then begin
+      Float.Array.set words 1 (Gc.minor_words ());
+      Par.Helper.Finished
+    end
+    else Par.Helper.Idle
+  in
+  match Par.Helper.attach probe with
+  | None ->
+    check_bool "no helper without a spare core" false
+      (Par.Helper.available ())
+  | Some p ->
+    let oc = open_out_bin "/dev/null" in
+    let sink = Obs.Sink.jsonl_channel oc in
+    let flush () =
+      Atomic.set stop true;
+      check_bool "the probe read the counter twice" true
+        (Helper_wait.eventually (fun () -> not (Par.Helper.attached p)));
+      sink.Obs.Sink.flush ()
+    in
+    let obs = Obs.Ctx.create ~sinks:[ { sink with Obs.Sink.flush } ] () in
+    let r =
+      Experiments.Runner.run Experiments.Scenario.default
+        (Experiments.Scenario.Anu Placement.Anu.default_config)
+        ~trace:small_trace ~obs ()
+    in
+    Obs.Ctx.close obs;
+    close_out oc;
+    check_int "every request served" r.Experiments.Runner.submitted
+      r.Experiments.Runner.completed;
+    check_bool "the helper stopped" false (Par.Helper.running ());
+    Alcotest.(check (float 0.0))
+      "helper words allocated" 0.0
+      (Float.Array.get words 1 -. Float.Array.get words 0)
 
 (* --- End to end: the JSONL sink against the oracle on real runs --- *)
 
@@ -2126,6 +2217,8 @@ let suite =
       test_jsonl_sink_helper_path;
     Alcotest.test_case "jsonl sink: helper write error reaches emitter"
       `Quick test_jsonl_sink_helper_error;
+    Alcotest.test_case "jsonl sink: helper work allocates nothing" `Quick
+      test_jsonl_sink_helper_allocates_nothing;
     Alcotest.test_case "ctx: a second emitting domain is refused" `Quick
       test_ctx_second_emitting_domain;
     Alcotest.test_case "chrome trace valid json" `Quick

@@ -161,7 +161,7 @@ let prop_templates_match_write_jsonl =
         items)
 
 (* The same streams through the JSONL sink: records and rare events
-   share its ring in order, across ring wraps, in the chunks whichever
+   share its ring in order, across ring wraps, in the blocks whichever
    side encodes, across template switches between two sources, and
    across flushes that hand encoding back to the caller. *)
 let prop_sink_matches_write_jsonl =
@@ -194,7 +194,10 @@ let prop_sink_matches_write_jsonl =
           String.equal expected (Test_obs.read_file path)))
 
 (* A long burst: the emitter stores records far faster than the helper
-   encodes them, so the ring fills and the emitter encodes chunks. *)
+   encodes them, so the ring fills and the emitter encodes blocks too,
+   over hundreds of wraps of the ring.  Flushes every 7,777 records
+   leave partial blocks, and a round's tune span larger than a block's
+   writer arrives mid-burst. *)
 let test_sink_burst_bytes () =
   Helper_wait.quiesce ();
   let src =
@@ -220,12 +223,19 @@ let test_sink_burst_bytes () =
       let oc = open_out_bin path in
       let sink = Obs.Sink.jsonl_channel oc in
       let b = Buffer.create (n * 160) in
+      let big = Test_obs.tune_span ~servers:300 in
       for i = 0 to n - 1 do
         let kind, line = record i in
         Buffer.add_string b line;
         Buffer.add_char b '\n';
         sink.Obs.Sink.record src kind ~id:(i + 1) ~parent:(i / 4)
-          ~server:(i mod 5) ~fs:(i mod 3) ~client:(i * 7) ~op:(i mod 10)
+          ~server:(i mod 5) ~fs:(i mod 3) ~client:(i * 7) ~op:(i mod 10);
+        if i = n / 2 then begin
+          Buffer.add_string b (Obs.Event.to_jsonl big);
+          Buffer.add_char b '\n';
+          sink.Obs.Sink.emit big
+        end;
+        if i mod 7_777 = 7_776 then sink.Obs.Sink.flush ()
       done;
       sink.Obs.Sink.close ();
       close_out oc;
@@ -407,8 +417,8 @@ let test_untraced_requests_record_nothing () =
 
 (* The benchmark's observed shape: the figure-6 stream at 8,000
    requests, ANU, traced to a JSONL sink on /dev/null with metrics and
-   telemetry.  Minor words are the engine domain's own: encoding on the
-   helper domain allocates on that domain. *)
+   telemetry.  Minor words are the engine domain's own: about 31.8 per
+   request where the helper encodes, 31.0 where everything is inline. *)
 let test_traced_request_allocation () =
   Helper_wait.quiesce ();
   let oc = open_out_bin "/dev/null" in
@@ -432,8 +442,8 @@ let test_traced_request_allocation () =
   let per_request = words /. float_of_int r.Experiments.Runner.submitted in
   check_int "every request served" r.Experiments.Runner.submitted
     r.Experiments.Runner.completed;
-  if per_request > 40.0 then
-    Alcotest.failf "%.1f minor words per traced request, budget 40" per_request
+  if per_request > 33.0 then
+    Alcotest.failf "%.1f minor words per traced request, budget 33" per_request
 
 let suite =
   [

@@ -27,7 +27,7 @@ let submit tl ~time ~file_set =
 
 let service tl ~time ~server ~service =
   clock.(0) <- time;
-  Obs.Telemetry.observe_service tl ~server ~service
+  Obs.Telemetry.observe_service tl ~server ~service:[| service |] ~at:0
 
 let complete tl ~time ~server ~queue_depth ~latency =
   clock.(0) <- time;
@@ -180,16 +180,16 @@ let test_runner_telemetry_isolated_per_run () =
     (a.Experiments.Runner.telemetry = b.Experiments.Runner.telemetry)
 
 (* A service start allocates nothing once its server has state: the
-   time comes from the bound clock and the service arrives boxed, as
-   the cluster passes it. *)
+   time comes from the bound clock and the service from a cell, as a
+   station passes it. *)
 let test_observe_service_allocates_nothing () =
   let tl = create ~interval:60.0 () in
-  let service = Sys.opaque_identity 0.25 in
+  let service = [| 1.0; 0.25 |] in
   clock.(0) <- 12.5;
-  Obs.Telemetry.observe_service tl ~server:3 ~service;
+  Obs.Telemetry.observe_service tl ~server:3 ~service ~at:1;
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    Obs.Telemetry.observe_service tl ~server:3 ~service
+    Obs.Telemetry.observe_service tl ~server:3 ~service ~at:1
   done;
   let after = Gc.minor_words () in
   Alcotest.(check (float 0.0))
@@ -202,15 +202,19 @@ let test_observe_service_allocates_nothing () =
       "busy seconds" (10_001.0 *. 0.25) s.busy_seconds
   | servers -> Alcotest.failf "%d servers, expected 1" (List.length servers)
 
-(* Submissions and completions allocate nothing either: the queue
-   depth is an int, the file set an index, the latency arrives boxed,
-   and the time moves on inside one bucket. *)
+(* Submissions, service starts and completions allocate nothing
+   either: the queue depth is an int, the file set an index, the
+   service time a cell, the latency arrives boxed, and the time moves
+   on inside one bucket. *)
 let test_observe_submit_complete_allocate_nothing () =
   let tl = create ~interval:1e6 ~top_k:2 () in
   let latency = Sys.opaque_identity 0.125 in
+  let service = [| 0.0 |] in
   let step i =
     clock.(0) <- float_of_int i *. 0.01;
+    service.(0) <- float_of_int (i land 15) *. 0.001;
     Obs.Telemetry.observe_submit tl ~fs:(i land 3);
+    Obs.Telemetry.observe_service tl ~server:(i land 1) ~service ~at:0;
     Obs.Telemetry.observe_complete tl ~server:(i land 1) ~queue_depth:(i land 7)
       ~latency
   in
