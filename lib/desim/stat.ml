@@ -120,9 +120,6 @@ end
 
 module Quantile = struct
   type t = {
-    lo : float;
-    log_lo : float;
-    log_ratio : float;
     bins : int array;
     mutable underflow : int;
     mutable overflow : int;
@@ -134,15 +131,15 @@ module Quantile = struct
   (* lo 1us, 2% geometric bins: 1400 bins reach past 1e6 seconds, so
      any plausible latency lands in a bin rather than the overflow
      counter. *)
-  let create ?(lo = 1e-6) ?(ratio = 1.02) ?(bins = 1400) () =
-    if lo <= 0.0 then invalid_arg "Stat.Quantile.create: lo must be > 0";
-    if ratio <= 1.0 then invalid_arg "Stat.Quantile.create: ratio must be > 1";
-    if bins <= 0 then invalid_arg "Stat.Quantile.create: bins must be > 0";
+  let lo = 1e-6
+
+  let log_lo = Float.log lo
+
+  let log_ratio = Float.log 1.02
+
+  let create () =
     {
-      lo;
-      log_lo = Float.log lo;
-      log_ratio = Float.log ratio;
-      bins = Array.make bins 0;
+      bins = Array.make 1400 0;
       underflow = 0;
       overflow = 0;
       count = 0;
@@ -154,9 +151,9 @@ module Quantile = struct
     t.count <- t.count + 1;
     if x < t.min_seen then t.min_seen <- x;
     if x > t.max_seen then t.max_seen <- x;
-    if x < t.lo then t.underflow <- t.underflow + 1
+    if x < lo then t.underflow <- t.underflow + 1
     else begin
-      let idx = int_of_float ((Float.log x -. t.log_lo) /. t.log_ratio) in
+      let idx = int_of_float ((Float.log x -. log_lo) /. log_ratio) in
       let n = Array.length t.bins in
       if idx >= n then t.overflow <- t.overflow + 1
       else t.bins.(idx) <- t.bins.(idx) + 1
@@ -167,31 +164,6 @@ module Quantile = struct
   let min_value t = t.min_seen
 
   let max_value t = t.max_seen
-
-  (* Bin counts are plain ints, so merging sketches is exact and
-     order-independent — what lets per-file-set sketches be combined
-     into one global sketch. *)
-  let merge a b =
-    if
-      a.lo <> b.lo
-      || a.log_ratio <> b.log_ratio
-      || Array.length a.bins <> Array.length b.bins
-    then invalid_arg "Stat.Quantile.merge: mismatched geometry";
-    let bins = Array.make (Array.length a.bins) 0 in
-    for i = 0 to Array.length bins - 1 do
-      bins.(i) <- a.bins.(i) + b.bins.(i)
-    done;
-    {
-      lo = a.lo;
-      log_lo = a.log_lo;
-      log_ratio = a.log_ratio;
-      bins;
-      underflow = a.underflow + b.underflow;
-      overflow = a.overflow + b.overflow;
-      count = a.count + b.count;
-      min_seen = Float.min a.min_seen b.min_seen;
-      max_seen = Float.max a.max_seen b.max_seen;
-    }
 
   let percentile t p =
     if t.count = 0 then invalid_arg "Stat.Quantile.percentile: empty";
@@ -213,7 +185,7 @@ module Quantile = struct
            cum := !cum + t.bins.(i);
            if !cum >= rank then begin
              let mid =
-               Float.exp (t.log_lo +. ((float_of_int i +. 0.5) *. t.log_ratio))
+               Float.exp (log_lo +. ((float_of_int i +. 0.5) *. log_ratio))
              in
              result := Float.min t.max_seen (Float.max t.min_seen mid);
              raise Exit

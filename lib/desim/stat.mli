@@ -64,18 +64,17 @@ module Quantile : sig
   (** Constant-memory streaming quantile estimator over geometric
       (log-spaced) bins.  Values land in the bin whose edges bracket
       them, so a percentile is answered to within the bin ratio
-      (default 2% relative error); exact min and max are tracked on the
+      (2% relative error); exact min and max are tracked on the
       side.  Built for the streaming driver, where retaining millions
       of latencies for an exact percentile would defeat bounded
       memory. *)
 
   type t
 
-  (** [create ?lo ?ratio ?bins ()] covers [\[lo, lo * ratio^bins)];
-      the defaults (1e-6, 1.02, 1400) span a microsecond to over 1e6
-      seconds.  Values below [lo] count as underflow and resolve to
-      the exact minimum. *)
-  val create : ?lo:float -> ?ratio:float -> ?bins:int -> unit -> t
+  (** [create ()] covers [\[1e-6, 1e-6 * 1.02^1400)] with 1,400 bins,
+      from a microsecond to over 1e6 seconds.  Values below 1e-6 count
+      as underflow and resolve to the exact minimum. *)
+  val create : unit -> t
 
   val add : t -> float -> unit
 
@@ -84,12 +83,6 @@ module Quantile : sig
   val min_value : t -> float
 
   val max_value : t -> float
-
-  (** [merge a b] combines two sketches of identical geometry into a
-      fresh one.  Bin counts are ints, so the merge is exact and
-      order-independent.  Raises [Invalid_argument] on mismatched
-      geometry. *)
-  val merge : t -> t -> t
 
   (** [percentile t p] for [p] in [\[0, 100\]]: the geometric midpoint
       of the bin holding the rank, clamped to the observed extremes.

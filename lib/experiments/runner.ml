@@ -133,12 +133,12 @@ let make_future_demand stream names =
          !touched;
        List.sort (fun (a, _) (b, _) -> String.compare a b) out)
 
-(* Fold the per-file-set summaries in file-set {e name} order — an
-   order independent of the stream's id numbering ([of_trace] assigns
-   ids by first appearance, generators by declaration), so a trace
-   and a generator of the same workload produce bit-identical overall
+(* Fold the per-file-set moments in file-set {e name} order — an order
+   independent of the stream's id numbering ([of_trace] assigns ids by
+   first appearance, generators by declaration), so a trace and a
+   generator of the same workload produce bit-identical overall
    numbers. *)
-let merge_latency ~names ~nfs lat_m lat_q =
+let merge_moments ~names ~nfs lat_m =
   let merge_order = Array.init nfs (fun i -> i) in
   let names_arr = Array.of_list names in
   if Array.length names_arr = nfs then
@@ -146,13 +146,10 @@ let merge_latency ~names ~nfs lat_m lat_q =
       (fun a b -> String.compare names_arr.(a) names_arr.(b))
       merge_order;
   let lat_moments = ref lat_m.(merge_order.(0)) in
-  let lat_quantile = ref lat_q.(merge_order.(0)) in
   for i = 1 to nfs - 1 do
-    lat_moments := Desim.Welford.merge !lat_moments lat_m.(merge_order.(i));
-    lat_quantile :=
-      Desim.Stat.Quantile.merge !lat_quantile lat_q.(merge_order.(i))
+    lat_moments := Desim.Welford.merge !lat_moments lat_m.(merge_order.(i))
   done;
-  (!lat_moments, !lat_quantile)
+  !lat_moments
 
 type invariants = [ `Off | `Full | `Light ]
 
@@ -268,16 +265,18 @@ let simulate scenario spec ~stream ~events ~obs ?faults
   let interval = scenario.Scenario.reconfig_interval in
   (* Latency summary without retained samples: exact mean/max via
      Welford, log-binned p95 — what keeps a 10M-request run in
-     constant memory.  Accumulated per file set and merged in name
-     order at the end ([merge_latency]). *)
+     constant memory.  The moments are kept per file set and merged in
+     name order at the end ([merge_moments]), since the mean's float
+     bits depend on the order of that fold; the p95 sketch counts in
+     ints, so one sketch serves every file set. *)
   let nfs = Stdlib.max 1 (List.length names) in
   let lat_m = Array.init nfs (fun _ -> Desim.Welford.create ()) in
-  let lat_q = Array.init nfs (fun _ -> Desim.Stat.Quantile.create ()) in
+  let lat_q = Desim.Stat.Quantile.create () in
   let completed = ref 0 in
   let record_latency fs latency =
     incr completed;
     Desim.Welford.add lat_m.(fs) latency;
-    Desim.Stat.Quantile.add lat_q.(fs) latency
+    Desim.Stat.Quantile.add lat_q latency
   in
   let reconfig_rounds = ref 0 in
   let violations = ref [] in
@@ -754,7 +753,7 @@ let simulate scenario spec ~stream ~events ~obs ?faults
           Sharedfs.Server.utilization s ~until:end_time ))
       all_servers
   in
-  let lat_moments, lat_quantile = merge_latency ~names ~nfs lat_m lat_q in
+  let lat_moments = merge_moments ~names ~nfs lat_m in
   {
     label = scenario.Scenario.label;
     policy_name = policy.Placement.Policy.name;
@@ -765,8 +764,8 @@ let simulate scenario spec ~stream ~events ~obs ?faults
     utilizations;
     overall_mean = Desim.Welford.mean lat_moments;
     overall_p95 =
-      (if Desim.Stat.Quantile.count lat_quantile = 0 then 0.0
-       else Desim.Stat.Quantile.percentile lat_quantile 95.0);
+      (if Desim.Stat.Quantile.count lat_q = 0 then 0.0
+       else Desim.Stat.Quantile.percentile lat_q 95.0);
     overall_max =
       (if Desim.Welford.count lat_moments = 0 then 0.0
        else Desim.Welford.max_value lat_moments);

@@ -68,6 +68,52 @@ let test_untraced_stream () =
     Alcotest.failf "%.2f minor words per untraced request, budget 15"
       per_request
 
+(* A run's memory does not grow with file sets times a latency sketch:
+   the same short DFS stream over 21 and over 2,000 file sets.  Words
+   are minor plus direct-major allocations, read after a minor
+   collection, since [Gc.quick_stat]'s counts advance only at
+   collections.  One run-wide sketch measured 2,329 words per added
+   file set (2,331 on one CPU): the time-zero placement, the delegate
+   rounds' sweeps over every name and the per-set summaries.  One
+   1,400-bin sketch per file set, merged at the end, read 5,156. *)
+let words_of_run ~file_sets =
+  let cfg = Workload.Dfs_like.default_config in
+  let requests = 4_000 in
+  let factor =
+    float_of_int requests /. float_of_int cfg.Workload.Dfs_like.requests
+  in
+  let stream =
+    Workload.Dfs_like.stream
+      {
+        cfg with
+        Workload.Dfs_like.requests;
+        file_sets;
+        mean_demand = cfg.Workload.Dfs_like.mean_demand /. factor;
+      }
+  in
+  let allocated () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.minor_words +. s.major_words -. s.promoted_words
+  in
+  let before = allocated () in
+  let r =
+    Experiments.Runner.run_stream Experiments.Scenario.default
+      (Experiments.Scenario.Anu Placement.Anu.default_config)
+      ~stream ()
+  in
+  let words = allocated () -. before in
+  check_int "every request served" r.submitted r.completed;
+  words
+
+let test_words_per_file_set () =
+  Helper_wait.quiesce ();
+  let few = words_of_run ~file_sets:21 in
+  let many = words_of_run ~file_sets:2_000 in
+  let per_set = (many -. few) /. float_of_int (2_000 - 21) in
+  if per_set > 3_000.0 then
+    Alcotest.failf "%.0f words per added file set, budget 3,000" per_set
+
 let suite =
   [
     Alcotest.test_case "anu addressing probes" `Quick test_addressing_probes;
@@ -75,4 +121,6 @@ let suite =
       test_fig6_quick_counts;
     Alcotest.test_case "untraced stream: peak pending and allocation" `Quick
       test_untraced_stream;
+    Alcotest.test_case "words per added file set" `Quick
+      test_words_per_file_set;
   ]
