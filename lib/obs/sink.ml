@@ -418,9 +418,7 @@ let rec record s src kind ~id ~parent ~server ~fs ~client ~op =
 
 (* Publishes the partial block and encodes alongside the helper until it
    has finished; an error met on either side is raised once the helper
-   has left.  When that left the helper idle, its domain's exit is
-   awaited here: the runner counts the flush as engine time, and the
-   exit would otherwise land in the work after the run. *)
+   has left. *)
 let release s =
   match (s.helper, s.ring) with
   | Some h, Some r ->
@@ -434,7 +432,6 @@ let release s =
         incr spins
       | Par.Helper.Worked | Par.Helper.Finished -> ()
     done;
-    Par.Helper.await_exit ();
     detached s
   | _ -> s.inline <- 0
 

@@ -19,9 +19,10 @@ type t = {
           {!Record.to_event} of it *)
   flush : unit -> unit;
       (** waits until every event emitted before it has been handled
-          (encoded, for the JSONL sink) and releases the helper domain
-          the sink used, if any.  It does not write buffered bytes out:
-          only [close] promises that.  It re-raises an error the helper
+          (encoded, for the JSONL sink) and takes the sink's poller off
+          the helper domain, if it used one; with no poller left the
+          helper parks.  It does not write buffered bytes out: only
+          [close] promises that.  It re-raises an error the helper
           met on the sink's behalf.  A no-op for sinks that do all
           their work in [emit]. *)
   close : unit -> unit;

@@ -4,17 +4,20 @@ type t = { poll : unit -> status; live : bool Atomic.t }
 
 (* The registry.  [pollers] is replaced whole under [lock] and read by
    the helper once per pass, so a pass needs no lock and allocates
-   nothing.  [running] is set by the [attach] that spawns the helper
-   and cleared by the helper, under [lock], in the same step that drops
-   its last poller; [last] is the most recent helper domain, joined
-   before the next is spawned so that at most one exists. *)
+   nothing.  [running] is set by the [attach] that finds the helper
+   parked (or not yet spawned) and cleared by the helper, under [lock],
+   in the same step that drops its last poller; the helper then waits
+   on [wake] until an [attach] sets it again.  [spawned] says whether
+   the process's one helper domain exists. *)
 let lock = Mutex.create ()
+
+let wake = Condition.create ()
 
 let pollers : t array Atomic.t = Atomic.make [||]
 
 let running_ = Atomic.make false
 
-let last : unit Domain.t option ref = ref None
+let spawned = ref false
 
 let running () = Atomic.get running_
 
@@ -42,13 +45,23 @@ let drop p =
   Atomic.set p.live false;
   last_one
 
-(* The helper's loop.  It polls rather than blocks: a domain that
-   sleeps answers the engine's stop-the-world minor collections late
-   (DESIGN.md section 11). *)
+(* Parks the helper until an [attach] sets [running] again. *)
+let park () =
+  Mutex.lock lock;
+  while not (Atomic.get running_) do
+    Condition.wait wake lock
+  done;
+  Mutex.unlock lock
+
+(* The helper's loop.  It polls rather than blocks while pollers are
+   attached: a domain that sleeps answers the engine's stop-the-world
+   minor collections late (DESIGN.md section 11).  The poller whose
+   drop empties the registry is the pass's last, so the pass ends as
+   the helper wakes.  A poller that raises breaks its contract; it is
+   dropped as if it had finished, so the others are still served. *)
 let helper () =
   Printexc.record_backtrace true;
-  let continue = ref true in
-  while !continue do
+  while true do
     let ps = Atomic.get pollers in
     let worked = ref false in
     for i = 0 to Array.length ps - 1 do
@@ -56,33 +69,24 @@ let helper () =
       match p.poll () with
       | Idle -> ()
       | Worked -> worked := true
-      | Finished -> if drop p then continue := false
+      | Finished | (exception _) -> if drop p then park ()
     done;
-    if !continue && not !worked then Domain.cpu_relax ()
+    if not !worked then Domain.cpu_relax ()
   done
 
-(* Joins the last helper once it has stopped; the caller holds [lock].
-   A stopped helper takes the lock no more, so this cannot wait on it. *)
-let join_stopped () =
-  if not (Atomic.get running_) then begin
-    Option.iter Domain.join !last;
-    last := None
-  end
-
-let await_exit () =
-  Mutex.lock lock;
-  join_stopped ();
-  Mutex.unlock lock
-
-(* Starts a helper; the caller holds [lock]. *)
-let spawn () =
-  join_stopped ();
-  match Domain.spawn helper with
-  | d ->
-    last := Some d;
+(* Wakes the parked helper, spawning it first if need be; the caller
+   holds [lock]. *)
+let start () =
+  if not !spawned then
+    spawned :=
+      (match Domain.spawn helper with
+       | _ -> true
+       | exception Failure _ -> false (* out of domains *));
+  if !spawned then begin
     Atomic.set running_ true;
-    true
-  | exception Failure _ -> false (* out of domains *)
+    Condition.signal wake
+  end;
+  !spawned
 
 let attach poll =
   if not (available ()) then None
@@ -91,10 +95,8 @@ let attach poll =
     Mutex.lock lock;
     let before = Atomic.get pollers in
     Atomic.set pollers (Array.append before [| p |]);
-    let started = Atomic.get running_ || spawn () in
+    let started = Atomic.get running_ || start () in
     if not started then Atomic.set pollers before;
     Mutex.unlock lock;
     if started then Some p else None
   end
-
-

@@ -938,8 +938,8 @@ let tune_span ~servers =
    the ring of four blocks 38 times, and the flush publishes the 17
    lines of the last, partial block.  Two rare events are larger than
    a block's 16 KiB writer, one of them larger than the whole 64 KiB
-   buffer.  The helper runs until the flush and no longer, and the
-   bytes are the oracle's. *)
+   buffer.  The helper polls the sink until the flush and no longer
+   (then it parks), and the bytes are the oracle's. *)
 let test_jsonl_sink_helper_path () =
   Helper_wait.quiesce ();
   let st = Random.State.make [| 25 |] in

@@ -225,6 +225,51 @@ let test_helper_passes_allocate_nothing () =
       "words allocated" 0.0
       (Float.Array.get words 1 -. Float.Array.get words 0)
 
+(* The helper domain lives for the process: two pollers attached in
+   turn, with no poller attached in between, run on the same domain. *)
+let test_helper_one_domain () =
+  Helper_wait.quiesce ();
+  match Helper_wait.helper_domain () with
+  | None ->
+    check_bool "no helper without a spare core" false
+      (Par.Helper.available ())
+  | Some first ->
+    check_bool "not the main domain" true
+      (first <> (Domain.self () :> int));
+    check_bool "nothing runs between the pollers" false
+      (Par.Helper.running ());
+    check_bool "the second poller runs on the same domain" true
+      (Helper_wait.helper_domain () = Some first)
+
+(* A poller that breaks the "must not raise" contract is dropped as if
+   it had finished, and the helper goes on serving: a poller attached
+   after it is still called and finishes. *)
+let test_helper_survives_raising_poller () =
+  Helper_wait.quiesce ();
+  let calls = ref 0 in
+  let poll () =
+    incr calls;
+    if !calls = 3 then failwith "a poller that raises" else Par.Helper.Idle
+  in
+  match Par.Helper.attach poll with
+  | None ->
+    check_bool "no helper without a spare core" false
+      (Par.Helper.available ())
+  | Some p ->
+    check_bool "the raising poller is dropped" true
+      (Helper_wait.eventually (fun () -> not (Par.Helper.attached p)));
+    check_int "never called after raising" 3 !calls;
+    check_bool "nothing runs after it" false (Par.Helper.running ());
+    let q = probe () in
+    check_bool "a later poller attaches" true (q.reg <> None);
+    check_bool "and is called" true
+      (Helper_wait.eventually (fun () -> Atomic.get q.calls > 0));
+    Atomic.set q.stop true;
+    check_bool "and finishes" true
+      (Helper_wait.eventually (fun () ->
+           not (Par.Helper.attached (Option.get q.reg))));
+    check_bool "nothing runs at the end" false (Par.Helper.running ())
+
 let test_helper_gated_off_main () =
   let available, attached =
     Domain.join
@@ -255,4 +300,8 @@ let suite =
       test_helper_gated_off_main;
     Alcotest.test_case "helper passes allocate nothing" `Quick
       test_helper_passes_allocate_nothing;
+    Alcotest.test_case "helper: one domain per process" `Quick
+      test_helper_one_domain;
+    Alcotest.test_case "helper survives a raising poller" `Quick
+      test_helper_survives_raising_poller;
   ]

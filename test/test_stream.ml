@@ -480,7 +480,8 @@ let spec = Experiments.Scenario.Anu Placement.Anu.default_config
 
 (* More abandoned cursors than OCaml allows domains at once (128): each
    cursor's poller must leave the helper once the cursor is collected,
-   so domains and full runs still work afterwards. *)
+   so the helper parks again and domains and full runs still work
+   afterwards. *)
 let test_prefetch_abandoned_helpers_exit () =
   let stream = dfs_rows 20_000 in
   let c = Stream.make_cols 64 in
@@ -501,11 +502,13 @@ let test_prefetch_abandoned_helpers_exit () =
 
 (* Two hundred traced runs, each with its own JSONL sink, closed after
    the run: the helper that generated a run's arrivals and encoded its
-   trace stops with it, so domains and full runs still work
-   afterwards. *)
+   trace stops polling and parks with it, a probe poller attached after
+   each run finds the same helper domain every time, and domains and
+   full runs still work afterwards. *)
 let test_traced_runs_release_helper () =
   let stream = dfs_rows 2_000 in
   let devnull = open_out_bin "/dev/null" in
+  let domain = ref None in
   for _ = 1 to 200 do
     let obs = Obs.Ctx.create ~sinks:[ Obs.Sink.jsonl_channel devnull ] () in
     let r =
@@ -516,7 +519,13 @@ let test_traced_runs_release_helper () =
     check_int "every request completes" 2_000 r.completed;
     let stopped () = not (Par.Helper.running ()) in
     if not (Helper_wait.eventually stopped) then
-      Alcotest.fail "a helper outlived its run"
+      Alcotest.fail "a helper outlived its run";
+    match (Helper_wait.helper_domain (), !domain) with
+    | None, _ -> ()
+    | Some id, None -> domain := Some id
+    | Some id, Some first ->
+      if id <> first then
+        Alcotest.failf "helper domain %d after a run, %d before" id first
   done;
   close_out devnull;
   check_int "a domain still spawns" 7
