@@ -183,9 +183,9 @@ let checks invariants ~cluster ~policy ?extra record =
 
 (* Arrivals are column rows fed to the engine as an external ordered
    source ({!Desim.Sim.set_source}): they never occupy the heap, so it
-   holds only completions and timers, and the cluster keeps each
-   request's state in a reused slot whose completion reports to the
-   sink. *)
+   holds only completions and timers (lock leases wait in the cluster's
+   lease ring behind one timer), and the cluster keeps each request's
+   state in a reused slot whose completion reports to the sink. *)
 let feed_arrivals sim cluster stream =
   let batch =
     match Workload.Stream.start_batch stream with

@@ -86,6 +86,42 @@ type lock_domain = {
   waits : (Lock_manager.key * int, int) Hashtbl.t;
 }
 
+(* Storage Tank's client leases, one ring for the whole cluster.
+   Every lease lasts the same [lease_duration], so leases fall due in
+   the order they were granted: the ring keeps them in that order, in
+   parallel arrays, and one engine timer stays armed for its head
+   whenever it is not empty.  An entry's stamp is its grant number,
+   counted from 1: [lr_first] for the head, counting up from there.
+   The hold it granted carries the same stamp ({!Lock_manager.stamp}),
+   so a lease reclaims only its own hold. *)
+type leases = {
+  mutable lr_at : float array;  (* ring: expiry *)
+  mutable lr_fs : int array;  (* ring: interned file-set id *)
+  mutable lr_ino : int array;  (* ring: lock key's inode *)
+  mutable lr_client : int array;  (* ring: holder *)
+  mutable lr_head : int;
+  mutable lr_len : int;
+  mutable lr_first : int;  (* stamp of the head entry *)
+  mutable lr_fire : unit -> unit;  (* the timer's action, built once *)
+}
+
+let grow_leases r =
+  let cap = Array.length r.lr_at in
+  let ncap = if cap = 0 then 16 else cap * 2 in
+  let mask = cap - 1 in
+  let grow a zero =
+    let b = Array.make ncap zero in
+    for i = 0 to r.lr_len - 1 do
+      b.(i) <- a.((r.lr_head + i) land mask)
+    done;
+    b
+  in
+  r.lr_at <- grow r.lr_at 0.0;
+  r.lr_fs <- grow r.lr_fs 0;
+  r.lr_ino <- grow r.lr_ino 0;
+  r.lr_client <- grow r.lr_client 0;
+  r.lr_head <- 0
+
 (* Every request's whole record, from submission to completion: one
    slot per request not yet completed, numbered by the tag its station
    job carries.  A slot is taken at submission and freed at completion,
@@ -203,6 +239,7 @@ type t = {
   mutable inflight_n : int;  (* requests delivered to a server *)
   lock_domains : lock_domain option array;
       (* indexed by interned file-set id; created on first lock touch *)
+  leases : leases;
   mutable lock_stats : lock_stats;
   mutable move_log : move_record list;
   mutable moves_started : int;
@@ -238,6 +275,98 @@ let rebuild_sorted_servers t =
     (fun s -> by_int.(Server_id.to_int (Server.id s)) <- Some s)
     t.sorted_servers;
   t.servers_by_int <- by_int
+
+let lock_key sl slot =
+  { Lock_manager.fs = sl.slot_fs.(slot); ino = abs sl.slot_path.(slot) }
+
+(* The lock domain of one file set, created on first lock touch (a
+   workload without lock operations never allocates any). *)
+let domain_of t fs =
+  let ds = t.lock_domains in
+  match ds.(fs) with
+  | Some d -> d
+  | None ->
+    let d =
+      { lm = Lock_manager.create ~size:8 (); waits = Hashtbl.create 8 }
+    in
+    ds.(fs) <- Some d;
+    d
+
+(* The request in [slot] is done: its slot is freed and the sink sees
+   its columns.  Every exit path — direct completion, deferred lock
+   grant, delivery after a move or a crash — ends here exactly once, so
+   the conservation counters see each request once. *)
+let complete t slot ~latency =
+  let sl = t.slots in
+  let fs = sl.slot_fs.(slot) in
+  let op = sl.slot_op.(slot) in
+  let path_hash = sl.slot_path.(slot) in
+  let client = sl.slot_client.(slot) in
+  release_slot sl slot;
+  t.completed_n <- t.completed_n + 1;
+  match t.sink with
+  | Some k -> k ~fs ~op ~path_hash ~client ~latency
+  | None -> failwith "Cluster: a request completed without a sink"
+
+(* Complete the deferred requests of clients whose queued acquisitions
+   were just granted, and start their leases. *)
+let rec grant_waiters t d key granted =
+  List.iter
+    (fun client ->
+      match Hashtbl.find_opt d.waits (key, client) with
+      | None -> ()
+      | Some slot ->
+        Hashtbl.remove d.waits (key, client);
+        start_lease t d key client;
+        complete t slot
+          ~latency:(t.clockc.(0) -. t.slots.slot_arrival.(slot)))
+    granted
+
+(* Storage Tank's client leases: a hold not released within the lease
+   is reclaimed, so no acquisition can block forever behind a client
+   that never releases (or has crashed).  The lease joins the ring's
+   tail and the hold takes its stamp; the first entry of an empty ring
+   arms the timer. *)
+and start_lease t d key client =
+  let r = t.leases in
+  if r.lr_len = Array.length r.lr_at then grow_leases r;
+  let i = (r.lr_head + r.lr_len) land (Array.length r.lr_at - 1) in
+  r.lr_at.(i) <- t.clockc.(0) +. t.lease_duration;
+  r.lr_fs.(i) <- key.Lock_manager.fs;
+  r.lr_ino.(i) <- key.ino;
+  r.lr_client.(i) <- client;
+  Lock_manager.stamp d.lm ~key ~client (r.lr_first + r.lr_len);
+  r.lr_len <- r.lr_len + 1;
+  if r.lr_len = 1 then
+    ignore
+      (Desim.Sim.schedule_at t.sim ~time:r.lr_at.(i) r.lr_fire
+        : Desim.Sim.handle)
+
+(* The ring's head falls due.  The timer is re-armed for the next entry
+   first, as that entry's own timer would have been scheduled before
+   anything this expiry schedules.  The head then reclaims its hold if
+   the hold still carries its stamp: a hold released since is gone,
+   and a newer hold of the same client carries its own lease's. *)
+let expire_lease t =
+  let r = t.leases in
+  let i = r.lr_head in
+  let fs = r.lr_fs.(i) and ino = r.lr_ino.(i) and client = r.lr_client.(i) in
+  let stamp = r.lr_first in
+  r.lr_head <- (i + 1) land (Array.length r.lr_at - 1);
+  r.lr_len <- r.lr_len - 1;
+  r.lr_first <- stamp + 1;
+  if r.lr_len > 0 then
+    ignore
+      (Desim.Sim.schedule_at t.sim ~time:r.lr_at.(r.lr_head) r.lr_fire
+        : Desim.Sim.handle);
+  let d = Option.get t.lock_domains.(fs) in
+  let key = { Lock_manager.fs; ino } in
+  if Lock_manager.stamped d.lm ~key ~client stamp then begin
+    t.lock_stats <-
+      { t.lock_stats with leases_expired = t.lock_stats.leases_expired + 1 };
+    let granted = Lock_manager.release d.lm ~key ~client in
+    grant_waiters t d key granted
+  end
 
 let create sim ~disk ~catalog ?(move_config = default_move_config)
     ?cache_config ?(lease_duration = 30.0) ?(delegate_lease = 300.0)
@@ -327,6 +456,17 @@ let create sim ~disk ~catalog ?(move_config = default_move_config)
       inflight_n = 0;
       lock_domains =
         Array.make (max 1 (File_set.Interner.size interner)) None;
+      leases =
+        {
+          lr_at = [||];
+          lr_fs = [||];
+          lr_ino = [||];
+          lr_client = [||];
+          lr_head = 0;
+          lr_len = 0;
+          lr_first = 1;
+          lr_fire = ignore;
+        };
       lock_stats =
         { granted_immediately = 0; waited = 0; cancelled = 0; leases_expired = 0 };
       move_log = [];
@@ -354,6 +494,7 @@ let create sim ~disk ~catalog ?(move_config = default_move_config)
       Hashtbl.add t.servers id server)
     servers;
   rebuild_sorted_servers t;
+  t.leases.lr_fire <- (fun () -> expire_lease t);
   (* Torn appends are observable even before anyone installs a hook:
      they count against [ledger.torn_writes] and show up in traces. *)
   Ledger.set_on_torn t.ledger (fun ~seq ->
@@ -492,67 +633,6 @@ let restore_recovered t ~owned ~orphaned =
     orphans;
   (List.length owned, List.length orphans)
 
-let lock_key sl slot =
-  { Lock_manager.fs = sl.slot_fs.(slot); ino = abs sl.slot_path.(slot) }
-
-(* The lock domain of one file set, created on first lock touch (a
-   workload without lock operations never allocates any). *)
-let domain_of t fs =
-  let ds = t.lock_domains in
-  match ds.(fs) with
-  | Some d -> d
-  | None ->
-    let d =
-      { lm = Lock_manager.create ~size:8 (); waits = Hashtbl.create 8 }
-    in
-    ds.(fs) <- Some d;
-    d
-
-(* The request in [slot] is done: its slot is freed and the sink sees
-   its columns.  Every exit path — direct completion, deferred lock
-   grant, delivery after a move or a crash — ends here exactly once, so
-   the conservation counters see each request once. *)
-let complete t slot ~latency =
-  let sl = t.slots in
-  let fs = sl.slot_fs.(slot) in
-  let op = sl.slot_op.(slot) in
-  let path_hash = sl.slot_path.(slot) in
-  let client = sl.slot_client.(slot) in
-  release_slot sl slot;
-  t.completed_n <- t.completed_n + 1;
-  match t.sink with
-  | Some k -> k ~fs ~op ~path_hash ~client ~latency
-  | None -> failwith "Cluster: a request completed without a sink"
-
-(* Complete the deferred requests of clients whose queued acquisitions
-   were just granted, and start their leases. *)
-let rec grant_waiters t d key granted =
-  List.iter
-    (fun client ->
-      match Hashtbl.find_opt d.waits (key, client) with
-      | None -> ()
-      | Some slot ->
-        Hashtbl.remove d.waits (key, client);
-        start_lease t d key client;
-        complete t slot
-          ~latency:(t.clockc.(0) -. t.slots.slot_arrival.(slot)))
-    granted
-
-(* Storage Tank's client leases: a hold not released within the lease
-   is reclaimed, so no acquisition can block forever behind a client
-   that never releases (or has crashed). *)
-and start_lease t d key client =
-  let (_ : Desim.Sim.handle) =
-    Desim.Sim.schedule t.sim ~delay:t.lease_duration (fun () ->
-        if List.mem_assoc client (Lock_manager.holders d.lm ~key) then begin
-          t.lock_stats <-
-            { t.lock_stats with leases_expired = t.lock_stats.leases_expired + 1 };
-          let granted = Lock_manager.release d.lm ~key ~client in
-          grant_waiters t d key granted
-        end)
-  in
-  ()
-
 (* The server has finished processing the request in [slot]; apply the
    lock semantics before reporting completion to the client. *)
 let complete_request t slot ~latency =
@@ -562,7 +642,7 @@ let complete_request t slot ~latency =
     let d = domain_of t sl.slot_fs.(slot) in
     let key = lock_key sl slot in
     let client = sl.slot_client.(slot) in
-    if List.mem_assoc client (Lock_manager.holders d.lm ~key) then
+    if Lock_manager.holds d.lm ~key ~client then
       (* Re-acquisition of a held lock: grant immediately. *)
       complete t slot ~latency
     else begin

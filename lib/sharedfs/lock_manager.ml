@@ -4,8 +4,12 @@ type client = int
 
 type key = { fs : int; ino : int }
 
+(* A hold carries the stamp its holder gave it ({!stamp}); 0 until
+   then. *)
+type hold = { client : client; mode : mode; mutable stamp : int }
+
 type entry = {
-  mutable holders : (client * mode) list; (* insertion order *)
+  mutable holders : hold list; (* insertion order *)
   queue : (client * mode) Queue.t;
 }
 
@@ -25,17 +29,31 @@ let compatible holders mode =
   match (holders, mode) with
   | [], _ -> true
   | _, Exclusive -> false
-  | holders, Shared -> List.for_all (fun (_, m) -> m = Shared) holders
+  | holders, Shared -> List.for_all (fun h -> h.mode = Shared) holders
+
+let rec held client = function
+  | [] -> false
+  | h :: rest -> h.client = client || held client rest
+
+let rec stamp_hold client s = function
+  | [] -> ()
+  | h :: rest ->
+    if h.client = client then h.stamp <- s else stamp_hold client s rest
+
+let rec has_stamp client s = function
+  | [] -> false
+  | h :: rest ->
+    if h.client = client then h.stamp = s else has_stamp client s rest
 
 let drop_if_empty t key e =
   if e.holders = [] && Queue.is_empty e.queue then Hashtbl.remove t.table key
 
 let acquire t ~key ~client ~mode =
   let e = entry_of t key in
-  if List.mem_assoc client e.holders then
+  if held client e.holders then
     invalid_arg "Lock_manager.acquire: client already holds this lock";
   if compatible e.holders mode && Queue.is_empty e.queue then begin
-    e.holders <- e.holders @ [ (client, mode) ];
+    e.holders <- e.holders @ [ { client; mode; stamp = 0 } ];
     `Granted
   end
   else begin
@@ -52,7 +70,7 @@ let promote e =
     match Queue.peek_opt e.queue with
     | Some (client, mode) when compatible e.holders mode ->
       ignore (Queue.pop e.queue);
-      e.holders <- e.holders @ [ (client, mode) ];
+      e.holders <- e.holders @ [ { client; mode; stamp = 0 } ];
       granted := client :: !granted
     | Some _ | None -> continue := false
   done;
@@ -62,8 +80,8 @@ let release t ~key ~client =
   match Hashtbl.find_opt t.table key with
   | None -> []
   | Some e ->
-    if List.mem_assoc client e.holders then begin
-      e.holders <- List.filter (fun (c, _) -> c <> client) e.holders;
+    if held client e.holders then begin
+      e.holders <- List.filter (fun h -> h.client <> client) e.holders;
       let granted = promote e in
       drop_if_empty t key e;
       granted
@@ -81,8 +99,27 @@ let release t ~key ~client =
       granted
     end
 
+let pairs holders = List.map (fun h -> (h.client, h.mode)) holders
+
 let holders t ~key =
-  match Hashtbl.find_opt t.table key with None -> [] | Some e -> e.holders
+  match Hashtbl.find_opt t.table key with
+  | None -> []
+  | Some e -> pairs e.holders
+
+let holds t ~key ~client =
+  match Hashtbl.find t.table key with
+  | exception Not_found -> false
+  | e -> held client e.holders
+
+let stamp t ~key ~client s =
+  match Hashtbl.find t.table key with
+  | exception Not_found -> ()
+  | e -> stamp_hold client s e.holders
+
+let stamped t ~key ~client s =
+  match Hashtbl.find t.table key with
+  | exception Not_found -> false
+  | e -> has_stamp client s e.holders
 
 let queued t ~key =
   match Hashtbl.find_opt t.table key with
@@ -95,7 +132,8 @@ let export t ~fs =
     (fun key e ->
       if key.fs = fs then
         exported :=
-          (key, e.holders, List.of_seq (Queue.to_seq e.queue)) :: !exported)
+          (key, pairs e.holders, List.of_seq (Queue.to_seq e.queue))
+          :: !exported)
     t.table;
   List.iter (fun (key, _, _) -> Hashtbl.remove t.table key) !exported;
   !exported
@@ -105,6 +143,9 @@ let import t state =
     (fun (key, holders, queue) ->
       if Hashtbl.mem t.table key then
         invalid_arg "Lock_manager.import: key already present";
+      let holders =
+        List.map (fun (client, mode) -> { client; mode; stamp = 0 }) holders
+      in
       let e = { holders; queue = Queue.create () } in
       List.iter (fun r -> Queue.add r e.queue) queue;
       Hashtbl.add t.table key e)

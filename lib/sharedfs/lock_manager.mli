@@ -34,6 +34,20 @@ val release : t -> key:key -> client:client -> client list
 (** [holders t ~key] lists current holders with their modes. *)
 val holders : t -> key:key -> (client * mode) list
 
+(** [holds t ~key ~client] is [true] when [client] holds [key]. *)
+val holds : t -> key:key -> client:client -> bool
+
+(** [stamp t ~key ~client s] marks [client]'s hold on [key] with [s]
+    (no-op when it holds none).  A hold is granted with stamp 0 and
+    loses its stamp with the hold, so a holder can tell one grant from
+    a later one: the cluster stamps each hold with the lease that
+    granted it. *)
+val stamp : t -> key:key -> client:client -> int -> unit
+
+(** [stamped t ~key ~client s] is [true] when [client] holds [key] and
+    the hold carries stamp [s]. *)
+val stamped : t -> key:key -> client:client -> int -> bool
+
 (** [queued t ~key] lists waiting requests in FIFO order. *)
 val queued : t -> key:key -> (client * mode) list
 

@@ -1,6 +1,6 @@
 (* Server and Cluster: routing, reports, movement with flush/init
    costs, request buffering, failure and recovery, and the live lock
-   service (conflicts, deferred grants, lease reclaim). *)
+   service (conflicts, deferred grants, lease reclaim, the lease ring). *)
 
 open Sharedfs
 module Id = Server_id
@@ -398,6 +398,156 @@ let test_release_of_queued_acquire_completes_it () =
   check_int "nothing left hanging" 3 !completions;
   check_int "recorded as cancelled" 1 (Cluster.lock_stats cluster).Cluster.cancelled
 
+(* A lease reclaims only the hold it granted.  Client 1 releases its
+   first hold at 10 and is granted the lock again at 20.07; the first
+   lease, due at 30.07, must leave that newer hold alone, so client 2
+   waits for the second lease, due 30 s after its grant. *)
+let test_expired_lease_spares_newer_hold () =
+  let sim, cluster, hand = make_lock_cluster () in
+  let regrant = ref 0.0 and t2 = ref 0.0 in
+  let submit_at time req on_complete =
+    let (_ : Desim.Sim.handle) =
+      Desim.Sim.schedule_at sim ~time (fun () ->
+          Completions.submit hand ~base_demand:0.1 req ~on_complete)
+    in
+    ()
+  in
+  let ignore_latency ~latency:_ = () in
+  submit_at 0.0 (lock_req ~client:1 "a") ignore_latency;
+  submit_at 10.0 (release_req ~client:1 "a") ignore_latency;
+  submit_at 20.0 (lock_req ~client:1 "a") (fun ~latency:_ ->
+      regrant := Desim.Sim.now sim);
+  submit_at 25.0 (lock_req ~client:2 "a") (fun ~latency:_ ->
+      t2 := Desim.Sim.now sim);
+  Desim.Sim.run sim;
+  check_bool "regranted after its release" true
+    (!regrant > 20.0 && !regrant < 21.0);
+  check_float 0.0 "granted when the second lease expires" (!regrant +. 30.0)
+    !t2;
+  (* The newer hold and client 2's own hold each expire once. *)
+  check_int "leases reclaimed" 2
+    (Cluster.lock_stats cluster).Cluster.leases_expired
+
+(* [n] exclusive holds by client 1 on distinct locks of "a", none ever
+   released, each followed by [waiters] more clients queued on it.
+   Returns the simulator's peak pending events and the grant times,
+   indexed by client - 1 then lock. *)
+let lease_ladder ~n ~waiters =
+  let sim, cluster, hand = make_lock_cluster () in
+  let grants = Array.make_matrix (1 + waiters) n Float.nan in
+  for client = 1 to 1 + waiters do
+    for k = 0 to n - 1 do
+      Completions.submit hand ~base_demand:0.001
+        {
+          Request.op = Request.Lock_acquire;
+          file_set = "a";
+          path_hash = 4 * (k + 1);
+          client;
+        }
+        ~on_complete:(fun ~latency:_ ->
+          grants.(client - 1).(k) <- Desim.Sim.now sim)
+    done
+  done;
+  Desim.Sim.run sim;
+  check_int "every hold reclaimed" (n * (1 + waiters))
+    (Cluster.lock_stats cluster).Cluster.leases_expired;
+  (Desim.Sim.peak_pending sim, grants)
+
+(* Live leases wait in the cluster's lease ring, not in the engine's
+   heap: a hundred times as many never-released holds leave the peak
+   pending count where it was. *)
+let test_lease_ring_keeps_heap_flat () =
+  let few, _ = lease_ladder ~n:10 ~waiters:0 in
+  let many, _ = lease_ladder ~n:1_000 ~waiters:0 in
+  check_int "peak pending, 10 against 1,000 live leases" few many
+
+(* Each of 1,000 holds is reclaimed exactly one lease after its grant,
+   which the waiter behind it sees as its own grant time; that waiter
+   holds a full lease from there, so the next waiter is granted one
+   lease later again. *)
+let test_lease_reclaimed_one_lease_after_grant () =
+  let _, grants = lease_ladder ~n:1_000 ~waiters:2 in
+  Array.iteri
+    (fun k g ->
+      check_bool "holder granted before any expiry" true (g < 30.0);
+      check_float 0.0 "reclaimed one lease after the grant" (g +. 30.0)
+        grants.(1).(k);
+      check_float 0.0 "waiter's full lease" (grants.(1).(k) +. 30.0)
+        grants.(2).(k))
+    grants.(0)
+
+(* Two holds granted at one instant, on two servers whose services end
+   together, expire together, each in its own event.  A key's mode
+   follows its path hash, so only exclusive holds have waiters; the
+   waiter behind the first grant is granted first, whichever file set
+   that is, so the expiries keep the grants' order.  Shared holds,
+   which nobody waits for, expire at the same instant too. *)
+let test_same_instant_leases_expire_in_grant_order () =
+  let expiries ~exclusive ~first =
+    let sim = Desim.Sim.create () in
+    let cluster =
+      Cluster.create sim ~disk:(Shared_disk.create ())
+        ~catalog:(File_set.Catalog.create [ "a"; "b" ])
+        ~lease_duration:30.0 ~series_interval:10.0
+        ~servers:[ (Id.of_int 0, 1.0); (Id.of_int 1, 1.0) ]
+        ()
+    in
+    Cluster.assign_initial cluster [ ("a", Id.of_int 0); ("b", Id.of_int 1) ];
+    let hand = Completions.install cluster in
+    let second = if first = "a" then "b" else "a" in
+    let granted = ref [] in
+    List.iter
+      (fun fs ->
+        Completions.submit hand ~base_demand:0.1
+          (lock_req ~exclusive ~client:1 fs)
+          ~on_complete:(fun ~latency:_ ->
+            granted := (fs, Desim.Sim.now sim) :: !granted))
+      [ first; second ];
+    let waited = ref [] in
+    if exclusive then begin
+      let (_ : Desim.Sim.handle) =
+        Desim.Sim.schedule_at sim ~time:1.0 (fun () ->
+            List.iter
+              (fun fs ->
+                Completions.submit hand ~base_demand:0.1
+                  (lock_req ~client:2 fs)
+                  ~on_complete:(fun ~latency:_ ->
+                    waited := (fs, Desim.Sim.now sim) :: !waited))
+              [ "a"; "b" ])
+      in
+      ()
+    end;
+    (* The time of every event that reclaimed a hold. *)
+    let reclaims = ref [] and seen = ref 0 in
+    Desim.Sim.set_on_event sim (fun time ->
+        let n = (Cluster.lock_stats cluster).Cluster.leases_expired in
+        if n > !seen then begin
+          check_int "one reclaim per event" (!seen + 1) n;
+          seen := n;
+          reclaims := time :: !reclaims
+        end);
+    Desim.Sim.run sim;
+    let at = List.assoc first !granted in
+    check_float 0.0 "granted at one instant" at (List.assoc second !granted);
+    (match List.rev !reclaims with
+    | e1 :: e2 :: _ ->
+      check_float 0.0 "first expiry" (at +. 30.0) e1;
+      check_float 0.0 "second expiry" (at +. 30.0) e2
+    | _ -> Alcotest.fail "two holds, fewer than two reclaims");
+    List.iter
+      (fun (_, t) ->
+        check_float 0.0 "waiter granted at the expiry" (at +. 30.0) t)
+      !waited;
+    List.rev_map fst !waited
+  in
+  let order = Alcotest.(list string) in
+  Alcotest.check order "a granted first" [ "a"; "b" ]
+    (expiries ~exclusive:true ~first:"a");
+  Alcotest.check order "b granted first" [ "b"; "a" ]
+    (expiries ~exclusive:true ~first:"b");
+  Alcotest.check order "shared holds have no waiters" []
+    (expiries ~exclusive:false ~first:"a")
+
 let suite =
   [
     Alcotest.test_case "server report window" `Quick test_server_report_window;
@@ -426,5 +576,13 @@ let suite =
       test_lease_reclaims_abandoned_lock;
     Alcotest.test_case "queued acquire cancelled" `Quick
       test_release_of_queued_acquire_completes_it;
+    Alcotest.test_case "expired lease spares a newer hold" `Quick
+      test_expired_lease_spares_newer_hold;
+    Alcotest.test_case "lease ring keeps the heap flat" `Quick
+      test_lease_ring_keeps_heap_flat;
+    Alcotest.test_case "lease reclaimed one lease after grant" `Quick
+      test_lease_reclaimed_one_lease_after_grant;
+    Alcotest.test_case "same-instant leases expire in grant order" `Quick
+      test_same_instant_leases_expire_in_grant_order;
     QCheck_alcotest.to_alcotest prop_random_ops_conserve_requests;
   ]

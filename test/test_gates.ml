@@ -28,13 +28,14 @@ let test_addressing_probes () =
   check_int "probes for 20,000 lookups" 40_052 !probes
 
 (* The engine's events and peak pending count per policy of the quick
-   figure 6. *)
+   figure 6.  Lock leases wait in the cluster's lease ring, which keeps
+   one timer pending however many leases are live. *)
 let test_fig6_quick_counts () =
   let results = (Experiments.Figures.fig6 ~quick:true ()).results in
   Alcotest.(check (list (pair string int)))
     "peak pending events per policy"
     [
-      ("simple-random", 8); ("round-robin", 8); ("prescient", 8); ("anu", 10);
+      ("simple-random", 5); ("round-robin", 5); ("prescient", 5); ("anu", 8);
     ]
     (List.map
        (fun (r : Experiments.Runner.result) ->
@@ -62,7 +63,7 @@ let test_untraced_stream () =
   let r = run () in
   let words = Gc.minor_words () -. before in
   check_int "every request served" r.submitted r.completed;
-  check_int "peak pending events" 62 r.sim_peak_pending;
+  check_int "peak pending events" 14 r.sim_peak_pending;
   let per_request = words /. float_of_int r.submitted in
   if per_request > 15.0 then
     Alcotest.failf "%.2f minor words per untraced request, budget 15"

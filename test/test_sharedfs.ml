@@ -155,6 +155,35 @@ let test_lock_state_cleanup () =
   ignore (Lock_manager.release lm ~key:(key 9) ~client:1);
   check_int "empty keys dropped" 0 (Lock_manager.active_keys lm)
 
+(* A hold's stamp tells one grant from a later one: it goes with the
+   hold, and a re-granted hold starts unstamped. *)
+let test_lock_stamp_per_hold () =
+  let lm = Lock_manager.create () in
+  let k = key 1 in
+  let acquire client =
+    ignore
+      (Lock_manager.acquire lm ~key:k ~client ~mode:Lock_manager.Exclusive)
+  in
+  acquire 1;
+  acquire 2;
+  Lock_manager.stamp lm ~key:k ~client:1 7;
+  Lock_manager.stamp lm ~key:k ~client:2 9;
+  check_bool "holder stamped" true
+    (Lock_manager.stamped lm ~key:k ~client:1 7);
+  check_bool "other stamp" false (Lock_manager.stamped lm ~key:k ~client:1 8);
+  check_bool "a queued client holds no stamp" false
+    (Lock_manager.stamped lm ~key:k ~client:2 9);
+  ignore (Lock_manager.release lm ~key:k ~client:1);
+  check_bool "released" false (Lock_manager.holds lm ~key:k ~client:1);
+  check_bool "stamp gone with the hold" false
+    (Lock_manager.stamped lm ~key:k ~client:1 7);
+  check_bool "promoted hold unstamped" true
+    (Lock_manager.stamped lm ~key:k ~client:2 0);
+  acquire 1;
+  ignore (Lock_manager.release lm ~key:k ~client:2);
+  check_bool "regranted hold unstamped" true
+    (Lock_manager.stamped lm ~key:k ~client:1 0)
+
 (* --- Cache --- *)
 
 let test_cache_cold_penalty_decays () =
@@ -238,6 +267,7 @@ let suite =
     Alcotest.test_case "lock cancel queued" `Quick test_lock_release_of_queued_request;
     Alcotest.test_case "lock double acquire" `Quick test_lock_double_acquire_rejected;
     Alcotest.test_case "lock export/import" `Quick test_lock_export_import;
+    Alcotest.test_case "lock stamp per hold" `Quick test_lock_stamp_per_hold;
     Alcotest.test_case "lock cleanup" `Quick test_lock_state_cleanup;
     Alcotest.test_case "cache cold decay" `Quick test_cache_cold_penalty_decays;
     Alcotest.test_case "cache warm install" `Quick test_cache_warm_install;
